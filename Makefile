@@ -24,10 +24,12 @@ check: vet
 # absorbed into perple-vet's nodeterminism pass).
 lint: check
 
-# Short local fuzz pass over the litmus parser (CI runs the seed corpus
-# as ordinary tests; this explores new inputs).
+# Short local fuzz passes over the litmus parser and over the axiomatic
+# checker against the operational reference machine (CI runs the seed
+# corpora as ordinary tests; this explores new inputs).
 fuzz:
 	$(GO) test ./internal/litmus -fuzz FuzzParseRoundTrip -fuzztime 30s
+	$(GO) test ./internal/axiom -run '^$$' -fuzz FuzzAxiomVsOperational -fuzztime 30s
 
 # Long chaos soak: fault-injected loopback fleets under the race
 # detector (six fixed-seed rounds; CI runs the short variant). Seeds

@@ -1,6 +1,8 @@
 // Command perple-diy is a diy-style cycle-based litmus test generator: it
 // synthesizes a litmus test from a relaxation-cycle specification,
-// classifies its target under SC, x86-TSO and PSO, and can run it under
+// classifies its target under SC, x86-TSO and PSO with the axiomatic
+// checker (refusing, with exit status 1, cycles beyond its exact-
+// enumeration cutoff), and can run it under
 // both harnesses or convert it to its perpetual counterpart — the full
 // generate → convert → run pipeline the paper's Section VIII describes.
 //
@@ -18,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"perple/internal/axiom"
 	"perple/internal/core"
 	"perple/internal/harness"
 	"perple/internal/litmus"
@@ -69,7 +72,10 @@ func run() error {
 	fmt.Println(litmus.Format(test))
 
 	for _, m := range memmodel.Models {
-		allowed := memmodel.AxiomaticAllowed(test, test.Target, m)
+		allowed, err := axiom.Allowed(test, test.Target, m)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("target under %-3v: %v\n", m, verdict(allowed))
 	}
 

@@ -30,9 +30,16 @@ func main() {
 	}
 	fmt.Printf("parsed %q: %d threads, %d load-performing\n", test.Name, test.T(), test.TL())
 	fmt.Printf("target %v\n", test.Target)
-	fmt.Printf("  SC allows:  %v\n", perple.AllowedSC(test, test.Target))
-	fmt.Printf("  TSO allows: %v (wrc is forbidden: stores are transitively visible)\n\n",
-		perple.AllowedTSO(test, test.Target))
+	sc, err := perple.Allowed(test, test.Target, perple.SC)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tso, err := perple.Allowed(test, test.Target, perple.TSO)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  SC allows:  %v\n", sc)
+	fmt.Printf("  TSO allows: %v (wrc is forbidden: stores are transitively visible)\n\n", tso)
 
 	// Convert and show the Converter's artifacts, like the paper's tool
 	// emits per-thread assembly and counter files.

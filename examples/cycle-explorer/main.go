@@ -35,9 +35,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-36s %-10s %-10s %-10s\n", f.label,
-			verdict(perple.Allowed(test, test.Target, perple.SC)),
-			verdict(perple.Allowed(test, test.Target, perple.TSO)),
-			verdict(perple.Allowed(test, test.Target, perple.PSO)))
+			verdict(test, perple.SC), verdict(test, perple.TSO), verdict(test, perple.PSO))
 	}
 
 	// Deep-dive one cycle: generate, show the test, convert, and narrate
@@ -72,7 +70,11 @@ func main() {
 	fmt.Printf("\nperpetual run, 10000 iterations: %d target occurrences\n", res.Heuristic.Counts[0])
 }
 
-func verdict(allowed bool) string {
+func verdict(test *perple.Test, m perple.Model) string {
+	allowed, err := perple.Allowed(test, test.Target, m)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if allowed {
 		return "allowed"
 	}

@@ -22,8 +22,14 @@ func main() {
 	fmt.Println("litmus test:")
 	fmt.Println(perple.FormatLitmus(test))
 	fmt.Printf("target outcome: %v\n", test.Target)
-	fmt.Printf("  allowed under SC:  %v\n", perple.AllowedSC(test, test.Target))
-	fmt.Printf("  allowed under TSO: %v\n\n", perple.AllowedTSO(test, test.Target))
+	for _, m := range []perple.Model{perple.SC, perple.TSO} {
+		allowed, err := perple.Allowed(test, test.Target, m)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  allowed under %-4s %v\n", m.String()+":", allowed)
+	}
+	fmt.Println()
 
 	cfg := perple.DefaultConfig()
 

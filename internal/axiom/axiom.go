@@ -1,11 +1,13 @@
-// Package axiom is a static axiomatic x86-TSO/SC checker over the
-// litmus.Test AST, in the style of herd ("Herding Cats", Alglave,
+// Package axiom is the repo's static axiomatic memory-model checker over
+// the litmus.Test AST, in the style of herd ("Herding Cats", Alglave,
 // Maranget, Tautschnig). It enumerates candidate executions symbolically
 // — program order is fixed; every reads-from assignment and every
-// per-location coherence order is a choice — filters them against the
-// axioms of sequential consistency and of x86-TSO, and classifies each
-// final-state outcome of a test as SCAllowed, TSOOnly (the interesting
-// weak outcomes) or Forbidden.
+// per-location coherence order is a choice — and filters them against
+// the axioms of sequential consistency, x86-TSO and SPARC PSO. Analyze
+// classifies each final-state outcome of a test as SCAllowed, TSOOnly
+// (the interesting weak outcomes) or Forbidden; Allowed, AllowedSet and
+// AllowedOutcomes answer the allowed/forbidden question under any of the
+// three models.
 //
 // The axioms, following herd's x86tso.cat:
 //
@@ -17,24 +19,28 @@
 //     store→load program order (the store-buffer relaxation), mfence
 //     restores it across an OpFence, and rfe keeps only cross-thread
 //     read-from edges — a same-thread rf is store-to-load forwarding and
-//     does not prove the store reached memory.
+//     does not prove the store reached memory;
+//   - PSO: as TSO, with ppo additionally dropping store→store program
+//     order between different locations (per-location store buffers);
+//     mfence restores it too.
 //
-// Unlike the happens-before checker in internal/memmodel (which this
-// package cross-validates against in tests), the enumeration here is
-// engineered as a static pre-flight: sub-relations are memoized per test
-// (program-order bitmasks, po-consistent coherence permutations, pruned
-// reads-from candidate lists, from-read suffix masks) and all per-
-// candidate work runs on reusable uint64 adjacency masks, so suite-sized
-// tests classify in microseconds and whole corpora in well under a
-// second. Enumeration is exact up to an explicit cutoff (Limits); above
-// it Analyze refuses with a *TooLargeError instead of answering
-// inexactly, so the result is always a proof, never a sample.
+// The enumeration is engineered as a static pre-flight: sub-relations are
+// memoized per test (program-order bitmasks, po-consistent coherence
+// permutations, pruned reads-from candidate lists, from-read suffix
+// masks) and all per-candidate work runs on reusable uint64 adjacency
+// masks, so suite-sized tests classify in microseconds and whole corpora
+// in well under a second. Enumeration is exact up to an explicit cutoff
+// (Limits); above it the checker refuses with a *TooLargeError instead of
+// answering inexactly, so the result is always a proof, never a sample.
+// Tests cross-validate every model against the independent operational
+// store-buffer machine in internal/memmodel.
 package axiom
 
 import (
 	"fmt"
 
 	"perple/internal/litmus"
+	"perple/internal/memmodel"
 )
 
 // Class classifies one outcome of a litmus test against the two models.
@@ -178,7 +184,7 @@ type Report struct {
 	// Target analyzes the declared target outcome.
 	Target TargetInfo
 
-	keys map[string]int // resultKey -> Results index
+	keys map[string]int // memmodel.StateKey -> Results index
 }
 
 // Analyze classifies the test under the default cutoff.
@@ -188,19 +194,94 @@ func Analyze(t *litmus.Test) (*Report, error) {
 
 // AnalyzeWithLimits classifies the test, enumerating exactly up to lim.
 func AnalyzeWithLimits(t *litmus.Test, lim Limits) (*Report, error) {
+	rep, err := enumerateModel(t, lim, memmodel.TSO)
+	if err != nil {
+		return nil, err
+	}
+	rep.classifyOutcomes()
+	rep.classifyTarget()
+	return rep, nil
+}
+
+// enumerateModel validates the test and collects, up to lim, every final
+// state the weak model (TSO or PSO) allows, flagging the SC-allowed ones.
+// The Report's Results then hold that model's states; only its counters
+// and Results are filled.
+func enumerateModel(t *litmus.Test, lim Limits, weak memmodel.Model) (*Report, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	lim = lim.withDefaults()
-	a, err := newAnalysis(t, lim)
+	a, err := newAnalysis(t, lim, weak)
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{Test: t, Limits: lim, keys: map[string]int{}}
 	a.enumerate(rep)
-	rep.classifyOutcomes()
-	rep.classifyTarget()
 	return rep, nil
+}
+
+// Allowed reports whether model m allows outcome o of test t: some
+// m-consistent execution produces a final state satisfying it. Tests
+// beyond the default cutoff are refused with a *TooLargeError.
+func Allowed(t *litmus.Test, o litmus.Outcome, m memmodel.Model) (bool, error) {
+	results, err := AllowedSet(t, m)
+	return anyHolds(results, o), err
+}
+
+// AllowedSet returns the distinct final states (registers and memory)
+// model m allows, under the default cutoff.
+func AllowedSet(t *litmus.Test, m memmodel.Model) ([]Result, error) {
+	return allowedSet(t, m, DefaultLimits())
+}
+
+// AllowedOutcomes returns the subset of the test's full register-outcome
+// space (litmus.Test.AllOutcomes order) that model m allows, under the
+// default cutoff.
+func AllowedOutcomes(t *litmus.Test, m memmodel.Model) ([]litmus.Outcome, error) {
+	results, err := AllowedSet(t, m)
+	if err != nil {
+		return nil, err
+	}
+	var out []litmus.Outcome
+	for _, o := range t.AllOutcomes() {
+		if anyHolds(results, o) {
+			out = append(out, o)
+		}
+	}
+	return out, nil
+}
+
+func anyHolds(results []Result, o litmus.Outcome) bool {
+	for i := range results {
+		if o.HoldsFull(results[i].Regs, results[i].Mem) {
+			return true
+		}
+	}
+	return false
+}
+
+// allowedSet returns the distinct final states model m allows,
+// enumerating exactly up to lim. SC and TSO share the TSO enumeration
+// Analyze runs (SC is its SC-flagged subset); only PSO enumerates with
+// its own ppo.
+func allowedSet(t *litmus.Test, m memmodel.Model, lim Limits) ([]Result, error) {
+	weak := memmodel.TSO
+	switch m {
+	case memmodel.SC, memmodel.TSO:
+	case memmodel.PSO:
+		weak = memmodel.PSO
+	default:
+		return nil, fmt.Errorf("axiom: unsupported memory model %v", m)
+	}
+	rep, err := enumerateModel(t, lim, weak)
+	if err != nil {
+		return nil, err
+	}
+	if m == memmodel.SC {
+		return rep.SCResults(), nil
+	}
+	return rep.Results, nil
 }
 
 // Classify returns the class of an arbitrary outcome of the test.
@@ -244,25 +325,11 @@ func (r *Report) WitnessFor(o litmus.Outcome) *Witness {
 // state then matches on registers alone.
 func (r *Report) TSOAllows(regs [][]int64, mem map[litmus.Loc]int64) bool {
 	if mem != nil {
-		_, ok := r.keys[stateKey(r.Test, regs, mem)]
+		_, ok := r.keys[memmodel.StateKey(r.Test, regs, mem)]
 		return ok
 	}
 	for i := range r.Results {
 		if regsEqual(r.Results[i].Regs, regs) {
-			return true
-		}
-	}
-	return false
-}
-
-// SCAllows is TSOAllows for the SC subset.
-func (r *Report) SCAllows(regs [][]int64, mem map[litmus.Loc]int64) bool {
-	if mem != nil {
-		i, ok := r.keys[stateKey(r.Test, regs, mem)]
-		return ok && r.Results[i].SC
-	}
-	for i := range r.Results {
-		if r.Results[i].SC && regsEqual(r.Results[i].Regs, regs) {
 			return true
 		}
 	}
@@ -360,31 +427,4 @@ func regsEqual(a, b [][]int64) bool {
 		}
 	}
 	return true
-}
-
-// stateKey encodes a (register file, final memory) state canonically.
-func stateKey(t *litmus.Test, regs [][]int64, mem map[litmus.Loc]int64) string {
-	b := make([]byte, 0, 64)
-	for _, tr := range regs {
-		for _, v := range tr {
-			b = appendInt(b, v)
-		}
-		b = append(b, '|')
-	}
-	b = append(b, '#')
-	for _, loc := range t.Locs() {
-		b = appendInt(b, mem[loc])
-	}
-	return string(b)
-}
-
-func appendInt(b []byte, v int64) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	if v >= 10 {
-		b = appendInt(b, v/10)
-	}
-	return append(b, byte('0'+v%10), ',')
 }

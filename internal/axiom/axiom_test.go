@@ -45,15 +45,16 @@ func TestSuiteClassification(t *testing.T) {
 }
 
 // TestNonConvertibleAgainstMemmodel classifies the final-memory-target
-// tests against the existing checker rather than hand-written labels.
+// tests against the operational reference machine rather than
+// hand-written labels.
 func TestNonConvertibleAgainstMemmodel(t *testing.T) {
 	for _, tc := range litmus.NonConvertible() {
 		rep, err := Analyze(tc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		wantTSO := memmodel.AxiomaticAllowed(tc, tc.Target, memmodel.TSO)
-		wantSC := memmodel.AxiomaticAllowed(tc, tc.Target, memmodel.SC)
+		wantTSO := memmodel.OperationalAllowed(tc, tc.Target, memmodel.TSO)
+		wantSC := memmodel.OperationalAllowed(tc, tc.Target, memmodel.SC)
 		var want Class
 		switch {
 		case wantSC:
@@ -70,22 +71,19 @@ func TestNonConvertibleAgainstMemmodel(t *testing.T) {
 }
 
 // TestResultSetsMatchMemmodel cross-validates the memoized enumeration
-// against both existing oracles — the hb-graph axiomatic checker and the
-// independent operational store-buffer machine — over the suite and the
-// non-convertible tests: identical TSO result sets, identical SC subsets.
+// against the independent operational store-buffer machine over the
+// non-convertible tests: identical SC, TSO and PSO result sets. The suite
+// is compared in internal/memmodel (TestOperationalMatchesAxiomaticOnSuite
+// for SC and TSO, TestPSOAgreement for PSO).
 func TestResultSetsMatchMemmodel(t *testing.T) {
-	var tests []*litmus.Test
-	for _, e := range litmus.Suite() {
-		tests = append(tests, e.Test)
-	}
-	tests = append(tests, litmus.NonConvertible()...)
-	for _, tc := range tests {
-		checkResultSets(t, tc)
+	for _, tc := range litmus.NonConvertible() {
+		checkResultSets(t, tc, DefaultLimits())
 	}
 }
 
 // TestResultSetsMatchMemmodelRandom repeats the cross-validation over a
-// fixed-seed generated corpus sized to fit the default cutoff.
+// fixed-seed generated corpus sized to fit the default cutoff, and over
+// diy cycle tests.
 func TestResultSetsMatchMemmodelRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cfg := litmus.GenConfig{
@@ -97,7 +95,7 @@ func TestResultSetsMatchMemmodelRandom(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		tc := litmus.Generate(rng, cfg, fmt.Sprintf("axrand%03d", i))
-		checkResultSets(t, tc)
+		checkResultSets(t, tc, DefaultLimits())
 	}
 	// And over diy cycle tests, which exercise every edge kind.
 	cycles := [][]litmus.EdgeSpec{
@@ -108,67 +106,98 @@ func TestResultSetsMatchMemmodelRandom(t *testing.T) {
 		{litmus.Rfe, litmus.PodRR, litmus.Fre, litmus.Rfe, litmus.PodRR, litmus.Fre},
 		{litmus.FencedWR, litmus.Fre, litmus.FencedWR, litmus.Fre},
 		{litmus.Wse, litmus.PodWW, litmus.Wse, litmus.PodWW},
+		{litmus.FencedWW, litmus.Rfe, litmus.PodRR, litmus.Fre},
+		{litmus.PodWW, litmus.Rfe, litmus.FencedRR, litmus.Fre},
+		{litmus.PodWW, litmus.Wse, litmus.FencedWW, litmus.Wse},
 	}
 	for i, edges := range cycles {
 		tc, err := litmus.FromCycle(fmt.Sprintf("axcycle%02d", i), edges...)
 		if err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
-		checkResultSets(t, tc)
+		checkResultSets(t, tc, DefaultLimits())
 	}
 }
 
-func checkResultSets(t *testing.T, tc *litmus.Test) {
-	t.Helper()
-	rep, err := Analyze(tc)
-	var tle *TooLargeError
-	if errors.As(err, &tle) {
-		t.Fatalf("%s: unexpectedly over the cutoff: %v", tc.Name, err)
+// TestPSOAgreementRandom cross-validates the PSO sets on generator output
+// with small shapes. Three threads of three instructions reach 9 events,
+// one past the default cutoff, so the test raises it; a refusal fails.
+func TestPSOAgreementRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	cfg := litmus.GenConfig{
+		MinThreads: 2, MaxThreads: 3, MaxInstrs: 3,
+		Locs: []litmus.Loc{"x", "y"}, FenceProb: 0.2,
 	}
-	if err != nil {
-		t.Fatalf("%s: %v", tc.Name, err)
+	n := 40
+	if testing.Short() {
+		n = 10
 	}
-	gotTSO := stateKeys(tc, rep.Results, false)
-	gotSC := stateKeys(tc, rep.Results, true)
-	wantAxTSO := memmodelKeys(tc, memmodel.AxiomaticAllowedSet(tc, memmodel.TSO))
-	wantAxSC := memmodelKeys(tc, memmodel.AxiomaticAllowedSet(tc, memmodel.SC))
-	wantOpTSO := memmodelKeys(tc, memmodel.OperationalAllowedSet(tc, memmodel.TSO))
-	diffKeys(t, tc.Name, "TSO vs hb-axiomatic", gotTSO, wantAxTSO)
-	diffKeys(t, tc.Name, "SC vs hb-axiomatic", gotSC, wantAxSC)
-	diffKeys(t, tc.Name, "TSO vs operational", gotTSO, wantOpTSO)
-}
-
-func stateKeys(tc *litmus.Test, results []Result, scOnly bool) map[string]bool {
-	out := map[string]bool{}
-	for _, r := range results {
-		if scOnly && !r.SC {
-			continue
+	for i := 0; i < n; i++ {
+		test := litmus.Generate(rng, cfg, "psofuzz")
+		got, err := allowedSet(test, memmodel.PSO, Limits{MaxEvents: 9})
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", test.Name, err, litmus.Format(test))
 		}
-		out[stateKey(tc, r.Regs, r.Mem)] = true
+		want := memmodelKeys(test, memmodel.OperationalAllowedSet(test, memmodel.PSO))
+		if !diffKeys(t, test.Name, "PSO vs operational", stateKeys(test, got), want) {
+			t.Logf("failing test:\n%s", litmus.Format(test))
+			return
+		}
 	}
-	return out
 }
 
-func memmodelKeys(tc *litmus.Test, results []memmodel.AxiomaticResult) map[string]bool {
+// checkResultSets requires axiom's SC, TSO and PSO result sets, enumerated
+// up to lim, to equal the operational machine's. A refusal fails the test.
+func checkResultSets(t *testing.T, tc *litmus.Test, lim Limits) {
+	t.Helper()
+	for _, m := range memmodel.Models {
+		got, err := allowedSet(tc, m, lim)
+		var tle *TooLargeError
+		if errors.As(err, &tle) {
+			t.Fatalf("%s: unexpectedly over the cutoff: %v", tc.Name, err)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.Name, err)
+		}
+		want := memmodelKeys(tc, memmodel.OperationalAllowedSet(tc, m))
+		diffKeys(t, tc.Name, m.String()+" vs operational", stateKeys(tc, got), want)
+	}
+}
+
+func stateKeys(tc *litmus.Test, results []Result) map[string]bool {
 	out := map[string]bool{}
 	for _, r := range results {
-		out[stateKey(tc, r.Regs, r.Mem)] = true
+		out[memmodel.StateKey(tc, r.Regs, r.Mem)] = true
 	}
 	return out
 }
 
-func diffKeys(t *testing.T, name, what string, got, want map[string]bool) {
+func memmodelKeys(tc *litmus.Test, results []memmodel.Result) map[string]bool {
+	out := map[string]bool{}
+	for _, r := range results {
+		out[memmodel.StateKey(tc, r.Regs, r.Mem)] = true
+	}
+	return out
+}
+
+// diffKeys reports every state on which got and want disagree and
+// returns whether they are equal.
+func diffKeys(t *testing.T, name, what string, got, want map[string]bool) bool {
 	t.Helper()
+	ok := true
 	for k := range got {
 		if !want[k] {
 			t.Errorf("%s: %s: axiom allows state %q the oracle forbids", name, what, k)
+			ok = false
 		}
 	}
 	for k := range want {
 		if !got[k] {
 			t.Errorf("%s: %s: axiom misses state %q the oracle allows", name, what, k)
+			ok = false
 		}
 	}
+	return ok
 }
 
 func TestClassifyOutcomeSpace(t *testing.T) {
@@ -264,6 +293,12 @@ func TestCutoffError(t *testing.T) {
 	if _, err := AnalyzeWithLimits(big, Limits{MaxThreads: 4, MaxEvents: 9}); err != nil {
 		t.Errorf("AnalyzeWithLimits over raised cutoff: %v", err)
 	}
+	// The allowed/forbidden entry refuses the same way under every model.
+	for _, m := range memmodel.Models {
+		if _, err := Allowed(big, big.Target, m); !errors.As(err, &tle) {
+			t.Errorf("Allowed under %v: got %v, want *TooLargeError", m, err)
+		}
+	}
 }
 
 func TestWitnessFormat(t *testing.T) {
@@ -313,7 +348,7 @@ func reportFingerprint(r *Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "exec=%d consistent=%d\n", r.Executions, r.Consistent)
 	for _, res := range r.Results {
-		fmt.Fprintf(&b, "state %s sc=%v\n%s", stateKey(r.Test, res.Regs, res.Mem), res.SC, res.WitnessTSO.Format())
+		fmt.Fprintf(&b, "state %s sc=%v\n%s", memmodel.StateKey(r.Test, res.Regs, res.Mem), res.SC, res.WitnessTSO.Format())
 		if res.WitnessSC != nil {
 			b.WriteString(res.WitnessSC.Format())
 		}
@@ -332,5 +367,12 @@ func TestRejectsInvalidTest(t *testing.T) {
 	tc := &litmus.Test{Name: "bad", Threads: []litmus.Thread{{Instrs: []litmus.Instr{litmus.Store("x", 0)}}}}
 	if _, err := Analyze(tc); err == nil {
 		t.Error("Analyze accepted a test that fails validation")
+	}
+	if _, err := Allowed(tc, tc.Target, memmodel.PSO); err == nil {
+		t.Error("Allowed accepted a test that fails validation")
+	}
+	sb, _ := litmus.SuiteTest("sb")
+	if _, err := Allowed(sb, sb.Target, memmodel.Model(9)); err == nil {
+		t.Error("Allowed accepted an unknown memory model")
 	}
 }

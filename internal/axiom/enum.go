@@ -4,14 +4,14 @@ import (
 	"math/bits"
 
 	"perple/internal/litmus"
+	"perple/internal/memmodel"
 )
 
 // event is one memory event: a dynamic load or store. Fences are not
 // events — their effect is folded into the ppo mask (a fence between a
-// store and a later load of the same thread restores the dropped
-// store→load edge), which is sound because a direct po edge subsumes any
-// fence-mediated path. Event 0 is the init pseudo-store writing every
-// location's initial value.
+// relaxed pair of the same thread restores the dropped edge), which is
+// sound because a direct po edge subsumes any fence-mediated path. Event
+// 0 is the init pseudo-store writing every location's initial value.
 type event struct {
 	thread int // -1 for init
 	index  int // instruction index within the thread
@@ -45,11 +45,11 @@ type analysis struct {
 	locs   []litmus.Loc
 
 	po    []uint64 // full program order (transitive; masks make that free)
-	ppo   []uint64 // TSO-preserved po: store→load dropped unless fenced
+	ppo   []uint64 // po pairs the weak model keeps (keepsPO)
 	poLoc []uint64 // po restricted to same-location pairs
 
-	loads   []int         // load event ids in (thread, index) order
-	loadPos []int         // event id -> index in loads, -1 otherwise
+	loads   []int // load event ids in (thread, index) order
+	loadPos []int // event id -> index in loads, -1 otherwise
 	stores  map[litmus.Loc][]int
 
 	rfCands [][]int // rfCands[k]: candidate stores for loads[k] (0 = init)
@@ -71,7 +71,10 @@ type analysis struct {
 	stack      []int
 }
 
-func newAnalysis(t *litmus.Test, lim Limits) (*analysis, error) {
+// newAnalysis memoizes the test for one enumeration; ppo encodes the
+// weak model (TSO or PSO). SC needs no ppo of its own: it is checked with
+// full po on every weakly consistent candidate.
+func newAnalysis(t *litmus.Test, lim Limits, weak memmodel.Model) (*analysis, error) {
 	nEvents := 0
 	for _, th := range t.Threads {
 		for _, in := range th.Instrs {
@@ -132,11 +135,9 @@ func newAnalysis(t *litmus.Test, lim Limits) (*analysis, error) {
 			if ei.loc == ej.loc {
 				a.poLoc[i] |= 1 << j
 			}
-			if ei.kind == litmus.OpStore && ej.kind == litmus.OpLoad &&
-				!fenceBetween(t, ei.thread, ei.index, ej.index) {
-				continue // the store-buffer relaxation
+			if keepsPO(weak, t, ei, ej) {
+				a.ppo[i] |= 1 << j
 			}
-			a.ppo[i] |= 1 << j
 		}
 	}
 
@@ -164,6 +165,21 @@ func newAnalysis(t *litmus.Test, lim Limits) (*analysis, error) {
 	a.color = make([]int8, n)
 	a.stack = make([]int, 0, n)
 	return a, nil
+}
+
+// keepsPO reports whether model m keeps the program-order pair from→to
+// (same thread, from first) in its global order. SC keeps every pair;
+// x86-TSO drops store→load (the FIFO store buffer); PSO also drops
+// store→store to different locations (per-location buffers). An MFENCE
+// between the pair restores a dropped pair. The other half of the weak
+// models — reads-from is external-only under TSO and PSO — lives in
+// check's dynExt.
+func keepsPO(m memmodel.Model, t *litmus.Test, from, to *event) bool {
+	if m == memmodel.SC || from.kind != litmus.OpStore {
+		return true
+	}
+	relaxed := to.kind == litmus.OpLoad || (m == memmodel.PSO && to.loc != from.loc)
+	return !relaxed || fenceBetween(t, from.thread, from.index, to.index)
 }
 
 func fenceBetween(t *litmus.Test, thread, from, to int) bool {
@@ -325,16 +341,16 @@ func (a *analysis) enumerate(rep *Report) {
 
 // check tests one candidate execution against the axioms:
 //
-//	coherence:  poLoc ∪ rf ∪ co ∪ fr acyclic   (required by both models)
-//	x86-TSO:    ppo ∪ rfe ∪ co ∪ fr acyclic    (ghb; mfence is inside ppo)
-//	SC:         po ∪ rf ∪ co ∪ fr acyclic
+//	coherence:    poLoc ∪ rf ∪ co ∪ fr acyclic   (required by every model)
+//	TSO or PSO:   ppo ∪ rfe ∪ co ∪ fr acyclic    (ghb; mfence is inside ppo)
+//	SC:           po ∪ rf ∪ co ∪ fr acyclic
 //
-// SC's edge set contains TSO's (ppo ⊆ po, rfe ⊆ rf), so SC-consistency
-// implies TSO-consistency and SC is only checked for TSO-consistent
-// candidates. co is added as its chain (reachability-equivalent to the
-// full total order) and each load contributes a single fr edge to the
-// immediate co-successor of the store it reads — the co chain supplies
-// the rest of fr transitively.
+// SC's edge set contains the weak model's (ppo ⊆ po, rfe ⊆ rf), so SC-
+// consistency implies weak consistency and SC is only checked for weakly
+// consistent candidates. co is added as its chain (reachability-
+// equivalent to the full total order) and each load contributes a single
+// fr edge to the immediate co-successor of the store it reads — the co
+// chain supplies the rest of fr transitively.
 func (a *analysis) check(rep *Report, idx []int) {
 	rep.Executions++
 	t := a.t
@@ -392,7 +408,7 @@ func (a *analysis) check(rep *Report, idx []int) {
 	}
 	rep.Consistent++
 	if !a.acyclic(a.ppo, dynExt) {
-		return // TSO-forbidden (hence SC-forbidden)
+		return // forbidden by the weak model (hence SC-forbidden)
 	}
 	sc := a.acyclic(a.po, dynAll)
 
@@ -415,7 +431,7 @@ func (a *analysis) check(rep *Report, idx []int) {
 		mem[loc] = a.events[a.permChoice[k].last].value
 	}
 
-	key := stateKey(t, regs, mem)
+	key := memmodel.StateKey(t, regs, mem)
 	if i, ok := rep.keys[key]; ok {
 		if sc && !rep.Results[i].SC {
 			rep.Results[i].SC = true

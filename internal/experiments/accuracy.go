@@ -7,13 +7,8 @@ import (
 	"perple/internal/core"
 	"perple/internal/harness"
 	"perple/internal/litmus"
-	"perple/internal/memmodel"
 	"perple/internal/stats"
 )
-
-func allowedOutcomes(t *litmus.Test) []litmus.Outcome {
-	return memmodel.AllowedOutcomes(t, memmodel.TSO)
-}
 
 // AccuracyRow is one test's heuristic-vs-exhaustive comparison on the
 // same run data.

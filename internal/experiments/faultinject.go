@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"perple/internal/axiom"
 	"perple/internal/core"
 	"perple/internal/harness"
 	"perple/internal/litmus"
@@ -57,10 +58,14 @@ func FaultInjection(w io.Writer, opts Options) (*FaultInjectionResult, error) {
 	cfg.Relaxation = memmodel.PSO
 
 	for _, e := range litmus.Suite() {
+		psoAllowed, err := axiom.Allowed(e.Test, e.Test.Target, memmodel.PSO)
+		if err != nil {
+			return nil, err
+		}
 		row := FaultRow{
 			Name:       e.Test.Name,
 			TSOAllowed: e.Allowed,
-			PSOAllowed: memmodel.AxiomaticAllowed(e.Test, e.Test.Target, memmodel.PSO),
+			PSOAllowed: psoAllowed,
 		}
 		row.InjectedBug = !row.TSOAllowed && row.PSOAllowed
 

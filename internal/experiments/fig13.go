@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"io"
 
+	"perple/internal/axiom"
 	"perple/internal/core"
 	"perple/internal/harness"
 	"perple/internal/litmus"
+	"perple/internal/memmodel"
 	"perple/internal/stats"
 )
 
@@ -50,8 +52,12 @@ func Fig13(w io.Writer, opts Options) (*Fig13Result, error) {
 			rows[i] = &Fig13Row{Test: name, Outcome: o, Counts: map[Tool]int64{}}
 		}
 		// Which outcomes does TSO allow? (annotation only)
+		allowed, err := axiom.AllowedOutcomes(test, memmodel.TSO)
+		if err != nil {
+			return nil, fmt.Errorf("fig13: %s: %w", name, err)
+		}
 		allowedSet := map[string]bool{}
-		for _, o := range allowedOutcomes(test) {
+		for _, o := range allowed {
 			allowedSet[o.Key()] = true
 		}
 		for i, o := range outcomes {

@@ -14,7 +14,8 @@ import (
 // TestEndToEndRandomTests drives randomly generated litmus tests through
 // the entire pipeline — classification, conversion, simulation, both
 // counters, both harnesses — and checks the global soundness contract
-// against the model checker:
+// against the operational reference machine, which has no size cutoff
+// (the generator's 3×3 shape can exceed the axiomatic checker's):
 //
 //   - if the target is TSO-forbidden, no tool may ever report it
 //     (litmus7 in any mode, PerpLE with either counter);
@@ -37,7 +38,7 @@ func TestEndToEndRandomTests(t *testing.T) {
 	}
 	for i := 0; i < rounds; i++ {
 		test := litmus.Generate(rng, cfg, "e2e")
-		forbidden := !memmodel.AxiomaticAllowed(test, test.Target, memmodel.TSO)
+		forbidden := !memmodel.OperationalAllowed(test, test.Target, memmodel.TSO)
 		simCfg := sim.DefaultConfig().WithSeed(int64(i) + 1)
 
 		// litmus7, two representative modes.
@@ -115,7 +116,7 @@ func TestEndToEndRandomTestsPSO(t *testing.T) {
 	simCfg.Relaxation = memmodel.PSO
 	for i := 0; i < rounds; i++ {
 		test := litmus.Generate(rng, genCfg, "e2epso")
-		forbidden := !memmodel.AxiomaticAllowed(test, test.Target, memmodel.PSO)
+		forbidden := !memmodel.OperationalAllowed(test, test.Target, memmodel.PSO)
 		lr, err := RunLitmus7(test, 300, sim.ModeTimebase, nil, simCfg.WithSeed(int64(i)+9))
 		if err != nil {
 			t.Fatal(err)

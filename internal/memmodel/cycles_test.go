@@ -1,13 +1,14 @@
-package memmodel
+package memmodel_test
 
 import (
 	"testing"
 
 	"perple/internal/litmus"
+	. "perple/internal/memmodel"
 )
 
 // TestCycleClassification cross-validates the diy-style generator against
-// the model checkers: a critical cycle's target is SC-forbidden by
+// the axiomatic checker: a critical cycle's target is SC-forbidden by
 // construction, and it is allowed under a weaker model exactly when the
 // model relaxes at least one of the cycle's program-order edges (PodWR
 // under TSO; PodWR or PodWW under PSO).
@@ -63,14 +64,14 @@ func checkCyclesOfLength(t *testing.T, alphabet []litmus.EdgeSpec, length int) i
 					hasWW = true
 				}
 			}
-			if AxiomaticAllowed(test, test.Target, SC) {
+			if allowed(t, test, test.Target, SC) {
 				t.Errorf("cycle %v: target SC-allowed; cycles must be SC-forbidden", edges)
 			}
-			if got := AxiomaticAllowed(test, test.Target, TSO); got != hasWR {
+			if got := allowed(t, test, test.Target, TSO); got != hasWR {
 				t.Errorf("cycle %v: TSO-allowed = %v, want %v (PodWR present = %v)",
 					edges, got, hasWR, hasWR)
 			}
-			if got := AxiomaticAllowed(test, test.Target, PSO); got != (hasWR || hasWW) {
+			if got := allowed(t, test, test.Target, PSO); got != (hasWR || hasWW) {
 				t.Errorf("cycle %v: PSO-allowed = %v, want %v", edges, got, hasWR || hasWW)
 			}
 		}
@@ -112,8 +113,8 @@ func TestCycleMatchesSuite(t *testing.T) {
 			t.Fatalf("%s: %v", c.suiteName, err)
 		}
 		for _, m := range []Model{SC, TSO, PSO} {
-			want := AxiomaticAllowed(suiteTest, suiteTest.Target, m)
-			got := AxiomaticAllowed(gen, gen.Target, m)
+			want := allowed(t, suiteTest, suiteTest.Target, m)
+			got := allowed(t, gen, gen.Target, m)
 			if got != want {
 				t.Errorf("%s under %v: generated %v, suite %v", c.suiteName, m, got, want)
 			}

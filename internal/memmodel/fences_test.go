@@ -1,15 +1,16 @@
-package memmodel
+package memmodel_test
 
 import (
 	"testing"
 
 	"perple/internal/litmus"
+	. "perple/internal/memmodel"
 )
 
 // TestFullFencingRestoresSC is the classic theorem as an oracle: a test
 // with an MFENCE between every pair of accesses has the same register-
 // outcome set under TSO (and PSO) as the original test has under SC.
-// Checked over the whole suite with both model implementations.
+// Checked over the whole suite with the axiomatic checker.
 func TestFullFencingRestoresSC(t *testing.T) {
 	for _, e := range litmus.Suite() {
 		e := e
@@ -18,9 +19,9 @@ func TestFullFencingRestoresSC(t *testing.T) {
 			if err := fenced.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			scSet := outcomeKeySet(AllowedOutcomes(e.Test, SC))
+			scSet := outcomeKeySet(allowedOutcomes(t, e.Test, SC))
 			for _, m := range []Model{TSO, PSO} {
-				fencedSet := outcomeKeySet(AllowedOutcomes(fenced, m))
+				fencedSet := outcomeKeySet(allowedOutcomes(t, fenced, m))
 				if len(fencedSet) != len(scSet) {
 					t.Errorf("%v: fenced outcome set has %d entries, SC has %d",
 						m, len(fencedSet), len(scSet))
@@ -96,7 +97,7 @@ func TestRelabelLocations(t *testing.T) {
 		t.Errorf("locs = %v", locs)
 	}
 	// Classification is invariant under relabeling.
-	if AxiomaticAllowed(out, out.Target, TSO) != AxiomaticAllowed(sb, sb.Target, TSO) {
+	if allowed(t, out, out.Target, TSO) != allowed(t, sb, sb.Target, TSO) {
 		t.Error("relabeling changed the TSO classification")
 	}
 	// Collapsing two locations is rejected.

@@ -1,11 +1,12 @@
-// Package memmodel decides which litmus test outcomes are allowed under
-// sequential consistency and under x86-TSO. It plays the role the herd
-// simulator plays in the PerpLE paper (classifying Table II targets as
-// allowed or forbidden) and doubles as an internal soundness oracle: the
-// axiomatic checker (axiomatic.go, built on happens-before graphs) and an
-// independent operational enumerator (operational.go, an explicit
-// store-buffer machine) must agree, and everything the simulated machine
-// in internal/sim produces must be allowed here.
+// Package memmodel names the memory consistency models (SC, x86-TSO,
+// SPARC PSO) and holds the operational reference for them: an explicit
+// store-buffer machine (operational.go) that enumerates every reachable
+// final state by brute-force interleaving. It plays the role the herd
+// simulator plays in the PerpLE paper only as a cross-check — the
+// allowed/forbidden decisions come from the axiomatic checker in
+// internal/axiom, whose result sets must equal this machine's, and
+// everything the simulated machine in internal/sim produces must be
+// allowed here.
 package memmodel
 
 import "fmt"

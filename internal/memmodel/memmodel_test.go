@@ -1,10 +1,16 @@
-package memmodel
+// The tests of this package cross-validate the operational reference
+// machine against the axiomatic checker in internal/axiom, which decides
+// allowed/forbidden for the rest of the repo. They live in an external
+// test package because axiom imports memmodel for the Model enum.
+package memmodel_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"perple/internal/axiom"
 	"perple/internal/litmus"
+	. "perple/internal/memmodel"
 )
 
 func mustTest(t *testing.T, name string) *litmus.Test {
@@ -16,6 +22,41 @@ func mustTest(t *testing.T, name string) *litmus.Test {
 	return test
 }
 
+// allowed asks the axiomatic checker whether m allows outcome o.
+func allowed(t *testing.T, test *litmus.Test, o litmus.Outcome, m Model) bool {
+	t.Helper()
+	ok, err := axiom.Allowed(test, o, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
+// allowedOutcomes asks the axiomatic checker for m's register outcomes.
+func allowedOutcomes(t *testing.T, test *litmus.Test, m Model) []litmus.Outcome {
+	t.Helper()
+	outs, err := axiom.AllowedOutcomes(test, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs
+}
+
+// axiomKeys returns the axiomatic checker's final states (registers and
+// memory) under m; a refusal fails the test.
+func axiomKeys(t *testing.T, test *litmus.Test, m Model) map[string]bool {
+	t.Helper()
+	rs, err := axiom.AllowedSet(test, m)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, litmus.Format(test))
+	}
+	keys := map[string]bool{}
+	for _, r := range rs {
+		keys[StateKey(test, r.Regs, r.Mem)] = true
+	}
+	return keys
+}
+
 // TestTableIIClassification is the reproduction of Table II's grouping:
 // every suite target must be allowed/forbidden under x86-TSO exactly as
 // the paper lists, and every allowed-group target must additionally be
@@ -25,12 +66,12 @@ func TestTableIIClassification(t *testing.T) {
 	for _, e := range litmus.Suite() {
 		e := e
 		t.Run(e.Test.Name, func(t *testing.T) {
-			tsoAllowed := AxiomaticAllowed(e.Test, e.Test.Target, TSO)
+			tsoAllowed := allowed(t, e.Test, e.Test.Target, TSO)
 			if tsoAllowed != e.Allowed {
 				t.Errorf("TSO allows target = %v, Table II says %v", tsoAllowed, e.Allowed)
 			}
 			if e.Allowed {
-				if AxiomaticAllowed(e.Test, e.Test.Target, SC) {
+				if allowed(t, e.Test, e.Test.Target, SC) {
 					t.Errorf("allowed-group target is SC-allowed; it would not demonstrate store buffering")
 				}
 			}
@@ -39,13 +80,14 @@ func TestTableIIClassification(t *testing.T) {
 }
 
 // TestOperationalMatchesAxiomaticOnSuite cross-validates the two
-// independent model implementations on every suite test and both models.
+// independent model implementations on every suite test under SC and TSO
+// (TestPSOAgreement covers PSO).
 func TestOperationalMatchesAxiomaticOnSuite(t *testing.T) {
 	for _, e := range litmus.Suite() {
 		e := e
 		t.Run(e.Test.Name, func(t *testing.T) {
 			for _, m := range []Model{SC, TSO} {
-				ax := resultSetKeys(e.Test, AxiomaticAllowedSet(e.Test, m))
+				ax := axiomKeys(t, e.Test, m)
 				op := resultSetKeys(e.Test, OperationalAllowedSet(e.Test, m))
 				diff(t, e.Test.Name, m, ax, op)
 			}
@@ -55,6 +97,10 @@ func TestOperationalMatchesAxiomaticOnSuite(t *testing.T) {
 
 // TestOperationalMatchesAxiomaticOnRandomTests fuzzes the equivalence on
 // generator output with small shapes (the state spaces stay tractable).
+// Three threads of three instructions reach 9 events, one past the
+// axiomatic checker's default cutoff, so the test raises it through
+// AnalyzeWithLimits (whose Results are the TSO states, SC-flagged); a
+// refusal fails.
 func TestOperationalMatchesAxiomaticOnRandomTests(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cfg := litmus.GenConfig{
@@ -67,8 +113,17 @@ func TestOperationalMatchesAxiomaticOnRandomTests(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		test := litmus.Generate(rng, cfg, "fuzz")
+		rep, err := axiom.AnalyzeWithLimits(test, axiom.Limits{MaxEvents: 9})
+		if err != nil {
+			t.Fatalf("%v\n%s", err, litmus.Format(test))
+		}
 		for _, m := range []Model{SC, TSO} {
-			ax := resultSetKeys(test, AxiomaticAllowedSet(test, m))
+			ax := map[string]bool{}
+			for _, r := range rep.Results {
+				if m == TSO || r.SC {
+					ax[StateKey(test, r.Regs, r.Mem)] = true
+				}
+			}
 			op := resultSetKeys(test, OperationalAllowedSet(test, m))
 			if !diff(t, test.Name, m, ax, op) {
 				t.Logf("failing test:\n%s", litmus.Format(test))
@@ -78,10 +133,10 @@ func TestOperationalMatchesAxiomaticOnRandomTests(t *testing.T) {
 	}
 }
 
-func resultSetKeys(t *litmus.Test, rs []AxiomaticResult) map[string]bool {
+func resultSetKeys(t *litmus.Test, rs []Result) map[string]bool {
 	keys := map[string]bool{}
 	for _, r := range rs {
-		keys[resultKey(t, r)] = true
+		keys[StateKey(t, r.Regs, r.Mem)] = true
 	}
 	return keys
 }
@@ -104,11 +159,12 @@ func diff(t *testing.T, name string, m Model, ax, op map[string]bool) bool {
 	return ok
 }
 
-// TestSCSubsetOfTSO: everything SC allows, TSO allows (TSO only relaxes).
+// TestSCSubsetOfTSO: everything the SC machine reaches, the TSO machine
+// reaches (TSO only relaxes).
 func TestSCSubsetOfTSO(t *testing.T) {
 	for _, e := range litmus.Suite() {
-		sc := resultSetKeys(e.Test, AxiomaticAllowedSet(e.Test, SC))
-		tso := resultSetKeys(e.Test, AxiomaticAllowedSet(e.Test, TSO))
+		sc := resultSetKeys(e.Test, OperationalAllowedSet(e.Test, SC))
+		tso := resultSetKeys(e.Test, OperationalAllowedSet(e.Test, TSO))
 		for k := range sc {
 			if !tso[k] {
 				t.Errorf("%s: SC result %q not TSO-allowed", e.Test.Name, k)
@@ -119,8 +175,8 @@ func TestSCSubsetOfTSO(t *testing.T) {
 
 func TestSBOutcomeSets(t *testing.T) {
 	sb := mustTest(t, "sb")
-	scOut := AllowedOutcomes(sb, SC)
-	tsoOut := AllowedOutcomes(sb, TSO)
+	scOut := allowedOutcomes(t, sb, SC)
+	tsoOut := allowedOutcomes(t, sb, TSO)
 	if len(scOut) != 3 {
 		t.Errorf("SC allows %d sb outcomes, want 3 (all but 0,0)", len(scOut))
 	}
@@ -147,7 +203,7 @@ func TestSBOutcomeSets(t *testing.T) {
 func TestLBForbiddenBothModels(t *testing.T) {
 	lb := mustTest(t, "lb")
 	for _, m := range []Model{SC, TSO} {
-		if AxiomaticAllowed(lb, lb.Target, m) {
+		if allowed(t, lb, lb.Target, m) {
 			t.Errorf("lb target allowed under %v", m)
 		}
 	}
@@ -156,7 +212,7 @@ func TestLBForbiddenBothModels(t *testing.T) {
 		{Thread: 0, Reg: 0, Value: 0}, {Thread: 1, Reg: 0, Value: 0},
 	}}
 	for _, m := range []Model{SC, TSO} {
-		if !AxiomaticAllowed(lb, zero, m) {
+		if !allowed(t, lb, zero, m) {
 			t.Errorf("lb zero outcome forbidden under %v", m)
 		}
 	}
@@ -166,8 +222,8 @@ func TestFencesRestoreSC(t *testing.T) {
 	// amd5 is sb with fences: its outcome set must equal sb's SC set.
 	amd5 := mustTest(t, "amd5")
 	sb := mustTest(t, "sb")
-	fenced := AllowedOutcomes(amd5, TSO)
-	sc := AllowedOutcomes(sb, SC)
+	fenced := allowedOutcomes(t, amd5, TSO)
+	sc := allowedOutcomes(t, sb, SC)
 	if len(fenced) != len(sc) {
 		t.Fatalf("amd5 under TSO allows %d outcomes, sb under SC allows %d", len(fenced), len(sc))
 	}
@@ -181,7 +237,7 @@ func TestFinalMemoryConditions(t *testing.T) {
 			// decidable; coww's target (final x=1 after x=1;x=2 in program
 			// order) is forbidden under both models.
 			if test.Name == "coww" {
-				if AxiomaticAllowed(test, test.Target, TSO) {
+				if allowed(t, test, test.Target, TSO) {
 					t.Error("coww target should be forbidden under TSO")
 				}
 				if OperationalAllowed(test, test.Target, TSO) {
@@ -191,7 +247,7 @@ func TestFinalMemoryConditions(t *testing.T) {
 			// 2+2w's target needs store-store reordering, which TSO's FIFO
 			// buffers forbid; both checkers must agree.
 			if test.Name == "2+2w" {
-				if AxiomaticAllowed(test, test.Target, TSO) {
+				if allowed(t, test, test.Target, TSO) {
 					t.Error("2+2w final state x=1,y=1 should be TSO-forbidden")
 				}
 				if OperationalAllowed(test, test.Target, TSO) {

@@ -12,6 +12,13 @@ type bufEntry struct {
 	val int64
 }
 
+// Result is one distinct final state of a test: the register file and
+// the final memory some execution produces.
+type Result struct {
+	Regs [][]int64
+	Mem  map[litmus.Loc]int64
+}
+
 // opState is a configuration of the operational machine.
 type opState struct {
 	pc   []int
@@ -34,7 +41,7 @@ type opState struct {
 // may drain, so stores to different locations leave the buffer out of
 // order. The SC machine writes memory directly and treats MFENCE as a
 // no-op.
-func OperationalAllowedSet(t *litmus.Test, m Model) []AxiomaticResult {
+func OperationalAllowedSet(t *litmus.Test, m Model) []Result {
 	locs := t.Locs()
 	locIdx := make(map[litmus.Loc]int, len(locs))
 	for i, l := range locs {
@@ -55,7 +62,7 @@ func OperationalAllowedSet(t *litmus.Test, m Model) []AxiomaticResult {
 	}
 
 	seen := map[string]bool{}
-	finals := map[string]AxiomaticResult{}
+	finals := map[string]Result{}
 
 	var visit func(s opState)
 	visit = func(s opState) {
@@ -123,11 +130,11 @@ func OperationalAllowedSet(t *litmus.Test, m Model) []AxiomaticResult {
 
 		if !progressed {
 			// Terminal: all threads done and all buffers drained.
-			res := AxiomaticResult{Regs: s.regs, Mem: map[litmus.Loc]int64{}}
+			res := Result{Regs: s.regs, Mem: map[litmus.Loc]int64{}}
 			for i, l := range locs {
 				res.Mem[l] = s.mem[i]
 			}
-			k := resultKey(t, res)
+			k := StateKey(t, res.Regs, res.Mem)
 			if _, ok := finals[k]; !ok {
 				finals[k] = res
 			}
@@ -140,7 +147,7 @@ func OperationalAllowedSet(t *litmus.Test, m Model) []AxiomaticResult {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]AxiomaticResult, len(keys))
+	out := make([]Result, len(keys))
 	for i, k := range keys {
 		out[i] = finals[k]
 	}
@@ -221,4 +228,33 @@ func encodeState(s *opState, locIdx map[litmus.Loc]int) string {
 		b = appendInt(b, v)
 	}
 	return string(b)
+}
+
+// StateKey encodes a final state (register file, final memory over the
+// test's locations) canonically, so checkers' state sets compare as sets
+// of strings.
+func StateKey(t *litmus.Test, regs [][]int64, mem map[litmus.Loc]int64) string {
+	key := make([]byte, 0, 64)
+	for _, tr := range regs {
+		for _, v := range tr {
+			key = appendInt(key, v)
+		}
+		key = append(key, '|')
+	}
+	key = append(key, '#')
+	for _, loc := range t.Locs() {
+		key = appendInt(key, mem[loc])
+	}
+	return string(key)
+}
+
+func appendInt(b []byte, v int64) []byte {
+	if v < 0 {
+		b = append(b, '-')
+		v = -v
+	}
+	if v >= 10 {
+		b = appendInt(b, v/10)
+	}
+	return append(b, byte('0'+v%10), ',')
 }

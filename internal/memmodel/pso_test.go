@@ -1,10 +1,10 @@
-package memmodel
+package memmodel_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"perple/internal/litmus"
+	. "perple/internal/memmodel"
 )
 
 // TestPSOClassification pins the expected PSO status of representative
@@ -37,13 +37,13 @@ func TestPSOClassification(t *testing.T) {
 		"safe006":    false,
 		"mp+staleld": false,
 	}
-	for name, allowed := range want {
+	for name, wantAllowed := range want {
 		test, err := litmus.SuiteTest(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := AxiomaticAllowed(test, test.Target, PSO); got != allowed {
-			t.Errorf("%s: PSO allows target = %v, want %v", name, got, allowed)
+		if got := allowed(t, test, test.Target, PSO); got != wantAllowed {
+			t.Errorf("%s: PSO allows target = %v, want %v", name, got, wantAllowed)
 		}
 	}
 }
@@ -54,42 +54,20 @@ func TestPSOAgreement(t *testing.T) {
 	for _, e := range litmus.Suite() {
 		e := e
 		t.Run(e.Test.Name, func(t *testing.T) {
-			ax := resultSetKeys(e.Test, AxiomaticAllowedSet(e.Test, PSO))
+			ax := axiomKeys(t, e.Test, PSO)
 			op := resultSetKeys(e.Test, OperationalAllowedSet(e.Test, PSO))
 			diff(t, e.Test.Name, PSO, ax, op)
 		})
 	}
 }
 
-// TestPSOAgreementRandom fuzzes the PSO equivalence like the TSO test.
-func TestPSOAgreementRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	cfg := litmus.GenConfig{
-		MinThreads: 2, MaxThreads: 3, MaxInstrs: 3,
-		Locs: []litmus.Loc{"x", "y"}, FenceProb: 0.2,
-	}
-	n := 40
-	if testing.Short() {
-		n = 10
-	}
-	for i := 0; i < n; i++ {
-		test := litmus.Generate(rng, cfg, "psofuzz")
-		ax := resultSetKeys(test, AxiomaticAllowedSet(test, PSO))
-		op := resultSetKeys(test, OperationalAllowedSet(test, PSO))
-		if !diff(t, test.Name, PSO, ax, op) {
-			t.Logf("failing test:\n%s", litmus.Format(test))
-			return
-		}
-	}
-}
-
-// TestModelHierarchy: SC ⊆ TSO ⊆ PSO on every suite test (weaker models
-// only add behaviours).
+// TestModelHierarchy: SC ⊆ TSO ⊆ PSO on the full final states of every
+// suite test (weaker models only add behaviours).
 func TestModelHierarchy(t *testing.T) {
 	for _, e := range litmus.Suite() {
-		sc := resultSetKeys(e.Test, AxiomaticAllowedSet(e.Test, SC))
-		tso := resultSetKeys(e.Test, AxiomaticAllowedSet(e.Test, TSO))
-		pso := resultSetKeys(e.Test, AxiomaticAllowedSet(e.Test, PSO))
+		sc := axiomKeys(t, e.Test, SC)
+		tso := axiomKeys(t, e.Test, TSO)
+		pso := axiomKeys(t, e.Test, PSO)
 		for k := range sc {
 			if !tso[k] {
 				t.Errorf("%s: SC result %q not in TSO", e.Test.Name, k)

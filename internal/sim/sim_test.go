@@ -132,7 +132,7 @@ func TestPerpetualDeterminism(t *testing.T) {
 }
 
 // regKeySet projects model results onto register-file keys.
-func regKeySet(rs []memmodel.AxiomaticResult) map[string]bool {
+func regKeySet(rs []memmodel.Result) map[string]bool {
 	set := map[string]bool{}
 	for _, r := range rs {
 		set[flattenRegs(r.Regs)] = true

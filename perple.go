@@ -6,8 +6,8 @@
 //
 //   - litmus tests: building, parsing, printing, the Table II suite
 //     (Suite, SuiteTest, ParseLitmus, FormatLitmus, NewTest helpers);
-//   - memory-model checking: AllowedTSO/AllowedSC and outcome sets
-//     (herd-lite, used to classify targets);
+//   - memory-model checking: Allowed and AllowedOutcomes under SC,
+//     x86-TSO and PSO (the axiomatic checker, used to classify targets);
 //   - the Converter: Convert, ConvertOutcome, generated artifacts
 //     (GeneratedFiles);
 //   - the counters: NewCounter/NewTargetCounter with CountExhaustive
@@ -30,6 +30,7 @@
 package perple
 
 import (
+	"perple/internal/axiom"
 	"perple/internal/core"
 	"perple/internal/experiments"
 	"perple/internal/harness"
@@ -144,28 +145,16 @@ func ParseLitmus(src string) (*Test, error) { return litmus.Parse(src) }
 // accepts.
 func FormatLitmus(t *Test) string { return litmus.Format(t) }
 
-// ----- memory-model checking (herd-lite) -----
+// ----- memory-model checking -----
 
-// Allowed reports whether the given memory model allows the outcome.
-func Allowed(t *Test, o Outcome, m Model) bool {
-	return memmodel.AxiomaticAllowed(t, o, m)
-}
+// Allowed reports whether memory model m allows the outcome of the test.
+// The check is exact; tests beyond its enumeration cutoff (4 threads, 8
+// loads and stores) are refused with an error rather than guessed.
+func Allowed(t *Test, o Outcome, m Model) (bool, error) { return axiom.Allowed(t, o, m) }
 
-// AllowedTSO reports whether x86-TSO allows the outcome of the test.
-func AllowedTSO(t *Test, o Outcome) bool {
-	return memmodel.AxiomaticAllowed(t, o, memmodel.TSO)
-}
-
-// AllowedSC reports whether sequential consistency allows the outcome.
-func AllowedSC(t *Test, o Outcome) bool {
-	return memmodel.AxiomaticAllowed(t, o, memmodel.SC)
-}
-
-// TSOOutcomes returns the test's register outcomes x86-TSO allows.
-func TSOOutcomes(t *Test) []Outcome { return memmodel.AllowedOutcomes(t, memmodel.TSO) }
-
-// SCOutcomes returns the test's register outcomes SC allows.
-func SCOutcomes(t *Test) []Outcome { return memmodel.AllowedOutcomes(t, memmodel.SC) }
+// AllowedOutcomes returns the test's register outcomes model m allows,
+// under the same cutoff as Allowed.
+func AllowedOutcomes(t *Test, m Model) ([]Outcome, error) { return axiom.AllowedOutcomes(t, m) }
 
 // ----- the Converter and counters -----
 

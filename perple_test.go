@@ -35,16 +35,24 @@ func TestPublicAPIPipeline(t *testing.T) {
 	}
 
 	// Model classification.
-	if AllowedSC(test, test.Target) {
+	if mustAllowed(t, test, SC) {
 		t.Error("sb target should be SC-forbidden")
 	}
-	if !AllowedTSO(test, test.Target) {
+	if !mustAllowed(t, test, TSO) {
 		t.Error("sb target should be TSO-allowed")
 	}
-	if !Allowed(test, test.Target, PSO) {
+	if !mustAllowed(t, test, PSO) {
 		t.Error("sb target should be PSO-allowed")
 	}
-	if len(SCOutcomes(test)) != 3 || len(TSOOutcomes(test)) != 4 {
+	scOuts, err := AllowedOutcomes(test, SC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsoOuts, err := AllowedOutcomes(test, TSO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scOuts) != 3 || len(tsoOuts) != 4 {
 		t.Error("outcome sets wrong")
 	}
 
@@ -113,7 +121,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 
 	// Transformations and generators.
 	fenced := WithFences(test)
-	if AllowedTSO(fenced, fenced.Target) {
+	if mustAllowed(t, fenced, TSO) {
 		t.Error("fully fenced sb target should be TSO-forbidden")
 	}
 	relabeled, err := RelabelLocations(test, map[Loc]Loc{"x": "data"})
@@ -124,7 +132,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !AllowedTSO(cyc, cyc.Target) || AllowedSC(cyc, cyc.Target) {
+	if !mustAllowed(t, cyc, TSO) || mustAllowed(t, cyc, SC) {
 		t.Error("cycle classification wrong")
 	}
 	edges, err := ParseCycle("PodWW Rfe PodRR Fre")
@@ -152,9 +160,20 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if err := custom.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if AllowedTSO(custom, custom.Target) {
+	if mustAllowed(t, custom, TSO) {
 		t.Error("fenced sb should be TSO-forbidden")
 	}
+}
+
+// mustAllowed classifies the test's target under m, failing the test if
+// the checker refuses it.
+func mustAllowed(t *testing.T, test *Test, m Model) bool {
+	t.Helper()
+	ok, err := Allowed(test, test.Target, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
 }
 
 // TestPublicAPITrace exercises the trace plumbing through the facade.
