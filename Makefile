@@ -24,12 +24,14 @@ check: vet
 # absorbed into perple-vet's nodeterminism pass).
 lint: check
 
-# Short local fuzz passes over the litmus parser and over the axiomatic
-# checker against the operational reference machine (CI runs the seed
-# corpora as ordinary tests; this explores new inputs).
+# Short local fuzz passes over the litmus parser, over the axiomatic
+# checker against the operational reference machine, and over the
+# factorized counter against the odometer (CI runs the seed corpora as
+# ordinary tests; this explores new inputs).
 fuzz:
 	$(GO) test ./internal/litmus -fuzz FuzzParseRoundTrip -fuzztime 30s
 	$(GO) test ./internal/axiom -run '^$$' -fuzz FuzzAxiomVsOperational -fuzztime 30s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFactorizedVsOdometer -fuzztime 30s
 
 # Long chaos soak: fault-injected loopback fleets under the race
 # detector (six fixed-seed rounds; CI runs the short variant). Seeds

@@ -61,6 +61,9 @@ type Counter struct {
 	fplansOK    bool
 	fplansBuilt bool
 	fscratch    *factorScratch
+	// fbudget is the factorized pass's pair-matrix memory guard:
+	// maxFactorMatrixBytes, lowered only by tests to make it trip.
+	fbudget int64
 
 	// Reusable parallel-count workers (see parallel.go); never cloned.
 	cpool *countPool
@@ -76,6 +79,7 @@ func NewCounter(pt *PerpetualTest, outcomes []*PerpetualOutcome) *Counter {
 		lo:       make([]int64, n),
 		hi:       make([]int64, n),
 		isExist:  make([]bool, n),
+		fbudget:  maxFactorMatrixBytes,
 	}
 }
 
@@ -95,6 +99,7 @@ func NewTargetCounter(pt *PerpetualTest) (*Counter, error) {
 func (c *Counter) Clone() *Counter {
 	cl := NewCounter(c.pt, c.outcomes)
 	cl.fplans, cl.fplansOK, cl.fplansBuilt = c.fplans, c.fplansOK, c.fplansBuilt
+	cl.fbudget = c.fbudget
 	return cl
 }
 

@@ -300,3 +300,301 @@ func TestFactorizedCloneSharesPlans(t *testing.T) {
 	}
 	requireSameCounts(t, "podwr001-clone", fac, odo)
 }
+
+// parseConvert converts an inline litmus source.
+func parseConvert(t testing.TB, src string) *PerpetualTest {
+	t.Helper()
+	test, err := litmus.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := Convert(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
+}
+
+// truncBufs keeps the first n iterations of bs, as an exhaustive cap
+// does: the kept loads may observe stores from later iterations, whose
+// bounds lie past the frame.
+func truncBufs(pt *PerpetualTest, bs *BufSet, n int) *BufSet {
+	out := &BufSet{N: n, Bufs: make([][]int64, len(bs.Bufs))}
+	for t, b := range bs.Bufs {
+		out.Bufs[t] = b[:pt.Reads[t]*n]
+	}
+	return out
+}
+
+// Shapes the suite lacks. In tl2-mixed, P0 and P1 each read a location
+// a store-only thread also writes, so an outcome's (0,1) pair is a row
+// interval, a column interval, a matrix or unconstrained depending on
+// which store each load observes, and inclusion–exclusion intersects
+// every mix of forms. The two TL=3 shapes have no interval form on
+// their (1,2) pair, so the triangle count takes the row-popcount path:
+// P1 and P2 observe each other's stores (cross bounds from both ends),
+// or both observe the store-only P3 (a shared existential).
+const (
+	tl2MixedSrc = `X86 tl2-mixed
+{ x=0; y=0; }
+ P0          | P1          | P2         | P3         ;
+ MOV [x],$1  | MOV [y],$1  | MOV [x],$2 | MOV [y],$2 ;
+ MOV EAX,[y] | MOV EAX,[x] |            |            ;
+exists (0:EAX=1 /\ 1:EAX=2)
+`
+	tl3MatrixSrc = `X86 tl3-matrix
+{ x=0; y=0; z=0; }
+ P0          | P1          | P2          ;
+ MOV [x],$1  | MOV [y],$1  | MOV [z],$1  ;
+ MOV EAX,[y] | MOV EAX,[z] | MOV EAX,[y] ;
+             |             | MOV EBX,[x] ;
+exists (0:EAX=0 /\ 1:EAX=0 /\ 2:EAX=1 /\ 2:EBX=0)
+`
+	tl3ExistSrc = `X86 tl3-exist
+{ x=0; y=0; z=0; w=0; }
+ P0          | P1          | P2          | P3         ;
+ MOV [x],$1  | MOV [y],$1  | MOV [z],$1  | MOV [w],$1 ;
+ MOV EAX,[y] | MOV EAX,[w] | MOV EAX,[w] |            ;
+             | MOV EBX,[z] | MOV EBX,[x] |            ;
+exists (0:EAX=0 /\ 1:EAX=1 /\ 1:EBX=0 /\ 2:EAX=0 /\ 2:EBX=0)
+`
+)
+
+// TestFactorizedPairForms pins which representation each shape's
+// innermost pair takes for its target, so the multi-word differential
+// below provably drives every counting path: row intervals (podwr001,
+// tl2-mixed), column intervals (safe007) and the row-popcount loop
+// (the two TL=3 inline shapes).
+func TestFactorizedPairForms(t *testing.T) {
+	for _, tc := range []struct {
+		pt   *PerpetualTest
+		form pairForm
+	}{
+		{parseConvert(t, tl2MixedSrc), pairRows},
+		{mustConvert(t, "podwr001"), pairRows},
+		{mustConvert(t, "safe007"), pairCols},
+		{parseConvert(t, tl3MatrixSrc), pairMatrix},
+		{parseConvert(t, tl3ExistSrc), pairMatrix},
+	} {
+		target, err := NewTargetCounter(tc.pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans, ok := target.factorPlans()
+		if !ok {
+			t.Fatalf("%s: target not factorizable", tc.pt.Orig.Name)
+		}
+		if got := plans[0].form[innerSlot(tc.pt.TL())]; got != tc.form {
+			t.Errorf("%s: innermost pair form = %d, want %d", tc.pt.Orig.Name, got, tc.form)
+		}
+	}
+}
+
+// TestFactorizedMemoryGuard trips both halves of the pair-matrix guard
+// with a lowered budget: per-outcome matrices that do not fit decline
+// the pass up front, and a budget that fits them but leaves no room for
+// an inclusion–exclusion level declines as soon as an intersection is
+// needed. CountExhaustiveAuto must match the odometer either way, and a
+// budget with room for the needed levels must factorize again.
+func TestFactorizedMemoryGuard(t *testing.T) {
+	pt := mustConvert(t, "sb")
+	pos, err := ConvertAllOutcomes(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 70
+	bs := lockstepBufs(pt, n)
+	matBytes := int64(n * bitsetWords(n) * 8)
+	outcomeBytes := int64(len(pos)) * matBytes // every sb outcome is one matrix
+	for _, tc := range []struct {
+		budget int64
+		ok     bool
+	}{
+		{outcomeBytes - 1, false},            // the per-outcome matrices alone overflow
+		{outcomeBytes, false},                // no room for one stack level
+		{outcomeBytes + matBytes - 1, false}, // still short of one level
+		{outcomeBytes + matBytes, true},      // disjoint outcomes need one level
+	} {
+		c := NewCounter(pt, pos)
+		c.fbudget = tc.budget
+		odo, err := c.CountExhaustive(bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fac, ok, err := c.CountFactorized(bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != tc.ok {
+			t.Fatalf("budget %d: factorized ok=%v, want %v", tc.budget, ok, tc.ok)
+		}
+		if ok {
+			requireSameCounts(t, "sb-guard", fac, odo)
+		}
+		auto, err := c.CountExhaustiveAuto(context.Background(), bs, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameCounts(t, "sb-guard-auto", auto, odo)
+	}
+}
+
+// fuzzTests lists the factorizable shapes the counter fuzz draws from:
+// every convertible suite test plus the inline shapes.
+func fuzzTests(t testing.TB) []*PerpetualTest {
+	var pts []*PerpetualTest
+	for _, e := range litmus.Suite() {
+		if pt, err := Convert(e.Test); err == nil {
+			pts = append(pts, pt)
+		}
+	}
+	return append(pts, parseConvert(t, tl2MixedSrc), parseConvert(t, tl3MatrixSrc), parseConvert(t, tl3ExistSrc))
+}
+
+// FuzzFactorizedVsOdometer drives the factorized counter against the
+// odometer over random buffers and random outcome subsets (drawn with
+// replacement, in random order, so inclusion–exclusion intersections
+// and overlapping chains run) with multi-word rows — n up to 130 at
+// TL ≤ 2 and 40 at TL=3 — and, for odd seeds, loads observing
+// iterations past the frame. A declined pass is checked through
+// CountExhaustiveAuto's fallback instead.
+func FuzzFactorizedVsOdometer(f *testing.F) {
+	pts := fuzzTests(f)
+	for i := range pts {
+		f.Add(uint8(i), uint8(40+i*7), uint64(i)*0x9e3779b97f4a7c15, int64(i))
+	}
+	f.Fuzz(func(t *testing.T, which, nRaw uint8, pick uint64, seed int64) {
+		pt := pts[int(which)%len(pts)]
+		maxN := 130
+		if pt.TL() == 3 {
+			maxN = 40
+		}
+		n := 1 + int(nRaw)%maxN
+		pos, err := ConvertAllOutcomes(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := rand.New(rand.NewSource(int64(pick)))
+		sel := make([]*PerpetualOutcome, 1+pr.Intn(5))
+		for i := range sel {
+			sel[i] = pos[pr.Intn(len(pos))]
+		}
+		c := NewCounter(pt, sel)
+		// Odd seeds draw loads from twice the frame, as an exhaustive cap
+		// leaves them.
+		span := n + int(seed&1)*n
+		bs := truncBufs(pt, randomBufs(rand.New(rand.NewSource(seed)), pt, span), n)
+		odo, err := c.CountExhaustive(bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fac, ok, err := c.CountFactorized(bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if fac, err = c.CountExhaustiveAuto(context.Background(), bs, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireSameCounts(t, pt.Orig.Name, fac, odo)
+	})
+}
+
+// TestBitRangeHelpers checks the word-edge masking of setRange,
+// andRange and bitsBelow against per-bit references on every interval
+// of a few sizes around word boundaries.
+func TestBitRangeHelpers(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		words := bitsetWords(n)
+		pattern := make(bitset, words)
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				pattern[i>>6] |= 1 << uint(i&63)
+			}
+		}
+		pre := make([]int32, words+1)
+		for w := range pattern {
+			pre[w+1] = pre[w] + int32(pattern[w:w+1].popcount())
+		}
+		for x := 0; x <= n; x++ {
+			var want int32
+			for i := 0; i < x; i++ {
+				if pattern[i>>6]&(1<<uint(i&63)) != 0 {
+					want++
+				}
+			}
+			if got := bitsBelow(pre, pattern, int32(x)); got != want {
+				t.Fatalf("n=%d: bitsBelow(%d) = %d, want %d", n, x, got, want)
+			}
+		}
+		b := make(bitset, words)
+		for lo := 0; lo <= n; lo++ {
+			for hi := -1; hi < n; hi++ {
+				setRange(b, int32(lo), int32(hi))
+				and := append(bitset(nil), pattern...)
+				andRange(and, int32(lo), int32(hi))
+				for i := 0; i < words*64; i++ {
+					in := i >= lo && i <= hi
+					if got := b[i>>6]&(1<<uint(i&63)) != 0; got != in {
+						t.Fatalf("n=%d: setRange(%d, %d) bit %d = %v", n, lo, hi, i, got)
+					}
+					want := in && pattern[i>>6]&(1<<uint(i&63)) != 0
+					if got := and[i>>6]&(1<<uint(i&63)) != 0; got != want {
+						t.Fatalf("n=%d: andRange(%d, %d) bit %d = %v", n, lo, hi, i, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFactorizedMultiWordMatchesOdometer holds the factorized counter
+// to the odometer on random buffers at sizes around word boundaries
+// (63, 64, 65, 129 at TL=2; 63, 65 at TL=3), so word-edge masking,
+// multi-word sweeps and prefix popcounts across words are exercised:
+// target-only counters (the interval count) and full outcome sets
+// (inclusion–exclusion, including every mix of pair forms in
+// tl2-mixed), over whole buffers and capped ones whose loads observe
+// iterations past the frame. The real-run-buffer half is
+// TestFactorizedSimBufsMatchOdometer.
+func TestFactorizedMultiWordMatchesOdometer(t *testing.T) {
+	var pts []*PerpetualTest
+	for _, name := range []string{"sb", "iriw", "rwc-fenced", "safe027", "podwr001", "safe007"} {
+		pts = append(pts, mustConvert(t, name))
+	}
+	pts = append(pts, parseConvert(t, tl2MixedSrc), parseConvert(t, tl3MatrixSrc), parseConvert(t, tl3ExistSrc))
+	rng := rand.New(rand.NewSource(11))
+	for _, pt := range pts {
+		name := pt.Orig.Name
+		target, err := NewTargetCounter(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos, err := ConvertAllOutcomes(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := NewCounter(pt, pos)
+		ns := []int{63, 64, 65, 129}
+		if pt.TL() == 3 {
+			ns = []int{63, 65}
+		}
+		for _, n := range ns {
+			for _, bs := range []*BufSet{randomBufs(rng, pt, n), truncBufs(pt, randomBufs(rng, pt, 2*n), n)} {
+				for _, c := range []*Counter{target, full} {
+					odo, err := c.CountExhaustive(bs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fac, ok, err := c.CountFactorized(bs)
+					if err != nil || !ok {
+						t.Fatalf("%s n=%d: ok=%v err=%v", name, n, ok, err)
+					}
+					requireSameCounts(t, name, fac, odo)
+				}
+			}
+		}
+	}
+}
