@@ -102,6 +102,34 @@ func goldenRuns(t *testing.T) map[string]string {
 			got[goldenKey(name, "perpetual", ModeNone, memmodel.TSO, seed, n, 0)] = hashPerpetual(res)
 		}
 	}
+	// The writer-only tail: safe022 and mp+fences each have a thread with
+	// no loads, and only loads drain buffers, so once the reader finishes
+	// the writer's ring grows to 8k–16k entries by n=10000. These pin
+	// fence, drain and settle at buffer lengths the n=300 matrix never
+	// reaches, under both the TSO FIFO and PSO's per-location order.
+	const tailN = 10000
+	for _, name := range []string{"safe022", "mp+fences"} {
+		test, err := litmus.SuiteTest(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := core.Convert(test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, preset := range []string{"default", "pso"} {
+			cfg, err := Preset(preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg = cfg.WithSeed(1)
+			res, err := RunPerpetual(pt, tailN, cfg)
+			if err != nil {
+				t.Fatalf("%s perpetual %s: %v", name, preset, err)
+			}
+			got[goldenKey(name, "perpetual", ModeNone, cfg.Relaxation, 1, tailN, 0)] = hashPerpetual(res)
+		}
+	}
 	return got
 }
 
