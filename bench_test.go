@@ -239,25 +239,38 @@ func BenchmarkConvert(b *testing.B) {
 }
 
 // BenchmarkSimPerpetual measures simulated-machine throughput for
-// perpetual execution (iterations simulated per benchmark op).
+// perpetual execution (iterations simulated per benchmark op) under TSO
+// and PSO. sb loads on every thread and has no fence; safe022 and
+// mp+fences each have a fenced writer with no loads, whose store buffer
+// nothing drains once the reader finishes, so they expose any
+// buffer-length cost in fence, drain or settle.
 func BenchmarkSimPerpetual(b *testing.B) {
-	test, err := SuiteTest("sb")
-	if err != nil {
-		b.Fatal(err)
-	}
-	pt, err := Convert(test)
-	if err != nil {
-		b.Fatal(err)
-	}
-	counter, err := NewTargetCounter(pt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 10000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunPerpLE(pt, counter, n, PerpLEOptions{Heuristic: true}, DefaultConfig()); err != nil {
+	for _, name := range []string{"sb", "safe022", "mp+fences"} {
+		test, err := SuiteTest(name)
+		if err != nil {
 			b.Fatal(err)
+		}
+		pt, err := Convert(test)
+		if err != nil {
+			b.Fatal(err)
+		}
+		counter, err := NewTargetCounter(pt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, model := range []string{"tso", "pso"} {
+			cfg := DefaultConfig()
+			if model == "pso" {
+				cfg.Relaxation = PSO
+			}
+			b.Run(name+"/"+model, func(b *testing.B) {
+				const n = 10000
+				for i := 0; i < b.N; i++ {
+					if _, err := RunPerpLE(pt, counter, n, PerpLEOptions{Heuristic: true}, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

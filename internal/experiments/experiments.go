@@ -156,38 +156,54 @@ type Measurement struct {
 	Ticks  int64
 }
 
-// runCell executes one (test, tool, N) measurement.
-func runCell(e litmus.SuiteEntry, tool Tool, n int, opts Options) (Measurement, error) {
+// runCells measures one test under each of tools. A cell is a pure
+// function of (test, tool, n, seed, cap), and the perple-exh and
+// perple-heur cells differ only in the counter applied to the same
+// perpetual run, so one RunPerpLE serves both and they share its
+// ExecTicks; each litmus7 tool runs once.
+func runCells(e litmus.SuiteEntry, tools []Tool, n int, opts Options) (map[Tool]Measurement, error) {
 	cfg := opts.cfg()
-	if mode, ok := tool.Mode(); ok {
-		res, err := harness.RunLitmus7(e.Test, n, mode, nil, cfg)
-		if err != nil {
-			return Measurement{}, err
+	out := make(map[Tool]Measurement, len(tools))
+	var po harness.PerpLEOptions
+	for _, tool := range tools {
+		mode, ok := tool.Mode()
+		switch {
+		case ok:
+			res, err := harness.RunLitmus7(e.Test, n, mode, nil, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("%v: %w", tool, err)
+			}
+			out[tool] = Measurement{Target: res.TargetCount, Ticks: res.Ticks}
+		case tool == ToolPerpLEExh:
+			po.Exhaustive = true
+		default:
+			po.Heuristic = true
 		}
-		return Measurement{Target: res.TargetCount, Ticks: res.Ticks}, nil
+	}
+	if !po.Exhaustive && !po.Heuristic {
+		return out, nil
 	}
 
 	pt, err := core.Convert(e.Test)
 	if err != nil {
-		return Measurement{}, err
+		return nil, err
 	}
 	counter, err := core.NewTargetCounter(pt)
 	if err != nil {
-		return Measurement{}, err
+		return nil, err
 	}
-	po := harness.PerpLEOptions{}
-	if tool == ToolPerpLEExh {
-		po.Exhaustive = true
+	if po.Exhaustive {
 		po.ExhaustiveCap = opts.exhaustiveCap(pt.TL(), n)
-	} else {
-		po.Heuristic = true
 	}
 	res, err := harness.RunPerpLE(pt, counter, n, po, cfg)
 	if err != nil {
-		return Measurement{}, err
+		return nil, err
 	}
-	if tool == ToolPerpLEExh {
-		return Measurement{Target: res.Exhaustive.Counts[0], Ticks: res.TotalTicksExhaustive()}, nil
+	if po.Exhaustive {
+		out[ToolPerpLEExh] = Measurement{Target: res.Exhaustive.Counts[0], Ticks: res.TotalTicksExhaustive()}
 	}
-	return Measurement{Target: res.Heuristic.Counts[0], Ticks: res.TotalTicksHeuristic()}, nil
+	if po.Heuristic {
+		out[ToolPerpLEHeur] = Measurement{Target: res.Heuristic.Counts[0], Ticks: res.TotalTicksHeuristic()}
+	}
+	return out, nil
 }

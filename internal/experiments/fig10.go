@@ -46,18 +46,15 @@ func Fig10(w io.Writer, opts Options) (*Fig10Result, error) {
 	allTicks := make([]map[Tool]int64, len(suite))
 	err := forEachIndex(len(suite), opts.workers(), func(i int) error {
 		e := suite[i]
-		ticks := map[Tool]int64{}
-		for _, tool := range Tools {
-			m, err := runCell(e, tool, n, opts)
-			if err != nil {
-				return fmt.Errorf("fig10: %s/%v: %w", e.Test.Name, tool, err)
-			}
-			t := m.Ticks
-			if tool == ToolPerpLEExh {
-				t = extrapolateExhaustive(e, m.Ticks, n, opts)
-			}
-			ticks[tool] = t
+		ms, err := runCells(e, Tools, n, opts)
+		if err != nil {
+			return fmt.Errorf("fig10: %s: %w", e.Test.Name, err)
 		}
+		ticks := make(map[Tool]int64, len(ms))
+		for tool, m := range ms {
+			ticks[tool] = m.Ticks
+		}
+		ticks[ToolPerpLEExh] = extrapolateExhaustive(e, ticks[ToolPerpLEExh], n, opts)
 		allTicks[i] = ticks
 		return nil
 	})

@@ -47,23 +47,24 @@ func Fig11(w io.Writer, opts Options) (*Fig11Result, error) {
 
 	allowed := litmus.AllowedSuite()
 	for _, n := range ns {
-		// Baseline rates per test.
+		// Every tool's cells per test; the litmus7-user column is also
+		// the baseline, measured once.
+		cells := make([]map[Tool]Measurement, len(allowed))
 		base := make([]float64, len(allowed))
 		for i, e := range allowed {
-			m, err := runCell(e, ToolLitmus7User, n, opts)
+			ms, err := runCells(e, tools, n, opts)
 			if err != nil {
-				return nil, fmt.Errorf("fig11: %s/user: %w", e.Test.Name, err)
+				return nil, fmt.Errorf("fig11: %s: %w", e.Test.Name, err)
 			}
+			cells[i] = ms
+			m := ms[ToolLitmus7User]
 			base[i] = stats.Rate(m.Target, m.Ticks)
 		}
 		for _, tool := range tools {
 			pt := Fig11Point{N: n, Tool: tool}
 			var ratios []float64
-			for i, e := range allowed {
-				m, err := runCell(e, tool, n, opts)
-				if err != nil {
-					return nil, fmt.Errorf("fig11: %s/%v: %w", e.Test.Name, tool, err)
-				}
+			for i := range allowed {
+				m := cells[i][tool]
 				rate := stats.Rate(m.Target, m.Ticks)
 				if base[i] == 0 {
 					pt.ExtraDetections += m.Target

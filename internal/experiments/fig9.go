@@ -35,12 +35,12 @@ func Fig9(w io.Writer, opts Options) (*Fig9Result, error) {
 	cells := make([]map[Tool]int64, len(suite))
 	err := forEachIndex(len(suite), opts.workers(), func(i int) error {
 		e := suite[i]
-		cell := map[Tool]int64{}
-		for _, tool := range Tools {
-			m, err := runCell(e, tool, n, opts)
-			if err != nil {
-				return fmt.Errorf("fig9: %s/%v: %w", e.Test.Name, tool, err)
-			}
+		ms, err := runCells(e, Tools, n, opts)
+		if err != nil {
+			return fmt.Errorf("fig9: %s: %w", e.Test.Name, err)
+		}
+		cell := make(map[Tool]int64, len(ms))
+		for tool, m := range ms {
 			cell[tool] = m.Target
 		}
 		cells[i] = cell

@@ -9,13 +9,6 @@ import (
 	"perple/internal/litmus"
 )
 
-// bufEntry is a pending store awaiting drain to shared memory.
-type bufEntry struct {
-	memIdx  int
-	val     int64
-	drainAt int64
-}
-
 // locOf maps a memory-cell index back to its location for tracing.
 func (m *machine) locOf(memIdx int) litmus.Loc {
 	if m.cells <= 0 || len(m.locs) == 0 {
@@ -216,32 +209,15 @@ func (m *machine) newIteration(th *simThread, overhead int64) {
 	}
 }
 
-// nextDrain returns the logical buffer index of the entry that drains
-// next: index 0 under TSO's single FIFO; the minimum drainAt under PSO
-// (store assigns per-location-monotone drain times, so the global minimum
-// is always some location's head). PSO reads the buffer's cached minimum
-// — applyDrains probes every thread on every load, so the common
-// nothing-to-drain probe must not rescan the buffer. Returns -1 for an
-// empty buffer.
-//
-//perple:hotpath cover=sim-synced-pso
-func (m *machine) nextDrain(th *simThread) int {
-	if th.buf.len() == 0 {
-		return -1
-	}
-	if !m.pso {
-		return 0
-	}
-	return th.buf.minDrainIdx()
-}
-
 // drainNever is the nextDrainAt sentinel meaning "no store buffered":
 // far enough in the future that no event-loop clock reaches it, yet not
 // so large that settle's forever horizon fails to cross it.
 const drainNever = int64(1) << 61
 
 // applyDrains moves every pending store with drainAt ≤ upTo into shared
-// memory, in global drain order (ties broken by thread id).
+// memory, in global drain order (ties broken by thread id). Each
+// thread's next drain is its buffer's peek: the FIFO head under TSO,
+// the minimum cell-chain head under PSO (see storeBuf).
 //
 // m.nextDrainAt is a conservative lower bound on the earliest pending
 // drain time — store lowers it on every push, and the full scan below
@@ -255,20 +231,20 @@ func (m *machine) applyDrains(upTo int64) {
 		return
 	}
 	for {
-		best, bestIdx := -1, -1
+		best := -1
 		var bestAt int64
 		minAt := drainNever
 		for _, th := range m.threads {
-			i := m.nextDrain(th)
-			if i < 0 {
+			e := th.buf.peek()
+			if e == nil {
 				continue
 			}
-			at := th.buf.at(i).drainAt
+			at := e.drainAt
 			if at < minAt {
 				minAt = at
 			}
 			if at <= upTo && (best < 0 || at < bestAt) {
-				best, bestIdx, bestAt = th.id, i, at
+				best, bestAt = th.id, at
 			}
 		}
 		if best < 0 {
@@ -276,13 +252,13 @@ func (m *machine) applyDrains(upTo int64) {
 			return
 		}
 		th := m.threads[best]
-		e := th.buf.removeAt(bestIdx)
+		e := th.buf.pop()
 		m.mem[e.memIdx] = e.val
 		if m.wit != nil {
-			m.wit.drain(e.memIdx, e.val)
+			m.wit.drain(int(e.memIdx), e.val)
 		}
 		if m.trace != nil {
-			m.trace.add(TraceEvent{Time: e.drainAt, Thread: th.id, Kind: TraceDrain, Loc: m.locOf(e.memIdx), Value: e.val})
+			m.trace.add(TraceEvent{Time: e.drainAt, Thread: th.id, Kind: TraceDrain, Loc: m.locOf(int(e.memIdx)), Value: e.val})
 		}
 	}
 }
@@ -295,28 +271,22 @@ func (m *machine) settle() {
 	m.applyDrains(forever)
 }
 
-// store enqueues a value with a monotone drain time — across the whole
-// buffer under TSO's single FIFO, per location under PSO — then advances
-// the thread clock.
+// store enqueues a value to cell memIdx of location loc with a strictly
+// increasing drain time — across the whole buffer under TSO's single
+// FIFO, per cell under PSO — then advances the thread clock.
 //
 //perple:hotpath cover=sim-synced-user
-func (m *machine) store(th *simThread, memIdx int, val int64) {
+func (m *machine) store(th *simThread, loc, memIdx int, val int64) {
 	drainAt := th.time + m.draw(&m.drainSpan)
 	if m.pso {
-		for i := th.buf.len() - 1; i >= 0; i-- {
-			if e := th.buf.at(i); e.memIdx == memIdx {
-				if drainAt <= e.drainAt {
-					drainAt = e.drainAt + 1
-				}
-				break
-			}
+		if e := th.buf.newest(loc, int32(memIdx)); e != nil && drainAt <= e.drainAt {
+			drainAt = e.drainAt + 1
 		}
-	} else if n := th.buf.len(); n > 0 {
-		if last := th.buf.at(n - 1); drainAt <= last.drainAt {
-			drainAt = last.drainAt + 1
-		}
+	} else if drainAt <= th.buf.maxAt {
+		// Under TSO the largest pending drain time is the newest entry's.
+		drainAt = th.buf.maxAt + 1
 	}
-	th.buf.push(bufEntry{memIdx: memIdx, val: val, drainAt: drainAt})
+	th.buf.push(loc, bufEntry{memIdx: int32(memIdx), val: val, drainAt: drainAt})
 	if drainAt < m.nextDrainAt {
 		m.nextDrainAt = drainAt
 	}
@@ -327,23 +297,20 @@ func (m *machine) store(th *simThread, memIdx int, val int64) {
 	th.time += m.cost(th)
 }
 
-// load returns the value visible to the thread: its own newest buffered
-// store to the cell (forwarding) or shared memory, then advances the
-// clock. widx is the load's dense witness index (-1 outside synced
-// witness recording).
+// load returns the value visible to the thread at cell memIdx of
+// location loc: its own newest buffered store to the cell (forwarding)
+// or shared memory, then advances the clock. widx is the load's dense
+// witness index (-1 outside synced witness recording).
 //
 //perple:hotpath cover=sim-synced-user
-func (m *machine) load(th *simThread, memIdx int, widx int32) int64 {
+func (m *machine) load(th *simThread, loc, memIdx int, widx int32) int64 {
 	m.applyDrains(th.time)
-	v := int64(-1)
-	forwarded := false
-	for i := th.buf.len() - 1; i >= 0; i-- {
-		if e := th.buf.at(i); e.memIdx == memIdx {
-			v, forwarded = e.val, true
-			break
-		}
-	}
-	if !forwarded {
+	var v int64
+	e := th.buf.newest(loc, int32(memIdx))
+	forwarded := e != nil
+	if forwarded {
+		v = e.val
+	} else {
 		v = m.mem[memIdx]
 	}
 	if m.wit != nil && widx >= 0 {
@@ -361,12 +328,7 @@ func (m *machine) load(th *simThread, memIdx int, widx int32) int64 {
 //
 //perple:hotpath cover=sim-synced-user
 func (m *machine) fence(th *simThread) {
-	for i, n := 0, th.buf.len(); i < n; i++ {
-		if e := th.buf.at(i); e.drainAt > th.time {
-			th.time = e.drainAt
-		}
-	}
-	th.time += m.cfg.FenceCost
+	th.time = max(th.time, th.buf.maxAt) + m.cfg.FenceCost
 	if m.trace != nil {
 		m.trace.add(TraceEvent{Time: th.time, Thread: th.id, Kind: TraceFence, Iter: th.iter})
 	}
@@ -447,11 +409,7 @@ func (m *machine) runBarriered(n int, p modeParams, res *SyncedResult) {
 			}
 			if p.flush {
 				// userfence: propagate pending writes during the barrier.
-				for i, bn := 0, th.buf.len(); i < bn; i++ {
-					if e := th.buf.at(i); e.drainAt > release {
-						release = e.drainAt
-					}
-				}
+				release = max(release, th.buf.maxAt)
 			}
 			th.time = release + off
 			th.pc = 0
@@ -503,9 +461,11 @@ func (m *machine) step(th *simThread, res *SyncedResult) {
 	w := th.prog.code[th.pc]
 	switch w & bcOpMask {
 	case bcStore:
-		m.store(th, bcLoc(w)*res.N+th.iter, th.prog.v1[th.pc])
+		loc := bcLoc(w)
+		m.store(th, loc, loc*res.N+th.iter, th.prog.v1[th.pc])
 	case bcLoad:
-		v := m.load(th, bcLoc(w)*res.N+th.iter, bcWidx(w))
+		loc := bcLoc(w)
+		v := m.load(th, loc, loc*res.N+th.iter, bcWidx(w))
 		res.Regs[th.id][th.iter*res.RegCounts[th.id]+bcReg(w)] = v
 	default:
 		m.fence(th)
@@ -530,9 +490,11 @@ func (m *machine) runPerpetual(ctx context.Context, n int, bufs *core.BufSet, re
 		w := th.prog.code[th.pc]
 		switch w & bcOpMask {
 		case bcStore:
-			m.store(th, bcLoc(w), th.prog.v1[th.pc]*int64(th.iter)+th.prog.v2[th.pc])
+			loc := bcLoc(w)
+			m.store(th, loc, loc, th.prog.v1[th.pc]*int64(th.iter)+th.prog.v2[th.pc])
 		case bcLoad:
-			v := m.load(th, bcLoc(w), -1)
+			loc := bcLoc(w)
+			v := m.load(th, loc, loc, -1)
 			bufs.Bufs[th.id][reads[th.id]*th.iter+bcReg(w)] = v
 		default:
 			m.fence(th)

@@ -16,21 +16,25 @@ import (
 // vet time; this sweep catches what the AST rules cannot see (escape
 // decisions, growth in reused state).
 func TestHotpathAllocs(t *testing.T) {
-	test, err := litmus.SuiteTest("sb")
-	if err != nil {
-		t.Fatal(err)
+	compile := func(name string) *CompiledTest {
+		test, err := litmus.SuiteTest(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := Compile(test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
 	}
-	ct, err := Compile(test)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sb, mpFences := compile("sb"), compile("mp+fences")
 	cfg := DefaultConfig().WithSeed(7)
 	psoCfg := cfg
 	psoCfg.Relaxation = memmodel.PSO
 
 	// One warmed Runner per exerciser: reused buffers are sized by the
 	// first (warmup) call and must not grow during measurement.
-	run := func(mode Mode, cfg Config) func() {
+	run := func(ct *CompiledTest, mode Mode, cfg Config) func() {
 		r := NewRunner(ct)
 		return func() {
 			if _, err := r.RunSynced(200, mode, cfg); err != nil {
@@ -39,8 +43,10 @@ func TestHotpathAllocs(t *testing.T) {
 		}
 	}
 	hotpath.Verify(t, ".", map[string]func(){
-		"sim-synced-user": run(ModeUser, cfg),    // barriered loop: draw, store/load/fence, drains
-		"sim-synced-free": run(ModeNone, cfg),    // free-running loop: minThreadBelowIter
-		"sim-synced-pso":  run(ModeUser, psoCfg), // per-location buffers: nextDrain, minDrainIdx
+		"sim-synced-user": run(sb, ModeUser, cfg), // barriered loop: draw, store/load/fence, drains
+		"sim-synced-free": run(sb, ModeNone, cfg), // free-running loop: minThreadBelowIter
+		// Per-cell drain order on a fenced two-location test: PSO fence,
+		// chain-head heap drains and same-cell forwarding.
+		"sim-synced-pso": run(mpFences, ModeUser, psoCfg),
 	})
 }

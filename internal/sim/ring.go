@@ -1,45 +1,84 @@
 package sim
 
-// storeBuf is a reusable ring buffer of pending stores, oldest first.
-// Pushes and front pops are O(1); the backing array is a power-of-two
-// ring that is kept across runs (reset does not free), so a steady-state
-// iteration loop performs no store-buffer allocation at all. PSO may
-// remove a mid-buffer entry (the per-location drain minimum); that case
-// shifts toward the nearer end, preserving order, and is bounded by the
-// buffer length — which stays small because drains are applied before
-// every load.
-//
-// The buffer also caches the logical index of its minimum-drainAt entry
-// (earliest index on ties, matching a front-to-back scan). PSO's drain
-// loop queries every thread's minimum on every load, usually without
-// draining anything, so the cache turns those repeated O(buf) scans
-// into O(1) lookups; it is invalidated only when the minimum itself is
-// removed, and lazily recomputed on the next query.
-type storeBuf struct {
-	e      []bufEntry // ring storage; len(e) is 0 or a power of two
-	head   int        // physical index of the oldest live entry
-	n      int        // live entry count
-	minIdx int        // logical index of the min-drainAt entry, valid iff minOK
-	minOK  bool
+// bufEntry is a pending store awaiting drain to shared memory.
+type bufEntry struct {
+	val     int64
+	drainAt int64
+	memIdx  int32 // memory cell; -1 marks a PSO hole (drained mid-window)
+	next    int32 // PSO: sequence distance to the next same-cell entry, 0 if none
 }
 
-//perple:hotpath cover=sim-synced-user
-func (b *storeBuf) len() int { return b.n }
+// storeBuf is one thread's pending stores: a reusable ring in program
+// order plus the indexes that make every per-event query independent of
+// the buffer's length. The backing arrays are kept across runs (reset
+// does not free), so a steady-state iteration loop performs no
+// store-buffer allocation at all.
+//
+// Entries are addressed by absolute sequence number (program order):
+// entry seq lives in slot seq&(len(e)-1), and the window [lo, hi) from
+// the oldest live entry to the next sequence number never exceeds the
+// ring, so grow re-slots entries without invalidating any stored
+// sequence number. A PSO drain from mid-window marks its entry dead
+// (memIdx -1) and lo skips past dead entries, so it leaves a hole
+// instead of shifting its neighbours.
+//
+// The engine's store keeps these invariants, and the queries rest on
+// them:
+//
+//   - TSO: drainAt strictly increases along the FIFO, so the next drain
+//     is the oldest entry — O(1).
+//   - PSO: drainAt strictly increases per memory cell, so the next drain
+//     is the minimum over the cells' oldest entries, ties broken by
+//     earliest program order (the first minimum of a front-to-back
+//     scan). Same-cell entries are chained by next, and a binary heap
+//     over the chain heads keyed (drainAt, seq) answers the minimum in
+//     O(1) and drains in O(log #chains); perpetual runs have one chain
+//     per location at most.
+//   - Both: only the minimum is ever drained, so the largest pending
+//     drainAt cannot fall until the buffer empties; maxAt, tracked on
+//     push, answers fence and the userfence flush in O(1).
+//   - A thread addresses each location's cells in non-decreasing
+//     memIdx order (one cell per location in perpetual runs, one per
+//     iteration in synced ones), so the newest entry at a location is
+//     the only candidate for forwarding and for the same-cell drain
+//     fix-up: locTail answers both in O(1).
+type storeBuf struct {
+	e       []bufEntry // ring storage; len(e) is 0 or a power of two
+	lo, hi  int        // oldest live sequence number; next sequence number
+	n       int        // live entry count
+	maxAt   int64      // largest pending drainAt; -1 when empty (drain times are ≥ 0)
+	pso     bool       // per-cell drain order (heads) instead of the FIFO
+	locTail []int      // newest sequence number stored per location; -1 for none
+	heads   []int      // PSO: min-heap of cell-chain head sequence numbers
+}
 
-// at returns the live entry at logical index i (0 = oldest). Callers
-// must keep i < b.n; the returned pointer is invalidated by push.
+// slot returns the entry for sequence number s, which must lie in
+// [lo, hi); the pointer is invalidated by push.
 //
 //perple:hotpath cover=sim-synced-user
-func (b *storeBuf) at(i int) *bufEntry { return &b.e[(b.head+i)&(len(b.e)-1)] }
+func (b *storeBuf) slot(s int) *bufEntry { return &b.e[s&(len(b.e)-1)] }
 
-// reset empties the buffer, keeping the backing array for reuse.
-func (b *storeBuf) reset() { b.head, b.n, b.minOK = 0, 0, false }
+// reset empties the buffer for a run over nlocs locations under the
+// given drain order, keeping the backing arrays for reuse.
+func (b *storeBuf) reset(pso bool, nlocs int) {
+	b.lo, b.hi, b.n, b.maxAt, b.pso = 0, 0, 0, -1, pso
+	b.heads = b.heads[:0]
+	if cap(b.locTail) < nlocs {
+		b.locTail = make([]int, nlocs)
+	}
+	b.locTail = b.locTail[:nlocs]
+	for i := range b.locTail {
+		b.locTail[i] = -1
+	}
+}
 
-// push appends a new youngest entry, growing the ring if full.
+// push appends a new youngest entry for location loc, growing the ring
+// if full. e.drainAt must respect the model's order (see storeBuf) and
+// e.next must be zero.
 //
 //perple:hotpath cover=sim-synced-user
-func (b *storeBuf) push(e bufEntry) {
-	if b.n == len(b.e) {
+func (b *storeBuf) push(loc int, e bufEntry) {
+	if b.hi-b.lo == len(b.e) {
 		// The make inside grow is inlined here by the compiler (-escapes
 		// attributes it to this line). Growth is amortized warm-up only:
 		// reset keeps the backing array, so steady-state iteration never
@@ -47,80 +86,128 @@ func (b *storeBuf) push(e bufEntry) {
 		//perple:allow hotalloc amortized ring growth; reset reuses the backing array
 		b.grow()
 	}
-	b.e[(b.head+b.n)&(len(b.e)-1)] = e
+	seq := b.hi
+	b.hi++
+	b.maxAt = max(b.maxAt, e.drainAt)
 	b.n++
-	switch {
-	case b.n == 1:
-		b.minIdx, b.minOK = 0, true
-	case b.minOK && e.drainAt < b.at(b.minIdx).drainAt:
-		// Strictly smaller: the new entry is the unique minimum. An equal
-		// drainAt keeps the cached (earlier) index, matching the scan's
-		// first-minimum tie-break.
-		b.minIdx = b.n - 1
+	*b.slot(seq) = e
+	if b.pso {
+		if t := b.locTail[loc]; t >= b.lo && b.slot(t).memIdx == e.memIdx {
+			b.slot(t).next = int32(seq - t)
+		} else {
+			b.pushHead(seq)
+		}
 	}
+	b.locTail[loc] = seq
 }
 
-// minDrainIdx returns the logical index of the entry with the smallest
-// drainAt (earliest index on ties), recomputing the cache if a removal
-// invalidated it. Returns -1 for an empty buffer.
+// newest returns the youngest pending entry for cell memIdx at location
+// loc, or nil if none is pending.
 //
-//perple:hotpath cover=sim-synced-pso
-func (b *storeBuf) minDrainIdx() int {
-	if b.n == 0 {
-		return -1
-	}
-	if !b.minOK {
-		best := 0
-		for i := 1; i < b.n; i++ {
-			if b.at(i).drainAt < b.at(best).drainAt {
-				best = i
-			}
+//perple:hotpath cover=sim-synced-user
+func (b *storeBuf) newest(loc int, memIdx int32) *bufEntry {
+	if t := b.locTail[loc]; t >= b.lo {
+		if e := b.slot(t); e.memIdx == memIdx {
+			return e
 		}
-		b.minIdx, b.minOK = best, true
 	}
-	return b.minIdx
+	return nil
+}
+
+// peek returns the entry that drains next, or nil for an empty buffer.
+//
+//perple:hotpath cover=sim-synced-user
+func (b *storeBuf) peek() *bufEntry {
+	if b.n == 0 {
+		return nil
+	}
+	if b.pso {
+		return b.slot(b.heads[0])
+	}
+	return b.slot(b.lo)
+}
+
+// pop removes and returns the entry peek reports; the buffer must be
+// non-empty.
+//
+//perple:hotpath cover=sim-synced-user
+func (b *storeBuf) pop() bufEntry {
+	b.n--
+	if b.n == 0 {
+		b.maxAt = -1
+	}
+	if !b.pso {
+		// The FIFO head drains: the window just advances past it.
+		b.lo++
+		return *b.slot(b.lo - 1)
+	}
+	s := b.heads[0]
+	p := b.slot(s)
+	if p.next > 0 {
+		b.heads[0] = s + int(p.next)
+	} else {
+		last := len(b.heads) - 1
+		b.heads[0] = b.heads[last]
+		b.heads = b.heads[:last]
+	}
+	b.siftDown(0)
+	e := *p
+	p.memIdx = -1
+	for b.lo < b.hi && b.slot(b.lo).memIdx < 0 {
+		b.lo++
+	}
+	return e
 }
 
 func (b *storeBuf) grow() {
 	ne := make([]bufEntry, max(8, 2*len(b.e)))
-	for i := 0; i < b.n; i++ {
-		ne[i] = *b.at(i)
+	for s := b.lo; s < b.hi; s++ {
+		ne[s&(len(ne)-1)] = *b.slot(s)
 	}
-	b.e, b.head = ne, 0
+	b.e = ne
 }
 
-// removeAt removes and returns the live entry at logical index i,
-// preserving the order of the rest. Index 0 (the only case under TSO)
-// is an O(1) head bump; interior indices shift the shorter side.
+// headLess orders chain heads s and t by (drainAt, seq).
 //
-//perple:hotpath cover=sim-synced-user
-func (b *storeBuf) removeAt(i int) bufEntry {
-	e := *b.at(i)
-	if b.minOK {
-		switch {
-		case i == b.minIdx:
-			b.minOK = false
-		case i < b.minIdx:
-			// Order is preserved, so every entry past i slides down one
-			// logical slot.
-			b.minIdx--
+//perple:hotpath cover=sim-synced-pso
+func (b *storeBuf) headLess(s, t int) bool {
+	ds, dt := b.slot(s).drainAt, b.slot(t).drainAt
+	return ds < dt || ds == dt && s < t
+}
+
+// pushHead adds a new cell chain's head to the heap.
+//
+//perple:hotpath cover=sim-synced-pso
+func (b *storeBuf) pushHead(s int) {
+	b.heads = append(b.heads, s)
+	h := b.heads
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !b.headLess(h[i], h[p]) {
+			break
 		}
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
-	switch {
-	case i == 0:
-		b.head = (b.head + 1) & (len(b.e) - 1)
-	case i < b.n-i-1:
-		// Shift the head side up by one, then advance head.
-		for j := i; j > 0; j-- {
-			*b.at(j) = *b.at(j - 1)
+}
+
+// siftDown restores the heap below index i after its key grew.
+//
+//perple:hotpath cover=sim-synced-pso
+func (b *storeBuf) siftDown(i int) {
+	h := b.heads
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
-		b.head = (b.head + 1) & (len(b.e) - 1)
-	default:
-		// Shift the tail side down by one.
-		for j := i; j < b.n-1; j++ {
-			*b.at(j) = *b.at(j + 1)
+		if c+1 < len(h) && b.headLess(h[c+1], h[c]) {
+			c++
 		}
+		if !b.headLess(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	b.n--
-	return e
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"perple/internal/core"
 	"perple/internal/litmus"
@@ -60,6 +61,10 @@ func (r *Runner) RunSyncedCtx(ctx context.Context, n int, mode Mode, cfg Config)
 	if n < 0 {
 		return nil, fmt.Errorf("sim: negative iteration count %d", n)
 	}
+	if n > 0 && len(r.ct.locs) > math.MaxInt32/n {
+		// Store buffers hold memory-cell indices as int32.
+		return nil, fmt.Errorf("sim: %d iterations over %d locations exceed %d memory cells", n, len(r.ct.locs), math.MaxInt32)
+	}
 	m := &r.m
 	m.cfg = cfg
 	m.pso = cfg.Relaxation == memmodel.PSO
@@ -74,7 +79,7 @@ func (r *Runner) RunSyncedCtx(ctx context.Context, n int, mode Mode, cfg Config)
 	for ti := range r.threads {
 		th := &r.threads[ti]
 		th.time, th.speed, th.pc, th.iter = 0, 100, 0, 0
-		th.buf.reset()
+		th.buf.reset(m.pso, len(r.ct.locs))
 		r.res.Regs[ti] = resizeZeroed(r.res.Regs[ti], r.ct.regCounts[ti]*n)
 	}
 	res := &r.res
@@ -172,7 +177,7 @@ func (r *PerpetualRunner) RunCtx(ctx context.Context, n int, cfg Config) (*Perpe
 	for ti := range r.threads {
 		th := &r.threads[ti]
 		th.speed, th.pc, th.iter = 100, 0, 0
-		th.buf.reset()
+		th.buf.reset(m.pso, len(r.cp.locs))
 		th.time = m.draw(&m.launchSpan)
 		m.newIteration(th, cfg.PerpIterOverhead)
 	}

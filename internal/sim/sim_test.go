@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -67,6 +68,10 @@ func TestRunSyncedZeroIterations(t *testing.T) {
 	}
 	if _, err := RunSynced(mustSuiteTest(t, "sb"), -1, ModeUser, DefaultConfig()); err == nil {
 		t.Error("negative iteration count accepted")
+	}
+	// Rejected before any allocation: cell indices must fit in int32.
+	if _, err := RunSynced(mustSuiteTest(t, "sb"), math.MaxInt32, ModeUser, DefaultConfig()); err == nil {
+		t.Error("iteration count past the int32 cell range accepted")
 	}
 }
 
