@@ -1,7 +1,7 @@
-// Command perple-serve runs the campaign scheduler as a long-lived HTTP
+// Command perple-serve runs the campaign engine as a long-lived HTTP
 // service: clients submit campaign specs (litmus suite × machine presets
-// × tools × iteration budget), the service shards and executes them on a
-// context-aware worker pool, and progress, metrics, and merged results
+// × tools × iteration budget), the service shards them and executes them
+// in-process or serves them to perple-worker fleets, and progress, metrics, and merged results
 // are observable while runs are in flight. Campaigns checkpoint under
 // -checkpoint-dir, so a run killed with the service resumes when the
 // same spec is resubmitted against the same checkpoint file.

@@ -16,8 +16,8 @@
 //	perple-suite -mixed                            # §VII-G campaign: PerpLE where
 //	                                               # convertible, litmus7-user elsewhere
 //
-// With -campaign the corpus is handed to the campaign scheduler
-// (internal/campaign): sharded jobs, a context-aware worker pool,
+// With -campaign the corpus is handed to the campaign engine
+// (internal/campaign): sharded jobs leased to in-process executors,
 // retries, and optional checkpoint/resume — the same engine behind
 // perple-serve.
 //

@@ -1,6 +1,6 @@
 // Command perple-worker is a fleet member for distributed campaigns: it
 // pulls shard leases from a perple-serve dispatch campaign over HTTP,
-// executes them with the same harness-backed runner the local scheduler
+// executes them with the same job-execution step a local -campaign run
 // uses, and streams batched results back in the negotiated wire codec
 // (PWB1 binary against current servers, gzip-JSON against older ones;
 // override with -wire). Because shard seeds are

@@ -14,8 +14,7 @@ import (
 
 // checkpointVersion guards the snapshot format; version 2 wraps the
 // snapshot in a CRC-carrying envelope so disk corruption is detected at
-// load instead of silently mis-merging. Version-1 snapshots (no
-// envelope) are still readable for migration.
+// load instead of silently mis-merging.
 const checkpointVersion = 2
 
 // checkpointPrevSuffix names the rotated last-good snapshot kept beside
@@ -206,37 +205,34 @@ func LoadCheckpointLedgerFS(fsys CheckpointFS, path string, spec Spec) (done map
 	return nil, nil, false, err
 }
 
-// loadCheckpointFile reads one snapshot file, verifying the CRC for
-// version-2 envelopes and accepting bare version-1 snapshots for
-// migration.
+// loadCheckpointFile reads one snapshot file and verifies its
+// version-2 envelope's CRC.
 func loadCheckpointFile(fsys CheckpointFS, path string, spec Spec) (map[int]*JobResult, *LedgerSnapshot, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	var cp Checkpoint
 	var env checkpointEnvelope
-	switch {
-	case json.Unmarshal(data, &env) == nil && env.Version == checkpointVersion && len(env.Payload) > 0:
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, env.Payload); err != nil {
-			return nil, nil, fmt.Errorf("campaign: checkpoint %s payload: %v: %w", path, err, ErrCheckpointCorrupt)
-		}
-		if got := crc32.ChecksumIEEE(compact.Bytes()); got != env.CRC32 {
-			return nil, nil, fmt.Errorf("campaign: checkpoint %s CRC mismatch (%08x on disk, %08x computed): %w",
-				path, env.CRC32, got, ErrCheckpointCorrupt)
-		}
-		if err := json.Unmarshal(env.Payload, &cp); err != nil {
-			return nil, nil, fmt.Errorf("campaign: checkpoint %s payload: %v: %w", path, err, ErrCheckpointCorrupt)
-		}
-	case json.Unmarshal(data, &cp) == nil && cp.Version == 1:
-		// Legacy (pre-CRC) snapshot: accepted as-is for migration; the
-		// next save rewrites it in envelope form.
-	default:
-		if json.Unmarshal(data, &env) == nil && env.Version > checkpointVersion {
-			return nil, nil, fmt.Errorf("campaign: checkpoint %s has version %d, want ≤ %d", path, env.Version, checkpointVersion)
-		}
+	if err := json.Unmarshal(data, &env); err != nil || env.Version == 0 {
 		return nil, nil, fmt.Errorf("campaign: checkpoint %s is not a decodable snapshot: %w", path, ErrCheckpointCorrupt)
+	}
+	if env.Version != checkpointVersion {
+		return nil, nil, fmt.Errorf("campaign: checkpoint %s has version %d, want %d", path, env.Version, checkpointVersion)
+	}
+	if len(env.Payload) == 0 {
+		return nil, nil, fmt.Errorf("campaign: checkpoint %s has no payload: %w", path, ErrCheckpointCorrupt)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, env.Payload); err != nil {
+		return nil, nil, fmt.Errorf("campaign: checkpoint %s payload: %v: %w", path, err, ErrCheckpointCorrupt)
+	}
+	if got := crc32.ChecksumIEEE(compact.Bytes()); got != env.CRC32 {
+		return nil, nil, fmt.Errorf("campaign: checkpoint %s CRC mismatch (%08x on disk, %08x computed): %w",
+			path, env.CRC32, got, ErrCheckpointCorrupt)
+	}
+	var cp Checkpoint
+	if err := json.Unmarshal(env.Payload, &cp); err != nil {
+		return nil, nil, fmt.Errorf("campaign: checkpoint %s payload: %v: %w", path, err, ErrCheckpointCorrupt)
 	}
 	if err := cp.Spec.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("campaign: checkpoint %s spec: %w", path, err)

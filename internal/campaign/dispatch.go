@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -10,36 +11,90 @@ import (
 	"perple/internal/litmus"
 )
 
+// Options tunes one campaign execution, local (Campaign.Run) or fleet
+// (NewDispatcher) — everything here is about *how* the campaign
+// executes; *what* it executes lives in the Spec.
+type Options struct {
+	// CheckpointPath, when non-empty, enables crash recovery: completed
+	// job results are snapshotted there, and a pre-existing snapshot for
+	// the same spec is restored instead of re-running its jobs.
+	CheckpointPath string
+
+	// CheckpointEvery batches snapshot writes to every n completed jobs;
+	// 0 means every job.
+	CheckpointEvery int
+
+	// CheckpointFS is the filesystem under checkpoint I/O; nil selects
+	// the real one. The chaos suite injects fault-ridden implementations
+	// here.
+	CheckpointFS CheckpointFS
+
+	// WALPath, when non-empty, makes the lease ledger durable: every
+	// ledger transition is appended to a write-ahead log there, and a
+	// restarted run replays snapshot + log to reconstruct the exact
+	// ledger. Requires CheckpointPath, since the log compacts into the
+	// checkpoint.
+	WALPath string
+
+	// WALSyncEvery batches WAL fsyncs to every n appended records
+	// (group commit); 0 or 1 fsyncs every record.
+	WALSyncEvery int
+
+	// CompactEvery folds the WAL into a fresh checkpoint every n
+	// terminal job transitions (merges + dead letters); 0 selects the
+	// default of 64.
+	CompactEvery int
+
+	// Metrics receives the run's counters; nil allocates a private set.
+	Metrics *Metrics
+
+	// OnJobDone, when set, observes every merged job result. The
+	// dispatcher calls it under its lock as the result merges, so calls
+	// are serialized and must not call back into the dispatcher.
+	OnJobDone func(*JobResult)
+
+	// OnJobFailed, when set, observes every job whose retry budget ran
+	// out — the dead-letter stream the server surfaces on the status
+	// endpoint. Called under the dispatcher lock, like OnJobDone.
+	OnJobFailed func(JobFailure)
+
+	// runJob overrides job execution; tests inject failures and panics
+	// here. nil selects the real harness-backed runner.
+	runJob func(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobResult, error)
+}
+
 // DefaultLeaseTTL is how long a worker may sit on a leased job without
 // heartbeating before it requeues.
 const DefaultLeaseTTL = 60 * time.Second
 
-// Dispatcher runs one campaign in distributed mode: instead of
-// executing jobs on a local worker pool, it serves them to remote
-// workers as leases and merges their uploaded results. The determinism
-// contract is identical to the local scheduler's — job seeds are
-// identity-derived and merging is order-invariant — so a fleet of k
-// workers reaches byte-identical final results to a local run of the
-// same spec, whatever the interleaving of leases, expiries, and
-// uploads.
+// Dispatcher is the campaign engine: a lease ledger that hands jobs to
+// executors and merges what they report. It has two transports. Fleet
+// workers reach it over HTTP (http.go, worker.go); Campaign.Run's
+// in-process executors call Lease and complete directly. The
+// determinism contract is the same for both — job seeds are
+// identity-derived and merging is order-invariant — so any number of
+// executors on either transport reach byte-identical final results,
+// whatever the interleaving of leases, expiries, and uploads.
 //
 // Without a WAL, leases are in-memory only; the checkpoint persists
-// completed results exactly as the local scheduler does, and a
-// dispatcher rebuilt after a server restart restores the done set and
-// re-leases everything that was in flight — at-least-once delivery,
-// made safe by the completion fence and per-shard determinism. With
-// Options.WALPath set, the durable dispatch plane (wal.go) logs every
-// ledger transition, and a restart replays snapshot + log suffix to
-// reconstruct the exact ledger — live leases, retry budgets, and the
-// merged-lease nonces that keep duplicate-vs-fenced classification
-// precise — instead of forgetting it.
+// completed results, and a dispatcher rebuilt after a restart restores
+// the done set and re-leases everything that was in flight —
+// at-least-once delivery, made safe by the completion fence and
+// per-shard determinism. With Options.WALPath set, the durable plane
+// (wal.go) logs every ledger transition, and a restart replays
+// snapshot + log suffix to reconstruct the exact ledger — live leases,
+// retry budgets, and the merged-lease nonces that keep
+// duplicate-vs-fenced classification precise — instead of forgetting
+// it.
 type Dispatcher struct {
-	camp   *Campaign
-	opts   Options
-	ttl    time.Duration
-	every  int
-	now    func() time.Time
-	corpus []CorpusTest
+	camp  *Campaign
+	opts  Options
+	ttl   time.Duration // 0 for an in-process run: leases never expire
+	every int
+	now   func() time.Time
+	// corpus renders the wire corpus on first use: only fleet workers
+	// fetch it, so in-process runs never pay for formatting every test.
+	corpus func() []CorpusTest
 
 	metrics *Metrics
 
@@ -66,13 +121,20 @@ type Dispatcher struct {
 	killHook func(point string) bool
 }
 
-// NewDispatcher validates and restores like Campaign.Run — checkpointed
+// NewDispatcher restores the campaign's checkpoint — checkpointed
 // results are loaded and only the remaining jobs enter the lease queue
-// — then stands ready to serve leases. ttl ≤ 0 selects DefaultLeaseTTL.
+// — then stands ready to serve leases to fleet workers. ttl ≤ 0 selects
+// DefaultLeaseTTL.
 func NewDispatcher(camp *Campaign, ttl time.Duration, opts Options) (*Dispatcher, error) {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
+	return newDispatcher(camp, ttl, opts)
+}
+
+// newDispatcher is NewDispatcher taking ttl as given; ttl 0 builds an
+// in-process dispatcher, whose leases never expire (see leaseQueue).
+func newDispatcher(camp *Campaign, ttl time.Duration, opts Options) (*Dispatcher, error) {
 	metrics := opts.Metrics
 	if metrics == nil {
 		metrics = &Metrics{}
@@ -84,6 +146,9 @@ func NewDispatcher(camp *Campaign, ttl time.Duration, opts Options) (*Dispatcher
 	}
 	if opts.CheckpointFS == nil {
 		opts.CheckpointFS = osCheckpointFS{}
+	}
+	if opts.runJob == nil {
+		opts.runJob = runJob
 	}
 	if opts.WALPath != "" && opts.CheckpointPath == "" {
 		return nil, fmt.Errorf("campaign: WALPath requires CheckpointPath (the log compacts into the checkpoint)")
@@ -131,7 +196,7 @@ func NewDispatcher(camp *Campaign, ttl time.Duration, opts Options) (*Dispatcher
 		every:        every,
 		compactEvery: compactEvery,
 		now:          time.Now,
-		corpus:       buildCorpus(camp),
+		corpus:       sync.OnceValue(func() []CorpusTest { return buildCorpus(camp) }),
 		metrics:      metrics,
 		results:      results,
 		done:         done,
@@ -230,6 +295,12 @@ func (d *Dispatcher) recoverDurable(ledger *LedgerSnapshot) error {
 	for i := range rep.recs {
 		d.applyWALRecord(&rep.recs[i])
 	}
+	if d.ttl == 0 {
+		// An in-process run's leases died with the process that granted
+		// them, and no fleet worker can reach it: every live row goes back
+		// to pending, its retry budget untouched.
+		d.q.releaseLeased()
+	}
 
 	d.wal = newWAL(fsys, d.opts.WALPath, d.opts.WALSyncEvery, crc, d.metrics)
 	if d.compactLocked() == nil {
@@ -320,7 +391,7 @@ func (d *Dispatcher) Corpus() CorpusResponse {
 	return CorpusResponse{
 		Version: ProtocolVersion,
 		Spec:    d.camp.Spec,
-		Tests:   d.corpus,
+		Tests:   d.corpus(),
 		Wire:    []string{WireBinary, WireJSON},
 	}
 }
@@ -369,16 +440,35 @@ func (d *Dispatcher) finish() {
 	if d.opts.CheckpointPath != "" && !d.killed {
 		if d.wal != nil {
 			d.wal.syncNow()
-			d.checkpointErr = saveCheckpointLedgerRetry(d.opts.CheckpointFS, d.opts.CheckpointPath, d.camp.Spec, d.done, d.ledgerSnapshotLocked(), d.metrics)
+			d.checkpointErr = d.saveFinalLocked(d.ledgerSnapshotLocked())
 			if d.checkpointErr == nil {
 				_ = d.wal.rotate()
 			}
 			d.wal.close()
 		} else if d.sinceSave > 0 {
-			d.checkpointErr = saveCheckpointRetry(d.opts.CheckpointFS, d.opts.CheckpointPath, d.camp.Spec, d.done, d.metrics)
+			d.checkpointErr = d.saveFinalLocked(nil)
 		}
 	}
 	close(d.finishCh)
+}
+
+// finalSaveRetries bounds how many times the closing snapshot write is
+// retried before the run surfaces the error.
+const finalSaveRetries = 3
+
+// saveFinalLocked makes the closing snapshot write resilient to
+// transient disk faults: up to finalSaveRetries attempts, counting each
+// failure, returning the last error only if none succeeded. Caller
+// holds d.mu.
+func (d *Dispatcher) saveFinalLocked(ledger *LedgerSnapshot) error {
+	var err error
+	for attempt := 0; attempt < finalSaveRetries; attempt++ {
+		if err = SaveCheckpointLedgerFS(d.opts.CheckpointFS, d.opts.CheckpointPath, d.camp.Spec, d.done, ledger); err == nil {
+			return nil
+		}
+		d.metrics.CheckpointErrors.Add(1)
+	}
+	return err
 }
 
 // ledgerSnapshotLocked captures the full lease ledger for a
@@ -605,17 +695,22 @@ func (d *Dispatcher) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	return resp
 }
 
-// Complete merges a worker's uploaded batch: results behind the
-// completion fence, failures against retry budgets, releases back to
-// the queue, and piggybacked heartbeats into lease extensions.
-// payloadBytes is the encoded upload size, for the upload-bytes
-// counter.
+// Complete merges a batch a fleet worker uploaded; payloadBytes is its
+// encoded size. Only wire uploads feed the upload-bytes counters and the
+// batch-size histogram — in-process executors report through complete.
 func (d *Dispatcher) Complete(req CompleteRequest, payloadBytes int) CompleteResponse {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.metrics.UploadBytes.Add(int64(payloadBytes))
 	d.metrics.WireBytesRecv.Add(int64(payloadBytes))
 	d.metrics.WireBatch.Observe(len(req.Results))
+	return d.complete(req)
+}
+
+// complete merges one executor's report: results behind the completion
+// fence, failures against retry budgets, releases back to the queue, and
+// piggybacked heartbeats into lease extensions.
+func (d *Dispatcher) complete(req CompleteRequest) CompleteResponse {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	var resp CompleteResponse
 	for _, wr := range req.Results {
 		if wr.Result == nil || !d.resultMatchesJob(wr.Result) {
@@ -643,6 +738,9 @@ func (d *Dispatcher) Complete(req CompleteRequest, payloadBytes int) CompleteRes
 		accepted, fenced := d.q.complete(LeaseRef{JobID: wr.Result.JobID, LeaseID: wr.LeaseID})
 		switch {
 		case accepted:
+			// The ledger, not the executor, knows how many attempts the
+			// job consumed before this one.
+			wr.Result.Retries = d.q.entries[wr.Result.JobID].attempts
 			d.mergedLease[wr.Result.JobID] = wr.LeaseID
 			d.mergeLocked(wr.Result, wasLeased)
 			resp.Merged++
@@ -812,4 +910,71 @@ func (d *Dispatcher) LeaseGauges() (active int, oldestAge time.Duration) {
 // String identifies the dispatcher in logs.
 func (d *Dispatcher) String() string {
 	return fmt.Sprintf("dispatcher(%d jobs, ttl %s)", len(d.camp.jobs), d.ttl)
+}
+
+// Run executes the campaign in-process: a Dispatcher plus Spec.Workers
+// executors that call Lease and complete directly — no HTTP, no codec,
+// no heartbeats. Jobs restored from the checkpoint are skipped, failed
+// jobs requeue against Spec.MaxRetries, and results merge as they land.
+//
+// Cancelling ctx interrupts the run, it does not cancel the campaign:
+// in-flight jobs abort and their leases go back to pending, so only
+// whole jobs ever reach the totals or the checkpoint, and the closing
+// snapshot records no cancellation — rerunning with the same checkpoint
+// resumes. Run then returns the totals accumulated so far together with
+// ctx's error.
+func (c *Campaign) Run(ctx context.Context, opts Options) (*Results, error) {
+	d, err := newDispatcher(c, 0, opts)
+	if err != nil {
+		return nil, err
+	}
+	x := &jobExec{tests: c.tests, spec: c.Spec, run: d.opts.runJob}
+	var wg sync.WaitGroup
+	for i := 0; i < c.Spec.Workers; i++ {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			d.execute(ctx, x, name)
+		}(fmt.Sprintf("local-%d", i))
+	}
+	wg.Wait()
+	// Every executor has returned: the run either finished or was
+	// interrupted. finish is idempotent, and persists an interrupted
+	// run's progress without the cancellation a Cancel would record.
+	d.mu.Lock()
+	d.finish()
+	res, err := d.results, d.checkpointErr
+	d.mu.Unlock()
+	if err != nil {
+		return res, err
+	}
+	return res, ctx.Err()
+}
+
+// execute is one in-process executor: lease a job, run it, report the
+// outcome, until ctx is cancelled or no job is left to lease. An
+// executor that gets no grant while its peers still hold leases exits
+// rather than waiting: a peer whose job fails re-leases the requeued
+// job itself on its next loop, so nothing is stranded.
+func (d *Dispatcher) execute(ctx context.Context, x *jobExec, name string) {
+	// One report buffer per executor: complete keeps none of its slices.
+	req := CompleteRequest{Worker: name}
+	for ctx.Err() == nil {
+		lease := d.Lease(LeaseRequest{Worker: name, Max: 1})
+		if len(lease.Grants) == 0 {
+			return
+		}
+		g := lease.Grants[0]
+		req.Results, req.Failures, req.Released = req.Results[:0], req.Failures[:0], req.Released[:0]
+		switch r, f := x.exec(ctx, g); {
+		case r.Result != nil:
+			req.Results = append(req.Results, r)
+		case f != nil:
+			req.Failures = append(req.Failures, *f)
+		default:
+			// Aborted by ctx: hand the lease back unconsumed.
+			req.Released = append(req.Released, LeaseRef{JobID: g.Job.ID, LeaseID: g.LeaseID})
+		}
+		d.complete(req)
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,18 +37,24 @@ func fleetSpec(t *testing.T) Spec {
 	return spec
 }
 
-// serialCanonical runs the spec on the local scheduler and returns the
-// canonical result document — the reference bytes every fleet
-// configuration must reproduce exactly.
+// serialCanonical is the independent reference every execution path
+// must reproduce exactly: runJob over the expanded jobs in ID order,
+// folded with Results.Add, rendered as the canonical result document.
+// It shares no lease, retry, or merge code with the Dispatcher, so a
+// local run and a fleet that both match it agree for a reason.
 func serialCanonical(t *testing.T, spec Spec) []byte {
 	t.Helper()
 	camp, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := camp.Run(context.Background(), Options{})
-	if err != nil {
-		t.Fatal(err)
+	res := NewResults()
+	for _, job := range camp.Jobs() {
+		jr, err := runJob(context.Background(), job, camp.tests[job.Test], camp.Spec)
+		if err != nil {
+			t.Fatalf("job %d: %v", job.ID, err)
+		}
+		res.Add(jr)
 	}
 	data, err := res.CanonicalJSON()
 	if err != nil {
@@ -90,8 +97,8 @@ func fetchCanonical(t *testing.T, ts *httptest.Server, id string) []byte {
 }
 
 // TestFleetByteIdentical is the dispatch layer's core property: a fleet
-// of k loopback workers produces byte-identical canonical results to a
-// local run of the same spec, for k ∈ {1, 4}.
+// of k loopback workers produces byte-identical canonical results to the
+// serial reference, for k ∈ {1, 4}.
 func TestFleetByteIdentical(t *testing.T) {
 	spec := fleetSpec(t)
 	want := serialCanonical(t, spec)
@@ -498,5 +505,69 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 		if !strings.Contains(text, family) {
 			t.Fatalf("Prometheus exposition missing %q:\n%s", family, text)
 		}
+	}
+}
+
+// TestFleetRecordsRetries: a job that failed once before merging carries
+// Retries 1 on the fleet path too — the dispatcher sets it from its own
+// ledger before the checkpoint sees the result. It also pins that the
+// upload-batch histogram counts fleet uploads.
+func TestFleetRecordsRetries(t *testing.T) {
+	spec := fleetSpec(t)
+	srv, ts := newTestServer(t)
+	id := submitDispatch(t, ts, spec)
+
+	var failed atomic.Bool
+	w := NewWorker(WorkerOptions{
+		BaseURL: ts.URL, Campaign: id, Name: "flaky", Parallel: 1,
+		runJob: func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+			if job.ID == 0 && failed.CompareAndSwap(false, true) {
+				return nil, errors.New("transient")
+			}
+			return fakeResult(job), nil
+		},
+	})
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if state := pollState(t, ts, id, 30*time.Second); state != StateDone {
+		t.Fatalf("campaign ended %q", state)
+	}
+	done, err := LoadCheckpoint(filepath.Join(srv.CheckpointDir, id+".json"), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for jobID, jr := range done {
+		want := 0
+		if jobID == 0 {
+			want = 1
+		}
+		if jr.Retries != want {
+			t.Fatalf("job %d checkpointed with Retries %d, want %d", jobID, jr.Retries, want)
+		}
+	}
+	batch := srv.DispatcherForTest(id).metrics.WireBatch.Snapshot()
+	if batch.Count == 0 || batch.Sum != int64(len(done)) {
+		t.Fatalf("upload histogram = %+v, want uploads summing to %d results", batch, len(done))
+	}
+}
+
+// TestLocalRunLeavesWireMetricsEmpty: in-process executors report to the
+// dispatcher directly, so a local run moves none of the wire counters a
+// fleet's uploads feed.
+func TestLocalRunLeavesWireMetricsEmpty(t *testing.T) {
+	camp, err := New(fleetSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Metrics{}
+	if _, err := camp.Run(context.Background(), Options{Metrics: m}); err != nil {
+		t.Fatal(err)
+	}
+	if batch := m.WireBatch.Snapshot(); batch.Count != 0 {
+		t.Fatalf("local run observed %d upload batches", batch.Count)
+	}
+	if m.UploadBytes.Load() != 0 || m.WireBytesRecv.Load() != 0 {
+		t.Fatalf("local run counted upload bytes: %d / %d", m.UploadBytes.Load(), m.WireBytesRecv.Load())
 	}
 }

@@ -25,10 +25,10 @@ const (
 	StateFailed    = "failed"
 )
 
-// serverRun is one submitted campaign: the scheduler invocation plus the
-// bookkeeping the HTTP surface reports. Local runs execute on the
-// in-process worker pool; dispatch runs hold a Dispatcher serving the
-// lease endpoints instead.
+// serverRun is one submitted campaign: the engine invocation plus the
+// bookkeeping the HTTP surface reports. Local runs execute through
+// Campaign.Run's in-process executors; dispatch runs hold a Dispatcher
+// serving the lease endpoints instead.
 type serverRun struct {
 	id         string
 	spec       Spec
@@ -112,7 +112,7 @@ func (r *serverRun) setFinished(res *Results, err error, cancelled bool) {
 	}
 }
 
-// Server exposes the campaign scheduler over HTTP. All handlers are
+// Server exposes the campaign engine over HTTP. All handlers are
 // stdlib-only; campaigns execute on background goroutines, so the
 // health, metrics, and status endpoints answer while runs are in
 // flight.

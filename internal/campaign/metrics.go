@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Metrics is the campaign scheduler's observability surface: lock-free
-// counters the worker pool and collector update in place, snapshotted
+// Metrics is the campaign engine's observability surface: lock-free
+// counters the dispatcher and executors update in place, snapshotted
 // expvar-style by /metrics and the status endpoints. A Metrics value
 // must not be copied after first use.
 type Metrics struct {
@@ -44,8 +44,9 @@ type Metrics struct {
 	// TraceVerifyNs is host nanoseconds spent checking witnesses.
 	TraceVerifyNs atomic.Int64
 
-	// Dispatch-layer counters (lease-based worker fleet). Zero for local
-	// runs.
+	// Dispatch-layer counters (the lease ledger). Local runs lease too;
+	// heartbeats, fence drops, and upload bytes arise only from fleet
+	// workers.
 
 	// LeasesGranted counts jobs handed to workers (re-leases included).
 	LeasesGranted atomic.Int64

@@ -64,8 +64,10 @@ func newLeaseQueue(jobs []Job, ttl time.Duration, maxRetries int, now func() tim
 		maxRetries: maxRetries,
 		now:        now,
 	}
-	for _, job := range jobs {
-		q.entries[job.ID] = &queueEntry{job: job}
+	rows := make([]queueEntry, len(jobs)) // one allocation for every row
+	for i, job := range jobs {
+		rows[i].job = job
+		q.entries[job.ID] = &rows[i]
 		q.ids = append(q.ids, job.ID)
 		q.pending = append(q.pending, job.ID)
 	}
@@ -85,8 +87,14 @@ func (q *leaseQueue) requeue(id int) {
 // sweep expires overdue leases: each goes back to pending with one
 // attempt consumed, or to done/failed when the budget is exhausted.
 // Entries are visited in job-ID order so the outcome of a sweep is
-// deterministic. It returns the requeued and newly failed entries.
+// deterministic. It returns the requeued and newly failed entries. A
+// zero-TTL queue serves in-process executors, which cannot vanish
+// without the process: its leases never expire, however long a job
+// runs.
 func (q *leaseQueue) sweep() (requeued []*queueEntry, failed []*queueEntry) {
+	if q.ttl == 0 {
+		return nil, nil
+	}
 	now := q.now()
 	for _, id := range q.ids {
 		e := q.entries[id]
@@ -108,6 +116,17 @@ func (q *leaseQueue) sweep() (requeued []*queueEntry, failed []*queueEntry) {
 		requeued = append(requeued, e)
 	}
 	return requeued, failed
+}
+
+// releaseLeased returns every leased row to pending without consuming
+// retry budget (an in-process run recovering its ledger).
+func (q *leaseQueue) releaseLeased() {
+	for _, id := range q.ids {
+		if e := q.entries[id]; e.state == stateLeased {
+			e.state = statePending
+			q.requeue(id)
+		}
+	}
 }
 
 // lease grants up to max pending jobs to worker, lowest job ID first,

@@ -147,3 +147,19 @@ func TestLeaseQueueReleaseAfterReGrant(t *testing.T) {
 		t.Fatalf("stale release disturbed the new holder: %+v", e)
 	}
 }
+
+// TestInProcessLeasesNeverExpire: a zero-TTL queue serves in-process
+// executors, which heartbeat nothing; however far the clock moves, a
+// sweep must not requeue or dead-letter their leases.
+func TestInProcessLeasesNeverExpire(t *testing.T) {
+	now := time.Unix(0, 0)
+	q := newLeaseQueue([]Job{{ID: 0}, {ID: 1}}, 0, 0, func() time.Time { return now })
+	q.lease("local-0", 2)
+	now = now.Add(24 * time.Hour)
+	if requeued, failed := q.sweep(); len(requeued)+len(failed) != 0 {
+		t.Fatalf("sweep expired in-process leases: %d requeued, %d failed", len(requeued), len(failed))
+	}
+	if _, leased, _, _ := q.counts(); leased != 2 {
+		t.Fatalf("%d leases live after a day, want 2", leased)
+	}
+}

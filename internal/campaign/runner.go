@@ -4,12 +4,55 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"perple/internal/core"
 	"perple/internal/harness"
 	"perple/internal/litmus"
 	"perple/internal/sim"
 )
+
+// jobExec is the one job-execution step behind both transports: the
+// HTTP Worker and Campaign.Run's in-process executors hand every grant
+// to exec.
+type jobExec struct {
+	tests map[string]*litmus.Test
+	spec  Spec
+	run   func(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobResult, error)
+	// onDone, when set, observes each result before it is reported.
+	onDone func(*JobResult)
+
+	// JobsCompleted and JobsFailed count this executor's own runs.
+	JobsCompleted atomic.Int64
+	JobsFailed    atomic.Int64
+}
+
+// exec runs one granted job with panic recovery and returns what to
+// report: a result (its Result set) or a failure. A run aborted by ctx
+// returns neither — an abort is not a failure, and its lease goes back
+// unconsumed.
+func (x *jobExec) exec(ctx context.Context, g LeaseGrant) (WorkerResult, *WorkerFailure) {
+	test := x.tests[g.Job.Test]
+	if test == nil {
+		return WorkerResult{}, &WorkerFailure{
+			LeaseID: g.LeaseID, JobID: g.Job.ID,
+			Err: fmt.Sprintf("worker corpus is missing test %q", g.Job.Test),
+		}
+	}
+	jr, err := runRecovered(ctx, g.Job, test, x.spec, x.run)
+	if err != nil {
+		if ctx.Err() != nil {
+			return WorkerResult{}, nil
+		}
+		x.JobsFailed.Add(1)
+		return WorkerResult{}, &WorkerFailure{LeaseID: g.LeaseID, JobID: g.Job.ID, Err: err.Error()}
+	}
+	x.JobsCompleted.Add(1)
+	if x.onDone != nil {
+		x.onDone(jr)
+	}
+	return WorkerResult{LeaseID: g.LeaseID, Result: jr}, nil
+}
 
 // runJob executes one shard end to end: it resolves the tool (PerpLE
 // falls back to litmus7-user for non-convertible targets, like

@@ -3,63 +3,10 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"os"
-	"sort"
-	"sync"
 
 	"perple/internal/axiom"
 	"perple/internal/litmus"
 )
-
-// Options tunes one Run invocation — everything here is about *how* the
-// campaign executes; *what* it executes lives in the Spec.
-type Options struct {
-	// CheckpointPath, when non-empty, enables crash recovery: completed
-	// job results are snapshotted there, and a pre-existing snapshot for
-	// the same spec is restored instead of re-running its jobs.
-	CheckpointPath string
-
-	// CheckpointEvery batches snapshot writes to every n completed jobs;
-	// 0 means every job.
-	CheckpointEvery int
-
-	// CheckpointFS is the filesystem under checkpoint I/O; nil selects
-	// the real one. The chaos suite injects fault-ridden implementations
-	// here.
-	CheckpointFS CheckpointFS
-
-	// WALPath, when non-empty, enables the durable dispatch plane
-	// (dispatch mode only): every lease-ledger transition is appended to
-	// a write-ahead log there, and a restarted dispatcher replays
-	// snapshot + log to reconstruct the exact ledger. Requires
-	// CheckpointPath, since the log compacts into the checkpoint.
-	WALPath string
-
-	// WALSyncEvery batches WAL fsyncs to every n appended records
-	// (group commit); 0 or 1 fsyncs every record.
-	WALSyncEvery int
-
-	// CompactEvery folds the WAL into a fresh checkpoint every n
-	// terminal job transitions (merges + dead letters); 0 selects the
-	// default of 64.
-	CompactEvery int
-
-	// Metrics receives the run's counters; nil allocates a private set.
-	Metrics *Metrics
-
-	// OnJobDone, when set, observes every merged job result from the
-	// collector goroutine (after checkpointing).
-	OnJobDone func(*JobResult)
-
-	// OnJobFailed, when set, observes every job whose retry budget ran
-	// out — the dead-letter stream the server surfaces on the status
-	// endpoint.
-	OnJobFailed func(JobFailure)
-
-	// runJob overrides job execution; tests inject failures and panics
-	// here. nil selects the real harness-backed runner.
-	runJob func(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobResult, error)
-}
 
 // Campaign is an expanded spec: the resolved corpus plus the
 // deterministic job list. One Campaign value supports one Run at a time.
@@ -171,220 +118,6 @@ func (c *Campaign) AxiomInfo() map[string]TestAxiom {
 		out[name] = ta
 	}
 	return out
-}
-
-// outcome is what a worker hands the collector: exactly one field set.
-type outcome struct {
-	jr   *JobResult
-	fail *JobFailure
-}
-
-// Run executes the campaign: jobs not already restored from the
-// checkpoint are fanned out over Spec.Workers goroutines, each job
-// retried up to Spec.MaxRetries times with panic recovery, and results
-// merge into campaign totals as they land. Cancelling ctx aborts
-// in-flight jobs promptly (their partial work is discarded — only whole
-// jobs ever reach the totals or the checkpoint, which is what keeps
-// resumption total-preserving). Run returns the totals accumulated so
-// far together with ctx's error when cancelled.
-func (c *Campaign) Run(ctx context.Context, opts Options) (*Results, error) {
-	metrics := opts.Metrics
-	if metrics == nil {
-		metrics = &Metrics{}
-	}
-	metrics.Start()
-	if opts.runJob == nil {
-		opts.runJob = runJob
-	}
-	if opts.CheckpointFS == nil {
-		opts.CheckpointFS = osCheckpointFS{}
-	}
-	every := opts.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
-
-	done := map[int]*JobResult{}
-	if opts.CheckpointPath != "" {
-		restored, recovered, err := LoadCheckpointFS(opts.CheckpointFS, opts.CheckpointPath, c.Spec)
-		switch {
-		case err == nil:
-			done = restored
-			if recovered {
-				metrics.CheckpointRecoveries.Add(1)
-			}
-		case os.IsNotExist(err):
-			// Fresh campaign: nothing to restore.
-		default:
-			return nil, err
-		}
-	}
-	if err := c.validateRestored(done); err != nil {
-		return nil, err
-	}
-
-	results := NewResults()
-	restoredIDs := make([]int, 0, len(done))
-	for id := range done {
-		restoredIDs = append(restoredIDs, id)
-	}
-	sort.Ints(restoredIDs)
-	for _, id := range restoredIDs {
-		results.Add(done[id])
-	}
-
-	var pending []Job
-	for _, job := range c.jobs {
-		if _, ok := done[job.ID]; !ok {
-			pending = append(pending, job)
-		}
-	}
-	metrics.JobsTotal.Store(int64(len(c.jobs)))
-	metrics.JobsRestored.Store(int64(len(done)))
-	metrics.QueueDepth.Store(int64(len(pending)))
-	if len(pending) == 0 {
-		return results, ctx.Err()
-	}
-
-	jobCh := make(chan Job)
-	outCh := make(chan outcome, c.Spec.Workers)
-
-	go func() {
-		defer close(jobCh)
-		for _, job := range pending {
-			select {
-			case jobCh <- job:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < c.Spec.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for job := range jobCh {
-				metrics.QueueDepth.Add(-1)
-				if ctx.Err() != nil {
-					continue // drain without running
-				}
-				metrics.InFlight.Add(1)
-				jr, fail := c.attemptJob(ctx, job, opts, metrics)
-				metrics.InFlight.Add(-1)
-				if jr == nil && fail == nil {
-					continue // aborted mid-run by cancellation
-				}
-				outCh <- outcome{jr: jr, fail: fail}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(outCh)
-	}()
-
-	// Collector: the only goroutine touching results, done, and the
-	// checkpoint file. Snapshot write failures are transient until the
-	// end of the run: the batch stays pending and the next flush retries,
-	// because the previous snapshot on disk is still a valid (if stale)
-	// resume point — a disk hiccup should cost recent progress, not
-	// disable checkpointing for good.
-	sinceSave := 0
-	for o := range outCh {
-		if o.fail != nil {
-			results.AddFailure(*o.fail)
-			if opts.OnJobFailed != nil {
-				opts.OnJobFailed(*o.fail)
-			}
-			continue
-		}
-		results.Add(o.jr)
-		done[o.jr.JobID] = o.jr
-		metrics.JobsCompleted.Add(1)
-		sinceSave++
-		if opts.CheckpointPath != "" && sinceSave >= every {
-			if err := SaveCheckpointFS(opts.CheckpointFS, opts.CheckpointPath, c.Spec, done); err != nil {
-				metrics.CheckpointErrors.Add(1)
-			} else {
-				sinceSave = 0
-			}
-		}
-		if opts.OnJobDone != nil {
-			opts.OnJobDone(o.jr)
-		}
-	}
-
-	if opts.CheckpointPath != "" && sinceSave > 0 {
-		if err := saveCheckpointRetry(opts.CheckpointFS, opts.CheckpointPath, c.Spec, done, metrics); err != nil {
-			return results, err
-		}
-	}
-	return results, ctx.Err()
-}
-
-// finalSaveRetries bounds how many times the closing snapshot write is
-// retried before the run surfaces the error.
-const finalSaveRetries = 3
-
-// saveCheckpointRetry makes the closing snapshot write resilient to
-// transient disk faults: up to finalSaveRetries attempts, counting each
-// failure, returning the last error only if none succeeded.
-func saveCheckpointRetry(fsys CheckpointFS, path string, spec Spec, done map[int]*JobResult, metrics *Metrics) error {
-	return saveCheckpointLedgerRetry(fsys, path, spec, done, nil, metrics)
-}
-
-// saveCheckpointLedgerRetry is saveCheckpointRetry carrying a lease
-// ledger (the dispatcher's closing save in WAL mode).
-func saveCheckpointLedgerRetry(fsys CheckpointFS, path string, spec Spec, done map[int]*JobResult, ledger *LedgerSnapshot, metrics *Metrics) error {
-	var err error
-	for attempt := 0; attempt < finalSaveRetries; attempt++ {
-		if err = SaveCheckpointLedgerFS(fsys, path, spec, done, ledger); err == nil {
-			return nil
-		}
-		metrics.CheckpointErrors.Add(1)
-	}
-	return err
-}
-
-// attemptJob runs one job with panic recovery and the spec's retry
-// budget. It returns (nil, nil) when the run was aborted by
-// cancellation — an abort is neither a result nor a failure.
-func (c *Campaign) attemptJob(ctx context.Context, job Job, opts Options, metrics *Metrics) (*JobResult, *JobFailure) {
-	test := c.tests[job.Test]
-	var lastErr error
-	for attempt := 0; attempt <= c.Spec.MaxRetries; attempt++ {
-		if ctx.Err() != nil {
-			return nil, nil
-		}
-		jr, err := runRecovered(ctx, job, test, c.Spec, opts.runJob)
-		if err == nil {
-			jr.Retries = attempt
-			metrics.Iterations.Add(int64(job.N))
-			metrics.TracesVerified.Add(jr.TracesVerified)
-			metrics.TraceViolations.Add(jr.TraceViolations)
-			metrics.TraceVerifyNs.Add(jr.TraceVerifyNs)
-			return jr, nil
-		}
-		if ctx.Err() != nil {
-			return nil, nil
-		}
-		lastErr = err
-		if attempt < c.Spec.MaxRetries {
-			metrics.Retries.Add(1)
-		}
-	}
-	metrics.JobsFailed.Add(1)
-	return nil, &JobFailure{
-		JobID:    job.ID,
-		Test:     job.Test,
-		Tool:     job.Tool,
-		Preset:   job.Preset,
-		Shard:    job.Shard,
-		Attempts: c.Spec.MaxRetries + 1,
-		Err:      lastErr.Error(),
-	}
 }
 
 // runRecovered converts a panicking job into an ordinary error so one

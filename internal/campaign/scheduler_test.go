@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -84,16 +86,25 @@ func TestSchedulerRetriesTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var failed atomic.Int64
+	// Every job fails twice before succeeding. The count is per job: a
+	// shared counter let concurrent executors push one job past its
+	// budget.
+	attempts := make([]atomic.Int64, len(camp.Jobs()))
+	var merged int // OnJobDone calls are serialized
 	metrics := &Metrics{}
 	res, err := camp.Run(context.Background(), Options{
 		Metrics: metrics,
 		runJob: func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
-			// Every job fails twice before succeeding.
-			if failed.Add(1); failed.Load()%3 != 0 {
+			if attempts[job.ID].Add(1) <= 2 {
 				return nil, errors.New("transient")
 			}
 			return fakeResult(job), nil
+		},
+		OnJobDone: func(jr *JobResult) {
+			merged++
+			if jr.Retries != 2 {
+				t.Errorf("job %d merged with Retries %d, want 2", jr.JobID, jr.Retries)
+			}
 		},
 	})
 	if err != nil {
@@ -102,8 +113,8 @@ func TestSchedulerRetriesTransientFailures(t *testing.T) {
 	if len(res.Failures) != 0 {
 		t.Fatalf("failures = %v", res.Failures)
 	}
-	if metrics.Retries.Load() == 0 {
-		t.Fatal("no retries recorded")
+	if jobs := len(camp.Jobs()); merged != jobs || metrics.Retries.Load() != int64(2*jobs) {
+		t.Fatalf("merged %d jobs with %d retries, want %d with %d", merged, metrics.Retries.Load(), jobs, 2*jobs)
 	}
 	for _, g := range res.Groups {
 		if g.N == 0 {
@@ -288,5 +299,180 @@ func TestSchedulerChecksCheckpointJobIdentity(t *testing.T) {
 	}
 	if err := camp.validateRestored(map[int]*JobResult{9999: fakeResult(Job{ID: 9999})}); err == nil {
 		t.Fatal("out-of-range job id accepted")
+	}
+}
+
+// TestRunMatchesSerialReference: Campaign.Run with one and with four
+// in-process executors reproduces the independent serial reference
+// byte for byte.
+func TestRunMatchesSerialReference(t *testing.T) {
+	spec := fleetSpec(t)
+	want := serialCanonical(t, spec)
+	for _, workers := range []int{1, 4} {
+		spec.Workers = workers
+		camp, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := camp.Run(context.Background(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := res.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("Run with %d workers diverged from the serial reference:\nserial:\n%s\nrun:\n%s", workers, want, got)
+		}
+	}
+}
+
+// fakeCanonical folds fakeResult over every job: the reference for runs
+// that inject fakeResult as their runJob.
+func fakeCanonical(t *testing.T, camp *Campaign) string {
+	t.Helper()
+	ref := NewResults()
+	for _, job := range camp.Jobs() {
+		ref.Add(fakeResult(job))
+	}
+	data, err := ref.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestRunWALInterruptResume: with WALPath set, an interrupted local run
+// records no cancellation, so a rerun on the same checkpoint and log
+// resumes and reaches the uninterrupted bytes.
+func TestRunWALInterruptResume(t *testing.T) {
+	camp, err := New(smallSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := Options{
+		CheckpointPath: filepath.Join(dir, "cp.json"),
+		WALPath:        filepath.Join(dir, "cp.wal"),
+		runJob: func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+			return fakeResult(job), nil
+		},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	landed := 0
+	interrupted := opts
+	interrupted.OnJobDone = func(*JobResult) {
+		if landed++; landed == 3 {
+			cancel()
+		}
+	}
+	if _, err := camp.Run(ctx, interrupted); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+	}
+	_, ledger, _, err := LoadCheckpointLedgerFS(osCheckpointFS{}, opts.CheckpointPath, camp.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ledger == nil || ledger.Cancelled {
+		t.Fatalf("interrupted run left ledger %+v, want one without cancellation", ledger)
+	}
+
+	metrics := &Metrics{}
+	opts.Metrics = metrics
+	res, err := camp.Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metrics.JobsRestored.Load() < 3 {
+		t.Fatalf("resume restored %d jobs, want at least 3", metrics.JobsRestored.Load())
+	}
+	got, err := res.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fakeCanonical(t, camp); string(got) != want {
+		t.Fatalf("resumed run diverged:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestRunReleasesCrashedInProcessLeases: a local run that crashed with
+// leases out leaves grant records in its WAL. Those holders died with
+// the process, so the rerun returns their jobs to pending without
+// charging retry budget — even with MaxRetries 0 nothing dead-letters.
+func TestRunReleasesCrashedInProcessLeases(t *testing.T) {
+	spec := smallSpec(t)
+	spec.MaxRetries = -1 // Validate maps it to a zero budget
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := Options{
+		CheckpointPath: filepath.Join(dir, "cp.json"),
+		WALPath:        filepath.Join(dir, "cp.wal"),
+		runJob: func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+			return fakeResult(job), nil
+		},
+	}
+	// The crashed run: one job merged, three leased, then the process
+	// dies without a closing snapshot.
+	crashed, err := newDispatcher(camp, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := crashed.Lease(LeaseRequest{Worker: "local-0", Max: 4})
+	if len(lease.Grants) != 4 {
+		t.Fatalf("granted %d leases, want 4", len(lease.Grants))
+	}
+	g := lease.Grants[0]
+	crashed.complete(CompleteRequest{Worker: "local-0", Results: []WorkerResult{{LeaseID: g.LeaseID, Result: fakeResult(g.Job)}}})
+	crashed.wal.close()
+
+	metrics := &Metrics{}
+	opts.Metrics = metrics
+	res, err := camp.Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) != 0 || metrics.Retries.Load() != 0 {
+		t.Fatalf("orphaned leases were charged: failures %v, retries %d", res.Failures, metrics.Retries.Load())
+	}
+	if metrics.JobsRestored.Load() != 1 {
+		t.Fatalf("restored %d jobs, want the 1 merged before the crash", metrics.JobsRestored.Load())
+	}
+	got, err := res.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fakeCanonical(t, camp); string(got) != want {
+		t.Fatalf("run after crash diverged:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestCheckpointRejectsV1 pins the retirement of pre-CRC snapshots: a
+// bare version-1 file is an error, neither restored nor mistaken for a
+// fresh campaign.
+func TestCheckpointRejectsV1(t *testing.T) {
+	spec := smallSpec(t)
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := json.Marshal(Checkpoint{Version: 1, Spec: spec, Done: []*JobResult{fakeResult(camp.Jobs()[0])}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cp.json")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done, err := LoadCheckpoint(path, spec)
+	if err == nil || os.IsNotExist(err) || done != nil {
+		t.Fatalf("v1 snapshot loaded as (%v, %v), want a rejection", done, err)
+	}
+	if _, err := camp.Run(context.Background(), Options{CheckpointPath: path}); err == nil {
+		t.Fatal("Run resumed from a v1 snapshot")
 	}
 }

@@ -1,14 +1,16 @@
 // Package campaign is the suite-scale orchestration layer: it turns a
 // campaign spec — a set of litmus tests × machine presets × testing
 // tools × an iteration budget — into sharded jobs with deterministic
-// per-shard seeds, executes them on a context-aware worker pool with
-// panic recovery and bounded retries, merges per-shard results
-// associatively into campaign totals, and checkpoints progress so a
-// killed campaign resumes where it left off with identical final totals.
+// per-shard seeds, leases them to executors with panic recovery and
+// bounded retries, merges per-shard results associatively into campaign
+// totals, and checkpoints progress so a killed campaign resumes where it
+// left off with identical final totals.
 //
-// The same scheduler backs both cmd/perple-serve (an HTTP service with
-// submit/status/results/cancel endpoints plus health and metrics) and
-// the -campaign path of cmd/perple-suite.
+// One engine, the Dispatcher, runs every campaign; it has two
+// transports. Campaign.Run drives it with in-process executors (the
+// -campaign path of cmd/perple-suite and perple-serve's local mode), and
+// fleet workers reach it over HTTP (perple-serve's dispatch mode and
+// cmd/perple-worker).
 package campaign
 
 import (

@@ -75,12 +75,16 @@ type WorkerOptions struct {
 }
 
 // Worker is a fleet member: it pulls shard leases from a perple-serve
-// dispatch campaign, executes them with the same harness-backed runner
-// the local scheduler uses, and uploads gzip-batched results. Because
-// shard seeds are identity-derived and merging is order-invariant, any
-// number of workers — joining, crashing, being replaced — drive the
-// campaign to the same final bytes as a local run.
+// dispatch campaign, executes them with the same job-execution step
+// (jobExec) as Campaign.Run's in-process executors, and uploads batched
+// results. Because shard seeds are identity-derived and merging is
+// order-invariant, any number of workers — joining, crashing, being
+// replaced — drive the campaign to the same final bytes as a local run.
+// The embedded jobExec's JobsCompleted and JobsFailed count this
+// worker's own executions.
 type Worker struct {
+	jobExec
+
 	opts      WorkerOptions
 	brk       *breaker
 	draining  atomic.Bool
@@ -106,10 +110,6 @@ type Worker struct {
 	// reproducible.
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	// JobsCompleted and JobsFailed count this worker's own executions.
-	JobsCompleted atomic.Int64
-	JobsFailed    atomic.Int64
 }
 
 // NewWorker applies option defaults.
@@ -150,6 +150,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 	h := fnv.New64a()
 	io.WriteString(h, opts.Name)
 	return &Worker{
+		jobExec: jobExec{run: opts.runJob, onDone: opts.OnJobDone},
 		opts:    opts,
 		brk:     newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 		drainCh: make(chan struct{}),
@@ -190,14 +191,14 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := w.negotiateWire(corpus); err != nil {
 		return err
 	}
-	spec := corpus.Spec
-	tests := make(map[string]*litmus.Test, len(corpus.Tests))
+	w.spec = corpus.Spec
+	w.tests = make(map[string]*litmus.Test, len(corpus.Tests))
 	for _, ct := range corpus.Tests {
 		t, err := litmus.Parse(ct.Source)
 		if err != nil {
 			return fmt.Errorf("campaign: parsing corpus test %q: %w", ct.Name, err)
 		}
-		tests[ct.Name] = t
+		w.tests[ct.Name] = t
 	}
 
 	for {
@@ -235,7 +236,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		}
-		done, err := w.runBatch(ctx, lease, tests, spec)
+		done, err := w.runBatch(ctx, lease)
 		if err != nil || done {
 			return err
 		}
@@ -273,7 +274,7 @@ func (w *Worker) negotiateWire(corpus *CorpusResponse) error {
 
 // runBatch executes one lease batch and uploads the outcome. It returns
 // done=true when the server reports the campaign finished.
-func (w *Worker) runBatch(ctx context.Context, lease LeaseResponse, tests map[string]*litmus.Test, spec Spec) (bool, error) {
+func (w *Worker) runBatch(ctx context.Context, lease LeaseResponse) (bool, error) {
 	ttl := time.Duration(lease.TTLSec * float64(time.Second))
 	up := newBatchUpload(w, lease.Grants)
 	flStop := w.startFlusher(ctx, up, ttl)
@@ -303,29 +304,12 @@ func (w *Worker) runBatch(ctx context.Context, lease LeaseResponse, tests map[st
 		go func(grant LeaseGrant) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			test := tests[grant.Job.Test]
-			if test == nil {
-				up.addFailure(WorkerFailure{
-					LeaseID: grant.LeaseID, JobID: grant.Job.ID,
-					Err: fmt.Sprintf("worker corpus is missing test %q", grant.Job.Test),
-				})
-				return
+			switch r, f := w.exec(ctx, grant); {
+			case r.Result != nil:
+				up.addResult(r)
+			case f != nil:
+				up.addFailure(*f)
 			}
-			jr, err := runRecovered(ctx, grant.Job, test, spec, w.opts.runJob)
-			if err != nil {
-				if ctx.Err() == nil {
-					w.JobsFailed.Add(1)
-					up.addFailure(WorkerFailure{
-						LeaseID: grant.LeaseID, JobID: grant.Job.ID, Err: err.Error(),
-					})
-				}
-				return
-			}
-			w.JobsCompleted.Add(1)
-			if w.opts.OnJobDone != nil {
-				w.opts.OnJobDone(jr)
-			}
-			up.addResult(WorkerResult{LeaseID: grant.LeaseID, Result: jr})
 		}(grant)
 	}
 	wg.Wait()
