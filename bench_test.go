@@ -111,7 +111,7 @@ func benchRun(b *testing.B, name string, n int) (*PerpetualTest, *Counter, *BufS
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := RunPerpLE(pt, counter, n, PerpLEOptions{Heuristic: true, KeepBufs: true}, DefaultConfig())
+	res, err := RunPerpLE(context.Background(), pt, counter, n, PerpLEOptions{Heuristic: true, KeepBufs: true}, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func BenchmarkSimPerpetual(b *testing.B) {
 			b.Run(name+"/"+model, func(b *testing.B) {
 				const n = 10000
 				for i := 0; i < b.N; i++ {
-					if _, err := RunPerpLE(pt, counter, n, PerpLEOptions{Heuristic: true}, cfg); err != nil {
+					if _, err := RunPerpLE(context.Background(), pt, counter, n, PerpLEOptions{Heuristic: true}, cfg); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -284,7 +284,7 @@ func BenchmarkSimLitmus7(b *testing.B) {
 	for _, mode := range []Mode{ModeUser, ModeTimebase, ModeNone} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunLitmus7(test, 5000, mode, nil, DefaultConfig()); err != nil {
+				if _, err := RunLitmus7(context.Background(), test, 5000, mode, nil, DefaultConfig(), Litmus7Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -381,7 +381,7 @@ func BenchmarkSimLitmus7Batch(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunLitmus7Batch(test, n, ModeUser, nil, DefaultConfig(), workers); err != nil {
+				if _, err := RunLitmus7(context.Background(), test, n, ModeUser, nil, DefaultConfig(), Litmus7Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -430,7 +430,7 @@ exists (0:EAX=0 /\ 1:EAX=0)
 	}{{"sb", sb, cfg}, {"deep", deep, deepCfg}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunLitmus7(bc.test, 5000, ModeUser, nil, bc.cfg); err != nil {
+				if _, err := RunLitmus7(context.Background(), bc.test, 5000, ModeUser, nil, bc.cfg, Litmus7Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -463,7 +463,7 @@ func BenchmarkAblationDrainLatency(b *testing.B) {
 			cfg.DrainMax *= scale
 			var hits, iters int64
 			for i := 0; i < b.N; i++ {
-				res, err := RunPerpLE(pt, counter, 5000, PerpLEOptions{Heuristic: true}, cfg.WithSeed(int64(i)+1))
+				res, err := RunPerpLE(context.Background(), pt, counter, 5000, PerpLEOptions{Heuristic: true}, cfg.WithSeed(int64(i)+1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -496,7 +496,7 @@ func BenchmarkAblationPreemption(b *testing.B) {
 			cfg.PreemptProb *= scale
 			var spread float64
 			for i := 0; i < b.N; i++ {
-				res, err := RunPerpLE(pt, counter, 20000, PerpLEOptions{Heuristic: true, KeepBufs: true}, cfg.WithSeed(int64(i)+1))
+				res, err := RunPerpLE(context.Background(), pt, counter, 20000, PerpLEOptions{Heuristic: true, KeepBufs: true}, cfg.WithSeed(int64(i)+1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -528,7 +528,7 @@ func BenchmarkAblationBarrierCost(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			var ticks int64
 			for i := 0; i < b.N; i++ {
-				res, err := harness.RunLitmus7(test, 2000, mode, nil, DefaultConfig())
+				res, err := harness.RunLitmus7(context.Background(), test, 2000, mode, nil, DefaultConfig(), harness.Litmus7Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -113,7 +114,7 @@ func run() error {
 
 	if *runN > 0 {
 		cfg := sim.DefaultConfig().WithSeed(*seed)
-		lres, err := harness.RunLitmus7(test, *runN, sim.ModeTimebase, nil, cfg)
+		lres, err := harness.RunLitmus7(context.Background(), test, *runN, sim.ModeTimebase, nil, cfg, harness.Litmus7Options{})
 		if err != nil {
 			return err
 		}
@@ -124,7 +125,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			pres, err := harness.RunPerpLE(pt, counter, *runN, harness.PerpLEOptions{Heuristic: true}, cfg)
+			pres, err := harness.RunPerpLE(context.Background(), pt, counter, *runN, harness.PerpLEOptions{Heuristic: true}, cfg)
 			if err != nil {
 				return err
 			}

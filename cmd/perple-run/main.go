@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 
 	"perple/internal/core"
@@ -47,7 +48,7 @@ func run() error {
 	model := flag.String("model", "TSO", "simulated machine's memory system: TSO or PSO (fault injection)")
 	trace := flag.Int("trace", 0, "record and print the last N machine events (stores, drains, loads, fences)")
 	preset := flag.String("preset", "default", "machine preset (see internal/sim Presets)")
-	workers := flag.Int("workers", 1, "worker goroutines for the exhaustive counter (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "worker goroutines for the PerpLE counter (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	test, err := loadTest(*testName, *file)
@@ -83,7 +84,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		res, err := harness.RunLitmus7(test, *n, mode, ooi, cfg)
+		res, err := harness.RunLitmus7(context.Background(), test, *n, mode, ooi, cfg, harness.Litmus7Options{})
 		if err != nil {
 			return err
 		}
@@ -117,23 +118,19 @@ func run() error {
 		}
 	}
 	counter := core.NewCounter(pt, pos)
-	opts := harness.PerpLEOptions{KeepBufs: *skew || (*tool == "perple-exh" && *workers != 1)}
+	opts := harness.PerpLEOptions{KeepBufs: *skew, CountWorkers: *workers}
+	if *workers <= 0 {
+		opts.CountWorkers = runtime.GOMAXPROCS(0)
+	}
 	if *tool == "perple-exh" {
 		opts.Exhaustive = true
 		opts.ExhaustiveCap = *exhCap
 	} else {
 		opts.Heuristic = true
 	}
-	res, err := harness.RunPerpLE(pt, counter, *n, opts, cfg)
+	res, err := harness.RunPerpLE(context.Background(), pt, counter, *n, opts, cfg)
 	if err != nil {
 		return err
-	}
-	if *tool == "perple-exh" && *workers != 1 && res.Bufs != nil {
-		// Re-count in parallel over the kept buffers (identical result,
-		// wall-clock speedup on multi-core hosts).
-		if res.Exhaustive, err = counter.CountExhaustiveParallel(context.Background(), res.Bufs, *workers); err != nil {
-			return err
-		}
 	}
 
 	cr := res.Heuristic

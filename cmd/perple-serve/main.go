@@ -21,7 +21,7 @@
 //	GET  /campaigns/{id}/corpus      dispatch: spec + test sources for workers
 //	POST /campaigns/{id}/lease       dispatch: grant shard leases to a worker
 //	POST /campaigns/{id}/heartbeat   dispatch: extend held leases
-//	POST /campaigns/{id}/complete    dispatch: upload batched results (gzip)
+//	POST /campaigns/{id}/complete    dispatch: upload batched results (PWB1)
 //
 // With -pprof the net/http/pprof profiling endpoints are mounted under
 // /debug/pprof/ — off by default because they expose internals.

@@ -1,11 +1,15 @@
 // Command perple-suite runs a whole corpus of litmus tests — the built-in
 // Table II suite or a directory of .litmus files — under one testing
-// tool, printing a per-test summary and campaign totals. It is the
+// tool, printing per-group results and campaign totals. It is the
 // Section VII-G workflow as a tool: PerpLE for the convertible tests and
-// litmus7 for the rest.
+// litmus7-user for the rest.
 //
-// A failing test no longer aborts the sweep: failures are collected,
-// summarized after the table, and reflected in the exit status.
+// The corpus runs through the campaign engine (internal/campaign):
+// sharded jobs with identity-derived seeds, leased to in-process
+// executors, with retries and optional checkpoint/resume — the same
+// engine behind perple-serve. A failing job does not abort the sweep:
+// failures are listed after the results and reflected in the exit
+// status.
 //
 // Usage:
 //
@@ -15,21 +19,15 @@
 //	perple-suite -preset pso                       # fault-injection machine
 //	perple-suite -mixed                            # §VII-G campaign: PerpLE where
 //	                                               # convertible, litmus7-user elsewhere
-//
-// With -campaign the corpus is handed to the campaign engine
-// (internal/campaign): sharded jobs leased to in-process executors,
-// retries, and optional checkpoint/resume — the same engine behind
-// perple-serve.
-//
-//	perple-suite -campaign -dir testdata/suite -n 50000 -shard-size 10000 \
-//	    -checkpoint /tmp/suite.json      # Ctrl-C, rerun, and it resumes
-//	perple-suite -campaign -spec campaign.json
+//	perple-suite -dir testdata/suite -n 50000 -shard-size 10000 \
+//	    -checkpoint /tmp/suite.json                # Ctrl-C, rerun, and it resumes
+//	perple-suite -spec campaign.json
 //
 // With -remote the same spec is submitted to a running perple-serve as a
 // dispatch-mode campaign: perple-worker fleet members execute the shards
 // and this command polls until done, then renders the merged results —
-// byte-identical to what the local -campaign path would have produced,
-// by the dispatch layer's determinism contract.
+// byte-identical to what the local run would have produced, by the
+// dispatch layer's determinism contract.
 //
 //	perple-suite -remote http://localhost:8077 -n 50000 -shard-size 10000
 package main
@@ -43,18 +41,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
 	"perple/internal/campaign"
-	"perple/internal/core"
 	"perple/internal/harness"
-	"perple/internal/litmus"
-	"perple/internal/sim"
-	"perple/internal/stats"
 )
 
 func main() {
@@ -72,8 +64,7 @@ func run() error {
 	seed := flag.Int64("seed", 1, "simulator seed")
 	preset := flag.String("preset", "default", "machine preset (default, pso, slow-drain, fast-drain, no-preempt, heavy-preempt)")
 	exhCap := flag.Int("exhcap", 2000, "iteration cap for the exhaustive counter (-1 = uncapped)")
-	useCampaign := flag.Bool("campaign", false, "delegate the sweep to the campaign scheduler (sharded, parallel, resumable)")
-	specPath := flag.String("spec", "", "campaign spec JSON file (implies -campaign; overrides the other flags)")
+	specPath := flag.String("spec", "", "campaign spec JSON file (overrides the other flags)")
 	checkpoint := flag.String("checkpoint", "", "campaign checkpoint file: progress is saved there and a rerun resumes")
 	shardSize := flag.Int("shard-size", 0, "campaign iterations per shard (default: one shard per test/tool/preset)")
 	workers := flag.Int("workers", 0, "campaign worker goroutines (default: GOMAXPROCS)")
@@ -83,85 +74,23 @@ func run() error {
 	traceVerify := flag.String("trace-verify", "", "witness-trace verification for litmus7 runs: off (default), all, or a decimal stride k — check every k-th iteration's rf/co witness against x86-TSO")
 	flag.Parse()
 
+	spec, err := buildSpec(*specPath, *dir, *tool, *mixed, *n, *seed, *preset, *exhCap,
+		*shardSize, *workers, *intraWorkers, *axiomPolicy, *traceVerify)
+	if err != nil {
+		return err
+	}
 	if *remote != "" {
-		spec, err := buildSpec(*specPath, *dir, *tool, *mixed, *n, *seed, *preset, *exhCap,
-			*shardSize, *workers, *intraWorkers, *axiomPolicy, *traceVerify)
-		if err != nil {
-			return err
-		}
 		return runRemote(*remote, spec)
 	}
-	if *useCampaign || *specPath != "" {
-		return runCampaign(*specPath, *dir, *tool, *mixed, *n, *seed, *preset, *exhCap,
-			*checkpoint, *shardSize, *workers, *intraWorkers, *axiomPolicy, *traceVerify)
-	}
-	tvEvery, err := campaign.ParseTraceVerify(*traceVerify)
-	if err != nil {
-		return err
-	}
-
-	cfg, err := sim.Preset(*preset)
-	if err != nil {
-		return err
-	}
-	cfg = cfg.WithSeed(*seed)
-
-	tests, err := loadCorpus(*dir)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("corpus: %d tests, tool: %s, machine: %s, %d iterations each\n\n",
-		len(tests), toolName(*tool, *mixed), *preset, *n)
-
-	tb := stats.NewTable("test", "tool", "target", "ticks", "rate/Mtick", "note")
-	var totalTicks, totalTargets int64
-	var tvTotals traceTotals
-	var failures []string
-	for _, test := range tests {
-		row, err := runOne(test, *tool, *mixed, *n, *exhCap, cfg, tvEvery, &tvTotals)
-		if err != nil {
-			// Collect and keep sweeping: one broken test must not hide
-			// the results of the other 39.
-			failures = append(failures, fmt.Sprintf("%s: %v", test.Name, err))
-			tb.AddRow(test.Name, "-", "-", "-", "-", "FAILED")
-			continue
-		}
-		totalTicks += row.ticks
-		totalTargets += row.target
-		tb.AddRow(test.Name, row.tool, row.target, row.ticks,
-			stats.Rate(row.target, row.ticks)*1e6, row.note)
-	}
-	fmt.Print(tb.String())
-	fmt.Printf("\ncampaign totals: %d target occurrences, %d simulated ticks\n", totalTargets, totalTicks)
-	if err := tvTotals.report(tvEvery); err != nil && len(failures) == 0 {
-		return err
-	}
-	if len(failures) > 0 {
-		fmt.Printf("\n%d test(s) failed:\n", len(failures))
-		for _, f := range failures {
-			fmt.Printf("  %s\n", f)
-		}
-		return fmt.Errorf("%d of %d tests failed", len(failures), len(tests))
-	}
-	return nil
+	return runLocal(spec, *checkpoint)
 }
 
-// traceTotals accumulates witness-trace verification tallies across a
-// sweep, with the rendered reports capped like the harness caps them.
+// traceTotals holds a sweep's witness-trace verification tallies, with
+// the rendered reports capped like the harness caps them.
 type traceTotals struct {
 	verified   int64
 	violations int64
 	reports    []string
-}
-
-func (tt *traceTotals) add(res *harness.Litmus7Result) {
-	tt.verified += res.TracesVerified
-	tt.violations += res.TraceViolations
-	for _, rep := range res.TraceReports {
-		if len(tt.reports) < harness.DefaultTraceReports {
-			tt.reports = append(tt.reports, rep)
-		}
-	}
 }
 
 // report prints the verification summary and returns an error when the
@@ -182,17 +111,8 @@ func (tt *traceTotals) report(every int) error {
 	return nil
 }
 
-// runCampaign hands the sweep to the campaign scheduler. The spec comes
-// from -spec JSON when given, otherwise it is assembled from the same
-// flags the sequential path uses.
-func runCampaign(specPath, dir, tool string, mixed bool, n int, seed int64, preset string,
-	exhCap int, checkpoint string, shardSize, workers, intraWorkers int, axiomPolicy, traceVerify string) error {
-	spec, err := buildSpec(specPath, dir, tool, mixed, n, seed, preset, exhCap,
-		shardSize, workers, intraWorkers, axiomPolicy, traceVerify)
-	if err != nil {
-		return err
-	}
-
+// runLocal runs the campaign in-process and renders its results.
+func runLocal(spec campaign.Spec, checkpoint string) error {
 	camp, err := campaign.New(spec)
 	if err != nil {
 		return err
@@ -250,7 +170,7 @@ func runCampaign(specPath, dir, tool string, mixed bool, n int, seed int64, pres
 }
 
 // buildSpec assembles a campaign spec from -spec JSON when given,
-// otherwise from the same flags the sequential path uses.
+// otherwise from the command-line flags.
 func buildSpec(specPath, dir, tool string, mixed bool, n int, seed int64, preset string,
 	exhCap, shardSize, workers, intraWorkers int, axiomPolicy, traceVerify string) (campaign.Spec, error) {
 	if specPath != "" {
@@ -396,7 +316,7 @@ func runRemote(baseURL string, spec campaign.Spec) error {
 
 	// The canonical document is the dispatch layer's determinism surface;
 	// decode it back into an accumulator so the report matches the local
-	// -campaign rendering.
+	// rendering.
 	var doc struct {
 		Groups   []*campaign.GroupResult `json:"groups"`
 		Failures []campaign.JobFailure   `json:"failures"`
@@ -433,137 +353,4 @@ func getJSON(ctx context.Context, client *http.Client, url string, out any) erro
 		return fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-type rowResult struct {
-	tool   string
-	target int64
-	ticks  int64
-	note   string
-}
-
-func runOne(test *litmus.Test, tool string, mixed bool, n, exhCap int, cfg sim.Config,
-	tvEvery int, tvTotals *traceTotals) (rowResult, error) {
-	convertible := !test.Target.HasMemConds()
-	useTool := tool
-	if mixed {
-		if convertible {
-			useTool = "perple-heur"
-		} else {
-			useTool = "litmus7-user"
-		}
-	}
-
-	if strings.HasPrefix(useTool, "litmus7-") {
-		mode, err := sim.ParseMode(strings.TrimPrefix(useTool, "litmus7-"))
-		if err != nil {
-			return rowResult{}, err
-		}
-		res, err := harness.RunLitmus7BatchVerify(test, n, mode, nil, cfg, 1,
-			harness.TraceVerify{Every: tvEvery})
-		if err != nil {
-			return rowResult{}, err
-		}
-		row := rowResult{tool: useTool, target: res.TargetCount, ticks: res.Ticks}
-		if tvEvery > 0 {
-			tvTotals.add(res)
-			if res.TraceViolations > 0 {
-				row.note = fmt.Sprintf("%d trace violation(s)", res.TraceViolations)
-			}
-		}
-		return row, nil
-	}
-
-	if !convertible {
-		// PerpLE cannot run final-state targets: fall back, with a note,
-		// exactly as the paper prescribes (Section VII-G).
-		res, err := harness.RunLitmus7(test, n, sim.ModeUser, nil, cfg)
-		if err != nil {
-			return rowResult{}, err
-		}
-		return rowResult{tool: "litmus7-user", target: res.TargetCount, ticks: res.Ticks,
-			note: "not convertible"}, nil
-	}
-
-	pt, err := core.Convert(test)
-	if err != nil {
-		return rowResult{}, err
-	}
-	counter, err := core.NewTargetCounter(pt)
-	if err != nil {
-		return rowResult{}, err
-	}
-	opts := harness.PerpLEOptions{}
-	switch useTool {
-	case "perple-heur":
-		opts.Heuristic = true
-	case "perple-exh":
-		opts.Exhaustive = true
-		if exhCap > 0 {
-			opts.ExhaustiveCap = exhCap
-		}
-	default:
-		return rowResult{}, fmt.Errorf("unknown tool %q", useTool)
-	}
-	res, err := harness.RunPerpLE(pt, counter, n, opts, cfg)
-	if err != nil {
-		return rowResult{}, err
-	}
-	if useTool == "perple-exh" {
-		note := ""
-		if res.ExhaustiveN < n {
-			note = fmt.Sprintf("exh capped at %d", res.ExhaustiveN)
-		}
-		return rowResult{tool: useTool, target: res.Exhaustive.Counts[0],
-			ticks: res.TotalTicksExhaustive(), note: note}, nil
-	}
-	return rowResult{tool: useTool, target: res.Heuristic.Counts[0],
-		ticks: res.TotalTicksHeuristic()}, nil
-}
-
-func toolName(tool string, mixed bool) string {
-	if mixed {
-		return "mixed (PerpLE-heur + litmus7-user)"
-	}
-	return tool
-}
-
-// loadCorpus reads every .litmus file of a directory, or returns the
-// built-in suite plus the non-convertible examples when dir is empty.
-func loadCorpus(dir string) ([]*litmus.Test, error) {
-	if dir == "" {
-		var tests []*litmus.Test
-		for _, e := range litmus.Suite() {
-			tests = append(tests, e.Test)
-		}
-		tests = append(tests, litmus.NonConvertible()...)
-		return tests, nil
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".litmus") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no .litmus files in %s", dir)
-	}
-	var tests []*litmus.Test
-	for _, name := range names {
-		src, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		test, err := litmus.Parse(string(src))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		tests = append(tests, test)
-	}
-	return tests, nil
 }

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io/fs"
@@ -101,7 +102,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	var checked, violations int64
 	failed := false
 	for _, t := range tests {
-		res, err := harness.RunLitmus7BatchVerify(t, *n, simMode, nil, cfg, *workers, tv)
+		res, err := harness.RunLitmus7(context.Background(), t, *n, simMode, nil, cfg, harness.Litmus7Options{Workers: *workers, TraceVerify: tv})
 		if err != nil {
 			fmt.Fprintf(stderr, "perple-trace: %s: %v\n", t.Name, err)
 			return 2

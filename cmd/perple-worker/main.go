@@ -1,13 +1,11 @@
 // Command perple-worker is a fleet member for distributed campaigns: it
 // pulls shard leases from a perple-serve dispatch campaign over HTTP,
-// executes them with the same job-execution step a local -campaign run
-// uses, and streams batched results back in the negotiated wire codec
-// (PWB1 binary against current servers, gzip-JSON against older ones;
-// override with -wire). Because shard seeds are
-// identity-derived and result merging is order-invariant, a fleet of
-// workers produces byte-identical final results to a local -campaign
-// run of the same spec — workers can join, crash, and be replaced
-// mid-run without affecting the outcome.
+// executes them with the same job-execution step a local perple-suite
+// run uses, and streams batched results back in the PWB1 binary codec.
+// Because shard seeds are identity-derived and result merging is
+// order-invariant, a fleet of workers produces byte-identical final
+// results to a local perple-suite run of the same spec — workers can
+// join, crash, and be replaced mid-run without affecting the outcome.
 //
 // Lifecycle: the first SIGINT/SIGTERM drains gracefully (in-flight jobs
 // finish and upload, unstarted leases are released back to the queue);
@@ -49,7 +47,6 @@ func run() error {
 	name := flag.String("name", "", "worker name for lease accounting (default: hostname-pid)")
 	parallel := flag.Int("parallel", 0, "concurrent jobs (default: GOMAXPROCS)")
 	leaseBatch := flag.Int("lease-batch", 0, "jobs pulled per lease call (default: -parallel)")
-	wire := flag.String("wire", "auto", "result-upload codec: auto (negotiate), json+gzip, or binary")
 	heartbeat := flag.Duration("heartbeat", 0, "lease heartbeat period (default: a third of the server's lease TTL)")
 	retries := flag.Int("retries", 5, "attempts per HTTP call before giving up")
 	backoff := flag.Duration("backoff", 200*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
@@ -68,7 +65,6 @@ func run() error {
 		Name:             *name,
 		Parallel:         *parallel,
 		LeaseBatch:       *leaseBatch,
-		Wire:             *wire,
 		HeartbeatEvery:   *heartbeat,
 		MaxAttempts:      *retries,
 		BackoffBase:      *backoff,

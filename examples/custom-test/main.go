@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -65,11 +66,11 @@ func main() {
 	const n = 20000
 
 	counter := perple.NewCounter(pt, []*perple.PerpetualOutcome{target})
-	pres, err := perple.RunPerpLE(pt, counter, n, perple.PerpLEOptions{Heuristic: true}, cfg)
+	pres, err := perple.RunPerpLE(context.Background(), pt, counter, n, perple.PerpLEOptions{Heuristic: true}, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lres, err := perple.RunLitmus7(test, n, perple.ModeTimebase, nil, cfg)
+	lres, err := perple.RunLitmus7(context.Background(), test, n, perple.ModeTimebase, nil, cfg, perple.Litmus7Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -62,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := perple.RunPerpLE(pt, counter, 10000,
+	res, err := perple.RunPerpLE(context.Background(), pt, counter, 10000,
 		perple.PerpLEOptions{Heuristic: true}, perple.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)

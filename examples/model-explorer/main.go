@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := perple.RunPerpLE(pt, counter, 20000,
+	res, err := perple.RunPerpLE(context.Background(), pt, counter, 20000,
 		perple.PerpLEOptions{Heuristic: true}, perple.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)

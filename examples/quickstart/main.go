@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pres, err := perple.RunPerpLE(pt, counter, iterations,
+	pres, err := perple.RunPerpLE(context.Background(), pt, counter, iterations,
 		perple.PerpLEOptions{Heuristic: true}, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -51,7 +52,7 @@ func main() {
 
 	// litmus7 baseline: per-iteration polling barrier (the default user
 	// mode).
-	lres, err := perple.RunLitmus7(test, iterations, perple.ModeUser, nil, cfg)
+	lres, err := perple.RunLitmus7(context.Background(), test, iterations, perple.ModeUser, nil, cfg, perple.Litmus7Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := perple.RunPerpLE(pt, counter, iterations,
+	res, err := perple.RunPerpLE(context.Background(), pt, counter, iterations,
 		perple.PerpLEOptions{Heuristic: true, KeepBufs: true}, perple.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)

@@ -135,19 +135,14 @@ type allowIndex struct {
 	malformed []Diagnostic
 }
 
-const (
-	allowPrefix       = "//perple:allow"
-	legacyAllowPrefix = "//nodeterminism:allow"
-)
+const allowPrefix = "//perple:allow"
 
 // indexAllows scans the comments of every file for suppression
 // directives. The unified form is
 //
 //	//perple:allow <analyzer> <reason>
 //
-// with a non-empty reason. The legacy form //nodeterminism:allow
-// <reason> is still honored as a nodeterminism suppression, so
-// out-of-tree users of the retired standalone script keep working.
+// with a non-empty reason.
 func indexAllows(fset *token.FileSet, files []*ast.File, known map[string]bool) *allowIndex {
 	idx := &allowIndex{byLine: map[allowKey]map[string]bool{}}
 	add := func(pos token.Position, analyzer string) {
@@ -161,17 +156,6 @@ func indexAllows(fset *token.FileSet, files []*ast.File, known map[string]bool) 
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
 				pos := fset.Position(c.Pos())
-				if rest, ok := strings.CutPrefix(c.Text, legacyAllowPrefix); ok {
-					if strings.TrimSpace(rest) == "" {
-						idx.malformed = append(idx.malformed, Diagnostic{
-							Analyzer: "suppression", File: pos.Filename, Line: pos.Line, Col: pos.Column,
-							Message: "suppression without a reason: write //nodeterminism:allow <reason>",
-						})
-						continue
-					}
-					add(pos, "nodeterminism")
-					continue
-				}
 				rest, ok := strings.CutPrefix(c.Text, allowPrefix)
 				if !ok {
 					continue

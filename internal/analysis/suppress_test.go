@@ -64,19 +64,6 @@ func f() {
 	}
 }
 
-func TestLegacyAllowMapsToNodeterminism(t *testing.T) {
-	fset, pkgs := parseOne(t, `package fix
-
-func f() {
-	_ = 1 //nodeterminism:allow wall-clock telemetry only
-}
-`)
-	r := &Runner{Analyzers: []*Analyzer{reportAt("nodeterminism", 4)}}
-	if diags := r.Run(fset, pkgs); len(diags) != 0 {
-		t.Fatalf("legacy allow must suppress nodeterminism, got %v", diags)
-	}
-}
-
 func TestMalformedSuppressionsAreFindings(t *testing.T) {
 	fset, pkgs := parseOne(t, `package fix
 
@@ -88,16 +75,13 @@ func b() {}
 
 //perple:allow hotalloc
 func c() {}
-
-//nodeterminism:allow
-func d() {}
 `)
 	r := &Runner{Analyzers: nil}
 	diags := r.Run(fset, pkgs)
-	if len(diags) != 4 {
-		t.Fatalf("want 4 suppression findings, got %d: %v", len(diags), diags)
+	if len(diags) != 3 {
+		t.Fatalf("want 3 suppression findings, got %d: %v", len(diags), diags)
 	}
-	wants := []string{"without an analyzer", "unknown analyzer", "without a reason", "without a reason"}
+	wants := []string{"without an analyzer", "unknown analyzer", "without a reason"}
 	for i, d := range diags {
 		if d.Analyzer != "suppression" || !strings.Contains(d.Message, wants[i]) {
 			t.Errorf("diagnostic %d = %v, want suppression finding containing %q", i, d, wants[i])

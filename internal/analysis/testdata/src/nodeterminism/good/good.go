@@ -38,8 +38,9 @@ func Telemetry() int64 {
 	return time.Now().UnixNano() //perple:allow nodeterminism operator telemetry; never feeds results
 }
 
-// LegacyTelemetry uses the retired standalone script's syntax, still
-// honored so out-of-tree suppressions keep working.
-func LegacyTelemetry() int64 {
-	return time.Now().UnixNano() //nodeterminism:allow wall-clock telemetry; never feeds results
+// PrevLineTelemetry carries its suppression on the line above the
+// finding, which silences it just as a same-line allow does.
+func PrevLineTelemetry() int64 {
+	//perple:allow nodeterminism wall-clock telemetry; never feeds results
+	return time.Now().UnixNano()
 }

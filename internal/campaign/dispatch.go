@@ -384,16 +384,9 @@ func (d *Dispatcher) setClock(now func() time.Time) {
 	d.q.now = now
 }
 
-// Corpus returns the wire form of the campaign's spec and test set,
-// advertising the upload codecs this dispatcher accepts (binary
-// preferred; gzip-JSON as the compatibility floor).
+// Corpus returns the wire form of the campaign's spec and test set.
 func (d *Dispatcher) Corpus() CorpusResponse {
-	return CorpusResponse{
-		Version: ProtocolVersion,
-		Spec:    d.camp.Spec,
-		Tests:   d.corpus(),
-		Wire:    []string{WireBinary, WireJSON},
-	}
+	return CorpusResponse{Version: ProtocolVersion, Spec: d.camp.Spec, Tests: d.corpus()}
 }
 
 // Finished is closed when every job has completed or permanently failed
@@ -638,28 +631,8 @@ func (d *Dispatcher) Lease(req LeaseRequest) LeaseResponse {
 		resp.Done = true
 		return resp
 	}
-	granted := d.q.lease(req.Worker, req.Max)
-	if len(granted) > 0 {
-		if d.killHook != nil && d.killHook("mid-grant") {
-			// Simulated crash between deciding the grants and logging them:
-			// the worker receives leases the restarted dispatcher never heard
-			// of — its uploads must still merge exactly once.
-			d.disarmLocked()
-		}
-		for _, e := range granted {
-			if d.wal != nil {
-				d.wal.append(&walRecord{
-					Kind:    walKindGrant,
-					SpecCRC: d.wal.specCRC,
-					JobID:   e.job.ID,
-					LeaseID: e.leaseID,
-					Worker:  req.Worker,
-					Expires: e.expires.UnixNano(),
-				})
-			}
-		}
-	}
-	if len(granted) == 0 {
+	resp.Grants = d.q.lease(req.Worker, req.Max)
+	if len(resp.Grants) == 0 {
 		// Everything left is leased to other workers: poll again soon —
 		// an expiry may free work, or the campaign may finish. Capped at a
 		// second so an idle worker learns about completion promptly rather
@@ -667,12 +640,28 @@ func (d *Dispatcher) Lease(req LeaseRequest) LeaseResponse {
 		resp.WaitSec = min(d.ttl.Seconds()/4, 1.0)
 		return resp
 	}
-	for _, e := range granted {
-		resp.Grants = append(resp.Grants, LeaseGrant{Job: e.job, LeaseID: e.leaseID})
-		d.metrics.LeasesGranted.Add(1)
-		d.metrics.QueueDepth.Add(-1)
-		d.metrics.InFlight.Add(1)
+	if d.killHook != nil && d.killHook("mid-grant") {
+		// Simulated crash between deciding the grants and logging them:
+		// the worker receives leases the restarted dispatcher never heard
+		// of — its uploads must still merge exactly once.
+		d.disarmLocked()
 	}
+	if d.wal != nil {
+		for _, g := range resp.Grants {
+			d.wal.append(&walRecord{
+				Kind:    walKindGrant,
+				SpecCRC: d.wal.specCRC,
+				JobID:   g.Job.ID,
+				LeaseID: g.LeaseID,
+				Worker:  req.Worker,
+				Expires: d.q.entries[g.Job.ID].expires.UnixNano(),
+			})
+		}
+	}
+	n := int64(len(resp.Grants))
+	d.metrics.LeasesGranted.Add(n)
+	d.metrics.QueueDepth.Add(-n)
+	d.metrics.InFlight.Add(n)
 	return resp
 }
 

@@ -420,15 +420,15 @@ func TestLeaseQueueBudgetAndNonces(t *testing.T) {
 		t.Fatalf("granted %d", len(granted))
 	}
 	// Wrong worker or stale nonce must not extend.
-	if q.heartbeat("w2", LeaseRef{JobID: 0, LeaseID: granted[0].leaseID}) {
+	if q.heartbeat("w2", LeaseRef{JobID: 0, LeaseID: granted[0].LeaseID}) {
 		t.Fatal("foreign worker extended a lease")
 	}
-	if q.heartbeat("w1", LeaseRef{JobID: 0, LeaseID: granted[0].leaseID + 7}) {
+	if q.heartbeat("w1", LeaseRef{JobID: 0, LeaseID: granted[0].LeaseID + 7}) {
 		t.Fatal("stale nonce extended a lease")
 	}
 	// A real heartbeat pushes expiry past the sweep horizon.
 	now = now.Add(50 * time.Second)
-	if !q.heartbeat("w1", LeaseRef{JobID: 0, LeaseID: granted[0].leaseID}) {
+	if !q.heartbeat("w1", LeaseRef{JobID: 0, LeaseID: granted[0].LeaseID}) {
 		t.Fatal("valid heartbeat rejected")
 	}
 	now = now.Add(30 * time.Second) // job 0 extended; job 1 at 80s > 60s TTL
@@ -438,7 +438,7 @@ func TestLeaseQueueBudgetAndNonces(t *testing.T) {
 	}
 
 	// Release returns the job without burning budget.
-	if !q.release("w1", LeaseRef{JobID: 0, LeaseID: granted[0].leaseID}) {
+	if !q.release("w1", LeaseRef{JobID: 0, LeaseID: granted[0].LeaseID}) {
 		t.Fatal("release rejected")
 	}
 	if e := q.entries[0]; e.state != statePending || e.attempts != 0 {
@@ -447,10 +447,10 @@ func TestLeaseQueueBudgetAndNonces(t *testing.T) {
 
 	// Burn job 1's budget: attempt 1 (sweep above) + attempt 2 exceeds
 	// maxRetries=1 and fails it permanently.
-	if g := q.lease("w1", 1); len(g) != 1 || g[0].job.ID != 0 {
+	if g := q.lease("w1", 1); len(g) != 1 || g[0].Job.ID != 0 {
 		t.Fatalf("expected job 0 first, got %+v", g)
 	}
-	if g := q.lease("w1", 1); len(g) != 1 || g[0].job.ID != 1 {
+	if g := q.lease("w1", 1); len(g) != 1 || g[0].Job.ID != 1 {
 		t.Fatalf("expected job 1, got %+v", g)
 	}
 	now = now.Add(2 * time.Minute)

@@ -108,7 +108,7 @@ func runFleetOnce(b *testing.B, spec Spec, k int, runJob func(context.Context, J
 
 // BenchmarkFleetLoopback measures distributed-campaign throughput over
 // loopback HTTP: a full dispatch campaign (submit → corpus → leases →
-// execution → gzip uploads → merge) per op, for fleets of 1 and 4
+// execution → PWB1 uploads → merge) per op, for fleets of 1 and 4
 // workers, reporting simulated iterations per second. Loopback workers
 // share one host's cores, so k=4 tracks how the protocol behaves under
 // fleet-shaped contention, not a real speedup — that comes from
@@ -140,46 +140,38 @@ func BenchmarkFleetLoopback(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*jobs), "proto_us/shard")
 	})
 
-	// The wire sweep isolates the data-path knobs the headline number
-	// negotiates automatically: each codec at each lease batch size, all
-	// over the same no-op runner, so the deltas are pure protocol cost.
-	for _, wire := range []string{WireJSON, WireBinary} {
-		for _, batch := range []int{1, 8} {
-			b.Run(fmt.Sprintf("wire=%s/batch=%d", wire, batch), func(b *testing.B) {
-				noop := func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
-					return fakeResult(job), nil
-				}
-				var jobs int
-				for i := 0; i < b.N; i++ {
-					jobs = runFleetOnce(b, spec, 1, noop, func(o *WorkerOptions) {
-						o.Wire = wire
-						o.LeaseBatch = batch
-					})
-				}
-				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*jobs), "proto_us/shard")
-			})
-		}
+	// The batch sweep isolates the lease batch size over the same no-op
+	// runner, so the deltas are pure protocol cost.
+	for _, batch := range []int{1, 8} {
+		b.Run(fmt.Sprintf("wire=binary/batch=%d", batch), func(b *testing.B) {
+			noop := func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+				return fakeResult(job), nil
+			}
+			var jobs int
+			for i := 0; i < b.N; i++ {
+				jobs = runFleetOnce(b, spec, 1, noop, func(o *WorkerOptions) { o.LeaseBatch = batch })
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*jobs), "proto_us/shard")
+		})
 	}
 
 	// The payload sweep scales the per-shard histogram (the body of every
-	// upload) to show how each codec's cost grows with result size.
+	// upload) to show how the codec's cost grows with result size.
 	for _, keys := range []int{16, 256} {
-		for _, wire := range []string{WireJSON, WireBinary} {
-			b.Run(fmt.Sprintf("payload=%dkeys/wire=%s", keys, wire), func(b *testing.B) {
-				fat := func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
-					jr := fakeResult(job)
-					jr.Histogram = make(map[string]int64, keys)
-					for i := 0; i < keys; i++ {
-						jr.Histogram[fmt.Sprintf("%d;%d;%d;", i, i%7, i%3)] = int64(i + 1)
-					}
-					return jr, nil
+		b.Run(fmt.Sprintf("payload=%dkeys/wire=binary", keys), func(b *testing.B) {
+			fat := func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+				jr := fakeResult(job)
+				jr.Histogram = make(map[string]int64, keys)
+				for i := 0; i < keys; i++ {
+					jr.Histogram[fmt.Sprintf("%d;%d;%d;", i, i%7, i%3)] = int64(i + 1)
 				}
-				var jobs int
-				for i := 0; i < b.N; i++ {
-					jobs = runFleetOnce(b, spec, 1, fat, func(o *WorkerOptions) { o.Wire = wire })
-				}
-				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*jobs), "proto_us/shard")
-			})
-		}
+				return jr, nil
+			}
+			var jobs int
+			for i := 0; i < b.N; i++ {
+				jobs = runFleetOnce(b, spec, 1, fat)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*jobs), "proto_us/shard")
+		})
 	}
 }

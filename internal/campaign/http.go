@@ -177,7 +177,7 @@ func NewServer() *Server {
 //	GET  /campaigns/{id}/corpus      dispatch: spec + test sources
 //	POST /campaigns/{id}/lease       dispatch: pull jobs
 //	POST /campaigns/{id}/heartbeat   dispatch: extend leases
-//	POST /campaigns/{id}/complete    dispatch: upload results (gzip JSON)
+//	POST /campaigns/{id}/complete    dispatch: upload results (PWB1)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -512,16 +512,20 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleComplete is the upload sink. The body is read into a pooled
-// buffer and decoded by Content-Type — PWB1 binary, gzip-JSON, or plain
-// JSON — so merged shards flow from the wire into the campaign
-// accumulator through reused scratch, never through per-request
-// payload-sized garbage. A frame error (truncated or bit-damaged
-// binary upload) is answered 400 like any other undecodable body; the
-// worker's retry loop re-sends the batch, and the fence keeps the
-// re-delivery idempotent.
+// buffer and decoded as PWB1, so merged shards flow from the wire into
+// the campaign accumulator through reused scratch, never through
+// per-request payload-sized garbage. Any other Content-Type is refused
+// with 415, and any version but ProtocolVersion with 400, before
+// anything merges. A frame error (truncated or bit-damaged upload) is
+// answered 400 like any other undecodable body; the worker's retry loop
+// re-sends the batch, and the fence keeps the re-delivery idempotent.
 func (s *Server) handleComplete(w http.ResponseWriter, req *http.Request) {
 	disp := s.lookupDispatcher(w, req)
 	if disp == nil {
+		return
+	}
+	if ct := req.Header.Get("Content-Type"); ct != harness.WireContentTypeBinary {
+		writeError(w, http.StatusUnsupportedMediaType, "upload Content-Type %q, want %s", ct, harness.WireContentTypeBinary)
 		return
 	}
 	buf := bodyBufPool.Get().(*bytes.Buffer)
@@ -534,22 +538,13 @@ func (s *Server) handleComplete(w http.ResponseWriter, req *http.Request) {
 	body := buf.Bytes()
 	var cr CompleteRequest
 	start := time.Now()
-	var err error
-	switch {
-	case req.Header.Get("Content-Type") == harness.WireContentTypeBinary:
-		err = harness.DecodeWireBinary(body, &cr, 0)
-	case req.Header.Get("Content-Type") == harness.WireContentType,
-		req.Header.Get("Content-Encoding") == "gzip":
-		err = harness.DecodeWire(bytes.NewReader(body), &cr)
-	default:
-		err = json.Unmarshal(body, &cr)
-	}
+	err := harness.DecodeWireBinary(body, &cr, 0)
 	disp.metrics.WireDecodeNs.Add(time.Since(start).Nanoseconds())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding upload: %v", err)
 		return
 	}
-	if cr.Version != 0 && cr.Version != ProtocolVersion {
+	if cr.Version != ProtocolVersion {
 		writeError(w, http.StatusBadRequest, "protocol version %d, want %d", cr.Version, ProtocolVersion)
 		return
 	}

@@ -3,23 +3,14 @@ package campaign
 // Dispatch protocol (v1): the wire types spoken between perple-serve's
 // dispatch endpoints and perple-worker. Control bodies are JSON; the
 // completion upload carries full per-shard histograms and travels in
-// whichever result codec the pair negotiated — gzip-compressed JSON
-// (harness.EncodeWire) or the PWB1 binary codec (harness wirebin;
-// DESIGN.md §14).
+// the PWB1 binary codec (harness wirebin; DESIGN.md §14), labelled
+// harness.WireContentTypeBinary. An upload in any other Content-Type,
+// or carrying any version but ProtocolVersion, is refused with a 4xx.
 //
-//	GET  /campaigns/{id}/corpus     → CorpusResponse   (spec + test sources + codecs)
+//	GET  /campaigns/{id}/corpus     → CorpusResponse   (spec + test sources)
 //	POST /campaigns/{id}/lease      LeaseRequest → LeaseResponse
 //	POST /campaigns/{id}/heartbeat  HeartbeatRequest → HeartbeatResponse
-//	POST /campaigns/{id}/complete   CompleteRequest (negotiated codec) → CompleteResponse
-//
-// Codec negotiation is one-way and advertisement-based: the dispatcher
-// lists the upload codecs it accepts in CorpusResponse.Wire, the worker
-// picks the first one it also speaks, and the upload's Content-Type
-// names the choice per request. A worker facing a dispatcher that
-// advertises nothing (a pre-binary server, whose corpus JSON simply
-// lacks the field) falls back to gzip-JSON, and a dispatcher receiving
-// a gzip-JSON upload from a pre-binary worker decodes it as ever — so
-// mixed-version fleets interoperate in both directions.
+//	POST /campaigns/{id}/complete   CompleteRequest (PWB1) → CompleteResponse
 //
 // The protocol is at-least-once by construction: a worker that crashes
 // mid-lease simply stops heartbeating and its jobs re-lease after the
@@ -29,18 +20,8 @@ package campaign
 // accounting.
 
 // ProtocolVersion guards wire compatibility; both sides refuse to talk
-// across a mismatch. Codec choice and heartbeat piggybacking are
-// negotiated per-field (absent means unsupported), not via the version,
-// so v1 peers of different ages keep interoperating.
+// across a mismatch.
 const ProtocolVersion = 1
-
-// Result-codec names used in CorpusResponse.Wire advertisements.
-const (
-	// WireJSON is the gzip-compressed JSON codec every peer speaks.
-	WireJSON = "json+gzip"
-	// WireBinary is the CRC-framed PWB1 binary codec (harness wirebin).
-	WireBinary = "binary"
-)
 
 // CorpusTest ships one litmus test to workers as parseable source, so a
 // worker needs no filesystem access to the campaign's test directory.
@@ -56,10 +37,6 @@ type CorpusResponse struct {
 	Version int          `json:"version"`
 	Spec    Spec         `json:"spec"`
 	Tests   []CorpusTest `json:"tests"`
-	// Wire lists the result-upload codecs the dispatcher accepts, in
-	// preference order (see WireJSON/WireBinary). Absent on pre-binary
-	// servers, which is itself the signal to stay on gzip-JSON.
-	Wire []string `json:"wire,omitempty"`
 }
 
 // LeaseRequest asks for up to Max jobs.
@@ -127,7 +104,7 @@ type WorkerFailure struct {
 // worker streams partial batches — heartbeats for the leases it still
 // holds, piggybacked so a mid-batch upload doubles as the lease
 // extension and saves the dedicated heartbeat round-trip. The body
-// travels in the negotiated result codec.
+// travels in the PWB1 codec.
 type CompleteRequest struct {
 	Version  int             `json:"version"`
 	Worker   string          `json:"worker"`
@@ -135,8 +112,7 @@ type CompleteRequest struct {
 	Failures []WorkerFailure `json:"failures,omitempty"`
 	Released []LeaseRef      `json:"released,omitempty"`
 	// Heartbeat lists leases the worker still holds and wants extended
-	// with this upload. Pre-piggyback servers ignore the field (unknown
-	// JSON keys are skipped), costing only lease margin, never safety.
+	// with this upload.
 	Heartbeat []LeaseRef `json:"heartbeat,omitempty"`
 }
 
@@ -156,6 +132,6 @@ type CompleteResponse struct {
 	Failed    int  `json:"failed"`
 	Done      bool `json:"done,omitempty"`
 	// Extended counts piggybacked heartbeats honored, mirroring
-	// HeartbeatResponse.Extended; zero from pre-piggyback servers.
+	// HeartbeatResponse.Extended.
 	Extended int `json:"extended,omitempty"`
 }

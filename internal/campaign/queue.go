@@ -131,7 +131,7 @@ func (q *leaseQueue) releaseLeased() {
 
 // lease grants up to max pending jobs to worker, lowest job ID first,
 // stamping each with a fresh lease nonce and the queue's TTL.
-func (q *leaseQueue) lease(worker string, max int) []*queueEntry {
+func (q *leaseQueue) lease(worker string, max int) []LeaseGrant {
 	if max <= 0 {
 		max = 1
 	}
@@ -141,7 +141,7 @@ func (q *leaseQueue) lease(worker string, max int) []*queueEntry {
 	}
 	now := q.now()
 	expires := now.Add(q.ttl)
-	granted := make([]*queueEntry, 0, n)
+	granted := make([]LeaseGrant, 0, n)
 	for _, id := range q.pending[:n] {
 		e := q.entries[id]
 		q.nextLease++
@@ -150,7 +150,7 @@ func (q *leaseQueue) lease(worker string, max int) []*queueEntry {
 		e.worker = worker
 		e.expires = expires
 		e.grantedAt = now
-		granted = append(granted, e)
+		granted = append(granted, LeaseGrant{Job: e.job, LeaseID: e.leaseID})
 	}
 	q.pending = q.pending[n:]
 	return granted

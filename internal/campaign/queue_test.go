@@ -24,7 +24,7 @@ func TestLeaseQueueHeartbeatAfterExpiry(t *testing.T) {
 	g := q.lease("w1", 1)[0]
 
 	*now = now.Add(2 * time.Minute) // past the TTL, before any sweep
-	if !q.heartbeat("w1", LeaseRef{JobID: 0, LeaseID: g.leaseID}) {
+	if !q.heartbeat("w1", LeaseRef{JobID: 0, LeaseID: g.LeaseID}) {
 		t.Fatal("pre-sweep heartbeat from the (live) holder rejected")
 	}
 	if e := q.entries[0]; !e.expires.After(*now) {
@@ -37,7 +37,7 @@ func TestLeaseQueueHeartbeatAfterExpiry(t *testing.T) {
 	if len(requeued) != 1 {
 		t.Fatalf("sweep requeued %d, want 1", len(requeued))
 	}
-	if q.heartbeat("w1", LeaseRef{JobID: 0, LeaseID: g.leaseID}) {
+	if q.heartbeat("w1", LeaseRef{JobID: 0, LeaseID: g.LeaseID}) {
 		t.Fatal("post-sweep heartbeat revived a requeued job")
 	}
 	if e := q.entries[0]; e.state != statePending {
@@ -51,7 +51,7 @@ func TestLeaseQueueHeartbeatAfterExpiry(t *testing.T) {
 func TestLeaseQueueDuplicateComplete(t *testing.T) {
 	q, _ := newTestQueue(5)
 	g := q.lease("w1", 1)[0]
-	ref := LeaseRef{JobID: 0, LeaseID: g.leaseID}
+	ref := LeaseRef{JobID: 0, LeaseID: g.LeaseID}
 
 	if accepted, fenced := q.complete(ref); !accepted || fenced {
 		t.Fatalf("first complete = (%v, %v), want accepted", accepted, fenced)
@@ -71,31 +71,31 @@ func TestLeaseQueueDuplicateComplete(t *testing.T) {
 func TestLeaseQueueFailFromNonHolder(t *testing.T) {
 	q, now := newTestQueue(5)
 	first := q.lease("w1", 1)[0]
-	firstNonce := first.leaseID
+	firstNonce := first.LeaseID
 
 	*now = now.Add(2 * time.Minute)
 	if requeued, _ := q.sweep(); len(requeued) != 1 {
 		t.Fatal("lease did not expire")
 	}
 	second := q.lease("w2", 1)[0]
-	if second.job.ID != 0 || second.leaseID == firstNonce {
-		t.Fatalf("re-grant = job %d nonce %d (was %d)", second.job.ID, second.leaseID, firstNonce)
+	if second.Job.ID != 0 || second.LeaseID == firstNonce {
+		t.Fatalf("re-grant = job %d nonce %d (was %d)", second.Job.ID, second.LeaseID, firstNonce)
 	}
-	attempts := second.attempts
+	attempts := q.entries[0].attempts
 
 	// Superseded holder reports a failure under its dead nonce.
 	if r, f := q.fail("w1", LeaseRef{JobID: 0, LeaseID: firstNonce}, "boom"); r || f {
 		t.Fatalf("superseded fail = (%v, %v), want ignored", r, f)
 	}
 	// Impostor: current nonce, wrong worker name.
-	if r, f := q.fail("w1", LeaseRef{JobID: 0, LeaseID: second.leaseID}, "boom"); r || f {
+	if r, f := q.fail("w1", LeaseRef{JobID: 0, LeaseID: second.LeaseID}, "boom"); r || f {
 		t.Fatalf("impostor fail = (%v, %v), want ignored", r, f)
 	}
 	if e := q.entries[0]; e.state != stateLeased || e.worker != "w2" || e.attempts != attempts {
 		t.Fatalf("non-holder reports disturbed the ledger: %+v", e)
 	}
 	// The real holder's report still counts.
-	if r, f := q.fail("w2", LeaseRef{JobID: 0, LeaseID: second.leaseID}, "boom"); !r || f {
+	if r, f := q.fail("w2", LeaseRef{JobID: 0, LeaseID: second.LeaseID}, "boom"); !r || f {
 		t.Fatalf("holder fail = (%v, %v), want requeued", r, f)
 	}
 }
@@ -112,7 +112,7 @@ func TestLeaseQueueReleaseRacingSweep(t *testing.T) {
 	if requeued, _ := q.sweep(); len(requeued) != 1 {
 		t.Fatal("lease did not expire")
 	}
-	if q.release("w1", LeaseRef{JobID: 0, LeaseID: g.leaseID}) {
+	if q.release("w1", LeaseRef{JobID: 0, LeaseID: g.LeaseID}) {
 		t.Fatal("release honored after the sweep already requeued the job")
 	}
 	seen := 0
@@ -140,10 +140,10 @@ func TestLeaseQueueReleaseAfterReGrant(t *testing.T) {
 	q.sweep()
 	second := q.lease("w2", 1)[0]
 
-	if q.release("w1", LeaseRef{JobID: 0, LeaseID: g.leaseID}) {
+	if q.release("w1", LeaseRef{JobID: 0, LeaseID: g.LeaseID}) {
 		t.Fatal("stale release honored against a re-granted lease")
 	}
-	if e := q.entries[0]; e.state != stateLeased || e.worker != "w2" || e.leaseID != second.leaseID {
+	if e := q.entries[0]; e.state != stateLeased || e.worker != "w2" || e.leaseID != second.LeaseID {
 		t.Fatalf("stale release disturbed the new holder: %+v", e)
 	}
 }

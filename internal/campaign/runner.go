@@ -55,8 +55,8 @@ func (x *jobExec) exec(ctx context.Context, g LeaseGrant) (WorkerResult, *Worker
 }
 
 // runJob executes one shard end to end: it resolves the tool (PerpLE
-// falls back to litmus7-user for non-convertible targets, like
-// cmd/perple-suite and Section VII-G), seeds the simulator with the
+// falls back to litmus7-user for non-convertible targets, as Section
+// VII-G prescribes), seeds the simulator with the
 // job's deterministic shard seed, runs, and extracts the mergeable
 // result. Cancellation propagates into the simulated run and the
 // counters through ctx.
@@ -85,8 +85,10 @@ func runJob(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobRes
 		if err != nil {
 			return nil, err
 		}
-		tv := harness.TraceVerify{Every: spec.TraceVerifyEvery()}
-		res, err := harness.RunLitmus7BatchVerifyCtx(ctx, test, job.N, mode, nil, cfg, spec.IntraWorkers, tv)
+		res, err := harness.RunLitmus7(ctx, test, job.N, mode, nil, cfg, harness.Litmus7Options{
+			Workers:     spec.IntraWorkers,
+			TraceVerify: harness.TraceVerify{Every: spec.TraceVerifyEvery()},
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +115,7 @@ func runJob(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobRes
 	if err != nil {
 		return nil, err
 	}
-	opts := harness.PerpLEOptions{CountWorkers: spec.IntraWorkers}
+	opts := harness.PerpLEOptions{Workers: spec.IntraWorkers, CountWorkers: spec.IntraWorkers}
 	switch tool {
 	case "perple-heur":
 		opts.Heuristic = true
@@ -125,7 +127,7 @@ func runJob(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobRes
 	default:
 		return nil, fmt.Errorf("campaign: unknown tool %q", tool)
 	}
-	res, err := harness.RunPerpLEBatchCtx(ctx, pt, counter, job.N, opts, cfg, spec.IntraWorkers)
+	res, err := harness.RunPerpLE(ctx, pt, counter, job.N, opts, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,8 @@
 // left off with identical final totals.
 //
 // One engine, the Dispatcher, runs every campaign; it has two
-// transports. Campaign.Run drives it with in-process executors (the
-// -campaign path of cmd/perple-suite and perple-serve's local mode), and
+// transports. Campaign.Run drives it with in-process executors
+// (cmd/perple-suite and perple-serve's local mode), and
 // fleet workers reach it over HTTP (perple-serve's dispatch mode and
 // cmd/perple-worker).
 package campaign

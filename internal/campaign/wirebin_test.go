@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -118,17 +119,6 @@ func FuzzCompleteRequestWire(f *testing.F) {
 			t.Fatalf("binary round trip:\n got %s\nwant %s", got, want)
 		}
 
-		gz, err := harness.EncodeWire(in)
-		if err != nil {
-			t.Fatalf("gzip encode: %v", err)
-		}
-		var fromGz CompleteRequest
-		if err := harness.DecodeWire(bytes.NewReader(gz), &fromGz); err != nil {
-			t.Fatalf("gzip decode: %v", err)
-		}
-		if got, _ := json.Marshal(&fromGz); !bytes.Equal(got, want) {
-			t.Fatalf("gzip round trip:\n got %s\nwant %s", got, want)
-		}
 	})
 }
 
@@ -143,12 +133,11 @@ func FuzzCompleteRequestBinaryDecode(f *testing.F) {
 	})
 }
 
-// TestFleetWireMatrix is the tentpole's byte-identity contract swept
-// across the new data-path knobs: every codec choice (negotiated,
-// forced gzip-JSON, forced binary — including a fleet mixing codecs
-// per worker) and lease batch size must merge to exactly the serial
-// run's canonical bytes, whatever the arrival order the fleet's
-// scheduling produced.
+// TestFleetWireMatrix is the byte-identity contract swept across the
+// data-path knobs: every spelling of the Wire option (each selects
+// PWB1, including a fleet mixing spellings per worker) and lease batch
+// size must merge to exactly the serial run's canonical bytes, whatever
+// the arrival order the fleet's scheduling produced.
 func TestFleetWireMatrix(t *testing.T) {
 	spec := fleetSpec(t)
 	want := serialCanonical(t, spec)
@@ -160,9 +149,8 @@ func TestFleetWireMatrix(t *testing.T) {
 	}{
 		{"auto-batch1", []string{"auto"}, 1},
 		{"auto-batch8", []string{"auto"}, 8},
-		{"json-batch4", []string{WireJSON}, 4},
-		{"binary-batch4", []string{WireBinary}, 4},
-		{"mixed-codecs", []string{WireBinary, WireJSON, "auto"}, 2},
+		{"binary-batch4", []string{"binary"}, 4},
+		{"mixed-codecs", []string{"binary", "", "auto"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -203,63 +191,94 @@ func TestFleetWireMatrix(t *testing.T) {
 	}
 }
 
-// prebinaryProxy forwards to a real dispatch server but strips the
-// corpus codec advertisement — exactly what a pre-binary server's
-// responses look like — so an auto-mode worker must fall back to
-// gzip-JSON uploads and dedicated heartbeats.
-func prebinaryProxy(t *testing.T, backend string) *httptest.Server {
+// leaseOne leases a single job over HTTP as the named worker.
+func leaseOne(t *testing.T, ts *httptest.Server, id, worker string) LeaseGrant {
 	t.Helper()
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		url := backend + r.URL.Path
-		req, err := http.NewRequest(r.Method, url, r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		req.Header = r.Header.Clone()
-		resp, err := http.DefaultTransport.RoundTrip(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		if strings.HasSuffix(r.URL.Path, "/corpus") && resp.StatusCode == http.StatusOK {
-			var corpus map[string]json.RawMessage
-			if err := json.Unmarshal(body, &corpus); err != nil {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-				return
-			}
-			delete(corpus, "wire")
-			if body, err = json.Marshal(corpus); err != nil {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-				return
-			}
-		}
-		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-		w.WriteHeader(resp.StatusCode)
-		w.Write(body)
-	}))
+	body, _ := json.Marshal(LeaseRequest{Worker: worker, Max: 1})
+	resp, err := http.Post(ts.URL+"/campaigns/"+id+"/lease", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var lr LeaseResponse
+	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
+		t.Fatal(err)
+	}
+	if len(lr.Grants) != 1 {
+		t.Fatalf("lease granted %d jobs, want 1", len(lr.Grants))
+	}
+	return lr.Grants[0]
 }
 
-// TestFleetMixedVersionCompat covers both interop directions: a worker
-// pinned to the old codec against a binary-preferring dispatcher, and a
-// binary-capable worker against a server that never advertises codecs.
-// Both fleets must merge byte-identically to the serial run.
+// postUpload posts an upload body under the given Content-Type and
+// returns the status code with the decoded response (zero unless 200).
+func postUpload(t *testing.T, ts *httptest.Server, id, contentType string, body []byte) (int, CompleteResponse) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/campaigns/"+id+"/complete", contentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var cr CompleteResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, cr
+}
+
+// dispatchDone reads a dispatch campaign's completed-job count.
+func dispatchDone(t *testing.T, ts *httptest.Server, id string) int {
+	t.Helper()
+	st := getJSON(t, ts.URL+"/campaigns/"+id, http.StatusOK)
+	return int(st["dispatch"].(map[string]any)["done"].(float64))
+}
+
+// leasedUpload leases one job as worker and runs it for real, returning
+// the upload that completes it.
+func leasedUpload(t *testing.T, ts *httptest.Server, id string, spec Spec, worker string) CompleteRequest {
+	t.Helper()
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := leaseOne(t, ts, id, worker)
+	jr, err := runJob(context.Background(), g.Job, camp.tests[g.Job.Test], camp.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return CompleteRequest{Version: ProtocolVersion, Worker: worker, Results: []WorkerResult{{LeaseID: g.LeaseID, Result: jr}}}
+}
+
+// TestFleetMixedVersionCompat covers a worker from before PWB1 became
+// the only codec: its gzip-JSON upload is refused with 415 and merges
+// nothing, the same batch re-sent as PWB1 merges, and a current worker
+// then finishes the campaign byte-identically to the serial run.
 func TestFleetMixedVersionCompat(t *testing.T) {
 	spec := fleetSpec(t)
 	want := serialCanonical(t, spec)
 
 	t.Run("old-worker-new-server", func(t *testing.T) {
-		// Forcing WireJSON reproduces a pre-binary worker's uploads
-		// byte-for-byte: gzip-JSON body, json+gzip Content-Type.
 		_, ts := newTestServer(t)
 		id := submitDispatch(t, ts, spec)
-		w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: id, Name: "old", Parallel: 2, Wire: WireJSON})
+		req := leasedUpload(t, ts, id, spec, "old")
+		var gz bytes.Buffer
+		zw := gzip.NewWriter(&gz)
+		if err := json.NewEncoder(zw).Encode(&req); err != nil {
+			t.Fatal(err)
+		}
+		zw.Close()
+		if code, _ := postUpload(t, ts, id, "application/json+gzip", gz.Bytes()); code != http.StatusUnsupportedMediaType {
+			t.Fatalf("gzip-JSON upload = %d, want 415", code)
+		}
+		if done := dispatchDone(t, ts, id); done != 0 {
+			t.Fatalf("refused upload completed %d job(s)", done)
+		}
+		if code, cr := postUpload(t, ts, id, harness.WireContentTypeBinary, harness.EncodeWireBinary(nil, &req)); code != http.StatusOK || cr.Merged != 1 {
+			t.Fatalf("PWB1 re-send = %d, merged %d; want 200, 1", code, cr.Merged)
+		}
+		w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: id, Name: "new", Parallel: 2})
 		if err := w.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -267,29 +286,47 @@ func TestFleetMixedVersionCompat(t *testing.T) {
 			t.Fatalf("campaign ended %q", state)
 		}
 		if got := fetchCanonical(t, ts, id); !bytes.Equal(got, want) {
-			t.Fatalf("old-worker fleet diverged:\nserial:\n%s\nfleet:\n%s", want, got)
+			t.Fatalf("fleet diverged:\nserial:\n%s\nfleet:\n%s", want, got)
 		}
 	})
+}
 
-	t.Run("new-worker-old-server", func(t *testing.T) {
-		_, ts := newTestServer(t)
-		proxy := prebinaryProxy(t, ts.URL)
-		defer proxy.Close()
-		id := submitDispatch(t, ts, spec)
-		w := NewWorker(WorkerOptions{BaseURL: proxy.URL, Campaign: id, Name: "new", Parallel: 2})
-		if err := w.Run(context.Background()); err != nil {
-			t.Fatal(err)
+// TestCompleteRequiresExactVersion posts otherwise valid PWB1 uploads
+// whose version is not ProtocolVersion — 0, as pre-versioned clients
+// sent, and a future version — and expects 400 with nothing merged;
+// the same upload at ProtocolVersion then merges.
+func TestCompleteRequiresExactVersion(t *testing.T) {
+	spec := fleetSpec(t)
+	_, ts := newTestServer(t)
+	id := submitDispatch(t, ts, spec)
+	req := leasedUpload(t, ts, id, spec, "w")
+	for _, v := range []int{0, ProtocolVersion + 1} {
+		req.Version = v
+		if code, _ := postUpload(t, ts, id, harness.WireContentTypeBinary, harness.EncodeWireBinary(nil, &req)); code != http.StatusBadRequest {
+			t.Fatalf("version %d upload = %d, want 400", v, code)
 		}
-		if w.useBinary || w.piggyback {
-			t.Fatalf("worker negotiated binary=%v piggyback=%v against a non-advertising server", w.useBinary, w.piggyback)
+		if done := dispatchDone(t, ts, id); done != 0 {
+			t.Fatalf("version %d upload completed %d job(s)", v, done)
 		}
-		if state := pollState(t, ts, id, 30*time.Second); state != StateDone {
-			t.Fatalf("campaign ended %q", state)
+	}
+	req.Version = ProtocolVersion
+	if code, cr := postUpload(t, ts, id, harness.WireContentTypeBinary, harness.EncodeWireBinary(nil, &req)); code != http.StatusOK || cr.Merged != 1 {
+		t.Fatalf("version %d upload = %d, merged %d; want 200, 1", ProtocolVersion, code, cr.Merged)
+	}
+	if done := dispatchDone(t, ts, id); done != 1 {
+		t.Fatalf("exact-version upload completed %d job(s), want 1", done)
+	}
+}
+
+// TestWorkerRejectsUnknownWire checks that every Wire value other than
+// the PWB1 spellings fails Run before the worker contacts the server.
+func TestWorkerRejectsUnknownWire(t *testing.T) {
+	for _, wire := range []string{"json+gzip", "json", "gzip"} {
+		w := NewWorker(WorkerOptions{BaseURL: "http://127.0.0.1:1", Campaign: "c1", Wire: wire, MaxAttempts: 1})
+		if err := w.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "unknown wire codec") {
+			t.Fatalf("Wire %q: Run = %v, want unknown wire codec", wire, err)
 		}
-		if got := fetchCanonical(t, ts, id); !bytes.Equal(got, want) {
-			t.Fatalf("old-server fleet diverged:\nserial:\n%s\nfleet:\n%s", want, got)
-		}
-	})
+	}
 }
 
 // TestFleetWireMetrics checks the operator surface the new data path

@@ -35,10 +35,9 @@ type WorkerOptions struct {
 	// LeaseBatch is the number of jobs pulled per lease call; 0 selects
 	// Parallel (keep every executor busy with one round trip).
 	LeaseBatch int
-	// Wire selects the result-upload codec: "auto" (default) takes the
-	// first codec the dispatcher advertises that this worker speaks,
-	// WireJSON ("json+gzip", alias "json") forces gzip-JSON, WireBinary
-	// ("binary") forces the PWB1 codec even without an advertisement.
+	// Wire names the result-upload codec. PWB1 is the only one: "",
+	// "auto" and "binary" all select it, and any other value makes Run
+	// fail.
 	Wire string
 	// Client is the HTTP client; nil selects a fresh one with keep-alives
 	// and an idle-connection pool sized to the worker's parallelism, so a
@@ -90,14 +89,6 @@ type Worker struct {
 	draining  atomic.Bool
 	drainOnce sync.Once
 	drainCh   chan struct{} // closed by Drain; cuts idle poll sleeps short
-
-	// useBinary and piggyback are fixed by codec negotiation in Run
-	// before any batch goroutine starts. piggyback means the server is
-	// new enough (it advertised codecs) to honor heartbeats carried on
-	// uploads; against an older server the flusher sends dedicated
-	// heartbeats so lease extension never silently stops working.
-	useBinary bool
-	piggyback bool
 
 	// upMu serializes uploads so encBuf — the reused binary encode
 	// buffer — is never rewritten while a retry is still reading it.
@@ -181,15 +172,17 @@ func (w *Worker) Drain() {
 // Run works the campaign until the server reports it done, Drain is
 // called, or ctx is cancelled.
 func (w *Worker) Run(ctx context.Context) error {
+	switch w.opts.Wire {
+	case "", "auto", "binary":
+	default:
+		return fmt.Errorf("campaign: unknown wire codec %q (want auto or binary)", w.opts.Wire)
+	}
 	corpus, err := w.fetchCorpus(ctx)
 	if err != nil {
 		return err
 	}
 	if corpus.Version != ProtocolVersion {
 		return fmt.Errorf("campaign: server speaks protocol v%d, worker v%d", corpus.Version, ProtocolVersion)
-	}
-	if err := w.negotiateWire(corpus); err != nil {
-		return err
 	}
 	w.spec = corpus.Spec
 	w.tests = make(map[string]*litmus.Test, len(corpus.Tests))
@@ -241,35 +234,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 	}
-}
-
-// negotiateWire fixes the upload codec and the heartbeat style from the
-// dispatcher's corpus advertisement. Absence of an advertisement marks a
-// pre-binary server: gzip-JSON uploads and dedicated heartbeats only.
-func (w *Worker) negotiateWire(corpus *CorpusResponse) error {
-	w.piggyback = len(corpus.Wire) > 0
-	switch w.opts.Wire {
-	case "", "auto":
-		// Take the server's first advertised codec this worker speaks; no
-		// advertisement means gzip-JSON, the floor every peer shares.
-	pick:
-		for _, c := range corpus.Wire {
-			switch c {
-			case WireBinary:
-				w.useBinary = true
-				break pick
-			case WireJSON:
-				break pick
-			}
-		}
-	case WireJSON, "json":
-		w.useBinary = false
-	case WireBinary:
-		w.useBinary = true
-	default:
-		return fmt.Errorf("campaign: unknown wire codec %q (want auto, %s, or %s)", w.opts.Wire, WireJSON, WireBinary)
-	}
-	return nil
 }
 
 // runBatch executes one lease batch and uploads the outcome. It returns
@@ -330,11 +294,11 @@ func (w *Worker) runBatch(ctx context.Context, lease LeaseResponse) (bool, error
 
 // batchUpload accumulates one lease batch's outcomes and streams them to
 // the dispatcher in sub-batches: each flush ships everything pending and
-// — on piggyback-capable servers — carries heartbeats for the leases the
-// worker still holds, so a long batch's uploads double as its lease
-// extensions. outstanding tracks grants not yet acknowledged by a
-// completed upload; a flush that dies retryably leaves them tracked, and
-// the whole batch aborts via firstErr.
+// carries heartbeats for the leases the worker still holds, so a long
+// batch's uploads double as its lease extensions. outstanding tracks
+// grants not yet acknowledged by a completed upload; a flush that dies
+// retryably leaves them tracked, and the whole batch aborts via
+// firstErr.
 type batchUpload struct {
 	w    *Worker
 	done atomic.Bool
@@ -389,11 +353,10 @@ func (u *batchUpload) err() error {
 	return u.firstErr
 }
 
-// flush uploads everything pending. With nothing to upload it degrades
-// to a plain heartbeat for the still-held leases; with an upload it
-// piggybacks those heartbeats when the server honors them and sends the
-// dedicated kind otherwise. Callers serialize flushes (ticker goroutine,
-// then the final call after it stops).
+// flush uploads everything pending, piggybacking heartbeats for the
+// still-held leases. With nothing to upload it degrades to a plain
+// heartbeat. Callers serialize flushes (ticker goroutine, then the
+// final call after it stops).
 func (u *batchUpload) flush(ctx context.Context) error {
 	u.mu.Lock()
 	req := u.pending
@@ -426,9 +389,7 @@ func (u *batchUpload) flush(ctx context.Context) error {
 		}
 		return nil
 	}
-	if u.w.piggyback {
-		req.Heartbeat = live
-	}
+	req.Heartbeat = live
 	var resp CompleteResponse
 	if err := u.w.uploadComplete(ctx, &req, &resp); err != nil {
 		return err
@@ -440,10 +401,6 @@ func (u *batchUpload) flush(ctx context.Context) error {
 	u.mu.Unlock()
 	if resp.Done {
 		u.done.Store(true)
-	}
-	if !u.w.piggyback && len(live) > 0 {
-		var hr HeartbeatResponse
-		_ = u.w.post(ctx, "heartbeat", HeartbeatRequest{Worker: u.w.opts.Name, Leases: live}, &hr)
 	}
 	return nil
 }
@@ -523,32 +480,20 @@ func (w *Worker) post(ctx context.Context, endpoint string, body any, out any) e
 	}, out)
 }
 
-// uploadComplete encodes the batched results in the negotiated codec —
-// PWB1 binary into the worker's reused buffer, or gzip-JSON — and posts
-// them with retry/backoff. A retried upload after a lost response is
+// uploadComplete encodes the batched results as PWB1 into the worker's
+// reused buffer and posts them with retry/backoff. A retried upload after a lost response is
 // safe: the server's completion fence deduplicates. upMu both serializes
 // the encode buffer and keeps one worker's uploads sequential.
 func (w *Worker) uploadComplete(ctx context.Context, creq *CompleteRequest, out *CompleteResponse) error {
 	w.upMu.Lock()
 	defer w.upMu.Unlock()
-	var data []byte
-	contentType := harness.WireContentType
-	if w.useBinary {
-		w.encBuf = harness.EncodeWireBinary(w.encBuf[:0], creq)
-		data = w.encBuf
-		contentType = harness.WireContentTypeBinary
-	} else {
-		var err error
-		if data, err = harness.EncodeWire(creq); err != nil {
-			return err
-		}
-	}
+	w.encBuf = harness.EncodeWireBinary(w.encBuf[:0], creq)
 	return w.retry(ctx, func() (*http.Response, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url("complete"), bytes.NewReader(data))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url("complete"), bytes.NewReader(w.encBuf))
 		if err != nil {
 			return nil, err
 		}
-		req.Header.Set("Content-Type", contentType)
+		req.Header.Set("Content-Type", harness.WireContentTypeBinary)
 		return w.opts.Client.Do(req)
 	}, out)
 }

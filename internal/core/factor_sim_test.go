@@ -40,14 +40,18 @@ func TestFactorizedSimBufsMatchOdometer(t *testing.T) {
 		if pt.TL() == 3 {
 			ns = []int{63, 65}
 		}
+		cp, err := sim.CompilePerpetual(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, n := range ns {
-			run, err := sim.RunPerpetual(pt, n, sim.DefaultConfig().WithSeed(int64(n)))
+			run, err := sim.NewPerpetualRunner(cp).Run(n, sim.DefaultConfig().WithSeed(int64(n)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			// A capped run, as perple-exh counts one: the first n of 2n
 			// iterations, whose loads may observe later stores.
-			long, err := sim.RunPerpetual(pt, 2*n, sim.DefaultConfig().WithSeed(int64(n)))
+			long, err := sim.NewPerpetualRunner(cp).Run(2*n, sim.DefaultConfig().WithSeed(int64(n)))
 			if err != nil {
 				t.Fatal(err)
 			}

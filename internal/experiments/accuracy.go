@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -44,7 +45,7 @@ func HeuristicAccuracy(w io.Writer, opts Options) (*AccuracyResult, error) {
 			return nil, err
 		}
 		cap := opts.exhaustiveCap(pt.TL(), n)
-		run, err := harness.RunPerpLE(pt, counter, n, harness.PerpLEOptions{
+		run, err := harness.RunPerpLE(context.Background(), pt, counter, n, harness.PerpLEOptions{
 			Exhaustive: true, Heuristic: true, ExhaustiveCap: cap,
 		}, opts.cfg())
 		if err != nil {

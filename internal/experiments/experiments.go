@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 
@@ -169,7 +170,7 @@ func runCells(e litmus.SuiteEntry, tools []Tool, n int, opts Options) (map[Tool]
 		mode, ok := tool.Mode()
 		switch {
 		case ok:
-			res, err := harness.RunLitmus7(e.Test, n, mode, nil, cfg)
+			res, err := harness.RunLitmus7(context.Background(), e.Test, n, mode, nil, cfg, harness.Litmus7Options{})
 			if err != nil {
 				return nil, fmt.Errorf("%v: %w", tool, err)
 			}
@@ -195,7 +196,7 @@ func runCells(e litmus.SuiteEntry, tools []Tool, n int, opts Options) (map[Tool]
 	if po.Exhaustive {
 		po.ExhaustiveCap = opts.exhaustiveCap(pt.TL(), n)
 	}
-	res, err := harness.RunPerpLE(pt, counter, n, po, cfg)
+	res, err := harness.RunPerpLE(context.Background(), pt, counter, n, po, cfg)
 	if err != nil {
 		return nil, err
 	}

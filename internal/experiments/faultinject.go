@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -77,7 +78,7 @@ func FaultInjection(w io.Writer, opts Options) (*FaultInjectionResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr, err := harness.RunPerpLE(pt, counter, n, harness.PerpLEOptions{
+		pr, err := harness.RunPerpLE(context.Background(), pt, counter, n, harness.PerpLEOptions{
 			Heuristic: true, Exhaustive: true,
 			ExhaustiveCap: opts.exhaustiveCap(pt.TL(), n),
 		}, cfg)
@@ -87,12 +88,12 @@ func FaultInjection(w io.Writer, opts Options) (*FaultInjectionResult, error) {
 		row.PerpLE = pr.Heuristic.Counts[0]
 		row.PerpLEExh = pr.Exhaustive.Counts[0]
 
-		tb, err := harness.RunLitmus7(e.Test, n, sim.ModeTimebase, nil, cfg)
+		tb, err := harness.RunLitmus7(context.Background(), e.Test, n, sim.ModeTimebase, nil, cfg, harness.Litmus7Options{})
 		if err != nil {
 			return nil, err
 		}
 		row.Timebase = tb.TargetCount
-		us, err := harness.RunLitmus7(e.Test, n, sim.ModeUser, nil, cfg)
+		us, err := harness.RunLitmus7(context.Background(), e.Test, n, sim.ModeUser, nil, cfg, harness.Litmus7Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -38,7 +39,7 @@ func Fig12(w io.Writer, opts Options) (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	run, err := harness.RunPerpLE(pt, counter, n,
+	run, err := harness.RunPerpLE(context.Background(), pt, counter, n,
 		harness.PerpLEOptions{Heuristic: true, KeepBufs: true}, opts.cfg())
 	if err != nil {
 		return nil, err

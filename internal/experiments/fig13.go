@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -67,7 +68,7 @@ func Fig13(w io.Writer, opts Options) (*Fig13Result, error) {
 		// litmus7 in every mode.
 		for _, tool := range Litmus7Tools {
 			mode, _ := tool.Mode()
-			lr, err := harness.RunLitmus7(test, n, mode, outcomes, opts.cfg())
+			lr, err := harness.RunLitmus7(context.Background(), test, n, mode, outcomes, opts.cfg(), harness.Litmus7Options{})
 			if err != nil {
 				return nil, fmt.Errorf("fig13: %s/%v: %w", name, tool, err)
 			}
@@ -90,7 +91,7 @@ func Fig13(w io.Writer, opts Options) (*Fig13Result, error) {
 			return nil, err
 		}
 		anyCounter := core.NewCounter(pt, nil)
-		pr, err := harness.RunPerpLE(pt, anyCounter, n,
+		pr, err := harness.RunPerpLE(context.Background(), pt, anyCounter, n,
 			harness.PerpLEOptions{KeepBufs: true}, opts.cfg())
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -56,7 +57,7 @@ func Overall(w io.Writer, opts Options) (*OverallResult, error) {
 
 	// Campaign A: everything under litmus7 user mode.
 	for _, e := range suite {
-		lr, err := harness.RunLitmus7(e.Test, n, sim.ModeUser, nil, cfg)
+		lr, err := harness.RunLitmus7(context.Background(), e.Test, n, sim.ModeUser, nil, cfg, harness.Litmus7Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +65,7 @@ func Overall(w io.Writer, opts Options) (*OverallResult, error) {
 	}
 	var nonConvTicks int64
 	for _, t := range nonConv {
-		lr, err := harness.RunLitmus7(t, n, sim.ModeUser, nil, cfg)
+		lr, err := harness.RunLitmus7(context.Background(), t, n, sim.ModeUser, nil, cfg, harness.Litmus7Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -84,14 +85,14 @@ func Overall(w io.Writer, opts Options) (*OverallResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr, err := harness.RunPerpLE(pt, counter, n, harness.PerpLEOptions{Heuristic: true}, cfg)
+		pr, err := harness.RunPerpLE(context.Background(), pt, counter, n, harness.PerpLEOptions{Heuristic: true}, cfg)
 		if err != nil {
 			return nil, err
 		}
 		res.MixedTicks += pr.TotalTicksHeuristic()
 
 		if e.Allowed {
-			lr, err := harness.RunLitmus7(e.Test, n, sim.ModeUser, nil, cfg)
+			lr, err := harness.RunLitmus7(context.Background(), e.Test, n, sim.ModeUser, nil, cfg, harness.Litmus7Options{})
 			if err != nil {
 				return nil, err
 			}

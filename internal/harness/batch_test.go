@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -40,11 +41,15 @@ func TestHistogramMatchesOutcomeKeyRendering(t *testing.T) {
 	test := mustSuite(t, "mp")
 	cfg := sim.DefaultConfig().WithSeed(17)
 	const n = 2000
-	res, err := RunLitmus7(test, n, sim.ModeUser, nil, cfg)
+	res, err := RunLitmus7(context.Background(), test, n, sim.ModeUser, nil, cfg, Litmus7Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRes, err := sim.RunSynced(test, n, sim.ModeUser, cfg)
+	ct, err := sim.Compile(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simRes, err := sim.NewRunner(ct).RunSynced(n, sim.ModeUser, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +93,7 @@ func TestLitmus7RunnerReuseMatchesFreshRun(t *testing.T) {
 	if got := comparableJSON(t, again); got != firstJSON {
 		t.Fatalf("reused Litmus7Runner diverged:\n got %s\nwant %s", got, firstJSON)
 	}
-	fresh, err := RunLitmus7(test, 800, sim.ModeUser, []litmus.Outcome{test.Target}, cfg)
+	fresh, err := RunLitmus7(context.Background(), test, 800, sim.ModeUser, []litmus.Outcome{test.Target}, cfg, Litmus7Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +129,11 @@ func TestLitmus7RunnerSteadyStateAllocs(t *testing.T) {
 func TestLitmus7BatchOneWorkerIdenticalToSerial(t *testing.T) {
 	test := mustSuite(t, "sb")
 	cfg := sim.DefaultConfig().WithSeed(31)
-	serial, err := RunLitmus7(test, 1000, sim.ModeUser, []litmus.Outcome{test.Target}, cfg)
+	serial, err := RunLitmus7(context.Background(), test, 1000, sim.ModeUser, []litmus.Outcome{test.Target}, cfg, Litmus7Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := RunLitmus7Batch(test, 1000, sim.ModeUser, []litmus.Outcome{test.Target}, cfg, 1)
+	batch, err := RunLitmus7(context.Background(), test, 1000, sim.ModeUser, []litmus.Outcome{test.Target}, cfg, Litmus7Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +146,15 @@ func TestLitmus7BatchEqualsMergedDerivedSerialRuns(t *testing.T) {
 	test := mustSuite(t, "mp")
 	cfg := sim.DefaultConfig().WithSeed(13)
 	const n, workers = 901, 3
-	batch, err := RunLitmus7Batch(test, n, sim.ModeUser, []litmus.Outcome{test.Target}, cfg, workers)
+	batch, err := RunLitmus7(context.Background(), test, n, sim.ModeUser, []litmus.Outcome{test.Target}, cfg, Litmus7Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var merged *Litmus7Result
 	for w := 0; w < workers; w++ {
 		lo, hi := n*w/workers, n*(w+1)/workers
-		r, err := RunLitmus7(test, hi-lo, sim.ModeUser, []litmus.Outcome{test.Target},
-			cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
+		r, err := RunLitmus7(context.Background(), test, hi-lo, sim.ModeUser, []litmus.Outcome{test.Target},
+			cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)), Litmus7Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,14 +182,16 @@ func TestPerpLEBatchEqualsMergedDerivedSerialRuns(t *testing.T) {
 	cfg := sim.DefaultConfig().WithSeed(19)
 	opts := PerpLEOptions{Heuristic: true, Exhaustive: true, ExhaustiveCap: 200}
 	const n, workers = 700, 3
-	batch, err := RunPerpLEBatch(pt, counter, n, opts, cfg, workers)
+	batched := opts
+	batched.Workers = workers
+	batch, err := RunPerpLE(context.Background(), pt, counter, n, batched, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var merged *PerpLEResult
 	for w := 0; w < workers; w++ {
 		lo, hi := n*w/workers, n*(w+1)/workers
-		r, err := RunPerpLE(pt, counter.Clone(), hi-lo, opts, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
+		r, err := RunPerpLE(context.Background(), pt, counter.Clone(), hi-lo, opts, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,12 +219,13 @@ func TestPerpLEBatchRejectsKeepBufs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := PerpLEOptions{Heuristic: true, KeepBufs: true}
-	if _, err := RunPerpLEBatch(pt, counter, 100, opts, sim.DefaultConfig(), 2); err == nil {
+	opts := PerpLEOptions{Heuristic: true, KeepBufs: true, Workers: 2}
+	if _, err := RunPerpLE(context.Background(), pt, counter, 100, opts, sim.DefaultConfig()); err == nil {
 		t.Fatal("expected KeepBufs + workers>1 to be rejected")
 	}
-	// One worker delegates to the serial path, where KeepBufs is fine.
-	res, err := RunPerpLEBatch(pt, counter, 100, opts, sim.DefaultConfig(), 1)
+	// One worker is the serial path, where KeepBufs is fine.
+	opts.Workers = 1
+	res, err := RunPerpLE(context.Background(), pt, counter, 100, opts, sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,30 +234,44 @@ func TestPerpLEBatchRejectsKeepBufs(t *testing.T) {
 	}
 }
 
+// TestPerpLECountWorkersInvariant: fanning the counters out leaves
+// every tally unchanged, and a capped exhaustive count examines cap^TL
+// frames over the first cap iterations at every fan-out.
 func TestPerpLECountWorkersInvariant(t *testing.T) {
-	test := mustSuite(t, "mp")
-	pt, err := core.Convert(test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter, err := core.NewTargetCounter(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.DefaultConfig().WithSeed(29)
-	base := PerpLEOptions{Heuristic: true, Exhaustive: true, ExhaustiveCap: 150}
-	serial, err := RunPerpLE(pt, counter.Clone(), 600, base, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := base
-	par.CountWorkers = 4
-	fanned, err := RunPerpLE(pt, counter.Clone(), 600, par, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial.Heuristic, fanned.Heuristic) || !reflect.DeepEqual(serial.Exhaustive, fanned.Exhaustive) {
-		t.Fatalf("CountWorkers changed counter results:\n serial %+v / %+v\n fanned %+v / %+v",
-			serial.Heuristic, serial.Exhaustive, fanned.Heuristic, fanned.Exhaustive)
+	for _, name := range []string{"mp", "sb"} {
+		pt, err := core.Convert(mustSuite(t, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		counter, err := core.NewTargetCounter(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sim.DefaultConfig().WithSeed(29)
+		base := PerpLEOptions{Heuristic: true, Exhaustive: true, ExhaustiveCap: 150}
+		serial, err := RunPerpLE(context.Background(), pt, counter.Clone(), 600, base, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par := base
+		par.CountWorkers = 4
+		fanned, err := RunPerpLE(context.Background(), pt, counter.Clone(), 600, par, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial.Heuristic, fanned.Heuristic) || !reflect.DeepEqual(serial.Exhaustive, fanned.Exhaustive) {
+			t.Fatalf("%s: CountWorkers changed counter results:\n serial %+v / %+v\n fanned %+v / %+v",
+				name, serial.Heuristic, serial.Exhaustive, fanned.Heuristic, fanned.Exhaustive)
+		}
+		want := int64(1)
+		for range pt.TL() {
+			want *= int64(base.ExhaustiveCap)
+		}
+		for _, r := range []*PerpLEResult{serial, fanned} {
+			if r.ExhaustiveN != base.ExhaustiveCap || r.Exhaustive.Frames != want {
+				t.Fatalf("%s: capped count examined %d iterations, %d frames; want %d, %d",
+					name, r.ExhaustiveN, r.Exhaustive.Frames, base.ExhaustiveCap, want)
+			}
+		}
 	}
 }

@@ -43,7 +43,7 @@ func TestEndToEndRandomTests(t *testing.T) {
 
 		// litmus7, two representative modes.
 		for _, mode := range []sim.Mode{sim.ModeTimebase, sim.ModeNone} {
-			lr, err := RunLitmus7(test, iters, mode, nil, simCfg)
+			lr, err := RunLitmus7(context.Background(), test, iters, mode, nil, simCfg, Litmus7Options{})
 			if err != nil {
 				t.Fatalf("round %d: %v\n%s", i, err, litmus.Format(test))
 			}
@@ -70,7 +70,7 @@ func TestEndToEndRandomTests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v\n%s", i, err, litmus.Format(test))
 		}
-		pr, err := RunPerpLE(pt, counter, iters,
+		pr, err := RunPerpLE(context.Background(), pt, counter, iters,
 			PerpLEOptions{Exhaustive: true, Heuristic: true}, simCfg)
 		if err != nil {
 			t.Fatalf("round %d: %v\n%s", i, err, litmus.Format(test))
@@ -85,7 +85,7 @@ func TestEndToEndRandomTests(t *testing.T) {
 		}
 
 		// Parallel exhaustive counting agrees with sequential.
-		pr2, err := RunPerpLE(pt, counter, iters, PerpLEOptions{KeepBufs: true}, simCfg)
+		pr2, err := RunPerpLE(context.Background(), pt, counter, iters, PerpLEOptions{KeepBufs: true}, simCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestEndToEndRandomTestsPSO(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		test := litmus.Generate(rng, genCfg, "e2epso")
 		forbidden := !memmodel.OperationalAllowed(test, test.Target, memmodel.PSO)
-		lr, err := RunLitmus7(test, 300, sim.ModeTimebase, nil, simCfg.WithSeed(int64(i)+9))
+		lr, err := RunLitmus7(context.Background(), test, 300, sim.ModeTimebase, nil, simCfg.WithSeed(int64(i)+9), Litmus7Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestEndToEndRandomTestsPSO(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := RunPerpLE(pt, counter, 300, PerpLEOptions{Exhaustive: true}, simCfg.WithSeed(int64(i)+9))
+		pr, err := RunPerpLE(context.Background(), pt, counter, 300, PerpLEOptions{Exhaustive: true}, simCfg.WithSeed(int64(i)+9))
 		if err != nil {
 			t.Fatal(err)
 		}

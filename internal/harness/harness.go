@@ -12,7 +12,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -161,33 +160,6 @@ func (co compiledOutcome) match(res *sim.SyncedResult, iter int) bool {
 		}
 	}
 	return true
-}
-
-// RunLitmus7 executes n iterations of the test under the given
-// synchronization mode and tallies the target outcome, the optional extra
-// outcomes of interest, and the full observed-outcome histogram.
-func RunLitmus7(t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config) (*Litmus7Result, error) {
-	return RunLitmus7Ctx(context.Background(), t, n, mode, outcomes, cfg)
-}
-
-// RunLitmus7Ctx is RunLitmus7 under a context: both the simulated run and
-// the tally loop poll for cancellation and abort with the context's error
-// instead of finishing the remaining iterations.
-//
-// Each call compiles the test and builds a fresh Litmus7Runner, so the
-// returned result owns its memory. Callers running the same test
-// repeatedly should compile once and reuse a Litmus7Runner, whose
-// steady-state runs allocate nothing.
-func RunLitmus7Ctx(ctx context.Context, t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config) (*Litmus7Result, error) {
-	ct, err := sim.Compile(t)
-	if err != nil {
-		return nil, err
-	}
-	lr, err := NewLitmus7Runner(ct, outcomes)
-	if err != nil {
-		return nil, err
-	}
-	return lr.RunCtx(ctx, n, mode, cfg)
 }
 
 func appendKeyInt(b []byte, v int64) []byte {

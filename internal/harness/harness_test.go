@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"perple/internal/core"
@@ -36,7 +37,7 @@ func TestLitmus7HistogramTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 1000
-	res, err := RunLitmus7(test, n, sim.ModeUser, test.AllOutcomes(), sim.DefaultConfig())
+	res, err := RunLitmus7(context.Background(), test, n, sim.ModeUser, test.AllOutcomes(), sim.DefaultConfig(), Litmus7Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestLitmus7MemConditions(t *testing.T) {
 		t.Fatal("coww not found")
 	}
 	possible := litmus.Outcome{Conds: []litmus.Cond{{Loc: "x", Value: 2}}}
-	res, err := RunLitmus7(coww, 500, sim.ModeUser, []litmus.Outcome{possible}, sim.DefaultConfig())
+	res, err := RunLitmus7(context.Background(), coww, 500, sim.ModeUser, []litmus.Outcome{possible}, sim.DefaultConfig(), Litmus7Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +93,11 @@ func TestLitmus7RejectsBadOutcome(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := litmus.Outcome{Conds: []litmus.Cond{{Thread: 7, Reg: 0, Value: 0}}}
-	if _, err := RunLitmus7(test, 10, sim.ModeUser, []litmus.Outcome{bad}, sim.DefaultConfig()); err == nil {
+	if _, err := RunLitmus7(context.Background(), test, 10, sim.ModeUser, []litmus.Outcome{bad}, sim.DefaultConfig(), Litmus7Options{}); err == nil {
 		t.Error("out-of-range outcome accepted")
 	}
 	badLoc := litmus.Outcome{Conds: []litmus.Cond{{Loc: "zz", Value: 0}}}
-	if _, err := RunLitmus7(test, 10, sim.ModeUser, []litmus.Outcome{badLoc}, sim.DefaultConfig()); err == nil {
+	if _, err := RunLitmus7(context.Background(), test, 10, sim.ModeUser, []litmus.Outcome{badLoc}, sim.DefaultConfig(), Litmus7Options{}); err == nil {
 		t.Error("unknown-location outcome accepted")
 	}
 }
@@ -114,7 +115,7 @@ func TestNoFalsePositives(t *testing.T) {
 		e := e
 		t.Run(e.Test.Name, func(t *testing.T) {
 			for _, mode := range sim.Modes {
-				res, err := RunLitmus7(e.Test, iters, mode, nil, sim.DefaultConfig().WithSeed(21))
+				res, err := RunLitmus7(context.Background(), e.Test, iters, mode, nil, sim.DefaultConfig().WithSeed(21), Litmus7Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -126,7 +127,7 @@ func TestNoFalsePositives(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pres, err := RunPerpLE(pt, targetCounter(t, pt), iters,
+			pres, err := RunPerpLE(context.Background(), pt, targetCounter(t, pt), iters,
 				PerpLEOptions{Exhaustive: true, Heuristic: true}, sim.DefaultConfig().WithSeed(22))
 			if err != nil {
 				t.Fatal(err)
@@ -162,7 +163,7 @@ func TestPerpLEExposesAllAllowedTargets(t *testing.T) {
 			if pt.TL() >= 3 {
 				cap = 400
 			}
-			pres, err := RunPerpLE(pt, targetCounter(t, pt), iters,
+			pres, err := RunPerpLE(context.Background(), pt, targetCounter(t, pt), iters,
 				PerpLEOptions{Exhaustive: true, Heuristic: true, ExhaustiveCap: cap}, sim.DefaultConfig().WithSeed(31))
 			if err != nil {
 				t.Fatal(err)
@@ -195,7 +196,7 @@ func TestHeuristicAccuracy(t *testing.T) {
 		if pt.TL() >= 3 {
 			cap = 400
 		}
-		pres, err := RunPerpLE(pt, targetCounter(t, pt), iters,
+		pres, err := RunPerpLE(context.Background(), pt, targetCounter(t, pt), iters,
 			PerpLEOptions{Exhaustive: true, Heuristic: true, ExhaustiveCap: cap}, sim.DefaultConfig().WithSeed(37))
 		if err != nil {
 			t.Fatal(err)
@@ -209,7 +210,7 @@ func TestHeuristicAccuracy(t *testing.T) {
 
 func TestPerpLEOptionsValidation(t *testing.T) {
 	pt := mustPerp(t, "sb")
-	if _, err := RunPerpLE(pt, targetCounter(t, pt), 10, PerpLEOptions{}, sim.DefaultConfig()); err == nil {
+	if _, err := RunPerpLE(context.Background(), pt, targetCounter(t, pt), 10, PerpLEOptions{}, sim.DefaultConfig()); err == nil {
 		t.Error("no-op options accepted")
 	}
 }
@@ -217,7 +218,7 @@ func TestPerpLEOptionsValidation(t *testing.T) {
 func TestPerpLEExhaustiveCap(t *testing.T) {
 	pt := mustPerp(t, "sb")
 	c := targetCounter(t, pt)
-	res, err := RunPerpLE(pt, c, 200, PerpLEOptions{Exhaustive: true, ExhaustiveCap: 50}, sim.DefaultConfig())
+	res, err := RunPerpLE(context.Background(), pt, c, 200, PerpLEOptions{Exhaustive: true, ExhaustiveCap: 50}, sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestPerpLEExhaustiveCap(t *testing.T) {
 func TestPerpLETicksAccounting(t *testing.T) {
 	pt := mustPerp(t, "sb")
 	c := targetCounter(t, pt)
-	res, err := RunPerpLE(pt, c, 500, PerpLEOptions{Exhaustive: true, Heuristic: true}, sim.DefaultConfig())
+	res, err := RunPerpLE(context.Background(), pt, c, 500, PerpLEOptions{Exhaustive: true, Heuristic: true}, sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestPerpLETicksAccounting(t *testing.T) {
 func TestMeasureSkew(t *testing.T) {
 	pt := mustPerp(t, "sb")
 	c := targetCounter(t, pt)
-	res, err := RunPerpLE(pt, c, 20000, PerpLEOptions{Heuristic: true, KeepBufs: true}, sim.DefaultConfig().WithSeed(12))
+	res, err := RunPerpLE(context.Background(), pt, c, 20000, PerpLEOptions{Heuristic: true, KeepBufs: true}, sim.DefaultConfig().WithSeed(12))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"perple/internal/litmus"
@@ -20,9 +21,8 @@ import (
 // shared sim.CompiledTest.
 //
 // The returned Litmus7Result aliases the runner's state and is valid
-// only until the next Run call. The package-level RunLitmus7 /
-// RunLitmus7Ctx keep the old own-your-result contract by using a fresh
-// runner per call.
+// only until the next Run call. The package-level RunLitmus7 keeps the
+// own-your-result contract by using fresh runners per call.
 type Litmus7Runner struct {
 	ct       *sim.CompiledTest
 	runner   *sim.Runner
@@ -90,8 +90,9 @@ func (lr *Litmus7Runner) Run(n int, mode sim.Mode, cfg sim.Config) (*Litmus7Resu
 	return lr.RunCtx(context.Background(), n, mode, cfg)
 }
 
-// RunCtx is Run under a context; see RunLitmus7Ctx for cancellation
-// semantics.
+// RunCtx is Run under a context: both the simulated run and the tally
+// loop poll for cancellation and abort with the context's error instead
+// of finishing the remaining iterations.
 func (lr *Litmus7Runner) RunCtx(ctx context.Context, n int, mode sim.Mode, cfg sim.Config) (*Litmus7Result, error) {
 	start := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
 	if lr.checker != nil {
@@ -173,23 +174,98 @@ func (lr *Litmus7Runner) RunCtx(ctx context.Context, n int, mode sim.Mode, cfg s
 	return res, nil
 }
 
-// RunLitmus7Batch is RunLitmus7BatchCtx without a context.
-func RunLitmus7Batch(t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config, workers int) (*Litmus7Result, error) {
-	return RunLitmus7BatchCtx(context.Background(), t, n, mode, outcomes, cfg, workers)
+// Litmus7Options configures RunLitmus7. The zero value is a serial,
+// unverified run.
+type Litmus7Options struct {
+	// Workers splits the run: worker w runs iterations [n·w/k, n·(w+1)/k)
+	// on a private Litmus7Runner seeded with sim.WorkerSeed(cfg.Seed, w),
+	// and the per-worker interned histograms and tallies are merged in
+	// worker order. Workers is clamped to n; ≤ 1 runs on one runner on
+	// the calling goroutine.
+	Workers int
+	// TraceVerify records and checks witnesses at its stride; each
+	// worker checks its own, and the result carries the summed tallies
+	// plus up to MaxReports rendered reports (first workers first).
+	// Verification reads the simulation but never perturbs it.
+	TraceVerify TraceVerify
 }
 
-// RunLitmus7BatchCtx splits an n-iteration litmus7-style run across
-// workers: worker w runs iterations [n·w/k, n·(w+1)/k) on a private
-// Litmus7Runner seeded with sim.WorkerSeed(cfg.Seed, w), and the
-// per-worker interned histograms and tallies are merged in worker
-// order. workers ≤ 0 selects GOMAXPROCS; workers is clamped to n.
+// RunLitmus7 executes n iterations of the test under the given
+// synchronization mode and tallies the target outcome, the optional
+// extra outcomes of interest, and the full observed-outcome histogram.
+// Cancelling ctx aborts the run with the context's error.
 //
-// A one-worker batch is bit-identical to RunLitmus7Ctx except for Wall
-// (which reports the batch's elapsed host time, not per-worker time
-// summed). A k-worker batch equals the Merge of k serial runs with the
-// derived seeds, so results are deterministic for fixed (test, n, mode,
-// cfg, workers) regardless of scheduling. Trace, when enabled, is the
-// first worker's.
-func RunLitmus7BatchCtx(ctx context.Context, t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config, workers int) (*Litmus7Result, error) {
-	return RunLitmus7BatchVerifyCtx(ctx, t, n, mode, outcomes, cfg, workers, TraceVerify{})
+// Each call compiles the test and builds fresh runners, so the result
+// owns its memory; callers running the same test repeatedly should
+// compile once and reuse a Litmus7Runner. A k-worker run equals the
+// Merge of k serial runs with the derived seeds, so results are
+// deterministic for fixed (test, n, mode, cfg, Workers) regardless of
+// scheduling; a one-worker run is the serial run. Wall is the elapsed
+// host time, and Trace, when enabled, is the first worker's.
+func RunLitmus7(ctx context.Context, t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config, opts Litmus7Options) (*Litmus7Result, error) {
+	start := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
+	ct, err := sim.Compile(t)
+	if err != nil {
+		return nil, err
+	}
+	workers := min(opts.Workers, n)
+	runners := make([]*Litmus7Runner, max(workers, 1))
+	for w := range runners {
+		if runners[w], err = NewLitmus7Runner(ct, outcomes); err != nil {
+			return nil, err
+		}
+		if err = runners[w].SetTraceVerify(opts.TraceVerify); err != nil {
+			return nil, err
+		}
+	}
+	if workers <= 1 {
+		return runners[0].RunCtx(ctx, n, mode, cfg)
+	}
+	results := make([]*Litmus7Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := n*w/workers, n*(w+1)/workers
+		wg.Add(1)
+		go func(w, n int) {
+			defer wg.Done()
+			results[w], errs[w] = runners[w].RunCtx(ctx, n, mode, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
+		}(w, hi-lo)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("harness: batch worker %d: %w", w, err)
+		}
+	}
+
+	out := &Litmus7Result{
+		Test:          t,
+		Mode:          mode,
+		N:             n,
+		Histogram:     map[string]int64{},
+		OutcomeCounts: make([]int64, len(outcomes)),
+		Trace:         results[0].Trace,
+	}
+	merged := newOutcomeHist(ct.RegCounts())
+	reportCap := opts.TraceVerify.reports()
+	for w, r := range results {
+		out.TargetCount += r.TargetCount
+		out.Ticks += r.Ticks
+		for i, v := range r.OutcomeCounts {
+			out.OutcomeCounts[i] += v
+		}
+		out.TracesVerified += r.TracesVerified
+		out.TraceViolations += r.TraceViolations
+		out.TraceVerifyNs += r.TraceVerifyNs
+		for _, rep := range r.TraceReports {
+			if len(out.TraceReports) < reportCap {
+				out.TraceReports = append(out.TraceReports, rep)
+			}
+		}
+		merged.merge(runners[w].hist)
+	}
+	merged.materializeInto(out.Histogram)
+	out.Wall = time.Since(start) //perple:allow nodeterminism wall-clock telemetry; never feeds results
+	return out, nil
 }

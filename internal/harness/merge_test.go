@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -20,7 +21,7 @@ func litmus7Shards(t *testing.T, k, n int) []*Litmus7Result {
 	}
 	shards := make([]*Litmus7Result, k)
 	for i := range shards {
-		res, err := RunLitmus7(test, n, sim.ModeTimebase, test.AllOutcomes(), sim.DefaultConfig().WithSeed(int64(i)+100))
+		res, err := RunLitmus7(context.Background(), test, n, sim.ModeTimebase, test.AllOutcomes(), sim.DefaultConfig().WithSeed(int64(i)+100), Litmus7Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,14 +98,14 @@ func TestLitmus7MergeRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherRes, err := RunLitmus7(other, 50, sim.ModeTimebase, nil, sim.DefaultConfig())
+	otherRes, err := RunLitmus7(context.Background(), other, 50, sim.ModeTimebase, nil, sim.DefaultConfig(), Litmus7Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := cloneLitmus7(shards[0]).Merge(otherRes); err == nil {
 		t.Fatal("merging results of different tests should fail")
 	}
-	modeRes, err := RunLitmus7(shards[0].Test, 50, sim.ModeUser, shards[0].Test.AllOutcomes(), sim.DefaultConfig())
+	modeRes, err := RunLitmus7(context.Background(), shards[0].Test, 50, sim.ModeUser, shards[0].Test.AllOutcomes(), sim.DefaultConfig(), Litmus7Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func perpleShards(t *testing.T, k, n int) []*PerpLEResult {
 	}
 	shards := make([]*PerpLEResult, k)
 	for i := range shards {
-		res, err := RunPerpLE(pt, counter, n, PerpLEOptions{Exhaustive: true, Heuristic: true},
+		res, err := RunPerpLE(context.Background(), pt, counter, n, PerpLEOptions{Exhaustive: true, Heuristic: true},
 			sim.DefaultConfig().WithSeed(int64(i)+500))
 		if err != nil {
 			t.Fatal(err)

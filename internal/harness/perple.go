@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -29,6 +28,15 @@ type PerpLEOptions struct {
 	// (core.CountExhaustiveParallel / core.CountHeuristicParallel),
 	// leaving the counts identical. ≤ 1 counts on the calling goroutine.
 	CountWorkers int
+	// Workers splits the run: worker w executes iterations
+	// [n·w/k, n·(w+1)/k) as an independent perpetual run seeded with
+	// sim.WorkerSeed(cfg.Seed, w), counts its own buffers with a private
+	// Counter clone, and the per-worker results are merged in worker
+	// order via PerpLEResult.Merge (wall times sum across workers).
+	// Workers is clamped to n; ≤ 1 runs on the calling goroutine.
+	// KeepBufs requires a serial run, and ExhaustiveCap applies per
+	// worker shard.
+	Workers int
 }
 
 // PerpLEResult is the outcome of a PerpLE run: execution plus counting,
@@ -110,20 +118,53 @@ func (r *PerpLEResult) TotalTicksHeuristic() int64 { return r.ExecTicks + r.Heur
 
 // RunPerpLE executes n synchronization-free iterations of the perpetual
 // test on the simulated machine and applies the selected outcome
-// counters.
-func RunPerpLE(pt *core.PerpetualTest, counter *core.Counter, n int, opts PerpLEOptions, cfg sim.Config) (*PerpLEResult, error) {
-	return RunPerpLECtx(context.Background(), pt, counter, n, opts, cfg)
-}
-
-// RunPerpLECtx is RunPerpLE under a context: the perpetual execution and
-// the exhaustive counter poll for cancellation and abort with the
-// context's error instead of running to completion.
-func RunPerpLECtx(ctx context.Context, pt *core.PerpetualTest, counter *core.Counter, n int, opts PerpLEOptions, cfg sim.Config) (*PerpLEResult, error) {
+// counters. Cancelling ctx aborts the execution and the counters with
+// the context's error.
+func RunPerpLE(ctx context.Context, pt *core.PerpetualTest, counter *core.Counter, n int, opts PerpLEOptions, cfg sim.Config) (*PerpLEResult, error) {
 	if !opts.Exhaustive && !opts.Heuristic && !opts.KeepBufs {
 		return nil, fmt.Errorf("harness: PerpLE run requests no counter and no buffers; nothing to do")
 	}
+	cp, err := sim.CompilePerpetual(pt)
+	if err != nil {
+		return nil, err
+	}
+	workers := min(opts.Workers, n)
+	if workers <= 1 {
+		return runPerpLE(ctx, cp, counter, n, opts, cfg)
+	}
+	if opts.KeepBufs {
+		return nil, fmt.Errorf("harness: KeepBufs is incompatible with batched PerpLE runs (workers=%d)", workers)
+	}
+	results := make([]*PerpLEResult, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := n*w/workers, n*(w+1)/workers
+		wg.Add(1)
+		go func(w, n int) {
+			defer wg.Done()
+			results[w], errs[w] = runPerpLE(ctx, cp, counter.Clone(), n, opts, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
+		}(w, hi-lo)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("harness: batch worker %d: %w", w, err)
+		}
+	}
+	out := results[0]
+	for _, r := range results[1:] {
+		if err := out.Merge(r); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// runPerpLE is one serial PerpLE run on a fresh perpetual runner.
+func runPerpLE(ctx context.Context, cp *sim.CompiledPerpetual, counter *core.Counter, n int, opts PerpLEOptions, cfg sim.Config) (*PerpLEResult, error) {
 	start := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
-	simRes, err := sim.RunPerpetualCtx(ctx, pt, n, cfg)
+	simRes, err := sim.NewPerpetualRunner(cp).RunCtx(ctx, n, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +180,7 @@ func RunPerpLECtx(ctx context.Context, pt *core.PerpetualTest, counter *core.Cou
 		res.ExhaustiveN = n
 		if opts.ExhaustiveCap > 0 && opts.ExhaustiveCap < n {
 			res.ExhaustiveN = opts.ExhaustiveCap
-			bs = truncateBufs(pt, simRes.Bufs, opts.ExhaustiveCap)
+			bs = truncateBufs(cp.Test(), simRes.Bufs, opts.ExhaustiveCap)
 		}
 		t0 := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
 		// Auto-select the factorized counter when the outcome set is
@@ -170,61 +211,6 @@ func RunPerpLECtx(ctx context.Context, pt *core.PerpetualTest, counter *core.Cou
 		res.Bufs = simRes.Bufs
 	}
 	return res, nil
-}
-
-// RunPerpLEBatch is RunPerpLEBatchCtx without a context.
-func RunPerpLEBatch(pt *core.PerpetualTest, counter *core.Counter, n int, opts PerpLEOptions, cfg sim.Config, workers int) (*PerpLEResult, error) {
-	return RunPerpLEBatchCtx(context.Background(), pt, counter, n, opts, cfg, workers)
-}
-
-// RunPerpLEBatchCtx splits an n-iteration PerpLE run across workers:
-// worker w executes iterations [n·w/k, n·(w+1)/k) as an independent
-// perpetual run seeded with sim.WorkerSeed(cfg.Seed, w), counts its own
-// buffers with a private Counter clone, and the per-worker results are
-// merged in worker order via PerpLEResult.Merge (wall times sum across
-// workers, so on multicore they exceed elapsed time). workers ≤ 0
-// selects GOMAXPROCS; workers is clamped to n.
-//
-// A one-worker batch is exactly RunPerpLECtx. KeepBufs is rejected for
-// workers > 1: concatenated buf arrays would misindex iterations, the
-// same reason Merge drops them. ExhaustiveCap applies per worker shard.
-func RunPerpLEBatchCtx(ctx context.Context, pt *core.PerpetualTest, counter *core.Counter, n int, opts PerpLEOptions, cfg sim.Config, workers int) (*PerpLEResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return RunPerpLECtx(ctx, pt, counter, n, opts, cfg)
-	}
-	if opts.KeepBufs {
-		return nil, fmt.Errorf("harness: KeepBufs is incompatible with batched PerpLE runs (workers=%d)", workers)
-	}
-	results := make([]*PerpLEResult, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			results[w], errs[w] = RunPerpLECtx(ctx, pt, counter.Clone(), n, opts, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
-		}(w, hi-lo)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("harness: batch worker %d: %w", w, err)
-		}
-	}
-	out := results[0]
-	for _, r := range results[1:] {
-		if err := out.Merge(r); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // truncateBufs views the first n iterations of a run.

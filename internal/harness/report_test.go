@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestFormatLitmus7Report(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLitmus7(test, 2000, sim.ModeTimebase, nil, sim.DefaultConfig())
+	res, err := RunLitmus7(context.Background(), test, 2000, sim.ModeTimebase, nil, sim.DefaultConfig(), Litmus7Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestFormatLitmus7ReportNever(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLitmus7(test, 500, sim.ModeUser, nil, sim.DefaultConfig())
+	res, err := RunLitmus7(context.Background(), test, 500, sim.ModeUser, nil, sim.DefaultConfig(), Litmus7Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,9 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
-	"perple/internal/litmus"
 	"perple/internal/memmodel"
-	"perple/internal/sim"
 	"perple/internal/trace"
 )
 
@@ -101,92 +97,4 @@ func (lr *Litmus7Runner) verifyWitnesses(ctx context.Context, w *trace.WitnessSe
 	}
 	res.TraceVerifyNs += time.Since(start).Nanoseconds() //perple:allow nodeterminism wall-clock telemetry; never feeds results
 	return nil
-}
-
-// RunLitmus7BatchVerify is RunLitmus7BatchVerifyCtx without a context.
-func RunLitmus7BatchVerify(t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config, workers int, tv TraceVerify) (*Litmus7Result, error) {
-	return RunLitmus7BatchVerifyCtx(context.Background(), t, n, mode, outcomes, cfg, workers, tv)
-}
-
-// RunLitmus7BatchVerifyCtx is RunLitmus7BatchCtx with witness-trace
-// verification: each worker records and checks witnesses at the
-// configured stride, and the merged result carries the summed tallies
-// plus up to MaxReports rendered violation reports (first workers
-// first, deterministically). Verification reads the simulation but
-// never perturbs it, so histograms and tallies are bit-identical to an
-// unverified batch with the same arguments.
-func RunLitmus7BatchVerifyCtx(ctx context.Context, t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config, workers int, tv TraceVerify) (*Litmus7Result, error) {
-	start := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
-	ct, err := sim.Compile(t)
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("harness: negative iteration count %d", n)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	runners := make([]*Litmus7Runner, workers)
-	for w := range runners {
-		if runners[w], err = NewLitmus7Runner(ct, outcomes); err != nil {
-			return nil, err
-		}
-		if err = runners[w].SetTraceVerify(tv); err != nil {
-			return nil, err
-		}
-	}
-	results := make([]*Litmus7Result, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			results[w], errs[w] = runners[w].RunCtx(ctx, n, mode, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
-		}(w, hi-lo)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("harness: batch worker %d: %w", w, err)
-		}
-	}
-
-	out := &Litmus7Result{
-		Test:          t,
-		Mode:          mode,
-		N:             n,
-		Histogram:     map[string]int64{},
-		OutcomeCounts: make([]int64, len(outcomes)),
-		Trace:         results[0].Trace,
-	}
-	merged := newOutcomeHist(ct.RegCounts())
-	reportCap := tv.reports()
-	for w, r := range results {
-		out.TargetCount += r.TargetCount
-		out.Ticks += r.Ticks
-		for i, v := range r.OutcomeCounts {
-			out.OutcomeCounts[i] += v
-		}
-		out.TracesVerified += r.TracesVerified
-		out.TraceViolations += r.TraceViolations
-		out.TraceVerifyNs += r.TraceVerifyNs
-		for _, rep := range r.TraceReports {
-			if len(out.TraceReports) < reportCap {
-				out.TraceReports = append(out.TraceReports, rep)
-			}
-		}
-		merged.merge(runners[w].hist)
-	}
-	merged.materializeInto(out.Histogram)
-	out.Wall = time.Since(start) //perple:allow nodeterminism wall-clock telemetry; never feeds results
-	return out, nil
 }

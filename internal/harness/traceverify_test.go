@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,11 +18,11 @@ func TestBatchVerifyDoesNotPerturbResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.DefaultConfig().WithSeed(11)
-	plain, err := RunLitmus7Batch(tc, 2000, sim.ModeUser, nil, cfg, 3)
+	plain, err := RunLitmus7(context.Background(), tc, 2000, sim.ModeUser, nil, cfg, Litmus7Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	verified, err := RunLitmus7BatchVerify(tc, 2000, sim.ModeUser, nil, cfg, 3, TraceVerify{Every: 2})
+	verified, err := RunLitmus7(context.Background(), tc, 2000, sim.ModeUser, nil, cfg, Litmus7Options{Workers: 3, TraceVerify: TraceVerify{Every: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestBatchVerifyDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	tv := TraceVerify{Every: 1}
-	a, err := RunLitmus7BatchVerify(tc, 6000, sim.ModeTimebase, nil, cfg, 4, tv)
+	a, err := RunLitmus7(context.Background(), tc, 6000, sim.ModeTimebase, nil, cfg, Litmus7Options{Workers: 4, TraceVerify: tv})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunLitmus7BatchVerify(tc, 6000, sim.ModeTimebase, nil, cfg, 4, tv)
+	b, err := RunLitmus7(context.Background(), tc, 6000, sim.ModeTimebase, nil, cfg, Litmus7Options{Workers: 4, TraceVerify: tv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestBatchVerifyDetectsPSO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLitmus7BatchVerify(tc, 8000, sim.ModeTimebase, nil, cfg, 2, TraceVerify{Every: 1})
+	res, err := RunLitmus7(context.Background(), tc, 8000, sim.ModeTimebase, nil, cfg, Litmus7Options{Workers: 2, TraceVerify: TraceVerify{Every: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

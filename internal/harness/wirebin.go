@@ -8,15 +8,18 @@ import (
 	"sort"
 )
 
-// Binary wire codec (PWB1): the high-throughput alternative to the
-// gzip-JSON codec in wire.go. Result payloads are histogram-heavy —
+// Binary wire codec (PWB1): the one codec for shipping results between
+// processes. The campaign dispatch protocol uses it for batched
+// shard-result uploads; anything that moves harness results over a
+// network or into an artifact store should use the same framing so
+// payloads stay mutually readable. Result payloads are histogram-heavy —
 // many short outcome-key strings with small counts — so the encoding is
 // built around three ideas instead of general-purpose compression:
 //
 //   - varints for every integer (counts, ticks, lengths);
 //   - front-coding for sorted histogram keys (each key stores only the
 //     length of the prefix it shares with its predecessor plus the new
-//     suffix), which removes the redundancy gzip used to find;
+//     suffix);
 //   - string interning for values that repeat across a batched upload
 //     (test names, tool names, presets, notes) — the first occurrence
 //     ships the bytes, later ones a one-byte table reference.
@@ -34,10 +37,18 @@ import (
 // allocation-free apart from the decoded values themselves.
 
 // WireContentTypeBinary labels PWB1-framed binary payloads in HTTP
-// requests. Peers that do not recognize it keep speaking
-// WireContentType; see the campaign dispatch protocol's negotiation
-// rules.
+// requests.
 const WireContentTypeBinary = "application/x-perple-wire"
+
+// DefaultWireLimit caps how many bytes one wire payload may decode to
+// when the caller does not supply its own cap. Result payloads are
+// megabytes at the very worst; the cap exists so a crafted payload — a
+// front-coding expansion bomb — cannot balloon a dispatcher's memory.
+const DefaultWireLimit = 256 << 20
+
+// ErrWireTooLarge reports a payload that would decode past the
+// configured cap. It wraps the size details; match with errors.Is.
+var ErrWireTooLarge = errors.New("harness: wire payload exceeds decode limit")
 
 // wireBinMagic opens every binary frame; the trailing byte is the
 // format version.

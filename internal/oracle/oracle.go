@@ -56,11 +56,20 @@ func (d *Divergence) String() string {
 // final state against the axiomatic TSO-allowed set. iters and cfg are
 // the caller's budget; any mode works.
 func CheckTSO(tc *litmus.Test, rep *axiom.Report, iters int, mode sim.Mode, cfg sim.Config) ([]Divergence, error) {
-	res, err := sim.RunSynced(tc, iters, mode, cfg)
+	res, err := runSynced(tc, iters, mode, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return DiffStates(tc, rep, res), nil
+}
+
+// runSynced compiles tc and runs it once on a fresh sim.Runner.
+func runSynced(tc *litmus.Test, n int, mode sim.Mode, cfg sim.Config) (*sim.SyncedResult, error) {
+	ct, err := sim.Compile(tc)
+	if err != nil {
+		return nil, err
+	}
+	return sim.NewRunner(ct).RunSynced(n, mode, cfg)
 }
 
 // DiffStates checks each iteration of an existing run against the
@@ -123,6 +132,11 @@ func CheckSCCoverage(tc *litmus.Test, rep *axiom.Report, maxIters int, mode sim.
 	for i := range want {
 		missing[i] = true
 	}
+	ct, err := sim.Compile(tc)
+	if err != nil {
+		return nil, err
+	}
+	runner := sim.NewRunner(ct)
 	const chunk = 200
 	seed := cfg.Seed
 	for done := 0; done < maxIters && len(missing) > 0; done += chunk {
@@ -130,7 +144,7 @@ func CheckSCCoverage(tc *litmus.Test, rep *axiom.Report, maxIters int, mode sim.
 		if rem := maxIters - done; n > rem {
 			n = rem
 		}
-		res, err := sim.RunSynced(tc, n, mode, cfg.WithSeed(seed+int64(done)))
+		res, err := runner.RunSynced(n, mode, cfg.WithSeed(seed+int64(done)))
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +210,7 @@ func Explain(d *Divergence, rep *axiom.Report, iters int, mode sim.Mode, cfg sim
 	}
 	if d.Kind == "forbidden-state" {
 		cfg.TraceSize = 256
-		if res, err := sim.RunSynced(d.Test, iters, mode, cfg); err == nil && res.Trace != nil {
+		if res, err := runSynced(d.Test, iters, mode, cfg); err == nil && res.Trace != nil {
 			b.WriteString("simulator trace (same seed, last events):\n")
 			b.WriteString(indent(res.Trace.String()))
 		}

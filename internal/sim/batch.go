@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"perple/internal/litmus"
 )
 
 // BatchShard is one worker's slice of a batched synced run.
@@ -34,29 +32,16 @@ type BatchShard struct {
 func WorkerSeed(seed int64, worker int) int64 { return seed ^ int64(worker) }
 
 // RunSyncedBatchCtx splits an n-iteration synced run across a pool of
-// per-worker machines: worker w runs iterations [n·w/k, n·(w+1)/k) on
-// its own Runner seeded with WorkerSeed(cfg.Seed, w). Per-shard results
-// are deterministic functions of (test, shard size, mode, cfg, worker),
-// independent of scheduling; only which iterations land in which shard
-// is a partitioning choice. workers ≤ 0 selects GOMAXPROCS; workers is
-// clamped to n.
-//
-// A one-worker batch is bit-identical to RunSyncedCtx. A k-worker batch
-// is equivalent to k independent serial runs with the derived seeds —
-// the same model as campaign sharding, one level down.
-func RunSyncedBatchCtx(ctx context.Context, t *litmus.Test, n int, mode Mode, cfg Config, workers int) ([]BatchShard, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	ct, err := Compile(t)
-	if err != nil {
-		return nil, err
-	}
-	return ct.RunSyncedBatchCtx(ctx, n, mode, cfg, workers)
-}
-
-// RunSyncedBatchCtx is the batched run over an already-compiled test;
-// the CompiledTest is shared read-only by every worker.
+// per-worker machines sharing the CompiledTest read-only: worker w runs
+// iterations [n·w/k, n·(w+1)/k) on its own Runner seeded with
+// WorkerSeed(cfg.Seed, w). Per-shard results are deterministic
+// functions of (test, shard size, mode, cfg, worker), independent of
+// scheduling; only which iterations land in which shard is a
+// partitioning choice. workers ≤ 0 selects GOMAXPROCS; workers is
+// clamped to n. A one-worker batch is bit-identical to a serial run,
+// and a k-worker batch is equivalent to k independent serial runs with
+// the derived seeds — the same model as campaign sharding, one level
+// down.
 func (ct *CompiledTest) RunSyncedBatchCtx(ctx context.Context, n int, mode Mode, cfg Config, workers int) ([]BatchShard, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -83,7 +83,7 @@ func TestPresets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunSynced(test, 2000, ModeTimebase, cfg.WithSeed(7))
+		res, err := runSynced(test, 2000, ModeTimebase, cfg.WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestPresetNoPreemptShrinksSkew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunPerpetual(pt, 20000, cfg.WithSeed(3))
+		res, err := runPerpetual(pt, 20000, cfg.WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}

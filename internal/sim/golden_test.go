@@ -81,7 +81,7 @@ func goldenRuns(t *testing.T) map[string]string {
 					if mode == ModeUser && model == memmodel.TSO && seed == 1 {
 						cfg.WitnessEvery = 4
 					}
-					res, err := RunSynced(test, n, mode, cfg)
+					res, err := runSynced(test, n, mode, cfg)
 					if err != nil {
 						t.Fatalf("%s %s: %v", name, mode, err)
 					}
@@ -95,7 +95,7 @@ func goldenRuns(t *testing.T) map[string]string {
 		}
 		for _, seed := range []int64{1, 7} {
 			cfg := DefaultConfig().WithSeed(seed)
-			res, err := RunPerpetual(pt, n, cfg)
+			res, err := runPerpetual(pt, n, cfg)
 			if err != nil {
 				t.Fatalf("%s perpetual: %v", name, err)
 			}
@@ -123,7 +123,7 @@ func goldenRuns(t *testing.T) map[string]string {
 				t.Fatal(err)
 			}
 			cfg = cfg.WithSeed(1)
-			res, err := RunPerpetual(pt, tailN, cfg)
+			res, err := runPerpetual(pt, tailN, cfg)
 			if err != nil {
 				t.Fatalf("%s perpetual %s: %v", name, preset, err)
 			}

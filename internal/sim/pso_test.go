@@ -17,7 +17,7 @@ func psoConfig(seed int64) Config {
 func TestConfigRejectsSCRelaxation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Relaxation = memmodel.SC
-	if _, err := RunSynced(mustSuiteTest(t, "sb"), 10, ModeUser, cfg); err == nil {
+	if _, err := runSynced(mustSuiteTest(t, "sb"), 10, ModeUser, cfg); err == nil {
 		t.Error("SC relaxation accepted; the machine has no SC mode")
 	}
 }
@@ -35,7 +35,7 @@ func TestPSORunsArePSOCompliant(t *testing.T) {
 		t.Run(e.Test.Name, func(t *testing.T) {
 			allowed := regKeySet(memmodel.OperationalAllowedSet(e.Test, memmodel.PSO))
 			for _, mode := range []Mode{ModeUser, ModeTimebase, ModeNone} {
-				res, err := RunSynced(e.Test, iters, mode, psoConfig(int64(mode)+500))
+				res, err := runSynced(e.Test, iters, mode, psoConfig(int64(mode)+500))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -55,7 +55,7 @@ func TestPSORunsArePSOCompliant(t *testing.T) {
 // target (forbidden under TSO, allowed under PSO) must be observable.
 func TestPSOExposesMP(t *testing.T) {
 	test := mustSuiteTest(t, "mp")
-	res, err := RunSynced(test, 3000, ModeTimebase, psoConfig(3))
+	res, err := runSynced(test, 3000, ModeTimebase, psoConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPSOExposesMP(t *testing.T) {
 		t.Error("PSO machine never exposed the mp target in 3000 timebase iterations")
 	}
 	// The TSO machine must keep it at zero under identical conditions.
-	tsoRes, err := RunSynced(test, 3000, ModeTimebase, DefaultConfig().WithSeed(3))
+	tsoRes, err := runSynced(test, 3000, ModeTimebase, DefaultConfig().WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestPSOExposesMP(t *testing.T) {
 // TestPSOFenceRestoresOrder: mp+fences must stay invisible even on PSO.
 func TestPSOFenceRestoresOrder(t *testing.T) {
 	test := mustSuiteTest(t, "mp+fences")
-	res, err := RunSynced(test, 2000, ModeTimebase, psoConfig(4))
+	res, err := runSynced(test, 2000, ModeTimebase, psoConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestPSOFenceRestoresOrder(t *testing.T) {
 func TestPSOPerLocationCoherence(t *testing.T) {
 	pt := mustPerp(t, "sb")
 	const n = 5000
-	res, err := RunPerpetual(pt, n, psoConfig(8))
+	res, err := runPerpetual(pt, n, psoConfig(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"perple/internal/core"
-	"perple/internal/litmus"
 	"perple/internal/memmodel"
 )
 
@@ -18,9 +17,8 @@ import (
 // shared CompiledTest.
 //
 // The returned SyncedResult aliases the Runner's backing arrays and is
-// valid only until the next Run call. The package-level RunSynced /
-// RunSyncedCtx keep the old own-your-result contract by using a fresh
-// Runner per call.
+// valid only until the next Run call; a caller that keeps results
+// across runs uses a fresh Runner per run.
 type Runner struct {
 	ct      *CompiledTest
 	m       machine
@@ -45,15 +43,21 @@ func NewRunner(ct *CompiledTest) *Runner {
 	return r
 }
 
-// RunSynced executes n iterations under the given synchronization mode.
+// RunSynced executes n iterations of the test under the given
+// synchronization mode. Iterations use disjoint memory cells, as
+// litmus7 does, so each iteration's outcome is well-defined even
+// without synchronization; in ModeNone only temporally overlapping
+// same-index iterations interact.
 func (r *Runner) RunSynced(n int, mode Mode, cfg Config) (*SyncedResult, error) {
 	return r.RunSyncedCtx(context.Background(), n, mode, cfg)
 }
 
-// RunSyncedCtx is RunSynced under a context; see RunSyncedCtx (package
-// level) for cancellation semantics. Equal (n, mode, cfg) arguments give
-// runs identical to a fresh machine's: reset restores every piece of
-// machine state the RNG-driven event loops observe.
+// RunSyncedCtx is RunSynced under a context: the event loop polls for
+// cancellation (every iteration in barriered modes, every ~1k events in
+// ModeNone) and aborts with the context's error instead of running the
+// remaining iterations to completion. Equal (n, mode, cfg) arguments
+// give runs identical to a fresh machine's: reset restores every piece
+// of machine state the RNG-driven event loops observe.
 func (r *Runner) RunSyncedCtx(ctx context.Context, n int, mode Mode, cfg Config) (*SyncedResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -146,13 +150,17 @@ func NewPerpetualRunner(cp *CompiledPerpetual) *PerpetualRunner {
 	return r
 }
 
-// Run executes n perpetual iterations.
+// Run executes n synchronization-free iterations of the perpetual test:
+// threads are released once within LaunchSpread ticks and then run
+// independently, storing arithmetic-sequence values to shared cells and
+// recording every load into the buf arrays.
 func (r *PerpetualRunner) Run(n int, cfg Config) (*PerpetualResult, error) {
 	return r.RunCtx(context.Background(), n, cfg)
 }
 
-// RunCtx is Run under a context; see RunPerpetualCtx for cancellation
-// semantics.
+// RunCtx is Run under a context: the event loop polls for cancellation
+// every ~1k machine events and aborts with the context's error instead
+// of running the remaining iterations to completion.
 func (r *PerpetualRunner) RunCtx(ctx context.Context, n int, cfg Config) (*PerpetualResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -206,55 +214,4 @@ func resizeZeroed(s []int64, n int) []int64 {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// ----- package-level entry points -----
-
-// RunSynced executes n iterations of the litmus test under the given
-// synchronization mode. Iterations use disjoint memory cells, as litmus7
-// does, so each iteration's outcome is well-defined even without
-// synchronization; in ModeNone only temporally overlapping same-index
-// iterations interact.
-func RunSynced(t *litmus.Test, n int, mode Mode, cfg Config) (*SyncedResult, error) {
-	return RunSyncedCtx(context.Background(), t, n, mode, cfg)
-}
-
-// RunSyncedCtx is RunSynced under a context: the event loop polls for
-// cancellation (every iteration in barriered modes, every ~1k events in
-// ModeNone) and aborts with the context's error instead of running the
-// remaining iterations to completion.
-func RunSyncedCtx(ctx context.Context, t *litmus.Test, n int, mode Mode, cfg Config) (*SyncedResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	ct, err := Compile(t)
-	if err != nil {
-		return nil, err
-	}
-	return NewRunner(ct).RunSyncedCtx(ctx, n, mode, cfg)
-}
-
-// RunPerpetual executes n synchronization-free iterations of a perpetual
-// test: threads are released once within LaunchSpread ticks and then run
-// independently, storing arithmetic-sequence values to shared cells and
-// recording every load into the buf arrays.
-func RunPerpetual(pt *core.PerpetualTest, n int, cfg Config) (*PerpetualResult, error) {
-	return RunPerpetualCtx(context.Background(), pt, n, cfg)
-}
-
-// RunPerpetualCtx is RunPerpetual under a context: the event loop polls
-// for cancellation every ~1k machine events and aborts with the context's
-// error instead of running the remaining iterations to completion.
-func RunPerpetualCtx(ctx context.Context, pt *core.PerpetualTest, n int, cfg Config) (*PerpetualResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("sim: negative iteration count %d", n)
-	}
-	cp, err := CompilePerpetual(pt)
-	if err != nil {
-		return nil, err
-	}
-	return NewPerpetualRunner(cp).RunCtx(ctx, n, cfg)
 }

@@ -8,6 +8,15 @@ import (
 	"perple/internal/litmus"
 )
 
+func mustCompile(t *testing.T, test *litmus.Test) *CompiledTest {
+	t.Helper()
+	ct, err := Compile(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ct
+}
+
 func sbTest(t *testing.T) *litmus.Test {
 	t.Helper()
 	test, err := litmus.SuiteTest("sb")
@@ -54,24 +63,23 @@ func TestRunnerReuseDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunnerMatchesPackageRun holds one Runner, reused across every
+// mode in turn, to a fresh compile-and-run per mode.
 func TestRunnerMatchesPackageRun(t *testing.T) {
 	test := sbTest(t)
 	cfg := DefaultConfig().WithSeed(99)
+	r := NewRunner(mustCompile(t, test))
 	for _, mode := range []Mode{ModeUser, ModeUserFence, ModePthread, ModeTimebase, ModeNone} {
-		fresh, err := RunSynced(test, 300, mode, cfg)
+		fresh, err := runSynced(test, 300, mode, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		ct, err := Compile(test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reused, err := NewRunner(ct).RunSynced(300, mode, cfg)
+		reused, err := r.RunSynced(300, mode, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		if !reflect.DeepEqual(fresh.Regs, reused.Regs) || fresh.Ticks != reused.Ticks {
-			t.Fatalf("%v: Runner result differs from RunSynced", mode)
+			t.Fatalf("%v: reused Runner differs from a fresh one", mode)
 		}
 	}
 }
@@ -101,11 +109,11 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 func TestBatchWorker0MatchesSerial(t *testing.T) {
 	test := sbTest(t)
 	cfg := DefaultConfig().WithSeed(11)
-	serial, err := RunSynced(test, 400, ModeUser, cfg)
+	serial, err := runSynced(test, 400, ModeUser, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := RunSyncedBatchCtx(context.Background(), test, 400, ModeUser, cfg, 1)
+	shards, err := mustCompile(t, test).RunSyncedBatchCtx(context.Background(), 400, ModeUser, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +129,7 @@ func TestBatchShardsMatchDerivedSerialRuns(t *testing.T) {
 	test := sbTest(t)
 	cfg := DefaultConfig().WithSeed(5)
 	const n, workers = 301, 3
-	shards, err := RunSyncedBatchCtx(context.Background(), test, n, ModeUser, cfg, workers)
+	shards, err := mustCompile(t, test).RunSyncedBatchCtx(context.Background(), n, ModeUser, cfg, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +141,7 @@ func TestBatchShardsMatchDerivedSerialRuns(t *testing.T) {
 		if sh.Seed != WorkerSeed(cfg.Seed, sh.Worker) {
 			t.Fatalf("worker %d seed = %d, want %d", sh.Worker, sh.Seed, WorkerSeed(cfg.Seed, sh.Worker))
 		}
-		want, err := RunSynced(test, sh.N, ModeUser, cfg.WithSeed(sh.Seed))
+		want, err := runSynced(test, sh.N, ModeUser, cfg.WithSeed(sh.Seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +157,7 @@ func TestBatchShardsMatchDerivedSerialRuns(t *testing.T) {
 
 func TestBatchClampsWorkersToN(t *testing.T) {
 	test := sbTest(t)
-	shards, err := RunSyncedBatchCtx(context.Background(), test, 2, ModeUser, DefaultConfig(), 8)
+	shards, err := mustCompile(t, test).RunSyncedBatchCtx(context.Background(), 2, ModeUser, DefaultConfig(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +188,11 @@ func TestPerpetualRunnerReuseDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(first.Bufs, again.Bufs) || first.Ticks != again.Ticks {
 		t.Fatal("rerun on a reused PerpetualRunner differs from its first run")
 	}
-	fresh, err := RunPerpetual(pt, 300, cfg)
+	fresh, err := runPerpetual(pt, 300, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fresh.Bufs, again.Bufs) || fresh.Ticks != again.Ticks {
-		t.Fatal("PerpetualRunner differs from RunPerpetual")
+		t.Fatal("reused PerpetualRunner differs from a fresh one")
 	}
 }

@@ -7,9 +7,10 @@
 // synchronization barriers in the five litmus7 modes. The machine is
 // deterministic given a seed.
 //
-// Two run shapes are provided: RunSynced executes N per-iteration-
-// synchronized (or free-running, for ModeNone) iterations over
-// per-iteration memory cells, litmus7-style; RunPerpetual executes N
+// Two run shapes are provided, each on a reusable runner over a
+// compiled test: Runner.RunSynced executes N per-iteration-synchronized
+// (or free-running, for ModeNone) iterations over per-iteration memory
+// cells, litmus7-style; PerpetualRunner.Run executes N
 // synchronization-free iterations of a converted perpetual test over
 // shared cells, recording loads into buf arrays, PerpLE-style.
 package sim

@@ -10,6 +10,26 @@ import (
 	"perple/internal/memmodel"
 )
 
+// runSynced compiles the test and runs it once on a fresh Runner, so
+// the result owns its memory.
+func runSynced(t *litmus.Test, n int, mode Mode, cfg Config) (*SyncedResult, error) {
+	ct, err := Compile(t)
+	if err != nil {
+		return nil, err
+	}
+	return NewRunner(ct).RunSynced(n, mode, cfg)
+}
+
+// runPerpetual compiles the perpetual test and runs it once on a fresh
+// PerpetualRunner.
+func runPerpetual(pt *core.PerpetualTest, n int, cfg Config) (*PerpetualResult, error) {
+	cp, err := CompilePerpetual(pt)
+	if err != nil {
+		return nil, err
+	}
+	return NewPerpetualRunner(cp).Run(n, cfg)
+}
+
 func mustSuiteTest(t *testing.T, name string) *litmus.Test {
 	t.Helper()
 	test, err := litmus.SuiteTest(name)
@@ -43,34 +63,34 @@ func TestModeStringsAndParse(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	bad := DefaultConfig()
 	bad.InstrCostMin = 0
-	if _, err := RunSynced(mustSuiteTest(t, "sb"), 1, ModeUser, bad); err == nil {
+	if _, err := runSynced(mustSuiteTest(t, "sb"), 1, ModeUser, bad); err == nil {
 		t.Error("invalid config accepted")
 	}
 	bad = DefaultConfig()
 	bad.DrainMax = bad.DrainMin - 1
-	if _, err := RunSynced(mustSuiteTest(t, "sb"), 1, ModeUser, bad); err == nil {
+	if _, err := runSynced(mustSuiteTest(t, "sb"), 1, ModeUser, bad); err == nil {
 		t.Error("invalid drain range accepted")
 	}
 	bad = DefaultConfig()
 	bad.PreemptProb = 2
-	if _, err := RunSynced(mustSuiteTest(t, "sb"), 1, ModeUser, bad); err == nil {
+	if _, err := runSynced(mustSuiteTest(t, "sb"), 1, ModeUser, bad); err == nil {
 		t.Error("invalid preemption probability accepted")
 	}
 }
 
 func TestRunSyncedZeroIterations(t *testing.T) {
-	res, err := RunSynced(mustSuiteTest(t, "sb"), 0, ModeUser, DefaultConfig())
+	res, err := runSynced(mustSuiteTest(t, "sb"), 0, ModeUser, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.N != 0 || res.Ticks != 0 {
 		t.Errorf("zero-iteration run: N=%d ticks=%d", res.N, res.Ticks)
 	}
-	if _, err := RunSynced(mustSuiteTest(t, "sb"), -1, ModeUser, DefaultConfig()); err == nil {
+	if _, err := runSynced(mustSuiteTest(t, "sb"), -1, ModeUser, DefaultConfig()); err == nil {
 		t.Error("negative iteration count accepted")
 	}
 	// Rejected before any allocation: cell indices must fit in int32.
-	if _, err := RunSynced(mustSuiteTest(t, "sb"), math.MaxInt32, ModeUser, DefaultConfig()); err == nil {
+	if _, err := runSynced(mustSuiteTest(t, "sb"), math.MaxInt32, ModeUser, DefaultConfig()); err == nil {
 		t.Error("iteration count past the int32 cell range accepted")
 	}
 }
@@ -78,11 +98,11 @@ func TestRunSyncedZeroIterations(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	test := mustSuiteTest(t, "sb")
 	cfg := DefaultConfig().WithSeed(77)
-	a, err := RunSynced(test, 500, ModeUser, cfg)
+	a, err := runSynced(test, 500, ModeUser, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSynced(test, 500, ModeUser, cfg)
+	b, err := runSynced(test, 500, ModeUser, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +116,7 @@ func TestDeterminism(t *testing.T) {
 			}
 		}
 	}
-	c, err := RunSynced(test, 500, ModeUser, cfg.WithSeed(78))
+	c, err := runSynced(test, 500, ModeUser, cfg.WithSeed(78))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +136,11 @@ func TestDeterminism(t *testing.T) {
 func TestPerpetualDeterminism(t *testing.T) {
 	pt := mustPerp(t, "sb")
 	cfg := DefaultConfig().WithSeed(5)
-	a, err := RunPerpetual(pt, 1000, cfg)
+	a, err := runPerpetual(pt, 1000, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPerpetual(pt, 1000, cfg)
+	b, err := runPerpetual(pt, 1000, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +191,7 @@ func TestSyncedRunsAreTSOCompliant(t *testing.T) {
 		t.Run(e.Test.Name, func(t *testing.T) {
 			allowed := regKeySet(memmodel.OperationalAllowedSet(e.Test, memmodel.TSO))
 			for _, mode := range Modes {
-				res, err := RunSynced(e.Test, iters, mode, DefaultConfig().WithSeed(int64(mode)+100))
+				res, err := runSynced(e.Test, iters, mode, DefaultConfig().WithSeed(int64(mode)+100))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,7 +227,7 @@ func TestSyncedMemoryIsTSOCompliant(t *testing.T) {
 				}
 				allowed[pair{flattenRegs(r.Regs), string(mem)}] = true
 			}
-			res, err := RunSynced(test, iters, ModeTimebase, DefaultConfig().WithSeed(9))
+			res, err := runSynced(test, iters, ModeTimebase, DefaultConfig().WithSeed(9))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +251,7 @@ func TestSyncedMemoryIsTSOCompliant(t *testing.T) {
 // store-buffering outcome within a reasonable number of iterations.
 func TestSyncedObservesSBTarget(t *testing.T) {
 	test := mustSuiteTest(t, "sb")
-	res, err := RunSynced(test, 2000, ModeTimebase, DefaultConfig())
+	res, err := runSynced(test, 2000, ModeTimebase, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +275,7 @@ func TestPerpetualValuesDecode(t *testing.T) {
 	for _, name := range []string{"sb", "amd3", "mp", "iriw", "podwr001"} {
 		pt := mustPerp(t, name)
 		const n = 2000
-		res, err := RunPerpetual(pt, n, DefaultConfig().WithSeed(3))
+		res, err := runPerpetual(pt, n, DefaultConfig().WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +305,7 @@ func TestPerpetualValuesDecode(t *testing.T) {
 func TestPerpetualMonotoneReads(t *testing.T) {
 	pt := mustPerp(t, "sb")
 	const n = 5000
-	res, err := RunPerpetual(pt, n, DefaultConfig().WithSeed(8))
+	res, err := runPerpetual(pt, n, DefaultConfig().WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,14 +330,14 @@ func TestPerpetualMonotoneReads(t *testing.T) {
 
 func TestRunPerpetualZeroAndNegative(t *testing.T) {
 	pt := mustPerp(t, "sb")
-	res, err := RunPerpetual(pt, 0, DefaultConfig())
+	res, err := runPerpetual(pt, 0, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Bufs.N != 0 {
 		t.Error("zero-iteration perpetual run has data")
 	}
-	if _, err := RunPerpetual(pt, -2, DefaultConfig()); err == nil {
+	if _, err := runPerpetual(pt, -2, DefaultConfig()); err == nil {
 		t.Error("negative iteration count accepted")
 	}
 }
@@ -328,7 +348,7 @@ func TestTickOrdering(t *testing.T) {
 	test := mustSuiteTest(t, "sb")
 	ticks := map[Mode]int64{}
 	for _, mode := range Modes {
-		res, err := RunSynced(test, 2000, mode, DefaultConfig().WithSeed(4))
+		res, err := runSynced(test, 2000, mode, DefaultConfig().WithSeed(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +360,7 @@ func TestTickOrdering(t *testing.T) {
 		t.Errorf("tick ordering wrong: %v", ticks)
 	}
 	pt := mustPerp(t, "sb")
-	pres, err := RunPerpetual(pt, 2000, DefaultConfig().WithSeed(4))
+	pres, err := runPerpetual(pt, 2000, DefaultConfig().WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +371,7 @@ func TestTickOrdering(t *testing.T) {
 
 func TestMemAt(t *testing.T) {
 	test := mustSuiteTest(t, "sb")
-	res, err := RunSynced(test, 5, ModeUser, DefaultConfig())
+	res, err := runSynced(test, 5, ModeUser, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ func TestTracePerpetual(t *testing.T) {
 	pt := mustPerp(t, "sb")
 	cfg := DefaultConfig()
 	cfg.TraceSize = 10000
-	res, err := RunPerpetual(pt, 50, cfg)
+	res, err := runPerpetual(pt, 50, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestTracePerpetual(t *testing.T) {
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	pt := mustPerp(t, "sb")
-	res, err := RunPerpetual(pt, 10, DefaultConfig())
+	res, err := runPerpetual(pt, 10, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestTraceRingWraps(t *testing.T) {
 	pt := mustPerp(t, "sb")
 	cfg := DefaultConfig()
 	cfg.TraceSize = 16
-	res, err := RunPerpetual(pt, 100, cfg)
+	res, err := runPerpetual(pt, 100, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTraceSynced(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.TraceSize = 4096
-	res, err := RunSynced(test, 20, ModeUser, cfg)
+	res, err := runSynced(test, 20, ModeUser, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

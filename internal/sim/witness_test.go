@@ -86,13 +86,13 @@ func TestWitnessRecordingDoesNotPerturbRun(t *testing.T) {
 			}
 			cfg = cfg.WithSeed(21)
 			for _, mode := range []Mode{ModeUser, ModeNone} {
-				off, err := RunSynced(tc, 200, mode, cfg)
+				off, err := runSynced(tc, 200, mode, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				on := cfg
 				on.WitnessEvery = 2
-				got, err := RunSynced(tc, 200, mode, on)
+				got, err := runSynced(tc, 200, mode, on)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,11 +124,11 @@ func TestWitnessSamplingConsistent(t *testing.T) {
 	full.WitnessEvery = 1
 	sampled := cfg
 	sampled.WitnessEvery = 4
-	rf, err := RunSynced(tc, 60, ModeUser, full)
+	rf, err := runSynced(tc, 60, ModeUser, full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := RunSynced(tc, 60, ModeUser, sampled)
+	rs, err := runSynced(tc, 60, ModeUser, sampled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPerpetualRejectsWitnessRecording(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.WitnessEvery = 1
-	if _, err := RunPerpetual(pt, 10, cfg); err == nil {
+	if _, err := runPerpetual(pt, 10, cfg); err == nil {
 		t.Fatal("perpetual run accepted WitnessEvery > 0")
 	}
 }
@@ -164,7 +164,7 @@ func TestPerpetualRejectsWitnessRecording(t *testing.T) {
 func TestConfigWitnessEveryValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WitnessEvery = -1
-	if _, err := RunSynced(mustSuite(t, "sb"), 1, ModeUser, cfg); err == nil {
+	if _, err := runSynced(mustSuite(t, "sb"), 1, ModeUser, cfg); err == nil {
 		t.Fatal("negative WitnessEvery accepted")
 	}
 }

@@ -21,7 +21,7 @@
 //	test, _ := perple.SuiteTest("sb")
 //	pt, _ := perple.Convert(test)
 //	counter, _ := perple.NewTargetCounter(pt)
-//	res, _ := perple.RunPerpLE(pt, counter, 10000,
+//	res, _ := perple.RunPerpLE(context.Background(), pt, counter, 10000,
 //	    perple.PerpLEOptions{Heuristic: true}, perple.DefaultConfig())
 //	fmt.Println("target occurrences:", res.Heuristic.Counts[0])
 //
@@ -30,6 +30,8 @@
 package perple
 
 import (
+	"context"
+
 	"perple/internal/axiom"
 	"perple/internal/core"
 	"perple/internal/experiments"
@@ -228,8 +230,11 @@ type (
 	Litmus7Result = harness.Litmus7Result
 	// PerpLEResult is a PerpLE run's counters and costs.
 	PerpLEResult = harness.PerpLEResult
-	// PerpLEOptions selects counters for a PerpLE run.
+	// PerpLEOptions selects counters and workers for a PerpLE run.
 	PerpLEOptions = harness.PerpLEOptions
+	// Litmus7Options selects workers and trace verification for a
+	// litmus7-style run.
+	Litmus7Options = harness.Litmus7Options
 	// SkewSample is one thread-skew observation.
 	SkewSample = harness.SkewSample
 	// Trace is the machine-event trace recorded when Config.TraceSize > 0.
@@ -259,18 +264,21 @@ func Preset(name string) (Config, error) { return sim.Preset(name) }
 func Presets() map[string]Config { return sim.Presets() }
 
 // RunLitmus7 runs n synchronized iterations litmus7-style and tallies
-// outcomes.
-func RunLitmus7(t *Test, n int, mode Mode, outcomes []Outcome, cfg Config) (*Litmus7Result, error) {
-	return harness.RunLitmus7(t, n, mode, outcomes, cfg)
+// outcomes. Options.Workers splits the run across workers with
+// deterministic per-worker seeds (see WorkerSeed) and merges their
+// tallies; the zero Litmus7Options is one serial, unverified run.
+func RunLitmus7(ctx context.Context, t *Test, n int, mode Mode, outcomes []Outcome, cfg Config, opts Litmus7Options) (*Litmus7Result, error) {
+	return harness.RunLitmus7(ctx, t, n, mode, outcomes, cfg, opts)
 }
 
 // RunPerpLE runs n synchronization-free iterations of a perpetual test
-// and applies the selected outcome counters.
-func RunPerpLE(pt *PerpetualTest, c *Counter, n int, opts PerpLEOptions, cfg Config) (*PerpLEResult, error) {
-	return harness.RunPerpLE(pt, c, n, opts, cfg)
+// and applies the selected outcome counters; PerpLEOptions.Workers
+// splits the run the same way RunLitmus7 does.
+func RunPerpLE(ctx context.Context, pt *PerpetualTest, c *Counter, n int, opts PerpLEOptions, cfg Config) (*PerpLEResult, error) {
+	return harness.RunPerpLE(ctx, pt, c, n, opts, cfg)
 }
 
-// ----- compiled tests, reusable runners, batched runs -----
+// ----- compiled tests and reusable runners -----
 
 type (
 	// CompiledTest is a litmus test lowered for the simulator, shareable
@@ -290,22 +298,9 @@ func NewLitmus7Runner(ct *CompiledTest, outcomes []Outcome) (*Litmus7Runner, err
 	return harness.NewLitmus7Runner(ct, outcomes)
 }
 
-// WorkerSeed derives batch worker w's deterministic RNG seed (seed ⊕ w);
+// WorkerSeed derives run worker w's deterministic RNG seed (seed ⊕ w);
 // worker 0 reproduces the serial run.
 func WorkerSeed(seed int64, worker int) int64 { return sim.WorkerSeed(seed, worker) }
-
-// RunLitmus7Batch splits a litmus7-style run across workers with
-// deterministic per-worker seeds and merges the per-worker tallies; a
-// one-worker batch matches RunLitmus7 exactly (modulo Wall).
-func RunLitmus7Batch(t *Test, n int, mode Mode, outcomes []Outcome, cfg Config, workers int) (*Litmus7Result, error) {
-	return harness.RunLitmus7Batch(t, n, mode, outcomes, cfg, workers)
-}
-
-// RunPerpLEBatch splits a PerpLE run across workers the same way and
-// merges the per-worker results.
-func RunPerpLEBatch(pt *PerpetualTest, c *Counter, n int, opts PerpLEOptions, cfg Config, workers int) (*PerpLEResult, error) {
-	return harness.RunPerpLEBatch(pt, c, n, opts, cfg, workers)
-}
 
 // MeasureSkew extracts thread-skew samples from a perpetual run.
 func MeasureSkew(pt *PerpetualTest, bs *BufSet) []SkewSample {

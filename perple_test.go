@@ -1,6 +1,7 @@
 package perple
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -83,7 +84,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := RunPerpLE(pt, counter, 1500,
+	pres, err := RunPerpLE(context.Background(), pt, counter, 1500,
 		PerpLEOptions{Exhaustive: true, Heuristic: true, KeepBufs: true}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +100,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 		t.Errorf("multi-outcome counter failed: %v %v", got, err)
 	}
 
-	lres, err := RunLitmus7(test, 1500, ModeTimebase, test.AllOutcomes(), cfg)
+	lres, err := RunLitmus7(context.Background(), test, 1500, ModeTimebase, test.AllOutcomes(), cfg, Litmus7Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestPublicAPITrace(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.TraceSize = 256
-	res, err := RunPerpLE(pt, counter, 20, PerpLEOptions{Heuristic: true}, cfg)
+	res, err := RunPerpLE(context.Background(), pt, counter, 20, PerpLEOptions{Heuristic: true}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
