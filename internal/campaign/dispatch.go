@@ -60,7 +60,7 @@ type Options struct {
 
 	// runJob overrides job execution; tests inject failures and panics
 	// here. nil selects the real harness-backed runner.
-	runJob func(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobResult, error)
+	runJob jobFunc
 }
 
 // DefaultLeaseTTL is how long a worker may sit on a leased job without
@@ -923,7 +923,7 @@ func (c *Campaign) Run(ctx context.Context, opts Options) (*Results, error) {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			d.execute(ctx, x, name)
+			d.execute(ctx, x, new(workspace), name)
 		}(fmt.Sprintf("local-%d", i))
 	}
 	wg.Wait()
@@ -940,12 +940,13 @@ func (c *Campaign) Run(ctx context.Context, opts Options) (*Results, error) {
 	return res, ctx.Err()
 }
 
-// execute is one in-process executor: lease a job, run it, report the
-// outcome, until ctx is cancelled or no job is left to lease. An
+// execute is one in-process executor: lease a job, run it on the
+// executor's workspace, report the outcome, until ctx is cancelled or
+// no job is left to lease. An
 // executor that gets no grant while its peers still hold leases exits
 // rather than waiting: a peer whose job fails re-leases the requeued
 // job itself on its next loop, so nothing is stranded.
-func (d *Dispatcher) execute(ctx context.Context, x *jobExec, name string) {
+func (d *Dispatcher) execute(ctx context.Context, x *jobExec, ws *workspace, name string) {
 	// One report buffer per executor: complete keeps none of its slices.
 	req := CompleteRequest{Worker: name}
 	for ctx.Err() == nil {
@@ -955,7 +956,7 @@ func (d *Dispatcher) execute(ctx context.Context, x *jobExec, name string) {
 		}
 		g := lease.Grants[0]
 		req.Results, req.Failures, req.Released = req.Results[:0], req.Failures[:0], req.Released[:0]
-		switch r, f := x.exec(ctx, g); {
+		switch r, f := x.exec(ctx, ws, g); {
 		case r.Result != nil:
 			req.Results = append(req.Results, r)
 		case f != nil:

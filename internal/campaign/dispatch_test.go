@@ -50,7 +50,7 @@ func serialCanonical(t *testing.T, spec Spec) []byte {
 	}
 	res := NewResults()
 	for _, job := range camp.Jobs() {
-		jr, err := runJob(context.Background(), job, camp.tests[job.Test], camp.Spec)
+		jr, err := runJob(context.Background(), new(workspace), job, camp.tests[job.Test], camp.Spec)
 		if err != nil {
 			t.Fatalf("job %d: %v", job.ID, err)
 		}
@@ -161,7 +161,7 @@ func TestFleetSurvivesWorkerKill(t *testing.T) {
 	defer killA()
 	wA := NewWorker(WorkerOptions{
 		BaseURL: ts.URL, Campaign: id, Name: "doomed", Parallel: 2, LeaseBatch: 4,
-		runJob: func(ctx context.Context, _ Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+		runJob: func(ctx context.Context, _ *workspace, _ Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 			once.Do(func() { close(leased) })
 			<-ctx.Done()
 			return nil, ctx.Err()
@@ -520,7 +520,7 @@ func TestFleetRecordsRetries(t *testing.T) {
 	var failed atomic.Bool
 	w := NewWorker(WorkerOptions{
 		BaseURL: ts.URL, Campaign: id, Name: "flaky", Parallel: 1,
-		runJob: func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+		runJob: func(_ context.Context, _ *workspace, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 			if job.ID == 0 && failed.CompareAndSwap(false, true) {
 				return nil, errors.New("transient")
 			}

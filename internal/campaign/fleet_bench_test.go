@@ -37,7 +37,7 @@ func benchFleetSpec(b *testing.B) Spec {
 // returns as soon as the server reports the campaign done — idle
 // workers mid-poll-sleep are cut loose by context so their wakeup
 // latency (a liveness detail, not throughput) stays out of the timing.
-func runFleetOnce(b *testing.B, spec Spec, k int, runJob func(context.Context, Job, *litmus.Test, Spec) (*JobResult, error), mods ...func(*WorkerOptions)) int {
+func runFleetOnce(b *testing.B, spec Spec, k int, runJob jobFunc, mods ...func(*WorkerOptions)) int {
 	b.Helper()
 	srv := NewServer()
 	ts := httptest.NewServer(srv.Handler())
@@ -130,7 +130,7 @@ func BenchmarkFleetLoopback(b *testing.B) {
 		})
 	}
 	b.Run("protocol-overhead", func(b *testing.B) {
-		noop := func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+		noop := func(_ context.Context, _ *workspace, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 			return fakeResult(job), nil
 		}
 		var jobs int
@@ -144,7 +144,7 @@ func BenchmarkFleetLoopback(b *testing.B) {
 	// runner, so the deltas are pure protocol cost.
 	for _, batch := range []int{1, 8} {
 		b.Run(fmt.Sprintf("wire=binary/batch=%d", batch), func(b *testing.B) {
-			noop := func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+			noop := func(_ context.Context, _ *workspace, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 				return fakeResult(job), nil
 			}
 			var jobs int
@@ -159,7 +159,7 @@ func BenchmarkFleetLoopback(b *testing.B) {
 	// upload) to show how the codec's cost grows with result size.
 	for _, keys := range []int{16, 256} {
 		b.Run(fmt.Sprintf("payload=%dkeys/wire=binary", keys), func(b *testing.B) {
-			fat := func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+			fat := func(_ context.Context, _ *workspace, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 				jr := fakeResult(job)
 				jr.Histogram = make(map[string]int64, keys)
 				for i := 0; i < keys; i++ {

@@ -351,6 +351,7 @@ func writePrometheus(w io.Writer, campaigns, running int, uptimeSec float64, lea
 		{"perple_wal_replays_total", "counter", "Dispatcher recoveries that replayed a write-ahead log.", float64(agg.WALReplays)},
 		{"perple_wal_truncated_records_total", "counter", "Torn tail records dropped during WAL replay.", float64(agg.WALTruncatedRecords)},
 		{"perple_allocs_total", "counter", "Heap allocations since metrics start (process-wide).", float64(agg.Allocs)},
+		{"perple_alloc_bytes_total", "counter", "Heap bytes allocated since metrics start (process-wide).", float64(agg.AllocBytes)},
 	}
 	for _, m := range metrics {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", m.name, m.help, m.name, m.typ, m.name, m.value)

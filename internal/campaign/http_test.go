@@ -108,7 +108,8 @@ func TestServerLifecycle(t *testing.T) {
 	if !ok {
 		t.Fatalf("metrics missing scheduler block: %v", m)
 	}
-	for _, key := range []string{"jobs_total", "jobs_completed", "retries", "queue_depth", "iterations_per_sec"} {
+	for _, key := range []string{"jobs_total", "jobs_completed", "retries", "queue_depth", "iterations_per_sec",
+		"allocs", "allocs_per_iter", "alloc_bytes", "alloc_bytes_per_iter"} {
 		if _, ok := sched[key]; !ok {
 			t.Fatalf("scheduler metrics missing %q: %v", key, sched)
 		}

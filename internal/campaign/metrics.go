@@ -107,9 +107,10 @@ type Metrics struct {
 	// replay (a crash or partial-append fault mid-record).
 	WALTruncatedRecords atomic.Int64
 
-	startOnce    sync.Once
-	startNano    atomic.Int64
-	startMallocs atomic.Uint64
+	startOnce       sync.Once
+	startNano       atomic.Int64
+	startMallocs    atomic.Uint64
+	startTotalAlloc atomic.Uint64
 }
 
 // batchBuckets are the BatchHist upper bounds (le); the final +Inf
@@ -192,6 +193,7 @@ func (m *Metrics) Start() {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		m.startMallocs.Store(ms.Mallocs)
+		m.startTotalAlloc.Store(ms.TotalAlloc)
 	})
 }
 
@@ -235,6 +237,13 @@ type Snapshot struct {
 	// bound on the per-iteration allocation rate of the hot path.
 	Allocs        int64   `json:"allocs"`
 	AllocsPerIter float64 `json:"allocs_per_iter"`
+	// AllocBytes is the process-wide heap bytes allocated since Start (a
+	// runtime.MemStats.TotalAlloc delta), and AllocBytesPerIter divides
+	// it by the iterations completed: the volume Allocs cannot show,
+	// since a few large buffers count as few allocations. Process-wide
+	// like Allocs.
+	AllocBytes        int64   `json:"alloc_bytes"`
+	AllocBytesPerIter float64 `json:"alloc_bytes_per_iter"`
 }
 
 // Snapshot reads every counter once and derives the iteration rate over
@@ -279,11 +288,18 @@ func (m *Metrics) Snapshot() Snapshot {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		s.Allocs = int64(ms.Mallocs - m.startMallocs.Load())
-		if s.Iterations > 0 {
-			s.AllocsPerIter = float64(s.Allocs) / float64(s.Iterations)
-		}
+		s.AllocBytes = int64(ms.TotalAlloc - m.startTotalAlloc.Load())
+		s.perIter()
 	}
 	return s
+}
+
+// perIter derives the per-iteration allocation rates.
+func (s *Snapshot) perIter() {
+	if s.Iterations > 0 {
+		s.AllocsPerIter = float64(s.Allocs) / float64(s.Iterations)
+		s.AllocBytesPerIter = float64(s.AllocBytes) / float64(s.Iterations)
+	}
 }
 
 // Merge sums another snapshot into s, for server-level aggregation
@@ -323,7 +339,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 		s.ElapsedSec = o.ElapsedSec
 	}
 	s.Allocs += o.Allocs
-	if s.Iterations > 0 {
-		s.AllocsPerIter = float64(s.Allocs) / float64(s.Iterations)
-	}
+	s.AllocBytes += o.AllocBytes
+	s.perIter()
 }

@@ -22,7 +22,7 @@ func BenchmarkRunOrchestration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	noop := func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+	noop := func(_ context.Context, _ *workspace, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 		return fakeResult(job), nil
 	}
 	path := filepath.Join(b.TempDir(), "cp.json")

@@ -3,6 +3,8 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -12,13 +14,50 @@ import (
 	"perple/internal/sim"
 )
 
+// jobFunc runs one shard on an executor's workspace: runJob, or a
+// test's injected runner.
+type jobFunc func(ctx context.Context, ws *workspace, job Job, test *litmus.Test, spec Spec) (*JobResult, error)
+
+// workspace is one executor's run state, kept for the executor's
+// lifetime: an in-process executor of Campaign.Run or a Worker's
+// Parallel slot runs every shard it is handed on one workspace. On top
+// of the harness runners and buffers (harness.Workspace) it keeps the
+// PerpLE conversion of the last converted test, so consecutive shards
+// of a test convert, compile and allocate nothing new, and a test
+// switch re-points the same arrays.
+type workspace struct {
+	harness.Workspace
+
+	test    *litmus.Test // the test pt and counter were converted from
+	pt      *core.PerpetualTest
+	counter *core.Counter
+}
+
+// perpetual returns test's perpetual form and target counter,
+// converting only when test differs from the last one.
+func (ws *workspace) perpetual(test *litmus.Test) (*core.PerpetualTest, *core.Counter, error) {
+	if ws.test != test {
+		ws.test = nil
+		pt, err := core.Convert(test)
+		if err != nil {
+			return nil, nil, err
+		}
+		counter, err := core.NewTargetCounter(pt)
+		if err != nil {
+			return nil, nil, err
+		}
+		ws.test, ws.pt, ws.counter = test, pt, counter
+	}
+	return ws.pt, ws.counter, nil
+}
+
 // jobExec is the one job-execution step behind both transports: the
 // HTTP Worker and Campaign.Run's in-process executors hand every grant
-// to exec.
+// to exec, each with its own workspace.
 type jobExec struct {
 	tests map[string]*litmus.Test
 	spec  Spec
-	run   func(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobResult, error)
+	run   jobFunc
 	// onDone, when set, observes each result before it is reported.
 	onDone func(*JobResult)
 
@@ -27,11 +66,12 @@ type jobExec struct {
 	JobsFailed    atomic.Int64
 }
 
-// exec runs one granted job with panic recovery and returns what to
-// report: a result (its Result set) or a failure. A run aborted by ctx
-// returns neither — an abort is not a failure, and its lease goes back
-// unconsumed.
-func (x *jobExec) exec(ctx context.Context, g LeaseGrant) (WorkerResult, *WorkerFailure) {
+// exec runs one granted job on ws with panic recovery and returns what
+// to report: a result (its Result set) or a failure. A run aborted by
+// ctx returns neither — an abort is not a failure, and its lease goes
+// back unconsumed. A run that errs or panics may leave ws half-updated,
+// so ws is emptied and the next shard starts from fresh state.
+func (x *jobExec) exec(ctx context.Context, ws *workspace, g LeaseGrant) (WorkerResult, *WorkerFailure) {
 	test := x.tests[g.Job.Test]
 	if test == nil {
 		return WorkerResult{}, &WorkerFailure{
@@ -39,8 +79,9 @@ func (x *jobExec) exec(ctx context.Context, g LeaseGrant) (WorkerResult, *Worker
 			Err: fmt.Sprintf("worker corpus is missing test %q", g.Job.Test),
 		}
 	}
-	jr, err := runRecovered(ctx, g.Job, test, x.spec, x.run)
+	jr, err := runRecovered(ctx, ws, g.Job, test, x.spec, x.run)
 	if err != nil {
+		*ws = workspace{}
 		if ctx.Err() != nil {
 			return WorkerResult{}, nil
 		}
@@ -54,13 +95,14 @@ func (x *jobExec) exec(ctx context.Context, g LeaseGrant) (WorkerResult, *Worker
 	return WorkerResult{LeaseID: g.LeaseID, Result: jr}, nil
 }
 
-// runJob executes one shard end to end: it resolves the tool (PerpLE
-// falls back to litmus7-user for non-convertible targets, as Section
-// VII-G prescribes), seeds the simulator with the
-// job's deterministic shard seed, runs, and extracts the mergeable
-// result. Cancellation propagates into the simulated run and the
-// counters through ctx.
-func runJob(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobResult, error) {
+// runJob executes one shard end to end on ws: it resolves the tool
+// (PerpLE falls back to litmus7-user for non-convertible targets, as
+// Section VII-G prescribes), seeds the simulator with the job's
+// deterministic shard seed, runs, and copies out the mergeable result —
+// the histogram and trace reports too, since the run's own alias ws.
+// Cancellation propagates into the simulated run and the counters
+// through ctx.
+func runJob(ctx context.Context, ws *workspace, job Job, test *litmus.Test, spec Spec) (*JobResult, error) {
 	cfg, err := sim.Preset(job.Preset)
 	if err != nil {
 		return nil, err
@@ -85,7 +127,7 @@ func runJob(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobRes
 		if err != nil {
 			return nil, err
 		}
-		res, err := harness.RunLitmus7(ctx, test, job.N, mode, nil, cfg, harness.Litmus7Options{
+		res, err := ws.RunLitmus7(ctx, test, job.N, mode, nil, cfg, harness.Litmus7Options{
 			Workers:     spec.IntraWorkers,
 			TraceVerify: harness.TraceVerify{Every: spec.TraceVerifyEvery()},
 		})
@@ -94,10 +136,12 @@ func runJob(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobRes
 		}
 		jr.Target = res.TargetCount
 		jr.Ticks = res.Ticks
-		jr.Histogram = res.Histogram
+		jr.Histogram = maps.Clone(res.Histogram)
 		jr.TracesVerified = res.TracesVerified
 		jr.TraceViolations = res.TraceViolations
-		jr.TraceReports = res.TraceReports
+		if len(res.TraceReports) > 0 {
+			jr.TraceReports = slices.Clone(res.TraceReports)
+		}
 		jr.TraceVerifyNs = res.TraceVerifyNs
 		return jr, nil
 	}
@@ -107,11 +151,7 @@ func runJob(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobRes
 	// a Note would enter Results.Groups and break the verified-vs-
 	// unverified byte-identity of the canonical document.
 
-	pt, err := core.Convert(test)
-	if err != nil {
-		return nil, err
-	}
-	counter, err := core.NewTargetCounter(pt)
+	pt, counter, err := ws.perpetual(test)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +167,7 @@ func runJob(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobRes
 	default:
 		return nil, fmt.Errorf("campaign: unknown tool %q", tool)
 	}
-	res, err := harness.RunPerpLE(ctx, pt, counter, job.N, opts, cfg)
+	res, err := ws.RunPerpLE(ctx, pt, counter, job.N, opts, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -122,15 +122,14 @@ func (c *Campaign) AxiomInfo() map[string]TestAxiom {
 
 // runRecovered converts a panicking job into an ordinary error so one
 // poisoned shard cannot take down the whole campaign.
-func runRecovered(ctx context.Context, job Job, test *litmus.Test, spec Spec,
-	run func(context.Context, Job, *litmus.Test, Spec) (*JobResult, error)) (jr *JobResult, err error) {
+func runRecovered(ctx context.Context, ws *workspace, job Job, test *litmus.Test, spec Spec, run jobFunc) (jr *JobResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			jr, err = nil, fmt.Errorf("campaign: job %d (%s/%s/%s shard %d) panicked: %v",
 				job.ID, job.Test, job.Tool, job.Preset, job.Shard, r)
 		}
 	}()
-	return run(ctx, job, test, spec)
+	return run(ctx, ws, job, test, spec)
 }
 
 // validateRestored cross-checks checkpointed results against the

@@ -50,7 +50,7 @@ func TestSchedulerRunsAllJobs(t *testing.T) {
 	metrics := &Metrics{}
 	res, err := camp.Run(context.Background(), Options{
 		Metrics: metrics,
-		runJob: func(_ context.Context, job Job, test *litmus.Test, _ Spec) (*JobResult, error) {
+		runJob: func(_ context.Context, _ *workspace, job Job, test *litmus.Test, _ Spec) (*JobResult, error) {
 			if test == nil || test.Name != job.Test {
 				return nil, fmt.Errorf("job %d handed wrong test %v", job.ID, test)
 			}
@@ -94,7 +94,7 @@ func TestSchedulerRetriesTransientFailures(t *testing.T) {
 	metrics := &Metrics{}
 	res, err := camp.Run(context.Background(), Options{
 		Metrics: metrics,
-		runJob: func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+		runJob: func(_ context.Context, _ *workspace, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 			if attempts[job.ID].Add(1) <= 2 {
 				return nil, errors.New("transient")
 			}
@@ -133,7 +133,7 @@ func TestSchedulerCollectsPermanentFailuresAndContinues(t *testing.T) {
 	metrics := &Metrics{}
 	res, err := camp.Run(context.Background(), Options{
 		Metrics: metrics,
-		runJob: func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+		runJob: func(_ context.Context, _ *workspace, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 			if job.Test == "mp" {
 				return nil, errors.New("poisoned test")
 			}
@@ -168,7 +168,7 @@ func TestSchedulerRecoversPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := camp.Run(context.Background(), Options{
-		runJob: func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+		runJob: func(_ context.Context, _ *workspace, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 			if job.Test == "lb" {
 				panic("kaboom")
 			}
@@ -206,7 +206,7 @@ func TestSchedulerCancelsPromptly(t *testing.T) {
 	go func() {
 		defer close(done)
 		res, runErr = camp.Run(ctx, Options{
-			runJob: func(ctx context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+			runJob: func(ctx context.Context, _ *workspace, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 				if started.Add(1) == 3 {
 					cancel()
 				}
@@ -355,7 +355,7 @@ func TestRunWALInterruptResume(t *testing.T) {
 	opts := Options{
 		CheckpointPath: filepath.Join(dir, "cp.json"),
 		WALPath:        filepath.Join(dir, "cp.wal"),
-		runJob: func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+		runJob: func(_ context.Context, _ *workspace, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 			return fakeResult(job), nil
 		},
 	}
@@ -412,7 +412,7 @@ func TestRunReleasesCrashedInProcessLeases(t *testing.T) {
 	opts := Options{
 		CheckpointPath: filepath.Join(dir, "cp.json"),
 		WALPath:        filepath.Join(dir, "cp.wal"),
-		runJob: func(_ context.Context, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
+		runJob: func(_ context.Context, _ *workspace, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 			return fakeResult(job), nil
 		},
 	}

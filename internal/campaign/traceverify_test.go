@@ -213,6 +213,7 @@ func TestServerTraceVerifyPSO(t *testing.T) {
 	mresp.Body.Close()
 	for _, family := range []string{
 		"perple_traces_verified_total", "perple_trace_violations_total", "perple_trace_verify_ns_total",
+		"perple_allocs_total", "perple_alloc_bytes_total",
 	} {
 		if !strings.Contains(string(prom), family) {
 			t.Fatalf("Prometheus exposition missing %s:\n%s", family, prom)

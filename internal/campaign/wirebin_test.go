@@ -244,7 +244,7 @@ func leasedUpload(t *testing.T, ts *httptest.Server, id string, spec Spec, worke
 		t.Fatal(err)
 	}
 	g := leaseOne(t, ts, id, worker)
-	jr, err := runJob(context.Background(), g.Job, camp.tests[g.Job.Test], camp.Spec)
+	jr, err := runJob(context.Background(), new(workspace), g.Job, camp.tests[g.Job.Test], camp.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}

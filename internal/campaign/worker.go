@@ -70,7 +70,7 @@ type WorkerOptions struct {
 
 	// runJob overrides job execution (tests inject hangs and failures);
 	// nil selects the real harness-backed runner.
-	runJob func(ctx context.Context, job Job, test *litmus.Test, spec Spec) (*JobResult, error)
+	runJob jobFunc
 }
 
 // Worker is a fleet member: it pulls shard leases from a perple-serve
@@ -83,6 +83,11 @@ type WorkerOptions struct {
 // worker's own executions.
 type Worker struct {
 	jobExec
+
+	// slots holds one workspace per Parallel slot: a job runs on the slot
+	// it takes and hands it back, so shards reuse their slot's runners
+	// and buffers across jobs and lease batches.
+	slots chan *workspace
 
 	opts      WorkerOptions
 	brk       *breaker
@@ -140,8 +145,13 @@ func NewWorker(opts WorkerOptions) *Worker {
 	}
 	h := fnv.New64a()
 	io.WriteString(h, opts.Name)
+	slots := make(chan *workspace, opts.Parallel)
+	for i := 0; i < opts.Parallel; i++ {
+		slots <- new(workspace)
+	}
 	return &Worker{
 		jobExec: jobExec{run: opts.runJob, onDone: opts.OnJobDone},
+		slots:   slots,
 		opts:    opts,
 		brk:     newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 		drainCh: make(chan struct{}),
@@ -245,7 +255,6 @@ func (w *Worker) runBatch(ctx context.Context, lease LeaseResponse) (bool, error
 	defer flStop()
 
 	var (
-		sem      = make(chan struct{}, w.opts.Parallel)
 		wg       sync.WaitGroup
 		abandons bool
 	)
@@ -256,8 +265,9 @@ func (w *Worker) runBatch(ctx context.Context, lease LeaseResponse) (bool, error
 			up.addReleased(LeaseRef{JobID: grant.Job.ID, LeaseID: grant.LeaseID})
 			continue
 		}
+		var ws *workspace
 		select {
-		case sem <- struct{}{}:
+		case ws = <-w.slots:
 		case <-ctx.Done():
 			abandons = true
 		}
@@ -267,8 +277,8 @@ func (w *Worker) runBatch(ctx context.Context, lease LeaseResponse) (bool, error
 		wg.Add(1)
 		go func(grant LeaseGrant) {
 			defer wg.Done()
-			defer func() { <-sem }()
-			switch r, f := w.exec(ctx, grant); {
+			defer func() { w.slots <- ws }()
+			switch r, f := w.exec(ctx, ws, grant); {
 			case r.Result != nil:
 				up.addResult(r)
 			case f != nil:

@@ -17,13 +17,33 @@ type BufSet struct {
 
 // NewBufSet allocates zeroed buffers for a run of n iterations.
 func NewBufSet(pt *PerpetualTest, n int) *BufSet {
-	bs := &BufSet{N: n, Bufs: make([][]int64, len(pt.Reads))}
+	bs := &BufSet{}
+	bs.Reset(pt, n)
+	return bs
+}
+
+// Reset shapes bs as zeroed buffers for an n-iteration run of pt,
+// reusing the backing arrays it already holds (a store-only thread's
+// array is dropped, since its buffer must be nil).
+func (bs *BufSet) Reset(pt *PerpetualTest, n int) {
+	bs.N = n
+	if cap(bs.Bufs) < len(pt.Reads) {
+		bufs := make([][]int64, len(pt.Reads))
+		copy(bufs, bs.Bufs[:cap(bs.Bufs)])
+		bs.Bufs = bufs
+	}
+	bs.Bufs = bs.Bufs[:len(pt.Reads)]
 	for t, r := range pt.Reads {
-		if r > 0 {
+		switch b := bs.Bufs[t]; {
+		case r == 0:
+			bs.Bufs[t] = nil
+		case cap(b) < r*n:
 			bs.Bufs[t] = make([]int64, r*n)
+		default:
+			bs.Bufs[t] = b[:r*n]
+			clear(bs.Bufs[t])
 		}
 	}
-	return bs
 }
 
 // Validate checks that the buffer shapes match the perpetual test.
@@ -101,6 +121,17 @@ func (c *Counter) Clone() *Counter {
 	cl.fplans, cl.fplansOK, cl.fplansBuilt = c.fplans, c.fplansOK, c.fplansBuilt
 	cl.fbudget = c.fbudget
 	return cl
+}
+
+// TakeScratch moves from's factorized-count scratch (pair matrices,
+// bound, interval and bitset arrays) to c when c has none yet, so a
+// counter for another test counts without reallocating them. The
+// scratch holds no test-specific state between counts; from regrows its
+// own if it counts again.
+func (c *Counter) TakeScratch(from *Counter) {
+	if from != nil && from != c && c.fscratch == nil {
+		c.fscratch, from.fscratch = from.fscratch, nil
+	}
 }
 
 // Outcomes returns the outcomes of interest in evaluation order.

@@ -106,11 +106,14 @@ type compiledCond struct {
 
 type compiledOutcome struct{ conds []compiledCond }
 
-func compileOutcome(t *litmus.Test, o litmus.Outcome, regCounts []int, locIdx map[litmus.Loc]int) (compiledOutcome, error) {
-	var co compiledOutcome
+// compileOutcome resolves o against a compiled test, appending its
+// conditions to conds[:0] so a recompile reuses the old array.
+func compileOutcome(ct *sim.CompiledTest, o litmus.Outcome, conds []compiledCond) (compiledOutcome, error) {
+	t, regCounts := ct.Test(), ct.RegCounts()
+	co := compiledOutcome{conds: conds[:0]}
 	for _, c := range o.Conds {
 		if c.IsMem() {
-			li, ok := locIdx[c.Loc]
+			li, ok := ct.LocIdx(c.Loc)
 			if !ok {
 				return co, fmt.Errorf("harness: %s: outcome references unknown location %q", t.Name, c.Loc)
 			}

@@ -23,15 +23,23 @@ type outcomeHist struct {
 }
 
 func newOutcomeHist(regCounts []int) *outcomeHist {
-	stride := 0
+	h := &outcomeHist{table: make([]int32, 64)}
+	h.retarget(regCounts)
+	return h
+}
+
+// retarget empties h for another register-file shape, dropping every
+// interned outcome and cached key but keeping the backing arrays.
+func (h *outcomeHist) retarget(regCounts []int) {
+	h.regCounts, h.stride = regCounts, 0
 	for _, rc := range regCounts {
-		stride += rc
+		h.stride += rc
 	}
-	return &outcomeHist{
-		regCounts: regCounts,
-		stride:    stride,
-		table:     make([]int32, 64),
-		scratch:   make([]int64, 0, stride),
+	clear(h.keys)
+	h.words, h.counts, h.keys = h.words[:0], h.counts[:0], h.keys[:0]
+	clear(h.table)
+	if cap(h.scratch) < h.stride {
+		h.scratch = make([]int64, 0, h.stride)
 	}
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"perple/internal/litmus"
@@ -22,7 +21,7 @@ import (
 //
 // The returned Litmus7Result aliases the runner's state and is valid
 // only until the next Run call. The package-level RunLitmus7 keeps the
-// own-your-result contract by using fresh runners per call.
+// own-your-result contract by running on a fresh Workspace.
 type Litmus7Runner struct {
 	ct       *sim.CompiledTest
 	runner   *sim.Runner
@@ -48,41 +47,64 @@ type Litmus7Runner struct {
 // compiled test, pre-compiling the target and the optional extra
 // outcomes of interest.
 func NewLitmus7Runner(ct *sim.CompiledTest, outcomes []litmus.Outcome) (*Litmus7Runner, error) {
-	t := ct.Test()
-	locIdx := make(map[litmus.Loc]int, len(ct.Locs()))
-	for i, l := range ct.Locs() {
-		locIdx[l] = i
-	}
-	target, err := compileOutcome(t, t.Target, ct.RegCounts(), locIdx)
-	if err != nil {
+	lr := &Litmus7Runner{}
+	if err := lr.retarget(ct, outcomes); err != nil {
 		return nil, err
 	}
-	lr := &Litmus7Runner{
-		ct:       ct,
-		runner:   sim.NewRunner(ct),
-		target:   target,
-		outcomes: make([]compiledOutcome, len(outcomes)),
-		hist:     newOutcomeHist(ct.RegCounts()),
+	return lr, nil
+}
+
+// retarget points the runner at another compiled test and outcome list,
+// keeping its sim.Runner's arrays (via sim.Runner.Retarget), the
+// interner's tables and the result's histogram map. Trace verification
+// stays configured, with its checker rebuilt for the new layout. On
+// error the runner is unusable until a successful retarget.
+func (lr *Litmus7Runner) retarget(ct *sim.CompiledTest, outcomes []litmus.Outcome) error {
+	target, err := compileOutcome(ct, ct.Test().Target, lr.target.conds)
+	if err != nil {
+		return err
 	}
-	lr.regOnly = target.regOnly()
+	lr.ct, lr.target, lr.regOnly = ct, target, target.regOnly()
+	if cap(lr.outcomes) < len(outcomes) {
+		lr.outcomes = make([]compiledOutcome, len(outcomes))
+	}
+	lr.outcomes = lr.outcomes[:len(outcomes)]
 	for i, o := range outcomes {
-		if lr.outcomes[i], err = compileOutcome(t, o, ct.RegCounts(), locIdx); err != nil {
-			return nil, err
+		if lr.outcomes[i], err = compileOutcome(ct, o, lr.outcomes[i].conds); err != nil {
+			return err
 		}
 		lr.regOnly = lr.regOnly && lr.outcomes[i].regOnly()
 	}
-	lr.wordOff = make([]int, len(ct.RegCounts()))
+	if lr.runner == nil {
+		lr.runner = sim.NewRunner(ct)
+		lr.hist = newOutcomeHist(ct.RegCounts())
+		lr.res.Histogram = map[string]int64{}
+	} else {
+		lr.runner.Retarget(ct)
+		lr.hist.retarget(ct.RegCounts())
+	}
+	lr.wordOff = lr.wordOff[:0]
 	off := 0
-	for ti, rc := range ct.RegCounts() {
-		lr.wordOff[ti] = off
+	for _, rc := range ct.RegCounts() {
+		lr.wordOff = append(lr.wordOff, off)
 		off += rc
 	}
-	lr.res = Litmus7Result{
-		Test:          t,
-		Histogram:     map[string]int64{},
-		OutcomeCounts: make([]int64, len(outcomes)),
+	lr.res.Test = ct.Test()
+	lr.res.OutcomeCounts = zeroedCounts(lr.res.OutcomeCounts, len(outcomes))
+	if lr.checker != nil {
+		return lr.SetTraceVerify(lr.tv)
 	}
-	return lr, nil
+	return nil
+}
+
+// zeroedCounts returns s resized to n zeroed counts, never nil.
+func zeroedCounts(s []int64, n int) []int64 {
+	if s == nil || cap(s) < n {
+		return make([]int64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Run executes n iterations under the given synchronization mode.
@@ -195,77 +217,14 @@ type Litmus7Options struct {
 // extra outcomes of interest, and the full observed-outcome histogram.
 // Cancelling ctx aborts the run with the context's error.
 //
-// Each call compiles the test and builds fresh runners, so the result
-// owns its memory; callers running the same test repeatedly should
-// compile once and reuse a Litmus7Runner. A k-worker run equals the
-// Merge of k serial runs with the derived seeds, so results are
-// deterministic for fixed (test, n, mode, cfg, Workers) regardless of
-// scheduling; a one-worker run is the serial run. Wall is the elapsed
-// host time, and Trace, when enabled, is the first worker's.
+// It is Workspace.RunLitmus7 on a fresh Workspace, so each call
+// compiles the test and builds fresh runners and the result owns its
+// memory; callers running tests repeatedly should keep a Workspace. A
+// k-worker run equals the Merge of k serial runs with the derived
+// seeds, so results are deterministic for fixed (test, n, mode, cfg,
+// Workers) regardless of scheduling; a one-worker run is the serial
+// run. Wall is the elapsed host time, and Trace, when enabled, is the
+// first worker's.
 func RunLitmus7(ctx context.Context, t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config, opts Litmus7Options) (*Litmus7Result, error) {
-	start := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
-	ct, err := sim.Compile(t)
-	if err != nil {
-		return nil, err
-	}
-	workers := min(opts.Workers, n)
-	runners := make([]*Litmus7Runner, max(workers, 1))
-	for w := range runners {
-		if runners[w], err = NewLitmus7Runner(ct, outcomes); err != nil {
-			return nil, err
-		}
-		if err = runners[w].SetTraceVerify(opts.TraceVerify); err != nil {
-			return nil, err
-		}
-	}
-	if workers <= 1 {
-		return runners[0].RunCtx(ctx, n, mode, cfg)
-	}
-	results := make([]*Litmus7Result, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			results[w], errs[w] = runners[w].RunCtx(ctx, n, mode, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
-		}(w, hi-lo)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("harness: batch worker %d: %w", w, err)
-		}
-	}
-
-	out := &Litmus7Result{
-		Test:          t,
-		Mode:          mode,
-		N:             n,
-		Histogram:     map[string]int64{},
-		OutcomeCounts: make([]int64, len(outcomes)),
-		Trace:         results[0].Trace,
-	}
-	merged := newOutcomeHist(ct.RegCounts())
-	reportCap := opts.TraceVerify.reports()
-	for w, r := range results {
-		out.TargetCount += r.TargetCount
-		out.Ticks += r.Ticks
-		for i, v := range r.OutcomeCounts {
-			out.OutcomeCounts[i] += v
-		}
-		out.TracesVerified += r.TracesVerified
-		out.TraceViolations += r.TraceViolations
-		out.TraceVerifyNs += r.TraceVerifyNs
-		for _, rep := range r.TraceReports {
-			if len(out.TraceReports) < reportCap {
-				out.TraceReports = append(out.TraceReports, rep)
-			}
-		}
-		merged.merge(runners[w].hist)
-	}
-	merged.materializeInto(out.Histogram)
-	out.Wall = time.Since(start) //perple:allow nodeterminism wall-clock telemetry; never feeds results
-	return out, nil
+	return new(Workspace).RunLitmus7(ctx, t, n, mode, outcomes, cfg, opts)
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"perple/internal/core"
@@ -30,8 +29,9 @@ type PerpLEOptions struct {
 	CountWorkers int
 	// Workers splits the run: worker w executes iterations
 	// [n·w/k, n·(w+1)/k) as an independent perpetual run seeded with
-	// sim.WorkerSeed(cfg.Seed, w), counts its own buffers with a private
-	// Counter clone, and the per-worker results are merged in worker
+	// sim.WorkerSeed(cfg.Seed, w), counts its own buffers (worker 0 with
+	// the caller's Counter, the others with private clones), and the
+	// per-worker results are merged in worker
 	// order via PerpLEResult.Merge (wall times sum across workers).
 	// Workers is clamped to n; ≤ 1 runs on the calling goroutine.
 	// KeepBufs requires a serial run, and ExhaustiveCap applies per
@@ -120,67 +120,47 @@ func (r *PerpLEResult) TotalTicksHeuristic() int64 { return r.ExecTicks + r.Heur
 // test on the simulated machine and applies the selected outcome
 // counters. Cancelling ctx aborts the execution and the counters with
 // the context's error.
+//
+// It is Workspace.RunPerpLE on a fresh Workspace, so the result —
+// including Bufs under KeepBufs — owns its memory.
 func RunPerpLE(ctx context.Context, pt *core.PerpetualTest, counter *core.Counter, n int, opts PerpLEOptions, cfg sim.Config) (*PerpLEResult, error) {
-	if !opts.Exhaustive && !opts.Heuristic && !opts.KeepBufs {
-		return nil, fmt.Errorf("harness: PerpLE run requests no counter and no buffers; nothing to do")
-	}
-	cp, err := sim.CompilePerpetual(pt)
-	if err != nil {
-		return nil, err
-	}
-	workers := min(opts.Workers, n)
-	if workers <= 1 {
-		return runPerpLE(ctx, cp, counter, n, opts, cfg)
-	}
-	if opts.KeepBufs {
-		return nil, fmt.Errorf("harness: KeepBufs is incompatible with batched PerpLE runs (workers=%d)", workers)
-	}
-	results := make([]*PerpLEResult, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			results[w], errs[w] = runPerpLE(ctx, cp, counter.Clone(), n, opts, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
-		}(w, hi-lo)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("harness: batch worker %d: %w", w, err)
-		}
-	}
-	out := results[0]
-	for _, r := range results[1:] {
-		if err := out.Merge(r); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return new(Workspace).RunPerpLE(ctx, pt, counter, n, opts, cfg)
 }
 
-// runPerpLE is one serial PerpLE run on a fresh perpetual runner.
-func runPerpLE(ctx context.Context, cp *sim.CompiledPerpetual, counter *core.Counter, n int, opts PerpLEOptions, cfg sim.Config) (*PerpLEResult, error) {
+// perpWorker is one PerpLE worker's run state within a Workspace: its
+// perpetual runner, the counter it counts with (the caller's for worker
+// 0, a clone for the others), the capped-count view of its buffers and
+// its result.
+type perpWorker struct {
+	runner  *sim.PerpetualRunner
+	base    *core.Counter // the caller's counter counter was made for
+	counter *core.Counter
+	trunc   core.BufSet
+	res     PerpLEResult
+}
+
+// run is one serial PerpLE run on the worker's runner.
+func (pw *perpWorker) run(ctx context.Context, n int, opts PerpLEOptions, cfg sim.Config) (*PerpLEResult, error) {
 	start := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
-	simRes, err := sim.NewPerpetualRunner(cp).RunCtx(ctx, n, cfg)
+	simRes, err := pw.runner.RunCtx(ctx, n, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &PerpLEResult{
+	res := &pw.res
+	*res = PerpLEResult{
 		N:         n,
 		ExecTicks: simRes.Ticks,
 		WallExec:  time.Since(start), //perple:allow nodeterminism wall-clock telemetry; never feeds results
 		Trace:     simRes.Trace,
 	}
+	counter := pw.counter
 
 	if opts.Exhaustive {
 		bs := simRes.Bufs
 		res.ExhaustiveN = n
 		if opts.ExhaustiveCap > 0 && opts.ExhaustiveCap < n {
 			res.ExhaustiveN = opts.ExhaustiveCap
-			bs = truncateBufs(cp.Test(), simRes.Bufs, opts.ExhaustiveCap)
+			bs = truncateInto(&pw.trunc, simRes.Bufs, opts.ExhaustiveCap)
 		}
 		t0 := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
 		// Auto-select the factorized counter when the outcome set is
@@ -213,13 +193,15 @@ func runPerpLE(ctx context.Context, cp *sim.CompiledPerpetual, counter *core.Cou
 	return res, nil
 }
 
-// truncateBufs views the first n iterations of a run.
-func truncateBufs(pt *core.PerpetualTest, bs *core.BufSet, n int) *core.BufSet {
-	out := &core.BufSet{N: n, Bufs: make([][]int64, len(bs.Bufs))}
-	for t, b := range bs.Bufs {
+// truncateInto points dst at the first n (< bs.N) iterations of a run's
+// buffers.
+func truncateInto(dst *core.BufSet, bs *core.BufSet, n int) *core.BufSet {
+	dst.N = n
+	dst.Bufs = append(dst.Bufs[:0], bs.Bufs...)
+	for t, b := range dst.Bufs {
 		if b != nil {
-			out.Bufs[t] = b[:pt.Reads[t]*n]
+			dst.Bufs[t] = b[:len(b)/bs.N*n]
 		}
 	}
-	return out
+	return dst
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"perple/internal/memmodel"
 )
@@ -121,46 +120,44 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 //   - "heavy-preempt": 8x preemption — extreme skew, stress for the
 //     perpetual frame analysis.
 func Presets() map[string]Config {
-	def := DefaultConfig()
-
-	pso := def
-	pso.Relaxation = memmodel.PSO
-
-	slow := def
-	slow.DrainMin *= 4
-	slow.DrainMax *= 4
-
-	fast := def
-	fast.DrainMin = 0
-	fast.DrainMax = 2
-
-	noPre := def
-	noPre.PreemptProb = 0
-
-	heavy := def
-	heavy.PreemptProb *= 8
-
-	return map[string]Config{
-		"default":       def,
-		"pso":           pso,
-		"slow-drain":    slow,
-		"fast-drain":    fast,
-		"no-preempt":    noPre,
-		"heavy-preempt": heavy,
+	out := make(map[string]Config, len(presetNames))
+	for _, name := range presetNames {
+		out[name], _ = preset(name)
 	}
+	return out
+}
+
+// presetNames lists every preset, sorted.
+var presetNames = []string{"default", "fast-drain", "heavy-preempt", "no-preempt", "pso", "slow-drain"}
+
+// preset builds one named preset without building the others.
+func preset(name string) (Config, bool) {
+	c := DefaultConfig()
+	switch name {
+	case "default":
+	case "pso":
+		c.Relaxation = memmodel.PSO
+	case "slow-drain":
+		c.DrainMin *= 4
+		c.DrainMax *= 4
+	case "fast-drain":
+		c.DrainMin = 0
+		c.DrainMax = 2
+	case "no-preempt":
+		c.PreemptProb = 0
+	case "heavy-preempt":
+		c.PreemptProb *= 8
+	default:
+		return Config{}, false
+	}
+	return c, true
 }
 
 // Preset returns a named preset, with the available names in the error on
 // a miss.
 func Preset(name string) (Config, error) {
-	presets := Presets()
-	if cfg, ok := presets[name]; ok {
+	if cfg, ok := preset(name); ok {
 		return cfg, nil
 	}
-	names := make([]string, 0, len(presets))
-	for n := range presets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return Config{}, fmt.Errorf("sim: unknown preset %q (have %v)", name, names)
+	return Config{}, fmt.Errorf("sim: unknown preset %q (have %v)", name, presetNames)
 }

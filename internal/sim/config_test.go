@@ -72,8 +72,24 @@ func TestPresets(t *testing.T) {
 	if pso.Relaxation != memmodel.PSO {
 		t.Error("pso preset not PSO")
 	}
-	if _, err := Preset("nope"); err == nil || !strings.Contains(err.Error(), "default") {
-		t.Errorf("miss should list presets: %v", err)
+	const miss = `sim: unknown preset "nope" (have [default fast-drain heavy-preempt no-preempt pso slow-drain])`
+	if _, err := Preset("nope"); err == nil || err.Error() != miss {
+		t.Errorf("miss should list presets:\n got %v\nwant %s", err, miss)
+	}
+	// Preset looks a name up without building the map; both must agree,
+	// and Presets hands out a fresh map each call.
+	all := Presets()
+	for name, want := range all {
+		if got, err := Preset(name); err != nil || got != want {
+			t.Errorf("Preset(%q) = %+v, %v; Presets has %+v", name, got, err, want)
+		}
+	}
+	delete(all, "default")
+	if _, ok := Presets()["default"]; !ok {
+		t.Error("Presets returned a shared map")
+	}
+	if avg := testing.AllocsPerRun(20, func() { Preset("pso") }); avg != 0 {
+		t.Errorf("Preset allocates %.1f times per lookup, want 0", avg)
 	}
 	// Presets actually change machine behaviour: fast-drain makes the sb
 	// target much rarer than slow-drain.

@@ -18,7 +18,8 @@ import (
 //
 // The returned SyncedResult aliases the Runner's backing arrays and is
 // valid only until the next Run call; a caller that keeps results
-// across runs uses a fresh Runner per run.
+// across runs uses a fresh Runner per run. Retarget points the runner
+// at another test without giving those arrays up.
 type Runner struct {
 	ct      *CompiledTest
 	m       machine
@@ -29,18 +30,39 @@ type Runner struct {
 
 // NewRunner builds a reusable synced-mode runner for a compiled test.
 func NewRunner(ct *CompiledTest) *Runner {
-	r := &Runner{ct: ct}
+	r := &Runner{}
+	r.Retarget(ct)
+	return r
+}
+
+// Retarget points the runner at another compiled test, keeping its
+// backing arrays — memory cells, register files, store-buffer rings,
+// RNG and witness recorder — so a test switch allocates only where the
+// new test needs more than the old one held. Runs after Retarget are
+// identical to a fresh NewRunner(ct)'s.
+func (r *Runner) Retarget(ct *CompiledTest) {
+	r.ct = ct
 	r.m.locs = ct.locs
-	r.threads = make([]simThread, len(ct.progs))
-	r.m.threads = make([]*simThread, len(ct.progs))
-	for i := range r.threads {
-		r.threads[i] = simThread{id: i, prog: ct.progs[i]}
-		r.m.threads[i] = &r.threads[i]
-	}
-	r.res.Regs = make([][]int64, len(ct.progs))
+	r.threads = r.m.bindThreads(r.threads, ct.progs)
+	r.res.Regs = resizeKeep(r.res.Regs, len(ct.progs))
 	r.res.RegCounts = ct.regCounts
 	r.res.Locs = ct.locs
-	return r
+	if r.wit != nil {
+		r.wit.retarget(ct.layout)
+	}
+}
+
+// bindThreads sizes threads to one simThread per program and points the
+// machine at them. Threads past the old length keep their store-buffer
+// rings from earlier tests; run setup resets every other field.
+func (m *machine) bindThreads(threads []simThread, progs []bytecodeProg) []simThread {
+	threads = resizeKeep(threads, len(progs))
+	m.threads = resizeKeep(m.threads, len(progs))
+	for i := range threads {
+		threads[i].id, threads[i].prog = i, progs[i]
+		m.threads[i] = &threads[i]
+	}
+	return threads
 }
 
 // RunSynced executes n iterations of the test under the given
@@ -127,27 +149,35 @@ func (r *Runner) RunSyncedCtx(ctx context.Context, n int, mode Mode, cfg Config)
 
 // PerpetualRunner executes perpetual runs of one compiled perpetual test
 // on a reusable machine. Like Runner, it recycles machine state across
-// runs and is not safe for concurrent use. The BufSet on each result is
-// freshly allocated (counters and skew analysis consume it after the
-// run), so only the machine itself is recycled.
+// runs and is not safe for concurrent use. The buf arrays are recycled
+// too: the returned PerpetualResult and its BufSet alias the runner and
+// are valid only until the next Run call, so a caller that keeps buffers
+// across runs (counters and skew analysis read them after the run) uses
+// a fresh runner per run.
 type PerpetualRunner struct {
 	cp      *CompiledPerpetual
 	m       machine
 	threads []simThread
+	bufs    core.BufSet
+	res     PerpetualResult
 }
 
 // NewPerpetualRunner builds a reusable perpetual runner.
 func NewPerpetualRunner(cp *CompiledPerpetual) *PerpetualRunner {
-	r := &PerpetualRunner{cp: cp}
-	r.m.locs = cp.locs
+	r := &PerpetualRunner{}
 	r.m.cells = 1
-	r.threads = make([]simThread, len(cp.progs))
-	r.m.threads = make([]*simThread, len(cp.progs))
-	for i := range r.threads {
-		r.threads[i] = simThread{id: i, prog: cp.progs[i]}
-		r.m.threads[i] = &r.threads[i]
-	}
+	r.Retarget(cp)
 	return r
+}
+
+// Retarget points the runner at another compiled perpetual test,
+// keeping its machine state, store-buffer rings and buf arrays like
+// Runner.Retarget. Runs after Retarget are identical to a fresh
+// NewPerpetualRunner(cp)'s.
+func (r *PerpetualRunner) Retarget(cp *CompiledPerpetual) {
+	r.cp = cp
+	r.m.locs = cp.locs
+	r.threads = r.m.bindThreads(r.threads, cp.progs)
 }
 
 // Run executes n synchronization-free iterations of the perpetual test:
@@ -181,7 +211,8 @@ func (r *PerpetualRunner) RunCtx(ctx context.Context, n int, cfg Config) (*Perpe
 	m.steps = 0
 	m.nextDrainAt = drainNever
 	m.mem = resizeZeroed(m.mem, len(r.cp.locs))
-	bufs := core.NewBufSet(r.cp.pt, n)
+	bufs := &r.bufs
+	bufs.Reset(r.cp.pt, n)
 	for ti := range r.threads {
 		th := &r.threads[ti]
 		th.speed, th.pc, th.iter = 100, 0, 0
@@ -195,7 +226,8 @@ func (r *PerpetualRunner) RunCtx(ctx context.Context, n int, cfg Config) (*Perpe
 		}
 	}
 	m.settle()
-	return &PerpetualResult{Bufs: bufs, Ticks: m.maxTime(), Trace: m.trace}, nil
+	r.res = PerpetualResult{Bufs: bufs, Ticks: m.maxTime(), Trace: m.trace}
+	return &r.res, nil
 }
 
 // reseed resets the machine's RNG to the state of a freshly seeded
@@ -203,6 +235,16 @@ func (r *PerpetualRunner) RunCtx(ctx context.Context, n int, cfg Config) (*Perpe
 // reused machines replay the same streams as fresh ones.
 func (m *machine) reseed(seed int64) {
 	m.rng.seed(seed)
+}
+
+// resizeKeep returns s resized to n elements, keeping every element its
+// backing array held, including those past len(s).
+func resizeKeep[T any](s []T, n int) []T {
+	s = s[:cap(s)]
+	if n > len(s) {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s[:n]
 }
 
 // resizeZeroed returns s resized to n zeroed elements, reusing the

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"perple/internal/core"
 	"perple/internal/litmus"
+	"perple/internal/memmodel"
 )
 
 func mustCompile(t *testing.T, test *litmus.Test) *CompiledTest {
@@ -178,6 +180,8 @@ func TestPerpetualRunnerReuseDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Results alias the runner until its next run: keep a copy.
+	firstBufs, firstTicks := cloneBufs(first.Bufs), first.Ticks
 	if _, err := r.Run(77, DefaultConfig().WithSeed(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +189,7 @@ func TestPerpetualRunnerReuseDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(first.Bufs, again.Bufs) || first.Ticks != again.Ticks {
+	if !reflect.DeepEqual(firstBufs, again.Bufs) || firstTicks != again.Ticks {
 		t.Fatal("rerun on a reused PerpetualRunner differs from its first run")
 	}
 	fresh, err := runPerpetual(pt, 300, cfg)
@@ -194,5 +198,100 @@ func TestPerpetualRunnerReuseDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fresh.Bufs, again.Bufs) || fresh.Ticks != again.Ticks {
 		t.Fatal("reused PerpetualRunner differs from a fresh one")
+	}
+}
+
+// cloneBufs deep-copies a BufSet so it survives runner reuse.
+func cloneBufs(bs *core.BufSet) *core.BufSet {
+	out := &core.BufSet{N: bs.N, Bufs: make([][]int64, len(bs.Bufs))}
+	for t, b := range bs.Bufs {
+		if b != nil {
+			out.Bufs[t] = append([]int64(nil), b...)
+		}
+	}
+	return out
+}
+
+// retargetTests switches thread counts (2, 3, 4), location counts,
+// fences, store-only threads and preset models between consecutive
+// runs.
+var retargetTests = []struct {
+	name string
+	n    int
+	pso  bool
+	wit  int
+}{
+	{"iriw", 700, false, 3},
+	{"sb", 500, false, 0},
+	{"wrc", 900, true, 0},
+	{"safe022", 1200, false, 5},
+	{"mp+fences", 400, true, 2},
+	{"iriw", 300, true, 0},
+	{"sb", 1500, false, 1},
+}
+
+// TestRunnerRetargetMatchesFresh drives one Runner through a sequence
+// of tests via Retarget and requires every run to hash like a fresh
+// runner's, witnesses included.
+func TestRunnerRetargetMatchesFresh(t *testing.T) {
+	var r *Runner
+	for i, tc := range retargetTests {
+		test := mustSuiteTest(t, tc.name)
+		ct := mustCompile(t, test)
+		if r == nil {
+			r = NewRunner(ct)
+		} else {
+			r.Retarget(ct)
+		}
+		cfg := DefaultConfig().WithSeed(int64(i + 3))
+		if tc.pso {
+			cfg.Relaxation = memmodel.PSO
+		}
+		cfg.WitnessEvery = tc.wit
+		mode := Modes[i%len(Modes)]
+		got, err := r.RunSynced(tc.n, mode, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := runSynced(test, tc.n, mode, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hashSynced(got) != hashSynced(want) || got.Ticks != want.Ticks {
+			t.Fatalf("step %d (%s %s): retargeted runner differs from a fresh one", i, tc.name, mode)
+		}
+	}
+}
+
+// TestPerpetualRunnerRetargetMatchesFresh is the perpetual counterpart:
+// one PerpetualRunner, its rings and its buf arrays, across tests.
+func TestPerpetualRunnerRetargetMatchesFresh(t *testing.T) {
+	var r *PerpetualRunner
+	for i, tc := range retargetTests {
+		pt := mustPerp(t, tc.name)
+		cp, err := CompilePerpetual(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == nil {
+			r = NewPerpetualRunner(cp)
+		} else {
+			r.Retarget(cp)
+		}
+		cfg := DefaultConfig().WithSeed(int64(i + 3))
+		if tc.pso {
+			cfg.Relaxation = memmodel.PSO
+		}
+		got, err := r.Run(tc.n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := runPerpetual(pt, tc.n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hashPerpetual(got) != hashPerpetual(want) || !reflect.DeepEqual(got.Bufs, want.Bufs) {
+			t.Fatalf("step %d (%s): retargeted perpetual runner differs from a fresh one", i, tc.name)
+		}
 	}
 }

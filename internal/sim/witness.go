@@ -25,6 +25,13 @@ func newWitnessRec(layout *trace.Layout) *witnessRec {
 	return &witnessRec{layout: layout, set: trace.NewWitnessSet(layout)}
 }
 
+// retarget points the recorder at another test's layout, keeping its
+// backing arrays; reset sizes them for the next run.
+func (w *witnessRec) retarget(layout *trace.Layout) {
+	w.layout = layout
+	w.set.Retarget(layout)
+}
+
 // reset prepares the recorder for an n-iteration run over memLen memory
 // cells, sampling every every-th iteration. Backing arrays are reused.
 func (w *witnessRec) reset(n, every, memLen int) {

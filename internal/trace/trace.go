@@ -262,7 +262,15 @@ type WitnessSet struct {
 // NewWitnessSet builds an empty witness buffer over a layout; Reset
 // sizes it for a run.
 func NewWitnessSet(l *Layout) *WitnessSet {
-	return &WitnessSet{layout: l, nLoads: l.NLoads(), nStores: l.NStores()}
+	w := &WitnessSet{}
+	w.Retarget(l)
+	return w
+}
+
+// Retarget points the buffer at another layout, keeping its backing
+// arrays; Reset sizes it for the next run.
+func (w *WitnessSet) Retarget(l *Layout) {
+	w.layout, w.nLoads, w.nStores = l, l.NLoads(), l.NStores()
 }
 
 // Layout returns the compiled test layout the witnesses are expressed
