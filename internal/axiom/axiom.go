@@ -3,26 +3,11 @@
 // Maranget, Tautschnig). It enumerates candidate executions symbolically
 // — program order is fixed; every reads-from assignment and every
 // per-location coherence order is a choice — and filters them against
-// the axioms of sequential consistency, x86-TSO and SPARC PSO. Analyze
-// classifies each final-state outcome of a test as SCAllowed, TSOOnly
-// (the interesting weak outcomes) or Forbidden; Allowed, AllowedSet and
-// AllowedOutcomes answer the allowed/forbidden question under any of the
-// three models.
-//
-// The axioms, following herd's x86tso.cat:
-//
-//   - coherence ("uniproc"): program order restricted to same-location
-//     accesses, together with rf, co and the derived fr, must be acyclic
-//     under every model;
-//   - SC: full po ∪ rf ∪ co ∪ fr acyclic;
-//   - TSO: ghb = ppo ∪ mfence ∪ rfe ∪ co ∪ fr acyclic, where ppo drops
-//     store→load program order (the store-buffer relaxation), mfence
-//     restores it across an OpFence, and rfe keeps only cross-thread
-//     read-from edges — a same-thread rf is store-to-load forwarding and
-//     does not prove the store reached memory;
-//   - PSO: as TSO, with ppo additionally dropping store→store program
-//     order between different locations (per-location store buffers);
-//     mfence restores it too.
+// the axioms of a memmodel.Model, whose definition (KeepsPO and Axioms)
+// lives in internal/memmodel. Analyze classifies each final-state
+// outcome of a test as SCAllowed, TSOOnly (the interesting weak
+// outcomes) or Forbidden; Allowed, AllowedSet and AllowedOutcomes answer
+// the allowed/forbidden question under any model.
 //
 // The enumeration is engineered as a static pre-flight: sub-relations are
 // memoized per test (program-order bitmasks, po-consistent coherence
@@ -128,14 +113,16 @@ type Result struct {
 	Regs [][]int64
 	Mem  map[litmus.Loc]int64
 	// SC reports whether some SC-consistent execution produces this
-	// state. TSO is implied true for every Result (SC-consistent
-	// executions are TSO-consistent; only TSO-consistent states are
-	// recorded).
+	// state. The enumerated model (TSO for Analyze, the requested one
+	// for AllowedSet) is implied true for every Result: only states it
+	// allows are recorded, and SC-consistent executions are consistent
+	// with every model.
 	SC bool
-	// WitnessTSO is the first TSO-consistent execution producing this
-	// state; WitnessSC the first SC-consistent one (nil when !SC).
-	WitnessTSO *Witness
-	WitnessSC  *Witness
+	// WitnessWeak is the first execution producing this state that is
+	// consistent with the enumerated model; WitnessSC the first
+	// SC-consistent one (nil when !SC).
+	WitnessWeak *Witness
+	WitnessSC   *Witness
 }
 
 // OutcomeClass pairs one outcome of the test's register-outcome space
@@ -169,7 +156,7 @@ type Report struct {
 
 	// Executions is the number of symbolic candidates enumerated
 	// (reads-from assignments × coherence orders, after static pruning);
-	// Consistent of those passing the coherence axiom.
+	// Consistent of those passing every TSO axiom.
 	Executions int
 	Consistent int
 
@@ -204,10 +191,13 @@ func AnalyzeWithLimits(t *litmus.Test, lim Limits) (*Report, error) {
 }
 
 // enumerateModel validates the test and collects, up to lim, every final
-// state the weak model (TSO or PSO) allows, flagging the SC-allowed ones.
-// The Report's Results then hold that model's states; only its counters
-// and Results are filled.
+// state the weak model allows, flagging the SC-allowed ones. The
+// Report's Results then hold that model's states; only its counters and
+// Results are filled.
 func enumerateModel(t *litmus.Test, lim Limits, weak memmodel.Model) (*Report, error) {
+	if weak.Axioms() == nil {
+		return nil, fmt.Errorf("axiom: unsupported memory model %v", weak)
+	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -262,24 +252,11 @@ func anyHolds(results []Result, o litmus.Outcome) bool {
 }
 
 // allowedSet returns the distinct final states model m allows,
-// enumerating exactly up to lim. SC and TSO share the TSO enumeration
-// Analyze runs (SC is its SC-flagged subset); only PSO enumerates with
-// its own ppo.
+// enumerating exactly up to lim.
 func allowedSet(t *litmus.Test, m memmodel.Model, lim Limits) ([]Result, error) {
-	weak := memmodel.TSO
-	switch m {
-	case memmodel.SC, memmodel.TSO:
-	case memmodel.PSO:
-		weak = memmodel.PSO
-	default:
-		return nil, fmt.Errorf("axiom: unsupported memory model %v", m)
-	}
-	rep, err := enumerateModel(t, lim, weak)
+	rep, err := enumerateModel(t, lim, m)
 	if err != nil {
 		return nil, err
-	}
-	if m == memmodel.SC {
-		return rep.SCResults(), nil
 	}
 	return rep.Results, nil
 }
@@ -314,7 +291,7 @@ func (r *Report) WitnessFor(o litmus.Outcome) *Witness {
 			return res.WitnessSC
 		}
 		if tso == nil {
-			tso = res.WitnessTSO
+			tso = res.WitnessWeak
 		}
 	}
 	return tso

@@ -348,7 +348,7 @@ func reportFingerprint(r *Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "exec=%d consistent=%d\n", r.Executions, r.Consistent)
 	for _, res := range r.Results {
-		fmt.Fprintf(&b, "state %s sc=%v\n%s", memmodel.StateKey(r.Test, res.Regs, res.Mem), res.SC, res.WitnessTSO.Format())
+		fmt.Fprintf(&b, "state %s sc=%v\n%s", memmodel.StateKey(r.Test, res.Regs, res.Mem), res.SC, res.WitnessWeak.Format())
 		if res.WitnessSC != nil {
 			b.WriteString(res.WitnessSC.Format())
 		}

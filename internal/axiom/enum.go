@@ -44,9 +44,9 @@ type analysis struct {
 	events []event
 	locs   []litmus.Loc
 
-	po    []uint64 // full program order (transitive; masks make that free)
-	ppo   []uint64 // po pairs the weak model keeps (keepsPO)
-	poLoc []uint64 // po restricted to same-location pairs
+	// weak and sc are the enumerated model's axioms and SC's, compiled
+	// to bitmask rows.
+	weak, sc []compiledAxiom
 
 	loads   []int // load event ids in (thread, index) order
 	loadPos []int // event id -> index in loads, -1 otherwise
@@ -71,12 +71,19 @@ type analysis struct {
 	stack      []int
 }
 
-// newAnalysis memoizes the test for one enumeration; ppo encodes the
-// weak model (TSO or PSO). SC needs no ppo of its own: it is checked with
-// full po on every weakly consistent candidate.
+// compiledAxiom is one memmodel.Axiom over event ids: its po scope as
+// bitmask rows, and the scratch rows its rf scope's dynamic edges go to.
+type compiledAxiom struct {
+	po, dyn []uint64
+}
+
+// newAnalysis memoizes the test for one enumeration under model weak.
+// Every weakly consistent candidate is also checked against SC, which
+// flags the SC-allowed states.
 func newAnalysis(t *litmus.Test, lim Limits, weak memmodel.Model) (*analysis, error) {
-	nEvents := 0
+	nInstrs, nEvents := 0, 0
 	for _, th := range t.Threads {
+		nInstrs += len(th.Instrs)
 		for _, in := range th.Instrs {
 			if in.Kind != litmus.OpFence {
 				nEvents++
@@ -95,12 +102,15 @@ func newAnalysis(t *litmus.Test, lim Limits, weak memmodel.Model) (*analysis, er
 		locIdx: map[litmus.Loc]int{},
 	}
 	a.events = append(a.events, event{thread: -1, index: -1})
+	eventID := make([]int, 0, nInstrs) // instruction, in (thread, index) order -> event id, 0 for fences
 	for ti, th := range t.Threads {
 		for ii, in := range th.Instrs {
 			if in.Kind == litmus.OpFence {
+				eventID = append(eventID, 0)
 				continue
 			}
 			id := len(a.events)
+			eventID = append(eventID, id)
 			a.events = append(a.events, event{
 				thread: ti, index: ii, kind: in.Kind,
 				loc: in.Loc, value: in.Value, reg: in.Reg,
@@ -122,24 +132,30 @@ func newAnalysis(t *litmus.Test, lim Limits, weak memmodel.Model) (*analysis, er
 		a.loadPos[lid] = k
 	}
 
-	a.po = make([]uint64, n)
-	a.ppo = make([]uint64, n)
-	a.poLoc = make([]uint64, n)
-	for i := 1; i < n; i++ {
-		for j := 1; j < n; j++ {
-			ei, ej := &a.events[i], &a.events[j]
-			if ei.thread != ej.thread || ei.index >= ej.index {
-				continue
+	a.dynAll = make([]uint64, n)
+	a.dynExt = make([]uint64, n)
+	compile := func(m memmodel.Model) []compiledAxiom {
+		out := make([]compiledAxiom, 0, len(m.Axioms()))
+		for _, ax := range m.Axioms() {
+			po := make([]uint64, n)
+			ids := eventID
+			for _, th := range t.Threads {
+				m.Ordered(ax.PO, th.Instrs, func(i, j int) {
+					if from, to := ids[i], ids[j]; from > 0 && to > 0 {
+						po[from] |= 1 << to
+					}
+				})
+				ids = ids[len(th.Instrs):]
 			}
-			a.po[i] |= 1 << j
-			if ei.loc == ej.loc {
-				a.poLoc[i] |= 1 << j
+			dyn := a.dynAll
+			if ax.RF == memmodel.RFE {
+				dyn = a.dynExt
 			}
-			if keepsPO(weak, t, ei, ej) {
-				a.ppo[i] |= 1 << j
-			}
+			out = append(out, compiledAxiom{po: po, dyn: dyn})
 		}
+		return out
 	}
+	a.weak, a.sc = compile(weak), compile(memmodel.SC)
 
 	a.buildRFCands()
 	a.buildPerms()
@@ -158,38 +174,11 @@ func newAnalysis(t *litmus.Test, lim Limits, weak memmodel.Model) (*analysis, er
 	}
 
 	a.permChoice = make([]*wsPerm, len(a.permLocs))
-	a.dynAll = make([]uint64, n)
-	a.dynExt = make([]uint64, n)
 	a.readVal = make([]int64, len(a.loads))
 	a.rem = make([]uint64, n)
 	a.color = make([]int8, n)
 	a.stack = make([]int, 0, n)
 	return a, nil
-}
-
-// keepsPO reports whether model m keeps the program-order pair from→to
-// (same thread, from first) in its global order. SC keeps every pair;
-// x86-TSO drops store→load (the FIFO store buffer); PSO also drops
-// store→store to different locations (per-location buffers). An MFENCE
-// between the pair restores a dropped pair. The other half of the weak
-// models — reads-from is external-only under TSO and PSO — lives in
-// check's dynExt.
-func keepsPO(m memmodel.Model, t *litmus.Test, from, to *event) bool {
-	if m == memmodel.SC || from.kind != litmus.OpStore {
-		return true
-	}
-	relaxed := to.kind == litmus.OpLoad || (m == memmodel.PSO && to.loc != from.loc)
-	return !relaxed || fenceBetween(t, from.thread, from.index, to.index)
-}
-
-func fenceBetween(t *litmus.Test, thread, from, to int) bool {
-	instrs := t.Threads[thread].Instrs
-	for i := from + 1; i < to; i++ {
-		if instrs[i].Kind == litmus.OpFence {
-			return true
-		}
-	}
-	return false
 }
 
 // buildRFCands prunes per-load reads-from candidates to those not
@@ -339,15 +328,11 @@ func (a *analysis) enumerate(rep *Report) {
 	}
 }
 
-// check tests one candidate execution against the axioms:
-//
-//	coherence:    poLoc ∪ rf ∪ co ∪ fr acyclic   (required by every model)
-//	TSO or PSO:   ppo ∪ rfe ∪ co ∪ fr acyclic    (ghb; mfence is inside ppo)
-//	SC:           po ∪ rf ∪ co ∪ fr acyclic
-//
-// SC's edge set contains the weak model's (ppo ⊆ po, rfe ⊆ rf), so SC-
-// consistency implies weak consistency and SC is only checked for weakly
-// consistent candidates. co is added as its chain (reachability-
+// check tests one candidate execution against the enumerated model's
+// axioms, then, if it passes them, against SC's (memmodel defines both).
+// SC's edge sets contain every weak model's (ppo ⊆ po, rfe ⊆ rf), so
+// SC-consistency implies weak consistency and SC is only checked for
+// weakly consistent candidates. co is added as its chain (reachability-
 // equivalent to the full total order) and each load contributes a single
 // fr edge to the immediate co-successor of the store it reads — the co
 // chain supplies the rest of fr transitively.
@@ -403,14 +388,19 @@ func (a *analysis) check(rep *Report, idx []int) {
 		}
 	}
 
-	if !a.acyclic(a.poLoc, dynAll) {
-		return // coherence violation
+	for _, ax := range a.weak {
+		if !a.acyclic(ax.po, ax.dyn) {
+			return // forbidden by the model (hence SC-forbidden)
+		}
 	}
 	rep.Consistent++
-	if !a.acyclic(a.ppo, dynExt) {
-		return // forbidden by the weak model (hence SC-forbidden)
+	sc := true
+	for _, ax := range a.sc {
+		if !a.acyclic(ax.po, ax.dyn) {
+			sc = false
+			break
+		}
 	}
-	sc := a.acyclic(a.po, dynAll)
 
 	// Final state: each register holds its last load's observed value;
 	// each location holds its last coherence-order store.
@@ -440,7 +430,7 @@ func (a *analysis) check(rep *Report, idx []int) {
 		return
 	}
 	w := a.witness(idx, regs, mem)
-	res := Result{Regs: regs, Mem: mem, SC: sc, WitnessTSO: w}
+	res := Result{Regs: regs, Mem: mem, SC: sc, WitnessWeak: w}
 	if sc {
 		res.WitnessSC = w
 	}

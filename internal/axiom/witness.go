@@ -6,29 +6,13 @@ import (
 	"strings"
 
 	"perple/internal/litmus"
+	"perple/internal/memmodel"
 )
-
-// EventRef names a memory event by (thread, instruction index); the init
-// pseudo-store is Thread -1.
-type EventRef struct {
-	Thread int
-	Index  int
-}
-
-// IsInit reports whether the reference is the init pseudo-store.
-func (r EventRef) IsInit() bool { return r.Thread < 0 }
-
-func (r EventRef) String() string {
-	if r.IsInit() {
-		return "init"
-	}
-	return fmt.Sprintf("P%d#%d", r.Thread, r.Index)
-}
 
 // RFEdge records which store one load read.
 type RFEdge struct {
-	Load  EventRef
-	Store EventRef // init when the load read the initial value
+	Load  memmodel.EventRef
+	Store memmodel.EventRef // init when the load read the initial value
 }
 
 // Witness is one concrete axiom-consistent execution: the reads-from
@@ -38,8 +22,8 @@ type RFEdge struct {
 // what perple-lint shows to justify a classification.
 type Witness struct {
 	Test *litmus.Test
-	RF   []RFEdge                      // in load (thread, index) order
-	WS   map[litmus.Loc][]EventRef     // coherence order per location (init elided)
+	RF   []RFEdge                           // in load (thread, index) order
+	WS   map[litmus.Loc][]memmodel.EventRef // coherence order per location (init elided)
 	Regs [][]int64
 	Mem  map[litmus.Loc]int64
 }
@@ -48,7 +32,7 @@ type Witness struct {
 func (a *analysis) witness(idx []int, regs [][]int64, mem map[litmus.Loc]int64) *Witness {
 	w := &Witness{
 		Test: a.t,
-		WS:   make(map[litmus.Loc][]EventRef, len(a.permLocs)),
+		WS:   make(map[litmus.Loc][]memmodel.EventRef, len(a.permLocs)),
 		Regs: regs,
 		Mem:  mem,
 	}
@@ -56,16 +40,16 @@ func (a *analysis) witness(idx []int, regs [][]int64, mem map[litmus.Loc]int64) 
 		sid := a.rfCands[k][idx[k]]
 		le, se := &a.events[lid], &a.events[sid]
 		w.RF = append(w.RF, RFEdge{
-			Load:  EventRef{Thread: le.thread, Index: le.index},
-			Store: EventRef{Thread: se.thread, Index: se.index},
+			Load:  memmodel.EventRef{Thread: le.thread, Index: le.index},
+			Store: memmodel.EventRef{Thread: se.thread, Index: se.index},
 		})
 	}
 	for k, loc := range a.permLocs {
 		p := a.permChoice[k]
-		refs := make([]EventRef, 0, len(p.order))
+		refs := make([]memmodel.EventRef, 0, len(p.order))
 		for _, sid := range p.order {
 			se := &a.events[sid]
-			refs = append(refs, EventRef{Thread: se.thread, Index: se.index})
+			refs = append(refs, memmodel.EventRef{Thread: se.thread, Index: se.index})
 		}
 		w.WS[loc] = refs
 	}
@@ -73,7 +57,7 @@ func (a *analysis) witness(idx []int, regs [][]int64, mem map[litmus.Loc]int64) 
 }
 
 // describe renders an event reference with its instruction text.
-func (w *Witness) describe(r EventRef) string {
+func (w *Witness) describe(r memmodel.EventRef) string {
 	if r.IsInit() {
 		return "init"
 	}

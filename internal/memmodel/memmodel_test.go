@@ -1,7 +1,7 @@
 // The tests of this package cross-validate the operational reference
 // machine against the axiomatic checker in internal/axiom, which decides
 // allowed/forbidden for the rest of the repo. They live in an external
-// test package because axiom imports memmodel for the Model enum.
+// test package because axiom imports memmodel for the model definitions.
 package memmodel_test
 
 import (

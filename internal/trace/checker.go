@@ -11,30 +11,23 @@ import (
 type relKind uint8
 
 const (
-	relPo relKind = iota
-	relPpo
-	relPoLoc
+	relPO relKind = iota // static edge of the axiom's po scope
 	relRf
 	relCo
 	relFr
 )
 
-func (r relKind) String() string {
+// label names the relation for a cycle report under the failed axiom.
+func (r relKind) label(ax memmodel.Axiom) string {
 	switch r {
-	case relPo:
-		return "po"
-	case relPpo:
-		return "ppo"
-	case relPoLoc:
-		return "po-loc"
+	case relPO:
+		return ax.PO.String()
 	case relRf:
 		return "rf"
 	case relCo:
 		return "co"
-	case relFr:
-		return "fr"
 	default:
-		return fmt.Sprintf("rel(%d)", int(r))
+		return "fr"
 	}
 }
 
@@ -44,57 +37,28 @@ type edge struct {
 	rel      relKind
 }
 
-// pass selects which axiom's edge set a topological pass checks.
-type pass uint8
-
-const (
-	passCoherence pass = iota // po-loc ∪ rf ∪ co ∪ fr
-	passTSO                   // ppo ∪ mfence ∪ rfe ∪ co ∪ fr
-	passSC                    // po ∪ rf ∪ co ∪ fr
-)
-
-func (p pass) axiom() string {
-	switch p {
-	case passCoherence:
-		return "coherence"
-	case passTSO:
-		return "tso-ghb"
-	default:
-		return "sc"
-	}
-}
-
-func (p pass) union() string {
-	switch p {
-	case passCoherence:
-		return "po-loc ∪ rf ∪ co ∪ fr"
-	case passTSO:
-		return "ppo ∪ mfence ∪ rfe ∪ co ∪ fr"
-	default:
-		return "po ∪ rf ∪ co ∪ fr"
-	}
+// checkedAxiom is one axiom of the checker's model with its static po
+// edges, compiled once.
+type checkedAxiom struct {
+	memmodel.Axiom
+	po []edge
 }
 
 // Checker validates witnesses of one test against a memory model in
-// near-linear time per witness: the happens-before union has O(events)
-// edges (static program-order chains plus one rf, one co-adjacency and
-// one fr edge per dynamic event), and a Kahn topological pass over
+// near-linear time per witness: each axiom's happens-before union has
+// O(events) edges (its compiled po edges plus one rf, one co-adjacency
+// and one fr edge per dynamic event), and a Kahn topological pass over
 // reusable scratch decides acyclicity in O(events). A Checker is not
 // safe for concurrent use; share the Layout and give each goroutine its
 // own Checker.
-//
-// Axioms mirror internal/axiom:
-//
-//	coherence:  po-loc ∪ rf ∪ co ∪ fr acyclic   (checked under TSO)
-//	x86-TSO:    ppo ∪ mfence ∪ rfe ∪ co ∪ fr acyclic
-//	SC:         po ∪ rf ∪ co ∪ fr acyclic        (subsumes coherence)
 //
 // fr is derived: each load precedes the immediate co-successor of the
 // store it read (the co chain supplies the rest transitively), and a
 // load of init precedes the location's co-first store.
 type Checker struct {
-	l     *Layout
-	model memmodel.Model
+	l      *Layout
+	model  memmodel.Model
+	axioms []checkedAxiom
 
 	// Per-witness scratch, reused across Check calls.
 	coNext  []int32 // dense store -> co-successor in its location, -1 at the tail
@@ -109,8 +73,7 @@ type Checker struct {
 	dist    []int32
 }
 
-// NewChecker compiles a checker for the test under the model
-// (memmodel.TSO or memmodel.SC).
+// NewChecker compiles a checker for the test under the model.
 func NewChecker(t *litmus.Test, model memmodel.Model) (*Checker, error) {
 	l, err := NewLayout(t)
 	if err != nil {
@@ -119,13 +82,15 @@ func NewChecker(t *litmus.Test, model memmodel.Model) (*Checker, error) {
 	return NewCheckerLayout(l, model)
 }
 
-// NewCheckerLayout builds a checker over an existing layout.
+// NewCheckerLayout builds a checker over an existing layout, compiling
+// each of the model's axioms' po scope into static edges.
 func NewCheckerLayout(l *Layout, model memmodel.Model) (*Checker, error) {
-	if model != memmodel.TSO && model != memmodel.SC {
-		return nil, fmt.Errorf("trace: unsupported model %v (want TSO or SC)", model)
+	axioms := model.Axioms()
+	if axioms == nil {
+		return nil, fmt.Errorf("trace: unsupported model %v", model)
 	}
 	n := l.NEvents()
-	return &Checker{
+	c := &Checker{
 		l:       l,
 		model:   model,
 		coNext:  make([]int32, l.NStores()),
@@ -136,7 +101,41 @@ func NewCheckerLayout(l *Layout, model memmodel.Model) (*Checker, error) {
 		queue:   make([]int32, 0, n),
 		prevEdg: make([]int32, n),
 		dist:    make([]int32, n),
-	}, nil
+	}
+	for _, ax := range axioms {
+		c.axioms = append(c.axioms, checkedAxiom{Axiom: ax, po: poEdges(l, model, ax.PO)})
+	}
+	return c, nil
+}
+
+// poEdges compiles po scope s of model m into its per-thread transitive
+// reduction: an ordered pair i→j is dropped when an earlier kept
+// successor of i is ordered before j, since the path through it implies
+// the pair. memmodel's scopes are transitively closed, and fences are
+// events here (a fenced pair runs through its fence), so the reduction
+// keeps O(events) edges.
+func poEdges(l *Layout, m memmodel.Model, s memmodel.POScope) []edge {
+	var out []edge
+	base := int32(0)
+	for _, th := range l.test.Threads {
+		n := len(th.Instrs)
+		ordered := make([]bool, n*n) // ordered[i*n+j]: the scope orders i before j
+		m.Ordered(s, th.Instrs, func(i, j int) { ordered[i*n+j] = true })
+		covered := make([]bool, n)
+		for i := 0; i < n; i++ {
+			clear(covered)
+			for j := i + 1; j < n; j++ {
+				if ordered[i*n+j] && !covered[j] {
+					out = append(out, edge{base + int32(i), base + int32(j), relPO})
+					for k := j + 1; k < n; k++ {
+						covered[k] = covered[k] || ordered[j*n+k]
+					}
+				}
+			}
+		}
+		base += int32(n)
+	}
+	return out
 }
 
 // Layout returns the compiled test layout.
@@ -161,13 +160,12 @@ func (c *Checker) Check(w *WitnessSet, s int) (*Violation, error) {
 	if err := c.prepare(w, s); err != nil {
 		return nil, fmt.Errorf("trace: %s slot %d: %w", c.l.test.Name, s, err)
 	}
-	if c.model == memmodel.SC {
-		return c.run(w, s, passSC), nil
+	for i := range c.axioms {
+		if v := c.run(w, s, &c.axioms[i]); v != nil {
+			return v, nil
+		}
 	}
-	if v := c.run(w, s, passCoherence); v != nil {
-		return v, nil
-	}
-	return c.run(w, s, passTSO), nil
+	return nil, nil
 }
 
 // prepare validates the slot's witness and builds the co successor
@@ -223,47 +221,21 @@ func (c *Checker) prepare(w *WitnessSet, s int) error {
 	return nil
 }
 
-// run builds one pass's edge set and topologically sorts it, returning
+// run builds one axiom's edge set and topologically sorts it, returning
 // a Violation with a minimal cycle when the graph is cyclic.
-func (c *Checker) run(w *WitnessSet, s int, p pass) *Violation {
+func (c *Checker) run(w *WitnessSet, s int, ax *checkedAxiom) *Violation {
 	l := c.l
-	c.edges = c.edges[:0]
+	c.edges = append(c.edges[:0], ax.po...)
 
-	// Static program-order edges.
-	switch p {
-	case passCoherence:
-		for ev, next := range l.poLocNext {
-			if next >= 0 {
-				c.edges = append(c.edges, edge{int32(ev), next, relPoLoc})
-			}
-		}
-	case passSC:
-		for ev, next := range l.poNext {
-			if next >= 0 {
-				c.edges = append(c.edges, edge{int32(ev), next, relPo})
-			}
-		}
-	case passTSO:
-		for ev := range l.events {
-			if next := l.nextNonLoad[ev]; next >= 0 {
-				c.edges = append(c.edges, edge{int32(ev), next, relPpo})
-			}
-			if l.events[ev].kind != litmus.OpStore {
-				if next := l.nextLoad[ev]; next >= 0 {
-					c.edges = append(c.edges, edge{int32(ev), next, relPpo})
-				}
-			}
-		}
-	}
-
-	// Dynamic edges: rf (external only under TSO's ghb — a same-thread
+	// Dynamic edges: rf (external only under an rfe axiom — a same-thread
 	// rf is forwarding and does not prove the store reached memory), the
 	// co chains, and the derived fr edge of every load.
+	rfe := ax.RF == memmodel.RFE
 	rf := w.RFAt(s)
 	for k, src := range rf {
 		if src >= 0 {
 			le, se := l.loadEv[k], l.storeEv[src]
-			if p != passTSO || l.events[se].thread != l.events[le].thread {
+			if !rfe || l.events[se].Thread != l.events[le].Thread {
 				c.edges = append(c.edges, edge{se, le, relRf})
 			}
 		}
@@ -286,7 +258,7 @@ func (c *Checker) run(w *WitnessSet, s int, p pass) *Violation {
 	if c.kahn() {
 		return nil
 	}
-	return c.violation(w, s, p)
+	return c.violation(w, s, ax.Axiom)
 }
 
 // kahn topologically sorts the current edge set over CSR-packed
@@ -347,7 +319,7 @@ func (c *Checker) kahn() bool {
 // and the overall shortest (first on ties, in event order) is reported.
 // Violations are cold, so the quadratic sweep costs nothing in the
 // common all-consistent stream.
-func (c *Checker) violation(w *WitnessSet, s int, p pass) *Violation {
+func (c *Checker) violation(w *WitnessSet, s int, ax memmodel.Axiom) *Violation {
 	n := c.l.NEvents()
 	bestLen := int32(-1)
 	var best []int32 // csr edge indices of the winning cycle, in order
@@ -362,18 +334,19 @@ func (c *Checker) violation(w *WitnessSet, s int, p pass) *Violation {
 	v := &Violation{
 		Test:  c.l.test,
 		Model: c.model,
-		Axiom: p.axiom(),
-		Union: p.union(),
+		Axiom: ax.Name,
+		Union: ax.Union(),
 		Iter:  w.Iter(s),
 		RF:    append([]int32(nil), w.RFAt(s)...),
 		Co:    append([]int32(nil), w.CoAt(s)...),
+		l:     c.l,
 	}
 	for _, ei := range best {
 		e := c.csr[ei]
 		v.Cycle = append(v.Cycle, CycleEdge{
-			From: c.l.eventRefOf(e.from),
-			To:   c.l.eventRefOf(e.to),
-			Rel:  e.rel.String(),
+			From: c.l.events[e.from],
+			To:   c.l.events[e.to],
+			Rel:  e.rel.label(ax),
 		})
 	}
 	return v
@@ -428,9 +401,4 @@ func (c *Checker) shortestCycleFrom(root, bound int32) []int32 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-func (l *Layout) eventRefOf(ev int32) EventRef {
-	e := &l.events[ev]
-	return EventRef{Thread: int(e.thread), Index: int(e.index)}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
 	"perple/internal/litmus"
@@ -159,10 +158,46 @@ func TestMPForbiddenWitness(t *testing.T) {
 			t.Errorf("cycle edge %d does not chain: %s then %s", i, e, next)
 		}
 	}
-	rep := v.Format()
-	for _, want := range []string{"trace violation", "ppo", "rf", "fr", "co: [x]", "reads init"} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("report missing %q:\n%s", want, rep)
+	const want = `trace violation: trace-mp, iteration 0
+  model TSO requires ppo ∪ mfence ∪ rfe ∪ co ∪ fr acyclic (tso-ghb axiom); the witness contains the cycle:
+    P0#0 -[ppo]-> P0#1
+    P0#1 -[rf]-> P1#0
+    P1#0 -[ppo]-> P1#1
+    P1#1 -[fr]-> P0#0
+  witness:
+    rf: P1#0 reads P0#1 (y=1)
+    rf: P1#1 reads init ([x] initial value)
+    co: [x]: init -> P0#0
+    co: [y]: init -> P0#1
+`
+	if got := v.Format(); got != want {
+		t.Errorf("report changed:\n%s\nwant:\n%s", got, want)
+	}
+
+	// PSO drops the store→store pair, so the same witness is PSO-consistent.
+	pso := mustChecker(t, test, memmodel.PSO)
+	if v := check(t, pso, witness(t, pso.Layout(), []int32{1, -1}, []int32{0, 1})); v != nil {
+		t.Fatalf("PSO rejected the mp witness:\n%s", v.Format())
+	}
+}
+
+// The load→load pair of mp stays ordered when a store sits between the
+// loads: the store is ordered after the first load but not before the
+// second, so the compiled po edges must keep the load→load pair itself.
+func TestLoadOrderAcrossStore(t *testing.T) {
+	test := &litmus.Test{
+		Name:   "trace-mp-rwr",
+		Target: tgt(1, 0, 1),
+		Threads: []litmus.Thread{
+			{Instrs: []litmus.Instr{litmus.Store("x", 1), litmus.Store("y", 1)}},
+			{Instrs: []litmus.Instr{litmus.Load(0, "y"), litmus.Store("z", 1), litmus.Load(1, "x")}},
+		},
+	}
+	for _, m := range memmodel.Models {
+		c := mustChecker(t, test, m)
+		v := check(t, c, witness(t, c.Layout(), []int32{1, -1}, []int32{0, 1, 2}))
+		if (v == nil) != (m == memmodel.PSO) {
+			t.Errorf("%v: got %v, want a violation unless PSO", m, v)
 		}
 	}
 }
@@ -231,6 +266,27 @@ func TestFenceRestoresOrder(t *testing.T) {
 	wu := witness(t, cu.Layout(), []int32{-1, -1}, []int32{0, 1})
 	if v := check(t, cu, wu); v != nil {
 		t.Fatalf("control: unfenced sb witness rejected:\n%s", v.Format())
+	}
+}
+
+// Under PSO a fence between two stores restores their order: the fenced
+// mp witness is rejected by pso-ghb, through the fence event.
+func TestPSOFenceRestoresStoreOrder(t *testing.T) {
+	test := &litmus.Test{
+		Name:   "trace-mp-fence",
+		Target: tgt(1, 0, 1),
+		Threads: []litmus.Thread{
+			{Instrs: []litmus.Instr{litmus.Store("x", 1), litmus.Fence(), litmus.Store("y", 1)}},
+			{Instrs: []litmus.Instr{litmus.Load(0, "y"), litmus.Load(1, "x")}},
+		},
+	}
+	c := mustChecker(t, test, memmodel.PSO)
+	v := check(t, c, witness(t, c.Layout(), []int32{1, -1}, []int32{0, 1}))
+	if v == nil {
+		t.Fatal("PSO accepted the fenced mp witness")
+	}
+	if v.Axiom != "pso-ghb" || len(v.Cycle) != 5 || v.Cycle[0].String() != "P0#0 -[ppo]-> P0#1" {
+		t.Errorf("want a 5-edge pso-ghb cycle through the fence:\n%s", v.Format())
 	}
 }
 
@@ -329,7 +385,12 @@ func TestWitnessSetSampling(t *testing.T) {
 }
 
 func TestCheckerModelValidation(t *testing.T) {
-	if _, err := NewChecker(sbTest(t), memmodel.PSO); err == nil {
-		t.Error("NewChecker accepted PSO")
+	for _, m := range memmodel.Models {
+		if _, err := NewChecker(sbTest(t), m); err != nil {
+			t.Errorf("NewChecker rejected %v: %v", m, err)
+		}
+	}
+	if _, err := NewChecker(sbTest(t), memmodel.Model(7)); err == nil {
+		t.Error("NewChecker accepted Model(7)")
 	}
 }

@@ -5,14 +5,15 @@
 //   - every witness the simulator emits on the suite and a generated
 //     corpus must be accepted under TSO (the machine implements TSO, so
 //     a rejection is a checker or recorder bug);
-//   - every witness the axiomatic enumerator deems consistent must be
-//     accepted after conversion (the two implementations share their
-//     axioms and must agree);
-//   - mutated witnesses must agree with an independent quadratic
-//     checker, and guaranteed-inconsistent mutations must be rejected;
-//   - a PSO-configured machine must produce at least one reported TSO
-//     violation with a cycle report (fault-injection self-test, the
-//     trace plane's analogue of the oracle's PSO test).
+//   - every witness the axiomatic enumerator deems TSO- or
+//     PSO-consistent must be accepted under that model after conversion;
+//   - machine and mutated witnesses must agree, under SC, TSO and PSO,
+//     with an independent quadratic checker written from the AST, and
+//     guaranteed-inconsistent mutations must be rejected;
+//   - a PSO-configured machine must verify clean under PSO and produce
+//     at least one reported TSO violation with a cycle report
+//     (fault-injection self-test, the trace plane's analogue of the
+//     oracle's PSO test).
 package trace_test
 
 import (
@@ -69,9 +70,14 @@ func naiveFlatten(tc *litmus.Test) (events []naiveEvent, loadEv, storeEv []int) 
 
 // naiveConsistent decides witness consistency by brute force: build the
 // model's full relation union as an adjacency matrix (po pairs by double
-// loop, fences found by scanning between each store/load pair, fr as
-// load → every co-later store) and DFS for a cycle. O(events²) per
-// witness — the reference the near-linear checker must agree with.
+// loop, fences found by scanning between each relaxed pair, fr as load →
+// every co-later store) and DFS for a cycle. O(events²) per witness —
+// the reference the near-linear checker must agree with. It reads the
+// models from the AST and this comment, not from memmodel: SC is po ∪
+// rf ∪ co ∪ fr; TSO and PSO are coherence (po-loc ∪ rf ∪ co ∪ fr) plus
+// ghb, where ghb drops unfenced store→load po (and, under PSO, unfenced
+// store→store po between different locations) and keeps external rf
+// only.
 func naiveConsistent(tc *litmus.Test, rf, co []int32, model memmodel.Model) bool {
 	events, loadEv, storeEv := naiveFlatten(tc)
 	n := len(events)
@@ -170,22 +176,22 @@ func naiveConsistent(tc *litmus.Test, rf, co []int32, model memmodel.Model) bool
 		return false
 	}
 
-	// TSO ghb: ppo (po minus unfenced store→load), external rf, co, fr.
+	// ghb: ppo (po minus the model's unfenced relaxed pairs), external
+	// rf, co, fr.
 	g := adj()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if events[i].thread != events[j].thread {
 				continue
 			}
-			if events[i].kind == litmus.OpStore && events[j].kind == litmus.OpLoad {
+			if events[i].kind == litmus.OpStore {
+				relaxed := events[j].kind == litmus.OpLoad ||
+					(model == memmodel.PSO && events[j].kind == litmus.OpStore && events[j].loc != events[i].loc)
 				fenced := false
 				for k := i + 1; k < j; k++ {
-					if events[k].thread == events[i].thread && events[k].kind == litmus.OpFence {
-						fenced = true
-						break
-					}
+					fenced = fenced || events[k].kind == litmus.OpFence
 				}
-				if !fenced {
+				if relaxed && !fenced {
 					continue
 				}
 			}
@@ -246,15 +252,27 @@ func TestSimWitnessesAcceptedTSO(t *testing.T) {
 }
 
 // TestSimWitnessesAgreeWithNaive holds the near-linear checker to the
-// quadratic reference on genuine machine output (all accepted above, so
-// the reference must accept too — this validates the reference itself).
+// quadratic reference on genuine machine output under every model. The
+// machine implements TSO, so under TSO and PSO the reference must accept
+// every witness too — this validates the reference itself.
 func TestSimWitnessesAgreeWithNaive(t *testing.T) {
 	for _, e := range litmus.Suite() {
 		tc := e.Test
-		_, res := runWitnessed(t, tc, 10, sim.ModeUser, sim.DefaultConfig())
-		for s := 0; s < res.Witnesses.Slots; s++ {
-			if !naiveConsistent(tc, res.Witnesses.RFAt(s), res.Witnesses.CoAt(s), memmodel.TSO) {
-				t.Fatalf("%s slot %d: reference checker rejected a machine witness", tc.Name, s)
+		ct, res := runWitnessed(t, tc, 10, sim.ModeUser, sim.DefaultConfig())
+		for _, m := range memmodel.Models {
+			c, err := trace.NewCheckerLayout(ct.WitnessLayout(), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < res.Witnesses.Slots; s++ {
+				want := naiveConsistent(tc, res.Witnesses.RFAt(s), res.Witnesses.CoAt(s), m)
+				if m != memmodel.SC && !want {
+					t.Fatalf("%s slot %d: reference checker rejected a machine witness under %v", tc.Name, s, m)
+				}
+				v, err := c.Check(res.Witnesses, s)
+				if err != nil || (v == nil) != want {
+					t.Fatalf("%s slot %d under %v: checker (%v, err %v) disagrees with reference %v", tc.Name, s, m, v, err, want)
+				}
 			}
 		}
 	}
@@ -266,12 +284,12 @@ func TestSimWitnessesAgreeWithNaive(t *testing.T) {
 func convertAxiomWitness(t *testing.T, l *trace.Layout, w *axiom.Witness) (rf, co []int32) {
 	t.Helper()
 	// (thread, index) → dense indices, rebuilt from the AST.
-	loadIdx := map[axiom.EventRef]int32{}
-	storeIdx := map[axiom.EventRef]int32{}
+	loadIdx := map[memmodel.EventRef]int32{}
+	storeIdx := map[memmodel.EventRef]int32{}
 	var nl, ns int32
 	for ti, th := range w.Test.Threads {
 		for ii, in := range th.Instrs {
-			ref := axiom.EventRef{Thread: ti, Index: ii}
+			ref := memmodel.EventRef{Thread: ti, Index: ii}
 			switch in.Kind {
 			case litmus.OpLoad:
 				loadIdx[ref] = nl
@@ -300,10 +318,32 @@ func convertAxiomWitness(t *testing.T, l *trace.Layout, w *axiom.Witness) (rf, c
 	return rf, co
 }
 
+// checkOne validates a one-slot witness built from rf and co.
+func checkOne(c *trace.Checker, rf, co []int32) (*trace.Violation, error) {
+	w := trace.NewWitnessSet(c.Layout())
+	w.Reset(1, 1)
+	copy(w.RF, rf)
+	copy(w.Co, co)
+	return c.Check(w, 0)
+}
+
 // TestAxiomWitnessesAccepted: every execution the exact enumerator
-// finds TSO-consistent must also satisfy the streaming checker.
+// finds TSO-consistent (Analyze's witnesses) or PSO-consistent
+// (AllowedSet's) must also satisfy the streaming checker for that model.
 func TestAxiomWitnessesAccepted(t *testing.T) {
 	checked := 0
+	accept := func(c *trace.Checker, aw *axiom.Witness) {
+		t.Helper()
+		rf, co := convertAxiomWitness(t, c.Layout(), aw)
+		v, err := checkOne(c, rf, co)
+		if err != nil {
+			t.Fatalf("%s under %v: converted axiom witness malformed: %v", aw.Test.Name, c.Model(), err)
+		}
+		if v != nil {
+			t.Fatalf("%s: axiom-consistent witness rejected:\n%s\naxiom witness:\n%s", aw.Test.Name, v.Format(), aw.Format())
+		}
+		checked++
+	}
 	for _, tc := range corpus(t) {
 		rep, err := axiom.Analyze(tc)
 		if err != nil {
@@ -312,40 +352,25 @@ func TestAxiomWitnessesAccepted(t *testing.T) {
 			}
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		l, err := trace.NewLayout(tc)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.Name, err)
-		}
-		c, err := trace.NewCheckerLayout(l, memmodel.TSO)
+		tso, err := trace.NewChecker(tc, memmodel.TSO)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
 		for _, oc := range rep.Outcomes {
-			if oc.Class == axiom.Forbidden {
-				continue
+			if aw := rep.WitnessFor(oc.Outcome); oc.Class != axiom.Forbidden && aw != nil {
+				accept(tso, aw)
 			}
-			aw := rep.WitnessFor(oc.Outcome)
-			if aw == nil {
-				continue
-			}
-			rf, co := convertAxiomWitness(t, l, aw)
-			w := trace.NewWitnessSet(l)
-			w.Reset(1, 1)
-			for k, src := range rf {
-				w.SetRF(0, int32(k), src)
-			}
-			for _, st := range co {
-				w.AppendCo(0, st)
-			}
-			v, err := c.Check(w, 0)
-			if err != nil {
-				t.Fatalf("%s %v: converted axiom witness malformed: %v", tc.Name, oc.Outcome, err)
-			}
-			if v != nil {
-				t.Fatalf("%s %v: axiom-consistent witness rejected:\n%s\naxiom witness:\n%s",
-					tc.Name, oc.Outcome, v.Format(), aw.Format())
-			}
-			checked++
+		}
+		psoSet, err := axiom.AllowedSet(tc, memmodel.PSO)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.Name, err)
+		}
+		pso, err := trace.NewCheckerLayout(tso.Layout(), memmodel.PSO)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.Name, err)
+		}
+		for _, res := range psoSet {
+			accept(pso, res.WitnessWeak)
 		}
 	}
 	if checked == 0 {
@@ -358,20 +383,25 @@ func TestAxiomWitnessesAccepted(t *testing.T) {
 
 // TestMutatedWitnessesDifferential perturbs genuine machine witnesses —
 // co swaps and rf rewrites — and requires the streaming checker's
-// verdict to match the quadratic reference on every mutant. (A mutation
-// is not always a violation: reversing two stores of independent
-// threads can be a legal alternative execution, which is exactly why
-// the reference arbitrates.)
+// verdict to match the quadratic reference on every mutant under every
+// model. (A mutation is not always a violation: reversing two stores of
+// independent threads can be a legal alternative execution, which is
+// exactly why the reference arbitrates.)
 func TestMutatedWitnessesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	rejected, agreed := 0, 0
+	rejected := map[memmodel.Model]int{}
+	agreed := 0
 	for _, e := range litmus.Suite() {
 		tc := e.Test
 		ct, res := runWitnessed(t, tc, 20, sim.ModeUser, sim.DefaultConfig())
 		l := ct.WitnessLayout()
-		c, err := trace.NewCheckerLayout(l, memmodel.TSO)
-		if err != nil {
-			t.Fatal(err)
+		var checkers []*trace.Checker
+		for _, m := range memmodel.Models {
+			c, err := trace.NewCheckerLayout(l, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkers = append(checkers, c)
 		}
 		for trial := 0; trial < 40; trial++ {
 			s := rng.Intn(res.Witnesses.Slots)
@@ -394,73 +424,80 @@ func TestMutatedWitnessesDifferential(t *testing.T) {
 			default:
 				continue
 			}
-			w := trace.NewWitnessSet(l)
-			w.Reset(1, 1)
-			for k, src := range rf {
-				w.SetRF(0, int32(k), src)
-			}
-			for _, st := range co {
-				w.AppendCo(0, st)
-			}
-			v, err := c.Check(w, 0)
-			if err != nil {
-				t.Fatalf("%s: mutated witness unexpectedly malformed: %v", tc.Name, err)
-			}
-			want := naiveConsistent(tc, rf, co, memmodel.TSO)
-			if got := v == nil; got != want {
-				rep := "accepted"
-				if v != nil {
-					rep = v.Format()
+			for _, c := range checkers {
+				v, err := checkOne(c, rf, co)
+				if err != nil {
+					t.Fatalf("%s: mutated witness unexpectedly malformed: %v", tc.Name, err)
 				}
-				t.Fatalf("%s trial %d: checker=%v reference=%v\nrf=%v co=%v\n%s",
-					tc.Name, trial, got, want, rf, co, rep)
-			}
-			agreed++
-			if v != nil {
-				rejected++
+				want := naiveConsistent(tc, rf, co, c.Model())
+				if got := v == nil; got != want {
+					rep := "accepted"
+					if v != nil {
+						rep = v.Format()
+					}
+					t.Fatalf("%s trial %d under %v: checker=%v reference=%v\nrf=%v co=%v\n%s",
+						tc.Name, trial, c.Model(), got, want, rf, co, rep)
+				}
+				agreed++
+				if v != nil {
+					rejected[c.Model()]++
+				}
 			}
 		}
 	}
-	if rejected == 0 {
-		t.Fatal("no mutation was rejected; the differential has no teeth")
+	for _, m := range memmodel.Models {
+		if rejected[m] == 0 {
+			t.Fatalf("no mutation was rejected under %v; the differential has no teeth", m)
+		}
 	}
-	t.Logf("agreed on %d mutants (%d rejected)", agreed, rejected)
+	t.Logf("agreed on %d verdicts (rejected: %v)", agreed, rejected)
 }
 
 // ----- PSO fault-injection self-test -----
 
 // TestTraceDetectsPSO: a machine configured as PSO (store-store drain
-// reordering — hardware that claims TSO but isn't) must yield at least
-// one witness the TSO checker rejects, with a usable cycle report. This
-// is the trace plane's end-to-end detection guarantee, mirroring
+// reordering — hardware that claims TSO but isn't) must verify clean
+// under PSO on every witness of the suite and the generated corpus, in
+// every synchronization mode, and must yield at least one witness the
+// TSO checker rejects, with a usable cycle report. This is the trace
+// plane's end-to-end detection guarantee, mirroring
 // oracle.TestOracleDetectsPSO.
 func TestTraceDetectsPSO(t *testing.T) {
-	tc, err := litmus.SuiteTest("mp")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg, err := sim.Preset("pso")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var v *trace.Violation
-	for _, n := range []int{500, 2000, 8000} {
-		ct, res := runWitnessed(t, tc, n, sim.ModeTimebase, cfg)
-		c, cerr := trace.NewCheckerLayout(ct.WitnessLayout(), memmodel.TSO)
-		if cerr != nil {
-			t.Fatal(cerr)
-		}
-		for s := 0; s < res.Witnesses.Slots && v == nil; s++ {
-			vv, err := c.Check(res.Witnesses, s)
+	checked := 0
+	for _, tc := range corpus(t) {
+		for _, mode := range []sim.Mode{sim.ModeUser, sim.ModeTimebase, sim.ModeNone} {
+			ct, res := runWitnessed(t, tc, 2000, mode, cfg)
+			pso, err := trace.NewCheckerLayout(ct.WitnessLayout(), memmodel.PSO)
 			if err != nil {
-				t.Fatalf("slot %d: %v", s, err)
+				t.Fatal(err)
 			}
-			v = vv
-		}
-		if v != nil {
-			break
+			tso, err := trace.NewCheckerLayout(ct.WitnessLayout(), memmodel.TSO)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < res.Witnesses.Slots; s++ {
+				pv, err := pso.Check(res.Witnesses, s)
+				if err != nil {
+					t.Fatalf("%s/%s slot %d: %v", tc.Name, mode, s, err)
+				}
+				if pv != nil {
+					t.Fatalf("%s/%s slot %d: PSO machine witness rejected under PSO:\n%s", tc.Name, mode, s, pv.Format())
+				}
+				checked++
+				if v == nil {
+					if v, err = tso.Check(res.Witnesses, s); err != nil {
+						t.Fatalf("%s/%s slot %d: %v", tc.Name, mode, s, err)
+					}
+				}
+			}
 		}
 	}
+	t.Logf("%d PSO machine witnesses verified clean under PSO", checked)
 	if v == nil {
 		t.Fatal("PSO machine never produced a TSO-rejected witness; trace verification cannot detect conformance bugs")
 	}

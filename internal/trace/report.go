@@ -10,9 +10,9 @@ import (
 
 // CycleEdge is one labelled edge of a violation's happens-before cycle.
 type CycleEdge struct {
-	From EventRef `json:"from"`
-	To   EventRef `json:"to"`
-	Rel  string   `json:"rel"`
+	From memmodel.EventRef `json:"from"`
+	To   memmodel.EventRef `json:"to"`
+	Rel  string            `json:"rel"`
 }
 
 func (e CycleEdge) String() string {
@@ -26,7 +26,7 @@ func (e CycleEdge) String() string {
 type Violation struct {
 	Test  *litmus.Test
 	Model memmodel.Model
-	Axiom string // which acyclicity axiom failed ("coherence", "tso-ghb", "sc")
+	Axiom string // which of the model's acyclicity axioms failed (memmodel.Axiom.Name)
 	Union string // the relation union that axiom requires acyclic
 	Iter  int    // run iteration the witness records
 
@@ -39,6 +39,8 @@ type Violation struct {
 	// encoding (dense indices; -1 = init).
 	RF []int32
 	Co []int32
+
+	l *Layout // the checker's layout, for rendering the witness
 }
 
 func (v *Violation) Error() string {
@@ -57,13 +59,7 @@ func (v *Violation) Format() string {
 	for _, e := range v.Cycle {
 		fmt.Fprintf(&b, "    %s\n", e)
 	}
-	l, err := NewLayout(v.Test)
-	if err != nil {
-		// The violation came from a layout, so this cannot happen; keep
-		// the report useful anyway.
-		fmt.Fprintf(&b, "  (witness omitted: %v)\n", err)
-		return b.String()
-	}
+	l := v.l
 	b.WriteString("  witness:\n")
 	for k, src := range v.RF {
 		fmt.Fprintf(&b, "    rf: %s reads %s", l.LoadRef(int32(k)), l.StoreRef(src))

@@ -6,65 +6,35 @@
 // reads-from source of every load and the per-location coherence order
 // of stores — together a *witness* in the sense of Roy et al., "Fast
 // and Generalized Polynomial Time Memory Consistency Verification".
-// With rf and co given, consistency checking is polynomial: the model's
-// happens-before union (po ∪ rf ∪ co ∪ fr for SC; ppo ∪ mfence ∪ rfe ∪
-// co ∪ fr plus the coherence axiom for x86-TSO) must be acyclic, and
-// acyclicity of a graph with O(events) edges is checked in near-linear
-// time by a topological pass. That lifts soundness checking to
-// arbitrary-size programs: the per-witness cost is linear in the
-// test's event count, independent of any enumeration cutoff.
+// With rf and co given, consistency checking is polynomial: each of the
+// model's acyclicity axioms (internal/memmodel defines them) names a
+// relation union that must be acyclic, and acyclicity of a graph with
+// O(events) edges is checked in near-linear time by a topological pass.
+// That lifts soundness checking to arbitrary-size programs: the
+// per-witness cost is linear in the test's event count, independent of
+// any enumeration cutoff.
 //
 // The package is layered for streaming reuse: a Layout is compiled once
-// per test (event table, static program-order edges, store-value
-// lookup); a WitnessSet is a flat reusable buffer the simulator fills
-// with zero steady-state allocation; a Checker validates one witness at
-// a time against reusable scratch, producing a minimal human-readable
-// cycle report on violation. The axioms mirror internal/axiom exactly
-// (the differential tests hold the two implementations together).
+// per test (dense event numbering, store-value lookup); a WitnessSet is
+// a flat reusable buffer the simulator fills with zero steady-state
+// allocation; a Checker compiles a model's static program-order edges
+// once and validates one witness at a time against reusable scratch,
+// producing a minimal human-readable cycle report on violation. The
+// differential tests hold it to internal/axiom, which enumerates
+// against the same definition, and to an independent quadratic checker.
 package trace
 
 import (
-	"fmt"
-
 	"perple/internal/litmus"
+	"perple/internal/memmodel"
 )
 
-// EventRef names a memory event by (thread, instruction index); the
-// init pseudo-store is Thread -1. Mirrors internal/axiom's rendering so
-// reports read identically across the two checkers.
-type EventRef struct {
-	Thread int
-	Index  int
-}
-
-// IsInit reports whether the reference is the init pseudo-store.
-func (r EventRef) IsInit() bool { return r.Thread < 0 }
-
-func (r EventRef) String() string {
-	if r.IsInit() {
-		return "init"
-	}
-	return fmt.Sprintf("P%d#%d", r.Thread, r.Index)
-}
-
-// eventInfo is one static instruction slot of the test. Unlike the
-// axiomatic checker, fences are events here: they carry the ppo edges
-// that restore store→load order, so the per-witness pass never scans
-// for intervening fences.
-type eventInfo struct {
-	thread int32
-	index  int32
-	kind   litmus.OpKind
-	loc    int32 // dense location index; -1 for fences
-	widx   int32 // dense load/store index within its kind; -1 for fences
-}
-
 // Layout is a litmus test compiled for witness recording and checking:
-// dense event numbering, static program-order edge tables, and the
-// value→store lookup the simulator uses to identify a drained or
-// forwarded store (store values are unique per location, a litmus
-// validation invariant). A Layout is immutable and may be shared by any
-// number of recorders and checkers concurrently.
+// model-independent dense event numbering and the value→store lookup
+// the simulator uses to identify a drained or forwarded store (store
+// values are unique per location, a litmus validation invariant). A
+// Layout is immutable and may be shared by any number of recorders and
+// checkers concurrently.
 //
 // Dense numbering convention (shared with the simulator's compiled
 // programs): events, loads and stores are each numbered in (thread,
@@ -75,33 +45,15 @@ type Layout struct {
 	test *litmus.Test
 	locs []litmus.Loc
 
-	events  []eventInfo
-	evIdx   [][]int32 // [thread][instr] -> event index
-	loadEv  []int32   // dense load index -> event index
-	storeEv []int32   // dense store index -> event index
+	events  []memmodel.EventRef // event index -> (thread, instruction); fences included
+	loadEv  []int32             // dense load index -> event index
+	storeEv []int32             // dense store index -> event index
 
 	loadLoc  []int32 // dense load index -> location index
 	storeLoc []int32 // dense store index -> location index
 	storeVal []int64 // dense store index -> stored value
 
 	storesByLoc [][]int32 // location index -> dense store indices, po-scan order
-
-	// Static edge tables, one entry per event (-1 = none). Together they
-	// generate the program-order relations with O(1) out-degree:
-	//
-	//   - poNext: the po-adjacent successor; chains generate full po.
-	//   - nextNonLoad: the next store-or-fence. Chains of these generate
-	//     every ppo pair with a non-load target (only store→load pairs
-	//     are dropped by TSO).
-	//   - nextLoad: the next load, used from loads and fences only;
-	//     load chains generate every load→load pair, and a fence's edge
-	//     completes store→fence→load — exactly the mfence relation.
-	//   - poLocNext: the next same-thread access to the same location;
-	//     chains generate po|loc for the coherence axiom.
-	poNext      []int32
-	nextNonLoad []int32
-	nextLoad    []int32
-	poLocNext   []int32
 }
 
 // NewLayout validates and compiles a litmus test for witness recording
@@ -118,62 +70,21 @@ func NewLayout(t *litmus.Test) (*Layout, error) {
 	l := &Layout{
 		test:        t,
 		locs:        locs,
-		evIdx:       make([][]int32, len(t.Threads)),
 		storesByLoc: make([][]int32, len(locs)),
 	}
 	for ti, th := range t.Threads {
-		l.evIdx[ti] = make([]int32, len(th.Instrs))
 		for ii, in := range th.Instrs {
-			ev := int32(len(l.events))
-			l.evIdx[ti][ii] = ev
-			info := eventInfo{thread: int32(ti), index: int32(ii), kind: in.Kind, loc: -1, widx: -1}
+			ev, loc := int32(len(l.events)), locIdx[in.Loc]
+			l.events = append(l.events, memmodel.EventRef{Thread: ti, Index: ii})
 			switch in.Kind {
 			case litmus.OpLoad:
-				info.loc = locIdx[in.Loc]
-				info.widx = int32(len(l.loadEv))
 				l.loadEv = append(l.loadEv, ev)
-				l.loadLoc = append(l.loadLoc, info.loc)
+				l.loadLoc = append(l.loadLoc, loc)
 			case litmus.OpStore:
-				info.loc = locIdx[in.Loc]
-				info.widx = int32(len(l.storeEv))
+				l.storesByLoc[loc] = append(l.storesByLoc[loc], int32(len(l.storeEv)))
 				l.storeEv = append(l.storeEv, ev)
-				l.storeLoc = append(l.storeLoc, info.loc)
+				l.storeLoc = append(l.storeLoc, loc)
 				l.storeVal = append(l.storeVal, in.Value)
-				l.storesByLoc[info.loc] = append(l.storesByLoc[info.loc], info.widx)
-			}
-			l.events = append(l.events, info)
-		}
-	}
-
-	n := len(l.events)
-	l.poNext = make([]int32, n)
-	l.nextNonLoad = make([]int32, n)
-	l.nextLoad = make([]int32, n)
-	l.poLocNext = make([]int32, n)
-	for i := range l.poNext {
-		l.poNext[i], l.nextNonLoad[i], l.nextLoad[i], l.poLocNext[i] = -1, -1, -1, -1
-	}
-	for ti, th := range t.Threads {
-		nonLoad, load := int32(-1), int32(-1)
-		lastAt := make(map[int32]int32) // location -> later event, for poLocNext
-		for ii := len(th.Instrs) - 1; ii >= 0; ii-- {
-			ev := l.evIdx[ti][ii]
-			info := &l.events[ev]
-			if ii+1 < len(th.Instrs) {
-				l.poNext[ev] = l.evIdx[ti][ii+1]
-			}
-			l.nextNonLoad[ev] = nonLoad
-			l.nextLoad[ev] = load
-			if info.kind == litmus.OpLoad {
-				load = ev
-			} else {
-				nonLoad = ev
-			}
-			if info.loc >= 0 {
-				if later, ok := lastAt[info.loc]; ok {
-					l.poLocNext[ev] = later
-				}
-				lastAt[info.loc] = ev
 			}
 		}
 	}
@@ -197,19 +108,15 @@ func (l *Layout) NLoads() int { return len(l.loadEv) }
 func (l *Layout) NStores() int { return len(l.storeEv) }
 
 // LoadRef resolves a dense load index to its event reference.
-func (l *Layout) LoadRef(i int32) EventRef {
-	ev := &l.events[l.loadEv[i]]
-	return EventRef{Thread: int(ev.thread), Index: int(ev.index)}
-}
+func (l *Layout) LoadRef(i int32) memmodel.EventRef { return l.events[l.loadEv[i]] }
 
 // StoreRef resolves a dense store index to its event reference; -1 maps
 // to the init pseudo-store.
-func (l *Layout) StoreRef(i int32) EventRef {
+func (l *Layout) StoreRef(i int32) memmodel.EventRef {
 	if i < 0 {
-		return EventRef{Thread: -1, Index: -1}
+		return memmodel.EventRef{Thread: -1, Index: -1}
 	}
-	ev := &l.events[l.storeEv[i]]
-	return EventRef{Thread: int(ev.thread), Index: int(ev.index)}
+	return l.events[l.storeEv[i]]
 }
 
 // StoreIdxFor identifies the store of val to the location, or -1. Store
