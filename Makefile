@@ -29,8 +29,8 @@ lint: check
 # checker against its quadratic reference, over the factorized counter
 # against the odometer, and over the two on-disk decoders a campaign
 # resumes from — checkpoint load and WAL replay (CI runs the seed
-# corpora as ordinary tests and fuzzes the two checkers for 20s each;
-# this explores new inputs for longer).
+# corpora as ordinary tests and fuzzes the two checkers and the two
+# decoders for 20s each; this explores new inputs for longer).
 fuzz:
 	$(GO) test ./internal/litmus -fuzz FuzzParseRoundTrip -fuzztime 30s
 	$(GO) test ./internal/axiom -run '^$$' -fuzz FuzzAxiomVsOperational -fuzztime 30s

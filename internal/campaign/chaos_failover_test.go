@@ -215,6 +215,16 @@ func TestChaosDispatcherFailoverByteIdentical(t *testing.T) {
 				t.Fatalf("incarnation %d: campaign finished before kill point %s fired", gen, point)
 			}
 		}
+		if point == "mid-compact" {
+			// The hook runs after a snapshot landed, so the nth firing means
+			// at least n mid-run compactions saved under the doubling
+			// schedule (a startup compaction that chaos made fail is not
+			// counted).
+			metrics := soakStatus(t, ts, id)["metrics"].(map[string]any)
+			if got := metrics["wal_compactions"].(float64); got < float64(nth) {
+				t.Fatalf("incarnation %d: wal_compactions = %v at the kill, want at least %d", gen, got, nth)
+			}
+		}
 		front.quiesce()
 	}
 

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 )
 
 // checkpointVersion guards the snapshot format; version 2 wraps the
@@ -81,12 +82,27 @@ type MergedLease struct {
 
 // checkpointEnvelope is the version-2 file format: the compact-encoded
 // Checkpoint plus its IEEE CRC-32. The CRC is computed over the
-// compacted payload bytes so re-indentation (MarshalIndent at save,
-// whatever whitespace survives on disk at load) cannot perturb it.
+// compacted payload bytes so whitespace cannot perturb it: saves write
+// the envelope compact, and snapshots written indented (as earlier
+// versions did) load unchanged.
 type checkpointEnvelope struct {
 	Version int             `json:"version"`
 	CRC32   uint32          `json:"crc32"`
 	Payload json.RawMessage `json:"payload"`
+}
+
+// appendEnvelope appends the compact encoding of the envelope around
+// payload, a compact-encoded Checkpoint, to dst — the bytes
+// json.Marshal would produce for the checkpointEnvelope, without a
+// second pass over the payload.
+func appendEnvelope(dst, payload []byte) []byte {
+	dst = append(dst, `{"version":`...)
+	dst = strconv.AppendInt(dst, checkpointVersion, 10)
+	dst = append(dst, `,"crc32":`...)
+	dst = strconv.AppendUint(dst, uint64(crc32.ChecksumIEEE(payload)), 10)
+	dst = append(dst, `,"payload":`...)
+	dst = append(dst, payload...)
+	return append(dst, '}')
 }
 
 // SaveCheckpoint writes the snapshot durably and atomically on the real
@@ -121,11 +137,7 @@ func SaveCheckpointLedgerFS(fsys CheckpointFS, path string, spec Spec, done map[
 	if err != nil {
 		return fmt.Errorf("campaign: encoding checkpoint: %w", err)
 	}
-	env := checkpointEnvelope{Version: checkpointVersion, CRC32: crc32.ChecksumIEEE(payload), Payload: payload}
-	data, err := json.MarshalIndent(&env, "", "  ")
-	if err != nil {
-		return fmt.Errorf("campaign: encoding checkpoint: %w", err)
-	}
+	data := appendEnvelope(make([]byte, 0, len(payload)+64), payload)
 
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")

@@ -116,6 +116,7 @@ func checkResumed(t *testing.T, camp *Campaign, d *Dispatcher) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	checkQueueCounts(t, d.q)
 	if err := camp.validateRestored(d.done); err != nil {
 		t.Fatalf("resume merged a result that contradicts its job: %v", err)
 	}

@@ -40,9 +40,13 @@ type Options struct {
 	// (group commit); 0 or 1 fsyncs every record.
 	WALSyncEvery int
 
-	// CompactEvery folds the WAL into a fresh checkpoint every n
-	// terminal job transitions (merges + dead letters); 0 selects the
-	// default of 64.
+	// CompactEvery is the floor of the WAL compaction schedule: the log
+	// folds into a fresh checkpoint once the terminal job transitions
+	// (merges + dead letters) since the last snapshot reach the larger of
+	// n and the terminal rows that snapshot holds. The interval doubles
+	// as the campaign progresses, so compaction costs O(jobs) over a run,
+	// and the log never holds more terminal records than the snapshot it
+	// replays over (or n, early on). 0 selects the default floor of 64.
 	CompactEvery int
 
 	// Metrics receives the run's counters; nil allocates a private set.
@@ -105,8 +109,9 @@ type Dispatcher struct {
 	done          map[int]*JobResult
 	mergedLease   map[int]int64 // job ID → lease nonce its merged upload carried
 	sinceSave     int
-	sinceCompact  int // merges + dead letters since the last WAL compaction
-	compactEvery  int
+	sinceCompact  int   // merges + dead letters since the last WAL compaction
+	compactEvery  int   // floor of the compaction interval
+	snapTerminal  int   // done + dead-lettered rows in the last saved WAL snapshot
 	checkpointErr error // final-save failure; transient mid-run errors only count in metrics
 	finished      bool
 	cancelled     bool
@@ -277,7 +282,7 @@ func (d *Dispatcher) recoverDurable(ledger *LedgerSnapshot) error {
 		if e.failed {
 			d.recordFailureLocked(e)
 		} else if _, ok := d.done[id]; !ok {
-			e.state = statePending
+			d.q.setState(e, statePending)
 			d.q.requeue(id)
 		}
 	}
@@ -495,6 +500,9 @@ func (d *Dispatcher) compactLocked() error {
 		d.metrics.CheckpointErrors.Add(1)
 		return err
 	}
+	d.metrics.WALCompactions.Add(1)
+	_, _, _, failed := d.q.counts()
+	d.snapTerminal = len(d.done) + failed
 	d.sinceSave = 0
 	d.sinceCompact = 0
 	if d.killHook != nil && d.killHook("mid-compact") {
@@ -797,7 +805,7 @@ func (d *Dispatcher) complete(req CompleteRequest) CompleteResponse {
 		}
 	}
 	if d.wal != nil {
-		if d.sinceCompact >= d.compactEvery {
+		if d.sinceCompact >= max(d.compactEvery, d.snapTerminal) {
 			_ = d.compactLocked()
 		}
 	} else {

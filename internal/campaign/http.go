@@ -144,8 +144,9 @@ type Server struct {
 	// 0 or 1 fsyncs every record.
 	WALSyncEvery int
 
-	// CompactEvery folds the WAL into a fresh checkpoint every n
-	// terminal job transitions; 0 selects the dispatcher default.
+	// CompactEvery is the floor of each dispatcher's WAL compaction
+	// interval, which doubles with the campaign's terminal rows (see
+	// Options.CompactEvery); 0 selects the dispatcher default.
 	CompactEvery int
 
 	mu   sync.Mutex
@@ -349,6 +350,7 @@ func writePrometheus(w io.Writer, campaigns, running int, uptimeSec float64, lea
 		{"perple_wal_append_errors_total", "counter", "WAL appends that failed and degraded the log.", float64(agg.WALAppendErrors)},
 		{"perple_wal_fsync_ns_total", "counter", "Host nanoseconds spent fsyncing write-ahead logs.", float64(agg.WALFsyncNs)},
 		{"perple_wal_replays_total", "counter", "Dispatcher recoveries that replayed a write-ahead log.", float64(agg.WALReplays)},
+		{"perple_wal_compactions_total", "counter", "Write-ahead logs folded into a fresh checkpoint.", float64(agg.WALCompactions)},
 		{"perple_wal_truncated_records_total", "counter", "Torn tail records dropped during WAL replay.", float64(agg.WALTruncatedRecords)},
 		{"perple_allocs_total", "counter", "Heap allocations since metrics start (process-wide).", float64(agg.Allocs)},
 		{"perple_alloc_bytes_total", "counter", "Heap bytes allocated since metrics start (process-wide).", float64(agg.AllocBytes)},

@@ -103,6 +103,9 @@ type Metrics struct {
 	// WALReplays counts dispatcher startups that replayed an existing
 	// log.
 	WALReplays atomic.Int64
+	// WALCompactions counts snapshots the log was folded into, the
+	// startup compaction included; the closing save is not counted.
+	WALCompactions atomic.Int64
 	// WALTruncatedRecords counts torn tail records dropped during
 	// replay (a crash or partial-append fault mid-record).
 	WALTruncatedRecords atomic.Int64
@@ -227,6 +230,7 @@ type Snapshot struct {
 	WALAppendErrors      int64             `json:"wal_append_errors"`
 	WALFsyncNs           int64             `json:"wal_fsync_ns"`
 	WALReplays           int64             `json:"wal_replays"`
+	WALCompactions       int64             `json:"wal_compactions"`
 	WALTruncatedRecords  int64             `json:"wal_truncated_records"`
 	ElapsedSec           float64           `json:"elapsed_sec"`
 	IterationsPerSec     float64           `json:"iterations_per_sec"`
@@ -278,6 +282,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		WALAppendErrors:      m.WALAppendErrors.Load(),
 		WALFsyncNs:           m.WALFsyncNs.Load(),
 		WALReplays:           m.WALReplays.Load(),
+		WALCompactions:       m.WALCompactions.Load(),
 		WALTruncatedRecords:  m.WALTruncatedRecords.Load(),
 	}
 	if start := m.startNano.Load(); start > 0 {
@@ -333,6 +338,7 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.WALAppendErrors += o.WALAppendErrors
 	s.WALFsyncNs += o.WALFsyncNs
 	s.WALReplays += o.WALReplays
+	s.WALCompactions += o.WALCompactions
 	s.WALTruncatedRecords += o.WALTruncatedRecords
 	s.IterationsPerSec += o.IterationsPerSec
 	if o.ElapsedSec > s.ElapsedSec {

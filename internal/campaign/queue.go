@@ -47,6 +47,14 @@ type queueEntry struct {
 // job ID and granted lowest-ID first, and a requeued job re-enters at
 // its ID's sorted position, so a fixed sequence of lease/expire events
 // always hands out the same jobs in the same order.
+//
+// Two summaries keep the per-call cost of the dispatcher's hot path
+// independent of the campaign's size: per-state row counts, maintained
+// by setState (every state change goes through it), and nextExpiry, a
+// lower bound on the expiry of every live lease, maintained by
+// noteExpiry (every write of expires goes through it). sweep skips its
+// scan while the bound lies in the future, since no lease can have
+// expired then.
 type leaseQueue struct {
 	entries    map[int]*queueEntry
 	ids        []int // all job IDs, sorted, for deterministic sweeps
@@ -55,6 +63,14 @@ type leaseQueue struct {
 	maxRetries int
 	nextLease  int64
 	now        func() time.Time
+
+	// nPending, nLeased and nDone count rows per state; nFailed counts
+	// the done rows that are dead letters. Rows in an unknown state (a
+	// damaged snapshot) count nowhere, exactly as a scan would see them.
+	nPending, nLeased, nDone, nFailed int
+	// nextExpiry is at or before the expiry of every leased row; zero
+	// means no row has been leased since the last scan.
+	nextExpiry time.Time
 }
 
 func newLeaseQueue(jobs []Job, ttl time.Duration, maxRetries int, now func() time.Time) *leaseQueue {
@@ -71,9 +87,41 @@ func newLeaseQueue(jobs []Job, ttl time.Duration, maxRetries int, now func() tim
 		q.ids = append(q.ids, job.ID)
 		q.pending = append(q.pending, job.ID)
 	}
+	q.nPending = len(jobs)
 	sort.Ints(q.ids)
 	sort.Ints(q.pending)
 	return q
+}
+
+// tally adds delta to the count of e's current state.
+func (q *leaseQueue) tally(e *queueEntry, delta int) {
+	switch e.state {
+	case statePending:
+		q.nPending += delta
+	case stateLeased:
+		q.nLeased += delta
+	case stateDone:
+		q.nDone += delta
+		if e.failed {
+			q.nFailed += delta
+		}
+	}
+}
+
+// setState moves e to state s, keeping the per-state counts. A move
+// into stateDone must set e.failed first: the flag is counted with the
+// done state and never changes while a row is done.
+func (q *leaseQueue) setState(e *queueEntry, s leaseState) {
+	q.tally(e, -1)
+	e.state = s
+	q.tally(e, +1)
+}
+
+// noteExpiry records that a leased row now expires at t.
+func (q *leaseQueue) noteExpiry(t time.Time) {
+	if q.nextExpiry.IsZero() || t.Before(q.nextExpiry) {
+		q.nextExpiry = t
+	}
 }
 
 // requeue returns a job to the pending set at its sorted position.
@@ -91,27 +139,39 @@ func (q *leaseQueue) requeue(id int) {
 // zero-TTL queue serves in-process executors, which cannot vanish
 // without the process: its leases never expire, however long a job
 // runs.
+//
+// While nextExpiry lies after now no lease can have expired, and sweep
+// returns without a scan; a scan recomputes the bound from the leases
+// it leaves live.
 func (q *leaseQueue) sweep() (requeued []*queueEntry, failed []*queueEntry) {
-	if q.ttl == 0 {
+	if q.ttl == 0 || q.nextExpiry.IsZero() {
 		return nil, nil
 	}
 	now := q.now()
+	if q.nextExpiry.After(now) {
+		return nil, nil
+	}
+	q.nextExpiry = time.Time{}
 	for _, id := range q.ids {
 		e := q.entries[id]
-		if e.state != stateLeased || e.expires.After(now) {
+		if e.state != stateLeased {
+			continue
+		}
+		if e.expires.After(now) {
+			q.noteExpiry(e.expires)
 			continue
 		}
 		e.attempts++
 		if e.attempts > q.maxRetries {
-			e.state = stateDone
 			e.failed = true
+			q.setState(e, stateDone)
 			if e.failErr == "" {
 				e.failErr = "lease expired"
 			}
 			failed = append(failed, e)
 			continue
 		}
-		e.state = statePending
+		q.setState(e, statePending)
 		q.requeue(id)
 		requeued = append(requeued, e)
 	}
@@ -123,7 +183,7 @@ func (q *leaseQueue) sweep() (requeued []*queueEntry, failed []*queueEntry) {
 func (q *leaseQueue) releaseLeased() {
 	for _, id := range q.ids {
 		if e := q.entries[id]; e.state == stateLeased {
-			e.state = statePending
+			q.setState(e, statePending)
 			q.requeue(id)
 		}
 	}
@@ -145,13 +205,14 @@ func (q *leaseQueue) lease(worker string, max int) []LeaseGrant {
 	for _, id := range q.pending[:n] {
 		e := q.entries[id]
 		q.nextLease++
-		e.state = stateLeased
+		q.setState(e, stateLeased)
 		e.leaseID = q.nextLease
 		e.worker = worker
 		e.expires = expires
 		e.grantedAt = now
 		granted = append(granted, LeaseGrant{Job: e.job, LeaseID: e.leaseID})
 	}
+	q.noteExpiry(expires)
 	q.pending = q.pending[n:]
 	return granted
 }
@@ -164,6 +225,7 @@ func (q *leaseQueue) heartbeat(worker string, ref LeaseRef) bool {
 		return false
 	}
 	e.expires = q.now().Add(q.ttl)
+	q.noteExpiry(e.expires)
 	return true
 }
 
@@ -184,13 +246,10 @@ func (q *leaseQueue) complete(ref LeaseRef) (accepted, fenced bool) {
 	if e.state == statePending {
 		// A requeued job completed by its pre-expiry holder: pull it back
 		// out of the pending set.
-		i := sort.SearchInts(q.pending, ref.JobID)
-		if i < len(q.pending) && q.pending[i] == ref.JobID {
-			q.pending = append(q.pending[:i], q.pending[i+1:]...)
-		}
+		q.dropPending(ref.JobID)
 	}
-	e.state = stateDone
 	e.failed = false
+	q.setState(e, stateDone)
 	return true, false
 }
 
@@ -206,11 +265,11 @@ func (q *leaseQueue) fail(worker string, ref LeaseRef, msg string) (requeuedNow,
 	e.attempts++
 	e.failErr = msg
 	if e.attempts > q.maxRetries {
-		e.state = stateDone
 		e.failed = true
+		q.setState(e, stateDone)
 		return false, true
 	}
-	e.state = statePending
+	q.setState(e, statePending)
 	q.requeue(ref.JobID)
 	return true, false
 }
@@ -222,37 +281,19 @@ func (q *leaseQueue) release(worker string, ref LeaseRef) bool {
 	if !ok || e.state != stateLeased || e.leaseID != ref.LeaseID || e.worker != worker {
 		return false
 	}
-	e.state = statePending
+	q.setState(e, statePending)
 	q.requeue(ref.JobID)
 	return true
 }
 
 // counts reports the ledger's aggregate state.
 func (q *leaseQueue) counts() (pending, leased, done, failed int) {
-	for _, e := range q.entries {
-		switch e.state {
-		case statePending:
-			pending++
-		case stateLeased:
-			leased++
-		case stateDone:
-			done++
-			if e.failed {
-				failed++
-			}
-		}
-	}
-	return pending, leased, done, failed
+	return q.nPending, q.nLeased, q.nDone, q.nFailed
 }
 
 // allDone reports whether every job reached the done state.
 func (q *leaseQueue) allDone() bool {
-	for _, e := range q.entries {
-		if e.state != stateDone {
-			return false
-		}
-	}
-	return true
+	return q.nDone == len(q.entries)
 }
 
 // oldestLeaseGrant returns the earliest grantedAt among live leases,
@@ -332,10 +373,15 @@ func newLeaseQueueFromRows(jobs []Job, rows []LedgerRow, ttl time.Duration, maxR
 			e.worker = row.Worker
 			e.expires = time.Unix(0, row.Expires)
 			e.grantedAt = e.expires.Add(-ttl)
+			q.noteExpiry(e.expires)
 			if row.LeaseID > q.nextLease {
 				q.nextLease = row.LeaseID
 			}
 		}
+		if old, dup := q.entries[row.JobID]; dup {
+			q.tally(old, -1) // a repeated row replaces the earlier one
+		}
+		q.tally(e, +1)
 		q.entries[row.JobID] = e
 		q.ids = append(q.ids, row.JobID)
 		if e.state == statePending {
@@ -369,10 +415,11 @@ func (q *leaseQueue) applyGrant(jobID int, leaseID int64, worker string, expires
 		return false
 	}
 	q.dropPending(jobID)
-	e.state = stateLeased
+	q.setState(e, stateLeased)
 	e.leaseID = leaseID
 	e.worker = worker
 	e.expires = expires
+	q.noteExpiry(expires)
 	e.grantedAt = expires.Add(-q.ttl)
 	if leaseID > q.nextLease {
 		q.nextLease = leaseID
@@ -387,6 +434,7 @@ func (q *leaseQueue) applyExtend(jobID int, leaseID int64, expires time.Time) bo
 		return false
 	}
 	e.expires = expires
+	q.noteExpiry(expires)
 	return true
 }
 
@@ -400,7 +448,7 @@ func (q *leaseQueue) applyRequeue(jobID, attempts int, failErr string) bool {
 	if e.state != statePending {
 		q.requeue(jobID)
 	}
-	e.state = statePending
+	q.setState(e, statePending)
 	e.attempts = attempts
 	e.failErr = failErr
 	return true
@@ -414,8 +462,8 @@ func (q *leaseQueue) applyDeadLetter(jobID, attempts int, failErr string) (*queu
 		return nil, false
 	}
 	q.dropPending(jobID)
-	e.state = stateDone
 	e.failed = true
+	q.setState(e, stateDone)
 	e.attempts = attempts
 	e.failErr = failErr
 	return e, true

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -161,5 +163,170 @@ func TestInProcessLeasesNeverExpire(t *testing.T) {
 	}
 	if _, leased, _, _ := q.counts(); leased != 2 {
 		t.Fatalf("%d leases live after a day, want 2", leased)
+	}
+}
+
+// scanCounts is counts by a full scan of the ledger rows: the reference
+// the maintained counters must agree with.
+func scanCounts(q *leaseQueue) (pending, leased, done, failed int) {
+	for _, e := range q.entries {
+		switch e.state {
+		case statePending:
+			pending++
+		case stateLeased:
+			leased++
+		case stateDone:
+			done++
+			if e.failed {
+				failed++
+			}
+		}
+	}
+	return pending, leased, done, failed
+}
+
+// checkQueueCounts fails t unless counts and allDone agree with a full
+// scan of q's rows.
+func checkQueueCounts(t *testing.T, q *leaseQueue) {
+	t.Helper()
+	p, l, d, f := q.counts()
+	wp, wl, wd, wf := scanCounts(q)
+	if p != wp || l != wl || d != wd || f != wf {
+		t.Fatalf("counts = %d/%d/%d/%d pending/leased/done/failed, a scan finds %d/%d/%d/%d", p, l, d, f, wp, wl, wd, wf)
+	}
+	if got, want := q.allDone(), wd == len(q.entries); got != want {
+		t.Fatalf("allDone = %v with %d of %d rows done", got, wd, len(q.entries))
+	}
+}
+
+// queueOp drives q through one random ledger operation, live or
+// replayed, and returns the (possibly rebuilt) queue. now is the clock
+// q reads; dupRows lets a restore repeat a row in a random, possibly
+// unknown, state, as a damaged snapshot can.
+func queueOp(rng *rand.Rand, q *leaseQueue, jobs []Job, now *time.Time, dupRows bool) *leaseQueue {
+	workers := []string{"w1", "w2"}
+	job := jobs[rng.Intn(len(jobs))].ID
+	e := q.entries[job]
+	ref := LeaseRef{JobID: job, LeaseID: e.leaseID}
+	w := workers[rng.Intn(len(workers))]
+	if rng.Intn(4) == 0 {
+		w = e.worker // the holder, so fail/release/heartbeat land
+	}
+	at := now.Add(time.Duration(rng.Intn(180)-60) * time.Second)
+	switch rng.Intn(14) {
+	case 0, 1:
+		q.lease(w, 1+rng.Intn(3))
+	case 2:
+		q.heartbeat(w, ref)
+	case 3:
+		q.complete(ref)
+	case 4:
+		q.fail(w, ref, "injected")
+	case 5:
+		q.release(w, ref)
+	case 6:
+		q.sweep()
+	case 7:
+		q.applyGrant(job, q.nextLease+1, w, at)
+	case 8:
+		q.applyExtend(job, e.leaseID, at)
+	case 9:
+		q.applyRequeue(job, rng.Intn(3), "replayed")
+	case 10:
+		q.applyDeadLetter(job, rng.Intn(3), "replayed")
+	case 11:
+		q.releaseLeased()
+	case 12:
+		// Clock jumps, backwards included: the watermark bounds expiries,
+		// not the clock.
+		*now = now.Add(time.Duration(rng.Intn(240)-60) * time.Second)
+	default:
+		rows := q.ledgerRows()
+		if dupRows && len(rows) > 0 {
+			row := rows[rng.Intn(len(rows))]
+			row.State = rng.Intn(4) // 3 is no state at all
+			rows = append(rows, row)
+		}
+		q = newLeaseQueueFromRows(jobs, rows, q.ttl, q.maxRetries, q.nextLease, q.now)
+	}
+	return q
+}
+
+// TestLeaseQueueCountsMatchScan: the per-state counters behind counts
+// and allDone agree with a full scan after every operation — live
+// transitions, replayed ones, restores from (damaged) rows.
+func TestLeaseQueueCountsMatchScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		jobs := make([]Job, 12)
+		for i := range jobs {
+			jobs[i].ID = i
+		}
+		now := time.Unix(1_700_000_000, 0)
+		q := newLeaseQueue(jobs, time.Minute, 2, func() time.Time { return now })
+		checkQueueCounts(t, q)
+		for op := 0; op < 400; op++ {
+			q = queueOp(rng, q, jobs, &now, true)
+			checkQueueCounts(t, q)
+		}
+	}
+}
+
+// refSweep predicts a sweep by the full ID-ordered scan the expiry
+// watermark lets sweep skip: every leased row whose expiry is not after
+// now requeues while its budget lasts and dead-letters after.
+func refSweep(q *leaseQueue) (requeued, failed []int) {
+	if q.ttl == 0 {
+		return nil, nil
+	}
+	now := q.now()
+	for _, id := range q.ids {
+		e := q.entries[id]
+		if e.state != stateLeased || e.expires.After(now) {
+			continue
+		}
+		if e.attempts+1 > q.maxRetries {
+			failed = append(failed, id)
+		} else {
+			requeued = append(requeued, id)
+		}
+	}
+	return requeued, failed
+}
+
+// TestLeaseQueueWatermarkMatchesFullScan: under random grants,
+// heartbeats, replayed extensions, restores and clock jumps, every
+// sweep requeues and dead-letters exactly the rows, in ID order, that a
+// full scan finds expired — the watermark only skips empty scans.
+func TestLeaseQueueWatermarkMatchesFullScan(t *testing.T) {
+	ids := func(es []*queueEntry) []int {
+		var out []int
+		for _, e := range es {
+			out = append(out, e.job.ID)
+		}
+		return out
+	}
+	expired := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		jobs := make([]Job, 16)
+		for i := range jobs {
+			jobs[i].ID = i
+		}
+		now := time.Unix(1_700_000_000, 0)
+		q := newLeaseQueue(jobs, time.Minute, 3, func() time.Time { return now })
+		for op := 0; op < 500; op++ {
+			wantRequeued, wantFailed := refSweep(q)
+			requeued, failed := q.sweep()
+			if !slices.Equal(ids(requeued), wantRequeued) || !slices.Equal(ids(failed), wantFailed) {
+				t.Fatalf("seed %d op %d: sweep requeued %v failed %v, a full scan finds %v and %v",
+					seed, op, ids(requeued), ids(failed), wantRequeued, wantFailed)
+			}
+			expired += len(requeued) + len(failed)
+			q = queueOp(rng, q, jobs, &now, false)
+		}
+	}
+	if expired == 0 {
+		t.Fatal("no sweep expired a lease; the property was not exercised")
 	}
 }

@@ -1,12 +1,16 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -167,7 +171,9 @@ func TestWALReplayPropertyRandomOps(t *testing.T) {
 				CheckpointPath: filepath.Join(dir, "cp.json"),
 				WALPath:        filepath.Join(dir, "log.wal"),
 				WALSyncEvery:   1 + rng.Intn(4),
-				CompactEvery:   2 + rng.Intn(8),
+				// A low floor, so that mid-run compactions fire between
+				// restarts even as the doubling schedule stretches them.
+				CompactEvery: 1 + rng.Intn(3),
 			}
 			newDisp := func() *Dispatcher {
 				camp, err := New(spec)
@@ -194,9 +200,13 @@ func TestWALReplayPropertyRandomOps(t *testing.T) {
 			var grants []held
 			workers := []string{"w1", "w2", "w3"}
 			restarts := 0
+			// midRun counts compactions past each incarnation's startup one.
+			midRun := func(d *Dispatcher) int64 { return d.metrics.WALCompactions.Load() - 1 }
+			compactions := int64(0)
 			for op := 0; op < 120; op++ {
 				d.mu.Lock()
 				finished := d.finished
+				checkQueueCounts(t, d.q)
 				d.mu.Unlock()
 				if finished {
 					break
@@ -241,6 +251,7 @@ func TestWALReplayPropertyRandomOps(t *testing.T) {
 					d.mu.Lock()
 					d.wal.close()
 					d.mu.Unlock()
+					compactions += midRun(d)
 					d = newDisp()
 					d.setClock(clock)
 					restarts++
@@ -251,6 +262,9 @@ func TestWALReplayPropertyRandomOps(t *testing.T) {
 			}
 			if restarts == 0 {
 				t.Fatalf("schedule produced no restarts; property not exercised")
+			}
+			if compactions += midRun(d); compactions == 0 {
+				t.Fatalf("no mid-run compaction in %d restarts; recovery over compacted logs not exercised", restarts)
 			}
 
 			// Torn-tail property: recovering from a WAL cut at an arbitrary
@@ -483,4 +497,195 @@ func TestDispatcherCheckpointErrSemantics(t *testing.T) {
 			t.Fatalf("transient compaction failures failed the campaign: %v", cpErr)
 		}
 	})
+}
+
+// TestWALCompactionDoublingSchedule pins the compaction schedule: with
+// a floor of 3, a WAL dispatcher compacts when the terminal transitions
+// since its last snapshot reach max(3, terminal rows in that snapshot)
+// — at 3, 6, 12, 24, 48 and 96 terminal rows, dead letters included —
+// and at no point does the log hold more terminal records than that
+// bound over the snapshot on disk, which is what keeps replay bounded.
+func TestWALCompactionDoublingSchedule(t *testing.T) {
+	spec := Spec{
+		Tests: []string{"sb", "mp", "lb"}, Tools: []string{"litmus7-user"},
+		Iterations: 400, ShardSize: 10, // 120 jobs
+		MaxRetries: -1, // no retries: a failure dead-letters
+	}
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const floor = 3
+	dir := t.TempDir()
+	metrics := &Metrics{}
+	opts := Options{
+		CheckpointPath: filepath.Join(dir, "cp.json"),
+		WALPath:        filepath.Join(dir, "log.wal"),
+		WALSyncEvery:   1,
+		CompactEvery:   floor,
+		Metrics:        metrics,
+	}
+	d, err := NewDispatcher(camp, time.Minute, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metrics.WALCompactions.Load(); got != 1 {
+		t.Fatalf("%d compactions at startup, want 1", got)
+	}
+
+	// replayBound checks the on-disk log against the on-disk snapshot.
+	replayBound := func(terminal int) {
+		t.Helper()
+		done, ledger, _, err := LoadCheckpointLedgerFS(osCheckpointFS{}, opts.CheckpointPath, camp.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := len(done)
+		for _, row := range ledger.Rows {
+			if row.Failed {
+				snap++
+			}
+		}
+		rep, err := replayWAL(osCheckpointFS{}, opts.WALPath, specWALCRC(camp.Spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged := 0
+		for _, rec := range rep.recs {
+			if rec.Kind == walKindComplete || rec.Kind == walKindDeadLetter {
+				logged++
+			}
+		}
+		if logged > max(floor, snap) {
+			t.Fatalf("at %d terminal rows the log holds %d terminal records over a snapshot of %d", terminal, logged, snap)
+		}
+	}
+
+	var at []int
+	terminal := 0
+	for {
+		lease := d.Lease(LeaseRequest{Worker: "w", Max: 1})
+		if lease.Done {
+			break
+		}
+		g := lease.Grants[0]
+		req := CompleteRequest{Worker: "w"}
+		if terminal == 0 {
+			// The first job dead-letters.
+			req.Failures = []WorkerFailure{{LeaseID: g.LeaseID, JobID: g.Job.ID, Err: "injected"}}
+		} else {
+			req.Results = []WorkerResult{{LeaseID: g.LeaseID, Result: fakeResult(g.Job)}}
+		}
+		before := metrics.WALCompactions.Load()
+		d.Complete(req, 0)
+		terminal++
+		if metrics.WALCompactions.Load() != before {
+			at = append(at, terminal)
+		}
+		if terminal < len(camp.jobs) {
+			replayBound(terminal)
+		}
+	}
+	if want := []int{3, 6, 12, 24, 48, 96}; !slices.Equal(at, want) {
+		t.Fatalf("compacted at %v terminal rows, want %v", at, want)
+	}
+	if res, err, _ := d.Outcome(); err != nil || len(res.Failures) != 1 {
+		t.Fatalf("outcome: %d failures, err %v", len(res.Failures), err)
+	}
+}
+
+// TestCheckpointIndentedLoads: snapshots written with an indented
+// envelope, as earlier versions saved them, still load — the CRC covers
+// the compacted payload — and decode to what a compact save of the
+// same state decodes to: the state that was saved.
+func TestCheckpointIndentedLoads(t *testing.T) {
+	spec := walTestSpec(t)
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := map[int]*JobResult{}
+	for _, job := range camp.jobs[:5] {
+		done[job.ID] = fakeResult(job)
+	}
+	ledger := &LedgerSnapshot{NextLease: 9, Rows: []LedgerRow{
+		{JobID: 5, State: int(stateLeased), LeaseID: 9, Worker: "w", Expires: 1_700_000_000_000_000_000},
+		{JobID: 6, State: int(stateDone), Attempts: 3, Failed: true, FailErr: "boom"},
+	}}
+	dir := t.TempDir()
+	compact := filepath.Join(dir, "compact.json")
+	if err := SaveCheckpointLedgerFS(osCheckpointFS{}, compact, spec, done, ledger); err != nil {
+		t.Fatal(err)
+	}
+
+	// The earlier writer: compact payload, indented envelope.
+	cp := Checkpoint{Version: checkpointVersion, Spec: spec, Ledger: ledger}
+	for _, job := range camp.jobs[:5] {
+		cp.Done = append(cp.Done, done[job.ID])
+	}
+	payload, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := checkpointEnvelope{Version: checkpointVersion, CRC32: crc32.ChecksumIEEE(payload), Payload: payload}
+	data, err := json.MarshalIndent(&env, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented := filepath.Join(dir, "indented.json")
+	if err := os.WriteFile(indented, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	compactData, err := os.ReadFile(compact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(compactData, []byte("\n")) || len(compactData) >= len(data) {
+		t.Fatalf("save wrote %d bytes with newlines=%v; the indented form is %d", len(compactData), bytes.Contains(compactData, []byte("\n")), len(data))
+	}
+
+	for _, path := range []string{compact, indented} {
+		gotDone, gotLedger, recovered, err := LoadCheckpointLedgerFS(osCheckpointFS{}, path, spec)
+		if err != nil || recovered {
+			t.Fatalf("%s: recovered=%v err=%v", filepath.Base(path), recovered, err)
+		}
+		if !reflect.DeepEqual(gotDone, done) || !reflect.DeepEqual(gotLedger, ledger) {
+			t.Fatalf("%s decoded to a different state", filepath.Base(path))
+		}
+	}
+}
+
+// TestWALRecoverDowngradesResultlessDoneRow: a snapshot whose ledger
+// marks a job done without carrying its result (no correct writer
+// produces one) recovers with that job pending again, and the ledger's
+// counts still agree with a scan — the downgrade goes through the same
+// state helper as every other transition.
+func TestWALRecoverDowngradesResultlessDoneRow(t *testing.T) {
+	camp, err := New(walTestSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := Options{CheckpointPath: filepath.Join(dir, "cp.json"), WALPath: filepath.Join(dir, "log.wal")}
+	done := map[int]*JobResult{1: fakeResult(camp.jobs[1])}
+	ledger := &LedgerSnapshot{Rows: []LedgerRow{
+		{JobID: 0, State: int(stateDone)}, // result missing
+		{JobID: 1, State: int(stateDone)},
+	}}
+	if err := SaveCheckpointLedgerFS(osCheckpointFS{}, opts.CheckpointPath, camp.Spec, done, ledger); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDispatcher(camp, time.Minute, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	checkQueueCounts(t, d.q)
+	if e := d.q.entries[0]; e.state != statePending {
+		t.Fatalf("resultless done row recovered as state %d, want pending", e.state)
+	}
+	if pending, _, done, _ := d.q.counts(); pending != len(camp.jobs)-1 || done != 1 {
+		t.Fatalf("counts pending=%d done=%d, want %d and 1", pending, done, len(camp.jobs)-1)
+	}
 }
