@@ -35,6 +35,7 @@ type AccuracyResult struct {
 func HeuristicAccuracy(w io.Writer, opts Options) (*AccuracyResult, error) {
 	n := opts.n(4000)
 	res := &AccuracyResult{N: n}
+	var ws harness.Workspace
 	for _, e := range litmus.Suite() {
 		pt, err := core.Convert(e.Test)
 		if err != nil {
@@ -45,7 +46,7 @@ func HeuristicAccuracy(w io.Writer, opts Options) (*AccuracyResult, error) {
 			return nil, err
 		}
 		cap := opts.exhaustiveCap(pt.TL(), n)
-		run, err := harness.RunPerpLE(context.Background(), pt, counter, n, harness.PerpLEOptions{
+		run, err := ws.RunPerpLE(context.Background(), pt, counter, n, harness.PerpLEOptions{
 			Exhaustive: true, Heuristic: true, ExhaustiveCap: cap,
 		}, opts.cfg())
 		if err != nil {

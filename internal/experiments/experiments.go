@@ -157,12 +157,13 @@ type Measurement struct {
 	Ticks  int64
 }
 
-// runCells measures one test under each of tools. A cell is a pure
-// function of (test, tool, n, seed, cap), and the perple-exh and
+// runCells measures one test under each of tools on ws. A cell is a
+// pure function of (test, tool, n, seed, cap), and the perple-exh and
 // perple-heur cells differ only in the counter applied to the same
 // perpetual run, so one RunPerpLE serves both and they share its
-// ExecTicks; each litmus7 tool runs once.
-func runCells(e litmus.SuiteEntry, tools []Tool, n int, opts Options) (map[Tool]Measurement, error) {
+// ExecTicks; each litmus7 tool runs once. Each run's figures are copied
+// out before the next, so the results own nothing of ws.
+func runCells(ws *harness.Workspace, e litmus.SuiteEntry, tools []Tool, n int, opts Options) (map[Tool]Measurement, error) {
 	cfg := opts.cfg()
 	out := make(map[Tool]Measurement, len(tools))
 	var po harness.PerpLEOptions
@@ -170,7 +171,7 @@ func runCells(e litmus.SuiteEntry, tools []Tool, n int, opts Options) (map[Tool]
 		mode, ok := tool.Mode()
 		switch {
 		case ok:
-			res, err := harness.RunLitmus7(context.Background(), e.Test, n, mode, nil, cfg, harness.Litmus7Options{})
+			res, err := ws.RunLitmus7(context.Background(), e.Test, n, mode, nil, cfg, harness.Litmus7Options{})
 			if err != nil {
 				return nil, fmt.Errorf("%v: %w", tool, err)
 			}
@@ -196,7 +197,7 @@ func runCells(e litmus.SuiteEntry, tools []Tool, n int, opts Options) (map[Tool]
 	if po.Exhaustive {
 		po.ExhaustiveCap = opts.exhaustiveCap(pt.TL(), n)
 	}
-	res, err := harness.RunPerpLE(context.Background(), pt, counter, n, po, cfg)
+	res, err := ws.RunPerpLE(context.Background(), pt, counter, n, po, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -58,6 +58,7 @@ func FaultInjection(w io.Writer, opts Options) (*FaultInjectionResult, error) {
 	cfg := opts.cfg()
 	cfg.Relaxation = memmodel.PSO
 
+	var ws harness.Workspace
 	for _, e := range litmus.Suite() {
 		psoAllowed, err := axiom.Allowed(e.Test, e.Test.Target, memmodel.PSO)
 		if err != nil {
@@ -78,7 +79,7 @@ func FaultInjection(w io.Writer, opts Options) (*FaultInjectionResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr, err := harness.RunPerpLE(context.Background(), pt, counter, n, harness.PerpLEOptions{
+		pr, err := ws.RunPerpLE(context.Background(), pt, counter, n, harness.PerpLEOptions{
 			Heuristic: true, Exhaustive: true,
 			ExhaustiveCap: opts.exhaustiveCap(pt.TL(), n),
 		}, cfg)
@@ -88,12 +89,12 @@ func FaultInjection(w io.Writer, opts Options) (*FaultInjectionResult, error) {
 		row.PerpLE = pr.Heuristic.Counts[0]
 		row.PerpLEExh = pr.Exhaustive.Counts[0]
 
-		tb, err := harness.RunLitmus7(context.Background(), e.Test, n, sim.ModeTimebase, nil, cfg, harness.Litmus7Options{})
+		tb, err := ws.RunLitmus7(context.Background(), e.Test, n, sim.ModeTimebase, nil, cfg, harness.Litmus7Options{})
 		if err != nil {
 			return nil, err
 		}
 		row.Timebase = tb.TargetCount
-		us, err := harness.RunLitmus7(context.Background(), e.Test, n, sim.ModeUser, nil, cfg, harness.Litmus7Options{})
+		us, err := ws.RunLitmus7(context.Background(), e.Test, n, sim.ModeUser, nil, cfg, harness.Litmus7Options{})
 		if err != nil {
 			return nil, err
 		}

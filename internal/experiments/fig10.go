@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"perple/internal/harness"
 	"perple/internal/litmus"
 	"perple/internal/stats"
 )
@@ -44,9 +45,11 @@ func Fig10(w io.Writer, opts Options) (*Fig10Result, error) {
 
 	suite := litmus.Suite()
 	allTicks := make([]map[Tool]int64, len(suite))
-	err := forEachIndex(len(suite), opts.workers(), func(i int) error {
+	workers := opts.workers()
+	wss := make([]harness.Workspace, workers)
+	err := forEachIndex(len(suite), workers, func(w, i int) error {
 		e := suite[i]
-		ms, err := runCells(e, Tools, n, opts)
+		ms, err := runCells(&wss[w], e, Tools, n, opts)
 		if err != nil {
 			return fmt.Errorf("fig10: %s: %w", e.Test.Name, err)
 		}

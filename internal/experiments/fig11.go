@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
+	"perple/internal/harness"
 	"perple/internal/litmus"
 	"perple/internal/stats"
 )
@@ -32,27 +34,23 @@ type Fig11Result struct {
 // Fig11 regenerates Figure 11: relative target-outcome detection-rate
 // improvement over litmus7 user mode, for PerpLE-heuristic and the other
 // litmus7 modes, across iteration counts. The paper sweeps 100..100M; the
-// default here sweeps 100..100k (1M with N set explicitly), which is past
-// the point where the ratios stabilize on the simulated substrate.
+// default here sweeps 100..100k (100..10k with Quick), which is past the
+// point where the ratios stabilize on the simulated substrate. An
+// explicit N not already in the sweep is appended to it.
 func Fig11(w io.Writer, opts Options) (*Fig11Result, error) {
-	ns := []int{100, 1000, 10000, 100000}
-	if opts.Quick {
-		ns = []int{100, 1000, 10000}
-	}
-	if opts.N > 0 {
-		ns = append(ns, opts.N)
-	}
+	ns := fig11Sweep(opts)
 	res := &Fig11Result{Ns: ns}
 	tools := append([]Tool{ToolPerpLEHeur}, Litmus7Tools...)
 
 	allowed := litmus.AllowedSuite()
+	var ws harness.Workspace
 	for _, n := range ns {
 		// Every tool's cells per test; the litmus7-user column is also
 		// the baseline, measured once.
 		cells := make([]map[Tool]Measurement, len(allowed))
 		base := make([]float64, len(allowed))
 		for i, e := range allowed {
-			ms, err := runCells(e, tools, n, opts)
+			ms, err := runCells(&ws, e, tools, n, opts)
 			if err != nil {
 				return nil, fmt.Errorf("fig11: %s: %w", e.Test.Name, err)
 			}
@@ -86,6 +84,19 @@ func Fig11(w io.Writer, opts Options) (*Fig11Result, error) {
 	}
 	fmt.Fprint(w, tb.String())
 	return res, nil
+}
+
+// fig11Sweep returns Figure 11's iteration counts: the default (or
+// Quick) sweep, then opts.N when it is set and not already in it.
+func fig11Sweep(opts Options) []int {
+	ns := []int{100, 1000, 10000, 100000}
+	if opts.Quick {
+		ns = []int{100, 1000, 10000}
+	}
+	if opts.N > 0 && !slices.Contains(ns, opts.N) {
+		ns = append(ns, opts.N)
+	}
+	return ns
 }
 
 // ImprovementAt returns the improvement of a tool at an iteration count,

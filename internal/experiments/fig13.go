@@ -42,6 +42,9 @@ func Fig13(w io.Writer, opts Options) (*Fig13Result, error) {
 	res := &Fig13Result{N: n, Variety: map[string]map[Tool]int{}}
 	tools := append([]Tool{ToolPerpLEHeur}, Litmus7Tools...)
 
+	// Every run's counts are copied out (the perpetual buffers counted)
+	// before the next run reuses ws.
+	var ws harness.Workspace
 	for _, name := range Fig13Tests {
 		test, err := litmus.SuiteTest(name)
 		if err != nil {
@@ -68,7 +71,7 @@ func Fig13(w io.Writer, opts Options) (*Fig13Result, error) {
 		// litmus7 in every mode.
 		for _, tool := range Litmus7Tools {
 			mode, _ := tool.Mode()
-			lr, err := harness.RunLitmus7(context.Background(), test, n, mode, outcomes, opts.cfg(), harness.Litmus7Options{})
+			lr, err := ws.RunLitmus7(context.Background(), test, n, mode, outcomes, opts.cfg(), harness.Litmus7Options{})
 			if err != nil {
 				return nil, fmt.Errorf("fig13: %s/%v: %w", name, tool, err)
 			}
@@ -91,7 +94,7 @@ func Fig13(w io.Writer, opts Options) (*Fig13Result, error) {
 			return nil, err
 		}
 		anyCounter := core.NewCounter(pt, nil)
-		pr, err := harness.RunPerpLE(context.Background(), pt, anyCounter, n,
+		pr, err := ws.RunPerpLE(context.Background(), pt, anyCounter, n,
 			harness.PerpLEOptions{KeepBufs: true}, opts.cfg())
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"perple/internal/harness"
 	"perple/internal/litmus"
 	"perple/internal/stats"
 )
@@ -33,9 +34,11 @@ func Fig9(w io.Writer, opts Options) (*Fig9Result, error) {
 	res := &Fig9Result{N: n, Counts: map[string]map[Tool]int64{}}
 	suite := litmus.Suite()
 	cells := make([]map[Tool]int64, len(suite))
-	err := forEachIndex(len(suite), opts.workers(), func(i int) error {
+	workers := opts.workers()
+	wss := make([]harness.Workspace, workers)
+	err := forEachIndex(len(suite), workers, func(w, i int) error {
 		e := suite[i]
-		ms, err := runCells(e, Tools, n, opts)
+		ms, err := runCells(&wss[w], e, Tools, n, opts)
 		if err != nil {
 			return fmt.Errorf("fig9: %s: %w", e.Test.Name, err)
 		}

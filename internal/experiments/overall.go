@@ -55,17 +55,21 @@ func Overall(w io.Writer, opts Options) (*OverallResult, error) {
 	res.Convertible = len(suite)
 	res.NonConvertible = len(nonConv)
 
-	// Campaign A: everything under litmus7 user mode.
-	for _, e := range suite {
-		lr, err := harness.RunLitmus7(context.Background(), e.Test, n, sim.ModeUser, nil, cfg, harness.Litmus7Options{})
+	// Campaign A: everything under litmus7 user mode. The suite's runs
+	// are kept: they are also Campaign B's detection-rate baselines.
+	var ws harness.Workspace
+	user := make([]Measurement, len(suite))
+	for i, e := range suite {
+		lr, err := ws.RunLitmus7(context.Background(), e.Test, n, sim.ModeUser, nil, cfg, harness.Litmus7Options{})
 		if err != nil {
 			return nil, err
 		}
+		user[i] = Measurement{Target: lr.TargetCount, Ticks: lr.Ticks}
 		res.AllLitmus7Ticks += lr.Ticks
 	}
 	var nonConvTicks int64
 	for _, t := range nonConv {
-		lr, err := harness.RunLitmus7(context.Background(), t, n, sim.ModeUser, nil, cfg, harness.Litmus7Options{})
+		lr, err := ws.RunLitmus7(context.Background(), t, n, sim.ModeUser, nil, cfg, harness.Litmus7Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +80,7 @@ func Overall(w io.Writer, opts Options) (*OverallResult, error) {
 	// Campaign B: PerpLE-heuristic for the convertible tests, litmus7 for
 	// the rest. Also collect the detection-rate improvement while here.
 	var ratios []float64
-	for _, e := range suite {
+	for i, e := range suite {
 		pt, err := core.Convert(e.Test)
 		if err != nil {
 			return nil, err
@@ -85,18 +89,14 @@ func Overall(w io.Writer, opts Options) (*OverallResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr, err := harness.RunPerpLE(context.Background(), pt, counter, n, harness.PerpLEOptions{Heuristic: true}, cfg)
+		pr, err := ws.RunPerpLE(context.Background(), pt, counter, n, harness.PerpLEOptions{Heuristic: true}, cfg)
 		if err != nil {
 			return nil, err
 		}
 		res.MixedTicks += pr.TotalTicksHeuristic()
 
 		if e.Allowed {
-			lr, err := harness.RunLitmus7(context.Background(), e.Test, n, sim.ModeUser, nil, cfg, harness.Litmus7Options{})
-			if err != nil {
-				return nil, err
-			}
-			baseRate := stats.Rate(lr.TargetCount, lr.Ticks)
+			baseRate := stats.Rate(user[i].Target, user[i].Ticks)
 			if baseRate > 0 {
 				perpRate := stats.Rate(pr.Heuristic.Counts[0], pr.TotalTicksHeuristic())
 				ratios = append(ratios, perpRate/baseRate)

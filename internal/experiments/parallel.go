@@ -2,15 +2,17 @@ package experiments
 
 import "sync"
 
-// forEachSuiteEntry runs fn over indices 0..n-1 on a bounded worker pool.
-// Experiment cells are independent simulations (each carries its own
-// seeded RNG), so fanning them out changes wall time, not results; the
-// callers write into pre-sized slices or locked maps to stay
-// deterministic.
-func forEachIndex(n, workers int, fn func(i int) error) error {
+// forEachIndex runs fn(w, i) over indices 0..n-1 on at most workers
+// goroutines. w < workers identifies the goroutine running the call and
+// no two calls with the same w overlap, so callers can index per-worker
+// state (a harness.Workspace each) by it. Experiment cells are
+// independent simulations (each carries its own seeded RNG), so fanning
+// them out changes wall time, not results; the callers write into
+// pre-sized slices to stay deterministic.
+func forEachIndex(n, workers int, fn func(w, i int) error) error {
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -30,7 +32,7 @@ func forEachIndex(n, workers int, fn func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if err := fn(i); err != nil {
+				if err := fn(w, i); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
