@@ -27,10 +27,11 @@ lint: check
 # Short local fuzz passes over the litmus parser, over the axiomatic
 # checker against the operational reference machine, over the trace
 # checker against its quadratic reference, over the factorized counter
-# against the odometer, and over the two on-disk decoders a campaign
-# resumes from — checkpoint load and WAL replay (CI runs the seed
-# corpora as ordinary tests and fuzzes the two checkers and the two
-# decoders for 20s each; this explores new inputs for longer).
+# against the odometer, over the two on-disk decoders a campaign
+# resumes from — checkpoint load and WAL replay — and over the network
+# upload decoder (CI runs the seed corpora as ordinary tests and fuzzes
+# the two checkers and the three decoders for 20s each; this explores
+# new inputs for longer).
 fuzz:
 	$(GO) test ./internal/litmus -fuzz FuzzParseRoundTrip -fuzztime 30s
 	$(GO) test ./internal/axiom -run '^$$' -fuzz FuzzAxiomVsOperational -fuzztime 30s
@@ -38,6 +39,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFactorizedVsOdometer -fuzztime 30s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 30s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s
+	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzCompleteRequestBinaryDecode -fuzztime 30s
 
 # Long chaos soak: fault-injected loopback fleets under the race
 # detector (six fixed-seed rounds; CI runs the short variant). Seeds

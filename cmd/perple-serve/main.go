@@ -62,7 +62,7 @@ func run() error {
 	checkpointEvery := flag.Int("checkpoint-every", 0, "snapshot every n completed jobs (0: every job)")
 	leaseTTL := flag.Duration("lease-ttl", campaign.DefaultLeaseTTL, "dispatch lease TTL before an unheartbeated shard requeues")
 	walDir := flag.String("wal", "", "directory for per-campaign dispatch write-ahead logs (requires -checkpoint-dir; empty disables the durable dispatch plane)")
-	walSyncEvery := flag.Int("wal-sync-every", 0, "fsync the WAL every n records (group commit; 0 or 1: every record)")
+	walSyncEvery := flag.Int("wal-sync-every", 0, "group commit: fsync the WAL at the end of a dispatcher exchange once n records are unsynced (0 or 1: every exchange that logged a record, before its reply)")
 	compactEvery := flag.Int("compact-every", 0, "fold the WAL into a fresh checkpoint once the jobs finished since the last one reach max(n, jobs finished in it); the interval doubles as the campaign runs (0: default 64)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()

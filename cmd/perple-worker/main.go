@@ -46,7 +46,7 @@ func run() error {
 	campaignID := flag.String("campaign", "", "dispatch campaign id to work on (required)")
 	name := flag.String("name", "", "worker name for lease accounting (default: hostname-pid)")
 	parallel := flag.Int("parallel", 0, "concurrent jobs (default: GOMAXPROCS)")
-	leaseBatch := flag.Int("lease-batch", 0, "jobs pulled per lease call (default: -parallel)")
+	leaseBatch := flag.Int("lease-batch", 0, "jobs pulled per lease: the first lease call, idle polls, and each batch's final upload (default: -parallel)")
 	heartbeat := flag.Duration("heartbeat", 0, "lease heartbeat period (default: a third of the server's lease TTL)")
 	retries := flag.Int("retries", 5, "attempts per HTTP call before giving up")
 	backoff := flag.Duration("backoff", 200*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")

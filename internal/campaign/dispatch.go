@@ -36,8 +36,10 @@ type Options struct {
 	// checkpoint.
 	WALPath string
 
-	// WALSyncEvery batches WAL fsyncs to every n appended records
-	// (group commit); 0 or 1 fsyncs every record.
+	// WALSyncEvery is the WAL group-commit cadence: a dispatcher
+	// exchange ends with an fsync once n appended records are unsynced;
+	// 0 or 1 fsyncs every exchange that logged a record, before its
+	// reply.
 	WALSyncEvery int
 
 	// CompactEvery is the floor of the WAL compaction schedule: the log
@@ -74,7 +76,7 @@ const DefaultLeaseTTL = 60 * time.Second
 // Dispatcher is the campaign engine: a lease ledger that hands jobs to
 // executors and merges what they report. It has two transports. Fleet
 // workers reach it over HTTP (http.go, worker.go); Campaign.Run's
-// in-process executors call Lease and complete directly. The
+// in-process executors call complete directly. The
 // determinism contract is the same for both — job seeds are
 // identity-derived and merging is order-invariant — so any number of
 // executors on either transport reach byte-identical final results,
@@ -413,6 +415,7 @@ func (d *Dispatcher) Outcome() (*Results, error, bool) {
 func (d *Dispatcher) Cancel() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	defer d.wal.commit()
 	if d.finished {
 		return
 	}
@@ -629,24 +632,34 @@ func (d *Dispatcher) maybeFinishLocked() {
 func (d *Dispatcher) Lease(req LeaseRequest) LeaseResponse {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	resp := LeaseResponse{Version: ProtocolVersion, TTLSec: d.ttl.Seconds()}
+	defer d.wal.commit()
+	var resp LeaseResponse
+	d.leaseLocked(req.Worker, req.Max, &resp)
+	return resp
+}
+
+// leaseLocked grants up to max jobs to worker into resp, reusing its
+// grant slice: the lease half of both Lease and an upload that asks for
+// its next grants. Caller holds d.mu and commits the WAL after.
+func (d *Dispatcher) leaseLocked(worker string, max int, resp *LeaseResponse) {
+	*resp = LeaseResponse{Version: ProtocolVersion, TTLSec: d.ttl.Seconds(), Grants: resp.Grants[:0]}
 	if d.finished {
 		resp.Done = true
-		return resp
+		return
 	}
 	d.sweepLocked()
 	if d.finished {
 		resp.Done = true
-		return resp
+		return
 	}
-	resp.Grants = d.q.lease(req.Worker, req.Max)
+	resp.Grants = d.q.lease(resp.Grants, worker, max)
 	if len(resp.Grants) == 0 {
 		// Everything left is leased to other workers: poll again soon —
 		// an expiry may free work, or the campaign may finish. Capped at a
 		// second so an idle worker learns about completion promptly rather
 		// than sleeping out a TTL fraction.
 		resp.WaitSec = min(d.ttl.Seconds()/4, 1.0)
-		return resp
+		return
 	}
 	if d.killHook != nil && d.killHook("mid-grant") {
 		// Simulated crash between deciding the grants and logging them:
@@ -661,7 +674,7 @@ func (d *Dispatcher) Lease(req LeaseRequest) LeaseResponse {
 				SpecCRC: d.wal.specCRC,
 				JobID:   g.Job.ID,
 				LeaseID: g.LeaseID,
-				Worker:  req.Worker,
+				Worker:  worker,
 				Expires: d.q.entries[g.Job.ID].expires.UnixNano(),
 			})
 		}
@@ -670,13 +683,13 @@ func (d *Dispatcher) Lease(req LeaseRequest) LeaseResponse {
 	d.metrics.LeasesGranted.Add(n)
 	d.metrics.QueueDepth.Add(-n)
 	d.metrics.InFlight.Add(n)
-	return resp
 }
 
 // Heartbeat extends the caller's live leases.
 func (d *Dispatcher) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	defer d.wal.commit()
 	resp := HeartbeatResponse{TTLSec: d.ttl.Seconds()}
 	if d.finished {
 		return resp
@@ -699,15 +712,19 @@ func (d *Dispatcher) Complete(req CompleteRequest, payloadBytes int) CompleteRes
 	d.metrics.UploadBytes.Add(int64(payloadBytes))
 	d.metrics.WireBytesRecv.Add(int64(payloadBytes))
 	d.metrics.WireBatch.Observe(len(req.Results))
-	return d.complete(req)
+	return d.complete(req, nil)
 }
 
 // complete merges one executor's report: results behind the completion
 // fence, failures against retry budgets, releases back to the queue, and
-// piggybacked heartbeats into lease extensions.
-func (d *Dispatcher) complete(req CompleteRequest) CompleteResponse {
+// piggybacked heartbeats into lease extensions. A report with Lease set
+// ends with the grants it asks for, under the same lock hold and WAL
+// commit, written into next (nil allocates one) and returned as
+// resp.Next.
+func (d *Dispatcher) complete(req CompleteRequest, next *LeaseResponse) CompleteResponse {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	defer d.wal.commit()
 	var resp CompleteResponse
 	for _, wr := range req.Results {
 		if wr.Result == nil || !d.resultMatchesJob(wr.Result) {
@@ -812,6 +829,13 @@ func (d *Dispatcher) complete(req CompleteRequest) CompleteResponse {
 		d.flushCheckpointLocked()
 	}
 	d.maybeFinishLocked()
+	if req.Lease > 0 {
+		if next == nil {
+			next = new(LeaseResponse)
+		}
+		d.leaseLocked(req.Worker, req.Lease, next)
+		resp.Next = next
+	}
 	resp.Done = d.finished
 	return resp
 }
@@ -910,9 +934,10 @@ func (d *Dispatcher) String() string {
 }
 
 // Run executes the campaign in-process: a Dispatcher plus Spec.Workers
-// executors that call Lease and complete directly — no HTTP, no codec,
-// no heartbeats. Jobs restored from the checkpoint are skipped, failed
-// jobs requeue against Spec.MaxRetries, and results merge as they land.
+// executors that call complete directly, each call reporting one job and
+// leasing the next — no HTTP, no codec, no heartbeats. Jobs restored
+// from the checkpoint are skipped, failed jobs requeue against
+// Spec.MaxRetries, and results merge as they land.
 //
 // Cancelling ctx interrupts the run, it does not cancel the campaign:
 // in-flight jobs abort and their leases go back to pending, so only
@@ -948,21 +973,28 @@ func (c *Campaign) Run(ctx context.Context, opts Options) (*Results, error) {
 	return res, ctx.Err()
 }
 
-// execute is one in-process executor: lease a job, run it on the
-// executor's workspace, report the outcome, until ctx is cancelled or
-// no job is left to lease. An
-// executor that gets no grant while its peers still hold leases exits
-// rather than waiting: a peer whose job fails re-leases the requeued
-// job itself on its next loop, so nothing is stranded.
+// execute is one in-process executor: each exchange reports the last
+// job's outcome and takes the next grant, and the granted job runs on
+// the executor's workspace, until ctx is cancelled or no job is left to
+// lease. An executor that gets no grant while its peers still hold
+// leases exits rather than waiting: a peer whose job fails re-leases
+// the requeued job itself in its next exchange, so nothing is stranded.
 func (d *Dispatcher) execute(ctx context.Context, x *jobExec, ws *workspace, name string) {
-	// One report buffer per executor: complete keeps none of its slices.
+	// One report buffer and one lease buffer per executor: complete keeps
+	// none of req's slices and refills next's grant slice in place.
 	req := CompleteRequest{Worker: name}
-	for ctx.Err() == nil {
-		lease := d.Lease(LeaseRequest{Worker: name, Max: 1})
-		if len(lease.Grants) == 0 {
+	var next LeaseResponse
+	for {
+		req.Lease = 0
+		if ctx.Err() == nil {
+			req.Lease = 1
+		}
+		next.Grants = next.Grants[:0]
+		d.complete(req, &next)
+		if len(next.Grants) == 0 {
 			return
 		}
-		g := lease.Grants[0]
+		g := next.Grants[0]
 		req.Results, req.Failures, req.Released = req.Results[:0], req.Failures[:0], req.Released[:0]
 		switch r, f := x.exec(ctx, ws, g); {
 		case r.Result != nil:
@@ -973,6 +1005,5 @@ func (d *Dispatcher) execute(ctx context.Context, x *jobExec, ws *workspace, nam
 			// Aborted by ctx: hand the lease back unconsumed.
 			req.Released = append(req.Released, LeaseRef{JobID: g.Job.ID, LeaseID: g.LeaseID})
 		}
-		d.complete(req)
 	}
 }

@@ -415,7 +415,7 @@ func TestLeaseQueueBudgetAndNonces(t *testing.T) {
 	clock := func() time.Time { return now }
 	q := newLeaseQueue(jobs, time.Minute, 1, clock)
 
-	granted := q.lease("w1", 2)
+	granted := q.lease(nil, "w1", 2)
 	if len(granted) != 2 {
 		t.Fatalf("granted %d", len(granted))
 	}
@@ -447,10 +447,10 @@ func TestLeaseQueueBudgetAndNonces(t *testing.T) {
 
 	// Burn job 1's budget: attempt 1 (sweep above) + attempt 2 exceeds
 	// maxRetries=1 and fails it permanently.
-	if g := q.lease("w1", 1); len(g) != 1 || g[0].Job.ID != 0 {
+	if g := q.lease(nil, "w1", 1); len(g) != 1 || g[0].Job.ID != 0 {
 		t.Fatalf("expected job 0 first, got %+v", g)
 	}
-	if g := q.lease("w1", 1); len(g) != 1 || g[0].Job.ID != 1 {
+	if g := q.lease(nil, "w1", 1); len(g) != 1 || g[0].Job.ID != 1 {
 		t.Fatalf("expected job 1, got %+v", g)
 	}
 	now = now.Add(2 * time.Minute)

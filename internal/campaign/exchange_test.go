@@ -1,0 +1,533 @@
+package campaign
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"perple/internal/harness"
+)
+
+// exchangeCounter counts dispatch requests per endpoint and records the
+// Lease field of every upload it forwards.
+type exchangeCounter struct {
+	next http.Handler
+
+	mu     sync.Mutex
+	calls  map[string]int
+	leases []int // CompleteRequest.Lease of each upload, in arrival order
+}
+
+func newExchangeCounter(next http.Handler) *exchangeCounter {
+	return &exchangeCounter{next: next, calls: map[string]int{}}
+}
+
+func (c *exchangeCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	endpoint := r.URL.Path[strings.LastIndexByte(r.URL.Path, '/')+1:]
+	if r.Method == http.MethodPost && endpoint == "complete" {
+		body, _ := io.ReadAll(r.Body)
+		var cr CompleteRequest
+		lease := -1
+		if harness.DecodeWireBinary(body, &cr, 0) == nil {
+			lease = cr.Lease
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		c.mu.Lock()
+		c.leases = append(c.leases, lease)
+		c.mu.Unlock()
+	}
+	c.mu.Lock()
+	c.calls[r.Method+" "+endpoint]++
+	c.mu.Unlock()
+	c.next.ServeHTTP(w, r)
+}
+
+func (c *exchangeCounter) count(endpoint string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.calls["POST "+endpoint]
+}
+
+// newDurableTestServer is newTestServer with a WAL fsynced every record,
+// the fleet-durable configuration, behind a request counter.
+func newDurableTestServer(t *testing.T, ttl time.Duration) (*exchangeCounter, *httptest.Server) {
+	t.Helper()
+	srv := NewServer()
+	srv.CheckpointDir = t.TempDir()
+	srv.WALDir = srv.CheckpointDir
+	srv.WALSyncEvery = 1
+	srv.LeaseTTL = ttl
+	counter := newExchangeCounter(srv.Handler())
+	ts := httptest.NewServer(counter)
+	t.Cleanup(func() {
+		srv.CancelAll()
+		ts.Close()
+	})
+	return counter, ts
+}
+
+// localCanonical runs the spec through Campaign.Run.
+func localCanonical(t *testing.T, spec Spec) []byte {
+	t.Helper()
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := camp.Run(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := res.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestFleetOneExchangePerShard pins the v2 exchange shape: a one-job
+// worker calls /lease once, for its first batch, and then /complete once
+// per shard, each upload leasing the next shard; the durable dispatcher
+// fsyncs its WAL once per exchange; and the fleet's canonical bytes are
+// Campaign.Run's.
+func TestFleetOneExchangePerShard(t *testing.T) {
+	spec := fleetSpec(t)
+	want := localCanonical(t, spec)
+
+	counter, ts := newDurableTestServer(t, 0)
+	id := submitDispatch(t, ts, spec)
+	w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: id, Name: "solo", Parallel: 1})
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if state := pollState(t, ts, id, 30*time.Second); state != StateDone {
+		t.Fatalf("campaign ended %q", state)
+	}
+	if got := fetchCanonical(t, ts, id); !bytes.Equal(got, want) {
+		t.Fatalf("fleet diverged from Campaign.Run:\nlocal:\n%s\nfleet:\n%s", want, got)
+	}
+
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := len(camp.Jobs())
+	leases, completes := counter.count("lease"), counter.count("complete")
+	if leases != 1 || completes != jobs || counter.count("heartbeat") != 0 {
+		t.Fatalf("%d jobs took %d /lease, %d /complete and %d /heartbeat calls; want 1, %d, 0",
+			jobs, leases, completes, counter.count("heartbeat"), jobs)
+	}
+	for i, lease := range counter.leases {
+		if lease != 1 {
+			t.Fatalf("upload %d asked for %d grants, want 1", i, lease)
+		}
+	}
+	metrics := getJSON(t, ts.URL+"/campaigns/"+id, http.StatusOK)["metrics"].(map[string]any)
+	// Every exchange logged something (a grant, a merge, or both), and
+	// the last one's records were flushed by the finish path instead.
+	if got := int(metrics["wal_fsyncs"].(float64)); got != leases+completes {
+		t.Fatalf("%d WAL fsyncs over %d exchanges, want one per exchange", got, leases+completes)
+	}
+	if got := int(metrics["wal_appends"].(float64)); got != 2*jobs {
+		t.Fatalf("%d WAL appends, want %d (one grant and one merge per job)", got, 2*jobs)
+	}
+}
+
+// syncFS is a WALFS over the real filesystem that counts WAL fsyncs and
+// tracks how much of each log a crash would keep: the bytes written up
+// to its last fsync.
+type syncFS struct {
+	osCheckpointFS
+	syncs   int
+	durable int64 // length of the current log segment as of its last fsync
+}
+
+type syncFile struct {
+	WALFile
+	fs      *syncFS
+	written int64
+}
+
+func (f *syncFS) OpenAppend(name string) (WALFile, error) {
+	wf, err := f.osCheckpointFS.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	// A segment is installed fsynced (temp file, fsync, rename), so what
+	// is on disk at open is durable.
+	fi, err := os.Stat(name)
+	if err != nil {
+		return nil, err
+	}
+	f.durable = fi.Size()
+	return &syncFile{WALFile: wf, fs: f, written: fi.Size()}, nil
+}
+
+func (f *syncFile) Write(p []byte) (int, error) {
+	n, err := f.WALFile.Write(p)
+	f.written += int64(n)
+	return n, err
+}
+
+func (f *syncFile) Sync() error {
+	f.fs.syncs++
+	f.fs.durable = f.written
+	return f.WALFile.Sync()
+}
+
+// crashImage is the log a kill at this instant leaves behind.
+func (f *syncFS) crashImage(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data[:f.durable]
+}
+
+// TestWALCommitOncePerExchange pins the per-exchange group commit
+// through a counting WALFS: at syncEvery 1 an upload that merges one
+// result and leases the next job fsyncs exactly once, before the reply,
+// so a kill right after the reply recovers both records; at syncEvery 8
+// the cadence counts records across exchanges, never fsyncing more than
+// once per exchange.
+func TestWALCommitOncePerExchange(t *testing.T) {
+	spec := walTestSpec(t)
+	open := func(t *testing.T, syncEvery int) (*Dispatcher, *syncFS, Options) {
+		t.Helper()
+		dir := t.TempDir()
+		fsys := &syncFS{}
+		opts := Options{
+			CheckpointPath: filepath.Join(dir, "cp.json"),
+			WALPath:        filepath.Join(dir, "log.wal"),
+			WALSyncEvery:   syncEvery,
+			CompactEvery:   1 << 20, // no mid-run compaction: every record stays in the log
+			CheckpointFS:   fsys,
+			Metrics:        &Metrics{},
+		}
+		camp, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDispatcher(camp, time.Minute, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			d.mu.Lock()
+			d.wal.close()
+			d.mu.Unlock()
+		})
+		return d, fsys, opts
+	}
+
+	t.Run("sync-every-1", func(t *testing.T) {
+		d, fsys, opts := open(t, 1)
+		lease := d.Lease(LeaseRequest{Worker: "w", Max: 1})
+		if len(lease.Grants) != 1 || fsys.syncs != 1 {
+			t.Fatalf("lease: %d grants, %d fsyncs; want 1, 1", len(lease.Grants), fsys.syncs)
+		}
+		g := lease.Grants[0]
+		resp := d.Complete(CompleteRequest{
+			Version: ProtocolVersion, Worker: "w", Lease: 1,
+			Results: []WorkerResult{{LeaseID: g.LeaseID, Result: fakeResult(g.Job)}},
+		}, 0)
+		if resp.Merged != 1 || resp.Next == nil || len(resp.Next.Grants) != 1 {
+			t.Fatalf("upload+lease = %+v, want 1 merged and 1 next grant", resp)
+		}
+		if fsys.syncs != 2 {
+			t.Fatalf("upload+lease issued %d fsyncs, want exactly 1", fsys.syncs-1)
+		}
+		if got := d.metrics.WALFsyncs.Load(); got != 2 {
+			t.Fatalf("WALFsyncs = %d, want 2", got)
+		}
+
+		// Kill right after the reply: only fsynced bytes survive.
+		image := fsys.crashImage(t, opts.WALPath)
+		rep, err := replayWAL(memFS{"image": image}, "image", specWALCRC(d.camp.Spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := make([]int, len(rep.recs))
+		for i, rec := range rep.recs {
+			kinds[i] = rec.Kind
+		}
+		if want := []int{walKindBegin, walKindGrant, walKindComplete, walKindGrant}; !slices.Equal(kinds, want) || rep.truncated != 0 {
+			t.Fatalf("crash image replays kinds %v (torn %d), want %v", kinds, rep.truncated, want)
+		}
+		if got, want := recoveredFingerprint(t, spec, opts, image), dispatcherFingerprint(t, d); got != want {
+			t.Fatalf("recovery from the crash image diverged from the acknowledged state:\nlive:\n%s\nrecovered:\n%s", want, got)
+		}
+	})
+
+	t.Run("sync-every-8", func(t *testing.T) {
+		const every = 8
+		d, fsys, _ := open(t, every)
+		unsynced, wantSyncs := 0, 0
+		lease := d.Lease(LeaseRequest{Worker: "w", Max: 1})
+		unsynced++ // one grant record
+		for exchange := 0; len(lease.Grants) > 0; exchange++ {
+			g := lease.Grants[0]
+			resp := d.Complete(CompleteRequest{
+				Version: ProtocolVersion, Worker: "w", Lease: 1,
+				Results: []WorkerResult{{LeaseID: g.LeaseID, Result: fakeResult(g.Job)}},
+			}, 0)
+			if resp.Done {
+				break // the finish path flushes the closing records itself
+			}
+			unsynced += 1 + len(resp.Next.Grants) // the merge, then the grant
+			if unsynced >= every {
+				wantSyncs++
+				unsynced = 0
+			}
+			if fsys.syncs != wantSyncs {
+				t.Fatalf("after exchange %d: %d fsyncs, want %d (cadence %d records)", exchange, fsys.syncs, wantSyncs, every)
+			}
+			lease = *resp.Next
+		}
+		if wantSyncs < 2 {
+			t.Fatalf("only %d commits due; cadence not exercised", wantSyncs)
+		}
+	})
+}
+
+// dropNextResponse is a chaos round-tripper: it delivers the first
+// upload that asks for grants and then drops its response, as a network
+// failure after the server acted would.
+type dropNextResponse struct {
+	base    http.RoundTripper
+	dropped atomic.Bool
+}
+
+func (rt *dropNextResponse) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !strings.HasSuffix(req.URL.Path, "/complete") || rt.dropped.Load() {
+		return rt.base.RoundTrip(req)
+	}
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
+		return nil, err
+	}
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	var cr CompleteRequest
+	if harness.DecodeWireBinary(body, &cr, 0) != nil || cr.Lease == 0 || !rt.dropped.CompareAndSwap(false, true) {
+		return rt.base.RoundTrip(req)
+	}
+	resp, err := rt.base.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return nil, errors.New("chaos: response dropped")
+}
+
+// TestFleetDroppedNextResponse drops the reply to an upload that leased
+// the next shard. The worker re-sends it: the results are acknowledged
+// as a duplicate, the re-send leases afresh, and the grants of the lost
+// reply are orphaned — they expire and requeue, as a lost /lease reply's
+// do — and the campaign still ends byte-identical to the serial run.
+func TestFleetDroppedNextResponse(t *testing.T) {
+	spec := fleetSpec(t)
+	want := serialCanonical(t, spec)
+	_, ts := newDurableTestServer(t, time.Second)
+	id := submitDispatch(t, ts, spec)
+
+	rt := &dropNextResponse{base: http.DefaultTransport}
+	w := NewWorker(WorkerOptions{
+		BaseURL: ts.URL, Campaign: id, Name: "lossy", Parallel: 1,
+		Client:      &http.Client{Transport: rt, Timeout: 30 * time.Second},
+		BackoffBase: 2 * time.Millisecond,
+	})
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !rt.dropped.Load() {
+		t.Fatal("no lease-carrying upload was sent")
+	}
+	if state := pollState(t, ts, id, 30*time.Second); state != StateDone {
+		t.Fatalf("campaign ended %q", state)
+	}
+	if got := fetchCanonical(t, ts, id); !bytes.Equal(got, want) {
+		t.Fatalf("a dropped upload reply changed the merged bytes:\nserial:\n%s\nfleet:\n%s", want, got)
+	}
+	metrics := getJSON(t, ts.URL+"/campaigns/"+id, http.StatusOK)["metrics"].(map[string]any)
+	for key, want := range map[string]float64{
+		"duplicate_uploads": 1, // the re-sent upload
+		"results_fenced":    0,
+		"lease_requeues":    1, // the lost reply's grant expired
+		"jobs_failed":       0,
+	} {
+		if got := metrics[key].(float64); got != want {
+			t.Fatalf("%s = %v, want %v: %v", key, got, want, metrics)
+		}
+	}
+}
+
+// TestWorkerDrainLeasesNothing drains a worker mid-batch, and separately
+// just as a lease-carrying upload delivers its next batch: either way
+// the worker's last upload asks for no grants and it exits holding none.
+// A worker that kept leasing while draining would release and re-lease
+// forever, so each run is bounded.
+func TestWorkerDrainLeasesNothing(t *testing.T) {
+	spec := fleetSpec(t)
+	run := func(t *testing.T, w *Worker) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := w.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leased := func(t *testing.T, ts *httptest.Server, id string) int {
+		st := getJSON(t, ts.URL+"/campaigns/"+id, http.StatusOK)
+		return int(st["dispatch"].(map[string]any)["leased"].(float64))
+	}
+
+	t.Run("mid-batch", func(t *testing.T) {
+		counter, ts := newDurableTestServer(t, 0)
+		id := submitDispatch(t, ts, spec)
+		var w *Worker
+		w = NewWorker(WorkerOptions{
+			BaseURL: ts.URL, Campaign: id, Name: "drainer", Parallel: 1, LeaseBatch: 4,
+			OnJobDone: func(*JobResult) { w.Drain() },
+		})
+		run(t, w)
+		if n := len(counter.leases); n != 1 || counter.leases[0] != 0 {
+			t.Fatalf("drained batch uploaded with Lease %v, want one upload asking for 0", counter.leases)
+		}
+		if got := leased(t, ts, id); got != 0 {
+			t.Fatalf("drained worker left %d leases held", got)
+		}
+		if got := w.JobsCompleted.Load(); got == 0 || got >= 4 {
+			t.Fatalf("drained worker completed %d jobs, want a strict subset of its batch of 4", got)
+		}
+	})
+
+	t.Run("next-batch-arrives", func(t *testing.T) {
+		counter, ts := newDurableTestServer(t, 0)
+		id := submitDispatch(t, ts, spec)
+		var w *Worker
+		drainAfterNext := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			resp, err := http.DefaultTransport.RoundTrip(req)
+			if err == nil && strings.HasSuffix(req.URL.Path, "/complete") {
+				w.Drain() // the reply, and its grants, are already on the way back
+			}
+			return resp, err
+		})
+		w = NewWorker(WorkerOptions{
+			BaseURL: ts.URL, Campaign: id, Name: "drainer", Parallel: 1, LeaseBatch: 2,
+			Client: &http.Client{Transport: drainAfterNext},
+		})
+		run(t, w)
+		if want := []int{2, 0}; !slices.Equal(counter.leases, want) {
+			t.Fatalf("uploads asked for %v grants, want %v (the next batch is released unrun)", counter.leases, want)
+		}
+		if got := w.JobsCompleted.Load(); got != 2 {
+			t.Fatalf("worker completed %d jobs, want its first batch of 2", got)
+		}
+		if got := leased(t, ts, id); got != 0 {
+			t.Fatalf("drained worker left %d leases held", got)
+		}
+	})
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestInProcessNextAllocFree pins that the in-process exchange's lease
+// half allocates nothing: an executor that reports a job and takes the
+// next grant refills its own LeaseResponse. Here each exchange hands its
+// grant back and leases it again, so the merge path (whose map entries
+// the campaign keeps) is out of the measurement.
+func TestInProcessNextAllocFree(t *testing.T) {
+	camp, err := New(smallSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDispatcher(camp, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := CompleteRequest{Worker: "local-0", Lease: 1}
+	var next LeaseResponse
+	d.complete(req, &next)
+	if len(next.Grants) != 1 {
+		t.Fatalf("first exchange granted %d jobs, want 1", len(next.Grants))
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		g := next.Grants[0]
+		req.Released = append(req.Released[:0], LeaseRef{JobID: g.Job.ID, LeaseID: g.LeaseID})
+		resp := d.complete(req, &next)
+		if resp.Requeued != 1 || resp.Next != &next || len(next.Grants) != 1 {
+			t.Fatalf("exchange = %+v, want the grant released and re-leased into next", resp)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("in-process release+lease exchange allocates %v times, want 0", allocs)
+	}
+}
+
+// v1Upload writes the v1 upload layout — the v2 one without Lease — so
+// the server's refusal of an old worker can be pinned.
+type v1Upload CompleteRequest
+
+func (u *v1Upload) AppendWireBody(w *harness.WireWriter) {
+	w.PutUvarint(1)
+	w.PutString(u.Worker)
+	w.PutUvarint(uint64(len(u.Results)))
+	var scratch []string
+	for _, wr := range u.Results {
+		w.PutVarint(wr.LeaseID)
+		appendJobResult(w, wr.Result, &scratch)
+	}
+	w.PutUvarint(0) // failures
+	appendLeaseRefs(w, u.Released)
+	appendLeaseRefs(w, u.Heartbeat)
+}
+
+func (u *v1Upload) DecodeWireBody(*harness.WireReader) error {
+	return errors.New("v1Upload is encode-only")
+}
+
+// TestCompleteRefusesV1Upload posts an upload a v1 worker would send: it
+// is refused at its version field with a 400 naming both versions — not
+// misread as a truncated v2 body — and merges nothing; the same results
+// in a v2 upload then merge.
+func TestCompleteRefusesV1Upload(t *testing.T) {
+	spec := fleetSpec(t)
+	_, ts := newTestServer(t)
+	id := submitDispatch(t, ts, spec)
+	req := leasedUpload(t, ts, id, spec, "old")
+
+	v1 := harness.EncodeWireBinary(nil, (*v1Upload)(&req))
+	var decoded CompleteRequest
+	if err := harness.DecodeWireBinary(v1, &decoded, 0); err == nil || err.Error() != "protocol version 1, want 2" {
+		t.Fatalf("decoding a v1 upload = %v, want the version refusal", err)
+	}
+	resp, err := http.Post(ts.URL+"/campaigns/"+id+"/complete", harness.WireContentTypeBinary, bytes.NewReader(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "protocol version 1, want 2") {
+		t.Fatalf("v1 upload = %d %s, want 400 protocol version 1, want 2", resp.StatusCode, body)
+	}
+	if done := dispatchDone(t, ts, id); done != 0 {
+		t.Fatalf("refused v1 upload completed %d job(s)", done)
+	}
+	if code, cr := postUpload(t, ts, id, harness.WireContentTypeBinary, harness.EncodeWireBinary(nil, &req)); code != http.StatusOK || cr.Merged != 1 {
+		t.Fatalf("v2 re-send = %d, merged %d; want 200, 1", code, cr.Merged)
+	}
+}

@@ -140,8 +140,9 @@ type Server struct {
 	// everything in flight. Requires CheckpointDir.
 	WALDir string
 
-	// WALSyncEvery batches WAL fsyncs to every n records (group commit);
-	// 0 or 1 fsyncs every record.
+	// WALSyncEvery is the WAL group-commit cadence (see
+	// Options.WALSyncEvery); 0 or 1 fsyncs every exchange that logged a
+	// record.
 	WALSyncEvery int
 
 	// CompactEvery is the floor of each dispatcher's WAL compaction
@@ -349,6 +350,7 @@ func writePrometheus(w io.Writer, campaigns, running int, uptimeSec float64, lea
 		{"perple_wal_appends_total", "counter", "Lease-ledger transitions appended to write-ahead logs.", float64(agg.WALAppends)},
 		{"perple_wal_append_errors_total", "counter", "WAL appends that failed and degraded the log.", float64(agg.WALAppendErrors)},
 		{"perple_wal_fsync_ns_total", "counter", "Host nanoseconds spent fsyncing write-ahead logs.", float64(agg.WALFsyncNs)},
+		{"perple_wal_fsyncs_total", "counter", "Write-ahead log group-commit fsyncs (at most one per dispatcher exchange).", float64(agg.WALFsyncs)},
 		{"perple_wal_replays_total", "counter", "Dispatcher recoveries that replayed a write-ahead log.", float64(agg.WALReplays)},
 		{"perple_wal_compactions_total", "counter", "Write-ahead logs folded into a fresh checkpoint.", float64(agg.WALCompactions)},
 		{"perple_wal_truncated_records_total", "counter", "Torn tail records dropped during WAL replay.", float64(agg.WALTruncatedRecords)},
@@ -518,10 +520,12 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 // buffer and decoded as PWB1, so merged shards flow from the wire into
 // the campaign accumulator through reused scratch, never through
 // per-request payload-sized garbage. Any other Content-Type is refused
-// with 415, and any version but ProtocolVersion with 400, before
-// anything merges. A frame error (truncated or bit-damaged upload) is
-// answered 400 like any other undecodable body; the worker's retry loop
-// re-sends the batch, and the fence keeps the re-delivery idempotent.
+// with 415, and any version but ProtocolVersion with 400 — the decoder
+// stops at the version field — before anything merges. A frame error
+// (truncated or bit-damaged upload) is answered 400 like any other
+// undecodable body; the worker's retry loop re-sends the batch, and the
+// fence keeps the re-delivery idempotent. An upload with Lease set is
+// answered with the next grants in the same reply.
 func (s *Server) handleComplete(w http.ResponseWriter, req *http.Request) {
 	disp := s.lookupDispatcher(w, req)
 	if disp == nil {
@@ -545,10 +549,6 @@ func (s *Server) handleComplete(w http.ResponseWriter, req *http.Request) {
 	disp.metrics.WireDecodeNs.Add(time.Since(start).Nanoseconds())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding upload: %v", err)
-		return
-	}
-	if cr.Version != ProtocolVersion {
-		writeError(w, http.StatusBadRequest, "protocol version %d, want %d", cr.Version, ProtocolVersion)
 		return
 	}
 	writeJSONCounted(w, http.StatusOK, disp.Complete(cr, len(body)), disp.metrics)

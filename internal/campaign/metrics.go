@@ -100,6 +100,10 @@ type Metrics struct {
 	WALAppendErrors atomic.Int64
 	// WALFsyncNs is host nanoseconds spent in WAL group-commit fsyncs.
 	WALFsyncNs atomic.Int64
+	// WALFsyncs counts WAL group-commit fsyncs: at most one per
+	// dispatcher exchange, so WALAppends/WALFsyncs is the records each
+	// commit made durable.
+	WALFsyncs atomic.Int64
 	// WALReplays counts dispatcher startups that replayed an existing
 	// log.
 	WALReplays atomic.Int64
@@ -229,6 +233,7 @@ type Snapshot struct {
 	WALAppends           int64             `json:"wal_appends"`
 	WALAppendErrors      int64             `json:"wal_append_errors"`
 	WALFsyncNs           int64             `json:"wal_fsync_ns"`
+	WALFsyncs            int64             `json:"wal_fsyncs"`
 	WALReplays           int64             `json:"wal_replays"`
 	WALCompactions       int64             `json:"wal_compactions"`
 	WALTruncatedRecords  int64             `json:"wal_truncated_records"`
@@ -281,6 +286,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		WALAppends:           m.WALAppends.Load(),
 		WALAppendErrors:      m.WALAppendErrors.Load(),
 		WALFsyncNs:           m.WALFsyncNs.Load(),
+		WALFsyncs:            m.WALFsyncs.Load(),
 		WALReplays:           m.WALReplays.Load(),
 		WALCompactions:       m.WALCompactions.Load(),
 		WALTruncatedRecords:  m.WALTruncatedRecords.Load(),
@@ -337,6 +343,7 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.WALAppends += o.WALAppends
 	s.WALAppendErrors += o.WALAppendErrors
 	s.WALFsyncNs += o.WALFsyncNs
+	s.WALFsyncs += o.WALFsyncs
 	s.WALReplays += o.WALReplays
 	s.WALCompactions += o.WALCompactions
 	s.WALTruncatedRecords += o.WALTruncatedRecords

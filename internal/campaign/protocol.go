@@ -1,16 +1,25 @@
 package campaign
 
-// Dispatch protocol (v1): the wire types spoken between perple-serve's
+// Dispatch protocol (v2): the wire types spoken between perple-serve's
 // dispatch endpoints and perple-worker. Control bodies are JSON; the
 // completion upload carries full per-shard histograms and travels in
 // the PWB1 binary codec (harness wirebin; DESIGN.md §14), labelled
 // harness.WireContentTypeBinary. An upload in any other Content-Type,
-// or carrying any version but ProtocolVersion, is refused with a 4xx.
+// or carrying any version but ProtocolVersion, is refused with a 4xx
+// (the version is the body's first field, so a foreign upload is
+// refused before the rest of it is decoded).
 //
 //	GET  /campaigns/{id}/corpus     → CorpusResponse   (spec + test sources)
 //	POST /campaigns/{id}/lease      LeaseRequest → LeaseResponse
+//	                                (first batch and idle polls only)
 //	POST /campaigns/{id}/heartbeat  HeartbeatRequest → HeartbeatResponse
 //	POST /campaigns/{id}/complete   CompleteRequest (PWB1) → CompleteResponse
+//	                                (Lease > 0: Next carries the next grants)
+//
+// v2 makes the upload the steady-state lease call: a batch's final
+// upload asks for the next batch (CompleteRequest.Lease) and receives it
+// in the same exchange (CompleteResponse.Next), so a shard costs one
+// round trip and one WAL commit instead of two.
 //
 // The protocol is at-least-once by construction: a worker that crashes
 // mid-lease simply stops heartbeating and its jobs re-lease after the
@@ -21,7 +30,7 @@ package campaign
 
 // ProtocolVersion guards wire compatibility; both sides refuse to talk
 // across a mismatch.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // CorpusTest ships one litmus test to workers as parseable source, so a
 // worker needs no filesystem access to the campaign's test directory.
@@ -103,8 +112,9 @@ type WorkerFailure struct {
 // failures, leases handed back un-run (graceful drain), and — when the
 // worker streams partial batches — heartbeats for the leases it still
 // holds, piggybacked so a mid-batch upload doubles as the lease
-// extension and saves the dedicated heartbeat round-trip. The body
-// travels in the PWB1 codec.
+// extension and saves the dedicated heartbeat round-trip. Lease asks
+// for the next grants in the same exchange, saving the dedicated lease
+// round-trip too. The body travels in the PWB1 codec.
 type CompleteRequest struct {
 	Version  int             `json:"version"`
 	Worker   string          `json:"worker"`
@@ -114,6 +124,10 @@ type CompleteRequest struct {
 	// Heartbeat lists leases the worker still holds and wants extended
 	// with this upload.
 	Heartbeat []LeaseRef `json:"heartbeat,omitempty"`
+	// Lease, when positive, grants up to this many new jobs in the same
+	// exchange, after everything above is applied: the response's Next
+	// is then exactly what a LeaseRequest{Max: Lease} would have returned.
+	Lease int `json:"lease,omitempty"`
 }
 
 // CompleteResponse accounts for every uploaded item: merged into the
@@ -122,7 +136,7 @@ type CompleteRequest struct {
 // dropped by the completion fence (a competing holder's copy), rejected
 // as invalid (result fields contradict the job's identity), requeued,
 // or permanently failed. Done tells the worker the campaign has
-// finished.
+// finished. Next answers the request's Lease.
 type CompleteResponse struct {
 	Merged    int  `json:"merged"`
 	Duplicate int  `json:"duplicate,omitempty"`
@@ -134,4 +148,6 @@ type CompleteResponse struct {
 	// Extended counts piggybacked heartbeats honored, mirroring
 	// HeartbeatResponse.Extended.
 	Extended int `json:"extended,omitempty"`
+	// Next is the lease the request asked for (nil when Lease was 0).
+	Next *LeaseResponse `json:"next,omitempty"`
 }

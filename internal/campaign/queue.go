@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -190,18 +191,20 @@ func (q *leaseQueue) releaseLeased() {
 }
 
 // lease grants up to max pending jobs to worker, lowest job ID first,
-// stamping each with a fresh lease nonce and the queue's TTL.
-func (q *leaseQueue) lease(worker string, max int) []LeaseGrant {
+// stamping each with a fresh lease nonce and the queue's TTL, and
+// appends the grants to dst (an executor reusing its grant slice
+// allocates nothing here).
+func (q *leaseQueue) lease(dst []LeaseGrant, worker string, max int) []LeaseGrant {
 	if max <= 0 {
 		max = 1
 	}
 	n := min(max, len(q.pending))
 	if n == 0 {
-		return nil
+		return dst
 	}
 	now := q.now()
 	expires := now.Add(q.ttl)
-	granted := make([]LeaseGrant, 0, n)
+	granted := slices.Grow(dst, n)
 	for _, id := range q.pending[:n] {
 		e := q.entries[id]
 		q.nextLease++

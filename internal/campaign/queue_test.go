@@ -23,7 +23,7 @@ func newTestQueue(maxRetries int) (*leaseQueue, *time.Time) {
 // single point instead of two racing ones.
 func TestLeaseQueueHeartbeatAfterExpiry(t *testing.T) {
 	q, now := newTestQueue(5)
-	g := q.lease("w1", 1)[0]
+	g := q.lease(nil, "w1", 1)[0]
 
 	*now = now.Add(2 * time.Minute) // past the TTL, before any sweep
 	if !q.heartbeat("w1", LeaseRef{JobID: 0, LeaseID: g.LeaseID}) {
@@ -52,7 +52,7 @@ func TestLeaseQueueHeartbeatAfterExpiry(t *testing.T) {
 // never double-completed.
 func TestLeaseQueueDuplicateComplete(t *testing.T) {
 	q, _ := newTestQueue(5)
-	g := q.lease("w1", 1)[0]
+	g := q.lease(nil, "w1", 1)[0]
 	ref := LeaseRef{JobID: 0, LeaseID: g.LeaseID}
 
 	if accepted, fenced := q.complete(ref); !accepted || fenced {
@@ -72,14 +72,14 @@ func TestLeaseQueueDuplicateComplete(t *testing.T) {
 // must not charge the replacement's retry budget.
 func TestLeaseQueueFailFromNonHolder(t *testing.T) {
 	q, now := newTestQueue(5)
-	first := q.lease("w1", 1)[0]
+	first := q.lease(nil, "w1", 1)[0]
 	firstNonce := first.LeaseID
 
 	*now = now.Add(2 * time.Minute)
 	if requeued, _ := q.sweep(); len(requeued) != 1 {
 		t.Fatal("lease did not expire")
 	}
-	second := q.lease("w2", 1)[0]
+	second := q.lease(nil, "w2", 1)[0]
 	if second.Job.ID != 0 || second.LeaseID == firstNonce {
 		t.Fatalf("re-grant = job %d nonce %d (was %d)", second.Job.ID, second.LeaseID, firstNonce)
 	}
@@ -108,7 +108,7 @@ func TestLeaseQueueFailFromNonHolder(t *testing.T) {
 // which would let two workers hold "the" lease simultaneously.
 func TestLeaseQueueReleaseRacingSweep(t *testing.T) {
 	q, now := newTestQueue(5)
-	g := q.lease("w1", 1)[0]
+	g := q.lease(nil, "w1", 1)[0]
 
 	*now = now.Add(2 * time.Minute)
 	if requeued, _ := q.sweep(); len(requeued) != 1 {
@@ -127,7 +127,7 @@ func TestLeaseQueueReleaseRacingSweep(t *testing.T) {
 		t.Fatalf("job 0 appears %d times in the pending set, want exactly 1: %v", seen, q.pending)
 	}
 	// And the job is grantable exactly once.
-	if g := q.lease("w3", 10); len(g) != 2 {
+	if g := q.lease(nil, "w3", 10); len(g) != 2 {
 		t.Fatalf("re-lease granted %d jobs, want 2 (each job exactly once)", len(g))
 	}
 }
@@ -137,10 +137,10 @@ func TestLeaseQueueReleaseRacingSweep(t *testing.T) {
 // the stale release must not yank it from under the new holder.
 func TestLeaseQueueReleaseAfterReGrant(t *testing.T) {
 	q, now := newTestQueue(5)
-	g := q.lease("w1", 1)[0]
+	g := q.lease(nil, "w1", 1)[0]
 	*now = now.Add(2 * time.Minute)
 	q.sweep()
-	second := q.lease("w2", 1)[0]
+	second := q.lease(nil, "w2", 1)[0]
 
 	if q.release("w1", LeaseRef{JobID: 0, LeaseID: g.LeaseID}) {
 		t.Fatal("stale release honored against a re-granted lease")
@@ -156,7 +156,7 @@ func TestLeaseQueueReleaseAfterReGrant(t *testing.T) {
 func TestInProcessLeasesNeverExpire(t *testing.T) {
 	now := time.Unix(0, 0)
 	q := newLeaseQueue([]Job{{ID: 0}, {ID: 1}}, 0, 0, func() time.Time { return now })
-	q.lease("local-0", 2)
+	q.lease(nil, "local-0", 2)
 	now = now.Add(24 * time.Hour)
 	if requeued, failed := q.sweep(); len(requeued)+len(failed) != 0 {
 		t.Fatalf("sweep expired in-process leases: %d requeued, %d failed", len(requeued), len(failed))
@@ -215,7 +215,7 @@ func queueOp(rng *rand.Rand, q *leaseQueue, jobs []Job, now *time.Time, dupRows 
 	at := now.Add(time.Duration(rng.Intn(180)-60) * time.Second)
 	switch rng.Intn(14) {
 	case 0, 1:
-		q.lease(w, 1+rng.Intn(3))
+		q.lease(nil, w, 1+rng.Intn(3))
 	case 2:
 		q.heartbeat(w, ref)
 	case 3:

@@ -427,7 +427,7 @@ func TestRunReleasesCrashedInProcessLeases(t *testing.T) {
 		t.Fatalf("granted %d leases, want 4", len(lease.Grants))
 	}
 	g := lease.Grants[0]
-	crashed.complete(CompleteRequest{Worker: "local-0", Results: []WorkerResult{{LeaseID: g.LeaseID, Result: fakeResult(g.Job)}}})
+	crashed.complete(CompleteRequest{Worker: "local-0", Results: []WorkerResult{{LeaseID: g.LeaseID, Result: fakeResult(g.Job)}}}, nil)
 	crashed.wal.close()
 
 	metrics := &Metrics{}

@@ -14,8 +14,8 @@ import (
 // The dispatch write-ahead log makes the lease ledger durable: every
 // state transition — grant, heartbeat extension, completion (with its
 // merged-lease nonce), requeue, dead-letter, cancellation — appends one
-// CRC-framed record before the response acknowledging it leaves the
-// dispatcher. On restart the dispatcher replays snapshot + WAL suffix
+// CRC-framed record, and the exchange's commit makes them durable before
+// the response acknowledging them leaves the dispatcher. On restart the dispatcher replays snapshot + WAL suffix
 // and reconstructs the exact ledger, so a crash no longer forgets which
 // uploads merged or silently re-leases completed shards.
 //
@@ -27,8 +27,12 @@ import (
 // recovery precision; correctness rests on the completion fence and
 // per-shard determinism either way.
 //
-// Durability is group-committed: the file is fsynced every syncEvery
-// records (1 = every append). Compaction folds the log into the v2
+// Durability is group-committed per exchange: append only writes, and
+// each dispatcher entry point (Lease, Heartbeat, complete, Cancel) ends
+// with one commit, which fsyncs once the records written since the last
+// fsync reach syncEvery — counted across exchanges, so syncEvery 1 is
+// one fsync per exchange that logged anything, however many records it
+// wrote (an upload that merges a shard and grants the next one logs two). Compaction folds the log into the v2
 // checksummed checkpoint (which carries the full ledger snapshot, see
 // LedgerSnapshot) and then truncates the log via atomic rename of a
 // fresh segment. The rename happens only after a successful checkpoint
@@ -234,8 +238,8 @@ func newWAL(fsys WALFS, path string, syncEvery int, specCRC uint32, metrics *Met
 	return &wal{fsys: fsys, path: path, syncEvery: syncEvery, specCRC: specCRC, metrics: metrics}
 }
 
-// append encodes rec as one PWB1 frame and writes it, fsyncing when the
-// group-commit cadence is due. Errors degrade the log instead of
+// append encodes rec as one PWB1 frame and writes it; the exchange's
+// commit makes it durable. Errors degrade the log instead of
 // propagating: a record that cannot be made durable must not take the
 // campaign down, it only widens the recovery window back to the last
 // checkpoint.
@@ -251,7 +255,14 @@ func (w *wal) append(rec *walRecord) {
 	}
 	w.metrics.WALAppends.Add(1)
 	w.unsynced++
-	if w.unsynced >= w.syncEvery {
+}
+
+// commit ends one dispatcher exchange: it fsyncs when the group-commit
+// cadence is due. Callers defer it under the dispatcher lock, so the
+// reply is built only after its records are as durable as the cadence
+// promises.
+func (w *wal) commit() {
+	if w != nil && w.unsynced >= w.syncEvery {
 		w.syncNow()
 	}
 }
@@ -265,6 +276,7 @@ func (w *wal) syncNow() {
 	start := time.Now()
 	err := w.file.Sync()
 	w.metrics.WALFsyncNs.Add(time.Since(start).Nanoseconds())
+	w.metrics.WALFsyncs.Add(1)
 	if err != nil {
 		w.degraded = true
 		w.metrics.WALAppendErrors.Add(1)

@@ -226,12 +226,19 @@ func TestWALReplayPropertyRandomOps(t *testing.T) {
 				case 4, 5, 6, 7:
 					if len(grants) > 0 {
 						// A random (possibly stale) grant completes; fenced and
-						// duplicate deliveries are part of the property.
+						// duplicate deliveries are part of the property. Some
+						// uploads also lease the worker's next jobs.
 						g := grants[rng.Intn(len(grants))]
-						d.Complete(CompleteRequest{
+						resp := d.Complete(CompleteRequest{
 							Worker:  g.worker,
 							Results: []WorkerResult{{LeaseID: g.lease, Result: fakeResult(g.job)}},
+							Lease:   rng.Intn(3),
 						}, 0)
+						if resp.Next != nil {
+							for _, ng := range resp.Next.Grants {
+								grants = append(grants, held{job: ng.Job, lease: ng.LeaseID, worker: g.worker})
+							}
+						}
 					}
 				case 8:
 					if len(grants) > 0 {

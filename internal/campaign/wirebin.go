@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"fmt"
+
 	"perple/internal/harness"
 )
 
@@ -11,9 +13,11 @@ import (
 // down to one-byte references after their first occurrence, and each
 // shard's histogram front-codes its sorted outcome keys.
 //
-// Field order is the struct order below and is frozen for v1 — the
-// frame's magic carries the format version, so a future layout change
-// means a new magic, not a silent re-reading of old bytes.
+// Field order is the struct order below. The body's first field is the
+// protocol version, and the decoder refuses any but ProtocolVersion
+// before reading further, so a layout change bumps ProtocolVersion and
+// an old peer's upload is refused, never silently re-read. v2 appended
+// Lease.
 
 // AppendWireBody encodes the upload batch.
 func (cr *CompleteRequest) AppendWireBody(w *harness.WireWriter) {
@@ -33,13 +37,19 @@ func (cr *CompleteRequest) AppendWireBody(w *harness.WireWriter) {
 	}
 	appendLeaseRefs(w, cr.Released)
 	appendLeaseRefs(w, cr.Heartbeat)
+	w.PutUvarint(uint64(cr.Lease))
 }
 
-// DecodeWireBody reads the batch written by AppendWireBody.
+// DecodeWireBody reads the batch written by AppendWireBody. A body of
+// any version but ProtocolVersion fails as soon as its version is read:
+// the rest is another version's layout.
 func (cr *CompleteRequest) DecodeWireBody(r *harness.WireReader) error {
 	v, err := r.Uvarint()
 	if err != nil {
 		return err
+	}
+	if v != ProtocolVersion {
+		return fmt.Errorf("protocol version %d, want %d", v, ProtocolVersion)
 	}
 	cr.Version = int(v)
 	if cr.Worker, err = r.String(); err != nil {
@@ -80,7 +90,11 @@ func (cr *CompleteRequest) DecodeWireBody(r *harness.WireReader) error {
 	if cr.Released, err = decodeLeaseRefs(r); err != nil {
 		return err
 	}
-	cr.Heartbeat, err = decodeLeaseRefs(r)
+	if cr.Heartbeat, err = decodeLeaseRefs(r); err != nil {
+		return err
+	}
+	lease, err := r.Uvarint()
+	cr.Lease = int(lease)
 	return err
 }
 

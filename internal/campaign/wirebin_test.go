@@ -38,6 +38,7 @@ func sampleCompleteRequest() *CompleteRequest {
 		Failures:  []WorkerFailure{{LeaseID: 11, JobID: 5, Err: "simulated crash"}},
 		Released:  []LeaseRef{{JobID: 6, LeaseID: 13}},
 		Heartbeat: []LeaseRef{{JobID: 8, LeaseID: 15}},
+		Lease:     3,
 	}
 }
 
@@ -124,9 +125,13 @@ func FuzzCompleteRequestWire(f *testing.F) {
 
 // FuzzCompleteRequestBinaryDecode feeds arbitrary bytes to the upload
 // decoder — the dispatcher's exposure surface — which must never panic.
+// The seeds are an empty body, a full upload that also asks for grants,
+// and a bare lease-carrying upload (the worker's usual final flush once
+// the ticker has streamed its results).
 func FuzzCompleteRequestBinaryDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(harness.EncodeWireBinary(nil, sampleCompleteRequest()))
+	f.Add(harness.EncodeWireBinary(nil, &CompleteRequest{Version: ProtocolVersion, Worker: "w", Lease: 4}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out CompleteRequest
 		_ = harness.DecodeWireBinary(data, &out, 1<<20)

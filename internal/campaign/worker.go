@@ -32,8 +32,10 @@ type WorkerOptions struct {
 	// Parallel is the number of jobs executed concurrently; 0 selects
 	// GOMAXPROCS.
 	Parallel int
-	// LeaseBatch is the number of jobs pulled per lease call; 0 selects
-	// Parallel (keep every executor busy with one round trip).
+	// LeaseBatch is the number of jobs pulled per lease — the first
+	// /lease call, an idle poll, or the batch's final upload, which asks
+	// for the next batch; 0 selects Parallel (keep every executor busy
+	// with one round trip).
 	LeaseBatch int
 	// Wire names the result-upload codec. PWB1 is the only one: "",
 	// "auto" and "binary" all select it, and any other value makes Run
@@ -76,7 +78,8 @@ type WorkerOptions struct {
 // Worker is a fleet member: it pulls shard leases from a perple-serve
 // dispatch campaign, executes them with the same job-execution step
 // (jobExec) as Campaign.Run's in-process executors, and uploads batched
-// results. Because shard seeds are identity-derived and merging is
+// results; each batch's final upload also leases the next batch.
+// Because shard seeds are identity-derived and merging is
 // order-invariant, any number of workers — joining, crashing, being
 // replaced — drive the campaign to the same final bytes as a local run.
 // The embedded jobExec's JobsCompleted and JobsFailed count this
@@ -204,16 +207,22 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.tests[ct.Name] = t
 	}
 
+	// lease is the batch to run next: /lease answers it for the first
+	// batch and after an idle poll, every other batch arrives with the
+	// previous batch's final upload. nil means ask /lease.
+	var lease *LeaseResponse
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if w.draining.Load() {
-			return nil
-		}
-		var lease LeaseResponse
-		if err := w.post(ctx, "lease", LeaseRequest{Worker: w.opts.Name, Max: w.opts.LeaseBatch}, &lease); err != nil {
-			return err
+		if lease == nil {
+			if w.draining.Load() {
+				return nil
+			}
+			lease = new(LeaseResponse)
+			if err := w.post(ctx, "lease", LeaseRequest{Worker: w.opts.Name, Max: w.opts.LeaseBatch}, lease); err != nil {
+				return err
+			}
 		}
 		if lease.Done {
 			return nil
@@ -237,18 +246,22 @@ func (w *Worker) Run(ctx context.Context) error {
 				return nil
 			case <-t.C:
 			}
+			lease = nil
 			continue
 		}
-		done, err := w.runBatch(ctx, lease)
+		next, done, err := w.runBatch(ctx, lease)
 		if err != nil || done {
 			return err
 		}
+		lease = next
 	}
 }
 
-// runBatch executes one lease batch and uploads the outcome. It returns
-// done=true when the server reports the campaign finished.
-func (w *Worker) runBatch(ctx context.Context, lease LeaseResponse) (bool, error) {
+// runBatch executes one lease batch and uploads the outcome. Unless the
+// worker is draining, the final upload asks for the next batch, which
+// runBatch returns (nil when the upload got none). done reports that the
+// server says the campaign finished.
+func (w *Worker) runBatch(ctx context.Context, lease *LeaseResponse) (next *LeaseResponse, done bool, err error) {
 	ttl := time.Duration(lease.TTLSec * float64(time.Second))
 	up := newBatchUpload(w, lease.Grants)
 	flStop := w.startFlusher(ctx, up, ttl)
@@ -290,16 +303,21 @@ func (w *Worker) runBatch(ctx context.Context, lease LeaseResponse) (bool, error
 	flStop()
 	if err := ctx.Err(); err != nil {
 		// Hard stop: abandon the batch; the leases expire and requeue.
-		return false, err
+		return nil, false, err
 	}
 	if err := up.err(); err != nil {
-		return false, err
+		return nil, false, err
 	}
-	// Final flush ships whatever the ticker hasn't already streamed out.
-	if err := up.flush(ctx); err != nil {
-		return false, err
+	// Final flush ships whatever the ticker hasn't already streamed out
+	// and, unless draining, leases the next batch in the same exchange.
+	want := w.opts.LeaseBatch
+	if w.draining.Load() {
+		want = 0
 	}
-	return up.done.Load(), nil
+	if next, err = up.flush(ctx, want); err != nil {
+		return nil, false, err
+	}
+	return next, up.done.Load(), nil
 }
 
 // batchUpload accumulates one lease batch's outcomes and streams them to
@@ -364,10 +382,11 @@ func (u *batchUpload) err() error {
 }
 
 // flush uploads everything pending, piggybacking heartbeats for the
-// still-held leases. With nothing to upload it degrades to a plain
-// heartbeat. Callers serialize flushes (ticker goroutine, then the
-// final call after it stops).
-func (u *batchUpload) flush(ctx context.Context) error {
+// still-held leases, and with lease > 0 asks for that many new grants,
+// which it returns. With nothing to upload and no grants wanted it
+// degrades to a plain heartbeat. Callers serialize flushes (ticker
+// goroutine, then the final call after it stops).
+func (u *batchUpload) flush(ctx context.Context, lease int) (*LeaseResponse, error) {
 	u.mu.Lock()
 	req := u.pending
 	u.pending = CompleteRequest{Version: ProtocolVersion, Worker: u.w.opts.Name}
@@ -390,19 +409,20 @@ func (u *batchUpload) flush(ctx context.Context) error {
 	u.mu.Unlock()
 	sort.Slice(live, func(i, j int) bool { return live[i].JobID < live[j].JobID })
 
-	if len(req.Results)+len(req.Failures)+len(req.Released) == 0 {
+	if len(req.Results)+len(req.Failures)+len(req.Released) == 0 && lease == 0 {
 		if len(live) > 0 {
 			// Best-effort: a lost heartbeat only shortens the lease margin,
 			// and the server fences any fallout.
 			var hr HeartbeatResponse
 			_ = u.w.post(ctx, "heartbeat", HeartbeatRequest{Worker: u.w.opts.Name, Leases: live}, &hr)
 		}
-		return nil
+		return nil, nil
 	}
 	req.Heartbeat = live
+	req.Lease = lease
 	var resp CompleteResponse
 	if err := u.w.uploadComplete(ctx, &req, &resp); err != nil {
-		return err
+		return nil, err
 	}
 	u.mu.Lock()
 	for id := range consumed {
@@ -412,7 +432,7 @@ func (u *batchUpload) flush(ctx context.Context) error {
 	if resp.Done {
 		u.done.Store(true)
 	}
-	return nil
+	return resp.Next, nil
 }
 
 // startFlusher streams pending outcomes (and lease extensions) on the
@@ -439,7 +459,7 @@ func (w *Worker) startFlusher(ctx context.Context, up *batchUpload, ttl time.Dur
 			case <-flCtx.Done():
 				return
 			case <-tick.C:
-				if err := up.flush(flCtx); err != nil {
+				if _, err := up.flush(flCtx, 0); err != nil {
 					if flCtx.Err() == nil {
 						up.setErr(err)
 					}
