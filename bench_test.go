@@ -126,7 +126,7 @@ func BenchmarkCountExhaustive(b *testing.B) {
 			_, counter, bufs := benchRun(b, "sb", n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := counter.CountExhaustive(bufs); err != nil {
+				if _, err := counter.CountExhaustive(context.Background(), bufs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -143,23 +143,7 @@ func BenchmarkCountHeuristic(b *testing.B) {
 			_, counter, bufs := benchRun(b, "sb", n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := counter.CountHeuristic(bufs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCountExhaustiveParallel measures the fan-out engineering
-// extension: the same N^2 frame walk split over worker goroutines.
-func BenchmarkCountExhaustiveParallel(b *testing.B) {
-	_, counter, bufs := benchRun(b, "sb", 2000)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := counter.CountExhaustiveParallel(context.Background(), bufs, workers); err != nil {
+				if _, err := counter.CountHeuristic(context.Background(), bufs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -175,7 +159,7 @@ func BenchmarkCountExhaustiveTL3(b *testing.B) {
 			_, counter, bufs := benchRun(b, "podwr001", n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := counter.CountExhaustive(bufs); err != nil {
+				if _, err := counter.CountExhaustive(context.Background(), bufs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -359,29 +343,6 @@ func BenchmarkTraceVerify(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := lr.Run(n, ModeUser, DefaultConfig()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "iters/sec")
-		})
-	}
-}
-
-// BenchmarkSimLitmus7Batch measures intra-test batching: one 5000-
-// iteration litmus7-style run split across per-worker machines. On a
-// multicore host the per-op time drops near-linearly with workers; on a
-// single-core host it stays flat (the work is the same, only interleaved)
-// — the iters/sec metric makes the comparison explicit either way.
-func BenchmarkSimLitmus7Batch(b *testing.B) {
-	test, err := SuiteTest("sb")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 5000
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := RunLitmus7(context.Background(), test, n, ModeUser, nil, DefaultConfig(), Litmus7Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"perple/internal/core"
@@ -48,7 +47,6 @@ func run() error {
 	model := flag.String("model", "TSO", "simulated machine's memory system: TSO or PSO (fault injection)")
 	trace := flag.Int("trace", 0, "record and print the last N machine events (stores, drains, loads, fences)")
 	preset := flag.String("preset", "default", "machine preset (see internal/sim Presets)")
-	workers := flag.Int("workers", 1, "worker goroutines for the PerpLE counter (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	test, err := loadTest(*testName, *file)
@@ -118,10 +116,7 @@ func run() error {
 		}
 	}
 	counter := core.NewCounter(pt, pos)
-	opts := harness.PerpLEOptions{KeepBufs: *skew, CountWorkers: *workers}
-	if *workers <= 0 {
-		opts.CountWorkers = runtime.GOMAXPROCS(0)
-	}
+	opts := harness.PerpLEOptions{KeepBufs: *skew}
 	if *tool == "perple-exh" {
 		opts.Exhaustive = true
 		opts.ExhaustiveCap = *exhCap

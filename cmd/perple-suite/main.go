@@ -68,7 +68,7 @@ func run() error {
 	checkpoint := flag.String("checkpoint", "", "campaign checkpoint file: progress is saved there and a rerun resumes")
 	shardSize := flag.Int("shard-size", 0, "campaign iterations per shard (default: one shard per test/tool/preset)")
 	workers := flag.Int("workers", 0, "campaign worker goroutines (default: GOMAXPROCS)")
-	intraWorkers := flag.Int("intra-workers", 1, "worker goroutines inside each campaign job (result-affecting; recorded in checkpoints)")
+	intraWorkers := flag.Int("intra-workers", 1, "seeded substreams each campaign job is split into, run in sequence (result-affecting; recorded in checkpoints)")
 	remote := flag.String("remote", "", "perple-serve base URL: submit the campaign as a dispatch job for perple-worker fleet members")
 	axiomPolicy := flag.String("axiom", "", "campaign axiom policy: warn (default) flags statically forbidden/unsatisfiable targets, reject drops them from the sweep, off skips the check")
 	traceVerify := flag.String("trace-verify", "", "witness-trace verification for litmus7 runs: off (default), all, or a decimal stride k — check every k-th iteration's rf/co witness against x86-TSO")

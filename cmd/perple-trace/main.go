@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	preset := fl.String("preset", "default", "machine preset (default, pso, slow-drain, ...)")
 	seed := fl.Int64("seed", 1, "simulator seed")
 	sc := fl.Bool("sc", false, "verify against sequential consistency instead of x86-TSO")
-	workers := fl.Int("workers", 1, "batch workers per test (seeds derive per worker; results stay deterministic)")
+	workers := fl.Int("workers", 1, "substreams per test, run in sequence (seeds derive per substream; results stay deterministic)")
 	reports := fl.Int("reports", harness.DefaultTraceReports, "violation reports to render per test")
 	if err := fl.Parse(args); err != nil {
 		return 2

@@ -388,7 +388,11 @@ func TestChaosDuplicateUploadIdempotent(t *testing.T) {
 	want := soakBaseline(t, spec)
 
 	srv := campaign.NewServer()
-	srv.LeaseTTL = 10 * time.Second // no expiry: every re-delivery is a true duplicate, not a re-lease
+	// A retry lands well inside this TTL, so every re-delivered upload is
+	// a same-lease duplicate, not a re-lease. Grants that a dropped reply
+	// carried in Next are orphaned and do expire at this TTL, which is
+	// why the test takes ~40 s.
+	srv.LeaseTTL = 10 * time.Second
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	id := soakSubmit(t, ts, spec)

@@ -155,7 +155,7 @@ func runJob(ctx context.Context, ws *workspace, job Job, test *litmus.Test, spec
 	if err != nil {
 		return nil, err
 	}
-	opts := harness.PerpLEOptions{Workers: spec.IntraWorkers, CountWorkers: spec.IntraWorkers}
+	opts := harness.PerpLEOptions{Workers: spec.IntraWorkers}
 	switch tool {
 	case "perple-heur":
 		opts.Heuristic = true

@@ -72,13 +72,13 @@ type Spec struct {
 	// Workers sizes the worker pool; 0 selects GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
 
-	// IntraWorkers parallelizes inside each job: a litmus7 shard runs as
-	// an IntraWorkers-way batch over sim.WorkerSeed substreams, and a
-	// PerpLE shard batches its execution the same way and fans its
-	// counting phase out over IntraWorkers goroutines. Unlike Workers
-	// this is result-affecting (a k-way batch equals the merge of k
-	// derived-seed subshards, not the serial shard), so checkpoints
-	// record it and a resume must keep it. Default: 1.
+	// IntraWorkers splits each job into IntraWorkers substreams over
+	// sim.WorkerSeed seeds, run in sequence on the executor's one runner
+	// and counter (harness Litmus7Options.Workers and
+	// PerpLEOptions.Workers). It adds no parallelism: Workers does that.
+	// Unlike Workers it is result-affecting (a k-way split equals the
+	// merge of k derived-seed subshards, not the serial shard), so
+	// checkpoints record it and a resume must keep it. Default: 1.
 	IntraWorkers int `json:"intra_workers,omitempty"`
 
 	// Axiom selects what the static axiomatic checker (internal/axiom)

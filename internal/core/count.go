@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"perple/internal/litmus"
@@ -84,9 +85,6 @@ type Counter struct {
 	// fbudget is the factorized pass's pair-matrix memory guard:
 	// maxFactorMatrixBytes, lowered only by tests to make it trip.
 	fbudget int64
-
-	// Reusable parallel-count workers (see parallel.go); never cloned.
-	cpool *countPool
 }
 
 // NewCounter builds a counter for the given outcomes of interest.
@@ -175,26 +173,38 @@ func (r *CountResult) Total() int64 {
 
 // CountExhaustive is Algorithm 1: it enumerates every frame — one
 // iteration index per load-performing thread, N^TL tuples — and counts
-// the first outcome of interest satisfied in each.
-func (c *Counter) CountExhaustive(bs *BufSet) (*CountResult, error) {
+// the first outcome of interest satisfied in each. The odometer polls
+// ctx every cancelCheckMask+1 frames and abandons the walk on
+// cancellation, returning the context's error.
+func (c *Counter) CountExhaustive(ctx context.Context, bs *BufSet) (*CountResult, error) {
 	if err := bs.Validate(c.pt); err != nil {
 		return nil, err
 	}
 	res := &CountResult{Counts: make([]int64, len(c.outcomes))}
 	n := int64(bs.N)
-	if n == 0 || c.pt.TL() == 0 {
+	tl := c.pt.TL()
+	if n == 0 || tl == 0 {
 		return res, nil
 	}
-	tl := c.pt.TL()
+	done := ctx.Done()
 	idx := make([]int64, tl)
+	counts := res.Counts
+	var frames int64
 	for {
+		if done != nil && frames&cancelCheckMask == 0 {
+			select {
+			case <-done:
+				return nil, fmt.Errorf("core: exhaustive count aborted: %w", ctx.Err())
+			default:
+			}
+		}
 		for i, t := range c.pt.LoadThreads {
 			c.vals[t] = idx[i]
 		}
-		res.Frames++
+		frames++
 		for oi, po := range c.outcomes {
 			if c.eval(po, bs, n) {
-				res.Counts[oi]++
+				counts[oi]++
 				break
 			}
 		}
@@ -209,6 +219,7 @@ func (c *Counter) CountExhaustive(bs *BufSet) (*CountResult, error) {
 			i--
 		}
 		if i < 0 {
+			res.Frames = frames
 			return res, nil
 		}
 	}
@@ -217,8 +228,9 @@ func (c *Counter) CountExhaustive(bs *BufSet) (*CountResult, error) {
 // CountHeuristic is Algorithm 2: it walks the anchor thread's iterations
 // once, derives every other iteration index by the substitution plan of
 // Section IV-B (or the diagonal fallback), and counts the first satisfied
-// outcome of interest. Its work is linear in N.
-func (c *Counter) CountHeuristic(bs *BufSet) (*CountResult, error) {
+// outcome of interest. Its work is linear in N. Like CountExhaustive it
+// polls ctx every cancelCheckMask+1 frames.
+func (c *Counter) CountHeuristic(ctx context.Context, bs *BufSet) (*CountResult, error) {
 	if err := bs.Validate(c.pt); err != nil {
 		return nil, err
 	}
@@ -226,19 +238,47 @@ func (c *Counter) CountHeuristic(bs *BufSet) (*CountResult, error) {
 	if bs.N == 0 || c.pt.TL() == 0 {
 		return res, nil
 	}
+	done := ctx.Done()
 	anchor := c.pt.LoadThreads[0]
 	n := int64(bs.N)
+	counts := res.Counts
 	for i := int64(0); i < n; i++ {
-		res.Frames++
+		if done != nil && i&cancelCheckMask == 0 {
+			select {
+			case <-done:
+				return nil, fmt.Errorf("core: heuristic count aborted: %w", ctx.Err())
+			default:
+			}
+		}
 		for oi, po := range c.outcomes {
 			c.vals[anchor] = i
 			if c.evalPinned(po, bs, n, i) {
-				res.Counts[oi]++
+				counts[oi]++
 				break
 			}
 		}
 	}
+	res.Frames = n
 	return res, nil
+}
+
+// cancelCheckMask rate-limits the counters' cancellation poll to every
+// 8192 frames — cheap against the per-frame outcome evaluation while
+// still bounding cancellation latency.
+const cancelCheckMask = 8191
+
+// CountExhaustiveParallel is CountExhaustive; workers is ignored.
+//
+// Deprecated: counts run on the calling goroutine; use CountExhaustive.
+func (c *Counter) CountExhaustiveParallel(ctx context.Context, bs *BufSet, _ int) (*CountResult, error) {
+	return c.CountExhaustive(ctx, bs)
+}
+
+// CountHeuristicParallel is CountHeuristic; workers is ignored.
+//
+// Deprecated: counts run on the calling goroutine; use CountHeuristic.
+func (c *Counter) CountHeuristicParallel(ctx context.Context, bs *BufSet, _ int) (*CountResult, error) {
+	return c.CountHeuristic(ctx, bs)
 }
 
 // bufVal reads the recorded load value for thread t's slot at its current

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -32,7 +35,7 @@ func TestCountExhaustiveSBLockstep(t *testing.T) {
 	c := NewCounter(pt, pos)
 	const n = 20
 	bs := lockstepBufs(pt, n)
-	res, err := c.CountExhaustive(bs)
+	res, err := c.CountExhaustive(context.Background(), bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +66,7 @@ func TestCountHeuristicSBLockstep(t *testing.T) {
 	c := NewCounter(pt, pos)
 	const n = 20
 	bs := lockstepBufs(pt, n)
-	res, err := c.CountHeuristic(bs)
+	res, err := c.CountHeuristic(context.Background(), bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +90,8 @@ func TestCountEmptyRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	bs := NewBufSet(pt, 0)
-	for _, count := range []func(*BufSet) (*CountResult, error){c.CountExhaustive, c.CountHeuristic} {
-		res, err := count(bs)
+	for _, count := range []func(context.Context, *BufSet) (*CountResult, error){c.CountExhaustive, c.CountHeuristic} {
+		res, err := count(context.Background(), bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,10 +108,10 @@ func TestCountRejectsWrongShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	bs := &BufSet{N: 5, Bufs: [][]int64{make([]int64, 3), make([]int64, 5)}}
-	if _, err := c.CountExhaustive(bs); err == nil {
+	if _, err := c.CountExhaustive(context.Background(), bs); err == nil {
 		t.Error("mis-sized buffer accepted by exhaustive counter")
 	}
-	if _, err := c.CountHeuristic(bs); err == nil {
+	if _, err := c.CountHeuristic(context.Background(), bs); err == nil {
 		t.Error("mis-sized buffer accepted by heuristic counter")
 	}
 }
@@ -168,11 +171,11 @@ func TestHeuristicSoundness(t *testing.T) {
 			bs := randomBufs(rng, pt, n)
 			for oi, po := range pos {
 				c := NewCounter(pt, []*PerpetualOutcome{po})
-				exh, err := c.CountExhaustive(bs)
+				exh, err := c.CountExhaustive(context.Background(), bs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				heur, err := c.CountHeuristic(bs)
+				heur, err := c.CountHeuristic(context.Background(), bs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,9 +193,12 @@ func TestHeuristicSoundness(t *testing.T) {
 
 // TestFirstMatchWins: with multiple outcomes of interest, at most one
 // entry is incremented per frame, like the paper's generated if/else-if
-// chain; totals never exceed the frame count.
+// chain; totals never exceed the frame count. Each counter counts two
+// runs and then the first again, so the check also pins that a reused
+// Counter carries nothing from one count into the next.
 func TestFirstMatchWins(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	ctx := context.Background()
 	for _, name := range []string{"sb", "amd3", "mp", "iriw", "podwr001"} {
 		pt := mustConvert(t, name)
 		pos, err := ConvertAllOutcomes(pt)
@@ -200,22 +206,100 @@ func TestFirstMatchWins(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := NewCounter(pt, pos)
-		const n = 8
-		bs := randomBufs(rng, pt, n)
-		exh, err := c.CountExhaustive(bs)
-		if err != nil {
-			t.Fatal(err)
+		lockN := 40
+		if pt.TL() >= 3 {
+			lockN = 15
 		}
-		if exh.Total() > exh.Frames {
-			t.Errorf("%s: exhaustive total %d exceeds frames %d", name, exh.Total(), exh.Frames)
+		runs := []*BufSet{randomBufs(rng, pt, 8), lockstepBufs(pt, lockN)}
+		var first [2]*CountResult
+		for i, bs := range append(runs, runs[0]) {
+			exh, err := c.CountExhaustive(ctx, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if exh.Total() > exh.Frames {
+				t.Errorf("%s: exhaustive total %d exceeds frames %d", name, exh.Total(), exh.Frames)
+			}
+			heur, err := c.CountHeuristic(ctx, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if heur.Total() > int64(bs.N) {
+				t.Errorf("%s: heuristic total %d exceeds N=%d", name, heur.Total(), bs.N)
+			}
+			if i == 0 {
+				first = [2]*CountResult{exh, heur}
+			}
+			if i == 2 && (!reflect.DeepEqual(exh, first[0]) || !reflect.DeepEqual(heur, first[1])) {
+				t.Errorf("%s: recount on a reused counter %+v / %+v, first count %+v / %+v",
+					name, exh, heur, first[0], first[1])
+			}
 		}
-		heur, err := c.CountHeuristic(bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if heur.Total() > int64(n) {
-			t.Errorf("%s: heuristic total %d exceeds N=%d", name, heur.Total(), n)
-		}
+	}
+}
+
+// TestCountHeuristicParallelCancellation: both counters poll ctx and
+// return its error instead of walking the remaining frames, and so does
+// the deprecated forwarder.
+func TestCountHeuristicParallelCancellation(t *testing.T) {
+	pt := mustConvert(t, "sb")
+	c, err := NewTargetCounter(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := lockstepBufs(pt, 100000)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.CountHeuristic(ctx, bs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled heuristic count: err = %v, want context.Canceled", err)
+	}
+	if _, err := c.CountHeuristicParallel(ctx, bs, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled forwarded heuristic count: err = %v, want context.Canceled", err)
+	}
+	if _, err := c.CountExhaustive(ctx, bs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled exhaustive count: err = %v, want context.Canceled", err)
+	}
+}
+
+// The deprecated ...Parallel forwarders, which bench/ still calls, keep
+// the counters' handling of empty runs and mis-shaped buffers whatever
+// their ignored workers argument.
+
+func TestCountExhaustiveParallelEmptyAndDefaults(t *testing.T) {
+	pt := mustConvert(t, "sb")
+	c, err := NewTargetCounter(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.CountExhaustiveParallel(context.Background(), NewBufSet(pt, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Frames != 0 {
+		t.Errorf("empty run frames = %d", res.Frames)
+	}
+	bad := &BufSet{N: 3, Bufs: [][]int64{{0}, {0, 0, 0}}}
+	if _, err := c.CountExhaustiveParallel(context.Background(), bad, 4); err == nil {
+		t.Error("mis-shaped buffers accepted")
+	}
+}
+
+func TestCountHeuristicParallelEmptyAndErrors(t *testing.T) {
+	pt := mustConvert(t, "sb")
+	c, err := NewTargetCounter(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.CountHeuristicParallel(context.Background(), NewBufSet(pt, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Frames != 0 {
+		t.Errorf("empty run frames = %d", res.Frames)
+	}
+	bad := &BufSet{N: 3, Bufs: [][]int64{{0}, {0, 0, 0}}}
+	if _, err := c.CountHeuristicParallel(context.Background(), bad, 4); err == nil {
+		t.Error("mis-shaped buffers accepted")
 	}
 }
 
@@ -232,7 +316,7 @@ func TestExhaustiveMatchesBruteForce(t *testing.T) {
 	const n = 10
 	for round := 0; round < 30; round++ {
 		bs := randomBufs(rng, pt, n)
-		res, err := c.CountExhaustive(bs)
+		res, err := c.CountExhaustive(context.Background(), bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +347,7 @@ func TestHeuristicMatchesPaperFormulaSB(t *testing.T) {
 	const n = int64(15)
 	for round := 0; round < 30; round++ {
 		bs := randomBufs(rng, pt, int(n))
-		res, err := c.CountHeuristic(bs)
+		res, err := c.CountHeuristic(context.Background(), bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,8 +405,8 @@ func TestCounterClone(t *testing.T) {
 		t.Error("clone lost outcomes")
 	}
 	bs := lockstepBufs(pt, 10)
-	a, _ := c.CountExhaustive(bs)
-	b, _ := clone.CountExhaustive(bs)
+	a, _ := c.CountExhaustive(context.Background(), bs)
+	b, _ := clone.CountExhaustive(context.Background(), bs)
 	if a.Counts[0] != b.Counts[0] {
 		t.Errorf("clone disagrees: %d vs %d", a.Counts[0], b.Counts[0])
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -117,59 +116,5 @@ func TestExplainWholeSuite(t *testing.T) {
 		if _, _, err := Explain(pt, e.Test.Target); err != nil {
 			t.Errorf("%s: %v", e.Test.Name, err)
 		}
-	}
-}
-
-func TestCountExhaustiveParallelMatchesSequential(t *testing.T) {
-	for _, name := range []string{"sb", "mp", "iriw", "podwr001", "amd3"} {
-		pt := mustConvert(t, name)
-		pos, err := ConvertAllOutcomes(pt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := NewCounter(pt, pos)
-		n := 40
-		if pt.TL() >= 3 {
-			n = 15
-		}
-		bs := lockstepBufs(pt, n)
-		seq, err := c.CountExhaustive(bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 3, 8, 100} {
-			par, err := c.CountExhaustiveParallel(context.Background(), bs, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Frames != seq.Frames {
-				t.Errorf("%s workers=%d: frames %d, want %d", name, workers, par.Frames, seq.Frames)
-			}
-			for i := range seq.Counts {
-				if par.Counts[i] != seq.Counts[i] {
-					t.Errorf("%s workers=%d outcome %d: %d, want %d",
-						name, workers, i, par.Counts[i], seq.Counts[i])
-				}
-			}
-		}
-	}
-}
-
-func TestCountExhaustiveParallelEmptyAndDefaults(t *testing.T) {
-	pt := mustConvert(t, "sb")
-	c, err := NewTargetCounter(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.CountExhaustiveParallel(context.Background(), NewBufSet(pt, 0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Frames != 0 {
-		t.Errorf("empty run frames = %d", res.Frames)
-	}
-	bad := &BufSet{N: 3, Bufs: [][]int64{{0}, {0, 0, 0}}}
-	if _, err := c.CountExhaustiveParallel(context.Background(), bad, 4); err == nil {
-		t.Error("mis-shaped buffers accepted")
 	}
 }

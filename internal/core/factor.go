@@ -1042,13 +1042,13 @@ func (c *Counter) factorCounts(bs *BufSet, plans []*outcomePlan, counts []int64)
 
 // CountExhaustiveAuto selects the fastest exact exhaustive counter: the
 // factorized pass when the outcome set is product-form, otherwise the
-// parallel odometer fan-out. The tallies are identical either way (the
+// odometer (CountExhaustive). The tallies are identical either way (the
 // differential tests prove it); only the work to produce them differs.
-func (c *Counter) CountExhaustiveAuto(ctx context.Context, bs *BufSet, workers int) (*CountResult, error) {
+func (c *Counter) CountExhaustiveAuto(ctx context.Context, bs *BufSet) (*CountResult, error) {
 	if res, ok, err := c.CountFactorized(bs); err != nil {
 		return nil, err
 	} else if ok {
 		return res, nil
 	}
-	return c.CountExhaustiveParallel(ctx, bs, workers)
+	return c.CountExhaustive(ctx, bs)
 }

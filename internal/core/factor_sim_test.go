@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestFactorizedSimBufsMatchOdometer(t *testing.T) {
 			}
 			for _, bs := range []*core.BufSet{run.Bufs, capped} {
 				for _, c := range []*core.Counter{target, full} {
-					odo, err := c.CountExhaustive(bs)
+					odo, err := c.CountExhaustive(context.Background(), bs)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -72,7 +72,7 @@ func TestFactorizedMatchesOdometerSuite(t *testing.T) {
 		for round := 0; round < rounds; round++ {
 			n := 1 + rng.Intn(14)
 			bs := randomBufs(rng, pt, n)
-			odo, err := c.CountExhaustive(bs)
+			odo, err := c.CountExhaustive(context.Background(), bs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestFactorizedFuzzOutcomeSets(t *testing.T) {
 			c := NewCounter(pt, sel)
 			n := 1 + rng.Intn(12)
 			bs := randomBufs(rng, pt, n)
-			odo, err := c.CountExhaustive(bs)
+			odo, err := c.CountExhaustive(context.Background(), bs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func TestFactorizedEmptyAndZero(t *testing.T) {
 	cu := NewCounter(pt, []*PerpetualOutcome{unsat, pos[0]})
 	rng := rand.New(rand.NewSource(3))
 	bs := randomBufs(rng, pt, 9)
-	odo, err := cu.CountExhaustive(bs)
+	odo, err := cu.CountExhaustive(context.Background(), bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +234,11 @@ func TestFactorizedFallbackCaps(t *testing.T) {
 	} else if ok {
 		t.Fatal("fully overlapping outcome chain did not trip the term budget")
 	}
-	auto, err := c.CountExhaustiveAuto(context.Background(), bs, 2)
+	auto, err := c.CountExhaustiveAuto(context.Background(), bs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	odo, err := c.CountExhaustive(bs)
+	odo, err := c.CountExhaustive(context.Background(), bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +257,11 @@ func TestCountExhaustiveAutoMatches(t *testing.T) {
 		}
 		c := NewCounter(pt, pos)
 		bs := randomBufs(rng, pt, 10)
-		auto, err := c.CountExhaustiveAuto(context.Background(), bs, 3)
+		auto, err := c.CountExhaustiveAuto(context.Background(), bs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		odo, err := c.CountExhaustive(bs)
+		odo, err := c.CountExhaustive(context.Background(), bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestFactorizedCloneSharesPlans(t *testing.T) {
 	if !cl.fplansBuilt || len(cl.fplans) != len(c.fplans) {
 		t.Fatal("clone did not inherit factor plans")
 	}
-	odo, err := cl.CountExhaustive(bs)
+	odo, err := cl.CountExhaustive(context.Background(), bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestFactorizedMemoryGuard(t *testing.T) {
 	} {
 		c := NewCounter(pt, pos)
 		c.fbudget = tc.budget
-		odo, err := c.CountExhaustive(bs)
+		odo, err := c.CountExhaustive(context.Background(), bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +431,7 @@ func TestFactorizedMemoryGuard(t *testing.T) {
 		if ok {
 			requireSameCounts(t, "sb-guard", fac, odo)
 		}
-		auto, err := c.CountExhaustiveAuto(context.Background(), bs, 2)
+		auto, err := c.CountExhaustiveAuto(context.Background(), bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,7 +484,7 @@ func FuzzFactorizedVsOdometer(f *testing.F) {
 		// leaves them.
 		span := n + int(seed&1)*n
 		bs := truncBufs(pt, randomBufs(rand.New(rand.NewSource(seed)), pt, span), n)
-		odo, err := c.CountExhaustive(bs)
+		odo, err := c.CountExhaustive(context.Background(), bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +493,7 @@ func FuzzFactorizedVsOdometer(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !ok {
-			if fac, err = c.CountExhaustiveAuto(context.Background(), bs, 1); err != nil {
+			if fac, err = c.CountExhaustiveAuto(context.Background(), bs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -584,7 +584,7 @@ func TestFactorizedMultiWordMatchesOdometer(t *testing.T) {
 		for _, n := range ns {
 			for _, bs := range []*BufSet{randomBufs(rng, pt, n), truncBufs(pt, randomBufs(rng, pt, 2*n), n)} {
 				for _, c := range []*Counter{target, full} {
-					odo, err := c.CountExhaustive(bs)
+					odo, err := c.CountExhaustive(context.Background(), bs)
 					if err != nil {
 						t.Fatal(err)
 					}

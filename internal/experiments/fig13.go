@@ -101,7 +101,7 @@ func Fig13(w io.Writer, opts Options) (*Fig13Result, error) {
 		}
 		for i, po := range pos {
 			single := core.NewCounter(pt, []*core.PerpetualOutcome{po})
-			cr, err := single.CountHeuristic(pr.Bufs)
+			cr, err := single.CountHeuristic(context.Background(), pr.Bufs)
 			if err != nil {
 				return nil, err
 			}

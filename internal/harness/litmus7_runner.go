@@ -16,7 +16,7 @@ import (
 // instead of rendering string keys, and the result struct (including
 // the Histogram map and OutcomeCounts slice) is recycled, so repeated
 // runs allocate nothing in steady state. A Litmus7Runner is not safe
-// for concurrent use; batched runs give each worker its own over the
+// for concurrent use; concurrent executors each hold their own over the
 // shared sim.CompiledTest.
 //
 // The returned Litmus7Result aliases the runner's state and is valid
@@ -199,15 +199,15 @@ func (lr *Litmus7Runner) RunCtx(ctx context.Context, n int, mode sim.Mode, cfg s
 // Litmus7Options configures RunLitmus7. The zero value is a serial,
 // unverified run.
 type Litmus7Options struct {
-	// Workers splits the run: worker w runs iterations [n·w/k, n·(w+1)/k)
-	// on a private Litmus7Runner seeded with sim.WorkerSeed(cfg.Seed, w),
-	// and the per-worker interned histograms and tallies are merged in
-	// worker order. Workers is clamped to n; ≤ 1 runs on one runner on
-	// the calling goroutine.
+	// Workers splits the run into k substreams, run in sequence on one
+	// runner: substream w runs iterations [n·w/k, n·(w+1)/k) seeded with
+	// sim.WorkerSeed(cfg.Seed, w), and the substreams' interned
+	// histograms and tallies are merged in order. Workers is clamped to
+	// n; ≤ 1 is one serial run.
 	Workers int
 	// TraceVerify records and checks witnesses at its stride; each
-	// worker checks its own, and the result carries the summed tallies
-	// plus up to MaxReports rendered reports (first workers first).
+	// substream checks its own, and the result carries the summed tallies
+	// plus up to MaxReports rendered reports (first substreams first).
 	// Verification reads the simulation but never perturbs it.
 	TraceVerify TraceVerify
 }
@@ -218,13 +218,12 @@ type Litmus7Options struct {
 // Cancelling ctx aborts the run with the context's error.
 //
 // It is Workspace.RunLitmus7 on a fresh Workspace, so each call
-// compiles the test and builds fresh runners and the result owns its
+// compiles the test and builds a fresh runner and the result owns its
 // memory; callers running tests repeatedly should keep a Workspace. A
-// k-worker run equals the Merge of k serial runs with the derived
+// k-substream run equals the Merge of k serial runs with the derived
 // seeds, so results are deterministic for fixed (test, n, mode, cfg,
-// Workers) regardless of scheduling; a one-worker run is the serial
-// run. Wall is the elapsed host time, and Trace, when enabled, is the
-// first worker's.
+// Workers); a one-substream run is the serial run. Wall is the elapsed
+// host time, and Trace, when enabled, is the first substream's.
 func RunLitmus7(ctx context.Context, t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config, opts Litmus7Options) (*Litmus7Result, error) {
 	return new(Workspace).RunLitmus7(ctx, t, n, mode, outcomes, cfg, opts)
 }

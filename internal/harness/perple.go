@@ -23,19 +23,13 @@ type PerpLEOptions struct {
 	// N^TL blowup for the TL=3 tests in large experiments; 0 means no
 	// cap. Capping is reported via ExhaustiveN.
 	ExhaustiveCap int
-	// CountWorkers fans the counting phase out over worker goroutines
-	// (core.CountExhaustiveParallel / core.CountHeuristicParallel),
-	// leaving the counts identical. ≤ 1 counts on the calling goroutine.
-	CountWorkers int
-	// Workers splits the run: worker w executes iterations
+	// Workers splits the run into k substreams, run in sequence on one
+	// runner and the caller's Counter: substream w executes iterations
 	// [n·w/k, n·(w+1)/k) as an independent perpetual run seeded with
-	// sim.WorkerSeed(cfg.Seed, w), counts its own buffers (worker 0 with
-	// the caller's Counter, the others with private clones), and the
-	// per-worker results are merged in worker
-	// order via PerpLEResult.Merge (wall times sum across workers).
-	// Workers is clamped to n; ≤ 1 runs on the calling goroutine.
-	// KeepBufs requires a serial run, and ExhaustiveCap applies per
-	// worker shard.
+	// sim.WorkerSeed(cfg.Seed, w) and counts its own buffers, and the
+	// substream results are merged in order via PerpLEResult.Merge.
+	// Workers is clamped to n; ≤ 1 is one serial run. KeepBufs requires
+	// a serial run, and ExhaustiveCap applies per substream.
 	Workers int
 }
 
@@ -127,48 +121,36 @@ func RunPerpLE(ctx context.Context, pt *core.PerpetualTest, counter *core.Counte
 	return new(Workspace).RunPerpLE(ctx, pt, counter, n, opts, cfg)
 }
 
-// perpWorker is one PerpLE worker's run state within a Workspace: its
-// perpetual runner, the counter it counts with (the caller's for worker
-// 0, a clone for the others), the capped-count view of its buffers and
-// its result.
-type perpWorker struct {
-	runner  *sim.PerpetualRunner
-	base    *core.Counter // the caller's counter counter was made for
-	counter *core.Counter
-	trunc   core.BufSet
-	res     PerpLEResult
-}
-
-// run is one serial PerpLE run on the worker's runner.
-func (pw *perpWorker) run(ctx context.Context, n int, opts PerpLEOptions, cfg sim.Config) (*PerpLEResult, error) {
+// runPerpLE is one serial PerpLE run on the workspace's runner and
+// counter. The result's Bufs and Trace alias the runner.
+func (ws *Workspace) runPerpLE(ctx context.Context, n int, opts PerpLEOptions, cfg sim.Config) (PerpLEResult, error) {
 	start := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
-	simRes, err := pw.runner.RunCtx(ctx, n, cfg)
+	simRes, err := ws.perp.RunCtx(ctx, n, cfg)
 	if err != nil {
-		return nil, err
+		return PerpLEResult{}, err
 	}
-	res := &pw.res
-	*res = PerpLEResult{
+	res := PerpLEResult{
 		N:         n,
 		ExecTicks: simRes.Ticks,
 		WallExec:  time.Since(start), //perple:allow nodeterminism wall-clock telemetry; never feeds results
 		Trace:     simRes.Trace,
 	}
-	counter := pw.counter
+	counter := ws.counter
 
 	if opts.Exhaustive {
 		bs := simRes.Bufs
 		res.ExhaustiveN = n
 		if opts.ExhaustiveCap > 0 && opts.ExhaustiveCap < n {
 			res.ExhaustiveN = opts.ExhaustiveCap
-			bs = truncateInto(&pw.trunc, simRes.Bufs, opts.ExhaustiveCap)
+			bs = truncateInto(&ws.trunc, simRes.Bufs, opts.ExhaustiveCap)
 		}
 		t0 := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
 		// Auto-select the factorized counter when the outcome set is
-		// product-form, else the parallel odometer (whose slab walk polls
-		// ctx). Tallies are identical either way.
-		cr, err := counter.CountExhaustiveAuto(ctx, bs, max(1, opts.CountWorkers))
+		// product-form, else the odometer (which polls ctx). Tallies are
+		// identical either way.
+		cr, err := counter.CountExhaustiveAuto(ctx, bs)
 		if err != nil {
-			return nil, err
+			return PerpLEResult{}, err
 		}
 		res.Exhaustive = cr
 		res.WallExh = time.Since(t0) //perple:allow nodeterminism wall-clock telemetry; never feeds results
@@ -176,12 +158,12 @@ func (pw *perpWorker) run(ctx context.Context, n int, opts PerpLEOptions, cfg si
 	}
 	if opts.Heuristic {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("harness: heuristic count aborted: %w", err)
+			return PerpLEResult{}, fmt.Errorf("harness: heuristic count aborted: %w", err)
 		}
 		t0 := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
-		cr, err := counter.CountHeuristicParallel(ctx, simRes.Bufs, max(1, opts.CountWorkers))
+		cr, err := counter.CountHeuristic(ctx, simRes.Bufs)
 		if err != nil {
-			return nil, err
+			return PerpLEResult{}, err
 		}
 		res.Heuristic = cr
 		res.WallHeur = time.Since(t0) //perple:allow nodeterminism wall-clock telemetry; never feeds results

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"perple/internal/core"
@@ -15,13 +14,18 @@ import (
 // runs allocate in proportion to the executor, not to the runs:
 //
 //   - a run of the same test (and counter) as the last reuses its
-//     compiled test, its Litmus7Runners (one per worker: sim machine,
-//     interned histogram, trace checker, witness buffers) or its
-//     PerpetualRunners, counters and buf arrays;
+//     compiled test and its one Litmus7Runner (sim machine, interned
+//     histogram, trace checker, witness buffers) or its one
+//     PerpetualRunner and buf arrays;
 //   - a run of another test re-points those same backing arrays (memory
 //     cells, register files, store-buffer rings, witness arrays, buf
 //     arrays and the counter's factorized scratch, which a new counter
 //     takes over from the previous one) instead of allocating new ones.
+//
+// A run split into k substreams (Litmus7Options.Workers,
+// PerpLEOptions.Workers) runs them one after another on that one runner
+// and counter, folding each substream's result into a workspace-owned
+// accumulator before the next substream reuses the runner's memory.
 //
 // Results are identical to a fresh Workspace's for equal arguments, but
 // they alias the Workspace and are valid only until its next run. The
@@ -29,37 +33,41 @@ import (
 // their results belong to the caller. A Workspace is not safe for
 // concurrent use, and neither is a counter passed to it.
 type Workspace struct {
-	// ct is the compiled test the litmus7 runners are bound to (nil when
-	// none is, or after a failed switch); bare records that they were
-	// built with no extra outcomes, the only case a later run reuses.
+	// ct is the compiled test the litmus7 runner is bound to (nil when
+	// none is, or after a failed switch); bare records that it was built
+	// with no extra outcomes, the only case a later run reuses.
 	ct     *sim.CompiledTest
 	bare   bool
-	l7     []*Litmus7Runner
-	merged *outcomeHist // multi-worker merge interner, shaped for ct
+	l7     *Litmus7Runner
+	merged *outcomeHist // substream histogram accumulator, shaped for ct
 	l7out  Litmus7Result
 
-	cp   *sim.CompiledPerpetual // nil when none is bound
-	perp []*perpWorker
+	cp      *sim.CompiledPerpetual // nil when none is bound
+	perp    *sim.PerpetualRunner
+	counter *core.Counter // the last run's counter, holding the factorized scratch
+	trunc   core.BufSet   // capped-count view of the runner's buffers
+	perpOut PerpLEResult
+}
+
+// substream returns the iteration count and config of substream w of a
+// k-way split n-iteration run: iterations [n·w/k, n·(w+1)/k), seeded
+// sim.WorkerSeed(cfg.Seed, w).
+func substream(w, k, n int, cfg sim.Config) (int, sim.Config) {
+	return n*(w+1)/k - n*w/k, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w))
 }
 
 // RunLitmus7 is the package-level RunLitmus7 on this workspace's
-// runners; see Workspace for what it reuses and how long the result
+// runner; see Workspace for what it reuses and how long the result
 // stays valid.
 func (ws *Workspace) RunLitmus7(ctx context.Context, t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config, opts Litmus7Options) (*Litmus7Result, error) {
 	start := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
-	workers := min(opts.Workers, n)
-	runners, err := ws.litmus7Runners(t, outcomes, max(workers, 1), opts.TraceVerify)
+	lr, err := ws.litmus7Runner(t, outcomes, opts.TraceVerify)
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 1 {
-		return runners[0].RunCtx(ctx, n, mode, cfg)
-	}
-	results, err := fanOut(workers, n, func(w, n int) (*Litmus7Result, error) {
-		return runners[w].RunCtx(ctx, n, mode, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
-	})
-	if err != nil {
-		return nil, err
+	k := min(opts.Workers, n)
+	if k <= 1 {
+		return lr.RunCtx(ctx, n, mode, cfg)
 	}
 
 	out := &ws.l7out
@@ -74,7 +82,6 @@ func (ws *Workspace) RunLitmus7(ctx context.Context, t *litmus.Test, n int, mode
 		N:             n,
 		Histogram:     hist,
 		OutcomeCounts: zeroedCounts(out.OutcomeCounts, len(outcomes)),
-		Trace:         results[0].Trace,
 		TraceReports:  out.TraceReports[:0],
 	}
 	if ws.merged == nil {
@@ -82,7 +89,17 @@ func (ws *Workspace) RunLitmus7(ctx context.Context, t *litmus.Test, n int, mode
 	}
 	ws.merged.resetCounts()
 	reportCap := opts.TraceVerify.reports()
-	for w, r := range results {
+	for w := 0; w < k; w++ {
+		sn, scfg := substream(w, k, n, cfg)
+		r, err := lr.RunCtx(ctx, sn, mode, scfg)
+		if err != nil {
+			return nil, fmt.Errorf("harness: substream %d: %w", w, err)
+		}
+		// Fold r now: the next substream overwrites the runner's result,
+		// histogram and report slots.
+		if w == 0 {
+			out.Trace = r.Trace
+		}
 		out.TargetCount += r.TargetCount
 		out.Ticks += r.Ticks
 		for i, v := range r.OutcomeCounts {
@@ -96,57 +113,54 @@ func (ws *Workspace) RunLitmus7(ctx context.Context, t *litmus.Test, n int, mode
 				out.TraceReports = append(out.TraceReports, rep)
 			}
 		}
-		ws.merged.merge(runners[w].hist)
+		ws.merged.merge(lr.hist)
 	}
 	ws.merged.materializeInto(out.Histogram)
 	out.Wall = time.Since(start) //perple:allow nodeterminism wall-clock telemetry; never feeds results
 	return out, nil
 }
 
-// litmus7Runners returns k runners bound to t with trace verification
-// tv, compiling t and retargeting the kept runners only when the last
+// litmus7Runner returns the runner bound to t with trace verification
+// tv, compiling t and retargeting the kept runner only when the last
 // run bound another test or either run passed extra outcomes.
-func (ws *Workspace) litmus7Runners(t *litmus.Test, outcomes []litmus.Outcome, k int, tv TraceVerify) ([]*Litmus7Runner, error) {
+func (ws *Workspace) litmus7Runner(t *litmus.Test, outcomes []litmus.Outcome, tv TraceVerify) (*Litmus7Runner, error) {
 	if ws.ct == nil || ws.ct.Test() != t || !ws.bare || len(outcomes) > 0 {
 		ws.ct = nil
 		ct, err := sim.Compile(t)
 		if err != nil {
 			return nil, err
 		}
-		for _, lr := range ws.l7 {
-			if err := lr.retarget(ct, outcomes); err != nil {
+		if ws.l7 == nil {
+			if ws.l7, err = NewLitmus7Runner(ct, outcomes); err != nil {
 				return nil, err
 			}
+		} else if err := ws.l7.retarget(ct, outcomes); err != nil {
+			return nil, err
 		}
 		if ws.merged != nil {
 			ws.merged.retarget(ct.RegCounts())
 		}
 		ws.ct, ws.bare = ct, len(outcomes) == 0
 	}
-	for len(ws.l7) < k {
-		lr, err := NewLitmus7Runner(ws.ct, outcomes)
-		if err != nil {
+	if ws.l7.tv != tv {
+		if err := ws.l7.SetTraceVerify(tv); err != nil {
 			return nil, err
 		}
-		ws.l7 = append(ws.l7, lr)
 	}
-	for _, lr := range ws.l7[:k] {
-		if lr.tv != tv {
-			if err := lr.SetTraceVerify(tv); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return ws.l7[:k], nil
+	return ws.l7, nil
 }
 
-// RunPerpLE is the package-level RunPerpLE on this workspace's runners,
-// counters and buffers; see Workspace for what it reuses and how long
-// the result (Bufs included) stays valid. A counter other than the last
-// run's takes over the last one's factorized scratch.
+// RunPerpLE is the package-level RunPerpLE on this workspace's runner
+// and buffers; see Workspace for what it reuses and how long the result
+// (Bufs included) stays valid. A counter other than the last run's
+// takes over the last one's factorized scratch.
 func (ws *Workspace) RunPerpLE(ctx context.Context, pt *core.PerpetualTest, counter *core.Counter, n int, opts PerpLEOptions, cfg sim.Config) (*PerpLEResult, error) {
 	if !opts.Exhaustive && !opts.Heuristic && !opts.KeepBufs {
 		return nil, fmt.Errorf("harness: PerpLE run requests no counter and no buffers; nothing to do")
+	}
+	k := max(min(opts.Workers, n), 1)
+	if k > 1 && opts.KeepBufs {
+		return nil, fmt.Errorf("harness: KeepBufs is incompatible with a PerpLE run split into %d substreams", k)
 	}
 	if ws.cp == nil || ws.cp.Test() != pt {
 		ws.cp = nil
@@ -154,74 +168,34 @@ func (ws *Workspace) RunPerpLE(ctx context.Context, pt *core.PerpetualTest, coun
 		if err != nil {
 			return nil, err
 		}
-		for _, pw := range ws.perp {
-			pw.runner.Retarget(cp)
+		if ws.perp == nil {
+			ws.perp = sim.NewPerpetualRunner(cp)
+		} else {
+			ws.perp.Retarget(cp)
 		}
 		ws.cp = cp
 	}
-	workers := min(opts.Workers, n)
-	if workers > 1 && opts.KeepBufs {
-		return nil, fmt.Errorf("harness: KeepBufs is incompatible with batched PerpLE runs (workers=%d)", workers)
+	if counter != ws.counter {
+		counter.TakeScratch(ws.counter)
+		ws.counter = counter
 	}
-	pws := ws.perpWorkers(counter, max(workers, 1))
-	if workers <= 1 {
-		return pws[0].run(ctx, n, opts, cfg)
-	}
-	results, err := fanOut(workers, n, func(w, n int) (*PerpLEResult, error) {
-		return pws[w].run(ctx, n, opts, cfg.WithSeed(sim.WorkerSeed(cfg.Seed, w)))
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := results[0]
-	for _, r := range results[1:] {
-		if err := out.Merge(r); err != nil {
+	out := &ws.perpOut
+	for w := 0; w < k; w++ {
+		sn, scfg := substream(w, k, n, cfg)
+		r, err := ws.runPerpLE(ctx, sn, opts, scfg)
+		if err != nil {
+			if k > 1 {
+				err = fmt.Errorf("harness: substream %d: %w", w, err)
+			}
+			return nil, err
+		}
+		// Fold r before the next substream reuses the runner: Merge drops
+		// r.Bufs, which alias the runner's buffers.
+		if w == 0 {
+			*out = r
+		} else if err := out.Merge(&r); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// perpWorkers returns k workers bound to the current perpetual test
-// and to counter: worker 0 counts with counter itself, the others with
-// clones, each taking over the scratch of the counter it had before.
-func (ws *Workspace) perpWorkers(counter *core.Counter, k int) []*perpWorker {
-	for len(ws.perp) < k {
-		ws.perp = append(ws.perp, &perpWorker{runner: sim.NewPerpetualRunner(ws.cp)})
-	}
-	for w, pw := range ws.perp[:k] {
-		if pw.base == counter {
-			continue
-		}
-		next := counter
-		if w > 0 {
-			next = counter.Clone()
-		}
-		next.TakeScratch(pw.counter)
-		pw.base, pw.counter = counter, next
-	}
-	return ws.perp[:k]
-}
-
-// fanOut runs fn on k goroutines, worker w over the n·w/k to n·(w+1)/k
-// slice of an n-iteration run, and returns the results in worker order,
-// or the lowest-numbered worker's error.
-func fanOut[R any](k, n int, fn func(w, n int) (R, error)) ([]R, error) {
-	results := make([]R, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for w := 0; w < k; w++ {
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			results[w], errs[w] = fn(w, n)
-		}(w, n*(w+1)/k-n*w/k)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("harness: batch worker %d: %w", w, err)
-		}
-	}
-	return results, nil
 }

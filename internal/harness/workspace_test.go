@@ -71,7 +71,7 @@ func TestWorkspacePerpLEMatchesFresh(t *testing.T) {
 		{"sb", PerpLEOptions{Exhaustive: true, Heuristic: true}},
 		{"sb", PerpLEOptions{Exhaustive: true, ExhaustiveCap: 200}},
 		{"iriw", PerpLEOptions{Heuristic: true, Workers: 3}},
-		{"iriw", PerpLEOptions{Exhaustive: true, ExhaustiveCap: 60, Workers: 2, CountWorkers: 2}},
+		{"iriw", PerpLEOptions{Exhaustive: true, ExhaustiveCap: 60, Workers: 2}},
 		{"safe022", PerpLEOptions{Exhaustive: true, KeepBufs: true}},
 		{"mp", PerpLEOptions{Heuristic: true, Exhaustive: true, Workers: 3}},
 		{"sb", PerpLEOptions{Heuristic: true, KeepBufs: true}},

@@ -75,10 +75,6 @@ func Compile(t *litmus.Test) (*CompiledTest, error) {
 // Test returns the source litmus test.
 func (ct *CompiledTest) Test() *litmus.Test { return ct.test }
 
-// Locs returns the shared locations in index order. Callers must not
-// modify the returned slice.
-func (ct *CompiledTest) Locs() []litmus.Loc { return ct.locs }
-
 // LocIdx resolves a location to its dense index.
 func (ct *CompiledTest) LocIdx(l litmus.Loc) (int, bool) {
 	i, ok := ct.locIdx[l]

@@ -13,8 +13,8 @@ import (
 // machine: the memory array, register files, store-buffer rings and RNG
 // are allocated once and recycled, so the steady-state iteration loop of
 // repeated runs performs no heap allocation. A Runner is not safe for
-// concurrent use; batched runs give each worker its own Runner over the
-// shared CompiledTest.
+// concurrent use; concurrent executors each hold their own Runner over
+// the shared CompiledTest.
 //
 // The returned SyncedResult aliases the Runner's backing arrays and is
 // valid only until the next Run call; a caller that keeps results
@@ -146,6 +146,16 @@ func (r *Runner) RunSyncedCtx(ctx context.Context, n int, mode Mode, cfg Config)
 	res.Ticks = m.maxTime()
 	return res, nil
 }
+
+// WorkerSeed derives substream w's deterministic RNG seed from a run
+// seed: seed ⊕ w. A run split into k substreams (harness's
+// Litmus7Options.Workers and PerpLEOptions.Workers) runs substream w
+// seeded this way; substream 0 keeps the caller's seed, so a
+// one-substream run reproduces the serial run bit for bit. XOR only
+// perturbs the low bits for small w, but math/rand's seeding scramble
+// decorrelates neighbouring seeds, and the campaign layer's shard seeds
+// are already FNV-spread, so substreams never collide within a run.
+func WorkerSeed(seed int64, worker int) int64 { return seed ^ int64(worker) }
 
 // PerpetualRunner executes perpetual runs of one compiled perpetual test
 // on a reusable machine. Like Runner, it recycles machine state across

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -105,66 +104,6 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 	})
 	if avg > 2 {
 		t.Fatalf("steady-state Runner run allocates %.1f times, want ≤ 2", avg)
-	}
-}
-
-func TestBatchWorker0MatchesSerial(t *testing.T) {
-	test := sbTest(t)
-	cfg := DefaultConfig().WithSeed(11)
-	serial, err := runSynced(test, 400, ModeUser, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := mustCompile(t, test).RunSyncedBatchCtx(context.Background(), 400, ModeUser, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 1 || shards[0].N != 400 || shards[0].Seed != cfg.Seed {
-		t.Fatalf("unexpected shard layout: %+v", shards)
-	}
-	if !reflect.DeepEqual(serial.Regs, shards[0].Res.Regs) || serial.Ticks != shards[0].Res.Ticks {
-		t.Fatal("one-worker batch differs from serial run")
-	}
-}
-
-func TestBatchShardsMatchDerivedSerialRuns(t *testing.T) {
-	test := sbTest(t)
-	cfg := DefaultConfig().WithSeed(5)
-	const n, workers = 301, 3
-	shards, err := mustCompile(t, test).RunSyncedBatchCtx(context.Background(), n, ModeUser, cfg, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != workers {
-		t.Fatalf("got %d shards, want %d", len(shards), workers)
-	}
-	total := 0
-	for _, sh := range shards {
-		if sh.Seed != WorkerSeed(cfg.Seed, sh.Worker) {
-			t.Fatalf("worker %d seed = %d, want %d", sh.Worker, sh.Seed, WorkerSeed(cfg.Seed, sh.Worker))
-		}
-		want, err := runSynced(test, sh.N, ModeUser, cfg.WithSeed(sh.Seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want.Regs, sh.Res.Regs) || want.Ticks != sh.Res.Ticks {
-			t.Fatalf("worker %d shard differs from the equivalent serial run", sh.Worker)
-		}
-		total += sh.N
-	}
-	if total != n {
-		t.Fatalf("shards cover %d iterations, want %d", total, n)
-	}
-}
-
-func TestBatchClampsWorkersToN(t *testing.T) {
-	test := sbTest(t)
-	shards, err := mustCompile(t, test).RunSyncedBatchCtx(context.Background(), 2, ModeUser, DefaultConfig(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 2 {
-		t.Fatalf("got %d shards for n=2, want 2", len(shards))
 	}
 }
 

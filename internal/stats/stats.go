@@ -110,24 +110,6 @@ func (h *Histogram) AddAll(vs []int64) {
 	}
 }
 
-// Merge folds another histogram with identical binning into h, summing
-// per-bin counts, totals, and the out-of-range tallies. Merging is
-// commutative and associative, so per-shard histograms aggregate in any
-// order.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h.Min != o.Min || h.Max != o.Max || h.BinWidth != o.BinWidth {
-		return fmt.Errorf("stats: cannot merge histogram [%d,%d]/%d into [%d,%d]/%d",
-			o.Min, o.Max, o.BinWidth, h.Min, h.Max, h.BinWidth)
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.Total += o.Total
-	h.Underflow += o.Underflow
-	h.Overflow += o.Overflow
-	return nil
-}
-
 // PDF returns the probability density of each bin: count / (total ×
 // binWidth), so the densities integrate to the in-range fraction.
 func (h *Histogram) PDF() []float64 {

@@ -11,9 +11,11 @@
 //   - the Converter: Convert, ConvertOutcome, generated artifacts
 //     (GeneratedFiles);
 //   - the counters: NewCounter/NewTargetCounter with CountExhaustive
-//     (Algorithm 1) and CountHeuristic (Algorithm 2);
+//     (Algorithm 1) and CountHeuristic (Algorithm 2), each one walk on
+//     the calling goroutine, as in the paper;
 //   - the harnesses: RunLitmus7 (five synchronization modes) and
-//     RunPerpLE on the simulated x86-TSO machine, plus MeasureSkew;
+//     RunPerpLE on the simulated x86-TSO machine, optionally split into
+//     seeded substreams run in sequence, plus MeasureSkew;
 //   - the experiment drivers regenerating the paper's tables and figures.
 //
 // Quick start:
@@ -264,16 +266,18 @@ func Preset(name string) (Config, error) { return sim.Preset(name) }
 func Presets() map[string]Config { return sim.Presets() }
 
 // RunLitmus7 runs n synchronized iterations litmus7-style and tallies
-// outcomes. Options.Workers splits the run across workers with
-// deterministic per-worker seeds (see WorkerSeed) and merges their
-// tallies; the zero Litmus7Options is one serial, unverified run.
+// outcomes. Options.Workers splits the run into that many substreams
+// with deterministic seeds (see WorkerSeed), run in sequence on one
+// runner, and merges their tallies; the zero Litmus7Options is one
+// serial, unverified run.
 func RunLitmus7(ctx context.Context, t *Test, n int, mode Mode, outcomes []Outcome, cfg Config, opts Litmus7Options) (*Litmus7Result, error) {
 	return harness.RunLitmus7(ctx, t, n, mode, outcomes, cfg, opts)
 }
 
 // RunPerpLE runs n synchronization-free iterations of a perpetual test
 // and applies the selected outcome counters; PerpLEOptions.Workers
-// splits the run the same way RunLitmus7 does.
+// splits the run into substreams the same way RunLitmus7 does, all
+// counted with c.
 func RunPerpLE(ctx context.Context, pt *PerpetualTest, c *Counter, n int, opts PerpLEOptions, cfg Config) (*PerpLEResult, error) {
 	return harness.RunPerpLE(ctx, pt, c, n, opts, cfg)
 }
@@ -298,8 +302,8 @@ func NewLitmus7Runner(ct *CompiledTest, outcomes []Outcome) (*Litmus7Runner, err
 	return harness.NewLitmus7Runner(ct, outcomes)
 }
 
-// WorkerSeed derives run worker w's deterministic RNG seed (seed ⊕ w);
-// worker 0 reproduces the serial run.
+// WorkerSeed derives substream w's deterministic RNG seed (seed ⊕ w);
+// substream 0 reproduces the serial run.
 func WorkerSeed(seed int64, worker int) int64 { return sim.WorkerSeed(seed, worker) }
 
 // MeasureSkew extracts thread-skew samples from a perpetual run.

@@ -96,7 +96,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 		t.Error("heuristic exceeded exhaustive")
 	}
 	all := NewCounter(pt, pos)
-	if got, err := all.CountHeuristic(pres.Bufs); err != nil || got.Total() == 0 {
+	if got, err := all.CountHeuristic(context.Background(), pres.Bufs); err != nil || got.Total() == 0 {
 		t.Errorf("multi-outcome counter failed: %v %v", got, err)
 	}
 

@@ -2,15 +2,11 @@
 # Capture the sim/counter core benchmarks into BENCH_simcore.json so the
 # benchmark trajectory is committed and future PRs can diff against it.
 #
-# Two passes feed one summary: the full suite at the session's default
-# GOMAXPROCS, then the scaling benchmarks swept across -cpu so the
-# committed file carries a real workers-vs-GOMAXPROCS curve (keyed
-# name/cpu=N; each entry records its own num_cpu and gomaxprocs, so a
-# 1-CPU host's curve is honestly labelled as oversubscription).
+# One pass at the default GOMAXPROCS; each entry records its own num_cpu
+# and gomaxprocs.
 #
 #   make bench                  # or: ./scripts/bench.sh
 #   BENCH_TIME=10x make bench   # heavier sampling
-#   BENCH_CPU=1,2 ./scripts/bench.sh      # smaller sweep
 #   BENCH_PAT='BenchmarkSimLitmus7' ./scripts/bench.sh  # subset
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,12 +16,8 @@ PAT=${BENCH_PAT:-'BenchmarkSim|BenchmarkCount|BenchmarkFleet|BenchmarkTrace'}
 # committed numbers; five ops lets go test's trimmed mean absorb it.
 TIME=${BENCH_TIME:-5x}
 OUT=${BENCH_OUT:-BENCH_simcore.json}
-CPU=${BENCH_CPU:-1,2,4,8}
-SCALE_PAT=${BENCH_SCALE_PAT:-'BenchmarkCountExhaustiveParallel|BenchmarkSimLitmus7Batch'}
 
 # BenchmarkFleet* live in internal/campaign (they need the dispatch
 # internals); everything else is in the root package.
-{
-    go test -run '^$' -bench "$PAT" -benchmem -benchtime "$TIME" . ./internal/campaign
-    go test -run '^$' -bench "$SCALE_PAT" -benchmem -benchtime "$TIME" -cpu "$CPU" .
-} | go run ./cmd/perple-bench -o "$OUT"
+go test -run '^$' -bench "$PAT" -benchmem -benchtime "$TIME" . ./internal/campaign |
+    go run ./cmd/perple-bench -o "$OUT"
