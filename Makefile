@@ -50,10 +50,10 @@ chaos:
 
 # Runtime conformance oracle: sampled witness-trace verification of the
 # built-in suite on the default (TSO) machine, under the race detector.
-# Exit status follows perple-trace: 0 all witnesses consistent, 1
+# Exit status follows perple trace: 0 all witnesses consistent, 1
 # violations found (a simulator conformance bug), 2 usage or error.
 trace-verify:
-	$(GO) run -race ./cmd/perple-trace -suite -n 4000 -every 4
+	$(GO) run -race ./cmd/perple trace -suite -n 4000 -every 4
 
 # Capture the sim/counter core benchmarks into BENCH_simcore.json
 # (committed, so future PRs can diff the perf trajectory).

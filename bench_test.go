@@ -20,7 +20,7 @@ import (
 //
 //	go test -bench=. -benchmem
 //
-// Full-scale paper numbers come from cmd/perple-experiments instead.
+// Full-scale paper numbers come from `perple experiments` instead.
 
 // ----- per-table/figure drivers -----
 

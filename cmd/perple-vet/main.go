@@ -27,7 +27,7 @@
 //	perple-vet -json ./...                # machine-readable findings
 //
 // Exit status: 0 clean, 1 findings, 2 error — the same contract as
-// perple-lint and perple-trace.
+// perple lint and perple trace.
 package main
 
 import (

@@ -1,13 +1,24 @@
-// Command perple-lint statically vets litmus tests before any cycles are
-// spent running them. For each test it parses (or takes from the built-in
-// suite), it runs the axiomatic x86-TSO/SC checker of internal/axiom over
-// the test's declared target outcome and reports:
+package main
+
+import (
+	"fmt"
+	"io"
+
+	"perple/internal/axiom"
+	"perple/internal/litmus"
+)
+
+// lintCmd statically vets litmus tests before any cycles are spent
+// running them. For each test it parses (or takes from the built-in
+// suite), it runs the axiomatic x86-TSO/SC checker of internal/axiom
+// over the test's declared target outcome and reports:
 //
 //   - error: malformed tests — parse failures, conditions referencing
 //     undefined registers or locations, duplicate register writes — with
 //     the offending source line;
-//   - error: unsatisfiable targets (a condition constrains a value outside
-//     its static domain; no execution of any model can produce it);
+//   - error: unsatisfiable targets (a condition constrains a value
+//     outside its static domain; no execution of any model can produce
+//     it);
 //   - warn: forbidden targets (allowed by neither SC nor TSO — the test
 //     can only ever serve as a false-positive detector);
 //   - warn: SC-trivial targets (allowed under SC, so observing them says
@@ -19,39 +30,20 @@
 //
 // Usage:
 //
-//	perple-lint file.litmus dir/ ...      # lint files and directories
-//	perple-lint -suite                    # lint the built-in suite
-//	perple-lint -witness file.litmus      # show a witness execution
-//	perple-lint -strict dir/              # warnings become fatal
+//	perple lint file.litmus dir/ ...      # lint files and directories
+//	perple lint -suite                    # lint the built-in suite
+//	perple lint -witness file.litmus      # show a witness execution
+//	perple lint -strict dir/              # warnings become fatal
 //
 // Exit status: 0 clean, 1 errors (or warnings under -strict), 2 usage.
-package main
-
-import (
-	"flag"
-	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"strings"
-
-	"perple/internal/axiom"
-	"perple/internal/litmus"
-)
-
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func run(args []string, stdout, stderr *os.File) int {
-	fl := flag.NewFlagSet("perple-lint", flag.ContinueOnError)
-	fl.SetOutput(stderr)
+func lintCmd(args []string, stdout, stderr io.Writer) int {
+	fl := newFlags("lint", stderr)
 	suite := fl.Bool("suite", false, "lint the built-in perpetual suite instead of files")
 	strict := fl.Bool("strict", false, "treat warnings as errors")
 	witness := fl.Bool("witness", false, "print a witness execution for each allowed target")
 	maxThreads := fl.Int("max-threads", axiom.DefaultMaxThreads, "exact-enumeration cutoff: threads")
 	maxEvents := fl.Int("max-events", axiom.DefaultMaxEvents, "exact-enumeration cutoff: memory events")
-	if err := fl.Parse(args); err != nil {
+	if fl.Parse(args) != nil {
 		return 2
 	}
 	lim := axiom.Limits{MaxThreads: *maxThreads, MaxEvents: *maxEvents}
@@ -59,20 +51,19 @@ func run(args []string, stdout, stderr *os.File) int {
 	l := &linter{out: stdout, lim: lim, witness: *witness}
 	switch {
 	case *suite:
-		for _, e := range litmus.Suite() {
-			l.lintTest(e.Test.Name, e.Test)
-		}
-		for _, t := range litmus.NonConvertible() {
+		for _, t := range litmus.Builtin() {
 			l.lintTest(t.Name, t)
 		}
 	case fl.NArg() == 0:
-		fmt.Fprintln(stderr, "perple-lint: no inputs; pass .litmus files or directories, or -suite")
-		return 2
+		return usageErr(fl, "no inputs; pass .litmus files or directories, or -suite")
 	default:
 		for _, arg := range fl.Args() {
-			if err := l.lintPath(arg); err != nil {
-				fmt.Fprintf(stderr, "perple-lint: %v\n", err)
-				return 2
+			paths, err := litmus.Files(arg)
+			if err != nil {
+				return usageErr(fl, "%v", err)
+			}
+			for _, p := range paths {
+				l.lintFile(p)
 			}
 		}
 	}
@@ -85,7 +76,7 @@ func run(args []string, stdout, stderr *os.File) int {
 }
 
 type linter struct {
-	out     *os.File
+	out     io.Writer
 	lim     axiom.Limits
 	witness bool
 
@@ -94,34 +85,8 @@ type linter struct {
 	warnings int
 }
 
-func (l *linter) lintPath(path string) error {
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	if !info.IsDir() {
-		l.lintFile(path)
-		return nil
-	}
-	return filepath.WalkDir(path, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(p, ".litmus") {
-			l.lintFile(p)
-		}
-		return nil
-	})
-}
-
 func (l *linter) lintFile(path string) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		l.tests++
-		l.report("error", path, err.Error())
-		return
-	}
-	t, err := litmus.Parse(string(src))
+	t, err := litmus.ParseFile(path)
 	if err != nil {
 		l.tests++
 		// Parse errors already carry "litmus: line N:" positions.
@@ -170,12 +135,4 @@ func (l *linter) report(sev, label, msg string) {
 		l.warnings++
 	}
 	fmt.Fprintf(l.out, "%s: %s: %s\n", label, sev, msg)
-}
-
-func indent(s string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i := range lines {
-		lines[i] = "    " + lines[i]
-	}
-	return strings.Join(lines, "\n") + "\n"
 }

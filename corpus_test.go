@@ -10,7 +10,7 @@ import (
 // TestCorpusFilesRoundTrip parses every shipped .litmus file and checks
 // it against its in-code counterpart: the files under testdata/suite are
 // the on-disk form of the built-in corpus (Table II plus the
-// non-convertible examples), usable with perple-suite -dir.
+// non-convertible examples), usable with perple suite -dir.
 func TestCorpusFilesRoundTrip(t *testing.T) {
 	dir := filepath.Join("testdata", "suite")
 	entries, err := os.ReadDir(dir)

@@ -16,7 +16,7 @@
 //   - wirecompat: the field shapes of structs reachable from the
 //     checkpoint and wire roots must match a committed golden file.
 //
-// cmd/perple-vet is the driver; exit codes follow perple-lint
+// cmd/perple-vet is the driver; exit codes follow perple lint
 // (0 clean, 1 findings, 2 error).
 package analysis
 

@@ -19,7 +19,7 @@ type RFEdge struct {
 // assignment of every load, the coherence order of every stored-to
 // location, and the final state it produces. It is the artifact the
 // differential oracle prints next to a diverging simulator trace, and
-// what perple-lint shows to justify a classification.
+// what perple lint shows to justify a classification.
 type Witness struct {
 	Test *litmus.Test
 	RF   []RFEdge                           // in load (thread, index) order

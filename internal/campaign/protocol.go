@@ -1,7 +1,7 @@
 package campaign
 
-// Dispatch protocol (v2): the wire types spoken between perple-serve's
-// dispatch endpoints and perple-worker. Control bodies are JSON; the
+// Dispatch protocol (v2): the wire types spoken between perple serve's
+// dispatch endpoints and perple worker. Control bodies are JSON; the
 // completion upload carries full per-shard histograms and travels in
 // the PWB1 binary codec (harness wirebin; DESIGN.md §14), labelled
 // harness.WireContentTypeBinary. An upload in any other Content-Type,

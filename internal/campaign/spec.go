@@ -8,9 +8,9 @@
 //
 // One engine, the Dispatcher, runs every campaign; it has two
 // transports. Campaign.Run drives it with in-process executors
-// (cmd/perple-suite and perple-serve's local mode), and
-// fleet workers reach it over HTTP (perple-serve's dispatch mode and
-// cmd/perple-worker).
+// (perple suite and perple serve's local mode), and
+// fleet workers reach it over HTTP (perple serve's dispatch mode and
+// perple worker).
 package campaign
 
 import (
@@ -244,16 +244,15 @@ func LoadSpec(path string) (Spec, error) {
 	return ParseSpec(data)
 }
 
-// Corpus resolves the spec's test set: the built-in suite or a directory
-// of .litmus files, optionally filtered by Tests, sorted by name so job
-// expansion is deterministic.
+// Corpus resolves the spec's test set: the built-in suite or the .litmus
+// files directly in Dir, optionally filtered by Tests, sorted by name so
+// job expansion is deterministic. Dir is listed one level deep, not
+// walked: fleets and checkpoints share the spec, so the test set a Dir
+// names must not change.
 func (s *Spec) Corpus() ([]*litmus.Test, error) {
 	var tests []*litmus.Test
 	if s.Dir == "" {
-		for _, e := range litmus.Suite() {
-			tests = append(tests, e.Test)
-		}
-		tests = append(tests, litmus.NonConvertible()...)
+		tests = litmus.Builtin()
 	} else {
 		entries, err := os.ReadDir(s.Dir)
 		if err != nil {
@@ -263,11 +262,7 @@ func (s *Spec) Corpus() ([]*litmus.Test, error) {
 			if e.IsDir() || !strings.HasSuffix(e.Name(), ".litmus") {
 				continue
 			}
-			src, err := os.ReadFile(filepath.Join(s.Dir, e.Name()))
-			if err != nil {
-				return nil, err
-			}
-			test, err := litmus.Parse(string(src))
+			test, err := litmus.ParseFile(filepath.Join(s.Dir, e.Name()))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", e.Name(), err)
 			}

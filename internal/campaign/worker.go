@@ -22,7 +22,7 @@ import (
 
 // WorkerOptions configures one fleet worker.
 type WorkerOptions struct {
-	// BaseURL is the perple-serve root, e.g. "http://host:8077".
+	// BaseURL is the perple serve root, e.g. "http://host:8077".
 	BaseURL string
 	// Campaign is the dispatch-mode campaign id to work on.
 	Campaign string
@@ -75,7 +75,7 @@ type WorkerOptions struct {
 	runJob jobFunc
 }
 
-// Worker is a fleet member: it pulls shard leases from a perple-serve
+// Worker is a fleet member: it pulls shard leases from a perple serve
 // dispatch campaign, executes them with the same job-execution step
 // (jobExec) as Campaign.Run's in-process executors, and uploads batched
 // results; each batch's final upload also leases the next batch.
@@ -172,6 +172,10 @@ func (w *Worker) jitter(d time.Duration) time.Duration {
 	defer w.rngMu.Unlock()
 	return time.Duration(w.rng.Int63n(int64(d) + 1))
 }
+
+// Name is the worker's identity in lease accounting: WorkerOptions.Name,
+// or its hostname-pid default.
+func (w *Worker) Name() string { return w.opts.Name }
 
 // Drain asks the worker to stop pulling new leases: in-flight jobs
 // finish and upload, unstarted grants are released back to the queue,

@@ -290,7 +290,7 @@ func (t *Test) StoreValues(loc Loc) []int64 {
 // position of the offending construct: Thread/Instr point at an
 // instruction, Cond at an index into the target's condition list. Absent
 // coordinates are -1. Parse augments the position with the source line of
-// the construct, so file-level tooling (perple-lint) reports exact
+// the construct, so file-level tooling (perple lint) reports exact
 // locations instead of silently accepting malformed tests.
 type ValidationError struct {
 	Test   string

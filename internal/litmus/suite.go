@@ -535,6 +535,18 @@ func init() {
 	})
 }
 
+// Builtin returns every built-in test: the Table II suite in suite
+// order, followed by the NonConvertible examples. The slice is fresh;
+// the tests are shared and must not be mutated.
+func Builtin() []*Test {
+	nc := NonConvertible()
+	tests := make([]*Test, 0, len(suite)+len(nc))
+	for _, e := range suite {
+		tests = append(tests, e.Test)
+	}
+	return append(tests, nc...)
+}
+
 // NonConvertible returns example litmus tests whose target outcome
 // constrains final shared memory and therefore cannot be converted to a
 // perpetual test (Section V-C of the paper). They stand in for the

@@ -35,13 +35,6 @@ func WithFences(t *Test) *Test {
 	return out
 }
 
-// Rename returns a copy of the test under a new name.
-func Rename(t *Test, name string) *Test {
-	out := t.Clone()
-	out.Name = name
-	return out
-}
-
 // RelabelLocations returns a copy with every shared location renamed via
 // the mapping; locations absent from the map keep their name. Useful when
 // merging corpora whose tests reuse location names. It fails if the

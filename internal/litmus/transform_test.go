@@ -2,20 +2,6 @@ package litmus
 
 import "testing"
 
-func TestRename(t *testing.T) {
-	sb, err := SuiteTest("sb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := Rename(sb, "sb-copy")
-	if r.Name != "sb-copy" || sb.Name != "sb" {
-		t.Errorf("rename wrong: %q / %q", r.Name, sb.Name)
-	}
-	if len(r.Threads) != len(sb.Threads) {
-		t.Error("rename lost threads")
-	}
-}
-
 func TestWithFencesPackageLocal(t *testing.T) {
 	lb, err := SuiteTest("lb")
 	if err != nil {

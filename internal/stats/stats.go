@@ -110,20 +110,6 @@ func (h *Histogram) AddAll(vs []int64) {
 	}
 }
 
-// PDF returns the probability density of each bin: count / (total ×
-// binWidth), so the densities integrate to the in-range fraction.
-func (h *Histogram) PDF() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.Total == 0 {
-		return out
-	}
-	denom := float64(h.Total) * float64(h.BinWidth)
-	for i, c := range h.Counts {
-		out[i] = float64(c) / denom
-	}
-	return out
-}
-
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	lo := h.Min + int64(i)*h.BinWidth

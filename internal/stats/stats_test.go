@@ -102,17 +102,6 @@ func TestHistogram(t *testing.T) {
 			t.Errorf("bin %d = %d, want %d (counts %v)", i, h.Counts[i], w, h.Counts)
 		}
 	}
-	pdf := h.PDF()
-	sum := 0.0
-	for i, d := range pdf {
-		sum += d * float64(h.BinWidth)
-		if d < 0 {
-			t.Errorf("negative density at bin %d", i)
-		}
-	}
-	if math.Abs(sum-5.0/7.0) > 1e-9 {
-		t.Errorf("PDF integrates to %g, want 5/7 (in-range fraction)", sum)
-	}
 	if got := h.BinCenter(0); got != -8 {
 		t.Errorf("bin 0 center = %g, want -8", got)
 	}
@@ -138,9 +127,6 @@ func TestHistogramEmptyRender(t *testing.T) {
 	}
 	if got := h.Render(10); got != "(empty histogram)\n" {
 		t.Errorf("empty render = %q", got)
-	}
-	if pdf := h.PDF(); len(pdf) == 0 || pdf[0] != 0 {
-		t.Error("empty PDF wrong")
 	}
 }
 
