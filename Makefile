@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench vet check lint fuzz chaos trace-verify
+.PHONY: build test race bench vet check lint fuzz chaos trace-verify loc
 
 build:
 	$(GO) build ./...
@@ -28,16 +28,17 @@ lint: check
 # checker against the operational reference machine, over the trace
 # checker against its quadratic reference, over the factorized counter
 # against the odometer, over the two on-disk decoders a campaign
-# resumes from — checkpoint load and WAL replay — and over the network
-# upload decoder (CI runs the seed corpora as ordinary tests and fuzzes
-# the two checkers and the three decoders for 20s each; this explores
-# new inputs for longer).
+# resumes from — checkpoint load and WAL replay — and over the two
+# network decoders, campaign specs and uploads (CI runs the seed
+# corpora as ordinary tests and fuzzes the two checkers and the four
+# decoders for 20s each; this explores new inputs for longer).
 fuzz:
 	$(GO) test ./internal/litmus -fuzz FuzzParseRoundTrip -fuzztime 30s
 	$(GO) test ./internal/axiom -run '^$$' -fuzz FuzzAxiomVsOperational -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCheckerVsNaive -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFactorizedVsOdometer -fuzztime 30s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 30s
+	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzParseSpec -fuzztime 30s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzCompleteRequestBinaryDecode -fuzztime 30s
 
@@ -59,3 +60,8 @@ trace-verify:
 # (committed, so future PRs can diff the perf trajectory).
 bench:
 	./scripts/bench.sh
+
+# Non-test Go lines outside bench/ and testdata/ (the repo root,
+# cmd/, examples/ and internal/): the size measure ROADMAP.md tracks.
+loc:
+	@find *.go cmd examples internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l

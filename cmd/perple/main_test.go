@@ -168,6 +168,12 @@ func TestDispatchBadFlagExitsTwo(t *testing.T) {
 			t.Errorf("%s -no-such-flag: exit %d, want 2", c.name, code)
 		}
 	}
+	// A run is one seeded stream: no flag splits it.
+	for _, args := range [][]string{{"suite", "-intra-workers", "4"}, {"trace", "-suite", "-workers", "3"}} {
+		if code, _, errOut := runPerple(t, args...); code != 2 || !strings.Contains(errOut, "flag provided but not defined") {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and an undefined flag", args, code, errOut)
+		}
+	}
 }
 
 // TestTracePSOTimebaseFindsCycle is the negative oracle smoke: a PSO
@@ -227,8 +233,7 @@ func TestInvalidNumbersExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"experiments", "-exp", "table2", "-n", "-5"},
 		{"run", "-test", "sb", "-trace", "-1"},
-		{"trace", "-suite", "-workers", "-2"},
-		{"trace", "-suite", "-workers", "0"},
+		{"trace", "-suite", "-every", "-2"},
 		{"trace", "-suite", "-every", "0"},
 	} {
 		code, out, errOut := runPerple(t, args...)

@@ -57,7 +57,6 @@ func suiteCmd(args []string, stdout, stderr io.Writer) int {
 	checkpoint := fl.String("checkpoint", "", "campaign checkpoint file: progress is saved there and a rerun resumes")
 	shardSize := fl.Int("shard-size", 0, "campaign iterations per shard (default: one shard per test/tool/preset)")
 	workers := fl.Int("workers", 0, "campaign worker goroutines (default: GOMAXPROCS)")
-	intraWorkers := fl.Int("intra-workers", 1, "seeded substreams each campaign job is split into, run in sequence (result-affecting; recorded in checkpoints)")
 	remote := fl.String("remote", "", "perple serve base URL: submit the campaign as a dispatch job for perple worker fleet members")
 	axiomPolicy := fl.String("axiom", "", "campaign axiom policy: warn (default) flags statically forbidden/unsatisfiable targets, reject drops them from the sweep, off skips the check")
 	traceVerify := fl.String("trace-verify", "", "witness-trace verification for litmus7 runs: off (default), all, or a decimal stride k — check every k-th iteration's rf/co witness against x86-TSO")
@@ -84,17 +83,16 @@ func suiteCmd(args []string, stdout, stderr io.Writer) int {
 				campaignTool = "mixed"
 			}
 			spec = campaign.Spec{
-				Dir:          *dir,
-				Tools:        []string{campaignTool},
-				Presets:      []string{*sf.preset},
-				Seed:         *sf.seed,
-				Iterations:   *sf.n,
-				ShardSize:    *shardSize,
-				ExhCap:       *exhCap,
-				Workers:      *workers,
-				IntraWorkers: *intraWorkers,
-				Axiom:        *axiomPolicy,
-				TraceVerify:  *traceVerify,
+				Dir:         *dir,
+				Tools:       []string{campaignTool},
+				Presets:     []string{*sf.preset},
+				Seed:        *sf.seed,
+				Iterations:  *sf.n,
+				ShardSize:   *shardSize,
+				ExhCap:      *exhCap,
+				Workers:     *workers,
+				Axiom:       *axiomPolicy,
+				TraceVerify: *traceVerify,
 			}
 		}
 		if err := spec.Validate(); err != nil {

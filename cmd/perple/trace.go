@@ -35,7 +35,6 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 	every := fl.Int("every", 1, "sampling stride: verify every k-th iteration")
 	mode := fl.String("mode", "user", "litmus7 synchronization mode (user, userfence, pthread, timebase, none)")
 	sc := fl.Bool("sc", false, "verify against sequential consistency instead of x86-TSO")
-	workers := fl.Int("workers", 1, "substreams per test, run in sequence (seeds derive per substream; results stay deterministic)")
 	reports := fl.Int("reports", harness.DefaultTraceReports, "violation reports to render per test")
 	if fl.Parse(args) != nil {
 		return 2
@@ -51,9 +50,6 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	if *every < 1 {
 		return usageErr(fl, "-every must be ≥ 1")
-	}
-	if *workers < 1 {
-		return usageErr(fl, "-workers must be ≥ 1")
 	}
 
 	var tests []*litmus.Test
@@ -88,7 +84,7 @@ func traceCmd(args []string, stdout, stderr io.Writer) int {
 
 	var checked, violations int64
 	for _, t := range tests {
-		res, err := harness.RunLitmus7(context.Background(), t, *sf.n, simMode, nil, cfg, harness.Litmus7Options{Workers: *workers, TraceVerify: tv})
+		res, err := harness.RunLitmus7(context.Background(), t, *sf.n, simMode, nil, cfg, harness.Litmus7Options{TraceVerify: tv})
 		if err != nil {
 			return usageErr(fl, "%s: %v", t.Name, err)
 		}

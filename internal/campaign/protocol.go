@@ -40,8 +40,8 @@ type CorpusTest struct {
 }
 
 // CorpusResponse hands a worker everything it needs to execute jobs:
-// the validated spec (for result-affecting knobs like intra_workers and
-// exh_cap) and the resolved corpus.
+// the validated spec (for result-affecting knobs like exh_cap) and the
+// resolved corpus.
 type CorpusResponse struct {
 	Version int          `json:"version"`
 	Spec    Spec         `json:"spec"`

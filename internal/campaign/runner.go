@@ -128,7 +128,6 @@ func runJob(ctx context.Context, ws *workspace, job Job, test *litmus.Test, spec
 			return nil, err
 		}
 		res, err := ws.RunLitmus7(ctx, test, job.N, mode, nil, cfg, harness.Litmus7Options{
-			Workers:     spec.IntraWorkers,
 			TraceVerify: harness.TraceVerify{Every: spec.TraceVerifyEvery()},
 		})
 		if err != nil {
@@ -155,7 +154,7 @@ func runJob(ctx context.Context, ws *workspace, job Job, test *litmus.Test, spec
 	if err != nil {
 		return nil, err
 	}
-	opts := harness.PerpLEOptions{Workers: spec.IntraWorkers}
+	var opts harness.PerpLEOptions
 	switch tool {
 	case "perple-heur":
 		opts.Heuristic = true

@@ -66,19 +66,19 @@ type Spec struct {
 	ExhCap int `json:"exh_cap,omitempty"`
 
 	// MaxRetries bounds how many times a failing job is re-attempted
-	// before it is recorded as a failure. Default: 2.
+	// before it is recorded as a failure. Default (0): 2. Any negative
+	// value means no retries (one attempt); Validate stores it as −1,
+	// which survives a JSON round trip and a second Validate.
 	MaxRetries int `json:"max_retries,omitempty"`
 
 	// Workers sizes the worker pool; 0 selects GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
 
-	// IntraWorkers splits each job into IntraWorkers substreams over
-	// sim.WorkerSeed seeds, run in sequence on the executor's one runner
-	// and counter (harness Litmus7Options.Workers and
-	// PerpLEOptions.Workers). It adds no parallelism: Workers does that.
-	// Unlike Workers it is result-affecting (a k-way split equals the
-	// merge of k derived-seed subshards, not the serial shard), so
-	// checkpoints record it and a resume must keep it. Default: 1.
+	// IntraWorkers is 1: a job is one seeded run. Validate fills 0 with
+	// 1 and rejects any larger value, so a spec or checkpoint that asks
+	// for a job split into several runs is refused instead of resumed
+	// with different totals. A budget is split into more seeded runs
+	// with ShardSize.
 	IntraWorkers int `json:"intra_workers,omitempty"`
 
 	// Axiom selects what the static axiomatic checker (internal/axiom)
@@ -123,6 +123,9 @@ const (
 
 // Validate applies defaults in place and rejects inconsistent specs.
 func (s *Spec) Validate() error {
+	if len(s.Tests) == 0 {
+		s.Tests = nil // omitempty drops [], so a reloaded spec has nil
+	}
 	if len(s.Tools) == 0 {
 		s.Tools = []string{"perple-heur"}
 	}
@@ -148,7 +151,7 @@ func (s *Spec) Validate() error {
 		s.MaxRetries = DefaultMaxRetries
 	}
 	if s.MaxRetries < 0 {
-		s.MaxRetries = 0
+		s.MaxRetries = -1
 	}
 	if s.ExhCap == 0 {
 		s.ExhCap = DefaultExhCap
@@ -158,6 +161,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.IntraWorkers <= 0 {
 		s.IntraWorkers = 1
+	}
+	if s.IntraWorkers > 1 {
+		return fmt.Errorf("campaign: intra_workers %d is not supported: a job is one seeded run; split the budget with shard_size instead", s.IntraWorkers)
 	}
 	if s.Axiom == "" {
 		s.Axiom = AxiomWarn

@@ -1,8 +1,16 @@
 package campaign
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
+	"path/filepath"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
+
+	"perple/internal/litmus"
 )
 
 func TestSpecDefaults(t *testing.T) {
@@ -43,6 +51,130 @@ func TestSpecRejectsBadInput(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{`)); err == nil {
 		t.Error("malformed JSON accepted")
 	}
+}
+
+// TestSpecIntraWorkersDefault: a job is one seeded run, so 0 and 1 are
+// accepted as 1 and any split is refused with a pointer at shard_size.
+func TestSpecIntraWorkersDefault(t *testing.T) {
+	for _, tc := range []struct {
+		intra int
+		ok    bool
+	}{{0, true}, {1, true}, {3, false}} {
+		s := Spec{IntraWorkers: tc.intra}
+		err := s.Validate()
+		switch {
+		case tc.ok && (err != nil || s.IntraWorkers != 1):
+			t.Errorf("intra_workers %d: IntraWorkers %d, err %v; want 1, nil", tc.intra, s.IntraWorkers, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "shard_size")):
+			t.Errorf("intra_workers %d: err %v, want a refusal naming shard_size", tc.intra, err)
+		}
+	}
+}
+
+// TestCheckpointRefusesIntraWorkersChange: a checkpoint that recorded a
+// split job (intra_workers 3) is refused at load instead of resumed
+// with different totals; a changed worker count still resumes.
+func TestCheckpointRefusesIntraWorkersChange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cp.json")
+	spec := Spec{Tests: []string{"sb"}, Iterations: 400, ShardSize: 200}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveCheckpoint(path, spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	relaxed := spec
+	relaxed.Workers = 9
+	if _, err := LoadCheckpoint(path, relaxed); err != nil {
+		t.Fatalf("worker-count change refused: %v", err)
+	}
+	split := spec
+	split.IntraWorkers = 3
+	if err := SaveCheckpoint(path, split, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(path, spec); err == nil || !strings.Contains(err.Error(), "intra_workers 3") {
+		t.Fatalf("checkpoint with intra_workers 3 loaded: err %v", err)
+	}
+}
+
+// TestSpecNoRetriesSurvivesNew: "max_retries": -1 means one attempt,
+// through ParseSpec, a JSON round trip and campaign.New's second
+// Validate: a job that always fails is dead-lettered after exactly one
+// run.
+func TestSpecNoRetriesSurvivesNew(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{"tests":["sb"],"iterations":100,"max_retries":-1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec, err = ParseSpec(data); err != nil {
+		t.Fatal(err)
+	}
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	res, err := camp.Run(context.Background(), Options{
+		runJob: func(context.Context, *workspace, Job, *litmus.Test, Spec) (*JobResult, error) {
+			runs.Add(1)
+			return nil, errors.New("always fails")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 1 || len(res.Failures) != 1 || res.Failures[0].Attempts != 1 {
+		t.Fatalf("max_retries -1: %d runs, failures %+v; want one run, one failure after 1 attempt", runs.Load(), res.Failures)
+	}
+}
+
+// FuzzParseSpec feeds arbitrary bytes to ParseSpec, the decoder behind
+// POST /campaigns. Whatever it accepts must be a fixed point of
+// Validate and survive json.Marshal → ParseSpec unchanged, so a spec
+// means the same after a checkpoint, a WAL header or a worker's corpus
+// fetch re-reads it.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"max_retries":-1}`,
+		`{"max_retries":0,"intra_workers":1,"workers":3}`,
+		`{"intra_workers":3}`,
+		`{"tests":[],"tools":["mixed"],"presets":["pso","default"]}`,
+		`{"name":"x","dir":"testdata/suite","seed":-7,"iterations":5,"shard_size":2,"exh_cap":-1}`,
+		`{"axiom":"reject","trace_verify":"all"}`,
+		`{"trace_verify":"+4","tools":["litmus7-timebase"]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		again := s
+		if err := again.Validate(); err != nil {
+			t.Fatalf("validated spec %+v fails a second Validate: %v", s, err)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("Validate is not idempotent:\nfirst:  %+v\nsecond: %+v", s, again)
+		}
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseSpec(enc)
+		if err != nil {
+			t.Fatalf("re-parsing %s: %v", enc, err)
+		}
+		if !reflect.DeepEqual(back, s) {
+			t.Fatalf("JSON round trip changed the spec:\nparsed:   %+v\nreparsed: %+v (%s)", s, back, enc)
+		}
+	})
 }
 
 func TestJobExpansionDeterministic(t *testing.T) {

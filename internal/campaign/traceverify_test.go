@@ -117,7 +117,7 @@ func TestCampaignTraceVerifyByteIdentical(t *testing.T) {
 }
 
 // TestCampaignTraceVerifySampling pins the stride: a stride-k campaign
-// verifies ~1/k of the iterations each intra-worker shard runs.
+// verifies ~1/k of the iterations each shard runs.
 func TestCampaignTraceVerifySampling(t *testing.T) {
 	spec := campaign.Spec{
 		Tests:       []string{"sb"},

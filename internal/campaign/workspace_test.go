@@ -38,8 +38,8 @@ type wsStep struct {
 }
 
 func (s wsStep) String() string {
-	return fmt.Sprintf("%s/%s/%s n=%d intra=%d tv=%q exhcap=%d %s",
-		s.job.Test, s.job.Tool, s.job.Preset, s.job.N, s.spec.IntraWorkers, s.spec.TraceVerify, s.spec.ExhCap, s.end)
+	return fmt.Sprintf("%s/%s/%s n=%d tv=%q exhcap=%d %s",
+		s.job.Test, s.job.Tool, s.job.Preset, s.job.N, s.spec.TraceVerify, s.spec.ExhCap, s.end)
 }
 
 // midRunCtx lets the first Done call (the simulator's) see a live
@@ -76,7 +76,7 @@ func (panicCtx) Err() error { panic("injected mid-run panic") }
 
 // TestWorkspaceMatchesFresh runs one executor workspace through a
 // shuffled job stream that switches tests, tools, presets, trace
-// verification and intra-job parallelism, with short shards and shards
+// verification and exhaustive caps, with short shards and shards
 // that are cancelled or panic mid-run, and requires every result to
 // equal the same job's run on a fresh workspace (wall-clock fields
 // excluded).
@@ -96,19 +96,18 @@ func TestWorkspaceMatchesFresh(t *testing.T) {
 			spec: spec,
 		})
 	}
-	verify4 := Spec{IntraWorkers: 1, TraceVerify: "4"}
-	serial := Spec{IntraWorkers: 1}
-	intra3 := Spec{IntraWorkers: 3}
-	capped := Spec{IntraWorkers: 1, ExhCap: 300}
+	verify4 := Spec{TraceVerify: "4"}
+	serial := Spec{}
+	capped := Spec{ExhCap: 300}
 	for _, test := range []string{"sb", "iriw"} {
 		add(test, "litmus7-user", "default", 2000, verify4)
 		add(test, "litmus7-user", "default", 2000, serial)
-		add(test, "litmus7-user", "default", 2000, Spec{IntraWorkers: 3, TraceVerify: "4"})
+		add(test, "litmus7-user", "default", 2000, verify4)
 		add(test, "litmus7-user", "pso", 1500, serial)
 		add(test, "perple-heur", "default", 2000, serial)
-		add(test, "perple-heur", "default", 2000, intra3)
+		add(test, "perple-heur", "default", 2000, serial)
 		add(test, "perple-exh", "default", 1000, capped)
-		add(test, "perple-exh", "pso", 1000, Spec{IntraWorkers: 3, ExhCap: 300})
+		add(test, "perple-exh", "pso", 1000, capped)
 		add(test, "perple-heur", "default", 37, serial) // a short last shard
 	}
 	add("mp", "perple-exh", "default", 600, serial)
@@ -184,15 +183,14 @@ func TestWorkspaceMatchesFresh(t *testing.T) {
 // fresh workspace.
 func TestWorkspaceCanonicalAcrossExecutors(t *testing.T) {
 	spec := Spec{
-		Tests:        []string{"sb", "mp", "iriw", "2+2w"},
-		Tools:        []string{"litmus7-user", "perple-heur", "perple-exh"},
-		Presets:      []string{"default", "pso"},
-		Iterations:   1300,
-		ShardSize:    500,
-		Seed:         9,
-		TraceVerify:  "4",
-		ExhCap:       300,
-		IntraWorkers: 2,
+		Tests:       []string{"sb", "mp", "iriw", "2+2w"},
+		Tools:       []string{"litmus7-user", "perple-heur", "perple-exh"},
+		Presets:     []string{"default", "pso"},
+		Iterations:  1300,
+		ShardSize:   500,
+		Seed:        9,
+		TraceVerify: "4",
+		ExhCap:      300,
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
@@ -237,7 +235,7 @@ func TestWorkspaceCanonicalAcrossExecutors(t *testing.T) {
 func warmShard(tb testing.TB, test string, n int) (func(Job) *JobResult, Job) {
 	tb.Helper()
 	tests := workspaceCorpus(tb)
-	spec := Spec{IntraWorkers: 1, TraceVerify: "16"}
+	spec := Spec{TraceVerify: "16"}
 	job := Job{Test: test, Tool: "litmus7-user", Preset: "default", N: n, Seed: 1}
 	ws := new(workspace)
 	run := func(j Job) *JobResult {

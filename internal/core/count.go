@@ -147,21 +147,6 @@ type CountResult struct {
 	Frames int64
 }
 
-// Merge folds another count result over the same outcome set into r,
-// summing per-outcome counts and frames. Merging is commutative and
-// associative, so per-shard counts combine in any order.
-func (r *CountResult) Merge(o *CountResult) error {
-	if len(r.Counts) != len(o.Counts) {
-		return fmt.Errorf("core: cannot merge count results over %d and %d outcomes",
-			len(r.Counts), len(o.Counts))
-	}
-	r.Frames += o.Frames
-	for i, v := range o.Counts {
-		r.Counts[i] += v
-	}
-	return nil
-}
-
 // Total sums all outcome counts.
 func (r *CountResult) Total() int64 {
 	var t int64

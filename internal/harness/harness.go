@@ -55,46 +55,6 @@ type Litmus7Result struct {
 	TraceReports    []string
 }
 
-// Merge folds another shard's result of the same test and mode into r:
-// iteration counts, target/outcome tallies, the full histogram, and both
-// time accounts are summed. Merging is commutative and associative over
-// shards, so a campaign may combine per-shard results in any order (or
-// grouping) and reach identical totals. Traces are not merged: r keeps
-// its own, if any.
-func (r *Litmus7Result) Merge(o *Litmus7Result) error {
-	if r.Test.Name != o.Test.Name || r.Mode != o.Mode {
-		return fmt.Errorf("harness: cannot merge %s/%s result into %s/%s",
-			o.Test.Name, o.Mode, r.Test.Name, r.Mode)
-	}
-	if len(r.OutcomeCounts) != len(o.OutcomeCounts) {
-		return fmt.Errorf("harness: %s: outcome-count length mismatch %d vs %d",
-			r.Test.Name, len(r.OutcomeCounts), len(o.OutcomeCounts))
-	}
-	r.N += o.N
-	r.TargetCount += o.TargetCount
-	r.Ticks += o.Ticks
-	r.Wall += o.Wall
-	for i, v := range o.OutcomeCounts {
-		r.OutcomeCounts[i] += v
-	}
-	if r.Histogram == nil && len(o.Histogram) > 0 {
-		r.Histogram = map[string]int64{}
-	}
-	for k, v := range o.Histogram {
-		r.Histogram[k] += v
-	}
-	r.TracesVerified += o.TracesVerified
-	r.TraceViolations += o.TraceViolations
-	r.TraceVerifyNs += o.TraceVerifyNs
-	for _, rep := range o.TraceReports {
-		if len(r.TraceReports) >= DefaultTraceReports {
-			break
-		}
-		r.TraceReports = append(r.TraceReports, rep)
-	}
-	return nil
-}
-
 // compiledCond is an outcome condition resolved to flat-array offsets.
 type compiledCond struct {
 	mem bool

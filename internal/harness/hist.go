@@ -188,16 +188,6 @@ func (h *outcomeHist) row(id int) []int64 {
 	return h.words[id*h.stride : (id+1)*h.stride]
 }
 
-// merge folds another interner's counts into h. Both must have been
-// built over the same regCounts shape.
-func (h *outcomeHist) merge(o *outcomeHist) {
-	for id, c := range o.counts {
-		if c != 0 {
-			h.addWords(o.words[id*o.stride:(id+1)*o.stride], c)
-		}
-	}
-}
-
 // key renders (and caches) id's string key, byte-identical to the
 // litmus7 histogram rendering: each register as decimal digits plus a
 // trailing comma, a '|' after every register-bearing thread.

@@ -196,18 +196,11 @@ func (lr *Litmus7Runner) RunCtx(ctx context.Context, n int, mode sim.Mode, cfg s
 	return res, nil
 }
 
-// Litmus7Options configures RunLitmus7. The zero value is a serial,
+// Litmus7Options configures RunLitmus7. The zero value is an
 // unverified run.
 type Litmus7Options struct {
-	// Workers splits the run into k substreams, run in sequence on one
-	// runner: substream w runs iterations [n·w/k, n·(w+1)/k) seeded with
-	// sim.WorkerSeed(cfg.Seed, w), and the substreams' interned
-	// histograms and tallies are merged in order. Workers is clamped to
-	// n; ≤ 1 is one serial run.
-	Workers int
-	// TraceVerify records and checks witnesses at its stride; each
-	// substream checks its own, and the result carries the summed tallies
-	// plus up to MaxReports rendered reports (first substreams first).
+	// TraceVerify records and checks witnesses at its stride; the result
+	// carries the tallies plus up to MaxReports rendered reports.
 	// Verification reads the simulation but never perturbs it.
 	TraceVerify TraceVerify
 }
@@ -219,11 +212,9 @@ type Litmus7Options struct {
 //
 // It is Workspace.RunLitmus7 on a fresh Workspace, so each call
 // compiles the test and builds a fresh runner and the result owns its
-// memory; callers running tests repeatedly should keep a Workspace. A
-// k-substream run equals the Merge of k serial runs with the derived
-// seeds, so results are deterministic for fixed (test, n, mode, cfg,
-// Workers); a one-substream run is the serial run. Wall is the elapsed
-// host time, and Trace, when enabled, is the first substream's.
+// memory; callers running tests repeatedly should keep a Workspace.
+// Results are deterministic for fixed (test, n, mode, outcomes, cfg);
+// Wall is the elapsed host time.
 func RunLitmus7(ctx context.Context, t *litmus.Test, n int, mode sim.Mode, outcomes []litmus.Outcome, cfg sim.Config, opts Litmus7Options) (*Litmus7Result, error) {
 	return new(Workspace).RunLitmus7(ctx, t, n, mode, outcomes, cfg, opts)
 }

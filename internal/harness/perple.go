@@ -23,14 +23,6 @@ type PerpLEOptions struct {
 	// N^TL blowup for the TL=3 tests in large experiments; 0 means no
 	// cap. Capping is reported via ExhaustiveN.
 	ExhaustiveCap int
-	// Workers splits the run into k substreams, run in sequence on one
-	// runner and the caller's Counter: substream w executes iterations
-	// [n·w/k, n·(w+1)/k) as an independent perpetual run seeded with
-	// sim.WorkerSeed(cfg.Seed, w) and counts its own buffers, and the
-	// substream results are merged in order via PerpLEResult.Merge.
-	// Workers is clamped to n; ≤ 1 is one serial run. KeepBufs requires
-	// a serial run, and ExhaustiveCap applies per substream.
-	Workers int
 }
 
 // PerpLEResult is the outcome of a PerpLE run: execution plus counting,
@@ -69,41 +61,6 @@ type PerpLEResult struct {
 	Trace *sim.Trace
 }
 
-// Merge folds another shard's PerpLE result into r: iteration counts,
-// counter tallies (via core.CountResult.Merge), and both time accounts
-// are summed. Both results must have run the same counters (Exhaustive /
-// Heuristic both present or both absent). Merging is commutative and
-// associative over shards. Raw buffers are dropped (a concatenated buf
-// array would misindex iterations) and traces are not merged.
-func (r *PerpLEResult) Merge(o *PerpLEResult) error {
-	if (r.Exhaustive == nil) != (o.Exhaustive == nil) {
-		return fmt.Errorf("harness: cannot merge PerpLE results: exhaustive counter presence differs")
-	}
-	if (r.Heuristic == nil) != (o.Heuristic == nil) {
-		return fmt.Errorf("harness: cannot merge PerpLE results: heuristic counter presence differs")
-	}
-	if r.Exhaustive != nil {
-		if err := r.Exhaustive.Merge(o.Exhaustive); err != nil {
-			return fmt.Errorf("harness: merging exhaustive counts: %w", err)
-		}
-	}
-	if r.Heuristic != nil {
-		if err := r.Heuristic.Merge(o.Heuristic); err != nil {
-			return fmt.Errorf("harness: merging heuristic counts: %w", err)
-		}
-	}
-	r.N += o.N
-	r.ExhaustiveN += o.ExhaustiveN
-	r.ExecTicks += o.ExecTicks
-	r.ExhCountTicks += o.ExhCountTicks
-	r.HeurCountTicks += o.HeurCountTicks
-	r.WallExec += o.WallExec
-	r.WallExh += o.WallExh
-	r.WallHeur += o.WallHeur
-	r.Bufs = nil
-	return nil
-}
-
 // TotalTicksExhaustive returns execution plus exhaustive counting ticks.
 func (r *PerpLEResult) TotalTicksExhaustive() int64 { return r.ExecTicks + r.ExhCountTicks }
 
@@ -121,15 +78,17 @@ func RunPerpLE(ctx context.Context, pt *core.PerpetualTest, counter *core.Counte
 	return new(Workspace).RunPerpLE(ctx, pt, counter, n, opts, cfg)
 }
 
-// runPerpLE is one serial PerpLE run on the workspace's runner and
-// counter. The result's Bufs and Trace alias the runner.
-func (ws *Workspace) runPerpLE(ctx context.Context, n int, opts PerpLEOptions, cfg sim.Config) (PerpLEResult, error) {
+// runPerpLE is one PerpLE run on the workspace's bound runner and
+// counter, into the workspace's result. The result's Bufs and Trace
+// alias the runner.
+func (ws *Workspace) runPerpLE(ctx context.Context, n int, opts PerpLEOptions, cfg sim.Config) (*PerpLEResult, error) {
 	start := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
 	simRes, err := ws.perp.RunCtx(ctx, n, cfg)
 	if err != nil {
-		return PerpLEResult{}, err
+		return nil, err
 	}
-	res := PerpLEResult{
+	res := &ws.perpOut
+	*res = PerpLEResult{
 		N:         n,
 		ExecTicks: simRes.Ticks,
 		WallExec:  time.Since(start), //perple:allow nodeterminism wall-clock telemetry; never feeds results
@@ -150,7 +109,7 @@ func (ws *Workspace) runPerpLE(ctx context.Context, n int, opts PerpLEOptions, c
 		// identical either way.
 		cr, err := counter.CountExhaustiveAuto(ctx, bs)
 		if err != nil {
-			return PerpLEResult{}, err
+			return nil, err
 		}
 		res.Exhaustive = cr
 		res.WallExh = time.Since(t0) //perple:allow nodeterminism wall-clock telemetry; never feeds results
@@ -158,12 +117,12 @@ func (ws *Workspace) runPerpLE(ctx context.Context, n int, opts PerpLEOptions, c
 	}
 	if opts.Heuristic {
 		if err := ctx.Err(); err != nil {
-			return PerpLEResult{}, fmt.Errorf("harness: heuristic count aborted: %w", err)
+			return nil, fmt.Errorf("harness: heuristic count aborted: %w", err)
 		}
 		t0 := time.Now() //perple:allow nodeterminism wall-clock telemetry; never feeds results
 		cr, err := counter.CountHeuristic(ctx, simRes.Bufs)
 		if err != nil {
-			return PerpLEResult{}, err
+			return nil, err
 		}
 		res.Heuristic = cr
 		res.WallHeur = time.Since(t0) //perple:allow nodeterminism wall-clock telemetry; never feeds results

@@ -18,11 +18,11 @@ func TestBatchVerifyDoesNotPerturbResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.DefaultConfig().WithSeed(11)
-	plain, err := RunLitmus7(context.Background(), tc, 2000, sim.ModeUser, nil, cfg, Litmus7Options{Workers: 3})
+	plain, err := RunLitmus7(context.Background(), tc, 2000, sim.ModeUser, nil, cfg, Litmus7Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	verified, err := RunLitmus7(context.Background(), tc, 2000, sim.ModeUser, nil, cfg, Litmus7Options{Workers: 3, TraceVerify: TraceVerify{Every: 2}})
+	verified, err := RunLitmus7(context.Background(), tc, 2000, sim.ModeUser, nil, cfg, Litmus7Options{TraceVerify: TraceVerify{Every: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestBatchVerifyDoesNotPerturbResults(t *testing.T) {
 }
 
 // TestBatchVerifyDeterministic: equal arguments give equal tallies and
-// reports regardless of goroutine scheduling.
+// reports.
 func TestBatchVerifyDeterministic(t *testing.T) {
 	tc, err := litmus.SuiteTest("mp")
 	if err != nil {
@@ -62,11 +62,11 @@ func TestBatchVerifyDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	tv := TraceVerify{Every: 1}
-	a, err := RunLitmus7(context.Background(), tc, 6000, sim.ModeTimebase, nil, cfg, Litmus7Options{Workers: 4, TraceVerify: tv})
+	a, err := RunLitmus7(context.Background(), tc, 6000, sim.ModeTimebase, nil, cfg, Litmus7Options{TraceVerify: tv})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunLitmus7(context.Background(), tc, 6000, sim.ModeTimebase, nil, cfg, Litmus7Options{Workers: 4, TraceVerify: tv})
+	b, err := RunLitmus7(context.Background(), tc, 6000, sim.ModeTimebase, nil, cfg, Litmus7Options{TraceVerify: tv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,8 @@ func TestBatchVerifyDeterministic(t *testing.T) {
 
 // TestBatchVerifyDetectsPSO: the fault-injection guarantee at the
 // harness level — a PSO machine under TSO verification must surface
-// violations with capped, rendered reports.
+// violations with rendered reports, capped at DefaultTraceReports or at
+// an explicit MaxReports.
 func TestBatchVerifyDetectsPSO(t *testing.T) {
 	tc, err := litmus.SuiteTest("mp")
 	if err != nil {
@@ -96,7 +97,7 @@ func TestBatchVerifyDetectsPSO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLitmus7(context.Background(), tc, 8000, sim.ModeTimebase, nil, cfg, Litmus7Options{Workers: 2, TraceVerify: TraceVerify{Every: 1}})
+	res, err := RunLitmus7(context.Background(), tc, 8000, sim.ModeTimebase, nil, cfg, Litmus7Options{TraceVerify: TraceVerify{Every: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,32 +113,16 @@ func TestBatchVerifyDetectsPSO(t *testing.T) {
 	if res.TracesVerified != 8000 {
 		t.Fatalf("TracesVerified = %d, want 8000", res.TracesVerified)
 	}
-}
-
-// TestMergeFoldsTraceTallies: shard merge sums counts and caps reports.
-func TestMergeFoldsTraceTallies(t *testing.T) {
-	tc, err := litmus.SuiteTest("sb")
+	if res.TraceViolations <= DefaultTraceReports || len(res.TraceReports) != DefaultTraceReports {
+		t.Fatalf("%d violations gave %d reports, want more than %d violations and exactly that many reports",
+			res.TraceViolations, len(res.TraceReports), DefaultTraceReports)
+	}
+	two, err := RunLitmus7(context.Background(), tc, 8000, sim.ModeTimebase, nil, cfg, Litmus7Options{TraceVerify: TraceVerify{Every: 1, MaxReports: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(viol int64, reps int) *Litmus7Result {
-		r := &Litmus7Result{Test: tc, Mode: sim.ModeUser, Histogram: map[string]int64{},
-			TracesVerified: 10, TraceViolations: viol, TraceVerifyNs: 5}
-		for i := 0; i < reps; i++ {
-			r.TraceReports = append(r.TraceReports, "report")
-		}
-		return r
-	}
-	a := mk(2, 2)
-	b := mk(3, 3)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.TracesVerified != 20 || a.TraceViolations != 5 || a.TraceVerifyNs != 10 {
-		t.Fatalf("merge tallies wrong: %d/%d/%d", a.TracesVerified, a.TraceViolations, a.TraceVerifyNs)
-	}
-	if len(a.TraceReports) != DefaultTraceReports {
-		t.Fatalf("merged reports = %d, want cap %d", len(a.TraceReports), DefaultTraceReports)
+	if len(two.TraceReports) != 2 || two.TraceViolations != res.TraceViolations {
+		t.Fatalf("MaxReports 2: %d reports for %d violations, want 2 for %d", len(two.TraceReports), two.TraceViolations, res.TraceViolations)
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 )
 
 // TestWorkspaceLitmus7MatchesFresh runs one Workspace through litmus7
-// runs that switch tests, extra outcomes, worker counts, trace
-// verification and models, and requires each result to equal the free
-// function's (a fresh workspace), host-time fields excluded.
+// runs that switch tests, extra outcomes, trace verification strides
+// and models, and requires each result to equal the free function's (a
+// fresh workspace), host-time fields excluded. The last run checks a
+// PSO machine against TSO on the warmed workspace: its reports fill the
+// run's own MaxReports, past the default cap.
 func TestWorkspaceLitmus7MatchesFresh(t *testing.T) {
 	sb, iriw, mp := mustSuite(t, "sb"), mustSuite(t, "iriw"), mustSuite(t, "mp")
 	steps := []struct {
@@ -25,13 +27,13 @@ func TestWorkspaceLitmus7MatchesFresh(t *testing.T) {
 	}{
 		{sb, nil, Litmus7Options{TraceVerify: TraceVerify{Every: 3}}, false},
 		{sb, nil, Litmus7Options{}, false},
-		{sb, nil, Litmus7Options{Workers: 3, TraceVerify: TraceVerify{Every: 2}}, true},
-		{iriw, nil, Litmus7Options{Workers: 3}, false},
+		{sb, nil, Litmus7Options{TraceVerify: TraceVerify{Every: 2}}, true},
+		{iriw, nil, Litmus7Options{}, false},
 		{iriw, iriw.AllOutcomes(), Litmus7Options{}, false},
-		{iriw, nil, Litmus7Options{Workers: 2, TraceVerify: TraceVerify{Every: 1}}, true},
-		{mp, mp.AllOutcomes()[:2], Litmus7Options{Workers: 2}, false},
+		{iriw, nil, Litmus7Options{TraceVerify: TraceVerify{Every: 1}}, true},
+		{mp, mp.AllOutcomes()[:2], Litmus7Options{}, false},
 		{mp, nil, Litmus7Options{}, false},
-		{sb, nil, Litmus7Options{Workers: 3}, false},
+		{sb, nil, Litmus7Options{}, false},
 	}
 	var ws Workspace
 	for i, s := range steps {
@@ -57,11 +59,33 @@ func TestWorkspaceLitmus7MatchesFresh(t *testing.T) {
 			t.Fatalf("step %d (%s): workspace run differs from a fresh one\nworkspace: %+v\nfresh:     %+v", i, s.test.Name, g, w)
 		}
 	}
+
+	pso, err := sim.Preset("pso")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tv := Litmus7Options{TraceVerify: TraceVerify{Every: 1, MaxReports: 1000}}
+	safe028 := mustSuite(t, "safe028")
+	got, err := ws.RunLitmus7(context.Background(), safe028, 901, sim.ModeTimebase, nil, pso.WithSeed(13), tv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunLitmus7(context.Background(), safe028, 901, sim.ModeTimebase, nil, pso.WithSeed(13), tv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := comparableJSON(t, got), comparableJSON(t, want); g != w {
+		t.Fatalf("PSO-under-TSO run on a warmed workspace differs from a fresh one:\n got %s\nwant %s", g, w)
+	}
+	if n := len(got.TraceReports); n <= DefaultTraceReports || int64(n) != min(got.TraceViolations, 1000) {
+		t.Fatalf("%d reports for %d violations, want min(violations, 1000) > %d", n, got.TraceViolations, DefaultTraceReports)
+	}
 }
 
 // TestWorkspacePerpLEMatchesFresh is the PerpLE counterpart: one
-// Workspace across tests, counters, worker counts, counting modes,
-// exhaustive caps and kept buffers, against fresh runs.
+// Workspace across tests, counters, counting modes, exhaustive caps and
+// kept buffers, against fresh runs. Each run counts on the caller's
+// counter, and a capped exhaustive count examines cap^TL frames.
 func TestWorkspacePerpLEMatchesFresh(t *testing.T) {
 	type step struct {
 		name string
@@ -70,10 +94,10 @@ func TestWorkspacePerpLEMatchesFresh(t *testing.T) {
 	steps := []step{
 		{"sb", PerpLEOptions{Exhaustive: true, Heuristic: true}},
 		{"sb", PerpLEOptions{Exhaustive: true, ExhaustiveCap: 200}},
-		{"iriw", PerpLEOptions{Heuristic: true, Workers: 3}},
-		{"iriw", PerpLEOptions{Exhaustive: true, ExhaustiveCap: 60, Workers: 2}},
+		{"iriw", PerpLEOptions{Heuristic: true}},
+		{"iriw", PerpLEOptions{Exhaustive: true, ExhaustiveCap: 60}},
 		{"safe022", PerpLEOptions{Exhaustive: true, KeepBufs: true}},
-		{"mp", PerpLEOptions{Heuristic: true, Exhaustive: true, Workers: 3}},
+		{"mp", PerpLEOptions{Heuristic: true, Exhaustive: true}},
 		{"sb", PerpLEOptions{Heuristic: true, KeepBufs: true}},
 	}
 	var ws Workspace
@@ -108,6 +132,22 @@ func TestWorkspacePerpLEMatchesFresh(t *testing.T) {
 		w.WallExec, w.WallExh, w.WallHeur = 0, 0, 0
 		if !reflect.DeepEqual(g, w) {
 			t.Fatalf("step %d (%s %+v): workspace run differs from a fresh one\nworkspace: %+v\nfresh:     %+v", i, s.name, s.opts, g, w)
+		}
+		if ws.counter != counters[s.name] {
+			t.Fatalf("step %d: workspace counts with %p, want the caller's counter %p", i, ws.counter, counters[s.name])
+		}
+		if (got.Bufs != nil) != s.opts.KeepBufs {
+			t.Fatalf("step %d: KeepBufs %v but Bufs present = %v", i, s.opts.KeepBufs, got.Bufs != nil)
+		}
+		if c := s.opts.ExhaustiveCap; c > 0 {
+			frames := int64(1)
+			for range pt.TL() {
+				frames *= int64(c)
+			}
+			if got.ExhaustiveN != c || got.Exhaustive.Frames != frames {
+				t.Fatalf("step %d: capped count examined %d iterations, %d frames; want %d, %d",
+					i, got.ExhaustiveN, got.Exhaustive.Frames, c, frames)
+			}
 		}
 	}
 }

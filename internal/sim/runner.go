@@ -147,16 +147,6 @@ func (r *Runner) RunSyncedCtx(ctx context.Context, n int, mode Mode, cfg Config)
 	return res, nil
 }
 
-// WorkerSeed derives substream w's deterministic RNG seed from a run
-// seed: seed ⊕ w. A run split into k substreams (harness's
-// Litmus7Options.Workers and PerpLEOptions.Workers) runs substream w
-// seeded this way; substream 0 keeps the caller's seed, so a
-// one-substream run reproduces the serial run bit for bit. XOR only
-// perturbs the low bits for small w, but math/rand's seeding scramble
-// decorrelates neighbouring seeds, and the campaign layer's shard seeds
-// are already FNV-spread, so substreams never collide within a run.
-func WorkerSeed(seed int64, worker int) int64 { return seed ^ int64(worker) }
-
 // PerpetualRunner executes perpetual runs of one compiled perpetual test
 // on a reusable machine. Like Runner, it recycles machine state across
 // runs and is not safe for concurrent use. The buf arrays are recycled

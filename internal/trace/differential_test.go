@@ -461,7 +461,7 @@ func TestMutatedWitnessesDifferential(t *testing.T) {
 // every synchronization mode, and must yield at least one witness the
 // TSO checker rejects, with a usable cycle report. This is the trace
 // plane's end-to-end detection guarantee, mirroring
-// oracle.TestOracleDetectsPSO.
+// sim's TestOracleDetectsPSO.
 func TestTraceDetectsPSO(t *testing.T) {
 	cfg, err := sim.Preset("pso")
 	if err != nil {

@@ -49,7 +49,7 @@ func (v *Violation) Error() string {
 }
 
 // Format renders the violation as a human-readable report in the style
-// of oracle.Explain / axiom's witness rendering: the failed axiom, the
+// of the sim oracle's Explain / axiom's witness rendering: the failed axiom, the
 // minimal cycle edge by edge, and the witness's rf and co relations.
 func (v *Violation) Format() string {
 	var b strings.Builder

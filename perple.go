@@ -14,8 +14,8 @@
 //     (Algorithm 1) and CountHeuristic (Algorithm 2), each one walk on
 //     the calling goroutine, as in the paper;
 //   - the harnesses: RunLitmus7 (five synchronization modes) and
-//     RunPerpLE on the simulated x86-TSO machine, optionally split into
-//     seeded substreams run in sequence, plus MeasureSkew;
+//     RunPerpLE on the simulated x86-TSO machine, each one seeded run,
+//     plus MeasureSkew;
 //   - the experiment drivers regenerating the paper's tables and figures.
 //
 // Quick start:
@@ -265,19 +265,15 @@ func Preset(name string) (Config, error) { return sim.Preset(name) }
 // Presets lists every named machine configuration.
 func Presets() map[string]Config { return sim.Presets() }
 
-// RunLitmus7 runs n synchronized iterations litmus7-style and tallies
-// outcomes. Options.Workers splits the run into that many substreams
-// with deterministic seeds (see WorkerSeed), run in sequence on one
-// runner, and merges their tallies; the zero Litmus7Options is one
-// serial, unverified run.
+// RunLitmus7 runs n synchronized iterations litmus7-style, seeded by
+// cfg, and tallies outcomes; the zero Litmus7Options is an unverified
+// run.
 func RunLitmus7(ctx context.Context, t *Test, n int, mode Mode, outcomes []Outcome, cfg Config, opts Litmus7Options) (*Litmus7Result, error) {
 	return harness.RunLitmus7(ctx, t, n, mode, outcomes, cfg, opts)
 }
 
-// RunPerpLE runs n synchronization-free iterations of a perpetual test
-// and applies the selected outcome counters; PerpLEOptions.Workers
-// splits the run into substreams the same way RunLitmus7 does, all
-// counted with c.
+// RunPerpLE runs n synchronization-free iterations of a perpetual test,
+// seeded by cfg, and applies the selected outcome counters of c.
 func RunPerpLE(ctx context.Context, pt *PerpetualTest, c *Counter, n int, opts PerpLEOptions, cfg Config) (*PerpLEResult, error) {
 	return harness.RunPerpLE(ctx, pt, c, n, opts, cfg)
 }
@@ -293,7 +289,7 @@ type (
 	Litmus7Runner = harness.Litmus7Runner
 )
 
-// CompileTest lowers a litmus test once for repeated or batched runs.
+// CompileTest lowers a litmus test once for repeated runs.
 func CompileTest(t *Test) (*CompiledTest, error) { return sim.Compile(t) }
 
 // NewLitmus7Runner builds a reusable litmus7-style runner over a
@@ -301,10 +297,6 @@ func CompileTest(t *Test) (*CompiledTest, error) { return sim.Compile(t) }
 func NewLitmus7Runner(ct *CompiledTest, outcomes []Outcome) (*Litmus7Runner, error) {
 	return harness.NewLitmus7Runner(ct, outcomes)
 }
-
-// WorkerSeed derives substream w's deterministic RNG seed (seed ⊕ w);
-// substream 0 reproduces the serial run.
-func WorkerSeed(seed int64, worker int) int64 { return sim.WorkerSeed(seed, worker) }
 
 // MeasureSkew extracts thread-skew samples from a perpetual run.
 func MeasureSkew(pt *PerpetualTest, bs *BufSet) []SkewSample {
