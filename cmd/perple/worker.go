@@ -38,7 +38,7 @@ func workerCmd(args []string, _, stderr io.Writer) int {
 	campaignID := fl.String("campaign", "", "dispatch campaign id to work on (required)")
 	name := fl.String("name", "", "worker name for lease accounting (default: hostname-pid)")
 	parallel := fl.Int("parallel", 0, "concurrent jobs (default: GOMAXPROCS)")
-	leaseBatch := fl.Int("lease-batch", 0, "jobs pulled per lease: the first lease call, idle polls, and each batch's final upload (default: -parallel)")
+	leaseBatch := fl.Int("lease-batch", 0, "jobs per lease batch (default: -parallel); each upload leases one more batch and the first lease call and idle polls two, so a worker holds up to 2x this many grants")
 	heartbeat := fl.Duration("heartbeat", 0, "lease heartbeat period (default: a third of the server's lease TTL)")
 	retries := fl.Int("retries", 5, "attempts per HTTP call before giving up")
 	backoff := fl.Duration("backoff", 200*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")

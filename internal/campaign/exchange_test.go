@@ -3,7 +3,9 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +19,7 @@ import (
 	"time"
 
 	"perple/internal/harness"
+	"perple/internal/litmus"
 )
 
 // exchangeCounter counts dispatch requests per endpoint and records the
@@ -416,29 +419,156 @@ func TestWorkerDrainLeasesNothing(t *testing.T) {
 	t.Run("next-batch-arrives", func(t *testing.T) {
 		counter, ts := newDurableTestServer(t, 0)
 		id := submitDispatch(t, ts, spec)
-		var w *Worker
+		var (
+			w          *Worker
+			mu         sync.Mutex
+			ran        []int
+			afterDrain []int // jobs granted by a reply that arrived once draining
+		)
 		drainAfterNext := roundTripFunc(func(req *http.Request) (*http.Response, error) {
 			resp, err := http.DefaultTransport.RoundTrip(req)
-			if err == nil && strings.HasSuffix(req.URL.Path, "/complete") {
-				w.Drain() // the reply, and its grants, are already on the way back
+			if err != nil || !strings.HasSuffix(req.URL.Path, "/complete") {
+				return resp, err
 			}
-			return resp, err
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				return nil, err
+			}
+			resp.Body = io.NopCloser(bytes.NewReader(body))
+			var cr CompleteResponse
+			if json.Unmarshal(body, &cr) == nil && cr.Next != nil {
+				mu.Lock()
+				for _, g := range cr.Next.Grants {
+					afterDrain = append(afterDrain, g.Job.ID)
+				}
+				mu.Unlock()
+			}
+			w.Drain() // the reply, and its grants, are already on the way back
+			return resp, nil
 		})
 		w = NewWorker(WorkerOptions{
 			BaseURL: ts.URL, Campaign: id, Name: "drainer", Parallel: 1, LeaseBatch: 2,
 			Client: &http.Client{Transport: drainAfterNext},
+			OnJobDone: func(jr *JobResult) {
+				mu.Lock()
+				ran = append(ran, jr.JobID)
+				mu.Unlock()
+			},
 		})
 		run(t, w)
 		if want := []int{2, 0}; !slices.Equal(counter.leases, want) {
 			t.Fatalf("uploads asked for %v grants, want %v (the next batch is released unrun)", counter.leases, want)
 		}
-		if got := w.JobsCompleted.Load(); got != 2 {
-			t.Fatalf("worker completed %d jobs, want its first batch of 2", got)
+		if len(afterDrain) == 0 {
+			t.Fatal("no upload reply carried grants: the drain raced nothing")
+		}
+		for _, id := range afterDrain {
+			if slices.Contains(ran, id) {
+				t.Fatalf("job %d, granted after Drain, ran (ran %v, granted after drain %v)", id, ran, afterDrain)
+			}
 		}
 		if got := leased(t, ts, id); got != 0 {
 			t.Fatalf("drained worker left %d leases held", got)
 		}
 	})
+}
+
+// TestWorkerOverlapsUploadWithNextShard pins the worker's lookahead
+// without timing: the client holds every /complete request until the
+// next shard has started, so the run finishes only if each upload is in
+// flight while the following shard executes — a worker that waited for
+// the upload's reply before starting its next shard would deadlock here,
+// and fail at the timeout. The overlap must leave the canonical bytes
+// Campaign.Run's.
+func TestWorkerOverlapsUploadWithNextShard(t *testing.T) {
+	spec := fleetSpec(t)
+	want := localCanonical(t, spec)
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := int64(len(camp.Jobs()))
+
+	_, ts := newDurableTestServer(t, 0)
+	id := submitDispatch(t, ts, spec)
+	var started, uploads atomic.Int64
+	startCh := make(chan struct{}, jobs) // one signal per shard start
+	holdUntilNextShard := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if strings.HasSuffix(req.URL.Path, "/complete") {
+			// Upload k carries shard k; the last upload has no next shard.
+			need := min(uploads.Add(1)+1, jobs)
+			timeout := time.After(10 * time.Second)
+			for started.Load() < need {
+				select {
+				case <-startCh:
+				case <-timeout:
+					return nil, fmt.Errorf("upload held 10s: %d of %d shards started", started.Load(), need)
+				}
+			}
+		}
+		return http.DefaultTransport.RoundTrip(req)
+	})
+	w := NewWorker(WorkerOptions{
+		BaseURL: ts.URL, Campaign: id, Name: "overlap", Parallel: 1, MaxAttempts: 1,
+		Client: &http.Client{Transport: holdUntilNextShard},
+		runJob: func(ctx context.Context, ws *workspace, job Job, test *litmus.Test, spec Spec) (*JobResult, error) {
+			started.Add(1)
+			select {
+			case startCh <- struct{}{}:
+			default: // a re-run shard; the waiter rechecks the count anyway
+			}
+			return runJob(ctx, ws, job, test, spec)
+		},
+	})
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if state := pollState(t, ts, id, 30*time.Second); state != StateDone {
+		t.Fatalf("campaign ended %q", state)
+	}
+	if got := fetchCanonical(t, ts, id); !bytes.Equal(got, want) {
+		t.Fatalf("pipelined worker diverged from Campaign.Run:\nlocal:\n%s\nfleet:\n%s", want, got)
+	}
+}
+
+// TestWorkerHeartbeatsHeldLeases runs jobs that each outlast the lease
+// TTL, two per batch, so a queued batch — leased by /lease or by an
+// upload's reply — waits longer than a TTL before it starts: the worker
+// must extend every lease it holds — running, completed but unshipped,
+// and queued — or they expire and requeue.
+func TestWorkerHeartbeatsHeldLeases(t *testing.T) {
+	spec := fleetSpec(t)
+	spec.Tests = []string{"sb", "mp"}
+	want := serialCanonical(t, spec)
+	const ttl = 300 * time.Millisecond
+	_, ts := newDurableTestServer(t, ttl)
+	id := submitDispatch(t, ts, spec)
+
+	w := NewWorker(WorkerOptions{
+		BaseURL: ts.URL, Campaign: id, Name: "slow", Parallel: 1, LeaseBatch: 2,
+		runJob: func(ctx context.Context, ws *workspace, job Job, test *litmus.Test, spec Spec) (*JobResult, error) {
+			if err := sleepCtx(ctx, ttl+ttl/6); err != nil {
+				return nil, err
+			}
+			return runJob(ctx, ws, job, test, spec)
+		},
+	})
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if state := pollState(t, ts, id, 30*time.Second); state != StateDone {
+		t.Fatalf("campaign ended %q", state)
+	}
+	if got := fetchCanonical(t, ts, id); !bytes.Equal(got, want) {
+		t.Fatalf("slow-job fleet diverged from serial run:\nserial:\n%s\nfleet:\n%s", want, got)
+	}
+	metrics := getJSON(t, ts.URL+"/campaigns/"+id, http.StatusOK)["metrics"].(map[string]any)
+	for _, key := range []string{"lease_requeues", "results_fenced"} {
+		if got := metrics[key].(float64); got != 0 {
+			t.Fatalf("%s = %v, want 0: a held lease expired: %v", key, got, metrics)
+		}
+	}
 }
 
 type roundTripFunc func(*http.Request) (*http.Response, error)

@@ -16,10 +16,11 @@ package campaign
 //	POST /campaigns/{id}/complete   CompleteRequest (PWB1) → CompleteResponse
 //	                                (Lease > 0: Next carries the next grants)
 //
-// v2 makes the upload the steady-state lease call: a batch's final
-// upload asks for the next batch (CompleteRequest.Lease) and receives it
-// in the same exchange (CompleteResponse.Next), so a shard costs one
-// round trip and one WAL commit instead of two.
+// v2 makes the upload the steady-state lease call: a batch's upload
+// asks for a further batch (CompleteRequest.Lease) and receives it in
+// the same exchange (CompleteResponse.Next), so a shard costs one round
+// trip and one WAL commit instead of two. The worker runs its next,
+// already leased batch while that exchange is in flight.
 //
 // The protocol is at-least-once by construction: a worker that crashes
 // mid-lease simply stops heartbeating and its jobs re-lease after the
@@ -109,12 +110,12 @@ type WorkerFailure struct {
 }
 
 // CompleteRequest is the batched upload: completed results, execution
-// failures, leases handed back un-run (graceful drain), and — when the
-// worker streams partial batches — heartbeats for the leases it still
-// holds, piggybacked so a mid-batch upload doubles as the lease
-// extension and saves the dedicated heartbeat round-trip. Lease asks
-// for the next grants in the same exchange, saving the dedicated lease
-// round-trip too. The body travels in the PWB1 codec.
+// failures, leases handed back un-run (graceful drain), and heartbeats
+// for held leases that are due an extension, piggybacked so the upload
+// doubles as the lease extension and saves the dedicated heartbeat
+// round-trip. Lease asks for the next grants in the same exchange,
+// saving the dedicated lease round-trip too. The body travels in the
+// PWB1 codec.
 type CompleteRequest struct {
 	Version  int             `json:"version"`
 	Worker   string          `json:"worker"`

@@ -14,9 +14,12 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -230,10 +233,16 @@ func validateTool(tool string) error {
 // ParseSpec decodes and validates a JSON spec.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("campaign: parsing spec: %w", err)
+	}
+	// One spec per body: anything after it but whitespace is refused,
+	// not silently ignored.
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		return Spec{}, errors.New("campaign: parsing spec: trailing data after the spec object")
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err

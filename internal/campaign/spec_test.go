@@ -51,6 +51,18 @@ func TestSpecRejectsBadInput(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{`)); err == nil {
 		t.Error("malformed JSON accepted")
 	}
+	for _, body := range []string{
+		`{"iterations":5} {"bogus_field":1} not json`,
+		`{"iterations":5} {}`,
+		`{"iterations":5} x`,
+	} {
+		if _, err := ParseSpec([]byte(body)); err == nil {
+			t.Errorf("spec with trailing data accepted: %s", body)
+		}
+	}
+	if _, err := ParseSpec([]byte("{\"iterations\":5}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace refused: %v", err)
+	}
 }
 
 // TestSpecIntraWorkersDefault: a job is one seeded run, so 0 and 1 are
@@ -148,6 +160,7 @@ func FuzzParseSpec(f *testing.F) {
 		`{"name":"x","dir":"testdata/suite","seed":-7,"iterations":5,"shard_size":2,"exh_cap":-1}`,
 		`{"axiom":"reject","trace_verify":"all"}`,
 		`{"trace_verify":"+4","tools":["litmus7-timebase"]}`,
+		`{"iterations":5} {"bogus_field":1} not json`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -126,8 +126,8 @@ func FuzzCompleteRequestWire(f *testing.F) {
 // FuzzCompleteRequestBinaryDecode feeds arbitrary bytes to the upload
 // decoder — the dispatcher's exposure surface — which must never panic.
 // The seeds are an empty body, a full upload that also asks for grants,
-// and a bare lease-carrying upload (the worker's usual final flush once
-// the ticker has streamed its results).
+// and a bare lease-carrying upload (nothing to report, only grants
+// wanted).
 func FuzzCompleteRequestBinaryDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(harness.EncodeWireBinary(nil, sampleCompleteRequest()))

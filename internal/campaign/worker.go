@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,7 +12,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,10 +33,11 @@ type WorkerOptions struct {
 	// Parallel is the number of jobs executed concurrently; 0 selects
 	// GOMAXPROCS.
 	Parallel int
-	// LeaseBatch is the number of jobs pulled per lease — the first
-	// /lease call, an idle poll, or the batch's final upload, which asks
-	// for the next batch; 0 selects Parallel (keep every executor busy
-	// with one round trip).
+	// LeaseBatch is the number of jobs per lease batch; 0 selects
+	// Parallel (keep every executor busy with one round trip). Each
+	// batch's upload asks for one more batch, while the first /lease
+	// call and an idle poll ask for two, so a worker holds up to
+	// 2×LeaseBatch grants: the batch it runs and the next one.
 	LeaseBatch int
 	// Wire names the result-upload codec. PWB1 is the only one: "",
 	// "auto" and "binary" all select it, and any other value makes Run
@@ -78,7 +80,9 @@ type WorkerOptions struct {
 // Worker is a fleet member: it pulls shard leases from a perple serve
 // dispatch campaign, executes them with the same job-execution step
 // (jobExec) as Campaign.Run's in-process executors, and uploads batched
-// results; each batch's final upload also leases the next batch.
+// results; each batch's upload also leases a further batch, and runs
+// while the next batch executes, so a worker holds up to 2×LeaseBatch
+// grants.
 // Because shard seeds are identity-derived and merging is
 // order-invariant, any number of workers — joining, crashing, being
 // replaced — drive the campaign to the same final bytes as a local run.
@@ -97,11 +101,6 @@ type Worker struct {
 	draining  atomic.Bool
 	drainOnce sync.Once
 	drainCh   chan struct{} // closed by Drain; cuts idle poll sleeps short
-
-	// upMu serializes uploads so encBuf — the reused binary encode
-	// buffer — is never rewritten while a retry is still reading it.
-	upMu   sync.Mutex
-	encBuf []byte
 
 	// rng drives backoff and poll-wait jitter. Seeding it from the
 	// worker's name (not time or a process-global stream) keeps a fleet's
@@ -188,6 +187,13 @@ func (w *Worker) Drain() {
 
 // Run works the campaign until the server reports it done, Drain is
 // called, or ctx is cancelled.
+//
+// Run keeps one batch of lookahead, so the exchange at a batch's end —
+// upload, merge, WAL commit and the reply carrying the next grants —
+// overlaps the next batch instead of stalling it: the first /lease call
+// and every idle poll ask for two batches, and each upload asks for one
+// more (none while draining). The worker holds at most one unstarted
+// batch beyond the batch it runs.
 func (w *Worker) Run(ctx context.Context) error {
 	switch w.opts.Wire {
 	case "", "auto", "binary":
@@ -211,239 +217,170 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.tests[ct.Name] = t
 	}
 
-	// lease is the batch to run next: /lease answers it for the first
-	// batch and after an idle poll, every other batch arrives with the
-	// previous batch's final upload. nil means ask /lease.
-	var lease *LeaseResponse
+	// up starts with the first grants, whose reply names the lease TTL
+	// its heartbeat cadence derives from. queue holds the grants leased
+	// but not yet started; batch is the slice of it being run, and ran
+	// reports a batch whose outcomes are staged but not yet shipped.
+	var (
+		up           *uploader
+		queue, batch []LeaseGrant
+		ran          bool
+	)
+	defer func() {
+		if up != nil {
+			up.stop()
+		}
+	}()
 	for {
 		if err := ctx.Err(); err != nil {
+			// Hard stop: abandon everything; the leases expire and requeue.
 			return err
 		}
-		if lease == nil {
-			if w.draining.Load() {
-				return nil
-			}
-			lease = new(LeaseResponse)
-			if err := w.post(ctx, "lease", LeaseRequest{Worker: w.opts.Name, Max: w.opts.LeaseBatch}, lease); err != nil {
+		// Sync point — a batch is ready to ship, nothing is queued, or the
+		// worker drains: collect the in-flight upload's reply (after a
+		// batch, long back by then) and queue the grants it carries.
+		if up != nil && (ran || len(queue) == 0 || w.draining.Load()) {
+			next, done, err := up.wait()
+			if err != nil || done {
 				return err
 			}
+			queue = append(queue, next...)
 		}
-		if lease.Done {
-			return nil
-		}
-		if len(lease.Grants) == 0 {
-			wait := time.Duration(lease.WaitSec * float64(time.Second))
-			if wait <= 0 {
-				wait = 500 * time.Millisecond
+		// Read after the wait, so grants that arrived after Drain are
+		// released, never run.
+		draining := w.draining.Load()
+		if ran || draining && len(queue) > 0 {
+			// Ship the batch, leasing one more, and go on to the queued
+			// batch at once. A draining worker instead hands every
+			// unstarted grant back, without touching its retry budget, in
+			// an upload that leases nothing.
+			want := w.opts.LeaseBatch
+			if draining {
+				up.release(queue)
+				queue = queue[:0]
+				want = 0
 			}
-			// Jitter the poll so idle fleet members spread out instead of
-			// stampeding the lease endpoint in lockstep. Drain interrupts
-			// the sleep so a signaled idle worker exits promptly.
-			wait = wait/2 + w.jitter(wait/2)
-			t := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			case <-w.drainCh:
-				t.Stop()
-				return nil
-			case <-t.C:
-			}
-			lease = nil
+			up.send(want)
+			ran = false
 			continue
 		}
-		next, done, err := w.runBatch(ctx, lease)
-		if err != nil || done {
-			return err
+		if draining {
+			return nil
 		}
-		lease = next
+		if len(queue) == 0 {
+			var lease LeaseResponse
+			if err := w.post(ctx, "lease", LeaseRequest{Worker: w.opts.Name, Max: 2 * w.opts.LeaseBatch}, &lease); err != nil {
+				return err
+			}
+			if lease.Done {
+				return nil
+			}
+			if len(lease.Grants) == 0 {
+				if err := w.idle(ctx, lease.WaitSec); err != nil {
+					return err
+				}
+				continue
+			}
+			if up == nil {
+				up = w.startUploader(ctx, time.Duration(lease.TTLSec*float64(time.Second)))
+			}
+			up.hold(lease.Grants)
+			queue = append(queue, lease.Grants...)
+		}
+		n := min(w.opts.LeaseBatch, len(queue))
+		batch = append(batch[:0], queue[:n]...)
+		queue = append(queue[:0], queue[n:]...)
+		w.runBatch(ctx, up, batch)
+		ran = true
 	}
 }
 
-// runBatch executes one lease batch and uploads the outcome. Unless the
-// worker is draining, the final upload asks for the next batch, which
-// runBatch returns (nil when the upload got none). done reports that the
-// server says the campaign finished.
-func (w *Worker) runBatch(ctx context.Context, lease *LeaseResponse) (next *LeaseResponse, done bool, err error) {
-	ttl := time.Duration(lease.TTLSec * float64(time.Second))
-	up := newBatchUpload(w, lease.Grants)
-	flStop := w.startFlusher(ctx, up, ttl)
-	defer flStop()
+// idle sleeps out an empty lease reply's poll hint. Jitter spreads idle
+// fleet members out instead of stampeding the lease endpoint in
+// lockstep; Drain cuts the sleep short so a signaled idle worker exits
+// promptly.
+func (w *Worker) idle(ctx context.Context, waitSec float64) error {
+	wait := time.Duration(waitSec * float64(time.Second))
+	if wait <= 0 {
+		wait = 500 * time.Millisecond
+	}
+	t := time.NewTimer(wait/2 + w.jitter(wait/2))
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-w.drainCh:
+	case <-t.C:
+	}
+	return nil
+}
 
-	var (
-		wg       sync.WaitGroup
-		abandons bool
-	)
-	for _, grant := range lease.Grants {
+// runBatch executes one batch on the worker's slots and stages each
+// outcome on up. Once the worker drains, unstarted grants are staged as
+// released; a hard stop (ctx) abandons them.
+func (w *Worker) runBatch(ctx context.Context, up *uploader, batch []LeaseGrant) {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for i, grant := range batch {
 		if w.draining.Load() {
-			// Graceful drain: hand unstarted grants back without touching
-			// their retry budget.
-			up.addReleased(LeaseRef{JobID: grant.Job.ID, LeaseID: grant.LeaseID})
-			continue
+			up.release(batch[i:])
+			return
 		}
 		var ws *workspace
 		select {
 		case ws = <-w.slots:
 		case <-ctx.Done():
-			abandons = true
-		}
-		if abandons {
-			break
+			return
 		}
 		wg.Add(1)
-		go func(grant LeaseGrant) {
+		go func() {
 			defer wg.Done()
 			defer func() { w.slots <- ws }()
-			switch r, f := w.exec(ctx, ws, grant); {
-			case r.Result != nil:
-				up.addResult(r)
-			case f != nil:
-				up.addFailure(*f)
-			}
-		}(grant)
+			up.stage(w.exec(ctx, ws, grant))
+		}()
 	}
-	wg.Wait()
-	flStop()
-	if err := ctx.Err(); err != nil {
-		// Hard stop: abandon the batch; the leases expire and requeue.
-		return nil, false, err
-	}
-	if err := up.err(); err != nil {
-		return nil, false, err
-	}
-	// Final flush ships whatever the ticker hasn't already streamed out
-	// and, unless draining, leases the next batch in the same exchange.
-	want := w.opts.LeaseBatch
-	if w.draining.Load() {
-		want = 0
-	}
-	if next, err = up.flush(ctx, want); err != nil {
-		return nil, false, err
-	}
-	return next, up.done.Load(), nil
 }
 
-// batchUpload accumulates one lease batch's outcomes and streams them to
-// the dispatcher in sub-batches: each flush ships everything pending and
-// carries heartbeats for the leases the worker still holds, so a long
-// batch's uploads double as its lease extensions. outstanding tracks
-// grants not yet acknowledged by a completed upload; a flush that dies
-// retryably leaves them tracked, and the whole batch aborts via
-// firstErr.
-type batchUpload struct {
-	w    *Worker
-	done atomic.Bool
+// uploader is a Worker's single exchange goroutine for the life of Run.
+// It ships completed batches in order — each upload staged by send, its
+// reply collected by wait before the next send — and heartbeats the
+// leases the worker holds on the lease-TTL/3 cadence. A held lease rides
+// an upload's Heartbeat only once that period has passed since its grant
+// or last extension: every piggybacked ref costs the dispatcher a WAL
+// extend record, and a shard's lease normally ends well inside it.
+type uploader struct {
+	w      *Worker
+	ctx    context.Context
+	cancel context.CancelFunc
+	period time.Duration
 
-	mu          sync.Mutex
-	pending     CompleteRequest
-	outstanding map[int64]LeaseRef // leaseID → ref, dropped once upload-acked
-	firstErr    error
+	shipCh  chan struct{} // send → goroutine: ship the staged upload
+	replyCh chan error    // goroutine → wait: the upload's outcome
+	doneCh  chan struct{} // closed when the goroutine exits
+	// inflight reports a sent upload whose reply wait has not collected;
+	// only Run's goroutine reads or writes it.
+	inflight bool
+
+	// Between send and wait the goroutine owns out, resp and encBuf.
+	out    CompleteRequest
+	resp   CompleteResponse
+	encBuf []byte // reused PWB1 encode buffer
+
+	mu sync.Mutex
+	// pending collects the running batch's outcomes and releases.
+	pending CompleteRequest
+	// held is every lease the worker holds — running, queued, or in an
+	// unacknowledged upload — with when it was granted or last extended.
+	held map[int64]heldLease
 }
 
-func newBatchUpload(w *Worker, grants []LeaseGrant) *batchUpload {
-	up := &batchUpload{
-		w:           w,
-		pending:     CompleteRequest{Version: ProtocolVersion, Worker: w.opts.Name},
-		outstanding: make(map[int64]LeaseRef, len(grants)),
-	}
-	for _, g := range grants {
-		up.outstanding[g.LeaseID] = LeaseRef{JobID: g.Job.ID, LeaseID: g.LeaseID}
-	}
-	return up
+type heldLease struct {
+	ref   LeaseRef
+	since time.Time
 }
 
-func (u *batchUpload) addResult(r WorkerResult) {
-	u.mu.Lock()
-	u.pending.Results = append(u.pending.Results, r)
-	u.mu.Unlock()
-}
-
-func (u *batchUpload) addFailure(f WorkerFailure) {
-	u.mu.Lock()
-	u.pending.Failures = append(u.pending.Failures, f)
-	u.mu.Unlock()
-}
-
-func (u *batchUpload) addReleased(ref LeaseRef) {
-	u.mu.Lock()
-	u.pending.Released = append(u.pending.Released, ref)
-	u.mu.Unlock()
-}
-
-func (u *batchUpload) setErr(err error) {
-	u.mu.Lock()
-	if u.firstErr == nil {
-		u.firstErr = err
-	}
-	u.mu.Unlock()
-}
-
-func (u *batchUpload) err() error {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.firstErr
-}
-
-// flush uploads everything pending, piggybacking heartbeats for the
-// still-held leases, and with lease > 0 asks for that many new grants,
-// which it returns. With nothing to upload and no grants wanted it
-// degrades to a plain heartbeat. Callers serialize flushes (ticker
-// goroutine, then the final call after it stops).
-func (u *batchUpload) flush(ctx context.Context, lease int) (*LeaseResponse, error) {
-	u.mu.Lock()
-	req := u.pending
-	u.pending = CompleteRequest{Version: ProtocolVersion, Worker: u.w.opts.Name}
-	consumed := make(map[int64]bool, len(req.Results)+len(req.Failures)+len(req.Released))
-	for _, r := range req.Results {
-		consumed[r.LeaseID] = true
-	}
-	for _, f := range req.Failures {
-		consumed[f.LeaseID] = true
-	}
-	for _, ref := range req.Released {
-		consumed[ref.LeaseID] = true
-	}
-	live := make([]LeaseRef, 0, len(u.outstanding))
-	for id, ref := range u.outstanding {
-		if !consumed[id] {
-			live = append(live, ref)
-		}
-	}
-	u.mu.Unlock()
-	sort.Slice(live, func(i, j int) bool { return live[i].JobID < live[j].JobID })
-
-	if len(req.Results)+len(req.Failures)+len(req.Released) == 0 && lease == 0 {
-		if len(live) > 0 {
-			// Best-effort: a lost heartbeat only shortens the lease margin,
-			// and the server fences any fallout.
-			var hr HeartbeatResponse
-			_ = u.w.post(ctx, "heartbeat", HeartbeatRequest{Worker: u.w.opts.Name, Leases: live}, &hr)
-		}
-		return nil, nil
-	}
-	req.Heartbeat = live
-	req.Lease = lease
-	var resp CompleteResponse
-	if err := u.w.uploadComplete(ctx, &req, &resp); err != nil {
-		return nil, err
-	}
-	u.mu.Lock()
-	for id := range consumed {
-		delete(u.outstanding, id)
-	}
-	u.mu.Unlock()
-	if resp.Done {
-		u.done.Store(true)
-	}
-	return resp.Next, nil
-}
-
-// startFlusher streams pending outcomes (and lease extensions) on the
-// heartbeat cadence until the returned stop function is called
-// (idempotent). A flush that fails after retries records the error and
-// stops streaming; runBatch surfaces it once the executors finish.
-func (w *Worker) startFlusher(ctx context.Context, up *batchUpload, ttl time.Duration) func() {
+// startUploader starts the uploader for a server whose leases last ttl.
+func (w *Worker) startUploader(ctx context.Context, ttl time.Duration) *uploader {
 	period := w.opts.HeartbeatEvery
 	if period <= 0 {
 		period = ttl / 3
@@ -451,34 +388,199 @@ func (w *Worker) startFlusher(ctx context.Context, up *batchUpload, ttl time.Dur
 	if period <= 0 {
 		period = 10 * time.Second
 	}
-	flCtx, cancel := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		for {
-			select {
-			case <-flCtx.Done():
-				return
-			case <-tick.C:
-				if _, err := up.flush(flCtx, 0); err != nil {
-					if flCtx.Err() == nil {
-						up.setErr(err)
-					}
-					return
-				}
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			cancel()
-			wg.Wait()
-		})
+	u := &uploader{
+		w: w, period: period,
+		shipCh:  make(chan struct{}, 1),
+		replyCh: make(chan error, 1),
+		doneCh:  make(chan struct{}),
+		out:     CompleteRequest{Version: ProtocolVersion, Worker: w.opts.Name},
+		pending: CompleteRequest{Version: ProtocolVersion, Worker: w.opts.Name},
+		held:    make(map[int64]heldLease, 2*w.opts.LeaseBatch),
 	}
+	u.ctx, u.cancel = context.WithCancel(ctx)
+	go u.loop()
+	return u
+}
+
+func (u *uploader) loop() {
+	defer close(u.doneCh)
+	tick := time.NewTicker(u.period)
+	defer tick.Stop()
+	for {
+		select {
+		case <-u.ctx.Done():
+			return
+		case <-u.shipCh:
+			u.replyCh <- u.ship()
+		case <-tick.C:
+			u.heartbeat()
+		}
+	}
+}
+
+// stop ends the goroutine, abandoning an upload still in flight.
+func (u *uploader) stop() {
+	u.cancel()
+	<-u.doneCh
+}
+
+// hold adds fresh grants to the held set.
+func (u *uploader) hold(grants []LeaseGrant) {
+	now := time.Now()
+	u.mu.Lock()
+	for _, g := range grants {
+		u.held[g.LeaseID] = heldLease{ref: LeaseRef{JobID: g.Job.ID, LeaseID: g.LeaseID}, since: now}
+	}
+	u.mu.Unlock()
+}
+
+// stage records one executed job's outcome; an aborted run (neither
+// result nor failure) records nothing.
+func (u *uploader) stage(r WorkerResult, f *WorkerFailure) {
+	u.mu.Lock()
+	switch {
+	case r.Result != nil:
+		u.pending.Results = append(u.pending.Results, r)
+	case f != nil:
+		u.pending.Failures = append(u.pending.Failures, *f)
+	}
+	u.mu.Unlock()
+}
+
+// release stages unstarted grants to be handed back.
+func (u *uploader) release(grants []LeaseGrant) {
+	u.mu.Lock()
+	for _, g := range grants {
+		u.pending.Released = append(u.pending.Released, LeaseRef{JobID: g.Job.ID, LeaseID: g.LeaseID})
+	}
+	u.mu.Unlock()
+}
+
+// send ships everything staged, asking for lease new grants, and
+// returns at once; wait collects the reply. The previous reply must
+// have been collected.
+func (u *uploader) send(lease int) {
+	now := time.Now()
+	u.mu.Lock()
+	u.out, u.pending = u.pending, u.out
+	clear(u.pending.Results) // drop the acknowledged results
+	u.pending.Results = u.pending.Results[:0]
+	u.pending.Failures = u.pending.Failures[:0]
+	u.pending.Released = u.pending.Released[:0]
+	for _, r := range u.out.Results {
+		delete(u.held, r.LeaseID)
+	}
+	for _, f := range u.out.Failures {
+		delete(u.held, f.LeaseID)
+	}
+	for _, ref := range u.out.Released {
+		delete(u.held, ref.LeaseID)
+	}
+	u.out.Heartbeat = u.dueLocked(u.out.Heartbeat[:0], now)
+	u.mu.Unlock()
+	u.out.Lease = lease
+	u.inflight = true
+	u.shipCh <- struct{}{} // buffered: at most one upload is ever out
+}
+
+// wait collects the in-flight upload's reply, if one is out: the grants
+// it carries (valid until the next send), whether the server reports
+// the campaign done, and the upload's error.
+func (u *uploader) wait() (next []LeaseGrant, done bool, err error) {
+	if !u.inflight {
+		return nil, false, nil
+	}
+	u.inflight = false
+	select {
+	case err = <-u.replyCh:
+	case <-u.doneCh:
+		// Run's ctx ended the goroutine before (or after) it replied.
+		err = u.ctx.Err()
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	if u.resp.Next != nil {
+		next = u.resp.Next.Grants
+	}
+	return next, u.resp.Done, nil
+}
+
+// ship posts the staged upload as PWB1 with retry/backoff. A retried
+// upload after a lost response is safe: the server's completion fence
+// deduplicates.
+func (u *uploader) ship() error {
+	sent := time.Now()
+	// The reply decodes into the last one's structs, grant slice
+	// included; reset them first, since a field the server omits
+	// (omitempty) would otherwise keep its old value.
+	next := u.resp.Next
+	if next != nil {
+		*next = LeaseResponse{Grants: next.Grants[:0]}
+	}
+	u.resp = CompleteResponse{Next: next}
+	u.encBuf = harness.EncodeWireBinary(u.encBuf[:0], &u.out)
+	w := u.w
+	err := w.retry(u.ctx, func() (*http.Response, error) {
+		req, err := http.NewRequestWithContext(u.ctx, http.MethodPost, w.url("complete"), bytes.NewReader(u.encBuf))
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Content-Type", harness.WireContentTypeBinary)
+		return w.opts.Client.Do(req)
+	}, &u.resp)
+	if err != nil {
+		return err
+	}
+	u.extend(u.out.Heartbeat, sent)
+	if u.resp.Next != nil {
+		// Queued grants are held from the moment they arrive, not from
+		// when Run collects them: the tick must cover them meanwhile.
+		u.hold(u.resp.Next.Grants)
+	}
+	return nil
+}
+
+// heartbeat extends the held leases that are due on a plain
+// /heartbeat. Best-effort: a lost heartbeat only shortens the lease
+// margin, and the server fences any fallout.
+func (u *uploader) heartbeat() {
+	now := time.Now()
+	u.mu.Lock()
+	due := u.dueLocked(nil, now)
+	u.mu.Unlock()
+	if len(due) == 0 {
+		return
+	}
+	var hr HeartbeatResponse
+	if u.w.post(u.ctx, "heartbeat", HeartbeatRequest{Worker: u.w.opts.Name, Leases: due}, &hr) == nil {
+		u.extend(due, now)
+	}
+}
+
+// dueLocked appends to dst, in job order, the held leases not granted
+// or extended within the last period. Caller holds u.mu.
+func (u *uploader) dueLocked(dst []LeaseRef, now time.Time) []LeaseRef {
+	for _, h := range u.held {
+		if now.Sub(h.since) >= u.period {
+			dst = append(dst, h.ref)
+		}
+	}
+	slices.SortFunc(dst, func(a, b LeaseRef) int { return cmp.Compare(a.JobID, b.JobID) })
+	return dst
+}
+
+// extend restamps refs still held as extended at t, when the request
+// carrying them was built.
+func (u *uploader) extend(refs []LeaseRef, t time.Time) {
+	u.mu.Lock()
+	for _, ref := range refs {
+		if h, ok := u.held[ref.LeaseID]; ok {
+			h.since = t
+			u.held[ref.LeaseID] = h
+		}
+	}
+	u.mu.Unlock()
 }
 
 // fetchCorpus downloads the campaign's spec and test sources.
@@ -510,24 +612,6 @@ func (w *Worker) post(ctx context.Context, endpoint string, body any, out any) e
 			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		return w.opts.Client.Do(req)
-	}, out)
-}
-
-// uploadComplete encodes the batched results as PWB1 into the worker's
-// reused buffer and posts them with retry/backoff. A retried upload after a lost response is
-// safe: the server's completion fence deduplicates. upMu both serializes
-// the encode buffer and keeps one worker's uploads sequential.
-func (w *Worker) uploadComplete(ctx context.Context, creq *CompleteRequest, out *CompleteResponse) error {
-	w.upMu.Lock()
-	defer w.upMu.Unlock()
-	w.encBuf = harness.EncodeWireBinary(w.encBuf[:0], creq)
-	return w.retry(ctx, func() (*http.Response, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url("complete"), bytes.NewReader(w.encBuf))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", harness.WireContentTypeBinary)
 		return w.opts.Client.Do(req)
 	}, out)
 }
