@@ -129,6 +129,63 @@ func goldenRuns(t *testing.T) map[string]string {
 			}
 			got[goldenKey(name, "perpetual", ModeNone, cfg.Relaxation, 1, tailN, 0)] = hashPerpetual(res)
 		}
+		// The same tail in synced free-running form: the writer's ring
+		// holds one cell per iteration, with and without witnesses.
+		for _, v := range []struct {
+			model memmodel.Model
+			every int
+		}{{memmodel.TSO, 0}, {memmodel.PSO, 0}, {memmodel.TSO, 4}} {
+			cfg := DefaultConfig().WithSeed(1)
+			cfg.Relaxation, cfg.WitnessEvery = v.model, v.every
+			res, err := runSynced(test, tailN, ModeNone, cfg)
+			if err != nil {
+				t.Fatalf("%s synced %s: %v", name, v.model, err)
+			}
+			got[goldenKey(name, "synced", ModeNone, v.model, 1, tailN, v.every)] = hashSynced(res)
+		}
+	}
+	// The drain-time extremes. fast-drain (DrainMin 0) lets a store drain
+	// at its own clock, so equal drain times across threads are common
+	// and their (drainAt, thread id) order is pinned here — the co order
+	// the witness variant records shows it (safe024 at seed 1); slow-drain
+	// keeps 4x as many stores pending. Both run the whole suite at n=300
+	// (synced free-running, with and without witnesses, and perpetual)
+	// plus the writer-only tail.
+	for _, preset := range []string{"fast-drain", "slow-drain"} {
+		cfg, err := Preset(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = cfg.WithSeed(1)
+		for _, name := range litmus.SuiteNames() {
+			test, err := litmus.SuiteTest(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, every := range []int{0, 1} {
+				wcfg := cfg
+				wcfg.WitnessEvery = every
+				res, err := runSynced(test, n, ModeNone, wcfg)
+				if err != nil {
+					t.Fatalf("%s synced %s: %v", name, preset, err)
+				}
+				got[goldenKey(name, "synced-"+preset, ModeNone, cfg.Relaxation, 1, n, every)] = hashSynced(res)
+			}
+			pt, err := core.Convert(test)
+			if err != nil {
+				continue
+			}
+			for _, pn := range []int{n, tailN} {
+				if pn == tailN && name != "safe022" && name != "mp+fences" {
+					continue
+				}
+				res, err := runPerpetual(pt, pn, cfg)
+				if err != nil {
+					t.Fatalf("%s perpetual %s: %v", name, preset, err)
+				}
+				got[goldenKey(name, "perpetual-"+preset, ModeNone, cfg.Relaxation, 1, pn, 0)] = hashPerpetual(res)
+			}
+		}
 	}
 	return got
 }
