@@ -22,7 +22,12 @@
 // With -check, instead of writing a summary the tool compares each
 // parsed entry's ns/op against the named baseline file and exits 1 if
 // any benchmark regressed by more than -maxratio; benchmarks absent
-// from the baseline are reported and skipped. Non-benchmark lines pass
+// from the baseline are reported and skipped. B/op is gated too, at a
+// fixed 1.5x for baselines of at least 1 KB: allocation does not
+// jitter with the machine, so a multiple means a lost reuse or a
+// revived growth. B/op averages first-op warm-up over the op count, so
+// it is compared only when the run and the baseline executed the same
+// number of ops (equal -benchtime Nx). Non-benchmark lines pass
 // through untouched either way, so the tool can sit at the end of a
 // pipe without hiding failures.
 package main
@@ -193,10 +198,19 @@ func resolveKeys(lines []parsed) map[string]Entry {
 	return benchmarks
 }
 
+// B/op gate: a benchmark whose baseline allocates at least bytesFloor
+// per op fails when its B/op exceeds the baseline by more than
+// bytesMaxRatio, provided both ran the same op count.
+const (
+	bytesMaxRatio = 1.5
+	bytesFloor    = 1 << 10
+)
+
 // checkBaseline compares new entries against the committed baseline and
 // reports every benchmark whose ns/op exceeds baseline by more than
-// maxRatio. A new key is looked up exactly and then as key/cpu=N, so a
-// plain single-GOMAXPROCS smoke run still matches a committed -cpu
+// maxRatio, or whose B/op exceeds it by more than bytesMaxRatio (see
+// bytesFloor). A new key is looked up exactly and then as key/cpu=N, so
+// a plain single-GOMAXPROCS smoke run still matches a committed -cpu
 // sweep's curve point. Returns false when any regression was found.
 func checkBaseline(path string, benchmarks map[string]Entry, maxRatio float64) bool {
 	data, err := os.ReadFile(path)
@@ -209,7 +223,7 @@ func checkBaseline(path string, benchmarks map[string]Entry, maxRatio float64) b
 		fmt.Fprintf(os.Stderr, "perple-bench: parsing %s: %v\n", path, err)
 		return false
 	}
-	ok, compared := true, 0
+	ok, compared, bytesCompared := true, 0, 0
 	for key, e := range benchmarks {
 		ref, found := base.Benchmarks[key]
 		if !found {
@@ -226,13 +240,23 @@ func checkBaseline(path string, benchmarks map[string]Entry, maxRatio float64) b
 				key, e.NsPerOp, ref.NsPerOp, ratio, maxRatio)
 			ok = false
 		}
+		if e.BytesPerOp == nil || ref.BytesPerOp == nil || *ref.BytesPerOp < bytesFloor || e.N != ref.N {
+			continue
+		}
+		bytesCompared++
+		if ratio := *e.BytesPerOp / *ref.BytesPerOp; ratio > bytesMaxRatio {
+			fmt.Fprintf(os.Stderr, "perple-bench: REGRESSION %s: %.0f B/op vs baseline %.0f (%.2fx > %.2fx)\n",
+				key, *e.BytesPerOp, *ref.BytesPerOp, ratio, bytesMaxRatio)
+			ok = false
+		}
 	}
 	if compared == 0 {
 		fmt.Fprintf(os.Stderr, "perple-bench: no benchmarks matched baseline %s\n", path)
 		return false
 	}
 	if ok {
-		fmt.Fprintf(os.Stderr, "perple-bench: %d benchmarks within %.2fx of %s\n", compared, maxRatio, path)
+		fmt.Fprintf(os.Stderr, "perple-bench: %d benchmarks within %.2fx of %s (B/op within %.2fx for %d at the baseline's op count)\n",
+			compared, maxRatio, path, bytesMaxRatio, bytesCompared)
 	}
 	return ok
 }

@@ -10,7 +10,7 @@ import (
 // BufSet holds the in-memory results of a perpetual test run: for each
 // load-performing thread t, Bufs[t] has length Reads[t]·N and slot
 // Reads[t]·n + i records the i-th load of iteration n (Section III-B of
-// the paper). Store-only threads have nil buffers.
+// the paper). Store-only threads have empty buffers.
 type BufSet struct {
 	N    int
 	Bufs [][]int64
@@ -24,8 +24,9 @@ func NewBufSet(pt *PerpetualTest, n int) *BufSet {
 }
 
 // Reset shapes bs as zeroed buffers for an n-iteration run of pt,
-// reusing the backing arrays it already holds (a store-only thread's
-// array is dropped, since its buffer must be nil).
+// reusing the backing arrays it already holds. A store-only thread's
+// buffer is emptied, not dropped, so a later test that loads on that
+// thread reuses its array.
 func (bs *BufSet) Reset(pt *PerpetualTest, n int) {
 	bs.N = n
 	if cap(bs.Bufs) < len(pt.Reads) {
@@ -35,12 +36,9 @@ func (bs *BufSet) Reset(pt *PerpetualTest, n int) {
 	}
 	bs.Bufs = bs.Bufs[:len(pt.Reads)]
 	for t, r := range pt.Reads {
-		switch b := bs.Bufs[t]; {
-		case r == 0:
-			bs.Bufs[t] = nil
-		case cap(b) < r*n:
+		if b := bs.Bufs[t]; cap(b) < r*n {
 			bs.Bufs[t] = make([]int64, r*n)
-		default:
+		} else {
 			bs.Bufs[t] = b[:r*n]
 			clear(bs.Bufs[t])
 		}

@@ -140,9 +140,7 @@ func truncateInto(dst *core.BufSet, bs *core.BufSet, n int) *core.BufSet {
 	dst.N = n
 	dst.Bufs = append(dst.Bufs[:0], bs.Bufs...)
 	for t, b := range dst.Bufs {
-		if b != nil {
-			dst.Bufs[t] = b[:len(b)/bs.N*n]
-		}
+		dst.Bufs[t] = b[:len(b)/bs.N*n]
 	}
 	return dst
 }

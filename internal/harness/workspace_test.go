@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"perple/internal/core"
@@ -130,6 +131,13 @@ func TestWorkspacePerpLEMatchesFresh(t *testing.T) {
 		g, w := *got, *want
 		g.WallExec, g.WallExh, g.WallHeur = 0, 0, 0
 		w.WallExec, w.WallExh, w.WallHeur = 0, 0, 0
+		// A reused workspace keeps a store-only thread's empty buffer
+		// where a fresh run has nil, so kept buffers compare by N and
+		// each thread's length and contents.
+		if (g.Bufs == nil) != (w.Bufs == nil) || g.Bufs != nil && !sameBufs(g.Bufs, w.Bufs) {
+			t.Fatalf("step %d (%s %+v): workspace buffers differ from a fresh run's", i, s.name, s.opts)
+		}
+		g.Bufs, w.Bufs = nil, nil
 		if !reflect.DeepEqual(g, w) {
 			t.Fatalf("step %d (%s %+v): workspace run differs from a fresh one\nworkspace: %+v\nfresh:     %+v", i, s.name, s.opts, g, w)
 		}
@@ -150,4 +158,10 @@ func TestWorkspacePerpLEMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameBufs reports whether two buf sets hold the same N and, per thread,
+// buffers of the same length and contents (nil equals empty).
+func sameBufs(a, b *core.BufSet) bool {
+	return a.N == b.N && slices.EqualFunc(a.Bufs, b.Bufs, slices.Equal[[]int64])
 }

@@ -275,8 +275,24 @@ func (m *machine) settle() {
 // increasing drain time — across the whole buffer under TSO's single
 // FIFO, per cell under PSO — then advances the thread clock.
 //
+// A push into a full ring first retires passed drains: every pending
+// store, of any thread, whose drainAt is strictly before this store's
+// clock. Event clocks never decrease and every later push drains at or
+// after its own clock, so that set is final and precedes every later
+// drain in (drainAt, thread id) order; memory at every load, witnesses
+// and ticks are the same as if the next load had drained it. The
+// strict bound keeps a drain at exactly this clock pending, so a
+// later store by a lower-id thread at the same clock (DrainMin 0)
+// still drains first. A writer with no loads thus holds only its
+// stores still in flight instead of every store since its last reader
+// finished. The one visible difference is the trace: a retired drain
+// is recorded here, at the store, with the same event fields.
+//
 //perple:hotpath cover=sim-synced-user
 func (m *machine) store(th *simThread, loc, memIdx int, val int64) {
+	if th.buf.full() {
+		m.applyDrains(th.time - 1)
+	}
 	drainAt := th.time + m.draw(&m.drainSpan)
 	if m.pso {
 		if e := th.buf.newest(loc, int32(memIdx)); e != nil && drainAt <= e.drainAt {

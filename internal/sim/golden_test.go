@@ -103,10 +103,11 @@ func goldenRuns(t *testing.T) map[string]string {
 		}
 	}
 	// The writer-only tail: safe022 and mp+fences each have a thread with
-	// no loads, and only loads drain buffers, so once the reader finishes
-	// the writer's ring grows to 8k–16k entries by n=10000. These pin
-	// fence, drain and settle at buffer lengths the n=300 matrix never
-	// reaches, under both the TSO FIFO and PSO's per-location order.
+	// no loads, so once the reader finishes the writer's stores drain
+	// only when a push into its full ring retires them (an engine that
+	// drained on loads alone grew that ring to 8k–16k entries by
+	// n=10000). These pin fence, drain and settle through that tail,
+	// under both the TSO FIFO and PSO's per-location order.
 	const tailN = 10000
 	for _, name := range []string{"safe022", "mp+fences"} {
 		test, err := litmus.SuiteTest(name)

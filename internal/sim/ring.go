@@ -10,8 +10,11 @@ type bufEntry struct {
 
 // storeBuf is one thread's pending stores: a reusable ring in program
 // order plus the indexes that make every per-event query independent of
-// the buffer's length. The backing arrays are kept across runs (reset
-// does not free), so a steady-state iteration loop performs no
+// the buffer's length. Loads drain every thread's buffer up to their
+// clock, and a push into a full ring first retires passed drains (see
+// machine.store), so a ring holds the stores still in flight even for
+// a thread with no loads. The backing arrays are kept across runs
+// (reset does not free), so a steady-state iteration loop performs no
 // store-buffer allocation at all.
 //
 // Entries are addressed by absolute sequence number (program order):
@@ -72,18 +75,25 @@ func (b *storeBuf) reset(pso bool, nlocs int) {
 	}
 }
 
+// full reports whether the next push must grow the ring.
+//
+//perple:hotpath cover=sim-synced-user
+func (b *storeBuf) full() bool { return b.hi-b.lo == len(b.e) }
+
 // push appends a new youngest entry for location loc, growing the ring
 // if full. e.drainAt must respect the model's order (see storeBuf) and
 // e.next must be zero.
 //
 //perple:hotpath cover=sim-synced-user
 func (b *storeBuf) push(loc int, e bufEntry) {
-	if b.hi-b.lo == len(b.e) {
+	if b.full() {
 		// The make inside grow is inlined here by the compiler (-escapes
-		// attributes it to this line). Growth is amortized warm-up only:
-		// reset keeps the backing array, so steady-state iteration never
-		// takes this branch — the allocs sweep proves 0 allocs/op.
-		//perple:allow hotalloc amortized ring growth; reset reuses the backing array
+		// attributes it to this line). The engine's store retires passed
+		// drains before a push into a full ring, so the ring only grows
+		// to the stores still in flight, and reset keeps the backing
+		// array: steady-state iteration never takes this branch — the
+		// allocs sweep proves 0 allocs/op.
+		//perple:allow hotalloc ring growth to the in-flight window only; a push into a full ring first retires passed drains, and reset reuses the backing array
 		b.grow()
 	}
 	seq := b.hi

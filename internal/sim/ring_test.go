@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -316,5 +318,76 @@ func TestStoreBufMatchesReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRingHoldsLiveWindow pins the store buffer's size to the stores
+// still in flight. A thread with no loads (safe022, mp+fences) or one
+// that outlives its readers drains only through other threads' loads,
+// so without retiring passed drains on a full push its ring grows with
+// n: 8k–32k entries at n=10000. With retirement it stays within a few
+// drain latencies' worth of stores under every timing preset.
+func TestRingHoldsLiveWindow(t *testing.T) {
+	const n, limit = 10000, 64
+	for _, name := range []string{"safe022", "mp+fences", "wrc", "safe028"} {
+		pr := NewPerpetualRunner(mustCompilePerpetual(t, mustPerp(t, name)))
+		sr := NewRunner(mustCompile(t, mustSuiteTest(t, name)))
+		for _, preset := range []string{"default", "pso", "slow-drain", "heavy-preempt"} {
+			cfg, err := Preset(preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pr.Run(n, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sr.RunSynced(n, ModeNone, cfg); err != nil {
+				t.Fatal(err)
+			}
+			for shape, ths := range map[string][]*simThread{"perpetual": pr.m.threads, "synced": sr.m.threads} {
+				for _, th := range ths {
+					if l := len(th.buf.e); l > limit {
+						t.Errorf("%s %s %s: thread %d ring holds %d entries, want ≤ %d", name, shape, preset, th.id, l, limit)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPerpetualRunnerSwitchAllocFree runs sb, then safe022, then sb
+// again on one PerpetualRunner: the third run reuses the rings and buf
+// arrays of the first, so it allocates nothing. A store-only thread's
+// buf array must survive the test switch for this to hold.
+func TestPerpetualRunnerSwitchAllocFree(t *testing.T) {
+	const n = 10000
+	sb := mustCompilePerpetual(t, mustPerp(t, "sb"))
+	safe022 := mustCompilePerpetual(t, mustPerp(t, "safe022"))
+	cfg := DefaultConfig()
+	r := NewPerpetualRunner(sb)
+	// The smallest of several cycles' deltas: TotalAlloc is process-wide,
+	// so a stray goroutine of an earlier test can only inflate one.
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		r.Retarget(sb)
+		if _, err := r.Run(n, cfg); err != nil {
+			t.Fatal(err)
+		}
+		r.Retarget(safe022)
+		if _, err := r.Run(n, cfg); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.Retarget(sb)
+		if _, err := r.Run(n, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d < least {
+			least = d
+		}
+	}
+	if least != 0 {
+		t.Fatalf("sb after safe022 on a warmed runner allocates %d B, want 0", least)
 	}
 }
