@@ -325,8 +325,8 @@ func TestStoreBufMatchesReference(t *testing.T) {
 // still in flight. A thread with no loads (safe022, mp+fences) or one
 // that outlives its readers drains only through other threads' loads,
 // so without retiring passed drains on a full push its ring grows with
-// n: 8k–32k entries at n=10000. With retirement it stays within a few
-// drain latencies' worth of stores under every timing preset.
+// n, up to 32,768 entries at n=10000. With retirement it stays within a
+// few drain latencies' worth of stores under every timing preset.
 func TestRingHoldsLiveWindow(t *testing.T) {
 	const n, limit = 10000, 64
 	for _, name := range []string{"safe022", "mp+fences", "wrc", "safe028"} {
@@ -343,13 +343,15 @@ func TestRingHoldsLiveWindow(t *testing.T) {
 			if _, err := sr.RunSynced(n, ModeNone, cfg); err != nil {
 				t.Fatal(err)
 			}
-			for shape, ths := range map[string][]*simThread{"perpetual": pr.m.threads, "synced": sr.m.threads} {
+			check := func(shape string, ths []*simThread) {
 				for _, th := range ths {
 					if l := len(th.buf.e); l > limit {
 						t.Errorf("%s %s %s: thread %d ring holds %d entries, want ≤ %d", name, shape, preset, th.id, l, limit)
 					}
 				}
 			}
+			check("perpetual", pr.m.threads)
+			check("synced", sr.m.threads)
 		}
 	}
 }
