@@ -276,41 +276,14 @@ func BenchmarkSimLitmus7(b *testing.B) {
 	}
 }
 
-// BenchmarkSimLitmus7Reused measures the zero-allocation steady state: a
-// compiled test rerun on a reusable Litmus7Runner. The gap to
-// BenchmarkSimLitmus7 is the per-run setup cost (compile, machine and
-// histogram allocation) the runner amortizes away; allocs/op here is the
-// hot-path allocation count and must stay ~0.
-func BenchmarkSimLitmus7Reused(b *testing.B) {
-	test, err := SuiteTest("sb")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ct, err := CompileTest(test)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lr, err := NewLitmus7Runner(ct, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := lr.Run(5000, ModeUser, DefaultConfig()); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lr.Run(5000, ModeUser, DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTraceVerify prices the witness-trace verification plane on
-// the reused zero-allocation runner. The "off" variant must match
-// BenchmarkSimLitmus7Reused — with verification disabled the recording
-// hooks reduce to a nil check and the 4M+ iters/s hot path is untouched
-// — while the strided and full variants measure rf/co recording plus the
-// near-linear consistency check per verified witness.
+// the reused zero-allocation runner. The "off" variant is the plain
+// reused-runner steady state — a compiled sb rerun on one
+// Litmus7Runner, 0 allocs/op, whose gap to BenchmarkSimLitmus7 is the
+// per-run setup the runner amortizes — because with verification
+// disabled the recording hooks reduce to a nil check; the strided and
+// full variants measure rf/co recording plus the near-linear
+// consistency check per verified witness.
 func BenchmarkTraceVerify(b *testing.B) {
 	test, err := SuiteTest("sb")
 	if err != nil {

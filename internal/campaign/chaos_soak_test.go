@@ -382,16 +382,18 @@ func TestChaosCorruptCheckpointResume(t *testing.T) {
 // end to end: when every complete call's response is dropped once, the
 // worker's retried uploads must be acknowledged as same-lease duplicates
 // — never double-merged (the byte comparison) and never misclassified as
-// fence drops from a competing holder.
+// fence drops from a competing holder — and each retry must get back the
+// grants its lost reply carried, so no lease waits out the TTL.
 func TestChaosDuplicateUploadIdempotent(t *testing.T) {
 	spec := soakSpec(t)
 	want := soakBaseline(t, spec)
 
 	srv := campaign.NewServer()
 	// A retry lands well inside this TTL, so every re-delivered upload is
-	// a same-lease duplicate, not a re-lease. Grants that a dropped reply
-	// carried in Next are orphaned and do expire at this TTL, which is
-	// why the test takes ~40 s.
+	// a same-lease duplicate, not a re-lease. The grants a dropped reply
+	// carried in Next come back in the retry's reply; were they orphaned
+	// instead, each would wait out this TTL and requeue, and the test
+	// would take tens of seconds instead of well under one.
 	srv.LeaseTTL = 10 * time.Second
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -422,5 +424,8 @@ func TestChaosDuplicateUploadIdempotent(t *testing.T) {
 	}
 	if got := metrics["results_fenced"].(float64); got != 0 {
 		t.Fatalf("same-lease re-deliveries misclassified as fenced: %v", metrics)
+	}
+	if got := metrics["lease_requeues"].(float64); got != 0 {
+		t.Fatalf("grants of a lost reply expired instead of being re-sent: %v", metrics)
 	}
 }

@@ -119,6 +119,11 @@ type Dispatcher struct {
 	cancelled     bool
 	finishCh      chan struct{}
 
+	// lastNext is, per worker, the grants its last lease-carrying upload
+	// was answered with: what a retried upload whose reply was lost gets
+	// again (see leaseLocked). In memory only; a restart forgets it.
+	lastNext map[string][]LeaseRef
+
 	// killed simulates kill -9 for the chaos suite: every subsequent
 	// checkpoint save and WAL append becomes a no-op while the in-memory
 	// dispatcher keeps acknowledging — strictly more adversarial than a
@@ -208,6 +213,7 @@ func newDispatcher(camp *Campaign, ttl time.Duration, opts Options) (*Dispatcher
 		results:      results,
 		done:         done,
 		mergedLease:  map[int]int64{},
+		lastNext:     map[string][]LeaseRef{},
 		finishCh:     make(chan struct{}),
 	}
 	if opts.WALPath == "" {
@@ -634,14 +640,20 @@ func (d *Dispatcher) Lease(req LeaseRequest) LeaseResponse {
 	defer d.mu.Unlock()
 	defer d.wal.commit()
 	var resp LeaseResponse
-	d.leaseLocked(req.Worker, req.Max, &resp)
+	d.leaseLocked(req.Worker, req.Max, false, &resp)
 	return resp
 }
 
 // leaseLocked grants up to max jobs to worker into resp, reusing its
 // grant slice: the lease half of both Lease and an upload that asks for
-// its next grants. Caller holds d.mu and commits the WAL after.
-func (d *Dispatcher) leaseLocked(worker string, max int, resp *LeaseResponse) {
+// its next grants. With resend set — the upload is a retry whose first
+// delivery was processed and whose reply was lost — it first hands back
+// the grants that lost reply carried and the worker still holds, under
+// their nonces, and tops up with fresh grants only to max: the worker
+// never learned of them, so granting anew would strand them until the
+// TTL. Their grant records are already in the WAL, so a re-sent grant
+// logs nothing. Caller holds d.mu and commits the WAL after.
+func (d *Dispatcher) leaseLocked(worker string, max int, resend bool, resp *LeaseResponse) {
 	*resp = LeaseResponse{Version: ProtocolVersion, TTLSec: d.ttl.Seconds(), Grants: resp.Grants[:0]}
 	if d.finished {
 		resp.Done = true
@@ -652,13 +664,28 @@ func (d *Dispatcher) leaseLocked(worker string, max int, resp *LeaseResponse) {
 		resp.Done = true
 		return
 	}
-	resp.Grants = d.q.lease(resp.Grants, worker, max)
+	if resend {
+		for _, ref := range d.lastNext[worker] {
+			e, ok := d.q.entries[ref.JobID]
+			if ok && e.state == stateLeased && e.leaseID == ref.LeaseID && e.worker == worker && len(resp.Grants) < max {
+				resp.Grants = append(resp.Grants, LeaseGrant{Job: e.job, LeaseID: e.leaseID})
+			}
+		}
+	}
+	resent := len(resp.Grants)
+	if resent == 0 || resent < max { // q.lease reads max ≤ 0 as 1
+		resp.Grants = d.q.lease(resp.Grants, worker, max-resent)
+	}
+	fresh := resp.Grants[resent:]
 	if len(resp.Grants) == 0 {
 		// Everything left is leased to other workers: poll again soon —
 		// an expiry may free work, or the campaign may finish. Capped at a
 		// second so an idle worker learns about completion promptly rather
 		// than sleeping out a TTL fraction.
 		resp.WaitSec = min(d.ttl.Seconds()/4, 1.0)
+		return
+	}
+	if len(fresh) == 0 {
 		return
 	}
 	if d.killHook != nil && d.killHook("mid-grant") {
@@ -668,7 +695,7 @@ func (d *Dispatcher) leaseLocked(worker string, max int, resp *LeaseResponse) {
 		d.disarmLocked()
 	}
 	if d.wal != nil {
-		for _, g := range resp.Grants {
+		for _, g := range fresh {
 			d.wal.append(&walRecord{
 				Kind:    walKindGrant,
 				SpecCRC: d.wal.specCRC,
@@ -679,7 +706,7 @@ func (d *Dispatcher) leaseLocked(worker string, max int, resp *LeaseResponse) {
 			})
 		}
 	}
-	n := int64(len(resp.Grants))
+	n := int64(len(fresh))
 	d.metrics.LeasesGranted.Add(n)
 	d.metrics.QueueDepth.Add(-n)
 	d.metrics.InFlight.Add(n)
@@ -720,7 +747,8 @@ func (d *Dispatcher) Complete(req CompleteRequest, payloadBytes int) CompleteRes
 // piggybacked heartbeats into lease extensions. A report with Lease set
 // ends with the grants it asks for, under the same lock hold and WAL
 // commit, written into next (nil allocates one) and returned as
-// resp.Next.
+// resp.Next; a re-delivered report gets the grants its first delivery
+// was answered with (see leaseLocked).
 func (d *Dispatcher) complete(req CompleteRequest, next *LeaseResponse) CompleteResponse {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -833,8 +861,19 @@ func (d *Dispatcher) complete(req CompleteRequest, next *LeaseResponse) Complete
 		if next == nil {
 			next = new(LeaseResponse)
 		}
-		d.leaseLocked(req.Worker, req.Lease, next)
+		// Every result a same-lease duplicate and nothing else taking
+		// effect: a retry of an upload already processed, whose reply —
+		// and the grants in it — the worker never got.
+		replay := len(req.Results) > 0 && resp.Duplicate == len(req.Results) && resp.Requeued == 0 && resp.Failed == 0
+		d.leaseLocked(req.Worker, req.Lease, replay, next)
+		refs := d.lastNext[req.Worker][:0]
+		for _, g := range next.Grants {
+			refs = append(refs, LeaseRef{JobID: g.Job.ID, LeaseID: g.LeaseID})
+		}
+		d.lastNext[req.Worker] = refs
 		resp.Next = next
+	} else {
+		delete(d.lastNext, req.Worker)
 	}
 	resp.Done = d.finished
 	return resp

@@ -66,13 +66,25 @@ func (c *exchangeCounter) count(endpoint string) int {
 // the fleet-durable configuration, behind a request counter.
 func newDurableTestServer(t *testing.T, ttl time.Duration) (*exchangeCounter, *httptest.Server) {
 	t.Helper()
+	return newSlowDurableTestServer(t, ttl, 0)
+}
+
+// newSlowDurableTestServer is newDurableTestServer holding every
+// /complete for delay before the dispatcher sees it: a slower exchange.
+func newSlowDurableTestServer(t *testing.T, ttl, delay time.Duration) (*exchangeCounter, *httptest.Server) {
+	t.Helper()
 	srv := NewServer()
 	srv.CheckpointDir = t.TempDir()
 	srv.WALDir = srv.CheckpointDir
 	srv.WALSyncEvery = 1
 	srv.LeaseTTL = ttl
 	counter := newExchangeCounter(srv.Handler())
-	ts := httptest.NewServer(counter)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/complete") {
+			time.Sleep(delay)
+		}
+		counter.ServeHTTP(w, r)
+	}))
 	t.Cleanup(func() {
 		srv.CancelAll()
 		ts.Close()
@@ -98,18 +110,18 @@ func localCanonical(t *testing.T, spec Spec) []byte {
 	return data
 }
 
-// TestFleetOneExchangePerShard pins the v2 exchange shape: a one-job
-// worker calls /lease once, for its first batch, and then /complete once
-// per shard, each upload leasing the next shard; the durable dispatcher
-// fsyncs its WAL once per exchange; and the fleet's canonical bytes are
-// Campaign.Run's.
+// TestFleetOneExchangePerShard pins the v2 exchange shape at a fixed
+// batch of one job: the worker calls /lease once, for its first batch,
+// and then /complete once per shard, each upload leasing the next shard;
+// the durable dispatcher fsyncs its WAL once per exchange; and the
+// fleet's canonical bytes are Campaign.Run's.
 func TestFleetOneExchangePerShard(t *testing.T) {
 	spec := fleetSpec(t)
 	want := localCanonical(t, spec)
 
 	counter, ts := newDurableTestServer(t, 0)
 	id := submitDispatch(t, ts, spec)
-	w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: id, Name: "solo", Parallel: 1})
+	w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: id, Name: "solo", Parallel: 1, LeaseBatch: 1})
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +155,250 @@ func TestFleetOneExchangePerShard(t *testing.T) {
 	}
 	if got := int(metrics["wal_appends"].(float64)); got != 2*jobs {
 		t.Fatalf("%d WAL appends, want %d (one grant and one merge per job)", got, 2*jobs)
+	}
+}
+
+// sleepyRunJob runs the real job after a sleep of d, so a test fixes how
+// a job's time compares with the exchange's.
+func sleepyRunJob(d time.Duration) jobFunc {
+	return func(ctx context.Context, ws *workspace, job Job, test *litmus.Test, spec Spec) (*JobResult, error) {
+		if err := sleepCtx(ctx, d); err != nil {
+			return nil, err
+		}
+		return runJob(ctx, ws, job, test, spec)
+	}
+}
+
+// runSizedFleet runs spec on one default-batched worker (Parallel 1, no
+// LeaseBatch) whose jobs each take at least job, against a durable
+// server whose /complete takes at least exchange, and checks the fleet
+// ends on Campaign.Run's bytes with two WAL records per job and no
+// heartbeat. It returns the job count, the request counter and the
+// campaign's metrics.
+func runSizedFleet(t *testing.T, spec Spec, job, exchange time.Duration) (int, *exchangeCounter, map[string]any) {
+	t.Helper()
+	want := localCanonical(t, spec)
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := len(camp.Jobs())
+
+	counter, ts := newSlowDurableTestServer(t, 0, exchange)
+	id := submitDispatch(t, ts, spec)
+	w := NewWorker(WorkerOptions{
+		BaseURL: ts.URL, Campaign: id, Name: "sized", Parallel: 1,
+		runJob: sleepyRunJob(job),
+	})
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if state := pollState(t, ts, id, 30*time.Second); state != StateDone {
+		t.Fatalf("campaign ended %q", state)
+	}
+	if got := fetchCanonical(t, ts, id); !bytes.Equal(got, want) {
+		t.Fatalf("fleet diverged from Campaign.Run:\nlocal:\n%s\nfleet:\n%s", want, got)
+	}
+	metrics := getJSON(t, ts.URL+"/campaigns/"+id, http.StatusOK)["metrics"].(map[string]any)
+	if got := int(metrics["wal_appends"].(float64)); got != 2*jobs {
+		t.Fatalf("%d WAL appends, want %d (one grant and one merge per job): %v", got, 2*jobs, metrics)
+	}
+	if got := metrics["heartbeats"].(float64); got != 0 {
+		t.Fatalf("%v leases extended, want none: %v", got, metrics)
+	}
+	return jobs, counter, metrics
+}
+
+// TestWorkerBatchSizeRule pins the default batch size against fixed
+// samples: max(Parallel, ⌈2·rtt/job⌉) with rtt the second-longest recent
+// round trip and job the median time per job, capped at 64 jobs and at
+// half a heartbeat period of execution; Parallel until both are
+// measured; a positive LeaseBatch as given.
+func TestWorkerBatchSizeRule(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name            string
+		parallel, fixed int
+		period          time.Duration
+		rtts, jobs      []time.Duration
+		want            int
+	}{
+		{"unmeasured", 2, 0, time.Minute, nil, nil, 2},
+		{"no round trip yet", 2, 0, time.Minute, nil, []time.Duration{ms}, 2},
+		{"no job yet", 2, 0, time.Minute, []time.Duration{ms}, nil, 2},
+		{"covers two round trips", 1, 0, time.Minute, []time.Duration{3 * ms}, []time.Duration{ms}, 6},
+		{"rounds up", 1, 0, time.Minute, []time.Duration{3 * ms}, []time.Duration{4 * ms}, 2},
+		{"second-longest round trip", 1, 0, time.Minute,
+			[]time.Duration{ms, ms, ms, ms, ms, 5 * ms, 4 * ms, 90 * ms}, []time.Duration{ms}, 10},
+		{"only the last eight round trips", 1, 0, time.Minute,
+			[]time.Duration{90 * ms, 90 * ms, ms, ms, ms, ms, ms, ms, ms, ms}, []time.Duration{ms}, 2},
+		{"median job", 1, 0, time.Minute, []time.Duration{10 * ms},
+			[]time.Duration{ms, 100 * ms, 2 * ms, 2 * ms, 50 * ms}, 10},
+		{"at least Parallel", 4, 0, time.Minute, []time.Duration{ms}, []time.Duration{ms}, 4},
+		{"64-job cap", 1, 0, time.Minute, []time.Duration{time.Second}, []time.Duration{ms}, 64},
+		{"half a heartbeat period", 1, 0, 20 * ms, []time.Duration{time.Second}, []time.Duration{ms}, 10},
+		{"heartbeat cap floors at Parallel", 3, 0, 2 * ms, []time.Duration{time.Second}, []time.Duration{ms}, 3},
+		{"fixed", 2, 5, time.Minute, []time.Duration{time.Second}, []time.Duration{ms}, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWorker(WorkerOptions{Name: "sizer", Parallel: tc.parallel, LeaseBatch: tc.fixed})
+			up := &uploader{period: tc.period}
+			var jobTime window
+			for _, d := range tc.rtts {
+				up.rtt.add(d)
+			}
+			for _, d := range tc.jobs {
+				jobTime.add(d)
+			}
+			if got := w.batchSize(up, &jobTime); got != tc.want {
+				t.Fatalf("batch size %d, want %d", got, tc.want)
+			}
+		})
+	}
+	w := NewWorker(WorkerOptions{Name: "sizer", Parallel: 3})
+	if got := w.batchSize(nil, new(window)); got != 3 {
+		t.Fatalf("batch size before the first lease %d, want Parallel (3)", got)
+	}
+}
+
+// TestWorkerBatchCoversExchange pins the default batch size end to end:
+// with an exchange of ~50 ms and jobs of ~1 ms, batches grow until one
+// covers two round trips — ⌈2·50/1⌉ is past the cap, so they stop at 64
+// jobs — and a handful of uploads carry every shard, none above the cap,
+// while the WAL still logs exactly a grant and a merge per job and no
+// lease needs extending.
+func TestWorkerBatchCoversExchange(t *testing.T) {
+	spec := fleetSpec(t)
+	spec.Iterations = 800
+	spec.ShardSize = 25 // 32 shards per test
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	jobs, counter, metrics := runSizedFleet(t, spec, time.Millisecond, 50*time.Millisecond)
+	if completes := counter.count("complete"); completes > jobs/4 {
+		t.Fatalf("%d jobs took %d /complete calls, want at most %d", jobs, completes, jobs/4)
+	}
+	buckets, _ := metrics["wire_batch"].(map[string]any)["buckets"].(map[string]any)
+	t.Logf("%d jobs: %d /complete calls, batch sizes %v", jobs, counter.count("complete"), buckets)
+	for _, over := range []string{"128", "+Inf"} {
+		if n, ok := buckets[over]; ok {
+			t.Fatalf("%v uploads in wire_batch bucket %s, above the %d-job cap: %v", n, over, maxAutoBatch, buckets)
+		}
+	}
+}
+
+// TestWorkerBatchSlowJobsPerShard is the converse: jobs that outlast
+// the exchange gain nothing from batching, so the default worker keeps
+// one job per batch and one upload, leasing one job, per shard.
+func TestWorkerBatchSlowJobsPerShard(t *testing.T) {
+	jobs, counter, _ := runSizedFleet(t, fleetSpec(t), 50*time.Millisecond, 0)
+	if completes := counter.count("complete"); completes != jobs {
+		t.Fatalf("%d slow jobs took %d /complete calls, want one per shard", jobs, completes)
+	}
+	for i, lease := range counter.leases {
+		if lease != 1 {
+			t.Fatalf("upload %d asked for %d grants, want 1", i, lease)
+		}
+	}
+}
+
+// TestDispatcherResendsLostNext replays an upload whose reply was lost
+// against a durable dispatcher. The retry is a duplicate for its result
+// and gets back the lost reply's grants under the same lease IDs, with
+// no new grant record in the WAL; a retry asking for more is topped up
+// with fresh grants, each logged. A restarted dispatcher has forgotten
+// the lost reply, so the same retry gets fresh grants, and the old ones
+// are left to the TTL.
+func TestDispatcherResendsLostNext(t *testing.T) {
+	spec := walTestSpec(t)
+	dir := t.TempDir()
+	open := func() *Dispatcher {
+		t.Helper()
+		camp, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDispatcher(camp, time.Minute, Options{
+			CheckpointPath: filepath.Join(dir, "cp.json"),
+			WALPath:        filepath.Join(dir, "log.wal"),
+			WALSyncEvery:   1,
+			CompactEvery:   1 << 20,
+			Metrics:        &Metrics{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			d.mu.Lock()
+			d.wal.close()
+			d.mu.Unlock()
+		})
+		return d
+	}
+	ids := func(resp CompleteResponse) []int64 {
+		var out []int64
+		if resp.Next != nil {
+			for _, g := range resp.Next.Grants {
+				out = append(out, g.LeaseID)
+			}
+		}
+		return out
+	}
+	// exchange posts upload and checks it merged nothing new and logged
+	// wantAppends WAL records; it returns the reply's lease IDs.
+	exchange := func(d *Dispatcher, upload CompleteRequest, wantAppends int64) []int64 {
+		t.Helper()
+		before := d.metrics.WALAppends.Load()
+		resp := d.Complete(upload, 0)
+		if resp.Duplicate != 1 || resp.Merged != 0 || resp.Fenced != 0 {
+			t.Fatalf("retried upload = %+v, want its one result acknowledged as a duplicate", resp)
+		}
+		if got := d.metrics.WALAppends.Load() - before; got != wantAppends {
+			t.Fatalf("retry logged %d WAL records, want %d", got, wantAppends)
+		}
+		return ids(resp)
+	}
+
+	d := open()
+	g := d.Lease(LeaseRequest{Worker: "w", Max: 1}).Grants[0]
+	upload := CompleteRequest{
+		Version: ProtocolVersion, Worker: "w", Lease: 3,
+		Results: []WorkerResult{{LeaseID: g.LeaseID, Result: fakeResult(g.Job)}},
+	}
+	first := d.Complete(upload, 0)
+	lost := ids(first)
+	if first.Merged != 1 || len(lost) != 3 {
+		t.Fatalf("first delivery = %+v, want 1 merged and 3 grants", first)
+	}
+
+	if got := exchange(d, upload, 0); !slices.Equal(got, lost) {
+		t.Fatalf("retry got lease IDs %v, want the lost reply's %v", got, lost)
+	}
+	upload.Lease = 5
+	topped := exchange(d, upload, 2)
+	if len(topped) != 5 || !slices.Equal(topped[:3], lost) {
+		t.Fatalf("retry asking for 5 got lease IDs %v, want %v topped up by 2", topped, lost)
+	}
+	if got := d.metrics.LeasesGranted.Load(); got != 1+3+2 {
+		t.Fatalf("%d leases granted, want 6: re-sent grants are not new grants", got)
+	}
+
+	// Restart: everything above was fsynced, and the new dispatcher
+	// replays it, so the result is still a same-lease duplicate — but the
+	// lost reply is forgotten.
+	d.mu.Lock()
+	d.wal.close()
+	d.mu.Unlock()
+	d2 := open()
+	upload.Lease = 3
+	fresh := exchange(d2, upload, 3)
+	if len(fresh) != 3 {
+		t.Fatalf("retry after restart got %d grants, want 3", len(fresh))
+	}
+	for _, id := range fresh {
+		if slices.Contains(topped, id) {
+			t.Fatalf("retry after restart got lease %d back (%v); a restarted dispatcher has no lost reply to re-send", id, fresh)
+		}
 	}
 }
 
@@ -336,9 +592,9 @@ func (rt *dropNextResponse) RoundTrip(req *http.Request) (*http.Response, error)
 
 // TestFleetDroppedNextResponse drops the reply to an upload that leased
 // the next shard. The worker re-sends it: the results are acknowledged
-// as a duplicate, the re-send leases afresh, and the grants of the lost
-// reply are orphaned — they expire and requeue, as a lost /lease reply's
-// do — and the campaign still ends byte-identical to the serial run.
+// as a duplicate, the re-send gets the lost reply's grants again instead
+// of fresh ones, so no lease waits out the TTL, and the campaign still
+// ends byte-identical to the serial run.
 func TestFleetDroppedNextResponse(t *testing.T) {
 	spec := fleetSpec(t)
 	want := serialCanonical(t, spec)
@@ -363,11 +619,16 @@ func TestFleetDroppedNextResponse(t *testing.T) {
 	if got := fetchCanonical(t, ts, id); !bytes.Equal(got, want) {
 		t.Fatalf("a dropped upload reply changed the merged bytes:\nserial:\n%s\nfleet:\n%s", want, got)
 	}
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	metrics := getJSON(t, ts.URL+"/campaigns/"+id, http.StatusOK)["metrics"].(map[string]any)
 	for key, want := range map[string]float64{
 		"duplicate_uploads": 1, // the re-sent upload
 		"results_fenced":    0,
-		"lease_requeues":    1, // the lost reply's grant expired
+		"lease_requeues":    0,                         // the lost reply's grant was re-sent, not stranded
+		"leases_granted":    float64(len(camp.Jobs())), // one grant per job
 		"jobs_failed":       0,
 	} {
 		if got := metrics[key].(float64); got != want {

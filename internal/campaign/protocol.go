@@ -25,7 +25,8 @@ package campaign
 // The protocol is at-least-once by construction: a worker that crashes
 // mid-lease simply stops heartbeating and its jobs re-lease after the
 // TTL; a worker that uploads twice (retry after a lost response) is
-// deduplicated by the server's completion fence. Workers never need
+// deduplicated by the server's completion fence, and its retry is
+// answered with the grants the lost response carried. Workers never need
 // server-side identity beyond a self-chosen name used for lease
 // accounting.
 
@@ -127,7 +128,10 @@ type CompleteRequest struct {
 	Heartbeat []LeaseRef `json:"heartbeat,omitempty"`
 	// Lease, when positive, grants up to this many new jobs in the same
 	// exchange, after everything above is applied: the response's Next
-	// is then exactly what a LeaseRequest{Max: Lease} would have returned.
+	// is then exactly what a LeaseRequest{Max: Lease} would have
+	// returned — except for a re-delivery (every result a same-lease
+	// duplicate), whose Next first repeats the grants the first delivery
+	// was answered with that the worker still holds.
 	Lease int `json:"lease,omitempty"`
 }
 
