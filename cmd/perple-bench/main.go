@@ -27,9 +27,13 @@
 // jitter with the machine, so a multiple means a lost reuse or a
 // revived growth. B/op averages first-op warm-up over the op count, so
 // it is compared only when the run and the baseline executed the same
-// number of ops (equal -benchtime Nx). Non-benchmark lines pass
-// through untouched either way, so the tool can sit at the end of a
-// pipe without hiding failures.
+// number of ops (equal -benchtime Nx). A custom metric whose unit ends
+// in /op (a count per op, such as uploads/op) is gated at -maxratio,
+// lower being better, whenever the baseline has it: a count does not
+// jitter with the machine, so it catches a change in how much work an
+// op does that its time, dominated by fixed costs, hides. Non-benchmark
+// lines pass through untouched either way, so the tool can sit at the
+// end of a pipe without hiding failures.
 package main
 
 import (
@@ -207,11 +211,11 @@ const (
 )
 
 // checkBaseline compares new entries against the committed baseline and
-// reports every benchmark whose ns/op exceeds baseline by more than
-// maxRatio, or whose B/op exceeds it by more than bytesMaxRatio (see
-// bytesFloor). A new key is looked up exactly and then as key/cpu=N, so
-// a plain single-GOMAXPROCS smoke run still matches a committed -cpu
-// sweep's curve point. Returns false when any regression was found.
+// reports every benchmark whose ns/op or count per op (a custom /op
+// metric) exceeds baseline by more than maxRatio, or whose B/op exceeds
+// it by more than bytesMaxRatio (see bytesFloor). A new key is looked
+// up exactly and then as key/cpu=N, so a plain single-GOMAXPROCS smoke
+// run still matches a committed -cpu sweep's curve point. Returns false when any regression was found.
 func checkBaseline(path string, benchmarks map[string]Entry, maxRatio float64) bool {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -239,6 +243,13 @@ func checkBaseline(path string, benchmarks map[string]Entry, maxRatio float64) b
 			fmt.Fprintf(os.Stderr, "perple-bench: REGRESSION %s: %.0f ns/op vs baseline %.0f (%.2fx > %.2fx)\n",
 				key, e.NsPerOp, ref.NsPerOp, ratio, maxRatio)
 			ok = false
+		}
+		for unit, v := range e.Metrics {
+			if rv := ref.Metrics[unit]; strings.HasSuffix(unit, "/op") && rv > 0 && v/rv > maxRatio {
+				fmt.Fprintf(os.Stderr, "perple-bench: REGRESSION %s: %g %s vs baseline %g (%.2fx > %.2fx)\n",
+					key, v, unit, rv, v/rv, maxRatio)
+				ok = false
+			}
 		}
 		if e.BytesPerOp == nil || ref.BytesPerOp == nil || *ref.BytesPerOp < bytesFloor || e.N != ref.N {
 			continue

@@ -38,7 +38,6 @@ func workerCmd(args []string, _, stderr io.Writer) int {
 	campaignID := fl.String("campaign", "", "dispatch campaign id to work on (required)")
 	name := fl.String("name", "", "worker name for lease accounting (default: hostname-pid)")
 	parallel := fl.Int("parallel", 0, "concurrent jobs (default: GOMAXPROCS)")
-	leaseBatch := fl.Int("lease-batch", 0, "fixed jobs per lease batch (default 0: size each batch so running it covers two upload round trips, at least -parallel and at most 64 jobs); each upload leases one more batch and the first lease call and idle polls two, so a worker holds about two batches of grants")
 	heartbeat := fl.Duration("heartbeat", 0, "lease heartbeat period (default: a third of the server's lease TTL)")
 	retries := fl.Int("retries", 5, "attempts per HTTP call before giving up")
 	backoff := fl.Duration("backoff", 200*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
@@ -57,7 +56,6 @@ func workerCmd(args []string, _, stderr io.Writer) int {
 			Campaign:         *campaignID,
 			Name:             *name,
 			Parallel:         *parallel,
-			LeaseBatch:       *leaseBatch,
 			HeartbeatEvery:   *heartbeat,
 			MaxAttempts:      *retries,
 			BackoffBase:      *backoff,

@@ -140,7 +140,7 @@ func TestChaosDispatcherFailoverByteIdentical(t *testing.T) {
 				DelayMax: 5 * time.Millisecond,
 			}, nil)
 			name := fmt.Sprintf("failover-%d-%d", gen, i)
-			w := campaign.NewWorker(campaign.WorkerOptions{
+			opts := campaign.WorkerOptions{
 				BaseURL:  ts.URL,
 				Campaign: "c0001",
 				Name:     name,
@@ -154,7 +154,12 @@ func TestChaosDispatcherFailoverByteIdentical(t *testing.T) {
 				BackoffBase:      5 * time.Millisecond,
 				BreakerThreshold: 6,
 				BreakerCooldown:  50 * time.Millisecond,
-			})
+			}
+			// A batch of Parallel jobs keeps the many small exchanges the
+			// kill schedule counts on: at the default batch the fleet
+			// finishes before a later incarnation's kill point fires.
+			opts.SetLeaseBatchForTest(2)
+			w := campaign.NewWorker(opts)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -183,7 +183,7 @@ func chaosRound(t *testing.T, round int, spec campaign.Spec, want []byte) chaos.
 			DelayMin: time.Millisecond,
 			DelayMax: 5 * time.Millisecond,
 		}, nil)
-		w := campaign.NewWorker(campaign.WorkerOptions{
+		opts := campaign.WorkerOptions{
 			BaseURL:          ts.URL,
 			Campaign:         id,
 			Name:             fmt.Sprintf("chaos-%d-%d", round, i),
@@ -193,7 +193,13 @@ func chaosRound(t *testing.T, round int, spec campaign.Spec, want []byte) chaos.
 			BackoffBase:      5 * time.Millisecond,
 			BreakerThreshold: 6,
 			BreakerCooldown:  50 * time.Millisecond,
-		})
+		}
+		// A batch of Parallel jobs keeps the many small exchanges, and
+		// the checkpoint writes behind them, that every injector needs
+		// to get its chance to fire: at the default batch the 48-job
+		// campaign takes only a few uploads.
+		opts.SetLeaseBatchForTest(2)
+		w := campaign.NewWorker(opts)
 		wg.Add(1)
 		go func(i int, w *campaign.Worker) {
 			defer wg.Done()
@@ -295,7 +301,7 @@ func TestChaosCorruptCheckpointResume(t *testing.T) {
 	spec := soakSpec(t)
 	want := soakBaseline(t, spec)
 
-	// Phase 1: partial progress on a checkpointing server. LeaseBatch 1
+	// Phase 1: partial progress on a checkpointing server. A batch of 1
 	// makes every completed shard its own upload, so the checkpoint
 	// rotates once per job and the drain point leaves both an active and
 	// a .prev snapshot behind.
@@ -308,14 +314,16 @@ func TestChaosCorruptCheckpointResume(t *testing.T) {
 
 	var done atomic.Int64
 	var w *campaign.Worker
-	w = campaign.NewWorker(campaign.WorkerOptions{
-		BaseURL: ts1.URL, Campaign: id, Name: "partial", Parallel: 1, LeaseBatch: 1,
+	opts := campaign.WorkerOptions{
+		BaseURL: ts1.URL, Campaign: id, Name: "partial", Parallel: 1,
 		OnJobDone: func(*campaign.JobResult) {
 			if done.Add(1) >= 6 {
 				w.Drain()
 			}
 		},
-	})
+	}
+	opts.SetLeaseBatchForTest(1)
+	w = campaign.NewWorker(opts)
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

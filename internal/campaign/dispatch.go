@@ -651,8 +651,11 @@ func (d *Dispatcher) Lease(req LeaseRequest) LeaseResponse {
 // the grants that lost reply carried and the worker still holds, under
 // their nonces, and tops up with fresh grants only to max: the worker
 // never learned of them, so granting anew would strand them until the
-// TTL. Their grant records are already in the WAL, so a re-sent grant
-// logs nothing. Caller holds d.mu and commits the WAL after.
+// TTL. Their grant records are already in the WAL; a re-sent grant is
+// extended instead, and logs an extend record, because the worker holds
+// it from the re-send, not from the lost reply — with a long retry the
+// first TTL could lapse before the worker's first heartbeat is due.
+// Caller holds d.mu and commits the WAL after.
 func (d *Dispatcher) leaseLocked(worker string, max int, resend bool, resp *LeaseResponse) {
 	*resp = LeaseResponse{Version: ProtocolVersion, TTLSec: d.ttl.Seconds(), Grants: resp.Grants[:0]}
 	if d.finished {
@@ -666,9 +669,9 @@ func (d *Dispatcher) leaseLocked(worker string, max int, resend bool, resp *Leas
 	}
 	if resend {
 		for _, ref := range d.lastNext[worker] {
-			e, ok := d.q.entries[ref.JobID]
-			if ok && e.state == stateLeased && e.leaseID == ref.LeaseID && e.worker == worker && len(resp.Grants) < max {
-				resp.Grants = append(resp.Grants, LeaseGrant{Job: e.job, LeaseID: e.leaseID})
+			if len(resp.Grants) < max && d.q.heartbeat(worker, ref) {
+				d.walExtendLocked(ref)
+				resp.Grants = append(resp.Grants, LeaseGrant{Job: d.q.entries[ref.JobID].job, LeaseID: ref.LeaseID})
 			}
 		}
 	}

@@ -160,7 +160,7 @@ func TestFleetSurvivesWorkerKill(t *testing.T) {
 	ctxA, killA := context.WithCancel(context.Background())
 	defer killA()
 	wA := NewWorker(WorkerOptions{
-		BaseURL: ts.URL, Campaign: id, Name: "doomed", Parallel: 2, LeaseBatch: 4,
+		BaseURL: ts.URL, Campaign: id, Name: "doomed", Parallel: 2, leaseBatch: 4,
 		runJob: func(ctx context.Context, _ *workspace, _ Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 			once.Do(func() { close(leased) })
 			<-ctx.Done()
@@ -211,7 +211,7 @@ func TestFleetGracefulDrain(t *testing.T) {
 
 	var wA *Worker
 	wA = NewWorker(WorkerOptions{
-		BaseURL: ts.URL, Campaign: id, Name: "drainer", Parallel: 1, LeaseBatch: 6,
+		BaseURL: ts.URL, Campaign: id, Name: "drainer", Parallel: 1, leaseBatch: 6,
 		OnJobDone: func(*JobResult) { wA.Drain() },
 	})
 	if err := wA.Run(context.Background()); err != nil {

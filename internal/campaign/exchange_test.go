@@ -121,7 +121,7 @@ func TestFleetOneExchangePerShard(t *testing.T) {
 
 	counter, ts := newDurableTestServer(t, 0)
 	id := submitDispatch(t, ts, spec)
-	w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: id, Name: "solo", Parallel: 1, LeaseBatch: 1})
+	w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: id, Name: "solo", Parallel: 1, leaseBatch: 1})
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -169,13 +169,14 @@ func sleepyRunJob(d time.Duration) jobFunc {
 	}
 }
 
-// runSizedFleet runs spec on one default-batched worker (Parallel 1, no
-// LeaseBatch) whose jobs each take at least job, against a durable
-// server whose /complete takes at least exchange, and checks the fleet
-// ends on Campaign.Run's bytes with two WAL records per job and no
-// heartbeat. It returns the job count, the request counter and the
-// campaign's metrics.
-func runSizedFleet(t *testing.T, spec Spec, job, exchange time.Duration) (int, *exchangeCounter, map[string]any) {
+// runSizedFleet runs spec on one default-batched worker (Parallel 1)
+// whose jobs each take at least job and whose heartbeat period is
+// heartbeat (0: a third of the TTL), against a durable server whose
+// /complete takes at least exchange, and checks the fleet ends on
+// Campaign.Run's bytes with two WAL records per job and no heartbeat.
+// It returns the job count, the request counter and the campaign's
+// metrics.
+func runSizedFleet(t *testing.T, spec Spec, job, exchange, heartbeat time.Duration) (int, *exchangeCounter, map[string]any) {
 	t.Helper()
 	want := localCanonical(t, spec)
 	camp, err := New(spec)
@@ -188,7 +189,7 @@ func runSizedFleet(t *testing.T, spec Spec, job, exchange time.Duration) (int, *
 	id := submitDispatch(t, ts, spec)
 	w := NewWorker(WorkerOptions{
 		BaseURL: ts.URL, Campaign: id, Name: "sized", Parallel: 1,
-		runJob: sleepyRunJob(job),
+		HeartbeatEvery: heartbeat, runJob: sleepyRunJob(job),
 	})
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -210,63 +211,41 @@ func runSizedFleet(t *testing.T, spec Spec, job, exchange time.Duration) (int, *
 }
 
 // TestWorkerBatchSizeRule pins the default batch size against fixed
-// samples: max(Parallel, ⌈2·rtt/job⌉) with rtt the second-longest recent
-// round trip and job the median time per job, capped at 64 jobs and at
-// half a heartbeat period of execution; Parallel until both are
-// measured; a positive LeaseBatch as given.
+// times per job: 64 jobs, cut to half a heartbeat period of execution
+// and floored at Parallel; Parallel until a batch has been timed; a
+// pinned leaseBatch as given.
 func TestWorkerBatchSizeRule(t *testing.T) {
 	ms := time.Millisecond
 	for _, tc := range []struct {
 		name            string
 		parallel, fixed int
-		period          time.Duration
-		rtts, jobs      []time.Duration
+		period, job     time.Duration
 		want            int
 	}{
-		{"unmeasured", 2, 0, time.Minute, nil, nil, 2},
-		{"no round trip yet", 2, 0, time.Minute, nil, []time.Duration{ms}, 2},
-		{"no job yet", 2, 0, time.Minute, []time.Duration{ms}, nil, 2},
-		{"covers two round trips", 1, 0, time.Minute, []time.Duration{3 * ms}, []time.Duration{ms}, 6},
-		{"rounds up", 1, 0, time.Minute, []time.Duration{3 * ms}, []time.Duration{4 * ms}, 2},
-		{"second-longest round trip", 1, 0, time.Minute,
-			[]time.Duration{ms, ms, ms, ms, ms, 5 * ms, 4 * ms, 90 * ms}, []time.Duration{ms}, 10},
-		{"only the last eight round trips", 1, 0, time.Minute,
-			[]time.Duration{90 * ms, 90 * ms, ms, ms, ms, ms, ms, ms, ms, ms}, []time.Duration{ms}, 2},
-		{"median job", 1, 0, time.Minute, []time.Duration{10 * ms},
-			[]time.Duration{ms, 100 * ms, 2 * ms, 2 * ms, 50 * ms}, 10},
-		{"at least Parallel", 4, 0, time.Minute, []time.Duration{ms}, []time.Duration{ms}, 4},
-		{"64-job cap", 1, 0, time.Minute, []time.Duration{time.Second}, []time.Duration{ms}, 64},
-		{"half a heartbeat period", 1, 0, 20 * ms, []time.Duration{time.Second}, []time.Duration{ms}, 10},
-		{"heartbeat cap floors at Parallel", 3, 0, 2 * ms, []time.Duration{time.Second}, []time.Duration{ms}, 3},
-		{"fixed", 2, 5, time.Minute, []time.Duration{time.Second}, []time.Duration{ms}, 5},
+		{"untimed", 2, 0, time.Minute, 0, 2},
+		{"default", 1, 0, time.Minute, ms, 64},
+		{"at least Parallel", 80, 0, time.Minute, ms, 80},
+		{"half a heartbeat period", 1, 0, 20 * ms, ms, 10},
+		{"heartbeat cap floors at Parallel", 3, 0, 2 * ms, ms, 3},
+		{"pinned", 2, 5, time.Minute, ms, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := NewWorker(WorkerOptions{Name: "sizer", Parallel: tc.parallel, LeaseBatch: tc.fixed})
-			up := &uploader{period: tc.period}
-			var jobTime window
-			for _, d := range tc.rtts {
-				up.rtt.add(d)
-			}
-			for _, d := range tc.jobs {
-				jobTime.add(d)
-			}
-			if got := w.batchSize(up, &jobTime); got != tc.want {
+			w := NewWorker(WorkerOptions{Name: "sizer", Parallel: tc.parallel, leaseBatch: tc.fixed})
+			if got := w.batchSize(&uploader{period: tc.period}, tc.job); got != tc.want {
 				t.Fatalf("batch size %d, want %d", got, tc.want)
 			}
 		})
 	}
 	w := NewWorker(WorkerOptions{Name: "sizer", Parallel: 3})
-	if got := w.batchSize(nil, new(window)); got != 3 {
+	if got := w.batchSize(nil, 0); got != 3 {
 		t.Fatalf("batch size before the first lease %d, want Parallel (3)", got)
 	}
 }
 
-// TestWorkerBatchCoversExchange pins the default batch size end to end:
-// with an exchange of ~50 ms and jobs of ~1 ms, batches grow until one
-// covers two round trips — ⌈2·50/1⌉ is past the cap, so they stop at 64
-// jobs — and a handful of uploads carry every shard, none above the cap,
-// while the WAL still logs exactly a grant and a merge per job and no
-// lease needs extending.
+// TestWorkerBatchCoversExchange pins the default batch end to end: with
+// an exchange of ~20 ms and jobs of ~1 ms, a handful of uploads carry
+// every shard, none above the 64-job batch, while the WAL still logs
+// exactly a grant and a merge per job and no lease needs extending.
 func TestWorkerBatchCoversExchange(t *testing.T) {
 	spec := fleetSpec(t)
 	spec.Iterations = 800
@@ -274,7 +253,7 @@ func TestWorkerBatchCoversExchange(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	jobs, counter, metrics := runSizedFleet(t, spec, time.Millisecond, 50*time.Millisecond)
+	jobs, counter, metrics := runSizedFleet(t, spec, time.Millisecond, 20*time.Millisecond, 0)
 	if completes := counter.count("complete"); completes > jobs/4 {
 		t.Fatalf("%d jobs took %d /complete calls, want at most %d", jobs, completes, jobs/4)
 	}
@@ -282,16 +261,23 @@ func TestWorkerBatchCoversExchange(t *testing.T) {
 	t.Logf("%d jobs: %d /complete calls, batch sizes %v", jobs, counter.count("complete"), buckets)
 	for _, over := range []string{"128", "+Inf"} {
 		if n, ok := buckets[over]; ok {
-			t.Fatalf("%v uploads in wire_batch bucket %s, above the %d-job cap: %v", n, over, maxAutoBatch, buckets)
+			t.Fatalf("%v uploads in wire_batch bucket %s, above the %d-job batch: %v", n, over, defaultBatch, buckets)
 		}
 	}
 }
 
-// TestWorkerBatchSlowJobsPerShard is the converse: jobs that outlast
-// the exchange gain nothing from batching, so the default worker keeps
-// one job per batch and one upload, leasing one job, per shard.
-func TestWorkerBatchSlowJobsPerShard(t *testing.T) {
-	jobs, counter, _ := runSizedFleet(t, fleetSpec(t), 50*time.Millisecond, 0)
+// TestWorkerBatchHeartbeatCap is the converse: jobs that take a third
+// of the heartbeat period fit only one to the half period a batch may
+// run, so the default worker keeps one job per batch and one upload,
+// leasing one job, per shard, and no lease is held long enough to need
+// extending.
+func TestWorkerBatchHeartbeatCap(t *testing.T) {
+	spec := fleetSpec(t)
+	spec.Tests = []string{"sb"}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	jobs, counter, _ := runSizedFleet(t, spec, 100*time.Millisecond, 0, 300*time.Millisecond)
 	if completes := counter.count("complete"); completes != jobs {
 		t.Fatalf("%d slow jobs took %d /complete calls, want one per shard", jobs, completes)
 	}
@@ -305,10 +291,11 @@ func TestWorkerBatchSlowJobsPerShard(t *testing.T) {
 // TestDispatcherResendsLostNext replays an upload whose reply was lost
 // against a durable dispatcher. The retry is a duplicate for its result
 // and gets back the lost reply's grants under the same lease IDs, with
-// no new grant record in the WAL; a retry asking for more is topped up
-// with fresh grants, each logged. A restarted dispatcher has forgotten
-// the lost reply, so the same retry gets fresh grants, and the old ones
-// are left to the TTL.
+// no new grant record in the WAL: each is extended from the re-send
+// instead, since the worker holds it from then, and logs an extend
+// record. A retry asking for more is topped up with fresh grants, each
+// logged. A restarted dispatcher has forgotten the lost reply, so the
+// same retry gets fresh grants, and the old ones are left to the TTL.
 func TestDispatcherResendsLostNext(t *testing.T) {
 	spec := walTestSpec(t)
 	dir := t.TempDir()
@@ -360,6 +347,8 @@ func TestDispatcherResendsLostNext(t *testing.T) {
 	}
 
 	d := open()
+	now := time.Now()
+	d.setClock(func() time.Time { return now })
 	g := d.Lease(LeaseRequest{Worker: "w", Max: 1}).Grants[0]
 	upload := CompleteRequest{
 		Version: ProtocolVersion, Worker: "w", Lease: 3,
@@ -371,11 +360,19 @@ func TestDispatcherResendsLostNext(t *testing.T) {
 		t.Fatalf("first delivery = %+v, want 1 merged and 3 grants", first)
 	}
 
-	if got := exchange(d, upload, 0); !slices.Equal(got, lost) {
+	// The retry comes 40 s into the minute-long TTL: the re-sent leases
+	// must now last a TTL from the re-send.
+	now = now.Add(40 * time.Second)
+	if got := exchange(d, upload, 3); !slices.Equal(got, lost) {
 		t.Fatalf("retry got lease IDs %v, want the lost reply's %v", got, lost)
 	}
+	for _, ref := range d.lastNext["w"] {
+		if e := d.q.entries[ref.JobID]; !e.expires.Equal(now.Add(time.Minute)) {
+			t.Fatalf("re-sent lease %d expires %v after the re-send, want a TTL (1m0s)", ref.LeaseID, e.expires.Sub(now))
+		}
+	}
 	upload.Lease = 5
-	topped := exchange(d, upload, 2)
+	topped := exchange(d, upload, 3+2)
 	if len(topped) != 5 || !slices.Equal(topped[:3], lost) {
 		t.Fatalf("retry asking for 5 got lease IDs %v, want %v topped up by 2", topped, lost)
 	}
@@ -389,6 +386,18 @@ func TestDispatcherResendsLostNext(t *testing.T) {
 	d.mu.Lock()
 	d.wal.close()
 	d.mu.Unlock()
+	rep, err := replayWAL(osCheckpointFS{}, filepath.Join(dir, "log.wal"), specWALCRC(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[int]int{}
+	for _, rec := range rep.recs {
+		kinds[rec.Kind]++
+	}
+	if kinds[walKindGrant] != 6 || kinds[walKindExtend] != 6 {
+		t.Fatalf("WAL holds %d grant and %d extend records, want 6 grants and 6 extends (two re-sends of 3)",
+			kinds[walKindGrant], kinds[walKindExtend])
+	}
 	d2 := open()
 	upload.Lease = 3
 	fresh := exchange(d2, upload, 3)
@@ -662,7 +671,7 @@ func TestWorkerDrainLeasesNothing(t *testing.T) {
 		id := submitDispatch(t, ts, spec)
 		var w *Worker
 		w = NewWorker(WorkerOptions{
-			BaseURL: ts.URL, Campaign: id, Name: "drainer", Parallel: 1, LeaseBatch: 4,
+			BaseURL: ts.URL, Campaign: id, Name: "drainer", Parallel: 1, leaseBatch: 4,
 			OnJobDone: func(*JobResult) { w.Drain() },
 		})
 		run(t, w)
@@ -709,7 +718,7 @@ func TestWorkerDrainLeasesNothing(t *testing.T) {
 			return resp, nil
 		})
 		w = NewWorker(WorkerOptions{
-			BaseURL: ts.URL, Campaign: id, Name: "drainer", Parallel: 1, LeaseBatch: 2,
+			BaseURL: ts.URL, Campaign: id, Name: "drainer", Parallel: 1, leaseBatch: 2,
 			Client: &http.Client{Transport: drainAfterNext},
 			OnJobDone: func(jr *JobResult) {
 				mu.Lock()
@@ -736,12 +745,12 @@ func TestWorkerDrainLeasesNothing(t *testing.T) {
 }
 
 // TestWorkerOverlapsUploadWithNextShard pins the worker's lookahead
-// without timing: the client holds every /complete request until the
-// next shard has started, so the run finishes only if each upload is in
-// flight while the following shard executes — a worker that waited for
-// the upload's reply before starting its next shard would deadlock here,
-// and fail at the timeout. The overlap must leave the canonical bytes
-// Campaign.Run's.
+// without timing, at a batch of one job so that upload k carries shard
+// k: the client holds every /complete request until the next shard has
+// started, so the run finishes only if each upload is in flight while
+// the following shard executes — a worker that waited for the upload's
+// reply before starting its next shard would deadlock here, and fail at
+// the timeout. The overlap must leave the canonical bytes Campaign.Run's.
 func TestWorkerOverlapsUploadWithNextShard(t *testing.T) {
 	spec := fleetSpec(t)
 	want := localCanonical(t, spec)
@@ -771,7 +780,7 @@ func TestWorkerOverlapsUploadWithNextShard(t *testing.T) {
 		return http.DefaultTransport.RoundTrip(req)
 	})
 	w := NewWorker(WorkerOptions{
-		BaseURL: ts.URL, Campaign: id, Name: "overlap", Parallel: 1, MaxAttempts: 1,
+		BaseURL: ts.URL, Campaign: id, Name: "overlap", Parallel: 1, MaxAttempts: 1, leaseBatch: 1,
 		Client: &http.Client{Transport: holdUntilNextShard},
 		runJob: func(ctx context.Context, ws *workspace, job Job, test *litmus.Test, spec Spec) (*JobResult, error) {
 			started.Add(1)
@@ -807,7 +816,7 @@ func TestWorkerHeartbeatsHeldLeases(t *testing.T) {
 	id := submitDispatch(t, ts, spec)
 
 	w := NewWorker(WorkerOptions{
-		BaseURL: ts.URL, Campaign: id, Name: "slow", Parallel: 1, LeaseBatch: 2,
+		BaseURL: ts.URL, Campaign: id, Name: "slow", Parallel: 1, leaseBatch: 2,
 		runJob: func(ctx context.Context, ws *workspace, job Job, test *litmus.Test, spec Spec) (*JobResult, error) {
 			if err := sleepCtx(ctx, ttl+ttl/6); err != nil {
 				return nil, err

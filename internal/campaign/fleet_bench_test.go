@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,15 +34,23 @@ func benchFleetSpec(b *testing.B) Spec {
 }
 
 // runFleetOnce drives one dispatch campaign end to end over a loopback
-// HTTP server with k workers and returns the job count. A non-nil
+// HTTP server with k workers and returns the job count and the number
+// of /complete uploads the server received. A non-nil
 // runJob replaces real shard execution (to isolate protocol cost). It
 // returns as soon as the server reports the campaign done — idle
 // workers mid-poll-sleep are cut loose by context so their wakeup
 // latency (a liveness detail, not throughput) stays out of the timing.
-func runFleetOnce(b *testing.B, spec Spec, k int, runJob jobFunc, mods ...func(*WorkerOptions)) int {
+func runFleetOnce(b *testing.B, spec Spec, k int, runJob jobFunc, mods ...func(*WorkerOptions)) (jobs, uploads int) {
 	b.Helper()
 	srv := NewServer()
-	ts := httptest.NewServer(srv.Handler())
+	h := srv.Handler()
+	var completes atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/complete") {
+			completes.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 
 	body, err := json.Marshal(spec)
@@ -103,7 +113,7 @@ func runFleetOnce(b *testing.B, spec Spec, k int, runJob jobFunc, mods ...func(*
 	}
 	cancel()
 	wg.Wait()
-	return sub.Jobs
+	return sub.Jobs, int(completes.Load())
 }
 
 // BenchmarkFleetLoopback measures distributed-campaign throughput over
@@ -115,14 +125,16 @@ func runFleetOnce(b *testing.B, spec Spec, k int, runJob jobFunc, mods ...func(*
 // separate machines. The protocol-overhead variant replaces shard
 // execution with a no-op, so its entire per-op time is dispatch
 // machinery; proto_us/shard is the per-shard protocol cost a deployment
-// amortizes against real shard runtime.
+// amortizes against real shard runtime, and uploads/op counts its
+// /complete exchanges — a figure that, unlike the op's time, shows
+// whether shards share an upload.
 func BenchmarkFleetLoopback(b *testing.B) {
 	spec := benchFleetSpec(b)
 	for _, k := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", k), func(b *testing.B) {
 			var jobs int
 			for i := 0; i < b.N; i++ {
-				jobs = runFleetOnce(b, spec, k, nil)
+				jobs, _ = runFleetOnce(b, spec, k, nil)
 			}
 			iters := float64(spec.Iterations) * float64(len(spec.Tests))
 			b.ReportMetric(iters*float64(b.N)/b.Elapsed().Seconds(), "iters/sec")
@@ -133,11 +145,14 @@ func BenchmarkFleetLoopback(b *testing.B) {
 		noop := func(_ context.Context, _ *workspace, job Job, _ *litmus.Test, _ Spec) (*JobResult, error) {
 			return fakeResult(job), nil
 		}
-		var jobs int
+		var jobs, uploads int
 		for i := 0; i < b.N; i++ {
-			jobs = runFleetOnce(b, spec, 1, noop)
+			var n int
+			jobs, n = runFleetOnce(b, spec, 1, noop)
+			uploads += n
 		}
 		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*jobs), "proto_us/shard")
+		b.ReportMetric(float64(uploads)/float64(b.N), "uploads/op")
 	})
 
 	// The batch sweep isolates the lease batch size over the same no-op
@@ -149,7 +164,7 @@ func BenchmarkFleetLoopback(b *testing.B) {
 			}
 			var jobs int
 			for i := 0; i < b.N; i++ {
-				jobs = runFleetOnce(b, spec, 1, noop, func(o *WorkerOptions) { o.LeaseBatch = batch })
+				jobs, _ = runFleetOnce(b, spec, 1, noop, func(o *WorkerOptions) { o.leaseBatch = batch })
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*jobs), "proto_us/shard")
 		})
@@ -169,7 +184,7 @@ func BenchmarkFleetLoopback(b *testing.B) {
 			}
 			var jobs int
 			for i := 0; i < b.N; i++ {
-				jobs = runFleetOnce(b, spec, 1, fat)
+				jobs, _ = runFleetOnce(b, spec, 1, fat)
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*jobs), "proto_us/shard")
 		})

@@ -5,9 +5,9 @@ package campaign
 // tests run from package campaign_test (they need internal/chaos, which
 // imports campaign), and external test units only see the package's
 // exported compile-unit surface — in-package test helpers are invisible
-// to them (see internal/analysis/load.go). Both hooks are no-ops for
-// production callers: one is a read-only accessor, the other installs a
-// callback nothing in production code ever sets.
+// to them (see internal/analysis/load.go). The hooks are no-ops for
+// production callers: one is a read-only accessor, and the others set
+// a callback or a batch size nothing in production code ever sets.
 
 // DispatcherForTest returns the dispatcher behind a dispatch-mode run,
 // or nil.
@@ -29,3 +29,9 @@ func (d *Dispatcher) SetKillHookForTest(hook func(point string) bool) {
 	d.killHook = hook
 	d.mu.Unlock()
 }
+
+// SetLeaseBatchForTest fixes the jobs per batch of a worker built from
+// o in place of the default batch size, so a test can pin an exchange
+// shape: one upload per shard, or the batch the kill schedule of a
+// failover test was written against.
+func (o *WorkerOptions) SetLeaseBatchForTest(n int) { o.leaseBatch = n }

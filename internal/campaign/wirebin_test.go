@@ -171,7 +171,7 @@ func TestFleetWireMatrix(t *testing.T) {
 					Campaign:   id,
 					Name:       fmt.Sprintf("w%d", i),
 					Parallel:   2,
-					LeaseBatch: tc.batch,
+					leaseBatch: tc.batch,
 					Wire:       tc.wires[i%len(tc.wires)],
 				})
 				wg.Add(1)
@@ -341,7 +341,7 @@ func TestFleetWireMetrics(t *testing.T) {
 	spec := fleetSpec(t)
 	_, ts := newTestServer(t)
 	id := submitDispatch(t, ts, spec)
-	w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: id, Name: "m1", Parallel: 2, LeaseBatch: 4})
+	w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: id, Name: "m1", Parallel: 2, leaseBatch: 4})
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

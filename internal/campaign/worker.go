@@ -33,21 +33,6 @@ type WorkerOptions struct {
 	// Parallel is the number of jobs executed concurrently; 0 selects
 	// GOMAXPROCS.
 	Parallel int
-	// LeaseBatch, when positive, fixes the number of jobs per lease
-	// batch. 0 sizes every batch to the upload exchange: running the
-	// batch covers two /complete round trips, so the upload that ships
-	// one batch and leases the next is back before the batch after it
-	// ends. The size is max(Parallel, ⌈2·rtt/job⌉), where rtt is the
-	// second-longest of the last eight successful uploads' round trips
-	// (each the attempt that succeeded, not the backoff before it) and
-	// job the median of the last eight batches' execution time per job.
-	// It is capped at 64 jobs and at half a heartbeat period of
-	// execution, so a lease ends before it is due an extension. Until
-	// both are measured a batch is Parallel jobs. Each batch's upload
-	// asks for one more batch, while the first /lease call and an idle
-	// poll ask for two, so a worker holds about two batches of grants:
-	// the batch it runs and the next one.
-	LeaseBatch int
 	// Wire names the result-upload codec. PWB1 is the only one: "",
 	// "auto" and "binary" all select it, and any other value makes Run
 	// fail.
@@ -84,6 +69,9 @@ type WorkerOptions struct {
 	// runJob overrides job execution (tests inject hangs and failures);
 	// nil selects the real harness-backed runner.
 	runJob jobFunc
+	// leaseBatch, when positive, fixes the jobs per batch in place of
+	// batchSize's rule, so a test can pin an exchange shape.
+	leaseBatch int
 }
 
 // Worker is a fleet member: it pulls shard leases from a perple serve
@@ -199,9 +187,9 @@ func (w *Worker) Drain() {
 // overlaps the next batch instead of stalling it: the first /lease call
 // and every idle poll ask for two batches, and each upload asks for one
 // more (none while draining). The worker holds at most one unstarted
-// batch beyond the batch it runs. A batch is sized to outlast the
-// exchange (WorkerOptions.LeaseBatch), so one upload and one WAL commit
-// serve many shards and the reply is back when the next batch ends.
+// batch beyond the batch it runs. A batch is many shards (batchSize),
+// so one upload and one WAL commit serve them all, and the reply is
+// back before the next batch ends.
 func (w *Worker) Run(ctx context.Context) error {
 	switch w.opts.Wire {
 	case "", "auto", "binary":
@@ -229,12 +217,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	// its heartbeat cadence derives from. queue holds the grants leased
 	// but not yet started; batch is the slice of it being run, and ran
 	// reports a batch whose outcomes are staged but not yet shipped.
-	// jobTime holds recent batches' execution time per job.
+	// jobTime is the last batch's execution time per job.
 	var (
 		up           *uploader
 		queue, batch []LeaseGrant
 		ran          bool
-		jobTime      window
+		jobTime      time.Duration
 	)
 	defer func() {
 		if up != nil {
@@ -248,8 +236,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		// Sync point — a batch is ready to ship, nothing is queued, or the
 		// worker drains: collect the in-flight upload's reply (after a
-		// batch sized to the round trip, back by then) and queue the
-		// grants it carries.
+		// batch of many shards, back by then) and queue the grants it
+		// carries.
 		if up != nil && (ran || len(queue) == 0 || w.draining.Load()) {
 			next, done, err := up.wait()
 			if err != nil || done {
@@ -268,7 +256,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			// runs long. A draining worker instead hands every unstarted
 			// grant back, without touching its retry budget, in an upload
 			// that leases nothing.
-			size := w.batchSize(up, &jobTime)
+			size := w.batchSize(up, jobTime)
 			want := min(size, max(0, 2*size-len(queue)))
 			if draining {
 				up.release(queue)
@@ -284,7 +272,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		if len(queue) == 0 {
 			var lease LeaseResponse
-			if err := w.post(ctx, "lease", LeaseRequest{Worker: w.opts.Name, Max: 2 * w.batchSize(up, &jobTime)}, &lease); err != nil {
+			if err := w.post(ctx, "lease", LeaseRequest{Worker: w.opts.Name, Max: 2 * w.batchSize(up, jobTime)}, &lease); err != nil {
 				return err
 			}
 			if lease.Done {
@@ -302,75 +290,36 @@ func (w *Worker) Run(ctx context.Context) error {
 			up.hold(lease.Grants)
 			queue = append(queue, lease.Grants...)
 		}
-		n := min(w.batchSize(up, &jobTime), len(queue))
+		n := min(w.batchSize(up, jobTime), len(queue))
 		batch = append(batch[:0], queue[:n]...)
 		queue = append(queue[:0], queue[n:]...)
 		start := time.Now()
 		w.runBatch(ctx, up, batch)
-		jobTime.add(time.Since(start) / time.Duration(n))
+		jobTime = time.Since(start) / time.Duration(n)
 		ran = true
 	}
 }
 
-// maxAutoBatch caps a batch sized to the exchange, and so the results
-// one upload carries.
-const maxAutoBatch = 64
+// defaultBatch is the jobs per batch of a worker whose shards are short
+// next to its leases' heartbeat period. One upload and one WAL commit
+// serve the whole batch, so a shard pays a 64th of an exchange instead
+// of a stall at every sync point, and a batch of even sub-millisecond
+// shards outlasts the exchange that overlaps it.
+const defaultBatch = 64
 
 // batchSize is the number of jobs in the next batch, and the Lease its
-// upload asks for, given recent batches' execution time per job:
-// LeaseBatch when set, else sized so the batch covers two upload round
-// trips, as WorkerOptions.LeaseBatch describes.
-func (w *Worker) batchSize(up *uploader, jobTime *window) int {
-	if w.opts.LeaseBatch > 0 {
-		return w.opts.LeaseBatch
+// upload asks for, given the last batch's execution time per job:
+// defaultBatch, cut to half a heartbeat period of execution so a held
+// lease ends before it is due an extension, and at least Parallel.
+// Until a batch has been timed it is Parallel.
+func (w *Worker) batchSize(up *uploader, jobTime time.Duration) int {
+	if w.opts.leaseBatch > 0 {
+		return w.opts.leaseBatch
 	}
-	if up == nil {
+	if up == nil || jobTime <= 0 {
 		return w.opts.Parallel
 	}
-	job, rtt := jobTime.median(), up.roundTrip()
-	if job <= 0 || rtt <= 0 {
-		return w.opts.Parallel
-	}
-	n := min(int((2*rtt+job-1)/job), maxAutoBatch, int(up.period/2/job))
-	return max(w.opts.Parallel, n)
-}
-
-// window keeps the last eight samples of a duration for batch sizing,
-// which reads an order statistic of them rather than the mean or the
-// last sample, so one outlier — a GC pause, a WAL compaction — does not
-// move the size.
-type window struct {
-	buf [8]time.Duration
-	n   int
-}
-
-func (m *window) add(d time.Duration) {
-	m.buf[m.n%len(m.buf)] = d
-	m.n++
-}
-
-// median is the middle of the held samples, 0 with none.
-func (m *window) median() time.Duration {
-	v, k := m.sorted()
-	return v[k/2]
-}
-
-// secondLongest is the longest held sample but one (the only one when
-// one is held), 0 with none. Round trips take it rather than the
-// median: an exchange's time is heavy-tailed — fsyncs and compactions
-// stall some — and a batch sized to the median leaves the worker
-// waiting on every exchange in the tail.
-func (m *window) secondLongest() time.Duration {
-	v, k := m.sorted()
-	return v[max(k-2, 0)]
-}
-
-// sorted returns a copy of the buffer whose first k entries are the held
-// samples in increasing order (all zero with none held).
-func (m *window) sorted() (v [8]time.Duration, k int) {
-	v, k = m.buf, min(m.n, len(m.buf))
-	slices.Sort(v[:k])
-	return v, k
+	return max(w.opts.Parallel, min(defaultBatch, int(up.period/2/jobTime)))
 }
 
 // idle sleeps out an empty lease reply's poll hint. Jitter spreads idle
@@ -447,8 +396,6 @@ type uploader struct {
 	mu sync.Mutex
 	// pending collects the running batch's outcomes and releases.
 	pending CompleteRequest
-	// rtt holds the round trips of recent successful uploads.
-	rtt window
 	// held is every lease the worker holds — running, queued, or in an
 	// unacknowledged upload — with when it was granted or last extended.
 	held map[int64]heldLease
@@ -601,9 +548,7 @@ func (u *uploader) ship() error {
 	u.resp = CompleteResponse{Next: next}
 	u.encBuf = harness.EncodeWireBinary(u.encBuf[:0], &u.out)
 	w := u.w
-	var attempt time.Time
 	err := w.retry(u.ctx, func() (*http.Response, error) {
-		attempt = time.Now()
 		req, err := http.NewRequestWithContext(u.ctx, http.MethodPost, w.url("complete"), bytes.NewReader(u.encBuf))
 		if err != nil {
 			return nil, err
@@ -614,11 +559,6 @@ func (u *uploader) ship() error {
 	if err != nil {
 		return err
 	}
-	// The round trip is the attempt that succeeded, not the backoff of
-	// those before it.
-	u.mu.Lock()
-	u.rtt.add(time.Since(attempt))
-	u.mu.Unlock()
 	u.extend(u.out.Heartbeat, sent)
 	if u.resp.Next != nil {
 		// Queued grants are held from the moment they arrive, not from
@@ -626,14 +566,6 @@ func (u *uploader) ship() error {
 		u.hold(u.resp.Next.Grants)
 	}
 	return nil
-}
-
-// roundTrip is the second-longest round trip of recent successful
-// uploads, 0 before the first.
-func (u *uploader) roundTrip() time.Duration {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.rtt.secondLongest()
 }
 
 // heartbeat extends the held leases that are due on a plain

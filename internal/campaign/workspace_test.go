@@ -218,7 +218,7 @@ func TestWorkspaceCanonicalAcrossExecutors(t *testing.T) {
 
 	_, ts := newTestServer(t)
 	id := submitDispatch(t, ts, spec)
-	w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: id, Name: "ws", Parallel: 2, LeaseBatch: 3})
+	w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: id, Name: "ws", Parallel: 2, leaseBatch: 3})
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
