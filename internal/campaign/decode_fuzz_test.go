@@ -117,11 +117,12 @@ func checkResumed(t *testing.T, camp *Campaign, d *Dispatcher) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	checkQueueCounts(t, d.q)
-	if err := camp.validateRestored(d.done); err != nil {
+	done := doneResults(t, d)
+	if err := camp.validateRestored(done); err != nil {
 		t.Fatalf("resume merged a result that contradicts its job: %v", err)
 	}
-	ids := make([]int, 0, len(d.done))
-	for id, jr := range d.done {
+	ids := make([]int, 0, len(done))
+	for id, jr := range done {
 		if jr.JobID != id {
 			t.Fatalf("done[%d] holds job %d", id, jr.JobID)
 		}
@@ -130,10 +131,10 @@ func checkResumed(t *testing.T, camp *Campaign, d *Dispatcher) {
 	sort.Ints(ids)
 	ref := NewResults()
 	for _, id := range ids {
-		ref.Add(d.done[id])
+		ref.Add(done[id])
 	}
 	for _, f := range d.results.Failures {
-		if _, merged := d.done[f.JobID]; merged {
+		if _, merged := done[f.JobID]; merged {
 			t.Fatalf("job %d is both merged and dead-lettered", f.JobID)
 		}
 		ref.AddFailure(f)

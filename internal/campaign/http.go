@@ -350,6 +350,9 @@ func writePrometheus(w io.Writer, campaigns, running int, uptimeSec float64, lea
 		{"perple_wal_appends_total", "counter", "Lease-ledger transitions appended to write-ahead logs.", float64(agg.WALAppends)},
 		{"perple_wal_append_errors_total", "counter", "WAL appends that failed and degraded the log.", float64(agg.WALAppendErrors)},
 		{"perple_wal_fsync_ns_total", "counter", "Host nanoseconds spent fsyncing write-ahead logs.", float64(agg.WALFsyncNs)},
+		{"perple_checkpoint_saves_total", "counter", "Checkpoint snapshots written (periodic, compacting and closing).", float64(agg.CheckpointSaves)},
+		{"perple_checkpoint_ns_total", "counter", "Host nanoseconds spent writing checkpoint snapshots.", float64(agg.CheckpointNs)},
+		{"perple_checkpoint_bytes_total", "counter", "Checkpoint snapshot bytes written.", float64(agg.CheckpointBytes)},
 		{"perple_wal_fsyncs_total", "counter", "Write-ahead log group-commit fsyncs (at most one per dispatcher exchange).", float64(agg.WALFsyncs)},
 		{"perple_wal_replays_total", "counter", "Dispatcher recoveries that replayed a write-ahead log.", float64(agg.WALReplays)},
 		{"perple_wal_compactions_total", "counter", "Write-ahead logs folded into a fresh checkpoint.", float64(agg.WALCompactions)},

@@ -90,6 +90,15 @@ type Metrics struct {
 	// CheckpointRecoveries counts resumes that fell back to the rotated
 	// last-good snapshot because the active one was corrupt or missing.
 	CheckpointRecoveries atomic.Int64
+	// CheckpointSaves counts snapshots written: periodic, compacting and
+	// closing.
+	CheckpointSaves atomic.Int64
+	// CheckpointNs is host nanoseconds spent writing snapshots, failed
+	// attempts included.
+	CheckpointNs atomic.Int64
+	// CheckpointBytes counts snapshot bytes written. Each save rewrites
+	// the whole file, so over a run it grows with saves × done results.
+	CheckpointBytes atomic.Int64
 
 	// Write-ahead-log counters (durable dispatch plane; wal.go).
 
@@ -230,6 +239,9 @@ type Snapshot struct {
 	WireBatch            BatchHistSnapshot `json:"wire_batch"`
 	CheckpointErrors     int64             `json:"checkpoint_errors"`
 	CheckpointRecoveries int64             `json:"checkpoint_recoveries"`
+	CheckpointSaves      int64             `json:"checkpoint_saves"`
+	CheckpointNs         int64             `json:"checkpoint_ns"`
+	CheckpointBytes      int64             `json:"checkpoint_bytes"`
 	WALAppends           int64             `json:"wal_appends"`
 	WALAppendErrors      int64             `json:"wal_append_errors"`
 	WALFsyncNs           int64             `json:"wal_fsync_ns"`
@@ -283,6 +295,9 @@ func (m *Metrics) Snapshot() Snapshot {
 		WireBatch:            m.WireBatch.Snapshot(),
 		CheckpointErrors:     m.CheckpointErrors.Load(),
 		CheckpointRecoveries: m.CheckpointRecoveries.Load(),
+		CheckpointSaves:      m.CheckpointSaves.Load(),
+		CheckpointNs:         m.CheckpointNs.Load(),
+		CheckpointBytes:      m.CheckpointBytes.Load(),
 		WALAppends:           m.WALAppends.Load(),
 		WALAppendErrors:      m.WALAppendErrors.Load(),
 		WALFsyncNs:           m.WALFsyncNs.Load(),
@@ -340,6 +355,9 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.WireBatch.Merge(o.WireBatch)
 	s.CheckpointErrors += o.CheckpointErrors
 	s.CheckpointRecoveries += o.CheckpointRecoveries
+	s.CheckpointSaves += o.CheckpointSaves
+	s.CheckpointNs += o.CheckpointNs
+	s.CheckpointBytes += o.CheckpointBytes
 	s.WALAppends += o.WALAppends
 	s.WALAppendErrors += o.WALAppendErrors
 	s.WALFsyncNs += o.WALFsyncNs

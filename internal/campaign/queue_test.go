@@ -241,7 +241,7 @@ func queueOp(rng *rand.Rand, q *leaseQueue, jobs []Job, now *time.Time, dupRows 
 		// not the clock.
 		*now = now.Add(time.Duration(rng.Intn(240)-60) * time.Second)
 	default:
-		rows := q.ledgerRows()
+		rows := q.ledgerRows(nil)
 		if dupRows && len(rows) > 0 {
 			row := rows[rng.Intn(len(rows))]
 			row.State = rng.Intn(4) // 3 is no state at all

@@ -14,12 +14,19 @@ import "perple/internal/trace"
 // machine's store-buffer entries. Loads from shared memory instead
 // resolve through writers, the per-cell last-drained store, which
 // distinguishes the init value from a store that happens to equal it.
+//
+// writers also marks the cells of unsampled iterations, so the hooks
+// pay one load and one compare on them; only a sampled cell's hook
+// divides to find its location and slot.
 type witnessRec struct {
 	layout  *trace.Layout
 	set     *trace.WitnessSet
-	writers []int32 // memory cell -> dense store index of last drain, -1 = init
+	writers []int32 // memory cell -> dense store index of last drain, -1 = init, unsampled
 	cells   int     // iterations per location (the run's N)
 }
+
+// unsampled marks a writers cell whose iteration records no witness.
+const unsampled int32 = -2
 
 func newWitnessRec(layout *trace.Layout) *witnessRec {
 	return &witnessRec{layout: layout, set: trace.NewWitnessSet(layout)}
@@ -42,7 +49,14 @@ func (w *witnessRec) reset(n, every, memLen int) {
 	}
 	w.writers = w.writers[:memLen]
 	for i := range w.writers {
-		w.writers[i] = -1
+		w.writers[i] = unsampled
+	}
+	// Location rows of n cells, cell = iteration: the sampled ones are
+	// every set.Every-th cell of each row from its start.
+	for row := 0; row < memLen; row += n {
+		for i := row; i < row+n; i += w.set.Every {
+			w.writers[i] = -1
+		}
 	}
 }
 
@@ -50,29 +64,23 @@ func (w *witnessRec) reset(n, every, memLen int) {
 // store when the load hit the thread's own buffer, else the cell's
 // last-drained store.
 func (w *witnessRec) load(widx int32, memIdx int, val int64, forwarded bool) {
-	iter := memIdx % w.cells
-	s := w.set.SlotOf(iter)
-	if s < 0 {
+	src := w.writers[memIdx]
+	if src == unsampled {
 		return
 	}
-	var src int32
 	if forwarded {
 		src = w.layout.StoreIdxFor(memIdx/w.cells, val)
-	} else {
-		src = w.writers[memIdx]
 	}
-	w.set.SetRF(s, widx, src)
+	w.set.SetRF(memIdx%w.cells/w.set.Every, widx, src)
 }
 
 // drain records a store reaching shared memory: the next entry of its
 // iteration's global coherence order.
 func (w *witnessRec) drain(memIdx int, val int64) {
-	iter := memIdx % w.cells
-	s := w.set.SlotOf(iter)
-	if s < 0 {
+	if w.writers[memIdx] == unsampled {
 		return
 	}
 	st := w.layout.StoreIdxFor(memIdx/w.cells, val)
 	w.writers[memIdx] = st
-	w.set.AppendCo(s, st)
+	w.set.AppendCo(memIdx%w.cells/w.set.Every, st)
 }
