@@ -472,7 +472,7 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 	// Default (no Accept preference) stays JSON.
 	m := getJSON(t, ts.URL+"/metrics", http.StatusOK)
 	sched := m["scheduler"].(map[string]any)
-	for _, key := range []string{"leases_granted", "lease_requeues", "heartbeats", "results_fenced", "upload_bytes", "wal_compactions"} {
+	for _, key := range []string{"leases_granted", "lease_requeues", "heartbeats", "results_fenced", "upload_bytes", "wal_compactions", "checkpoint_saves", "checkpoint_ns", "checkpoint_bytes"} {
 		if _, ok := sched[key]; !ok {
 			t.Fatalf("JSON metrics missing %q: %v", key, sched)
 		}
@@ -500,6 +500,9 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 		"# TYPE perple_results_fenced_total counter",
 		"# TYPE perple_upload_bytes_total counter",
 		"# TYPE perple_wal_compactions_total counter",
+		"# TYPE perple_checkpoint_saves_total counter",
+		"# TYPE perple_checkpoint_ns_total counter",
+		"# TYPE perple_checkpoint_bytes_total counter",
 		"# TYPE perple_queue_depth gauge",
 		"# HELP perple_campaigns ",
 	} {

@@ -363,11 +363,6 @@ func TestWitnessSetSampling(t *testing.T) {
 	if w.Slots != 4 {
 		t.Fatalf("Slots = %d, want 4", w.Slots)
 	}
-	for iter, want := range map[int]int{0: 0, 1: -1, 3: 1, 9: 3, 8: -1} {
-		if got := w.SlotOf(iter); got != want {
-			t.Errorf("SlotOf(%d) = %d, want %d", iter, got, want)
-		}
-	}
 	if got := w.Iter(3); got != 9 {
 		t.Errorf("Iter(3) = %d, want 9", got)
 	}

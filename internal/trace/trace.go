@@ -197,15 +197,6 @@ func (w *WitnessSet) Reset(n, every int) {
 	w.coCur = resizeFill(w.coCur, w.Slots, 0)
 }
 
-// SlotOf returns the slot recording iteration iter, or -1 when the
-// iteration is not sampled.
-func (w *WitnessSet) SlotOf(iter int) int {
-	if iter%w.Every != 0 {
-		return -1
-	}
-	return iter / w.Every
-}
-
 // Iter returns the run iteration slot s records.
 func (w *WitnessSet) Iter(s int) int { return s * w.Every }
 
