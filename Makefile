@@ -43,7 +43,7 @@ fuzz:
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzCompleteRequestBinaryDecode -fuzztime 30s
 
 # Long chaos soak: fault-injected loopback fleets under the race
-# detector (six fixed-seed rounds; CI runs the short variant). Seeds
+# detector (ten fixed-seed rounds; CI runs the short variant). Seeds
 # are fixed per round, so a failure replays its exact fault schedule
 # on rerun.
 chaos:

@@ -52,11 +52,10 @@ func serveCmd(args []string, _, stderr io.Writer) int {
 	fl := newFlags("serve", stderr)
 	addr := fl.String("addr", ":8077", "listen address")
 	checkpointDir := fl.String("checkpoint-dir", "", "directory for per-campaign checkpoint files (empty disables checkpointing)")
-	checkpointEvery := fl.Int("checkpoint-every", 0, "snapshot every n completed jobs (0: every job)")
+	checkpointEvery := fl.Int("checkpoint-every", 0, "floor of the doubling snapshot interval: save once the jobs finished since the last snapshot reach max(n, jobs in it); with -wal each save compacts the log (0: 64)")
 	leaseTTL := fl.Duration("lease-ttl", campaign.DefaultLeaseTTL, "dispatch lease TTL before an unheartbeated shard requeues")
 	walDir := fl.String("wal", "", "directory for per-campaign dispatch write-ahead logs (requires -checkpoint-dir; empty disables the durable dispatch plane)")
 	walSyncEvery := fl.Int("wal-sync-every", 0, "group commit: fsync the WAL at the end of a dispatcher exchange once n records are unsynced (0 or 1: every exchange that logged a record, before its reply)")
-	compactEvery := fl.Int("compact-every", 0, "fold the WAL into a fresh checkpoint once the jobs finished since the last one reach max(n, jobs finished in it); the interval doubles as the campaign runs (0: default 64)")
 	pprofOn := fl.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	if fl.Parse(args) != nil {
 		return 2
@@ -81,7 +80,6 @@ func serveCmd(args []string, _, stderr io.Writer) int {
 			}
 			srv.WALDir = *walDir
 			srv.WALSyncEvery = *walSyncEvery
-			srv.CompactEvery = *compactEvery
 		}
 
 		handler := srv.Handler()

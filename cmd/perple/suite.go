@@ -54,7 +54,7 @@ func suiteCmd(args []string, stdout, stderr io.Writer) int {
 	sf := addSimFlags(fl, 10000)
 	exhCap := fl.Int("exhcap", campaign.DefaultExhCap, "iteration cap for the exhaustive counter (-1 = uncapped)")
 	specPath := fl.String("spec", "", "campaign spec JSON file (overrides the other flags)")
-	checkpoint := fl.String("checkpoint", "", "campaign checkpoint file: progress is saved there and a rerun resumes")
+	checkpoint := fl.String("checkpoint", "", "campaign checkpoint file: progress is saved there and a rerun resumes. Ctrl-C saves every finished job; a hard kill re-runs at most max(64, jobs in the last snapshot)")
 	shardSize := fl.Int("shard-size", 0, "campaign iterations per shard (default: one shard per test/tool/preset)")
 	workers := fl.Int("workers", 0, "campaign worker goroutines (default: GOMAXPROCS)")
 	remote := fl.String("remote", "", "perple serve base URL: submit the campaign as a dispatch job for perple worker fleet members")

@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -161,10 +163,10 @@ func TestCampaignKillResumeDeterminism(t *testing.T) {
 	}
 }
 
-// TestCampaignResumeAfterCheckpointEvery exercises batched checkpoint
-// writes: with CheckpointEvery > 1 the snapshot may trail the merged
-// totals, and the resumed run must still converge to identical totals
-// (trailing jobs simply re-run).
+// TestCampaignResumeAfterCheckpointEvery exercises an interrupted run
+// whose last scheduled snapshot trails the merged totals: the closing
+// save catches the checkpoint up, and the resumed run must converge to
+// identical totals.
 func TestCampaignResumeAfterCheckpointEvery(t *testing.T) {
 	spec := suiteSpec()
 	spec.Tests = []string{"sb", "mp"}
@@ -210,5 +212,74 @@ func TestCampaignResumeAfterCheckpointEvery(t *testing.T) {
 	}
 	if got := finalRes.Render(); got != want {
 		t.Errorf("batched-checkpoint resume differs from uninterrupted run\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+}
+
+// TestCampaignHardKillResume kills a run without a WAL hard — no save
+// reaches disk after its k-th merge, the closing one included — for
+// every k, and resumes it. The resume restores the last scheduled
+// snapshot before k, re-runs at most max(floor, rows in it) jobs, and
+// renders byte-identical totals to an uninterrupted run.
+func TestCampaignHardKillResume(t *testing.T) {
+	spec := Spec{
+		Tests: []string{"sb", "mp", "lb"}, Tools: []string{"litmus7-user"},
+		Iterations: 80, ShardSize: 10, Seed: 5, Workers: 1, // 24 jobs
+	}
+	ref, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRes, err := ref.Run(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refRes.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const floor = 2
+	dir := t.TempDir()
+	for k := 1; k <= len(ref.jobs); k++ {
+		path := filepath.Join(dir, fmt.Sprintf("cp-%d.json", k))
+		camp, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := newDispatcher(camp, 0, Options{CheckpointPath: path, CheckpointEvery: floor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged := 0
+		d.killHook = func(point string) bool {
+			if point == "pre-wal-complete" {
+				merged++
+			}
+			return merged == k
+		}
+		d.execute(context.Background(), &jobExec{tests: camp.tests, spec: camp.Spec, run: d.opts.runJob}, new(workspace), "local-0")
+		if merged != len(camp.jobs) {
+			t.Fatalf("k=%d: the killed run merged %d of %d jobs", k, merged, len(camp.jobs))
+		}
+
+		resumed, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics := &Metrics{}
+		res, err := resumed.Run(context.Background(), Options{CheckpointPath: path, CheckpointEvery: floor, Metrics: metrics})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := res.CanonicalJSON(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("k=%d: resumed totals differ from the uninterrupted run (err %v)", k, err)
+		}
+		last := 0 // the last scheduled save before the kill
+		for nextSave(floor, last) < k {
+			last = nextSave(floor, last)
+		}
+		restored := int(metrics.JobsRestored.Load())
+		if rerun := k - restored; restored != last || rerun > max(floor, restored) {
+			t.Fatalf("k=%d: restored %d jobs (want %d) and re-ran %d, past max(%d, %d)", k, restored, last, rerun, floor, restored)
+		}
 	}
 }

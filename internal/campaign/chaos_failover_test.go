@@ -121,7 +121,7 @@ func TestChaosDispatcherFailoverByteIdentical(t *testing.T) {
 		srv.CheckpointFS = fsys
 		srv.WALDir = walDir
 		srv.WALSyncEvery = 2
-		srv.CompactEvery = 4
+		srv.CheckpointEvery = 4
 		srv.LeaseTTL = 400 * time.Millisecond
 		return srv
 	}

@@ -164,6 +164,10 @@ func chaosRound(t *testing.T, round int, spec campaign.Spec, want []byte) chaos.
 	srv := campaign.NewServer()
 	srv.CheckpointDir = t.TempDir()
 	srv.CheckpointFS = fsys
+	// A floor of 1 saves at 1, 2, 4, … 32 terminal rows and at the close:
+	// the most saves the doubling schedule makes of 48 jobs, each a
+	// chance for the filesystem injectors to fire.
+	srv.CheckpointEvery = 1
 	srv.LeaseTTL = 400 * time.Millisecond
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -257,9 +261,12 @@ func TestChaosSoakFleetByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	maxRounds := 3
+	// The doubling snapshot schedule makes about seven saves a round, so
+	// the filesystem injectors get few chances per round: the short soak
+	// needs two to four rounds to see every injector fire.
+	maxRounds := 6
 	if *chaosLong {
-		maxRounds = 6
+		maxRounds = 10
 	}
 	covered := func(s chaos.Stats) bool {
 		for _, name := range soakInjectors {
@@ -302,12 +309,13 @@ func TestChaosCorruptCheckpointResume(t *testing.T) {
 	want := soakBaseline(t, spec)
 
 	// Phase 1: partial progress on a checkpointing server. A batch of 1
-	// makes every completed shard its own upload, so the checkpoint
-	// rotates once per job and the drain point leaves both an active and
-	// a .prev snapshot behind.
+	// makes every completed shard its own upload, and a floor of 1 puts
+	// scheduled saves at 1, 2 and 4 shards, so the drain point after six
+	// leaves both an active snapshot (4 jobs) and a .prev (2) behind.
 	dir1 := t.TempDir()
 	srv1 := campaign.NewServer()
 	srv1.CheckpointDir = dir1
+	srv1.CheckpointEvery = 1
 	ts1 := httptest.NewServer(srv1.Handler())
 	defer ts1.Close()
 	id := soakSubmit(t, ts1, spec)

@@ -93,29 +93,25 @@ type checkpointEnvelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// SaveCheckpoint writes the snapshot durably and atomically on the real
-// filesystem; see SaveCheckpointFS.
+// SaveCheckpoint writes a snapshot without a ledger section on the real
+// filesystem; see SaveCheckpointLedgerFS.
 func SaveCheckpoint(path string, spec Spec, done map[int]*JobResult) error {
-	return SaveCheckpointFS(osCheckpointFS{}, path, spec, done)
+	return SaveCheckpointLedgerFS(osCheckpointFS{}, path, spec, done, nil)
 }
 
-// SaveCheckpointFS writes the snapshot through fsys: temp file in the
-// destination directory, fsync, rename over the active path, directory
-// sync. The previous active snapshot is rotated to path+".prev" first,
-// so there is always at most one unverified file — a crash at any point
-// leaves either the old snapshot, the new one, or (between the two
-// renames) only the rotated last-good copy, which LoadCheckpointFS
-// recovers. Done is stored sorted by job ID for stable diffs.
-func SaveCheckpointFS(fsys CheckpointFS, path string, spec Spec, done map[int]*JobResult) error {
-	return SaveCheckpointLedgerFS(fsys, path, spec, done, nil)
-}
-
-// SaveCheckpointLedgerFS is SaveCheckpointFS carrying the dispatch
-// lease ledger — the WAL compaction path: the snapshot absorbs the
-// log's state so the log can be truncated. It encodes spec and every
-// result, then writes them with the snapshot writer a Dispatcher saves
-// through. A Dispatcher does not call it: it keeps its results encoded
-// between saves (see Dispatcher.done), so its saves encode none.
+// SaveCheckpointLedgerFS writes a snapshot durably and atomically through
+// fsys: temp file in the destination directory, fsync, rename over the
+// active path, directory sync. The previous active snapshot is rotated
+// to path+".prev" first, so there is always at most one unverified file
+// — a crash at any point leaves either the old snapshot, the new one,
+// or (between the two renames) only the rotated last-good copy, which
+// LoadCheckpointLedgerFS recovers. Done is stored sorted by job ID for
+// stable diffs. A non-nil ledger is the dispatch lease ledger — the WAL
+// compaction path: the snapshot absorbs the log's state so the log can
+// be truncated. It encodes spec and every result, then writes them with
+// the snapshot writer a Dispatcher saves through. A Dispatcher does not
+// call it: it keeps its results encoded between saves (see
+// Dispatcher.done), so its saves encode none.
 func SaveCheckpointLedgerFS(fsys CheckpointFS, path string, spec Spec, done map[int]*JobResult, ledger *LedgerSnapshot) error {
 	sw, err := newSnapshotWriter(spec)
 	if err != nil {
@@ -164,8 +160,8 @@ var (
 // compact JSON, encoded once when the result was merged, restored or
 // replayed. A save encodes only the ledger section, when it has one,
 // and streams envelope and payload through a reused buffered writer, so
-// a periodic save's allocations do not grow with the done count. The bytes
-// are json.Marshal's for the Checkpoint, wrapped by the envelope, and
+// the allocations of a save without a ledger do not grow with the done
+// count. The bytes are json.Marshal's for the Checkpoint, wrapped by the envelope, and
 // the CRC is computed over the same parts, in the same order, before
 // any of them is written.
 type snapshotWriter struct {
@@ -227,7 +223,7 @@ func (sw *snapshotWriter) writePayload(w io.Writer, done [][]byte, ledger []byte
 }
 
 // save writes one snapshot of done and ledger (nil for none) through
-// fsys, as SaveCheckpointFS describes, and returns the file's size.
+// fsys, as SaveCheckpointLedgerFS describes, and returns the file's size.
 func (sw *snapshotWriter) save(fsys CheckpointFS, path string, done [][]byte, ledger *LedgerSnapshot) (int64, error) {
 	var lg []byte
 	if ledger != nil {
@@ -282,29 +278,15 @@ func (sw *snapshotWriter) save(fsys CheckpointFS, path string, done [][]byte, le
 	return int64(len(sw.head)) + sw.crc.n + int64(len(closeBrace)), nil
 }
 
-// LoadCheckpoint reads a snapshot from the real filesystem; see
-// LoadCheckpointFS. Recovery from the rotated snapshot is transparent
-// here; callers that want to know use the FS variant.
-func LoadCheckpoint(path string, spec Spec) (map[int]*JobResult, error) {
-	done, _, err := LoadCheckpointFS(osCheckpointFS{}, path, spec)
-	return done, err
-}
-
-// LoadCheckpointFS reads and verifies a snapshot through fsys. When the
-// active snapshot is corrupt (CRC mismatch, undecodable bytes) — or
-// missing while the rotated last-good one exists, the signature of a
-// crash between the two save renames — it falls back to path+".prev"
-// and reports recovered=true. A corrupt active snapshot with no usable
-// fallback is an error: silently restarting from scratch would hide
-// data loss from the operator.
-func LoadCheckpointFS(fsys CheckpointFS, path string, spec Spec) (done map[int]*JobResult, recovered bool, err error) {
-	done, _, recovered, err = LoadCheckpointLedgerFS(fsys, path, spec)
-	return done, recovered, err
-}
-
-// LoadCheckpointLedgerFS is LoadCheckpointFS that also returns the
-// dispatch lease ledger stored in the snapshot (nil for local-run and
-// pre-WAL snapshots).
+// LoadCheckpointLedgerFS reads and verifies a snapshot through fsys,
+// returning its done results and the dispatch lease ledger it stores
+// (nil for snapshots saved without a WAL). When the active snapshot is
+// corrupt (CRC mismatch, undecodable bytes) — or missing while the
+// rotated last-good one exists, the signature of a crash between the
+// two save renames — it falls back to path+".prev" and reports
+// recovered=true. A corrupt active snapshot with no usable fallback is
+// an error: silently restarting from scratch would hide data loss from
+// the operator.
 func LoadCheckpointLedgerFS(fsys CheckpointFS, path string, spec Spec) (done map[int]*JobResult, ledger *LedgerSnapshot, recovered bool, err error) {
 	done, ledger, err = loadCheckpointFile(fsys, path, spec)
 	if err == nil {

@@ -54,9 +54,9 @@ func fuzzCampaign(tb testing.TB) *Campaign {
 func recordedRun(tb testing.TB, camp *Campaign, dir string) (wal, midCheckpoint, finalCheckpoint []byte) {
 	tb.Helper()
 	opts := Options{
-		CheckpointPath: filepath.Join(dir, "cp.json"),
-		WALPath:        filepath.Join(dir, "cp.wal"),
-		CompactEvery:   1 << 20,
+		CheckpointPath:  filepath.Join(dir, "cp.json"),
+		WALPath:         filepath.Join(dir, "cp.wal"),
+		CheckpointEvery: 1 << 20,
 	}
 	d, err := NewDispatcher(camp, time.Minute, opts)
 	if err != nil {
@@ -88,7 +88,7 @@ func recordedRun(tb testing.TB, camp *Campaign, dir string) (wal, midCheckpoint,
 			// Snapshot while two leases are out, then keep going.
 			wal = read(opts.WALPath)
 			d.mu.Lock()
-			_ = d.compactLocked()
+			_ = d.snapshotLocked()
 			d.mu.Unlock()
 			midCheckpoint = read(opts.CheckpointPath)
 		}

@@ -22,8 +22,14 @@ type Options struct {
 	// the same spec is restored instead of re-running its jobs.
 	CheckpointPath string
 
-	// CheckpointEvery batches snapshot writes to every n completed jobs;
-	// 0 means every job.
+	// CheckpointEvery is the floor of the doubling snapshot interval: a
+	// snapshot is saved once the terminal job transitions (merges + dead
+	// letters) since the last one reach the larger of n and the terminal
+	// rows that snapshot holds. The interval doubles as the campaign
+	// progresses, so saves write O(jobs) bytes over a run; with a WAL
+	// each such save is a compaction that truncates the log. The closing
+	// save always runs, so an interrupted run loses nothing; a hard kill
+	// re-runs at most one interval's jobs. 0 selects 64.
 	CheckpointEvery int
 
 	// CheckpointFS is the filesystem under checkpoint I/O; nil selects
@@ -44,15 +50,6 @@ type Options struct {
 	// reply.
 	WALSyncEvery int
 
-	// CompactEvery is the floor of the WAL compaction schedule: the log
-	// folds into a fresh checkpoint once the terminal job transitions
-	// (merges + dead letters) since the last snapshot reach the larger of
-	// n and the terminal rows that snapshot holds. The interval doubles
-	// as the campaign progresses, so compaction costs O(jobs) over a run,
-	// and the log never holds more terminal records than the snapshot it
-	// replays over (or n, early on). 0 selects the default floor of 64.
-	CompactEvery int
-
 	// Metrics receives the run's counters; nil allocates a private set.
 	Metrics *Metrics
 
@@ -70,6 +67,10 @@ type Options struct {
 	// here. nil selects the real harness-backed runner.
 	runJob jobFunc
 }
+
+// defaultCheckpointFloor is the floor of the snapshot interval when
+// Options.CheckpointEvery is unset.
+const defaultCheckpointFloor = 64
 
 // DefaultLeaseTTL is how long a worker may sit on a leased job without
 // heartbeating before it requeues.
@@ -98,7 +99,7 @@ type Dispatcher struct {
 	camp  *Campaign
 	opts  Options
 	ttl   time.Duration // 0 for an in-process run: leases never expire
-	every int
+	floor int           // floor of the snapshot interval (Options.CheckpointEvery)
 	now   func() time.Time
 	// corpus renders the wire corpus on first use: only fleet workers
 	// fetch it, so in-process runs never pay for formatting every test.
@@ -118,15 +119,14 @@ type Dispatcher struct {
 	// live on only in the totals.
 	done  [][]byte
 	ndone int
-	// snap writes every snapshot: periodic, compacting and closing. nil
-	// without a CheckpointPath.
+	// snap writes every snapshot: scheduled and closing. nil without a
+	// CheckpointPath.
 	snap          *snapshotWriter
 	mergedLease   map[int]int64 // job ID → lease nonce its merged upload carried
-	sinceSave     int
-	sinceCompact  int   // merges + dead letters since the last WAL compaction
-	compactEvery  int   // floor of the compaction interval
-	snapTerminal  int   // done + dead-lettered rows in the last saved WAL snapshot
-	checkpointErr error // final-save failure; transient mid-run errors only count in metrics
+	sinceSnap     int           // merges + dead letters since the last snapshot
+	snapTerminal  int           // done + dead-lettered rows in the last snapshot
+	checkpointErr error         // final-save failure; transient mid-run errors only count in metrics
+	finishedAt    time.Time     // when finish ran; immutable once finishCh is closed
 	finished      bool
 	cancelled     bool
 	finishCh      chan struct{}
@@ -164,9 +164,9 @@ func newDispatcher(camp *Campaign, ttl time.Duration, opts Options) (*Dispatcher
 		metrics = &Metrics{}
 	}
 	metrics.Start()
-	every := opts.CheckpointEvery
-	if every <= 0 {
-		every = 1
+	floor := opts.CheckpointEvery
+	if floor <= 0 {
+		floor = defaultCheckpointFloor
 	}
 	if opts.CheckpointFS == nil {
 		opts.CheckpointFS = osCheckpointFS{}
@@ -176,10 +176,6 @@ func newDispatcher(camp *Campaign, ttl time.Duration, opts Options) (*Dispatcher
 	}
 	if opts.WALPath != "" && opts.CheckpointPath == "" {
 		return nil, fmt.Errorf("campaign: WALPath requires CheckpointPath (the log compacts into the checkpoint)")
-	}
-	compactEvery := opts.CompactEvery
-	if compactEvery <= 0 {
-		compactEvery = 64
 	}
 
 	var restored map[int]*JobResult
@@ -209,20 +205,19 @@ func newDispatcher(camp *Campaign, ttl time.Duration, opts Options) (*Dispatcher
 	}
 
 	d := &Dispatcher{
-		camp:         camp,
-		opts:         opts,
-		ttl:          ttl,
-		every:        every,
-		compactEvery: compactEvery,
-		now:          time.Now,
-		corpus:       sync.OnceValue(func() []CorpusTest { return buildCorpus(camp) }),
-		metrics:      metrics,
-		results:      NewResults(),
-		done:         make([][]byte, len(camp.jobs)),
-		snap:         snap,
-		mergedLease:  map[int]int64{},
-		lastNext:     map[string][]LeaseRef{},
-		finishCh:     make(chan struct{}),
+		camp:        camp,
+		opts:        opts,
+		ttl:         ttl,
+		floor:       floor,
+		now:         time.Now,
+		corpus:      sync.OnceValue(func() []CorpusTest { return buildCorpus(camp) }),
+		metrics:     metrics,
+		results:     NewResults(),
+		done:        make([][]byte, len(camp.jobs)),
+		snap:        snap,
+		mergedLease: map[int]int64{},
+		lastNext:    map[string][]LeaseRef{},
+		finishCh:    make(chan struct{}),
 	}
 	// validateRestored has checked every restored result against its job.
 	for _, job := range camp.jobs {
@@ -231,6 +226,8 @@ func newDispatcher(camp *Campaign, ttl time.Duration, opts Options) (*Dispatcher
 			d.markDoneLocked(jr)
 		}
 	}
+	// A restored run's first interval starts from the rows it restored.
+	d.snapTerminal = d.ndone
 	if opts.WALPath == "" {
 		var pending []Job
 		for _, job := range camp.jobs {
@@ -331,7 +328,7 @@ func (d *Dispatcher) recoverDurable(ledger *LedgerSnapshot) error {
 	}
 
 	d.wal = newWAL(fsys, d.opts.WALPath, d.opts.WALSyncEvery, crc, d.metrics)
-	if d.compactLocked() == nil {
+	if d.snapshotLocked() == nil {
 		return nil
 	}
 	// The startup compaction could not persist a fresh snapshot. Keep
@@ -448,18 +445,20 @@ func (d *Dispatcher) Cancel() {
 }
 
 // finish closes the run. Caller holds d.mu (or is the constructor).
+// The closing save persists every merge since the last scheduled one.
 // With a WAL, the closing durability step is: flush the log (so even a
 // failed final save leaves a replayable record of every merge), save
 // the checkpoint with the final ledger, and — only if the save landed —
 // truncate the log back to a begin record. Only the final save's
-// failure surfaces in Outcome; see flushCheckpointLocked for why
-// mid-run save errors stay transient.
+// failure surfaces in Outcome; see snapshotLocked for why mid-run save
+// errors stay transient.
 func (d *Dispatcher) finish() {
 	if d.finished {
 		return
 	}
 	d.finished = true
-	if d.opts.CheckpointPath != "" && !d.killed {
+	d.finishedAt = time.Now() //perple:allow nodeterminism wall-clock status stamp; never feeds results
+	if d.snap != nil && !d.killed {
 		if d.wal != nil {
 			d.wal.syncNow()
 			d.checkpointErr = d.saveFinalLocked(true)
@@ -467,7 +466,7 @@ func (d *Dispatcher) finish() {
 				_ = d.wal.rotate()
 			}
 			d.wal.close()
-		} else if d.sinceSave > 0 {
+		} else if d.sinceSnap > 0 {
 			d.checkpointErr = d.saveFinalLocked(false)
 		}
 	}
@@ -499,7 +498,7 @@ var ledgerPool = sync.Pool{New: func() any { return new(LedgerSnapshot) }}
 
 // saveLocked writes one snapshot of the done set, with the full lease
 // ledger as its ledger section when withLedger: the one save behind
-// periodic checkpoints, WAL compaction and the closing save. It counts
+// scheduled snapshots, WAL compaction and the closing save. It counts
 // the save, its bytes and its host time, or a checkpoint error. Caller
 // holds d.mu.
 func (d *Dispatcher) saveLocked(withLedger bool) error {
@@ -533,25 +532,44 @@ func (d *Dispatcher) ledgerLocked(lg *LedgerSnapshot) {
 	slices.SortFunc(lg.Merged, func(a, b MergedLease) int { return cmp.Compare(a.JobID, b.JobID) })
 }
 
-// compactLocked folds the current state into a fresh checkpoint and, on
-// success, truncates the WAL to a begin-only segment. Ordering is the
-// safety argument: the snapshot persists before any log bytes are
-// discarded, so a crash at any point leaves either (old snapshot +
-// full log) or (new snapshot + stale-but-convergent log) — never a
-// state with merges recorded nowhere. A failed save keeps the log
-// intact and counts a transient checkpoint error. Caller holds d.mu.
-func (d *Dispatcher) compactLocked() error {
+// checkpointLocked saves a snapshot once it is due: when the terminal
+// transitions since the last one reach max(floor, terminal rows in it).
+// The interval doubles as the campaign progresses, so a run of J jobs
+// saves O(log J) times and writes O(J) bytes, and the terminal
+// transitions a hard kill loses — or the WAL, when there is one, holds
+// — number at most max(floor, T) over a snapshot of T terminal rows.
+// Caller holds d.mu.
+func (d *Dispatcher) checkpointLocked() {
+	if d.snap != nil && d.sinceSnap >= max(d.floor, d.snapTerminal) {
+		_ = d.snapshotLocked()
+	}
+}
+
+// snapshotLocked saves the current state and restarts the interval from
+// the rows the snapshot holds. With a WAL the save is a compaction: the
+// snapshot carries the ledger and, on success, the log is truncated to a
+// begin-only segment. Ordering is the safety argument: the snapshot
+// persists before any log bytes are discarded, so a crash at any point
+// leaves either (old snapshot + full log) or (new snapshot +
+// stale-but-convergent log) — never a state with merges recorded
+// nowhere. A failed save is transient: it counts a checkpoint error,
+// keeps the log intact and the interval running, so the next exchange
+// retries, and the snapshot already on disk remains a valid (stale)
+// resume point. Caller holds d.mu.
+func (d *Dispatcher) snapshotLocked() error {
 	if d.killed {
 		return nil
 	}
-	if err := d.saveLocked(true); err != nil {
+	if err := d.saveLocked(d.wal != nil); err != nil {
 		return err
 	}
-	d.metrics.WALCompactions.Add(1)
 	_, _, _, failed := d.q.counts()
 	d.snapTerminal = d.ndone + failed
-	d.sinceSave = 0
-	d.sinceCompact = 0
+	d.sinceSnap = 0
+	if d.wal == nil {
+		return nil
+	}
+	d.metrics.WALCompactions.Add(1)
 	if d.killHook != nil && d.killHook("mid-compact") {
 		d.disarmLocked()
 		return nil
@@ -648,7 +666,7 @@ func (d *Dispatcher) walDeadLetterLocked(e *queueEntry) {
 // bare failed count. Caller holds d.mu.
 func (d *Dispatcher) recordFailureLocked(e *queueEntry) {
 	d.metrics.JobsFailed.Add(1)
-	d.sinceCompact++
+	d.sinceSnap++
 	f := JobFailure{
 		JobID:    e.job.ID,
 		Test:     e.job.Test,
@@ -890,13 +908,7 @@ func (d *Dispatcher) complete(req CompleteRequest, next *LeaseResponse) Complete
 			d.walExtendLocked(ref)
 		}
 	}
-	if d.wal != nil {
-		if d.sinceCompact >= max(d.compactEvery, d.snapTerminal) {
-			_ = d.compactLocked()
-		}
-	} else {
-		d.flushCheckpointLocked()
-	}
+	d.checkpointLocked()
 	d.maybeFinishLocked()
 	if req.Lease > 0 {
 		if next == nil {
@@ -940,12 +952,11 @@ func (d *Dispatcher) resultMatchesJob(jr *JobResult) bool {
 }
 
 // mergeLocked folds one accepted result into the totals and the
-// checkpoint batch. Caller holds d.mu.
+// snapshot interval. Caller holds d.mu.
 func (d *Dispatcher) mergeLocked(jr *JobResult, wasLeased bool) {
 	d.results.Add(jr)
 	d.markDoneLocked(jr)
-	d.sinceSave++
-	d.sinceCompact++
+	d.sinceSnap++
 	d.metrics.JobsCompleted.Add(1)
 	d.metrics.Iterations.Add(int64(jr.N))
 	// TraceVerifyNs is json:"-" so it arrives zero from remote workers:
@@ -963,21 +974,6 @@ func (d *Dispatcher) mergeLocked(jr *JobResult, wasLeased bool) {
 	if d.opts.OnJobDone != nil {
 		d.opts.OnJobDone(jr)
 	}
-}
-
-// flushCheckpointLocked writes the snapshot when the batch threshold is
-// reached. Write failures are transient: the batch stays pending and
-// the next flush retries, since the snapshot already on disk remains a
-// valid (stale) resume point. Only a failure of the closing save — see
-// finish — surfaces in Outcome. Caller holds d.mu.
-func (d *Dispatcher) flushCheckpointLocked() {
-	if d.opts.CheckpointPath == "" || d.sinceSave < d.every || d.killed {
-		return
-	}
-	if d.saveLocked(false) != nil {
-		return
-	}
-	d.sinceSave = 0
 }
 
 // doneMark is what done holds for a merged job when no snapshot will

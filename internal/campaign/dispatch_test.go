@@ -269,7 +269,10 @@ func TestDispatcherResumeMidLease(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d1, err := NewDispatcher(newCamp(), time.Minute, Options{CheckpointPath: cp})
+	// A floor of 1 puts the first scheduled save at the first exchange
+	// that merges: the five shards below.
+	opts := Options{CheckpointPath: cp, CheckpointEvery: 1}
+	d1, err := NewDispatcher(newCamp(), time.Minute, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +291,7 @@ func TestDispatcherResumeMidLease(t *testing.T) {
 	}
 	// d1 is now abandoned with total-5 shards still leased — the restart.
 
-	d2, err := NewDispatcher(newCamp(), time.Minute, Options{CheckpointPath: cp})
+	d2, err := NewDispatcher(newCamp(), time.Minute, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +540,7 @@ func TestFleetRecordsRetries(t *testing.T) {
 	if state := pollState(t, ts, id, 30*time.Second); state != StateDone {
 		t.Fatalf("campaign ended %q", state)
 	}
-	done, err := LoadCheckpoint(filepath.Join(srv.CheckpointDir, id+".json"), spec)
+	done, _, _, err := LoadCheckpointLedgerFS(osCheckpointFS{}, filepath.Join(srv.CheckpointDir, id+".json"), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -306,11 +306,11 @@ func TestDispatcherResendsLostNext(t *testing.T) {
 			t.Fatal(err)
 		}
 		d, err := NewDispatcher(camp, time.Minute, Options{
-			CheckpointPath: filepath.Join(dir, "cp.json"),
-			WALPath:        filepath.Join(dir, "log.wal"),
-			WALSyncEvery:   1,
-			CompactEvery:   1 << 20,
-			Metrics:        &Metrics{},
+			CheckpointPath:  filepath.Join(dir, "cp.json"),
+			WALPath:         filepath.Join(dir, "log.wal"),
+			WALSyncEvery:    1,
+			CheckpointEvery: 1 << 20,
+			Metrics:         &Metrics{},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -476,12 +476,12 @@ func TestWALCommitOncePerExchange(t *testing.T) {
 		dir := t.TempDir()
 		fsys := &syncFS{}
 		opts := Options{
-			CheckpointPath: filepath.Join(dir, "cp.json"),
-			WALPath:        filepath.Join(dir, "log.wal"),
-			WALSyncEvery:   syncEvery,
-			CompactEvery:   1 << 20, // no mid-run compaction: every record stays in the log
-			CheckpointFS:   fsys,
-			Metrics:        &Metrics{},
+			CheckpointPath:  filepath.Join(dir, "cp.json"),
+			WALPath:         filepath.Join(dir, "log.wal"),
+			WALSyncEvery:    syncEvery,
+			CheckpointEvery: 1 << 20, // no mid-run compaction: every record stays in the log
+			CheckpointFS:    fsys,
+			Metrics:         &Metrics{},
 		}
 		camp, err := New(spec)
 		if err != nil {

@@ -38,11 +38,10 @@ type serverRun struct {
 	dispatcher *Dispatcher          // nil for local runs
 	axiom      map[string]TestAxiom // static target classification; read-only after submit
 
-	mu       sync.Mutex
-	state    string
-	errMsg   string
-	results  *Results
-	finished time.Time
+	// out is a local run's outcome, recorded by its goroutine; a dispatch
+	// run's is read from its dispatcher (see outcome).
+	mu  sync.Mutex
+	out runOutcome
 
 	// deadLetters quarantines jobs whose retry budget ran out, in arrival
 	// order, so poison shards are visible on the status endpoint while the
@@ -94,22 +93,51 @@ func (r *serverRun) deadLetterList() []JobFailure {
 	return out
 }
 
+// runOutcome is how a run ended, as the status, list and results
+// endpoints report it; state is StateRunning until then.
+type runOutcome struct {
+	state    string
+	errMsg   string
+	results  *Results
+	finished time.Time
+}
+
+func finishedOutcome(res *Results, err error, cancelled bool, at time.Time) runOutcome {
+	out := runOutcome{state: StateDone, results: res, finished: at}
+	switch {
+	case cancelled:
+		out.state = StateCancelled
+	case err != nil:
+		out.state = StateFailed
+	}
+	if err != nil {
+		out.errMsg = err.Error()
+	}
+	return out
+}
+
 func (r *serverRun) setFinished(res *Results, err error, cancelled bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.results = res
-	r.finished = time.Now()
-	switch {
-	case cancelled:
-		r.state = StateCancelled
-	case err != nil:
-		r.state = StateFailed
-	default:
-		r.state = StateDone
+	r.out = finishedOutcome(res, err, cancelled, time.Now())
+}
+
+// outcome reports how the run ended, or that it is still running. A
+// dispatch run's outcome is read from its dispatcher once Finished is
+// closed, so nothing waits on a dispatcher that never finishes.
+func (r *serverRun) outcome() runOutcome {
+	if d := r.dispatcher; d != nil {
+		select {
+		case <-d.Finished():
+			res, err, cancelled := d.Outcome()
+			return finishedOutcome(res, err, cancelled, d.finishedAt)
+		default:
+			return runOutcome{state: StateRunning}
+		}
 	}
-	if err != nil {
-		r.errMsg = err.Error()
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.out
 }
 
 // Server exposes the campaign engine over HTTP. All handlers are
@@ -121,8 +149,8 @@ type Server struct {
 	// checkpoint file (<id>.json) under it.
 	CheckpointDir string
 
-	// CheckpointEvery batches snapshot writes to every n completed jobs;
-	// 0 means every job.
+	// CheckpointEvery is the floor of each campaign's doubling snapshot
+	// interval (see Options.CheckpointEvery); 0 selects 64.
 	CheckpointEvery int
 
 	// CheckpointFS is the filesystem under checkpoint I/O; nil selects
@@ -144,11 +172,6 @@ type Server struct {
 	// Options.WALSyncEvery); 0 or 1 fsyncs every exchange that logged a
 	// record.
 	WALSyncEvery int
-
-	// CompactEvery is the floor of each dispatcher's WAL compaction
-	// interval, which doubles with the campaign's terminal rows (see
-	// Options.CompactEvery); 0 selects the dispatcher default.
-	CompactEvery int
 
 	mu   sync.Mutex
 	runs map[string]*serverRun
@@ -269,11 +292,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	var oldestAge time.Duration
 	for _, r := range runs {
 		agg.Merge(r.metrics.Snapshot())
-		r.mu.Lock()
-		if r.state == StateRunning {
+		if r.outcome().state == StateRunning {
 			running++
 		}
-		r.mu.Unlock()
 		if r.dispatcher != nil {
 			active, age := r.dispatcher.LeaseGauges()
 			leasesActive += active
@@ -350,7 +371,7 @@ func writePrometheus(w io.Writer, campaigns, running int, uptimeSec float64, lea
 		{"perple_wal_appends_total", "counter", "Lease-ledger transitions appended to write-ahead logs.", float64(agg.WALAppends)},
 		{"perple_wal_append_errors_total", "counter", "WAL appends that failed and degraded the log.", float64(agg.WALAppendErrors)},
 		{"perple_wal_fsync_ns_total", "counter", "Host nanoseconds spent fsyncing write-ahead logs.", float64(agg.WALFsyncNs)},
-		{"perple_checkpoint_saves_total", "counter", "Checkpoint snapshots written (periodic, compacting and closing).", float64(agg.CheckpointSaves)},
+		{"perple_checkpoint_saves_total", "counter", "Checkpoint snapshots written (scheduled and closing).", float64(agg.CheckpointSaves)},
 		{"perple_checkpoint_ns_total", "counter", "Host nanoseconds spent writing checkpoint snapshots.", float64(agg.CheckpointNs)},
 		{"perple_checkpoint_bytes_total", "counter", "Checkpoint snapshot bytes written.", float64(agg.CheckpointBytes)},
 		{"perple_wal_fsyncs_total", "counter", "Write-ahead log group-commit fsyncs (at most one per dispatcher exchange).", float64(agg.WALFsyncs)},
@@ -414,7 +435,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		spec:    camp.Spec,
 		metrics: &Metrics{},
 		started: time.Now(),
-		state:   StateRunning,
+		out:     runOutcome{state: StateRunning},
 		axiom:   camp.AxiomInfo(),
 	}
 	opts := Options{
@@ -432,7 +453,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		if s.WALDir != "" && s.CheckpointDir != "" {
 			opts.WALPath = filepath.Join(s.WALDir, id+".wal")
 			opts.WALSyncEvery = s.WALSyncEvery
-			opts.CompactEvery = s.CompactEvery
 		}
 		disp, err := NewDispatcher(camp, s.LeaseTTL, opts)
 		if err != nil {
@@ -441,11 +461,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		}
 		run.dispatcher = disp
 		run.cancel = disp.Cancel
-		go func() {
-			<-disp.Finished()
-			res, err, cancelled := disp.Outcome()
-			run.setFinished(res, err, cancelled)
-		}()
 	} else {
 		ctx, cancel := context.WithCancel(context.Background())
 		run.cancel = cancel
@@ -608,18 +623,17 @@ type dispatchStatus struct {
 }
 
 func (r *serverRun) status() runStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	out := r.outcome()
 	st := runStatus{
 		ID:      r.id,
 		Name:    r.spec.Name,
-		State:   r.state,
-		Error:   r.errMsg,
+		State:   out.state,
+		Error:   out.errMsg,
 		Started: r.started.UTC().Format(time.RFC3339),
 		Metrics: r.metrics.Snapshot(),
 	}
-	if !r.finished.IsZero() {
-		st.Finished = r.finished.UTC().Format(time.RFC3339)
+	if !out.finished.IsZero() {
+		st.Finished = out.finished.UTC().Format(time.RFC3339)
 	}
 	if r.dispatcher != nil {
 		var ds dispatchStatus
@@ -662,9 +676,8 @@ func (s *Server) handleResults(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusNotFound, "no campaign %q", req.PathValue("id"))
 		return
 	}
-	run.mu.Lock()
-	state, res := run.state, run.results
-	run.mu.Unlock()
+	out := run.outcome()
+	state, res := out.state, out.results
 	if state == StateRunning || res == nil {
 		writeError(w, http.StatusConflict, "campaign %s is still %s", run.id, state)
 		return

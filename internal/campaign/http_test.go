@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -229,5 +230,38 @@ func TestServerMethodRouting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET cancel = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestServerDispatchRunsStartNoGoroutine: a dispatch-mode campaign is
+// served by its dispatcher alone, and its status is read from the
+// dispatcher once it finishes, so submitting campaigns that never
+// finish and dropping the server leaves no goroutine behind.
+func TestServerDispatchRunsStartNoGoroutine(t *testing.T) {
+	const campaigns = 8
+	baseline := runtime.NumGoroutine()
+	func() {
+		h := NewServer().Handler()
+		for i := 0; i < campaigns; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaigns?mode=dispatch",
+				strings.NewReader(`{"tests":["sb"],"tools":["litmus7-user"],"iterations":100}`)))
+			if rec.Code != http.StatusAccepted {
+				t.Fatalf("submit = %d: %s", rec.Code, rec.Body)
+			}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/campaigns/c0001", nil))
+		if !strings.Contains(rec.Body.String(), `"state": "running"`) {
+			t.Fatalf("unfinished dispatch campaign status: %s", rec.Body)
+		}
+	}() // the server is dropped here
+	runtime.GC()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > baseline && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > baseline {
+		t.Fatalf("%d goroutines after %d dispatch submissions, %d before", n, campaigns, baseline)
 	}
 }

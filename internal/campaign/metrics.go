@@ -90,8 +90,8 @@ type Metrics struct {
 	// CheckpointRecoveries counts resumes that fell back to the rotated
 	// last-good snapshot because the active one was corrupt or missing.
 	CheckpointRecoveries atomic.Int64
-	// CheckpointSaves counts snapshots written: periodic, compacting and
-	// closing.
+	// CheckpointSaves counts snapshots written: scheduled (compactions,
+	// with a WAL) and closing.
 	CheckpointSaves atomic.Int64
 	// CheckpointNs is host nanoseconds spent writing snapshots, failed
 	// attempts included.

@@ -251,7 +251,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := SaveCheckpoint(path, spec, done); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadCheckpoint(path, spec)
+	restored, _, _, err := LoadCheckpointLedgerFS(osCheckpointFS{}, path, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := other.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(path, other); err == nil {
+	if _, _, _, err := LoadCheckpointLedgerFS(osCheckpointFS{}, path, other); err == nil {
 		t.Fatal("checkpoint accepted by a different spec")
 	}
 
@@ -281,7 +281,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := tuned.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(path, tuned); err != nil {
+	if _, _, _, err := LoadCheckpointLedgerFS(osCheckpointFS{}, path, tuned); err != nil {
 		t.Fatalf("resume with different worker count refused: %v", err)
 	}
 }
@@ -468,7 +468,7 @@ func TestCheckpointRejectsV1(t *testing.T) {
 	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	done, err := LoadCheckpoint(path, spec)
+	done, _, _, err := LoadCheckpointLedgerFS(osCheckpointFS{}, path, spec)
 	if err == nil || os.IsNotExist(err) || done != nil {
 		t.Fatalf("v1 snapshot loaded as (%v, %v), want a rejection", done, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"hash/crc32"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -133,14 +134,14 @@ func TestSnapshotWrapperBytes(t *testing.T) {
 		}
 		snapshotCheck(t, tc.name, path, camp.Spec, tc.done, tc.ledger)
 		// A second save over the first rotates it and writes the same bytes.
-		if err := SaveCheckpointFS(osCheckpointFS{}, path, camp.Spec, tc.done); err != nil {
+		if err := SaveCheckpointLedgerFS(osCheckpointFS{}, path, camp.Spec, tc.done, nil); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		snapshotCheck(t, tc.name+"/again", path, camp.Spec, tc.done, nil)
 	}
 }
 
-// TestDispatcherSnapshotBytes pins every dispatcher save — periodic,
+// TestDispatcherSnapshotBytes pins every dispatcher save — scheduled,
 // WAL compaction at startup and closing — to the format's definition,
 // for results merged, restored from a checkpoint and replayed from the
 // WAL, over consecutive saves that reuse the writer's buffers.
@@ -154,13 +155,14 @@ func TestDispatcherSnapshotBytes(t *testing.T) {
 	t.Run("restored-then-periodic", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "cp.json")
 		done := map[int]*JobResult{}
-		for _, job := range camp.jobs[:len(camp.jobs)/2] {
+		for _, job := range camp.jobs[:len(camp.jobs)/4] {
 			done[job.ID] = richResult(job)
 		}
 		if err := SaveCheckpoint(path, camp.Spec, done); err != nil {
 			t.Fatal(err)
 		}
-		d, err := NewDispatcher(camp, time.Minute, Options{CheckpointPath: path})
+		const floor = 1
+		d, err := NewDispatcher(camp, time.Minute, Options{CheckpointPath: path, CheckpointEvery: floor})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,24 +179,34 @@ func TestDispatcherSnapshotBytes(t *testing.T) {
 		if got := d.metrics.CheckpointBytes.Load(); got != fi.Size() || d.metrics.CheckpointNs.Load() <= 0 {
 			t.Fatalf("a save of %d bytes counted %d bytes in %d ns", fi.Size(), got, d.metrics.CheckpointNs.Load())
 		}
+		// The restored rows start the interval: saves land at 3+3 = 6 and
+		// 6+6 = 12 done, the last coinciding with the close.
+		saved, due, saves := maps.Clone(done), nextSave(floor, len(done)), int64(1)
 		for i, g := range d.Lease(LeaseRequest{Worker: worker, Max: 1 << 20}).Grants {
 			jr := richResult(g.Job)
 			d.Complete(CompleteRequest{Worker: worker, Results: []WorkerResult{{LeaseID: g.LeaseID, Result: jr}}}, 0)
 			done[jr.JobID] = jr
-			snapshotCheck(t, "periodic save "+strconv.Itoa(i), path, camp.Spec, done, nil)
+			if len(done) == due {
+				saved, due = maps.Clone(done), nextSave(floor, len(done))
+				saves++
+			}
+			snapshotCheck(t, "after merge "+strconv.Itoa(i), path, camp.Spec, saved, nil)
 		}
-		if got := d.metrics.CheckpointSaves.Load(); got != int64(len(camp.jobs)-len(camp.jobs)/2+1) {
-			t.Fatalf("CheckpointSaves = %d, want one per merge plus the explicit save", got)
+		if len(saved) != len(camp.jobs) {
+			t.Fatalf("the last scheduled save held %d of %d jobs; this case wants it to coincide with the close", len(saved), len(camp.jobs))
+		}
+		if got := d.metrics.CheckpointSaves.Load(); got != saves || saves != 3 {
+			t.Fatalf("CheckpointSaves = %d, want the explicit save plus %d scheduled", got, saves-1)
 		}
 	})
 
 	t.Run("wal-replay-then-closing", func(t *testing.T) {
 		dir := t.TempDir()
 		opts := Options{
-			CheckpointPath: filepath.Join(dir, "cp.json"),
-			WALPath:        filepath.Join(dir, "ledger.wal"),
-			WALSyncEvery:   1,
-			CompactEvery:   1 << 20,
+			CheckpointPath:  filepath.Join(dir, "cp.json"),
+			WALPath:         filepath.Join(dir, "ledger.wal"),
+			WALSyncEvery:    1,
+			CheckpointEvery: 1 << 20,
 		}
 		ledgerOf := func(d *Dispatcher) *LedgerSnapshot {
 			d.mu.Lock()
@@ -275,11 +287,11 @@ func saveBenchDispatcher(tb testing.TB) *Dispatcher {
 }
 
 // TestCheckpointSaveAllocsFlat pins the point of keeping results
-// encoded: a periodic save's allocations (temp file, renames, directory
-// sync) do not grow with the done count. Re-encoding the results costs
-// at least one allocation each, since encoding/json sorts every
-// histogram's keys. Compacting and closing saves also encode the
-// ledger, O(log J) times per run.
+// encoded: the allocations of a save without a ledger section (temp
+// file, renames, directory sync) do not grow with the done count.
+// Re-encoding the results costs at least one allocation each, since
+// encoding/json sorts every histogram's keys. Saves with a WAL also
+// encode the ledger, O(log J) times per run.
 func TestCheckpointSaveAllocsFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 2000 shards")
@@ -312,7 +324,7 @@ func (fs noSyncFS) CreateTemp(dir, pattern string) (CheckpointFile, error) {
 
 func (noSyncFS) SyncDir(string) error { return nil }
 
-// BenchmarkCheckpointSave times one periodic save (done results, no
+// BenchmarkCheckpointSave times one save without a WAL (done results, no
 // ledger section) of a 2000-shard campaign. The fsyncs are skipped: they
 // time the disk, not the writer, and would swamp what the benchmark
 // gates — a save's allocations, which a return to re-encoding every

@@ -97,7 +97,7 @@ func TestCheckpointRefusesIntraWorkersChange(t *testing.T) {
 	}
 	relaxed := spec
 	relaxed.Workers = 9
-	if _, err := LoadCheckpoint(path, relaxed); err != nil {
+	if _, _, _, err := LoadCheckpointLedgerFS(osCheckpointFS{}, path, relaxed); err != nil {
 		t.Fatalf("worker-count change refused: %v", err)
 	}
 	split := spec
@@ -105,7 +105,7 @@ func TestCheckpointRefusesIntraWorkersChange(t *testing.T) {
 	if err := SaveCheckpoint(path, split, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(path, spec); err == nil || !strings.Contains(err.Error(), "intra_workers 3") {
+	if _, _, _, err := LoadCheckpointLedgerFS(osCheckpointFS{}, path, spec); err == nil || !strings.Contains(err.Error(), "intra_workers 3") {
 		t.Fatalf("checkpoint with intra_workers 3 loaded: err %v", err)
 	}
 }

@@ -174,7 +174,7 @@ func TestWALReplayPropertyRandomOps(t *testing.T) {
 				WALSyncEvery:   1 + rng.Intn(4),
 				// A low floor, so that mid-run compactions fire between
 				// restarts even as the doubling schedule stretches them.
-				CompactEvery: 1 + rng.Intn(3),
+				CheckpointEvery: 1 + rng.Intn(3),
 			}
 			newDisp := func() *Dispatcher {
 				camp, err := New(spec)
@@ -320,10 +320,10 @@ func recoveredFingerprint(t *testing.T, spec Spec, opts Options, walBytes []byte
 	t.Helper()
 	dir := t.TempDir()
 	clone := Options{
-		CheckpointPath: filepath.Join(dir, "cp.json"),
-		WALPath:        filepath.Join(dir, "log.wal"),
-		WALSyncEvery:   opts.WALSyncEvery,
-		CompactEvery:   opts.CompactEvery,
+		CheckpointPath:  filepath.Join(dir, "cp.json"),
+		WALPath:         filepath.Join(dir, "log.wal"),
+		WALSyncEvery:    opts.WALSyncEvery,
+		CheckpointEvery: opts.CheckpointEvery,
 	}
 	for _, suffix := range []string{"", ".prev"} {
 		if data, err := os.ReadFile(opts.CheckpointPath + suffix); err == nil {
@@ -407,7 +407,7 @@ func (f *flakySaveFS) CreateTemp(dir, pattern string) (CheckpointFile, error) {
 }
 
 // completeAll leases every job and uploads a fake result for each, one
-// Complete call per job so every checkpoint cadence fires.
+// Complete call per job so every scheduled save fires.
 func completeAll(t *testing.T, d *Dispatcher) {
 	t.Helper()
 	resp := d.Lease(LeaseRequest{Worker: "w", Max: 1 << 20})
@@ -434,8 +434,10 @@ func TestDispatcherCheckpointErrSemantics(t *testing.T) {
 	}()
 
 	t.Run("transient failures then clean final save", func(t *testing.T) {
-		// Every mid-run flush fails, plus the first closing attempt; the
-		// retry loop's second attempt lands. The campaign must succeed.
+		// At a floor of 1 every exchange is a scheduled save until one
+		// lands, so every mid-run save fails, plus the first closing
+		// attempt; the retry loop's second attempt lands. The campaign
+		// must succeed.
 		camp, err := New(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -443,9 +445,10 @@ func TestDispatcherCheckpointErrSemantics(t *testing.T) {
 		metrics := &Metrics{}
 		fsys := &flakySaveFS{failures: jobs + 1}
 		d, err := NewDispatcher(camp, time.Minute, Options{
-			CheckpointPath: filepath.Join(t.TempDir(), "cp.json"),
-			CheckpointFS:   fsys,
-			Metrics:        metrics,
+			CheckpointPath:  filepath.Join(t.TempDir(), "cp.json"),
+			CheckpointFS:    fsys,
+			CheckpointEvery: 1,
+			Metrics:         metrics,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -492,10 +495,10 @@ func TestDispatcherCheckpointErrSemantics(t *testing.T) {
 		}
 		dir := t.TempDir()
 		d, err := NewDispatcher(camp, time.Minute, Options{
-			CheckpointPath: filepath.Join(dir, "cp.json"),
-			WALPath:        filepath.Join(dir, "log.wal"),
-			CheckpointFS:   &flakySaveFS{failures: 3},
-			CompactEvery:   1,
+			CheckpointPath:  filepath.Join(dir, "cp.json"),
+			WALPath:         filepath.Join(dir, "log.wal"),
+			CheckpointFS:    &flakySaveFS{failures: 3},
+			CheckpointEvery: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -507,98 +510,143 @@ func TestDispatcherCheckpointErrSemantics(t *testing.T) {
 	})
 }
 
-// TestWALCompactionDoublingSchedule pins the compaction schedule: with
-// a floor of 3, a WAL dispatcher compacts when the terminal transitions
-// since its last snapshot reach max(3, terminal rows in that snapshot)
-// — at 3, 6, 12, 24, 48 and 96 terminal rows, dead letters included —
-// and at no point does the log hold more terminal records than that
-// bound over the snapshot on disk, which is what keeps replay bounded.
+// nextSave is the terminal row count at which the doubling schedule
+// saves next after a snapshot holding terminal rows.
+func nextSave(floor, terminal int) int { return terminal + max(floor, terminal) }
+
+// TestWALCompactionDoublingSchedule pins the one snapshot schedule, with
+// a WAL and without: with a floor of 3, a dispatcher saves when the
+// terminal transitions since its last snapshot reach max(3, terminal
+// rows in that snapshot) — at 3, 6, 12, 24, 48 and 96 terminal rows,
+// dead letters included — and closes with a save at 120. At no point
+// does the snapshot on disk miss that bound's worth of terminal rows or
+// more: that bounds the log a WAL replays, and what a hard kill re-runs
+// without one. Over the run the saves write at most four times the
+// final snapshot's bytes.
 func TestWALCompactionDoublingSchedule(t *testing.T) {
 	spec := Spec{
 		Tests: []string{"sb", "mp", "lb"}, Tools: []string{"litmus7-user"},
 		Iterations: 400, ShardSize: 10, // 120 jobs
 		MaxRetries: -1, // no retries: a failure dead-letters
 	}
-	camp, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const floor = 3
-	dir := t.TempDir()
-	metrics := &Metrics{}
-	opts := Options{
-		CheckpointPath: filepath.Join(dir, "cp.json"),
-		WALPath:        filepath.Join(dir, "log.wal"),
-		WALSyncEvery:   1,
-		CompactEvery:   floor,
-		Metrics:        metrics,
-	}
-	d, err := NewDispatcher(camp, time.Minute, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := metrics.WALCompactions.Load(); got != 1 {
-		t.Fatalf("%d compactions at startup, want 1", got)
-	}
-
-	// replayBound checks the on-disk log against the on-disk snapshot.
-	replayBound := func(terminal int) {
-		t.Helper()
-		done, ledger, _, err := LoadCheckpointLedgerFS(osCheckpointFS{}, opts.CheckpointPath, camp.Spec)
-		if err != nil {
-			t.Fatal(err)
+	for _, withWAL := range []bool{true, false} {
+		name := "no-wal"
+		if withWAL {
+			name = "wal"
 		}
-		snap := len(done)
-		for _, row := range ledger.Rows {
-			if row.Failed {
-				snap++
+		t.Run(name, func(t *testing.T) {
+			camp, err := New(spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		rep, err := replayWAL(osCheckpointFS{}, opts.WALPath, specWALCRC(camp.Spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		logged := 0
-		for _, rec := range rep.recs {
-			if rec.Kind == walKindComplete || rec.Kind == walKindDeadLetter {
-				logged++
+			dir := t.TempDir()
+			metrics := &Metrics{}
+			opts := Options{
+				CheckpointPath:  filepath.Join(dir, "cp.json"),
+				CheckpointEvery: floor,
+				Metrics:         metrics,
 			}
-		}
-		if logged > max(floor, snap) {
-			t.Fatalf("at %d terminal rows the log holds %d terminal records over a snapshot of %d", terminal, logged, snap)
-		}
-	}
+			if withWAL {
+				opts.WALPath = filepath.Join(dir, "log.wal")
+				opts.WALSyncEvery = 1
+			}
+			d, err := NewDispatcher(camp, time.Minute, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			startup := int64(0)
+			if withWAL {
+				startup = 1 // the startup compaction
+			}
+			if got := metrics.CheckpointSaves.Load(); got != startup {
+				t.Fatalf("%d saves at startup, want %d", got, startup)
+			}
 
-	var at []int
-	terminal := 0
-	for {
-		lease := d.Lease(LeaseRequest{Worker: "w", Max: 1})
-		if lease.Done {
-			break
-		}
-		g := lease.Grants[0]
-		req := CompleteRequest{Worker: "w"}
-		if terminal == 0 {
-			// The first job dead-letters.
-			req.Failures = []WorkerFailure{{LeaseID: g.LeaseID, JobID: g.Job.ID, Err: "injected"}}
-		} else {
-			req.Results = []WorkerResult{{LeaseID: g.LeaseID, Result: fakeResult(g.Job)}}
-		}
-		before := metrics.WALCompactions.Load()
-		d.Complete(req, 0)
-		terminal++
-		if metrics.WALCompactions.Load() != before {
-			at = append(at, terminal)
-		}
-		if terminal < len(camp.jobs) {
-			replayBound(terminal)
-		}
-	}
-	if want := []int{3, 6, 12, 24, 48, 96}; !slices.Equal(at, want) {
-		t.Fatalf("compacted at %v terminal rows, want %v", at, want)
-	}
-	if res, err, _ := d.Outcome(); err != nil || len(res.Failures) != 1 {
-		t.Fatalf("outcome: %d failures, err %v", len(res.Failures), err)
+			// onDisk checks the snapshot on disk against the last scheduled
+			// save, at last terminal rows, and the rows it misses against
+			// the schedule's bound; with a WAL, also the log's terminal
+			// records against the snapshot.
+			onDisk := func(terminal, last int) {
+				t.Helper()
+				done, ledger, _, err := LoadCheckpointLedgerFS(osCheckpointFS{}, opts.CheckpointPath, camp.Spec)
+				if err != nil && !(os.IsNotExist(err) && last == 0) {
+					t.Fatal(err)
+				}
+				if want := max(last-1, 0); len(done) != want { // the first job dead-lettered
+					t.Fatalf("at %d terminal rows the snapshot holds %d results, want %d", terminal, len(done), want)
+				}
+				if terminal-last >= max(floor, last) {
+					t.Fatalf("at %d terminal rows the snapshot misses %d, past the bound max(%d, %d)", terminal, terminal-last, floor, last)
+				}
+				if !withWAL {
+					return
+				}
+				snap := len(done)
+				for _, row := range ledger.Rows {
+					if row.Failed {
+						snap++
+					}
+				}
+				rep, err := replayWAL(osCheckpointFS{}, opts.WALPath, specWALCRC(camp.Spec))
+				if err != nil {
+					t.Fatal(err)
+				}
+				logged := 0
+				for _, rec := range rep.recs {
+					if rec.Kind == walKindComplete || rec.Kind == walKindDeadLetter {
+						logged++
+					}
+				}
+				if logged > max(floor, snap) {
+					t.Fatalf("at %d terminal rows the log holds %d terminal records over a snapshot of %d", terminal, logged, snap)
+				}
+			}
+
+			var at []int
+			terminal, last := 0, 0
+			for {
+				lease := d.Lease(LeaseRequest{Worker: "w", Max: 1})
+				if lease.Done {
+					break
+				}
+				g := lease.Grants[0]
+				req := CompleteRequest{Worker: "w"}
+				if terminal == 0 {
+					// The first job dead-letters.
+					req.Failures = []WorkerFailure{{LeaseID: g.LeaseID, JobID: g.Job.ID, Err: "injected"}}
+				} else {
+					req.Results = []WorkerResult{{LeaseID: g.LeaseID, Result: fakeResult(g.Job)}}
+				}
+				before := metrics.CheckpointSaves.Load()
+				d.Complete(req, 0)
+				terminal++
+				if metrics.CheckpointSaves.Load() != before {
+					at, last = append(at, terminal), terminal
+				}
+				if terminal < len(camp.jobs) {
+					onDisk(terminal, last)
+				}
+			}
+			if want := []int{3, 6, 12, 24, 48, 96, 120}; !slices.Equal(at, want) {
+				t.Fatalf("saved at %v terminal rows, want %v (the last one closing)", at, want)
+			}
+			if withWAL {
+				if got := metrics.WALCompactions.Load(); got != startup+6 {
+					t.Fatalf("%d compactions, want the startup one plus 6 scheduled", got)
+				}
+			}
+			if res, err, _ := d.Outcome(); err != nil || len(res.Failures) != 1 {
+				t.Fatalf("outcome: %d failures, err %v", len(res.Failures), err)
+			}
+			fi, err := os.Stat(opts.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if written := metrics.CheckpointBytes.Load(); written > 4*fi.Size() {
+				t.Fatalf("saves wrote %d bytes, more than 4x the final snapshot's %d", written, fi.Size())
+			}
+		})
 	}
 }
 

@@ -239,7 +239,7 @@ func TestFSTornWriteBlocksSaveThenRetrySucceeds(t *testing.T) {
 	fsys := NewFS(FSConfig{Seed: 1, Rates: FSRates{TornWrite: 1}, MaxConsecutive: 2})
 
 	for i := 0; i < 2; i++ {
-		err := campaign.SaveCheckpointFS(fsys, path, spec, testDone())
+		err := campaign.SaveCheckpointLedgerFS(fsys, path, spec, testDone(), nil)
 		if err == nil {
 			t.Fatalf("save %d succeeded under torn-write rate 1", i)
 		}
@@ -247,10 +247,10 @@ func TestFSTornWriteBlocksSaveThenRetrySucceeds(t *testing.T) {
 			t.Fatalf("save %d failed with %v, want a torn-write error", i, err)
 		}
 	}
-	if err := campaign.SaveCheckpointFS(fsys, path, spec, testDone()); err != nil {
+	if err := campaign.SaveCheckpointLedgerFS(fsys, path, spec, testDone(), nil); err != nil {
 		t.Fatalf("third save (past the cap) failed: %v", err)
 	}
-	done, recovered, err := campaign.LoadCheckpointFS(NewFS(FSConfig{}), path, spec)
+	done, _, recovered, err := campaign.LoadCheckpointLedgerFS(NewFS(FSConfig{}), path, spec)
 	if err != nil || recovered {
 		t.Fatalf("load: done=%v recovered=%v err=%v", done, recovered, err)
 	}
@@ -266,7 +266,7 @@ func TestFSRenameFailBlocksSaveThenRetrySucceeds(t *testing.T) {
 	fsys := NewFS(FSConfig{Seed: 1, Rates: FSRates{RenameFail: 1}, MaxConsecutive: 2})
 
 	for i := 0; i < 2; i++ {
-		err := campaign.SaveCheckpointFS(fsys, path, spec, testDone())
+		err := campaign.SaveCheckpointLedgerFS(fsys, path, spec, testDone(), nil)
 		if err == nil {
 			t.Fatalf("save %d succeeded under rename-fail rate 1", i)
 		}
@@ -274,10 +274,10 @@ func TestFSRenameFailBlocksSaveThenRetrySucceeds(t *testing.T) {
 			t.Fatalf("save %d failed with %v, want a rename error", i, err)
 		}
 	}
-	if err := campaign.SaveCheckpointFS(fsys, path, spec, testDone()); err != nil {
+	if err := campaign.SaveCheckpointLedgerFS(fsys, path, spec, testDone(), nil); err != nil {
 		t.Fatalf("third save (past the cap) failed: %v", err)
 	}
-	if _, _, err := campaign.LoadCheckpointFS(NewFS(FSConfig{}), path, spec); err != nil {
+	if _, _, _, err := campaign.LoadCheckpointLedgerFS(NewFS(FSConfig{}), path, spec); err != nil {
 		t.Fatalf("load after recovery: %v", err)
 	}
 }
@@ -294,10 +294,10 @@ func TestFSCorruptIsSilentAndCaughtByCRC(t *testing.T) {
 		dir := t.TempDir()
 		path := dir + "/cp.json"
 		fsys := NewFS(FSConfig{Seed: seed, Rates: FSRates{Corrupt: 1}})
-		if err := campaign.SaveCheckpointFS(fsys, path, spec, testDone()); err != nil {
+		if err := campaign.SaveCheckpointLedgerFS(fsys, path, spec, testDone(), nil); err != nil {
 			t.Fatalf("seed %d: corrupting save must look successful, got %v", seed, err)
 		}
-		_, recovered, err := campaign.LoadCheckpointFS(NewFS(FSConfig{}), path, spec)
+		_, _, recovered, err := campaign.LoadCheckpointLedgerFS(NewFS(FSConfig{}), path, spec)
 		if recovered {
 			t.Fatalf("seed %d: nothing to recover from on a first save", seed)
 		}
@@ -321,16 +321,16 @@ func TestFSCorruptFallsBackToRotatedSnapshot(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		dir := t.TempDir()
 		path := dir + "/cp.json"
-		if err := campaign.SaveCheckpointFS(NewFS(FSConfig{}), path, spec, testDone()); err != nil {
+		if err := campaign.SaveCheckpointLedgerFS(NewFS(FSConfig{}), path, spec, testDone(), nil); err != nil {
 			t.Fatal(err)
 		}
 		newer := testDone()
 		newer[1] = &campaign.JobResult{JobID: 1, Test: "sb", Tool: "perple-heur", Preset: "default", N: 10, Seed: 43, Ticks: 200}
 		fsys := NewFS(FSConfig{Seed: seed, Rates: FSRates{Corrupt: 1}})
-		if err := campaign.SaveCheckpointFS(fsys, path, spec, newer); err != nil {
+		if err := campaign.SaveCheckpointLedgerFS(fsys, path, spec, newer, nil); err != nil {
 			t.Fatalf("seed %d: corrupting save must look successful, got %v", seed, err)
 		}
-		done, recovered, err := campaign.LoadCheckpointFS(NewFS(FSConfig{}), path, spec)
+		done, _, recovered, err := campaign.LoadCheckpointLedgerFS(NewFS(FSConfig{}), path, spec)
 		if err != nil {
 			t.Fatalf("seed %d: load with a good rotated snapshot must not fail: %v", seed, err)
 		}
@@ -353,8 +353,8 @@ func TestFSStats(t *testing.T) {
 	spec := testSpec(t)
 	fsys := NewFS(FSConfig{Seed: 1, Rates: FSRates{TornWrite: 1}, MaxConsecutive: 1})
 	path := t.TempDir() + "/cp.json"
-	campaign.SaveCheckpointFS(fsys, path, spec, testDone()) // torn
-	campaign.SaveCheckpointFS(fsys, path, spec, testDone()) // forced clean
+	campaign.SaveCheckpointLedgerFS(fsys, path, spec, testDone(), nil) // torn
+	campaign.SaveCheckpointLedgerFS(fsys, path, spec, testDone(), nil) // forced clean
 	stats := fsys.Stats()
 	if stats["torn_write"] != 1 || stats["ops"] != 2 {
 		t.Fatalf("stats = %v, want torn_write=1 ops=2", stats)

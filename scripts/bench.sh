@@ -11,14 +11,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PAT=${BENCH_PAT:-'BenchmarkSim|BenchmarkCount|BenchmarkFleet|BenchmarkTrace|BenchmarkCheckpointSave'}
+PAT=${BENCH_PAT:-'BenchmarkSim|BenchmarkCount|BenchmarkFleet|BenchmarkTrace|BenchmarkCheckpointSave|BenchmarkRunOrchestration'}
 # 5x floor: with 2x samples a single descheduling blip lands in the
 # committed numbers; five ops lets go test's trimmed mean absorb it.
 TIME=${BENCH_TIME:-5x}
 OUT=${BENCH_OUT:-BENCH_simcore.json}
 
-# BenchmarkFleet* and BenchmarkCheckpointSave live in internal/campaign
-# (they need the dispatch internals); everything else is in the root
-# package.
+# BenchmarkFleet*, BenchmarkCheckpointSave and BenchmarkRunOrchestration
+# live in internal/campaign (they need the dispatch internals);
+# everything else is in the root package.
 go test -run '^$' -bench "$PAT" -benchmem -benchtime "$TIME" . ./internal/campaign |
     go run ./cmd/perple-bench -o "$OUT"
