@@ -27,16 +27,19 @@ lint: check
 # Short local fuzz passes over the litmus parser, over the axiomatic
 # checker against the operational reference machine, over the trace
 # checker against its quadratic reference, over the factorized counter
-# against the odometer, over the two on-disk decoders a campaign
+# against the odometer, over the counters' shared bound helpers against
+# brute-force searches, over the two on-disk decoders a campaign
 # resumes from — checkpoint load and WAL replay — and over the two
 # network decoders, campaign specs and uploads (CI runs the seed
-# corpora as ordinary tests and fuzzes the two checkers and the four
-# decoders for 20s each; this explores new inputs for longer).
+# corpora as ordinary tests and fuzzes the two checkers, the bound
+# helpers and the four decoders for 20s each; this explores new inputs
+# for longer).
 fuzz:
 	$(GO) test ./internal/litmus -fuzz FuzzParseRoundTrip -fuzztime 30s
 	$(GO) test ./internal/axiom -run '^$$' -fuzz FuzzAxiomVsOperational -fuzztime 30s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCheckerVsNaive -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFactorizedVsOdometer -fuzztime 30s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzBoundsVsBruteForce -fuzztime 30s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime 30s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzParseSpec -fuzztime 30s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s

@@ -1,6 +1,7 @@
 package core
 
 import (
+	_ "embed"
 	"fmt"
 	"sort"
 	"strings"
@@ -30,10 +31,17 @@ func GeneratedFiles(pt *PerpetualTest, outcomes []*PerpetualOutcome) map[string]
 	files[name+"_counth.go"] = GenerateCountGo(pt, outcomes, true)
 	files[name+"_params.txt"] = GenerateParams(pt)
 	if NeedsHelpers(outcomes) {
-		files[name+"_helpers.go"] = "// Code generated by the PerpLE Converter. DO NOT EDIT.\n\npackage counters\n" + generatedHelpers
+		_, body, _ := strings.Cut(helpersGo, "package core\n")
+		files[name+"_helpers.go"] = "// Code generated by the PerpLE Converter. DO NOT EDIT.\n\npackage counters\n" + body
 	}
 	return files
 }
+
+// helpersGo is helpers.go, the bound arithmetic the interpreted counters
+// run; the emitted helpers file is its text after the package clause.
+//
+//go:embed helpers.go
+var helpersGo string
 
 // GenerateParams renders the t_i_reads parameter file the Harness uses to
 // size the buf arrays.
@@ -334,70 +342,6 @@ func genSimpleConstraint(c Constraint, lhs, rhs string) string {
 	}
 }
 
-// Helpers emitted alongside generated counters; included whenever a
-// generated file references them.
-const generatedHelpers = `
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
-func ceilDiv(a, b int64) int64 {
-	return -floorDiv(-a, b)
-}
-
-// rfBound returns the largest iteration m of the target store (thread
-// varThread, instruction index storeIdx) such that reading x proves the
-// load happened at or after that iteration's drain.
-func rfBound(x, k int64, varThread, storeIdx int, seqThread, seqIdx []int) (int64, bool) {
-	if x <= 0 {
-		return 0, false
-	}
-	a := (x-1)%k + 1
-	m := (x - a) / k
-	if seqThread[a-1] != varThread {
-		return 0, false
-	}
-	if seqIdx[a-1] < storeIdx {
-		m--
-	}
-	if m < 0 {
-		return 0, false
-	}
-	return m, true
-}
-
-// frBound returns the smallest iteration m of the target store such that
-// reading x indicates the load happened before that iteration's drain.
-// The bound is exact for same-thread values (FIFO drains) and uses the
-// numeric relaxation for other threads' values. It always needs the
-// target offset a0 of the store for the cross-thread bound.
-func frBound(x, k int64, a0 int64, varThread, storeIdx int, seqThread, seqIdx []int) (int64, bool) {
-	if x == 0 {
-		return 0, true
-	}
-	if x < 0 {
-		return 0, false
-	}
-	a := (x-1)%k + 1
-	m := (x - a) / k
-	if seqThread[a-1] != varThread {
-		lb := ceilDiv(x-a0+1, k)
-		if lb < 0 {
-			lb = 0
-		}
-		return lb, true
-	}
-	if storeIdx <= seqIdx[a-1] {
-		m++
-	}
-	return m, true
-}
-`
-
 func sanitizeIdent(name string) string {
 	var b strings.Builder
 	for _, r := range name {
@@ -426,9 +370,6 @@ func NeedsHelpers(outcomes []*PerpetualOutcome) bool {
 	}
 	return false
 }
-
-// AppendHelpers appends the helper functions to a generated source file.
-func AppendHelpers(src string) string { return src + generatedHelpers }
 
 // SortedFileNames returns the keys of a GeneratedFiles map in stable
 // order, for deterministic CLI output.

@@ -159,6 +159,11 @@ func (r *CountResult) Total() int64 {
 // the first outcome of interest satisfied in each. The odometer polls
 // ctx every cancelCheckMask+1 frames and abandons the walk on
 // cancellation, returning the context's error.
+//
+// Production counts through CountExhaustiveAuto, which takes the
+// factorized path whenever it applies. This odometer is kept as the
+// reference the factorized differentials and fuzz targets compare
+// against, and as the fallback CountExhaustiveAuto takes.
 func (c *Counter) CountExhaustive(ctx context.Context, bs *BufSet) (*CountResult, error) {
 	if err := bs.Validate(c.pt); err != nil {
 		return nil, err
@@ -317,7 +322,7 @@ func (c *Counter) evalConstraints(po *PerpetualOutcome, bs *BufSet) bool {
 				return false
 			}
 		case RF:
-			ub, ok := con.rfBound(x)
+			ub, ok := rfBound(x, con.K, con.Var, con.StoreIdx, con.SeqThread, con.SeqIdx)
 			if !ok {
 				return false
 			}
@@ -329,7 +334,7 @@ func (c *Counter) evalConstraints(po *PerpetualOutcome, bs *BufSet) bool {
 				return false
 			}
 		case FR:
-			lb, ok := con.frBound(x)
+			lb, ok := frBound(x, con.K, con.A, con.Var, con.StoreIdx, con.SeqThread, con.SeqIdx)
 			if !ok {
 				return false
 			}
@@ -366,10 +371,10 @@ func (c *Counter) evalPinned(po *PerpetualOutcome, bs *BufSet, n, anchorN int64)
 			var ok bool
 			if p.Kind == PinRF {
 				// Pin to the latest target iteration the value proves.
-				m, ok = con.rfBound(x)
+				m, ok = rfBound(x, con.K, con.Var, con.StoreIdx, con.SeqThread, con.SeqIdx)
 			} else {
 				// Pin to the tightest iteration satisfying the fr bound.
-				m, ok = con.frBound(x)
+				m, ok = frBound(x, con.K, con.A, con.Var, con.StoreIdx, con.SeqThread, con.SeqIdx)
 			}
 			if !ok {
 				return false
@@ -414,20 +419,6 @@ func pinsVar(pins []Pin, v int) bool {
 		}
 	}
 	return false
-}
-
-// floorDiv divides rounding towards negative infinity (b > 0).
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
-// ceilDiv divides rounding towards positive infinity (b > 0).
-func ceilDiv(a, b int64) int64 {
-	return -floorDiv(-a, b)
 }
 
 // DecodeValue identifies the store instruction and iteration that

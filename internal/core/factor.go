@@ -554,7 +554,7 @@ func (sc *factorScratch) fillBounds(pt *PerpetualTest, bs *BufSet, po *Perpetual
 		for i := range b {
 			x := buf[stride*i+con.Ref.Slot]
 			if con.Rel == RF {
-				ub, ok := con.rfBound(x)
+				ub, ok := rfBound(x, con.K, con.Var, con.StoreIdx, con.SeqThread, con.SeqIdx)
 				switch {
 				case !ok:
 					b[i] = -1
@@ -564,7 +564,7 @@ func (sc *factorScratch) fillBounds(pt *PerpetualTest, bs *BufSet, po *Perpetual
 					b[i] = int32(ub)
 				}
 			} else {
-				lb, ok := con.frBound(x)
+				lb, ok := frBound(x, con.K, con.A, con.Var, con.StoreIdx, con.SeqThread, con.SeqIdx)
 				if !ok || lb > int64(n) {
 					lb = int64(n)
 				}

@@ -109,60 +109,6 @@ func (c Constraint) String() string {
 	return s
 }
 
-// decode splits a positive loaded value into its sequence offset and
-// iteration. The caller guarantees x > 0 and c.K > 0.
-func (c *Constraint) decode(x int64) (a, m int64) {
-	a = (x-1)%c.K + 1
-	return a, (x - a) / c.K
-}
-
-// rfBound returns the largest target-store iteration m such that reading
-// x proves the load happened at or after the target's iteration-m drain,
-// and ok=false when x proves nothing (zero, or another thread's value).
-func (c *Constraint) rfBound(x int64) (ub int64, ok bool) {
-	if x <= 0 {
-		return 0, false
-	}
-	a, m := c.decode(x)
-	if c.SeqThread[a-1] != c.Var {
-		return 0, false
-	}
-	if c.SeqIdx[a-1] < c.StoreIdx {
-		m--
-	}
-	if m < 0 {
-		return 0, false
-	}
-	return m, true
-}
-
-// frBound returns the smallest target-store iteration m such that reading
-// x indicates the load happened before the target's iteration-m drain.
-// Reading 0 indicates it for every m ≥ 0; a same-thread value gives the
-// exact FIFO-drain bound; another thread's value uses the paper's numeric
-// relaxation.
-func (c *Constraint) frBound(x int64) (lb int64, ok bool) {
-	if x == 0 {
-		return 0, true
-	}
-	if x < 0 {
-		return 0, false
-	}
-	a, m := c.decode(x)
-	if c.SeqThread[a-1] != c.Var {
-		// Cross-thread: x ≤ K·m + A − 1  ⇒  m ≥ ceil((x − A + 1) / K).
-		lb = ceilDiv(x-c.A+1, c.K)
-		if lb < 0 {
-			lb = 0
-		}
-		return lb, true
-	}
-	if c.StoreIdx <= c.SeqIdx[a-1] {
-		m++
-	}
-	return m, true
-}
-
 // PinKind tells how the heuristic derives a non-anchor iteration variable
 // (paper Fig. 8 step 5).
 type PinKind int
