@@ -297,22 +297,6 @@ func (r *Report) WitnessFor(o litmus.Outcome) *Witness {
 	return tso
 }
 
-// TSOAllows reports whether the final state (regs, mem) is allowed under
-// x86-TSO. mem may be nil when the caller has no final-memory view; the
-// state then matches on registers alone.
-func (r *Report) TSOAllows(regs [][]int64, mem map[litmus.Loc]int64) bool {
-	if mem != nil {
-		_, ok := r.keys[memmodel.StateKey(r.Test, regs, mem)]
-		return ok
-	}
-	for i := range r.Results {
-		if regsEqual(r.Results[i].Regs, regs) {
-			return true
-		}
-	}
-	return false
-}
-
 // SCResults returns the SC-consistent subset of Results.
 func (r *Report) SCResults() []Result {
 	var out []Result
@@ -387,21 +371,4 @@ func targetUnsatisfiable(t *litmus.Test) bool {
 		}
 	}
 	return false
-}
-
-func regsEqual(a, b [][]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -8,7 +8,7 @@
 // The merged canonical document must come out byte-identical to the
 // fault-free serial run, with zero duplicate merges and zero dead
 // letters — at-least-once delivery over deterministic shards.
-package campaign_test
+package campaign
 
 import (
 	"bytes"
@@ -20,9 +20,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"perple/internal/campaign"
-	"perple/internal/chaos"
 )
 
 // swapFrontend is the stable URL workers dial across dispatcher
@@ -68,7 +65,7 @@ func (f *swapFrontend) quiesce() {
 // failoverSubmit submits the spec directly against a server's handler
 // (the frontend is down during restarts, exactly as a real boot-time
 // resubmit would bypass the load balancer's health checks).
-func failoverSubmit(t *testing.T, h http.Handler, spec campaign.Spec) string {
+func failoverSubmit(t *testing.T, h http.Handler, spec Spec) string {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -102,9 +99,9 @@ func TestChaosDispatcherFailoverByteIdentical(t *testing.T) {
 	// One chaos FS for every incarnation: the checkpoint and WAL history
 	// on disk accumulates damage across restarts, as one machine's disk
 	// would.
-	fsys := chaos.NewFS(chaos.FSConfig{
+	fsys := newChaosFS(chaosFSConfig{
 		Seed: 71,
-		Rates: chaos.FSRates{
+		Rates: chaosFSRates{
 			TornWrite: 0.1, Corrupt: 0.1, RenameFail: 0.1,
 			PartialAppend: 0.25,
 		},
@@ -115,8 +112,8 @@ func TestChaosDispatcherFailoverByteIdentical(t *testing.T) {
 	ts := httptest.NewServer(front)
 	defer ts.Close()
 
-	newServer := func() *campaign.Server {
-		srv := campaign.NewServer()
+	newServer := func() *Server {
+		srv := NewServer()
 		srv.CheckpointDir = cpDir
 		srv.CheckpointFS = fsys
 		srv.WALDir = walDir
@@ -130,9 +127,9 @@ func TestChaosDispatcherFailoverByteIdentical(t *testing.T) {
 	var workerErrs sync.Map
 	spawnFleet := func(gen int) {
 		for i := 0; i < 4; i++ {
-			rt := chaos.New(chaos.Config{
+			rt := newChaosRoundTripper(chaosConfig{
 				Seed: int64(gen*100 + i + 1),
-				Rates: chaos.Rates{
+				Rates: chaosRates{
 					DropRequest: 0.08, DropResponse: 0.08, Delay: 0.08,
 					Duplicate: 0.08, Truncate: 0.08, ServerError: 0.08,
 				},
@@ -140,7 +137,7 @@ func TestChaosDispatcherFailoverByteIdentical(t *testing.T) {
 				DelayMax: 5 * time.Millisecond,
 			}, nil)
 			name := fmt.Sprintf("failover-%d-%d", gen, i)
-			opts := campaign.WorkerOptions{
+			opts := WorkerOptions{
 				BaseURL:  ts.URL,
 				Campaign: "c0001",
 				Name:     name,
@@ -158,8 +155,8 @@ func TestChaosDispatcherFailoverByteIdentical(t *testing.T) {
 			// A batch of Parallel jobs keeps the many small exchanges the
 			// kill schedule counts on: at the default batch the fleet
 			// finishes before a later incarnation's kill point fires.
-			opts.SetLeaseBatchForTest(2)
-			w := campaign.NewWorker(opts)
+			opts.leaseBatch = 2
+			w := NewWorker(opts)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -186,16 +183,20 @@ func TestChaosDispatcherFailoverByteIdentical(t *testing.T) {
 	for gen, k := range kills {
 		srv := newServer()
 		id = failoverSubmit(t, srv.Handler(), spec)
-		d := srv.DispatcherForTest(id)
-		if d == nil {
+		srv.mu.Lock()
+		run := srv.runs[id]
+		srv.mu.Unlock()
+		if run == nil || run.dispatcher == nil {
 			t.Fatalf("incarnation %d: no dispatcher behind %s", gen, id)
 		}
+		d := run.dispatcher
 		// Install the countdown kill before any worker traffic arrives, so
 		// the schedule cannot race past the target occurrence.
 		fired := make(chan struct{})
 		var seen atomic.Int32
 		point, nth := k.point, k.nth
-		d.SetKillHookForTest(func(p string) bool {
+		d.mu.Lock()
+		d.killHook = func(p string) bool {
 			if p != point {
 				return false
 			}
@@ -204,7 +205,8 @@ func TestChaosDispatcherFailoverByteIdentical(t *testing.T) {
 				return true
 			}
 			return false
-		})
+		}
+		d.mu.Unlock()
 		front.install(srv.Handler())
 		spawnFleet(gen)
 		select {
@@ -255,7 +257,7 @@ func TestChaosDispatcherFailoverByteIdentical(t *testing.T) {
 		t.FailNow()
 	}
 
-	if state := soakWaitDone(t, ts, id, 60*time.Second); state != campaign.StateDone {
+	if state := soakWaitDone(t, ts, id, 60*time.Second); state != StateDone {
 		t.Fatalf("campaign ended %q after failovers", state)
 	}
 	if got := soakCanonical(t, ts, id); !bytes.Equal(got, want) {

@@ -1,6 +1,5 @@
-// Chaos soak: the fault-injected fleet campaign. These tests live in
-// package campaign_test (not campaign) because they need internal/chaos,
-// which itself imports campaign for the CheckpointFS seam.
+// Chaos soak: the fault-injected fleet campaign, driven by the
+// injectors in chaos_test.go.
 //
 // The headline property: a k=4 loopback fleet whose HTTP transports
 // drop, delay, duplicate, truncate, and 5xx-fail requests on a seeded
@@ -8,7 +7,7 @@
 // flips bits, and fails renames — still merges results byte-identical
 // to a fault-free serial run. The short soak runs in tier-1; -chaos.long
 // extends the fleet rounds for CI's dedicated chaos job.
-package campaign_test
+package campaign
 
 import (
 	"bytes"
@@ -25,9 +24,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"perple/internal/campaign"
-	"perple/internal/chaos"
 )
 
 var chaosLong = flag.Bool("chaos.long", false, "run the full-length chaos soak (more fleet rounds)")
@@ -44,9 +40,9 @@ var soakInjectors = []string{
 // exchanges. MaxRetries is generous because injected lease losses (a
 // duplicated or response-dropped lease call strands its grants until
 // the TTL sweep) charge the retry budget without being job failures.
-func soakSpec(t *testing.T) campaign.Spec {
+func soakSpec(t *testing.T) Spec {
 	t.Helper()
-	spec := campaign.Spec{
+	spec := Spec{
 		Tests:      []string{"lb", "mp", "sb"},
 		Tools:      []string{"litmus7-user"},
 		Iterations: 400,
@@ -63,13 +59,13 @@ func soakSpec(t *testing.T) campaign.Spec {
 
 // soakBaseline is the fault-free serial run: the reference bytes every
 // chaos round must reproduce exactly.
-func soakBaseline(t *testing.T, spec campaign.Spec) []byte {
+func soakBaseline(t *testing.T, spec Spec) []byte {
 	t.Helper()
-	camp, err := campaign.New(spec)
+	camp, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := camp.Run(context.Background(), campaign.Options{})
+	res, err := camp.Run(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +76,7 @@ func soakBaseline(t *testing.T, spec campaign.Spec) []byte {
 	return data
 }
 
-func soakSubmit(t *testing.T, ts *httptest.Server, spec campaign.Spec) string {
+func soakSubmit(t *testing.T, ts *httptest.Server, spec Spec) string {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -128,7 +124,7 @@ func soakWaitDone(t *testing.T, ts *httptest.Server, id string, timeout time.Dur
 	state := ""
 	for time.Now().Before(deadline) {
 		state = soakStatus(t, ts, id)["state"].(string)
-		if state != campaign.StateRunning {
+		if state != StateRunning {
 			return state
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -155,13 +151,13 @@ func soakCanonical(t *testing.T, ts *httptest.Server, id string) []byte {
 // merged bytes equal the fault-free baseline. It returns the round's
 // aggregated injector stats (all four workers' transports plus the
 // server's checkpoint filesystem).
-func chaosRound(t *testing.T, round int, spec campaign.Spec, want []byte) chaos.Stats {
+func chaosRound(t *testing.T, round int, spec Spec, want []byte) chaosStats {
 	t.Helper()
-	fsys := chaos.NewFS(chaos.FSConfig{
+	fsys := newChaosFS(chaosFSConfig{
 		Seed:  int64(round*1000 + 7),
-		Rates: chaos.FSRates{TornWrite: 0.15, Corrupt: 0.15, RenameFail: 0.15},
+		Rates: chaosFSRates{TornWrite: 0.15, Corrupt: 0.15, RenameFail: 0.15},
 	})
-	srv := campaign.NewServer()
+	srv := NewServer()
 	srv.CheckpointDir = t.TempDir()
 	srv.CheckpointFS = fsys
 	// A floor of 1 saves at 1, 2, 4, … 32 terminal rows and at the close:
@@ -176,18 +172,18 @@ func chaosRound(t *testing.T, round int, spec campaign.Spec, want []byte) chaos.
 	const fleet = 4
 	var wg sync.WaitGroup
 	errs := make([]error, fleet)
-	rts := make([]*chaos.RoundTripper, fleet)
+	rts := make([]*chaosRoundTripper, fleet)
 	for i := 0; i < fleet; i++ {
-		rts[i] = chaos.New(chaos.Config{
+		rts[i] = newChaosRoundTripper(chaosConfig{
 			Seed: int64(round*100 + i + 1),
-			Rates: chaos.Rates{
+			Rates: chaosRates{
 				DropRequest: 0.08, DropResponse: 0.08, Delay: 0.08,
 				Duplicate: 0.08, Truncate: 0.08, ServerError: 0.08,
 			},
 			DelayMin: time.Millisecond,
 			DelayMax: 5 * time.Millisecond,
 		}, nil)
-		opts := campaign.WorkerOptions{
+		opts := WorkerOptions{
 			BaseURL:          ts.URL,
 			Campaign:         id,
 			Name:             fmt.Sprintf("chaos-%d-%d", round, i),
@@ -202,10 +198,10 @@ func chaosRound(t *testing.T, round int, spec campaign.Spec, want []byte) chaos.
 		// the checkpoint writes behind them, that every injector needs
 		// to get its chance to fire: at the default batch the 48-job
 		// campaign takes only a few uploads.
-		opts.SetLeaseBatchForTest(2)
-		w := campaign.NewWorker(opts)
+		opts.leaseBatch = 2
+		w := NewWorker(opts)
 		wg.Add(1)
-		go func(i int, w *campaign.Worker) {
+		go func(i int, w *Worker) {
 			defer wg.Done()
 			errs[i] = w.Run(context.Background())
 		}(i, w)
@@ -216,7 +212,7 @@ func chaosRound(t *testing.T, round int, spec campaign.Spec, want []byte) chaos.
 			t.Fatalf("round %d: worker %d failed under chaos: %v\n(injector caps guarantee every retry loop a clean exchange — this is a real robustness bug)", round, i, err)
 		}
 	}
-	if state := soakWaitDone(t, ts, id, 60*time.Second); state != campaign.StateDone {
+	if state := soakWaitDone(t, ts, id, 60*time.Second); state != StateDone {
 		t.Fatalf("round %d: campaign ended %q", round, state)
 	}
 	if got := soakCanonical(t, ts, id); !bytes.Equal(got, want) {
@@ -236,7 +232,7 @@ func chaosRound(t *testing.T, round int, spec campaign.Spec, want []byte) chaos.
 		}
 	}
 
-	stats := chaos.Stats{}
+	stats := chaosStats{}
 	for _, rt := range rts {
 		stats.Merge(rt.Stats())
 	}
@@ -268,7 +264,7 @@ func TestChaosSoakFleetByteIdentical(t *testing.T) {
 	if *chaosLong {
 		maxRounds = 10
 	}
-	covered := func(s chaos.Stats) bool {
+	covered := func(s chaosStats) bool {
 		for _, name := range soakInjectors {
 			if s[name] == 0 {
 				return false
@@ -276,7 +272,7 @@ func TestChaosSoakFleetByteIdentical(t *testing.T) {
 		}
 		return true
 	}
-	total := chaos.Stats{}
+	total := chaosStats{}
 	rounds := 0
 	for round := 1; round <= maxRounds; round++ {
 		total.Merge(chaosRound(t, round, spec, want))
@@ -313,7 +309,7 @@ func TestChaosCorruptCheckpointResume(t *testing.T) {
 	// scheduled saves at 1, 2 and 4 shards, so the drain point after six
 	// leaves both an active snapshot (4 jobs) and a .prev (2) behind.
 	dir1 := t.TempDir()
-	srv1 := campaign.NewServer()
+	srv1 := NewServer()
 	srv1.CheckpointDir = dir1
 	srv1.CheckpointEvery = 1
 	ts1 := httptest.NewServer(srv1.Handler())
@@ -321,17 +317,17 @@ func TestChaosCorruptCheckpointResume(t *testing.T) {
 	id := soakSubmit(t, ts1, spec)
 
 	var done atomic.Int64
-	var w *campaign.Worker
-	opts := campaign.WorkerOptions{
+	var w *Worker
+	opts := WorkerOptions{
 		BaseURL: ts1.URL, Campaign: id, Name: "partial", Parallel: 1,
-		OnJobDone: func(*campaign.JobResult) {
+		OnJobDone: func(*JobResult) {
 			if done.Add(1) >= 6 {
 				w.Drain()
 			}
 		},
 	}
-	opts.SetLeaseBatchForTest(1)
-	w = campaign.NewWorker(opts)
+	opts.leaseBatch = 1
+	w = NewWorker(opts)
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +355,7 @@ func TestChaosCorruptCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2 := campaign.NewServer()
+	srv2 := NewServer()
 	srv2.CheckpointDir = dir2
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
@@ -380,13 +376,13 @@ func TestChaosCorruptCheckpointResume(t *testing.T) {
 	// Phase 3: a clean worker finishes the resumed campaign; the re-run
 	// of the shards lost with the torn snapshot must reconverge on the
 	// fault-free bytes.
-	w2 := campaign.NewWorker(campaign.WorkerOptions{
+	w2 := NewWorker(WorkerOptions{
 		BaseURL: ts2.URL, Campaign: id2, Name: "finisher", Parallel: 2,
 	})
 	if err := w2.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if state := soakWaitDone(t, ts2, id2, 60*time.Second); state != campaign.StateDone {
+	if state := soakWaitDone(t, ts2, id2, 60*time.Second); state != StateDone {
 		t.Fatalf("resumed campaign ended %q", state)
 	}
 	if got := soakCanonical(t, ts2, id2); !bytes.Equal(got, want) {
@@ -404,7 +400,7 @@ func TestChaosDuplicateUploadIdempotent(t *testing.T) {
 	spec := soakSpec(t)
 	want := soakBaseline(t, spec)
 
-	srv := campaign.NewServer()
+	srv := NewServer()
 	// A retry lands well inside this TTL, so every re-delivered upload is
 	// a same-lease duplicate, not a re-lease. The grants a dropped reply
 	// carried in Next come back in the retry's reply; were they orphaned
@@ -415,12 +411,12 @@ func TestChaosDuplicateUploadIdempotent(t *testing.T) {
 	defer ts.Close()
 	id := soakSubmit(t, ts, spec)
 
-	rt := chaos.New(chaos.Config{
+	rt := newChaosRoundTripper(chaosConfig{
 		Seed:           1,
-		PerOp:          map[string]chaos.Rates{"complete": {DropResponse: 1}},
+		PerOp:          map[string]chaosRates{"complete": {DropResponse: 1}},
 		MaxConsecutive: 1, // alternate: every upload is delivered, loses its response, then its retry lands
 	}, nil)
-	w := campaign.NewWorker(campaign.WorkerOptions{
+	w := NewWorker(WorkerOptions{
 		BaseURL: ts.URL, Campaign: id, Name: "dup", Parallel: 2,
 		Client:      &http.Client{Transport: rt, Timeout: 30 * time.Second},
 		BackoffBase: 2 * time.Millisecond,
@@ -428,7 +424,7 @@ func TestChaosDuplicateUploadIdempotent(t *testing.T) {
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if state := soakWaitDone(t, ts, id, 60*time.Second); state != campaign.StateDone {
+	if state := soakWaitDone(t, ts, id, 60*time.Second); state != StateDone {
 		t.Fatalf("campaign ended %q", state)
 	}
 	if got := soakCanonical(t, ts, id); !bytes.Equal(got, want) {

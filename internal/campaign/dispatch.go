@@ -33,7 +33,7 @@ type Options struct {
 	CheckpointEvery int
 
 	// CheckpointFS is the filesystem under checkpoint I/O; nil selects
-	// the real one. The chaos suite injects fault-ridden implementations
+	// the real one. The chaos tests inject fault-ridden implementations
 	// here.
 	CheckpointFS CheckpointFS
 
@@ -398,15 +398,6 @@ func buildCorpus(camp *Campaign) []CorpusTest {
 		out = append(out, CorpusTest{Name: name, Source: litmus.Format(camp.tests[name])})
 	}
 	return out
-}
-
-// setClock replaces the dispatcher's (and queue's) time source; tests
-// use it to force lease expiry without sleeping.
-func (d *Dispatcher) setClock(now func() time.Time) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.now = now
-	d.q.now = now
 }
 
 // Corpus returns the wire form of the campaign's spec and test set.

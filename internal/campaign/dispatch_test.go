@@ -19,6 +19,15 @@ import (
 	"perple/internal/litmus"
 )
 
+// setClock replaces the dispatcher's (and queue's) time source, to
+// force lease expiry without sleeping.
+func (d *Dispatcher) setClock(now func() time.Time) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.now = now
+	d.q.now = now
+}
+
 // fleetSpec is a real (simulator-backed) campaign small enough that a
 // serial run and several fleet runs all finish in well under a second.
 func fleetSpec(t *testing.T) Spec {
@@ -553,7 +562,10 @@ func TestFleetRecordsRetries(t *testing.T) {
 			t.Fatalf("job %d checkpointed with Retries %d, want %d", jobID, jr.Retries, want)
 		}
 	}
-	batch := srv.DispatcherForTest(id).metrics.WireBatch.Snapshot()
+	srv.mu.Lock()
+	d := srv.runs[id].dispatcher
+	srv.mu.Unlock()
+	batch := d.metrics.WireBatch.Snapshot()
 	if batch.Count == 0 || batch.Sum != int64(len(done)) {
 		t.Fatalf("upload histogram = %+v, want uploads summing to %d results", batch, len(done))
 	}

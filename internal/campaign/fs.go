@@ -17,10 +17,11 @@ type CheckpointFile interface {
 }
 
 // CheckpointFS abstracts the filesystem under checkpoint I/O. The
-// production implementation is the real OS filesystem; the chaos suite
-// substitutes one that injects torn writes, silent bit corruption, and
-// rename failures on a seeded schedule, which is how the recovery paths
-// (CRC verification, last-good fallback, save retry) are exercised.
+// production implementation is the real OS filesystem; the chaos tests
+// substitute one (chaosFS in chaos_test.go) that injects torn writes,
+// silent bit corruption, and rename failures on a seeded schedule, which
+// is how the recovery paths (CRC verification, last-good fallback, save
+// retry) are exercised.
 type CheckpointFS interface {
 	CreateTemp(dir, pattern string) (CheckpointFile, error)
 	Rename(oldpath, newpath string) error
@@ -43,9 +44,9 @@ type WALFile interface {
 
 // WALFS extends CheckpointFS with the append surface the write-ahead
 // log needs. The dispatcher type-asserts its CheckpointFS to WALFS and
-// falls back to the real filesystem, so a chaos filesystem that
-// implements OpenAppend gets its partial-append faults aimed at the WAL
-// while checkpoint I/O keeps flowing through the same injector.
+// falls back to the real filesystem, so the chaos tests' filesystem,
+// which implements OpenAppend, gets its partial-append faults aimed at
+// the WAL while checkpoint I/O keeps flowing through the same injector.
 type WALFS interface {
 	CheckpointFS
 	// OpenAppend opens name for appending, creating it if absent.

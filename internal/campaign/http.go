@@ -154,7 +154,7 @@ type Server struct {
 	CheckpointEvery int
 
 	// CheckpointFS is the filesystem under checkpoint I/O; nil selects
-	// the real one. The chaos suite injects fault-ridden implementations
+	// the real one. The chaos tests inject fault-ridden implementations
 	// here.
 	CheckpointFS CheckpointFS
 

@@ -3,7 +3,7 @@
 // (the satellite fix this PR pins), counters fold into Metrics, and a
 // PSO machine's violations surface through the server's status and
 // metrics endpoints.
-package campaign_test
+package campaign
 
 import (
 	"bytes"
@@ -15,8 +15,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"perple/internal/campaign"
 )
 
 func TestParseTraceVerify(t *testing.T) {
@@ -35,7 +33,7 @@ func TestParseTraceVerify(t *testing.T) {
 		{"sometimes", 0, false},
 	}
 	for _, c := range cases {
-		got, err := campaign.ParseTraceVerify(c.in)
+		got, err := ParseTraceVerify(c.in)
 		if c.ok && (err != nil || got != c.want) {
 			t.Errorf("ParseTraceVerify(%q) = %d, %v; want %d", c.in, got, err, c.want)
 		}
@@ -46,11 +44,11 @@ func TestParseTraceVerify(t *testing.T) {
 }
 
 func TestSpecTraceVerifyValidate(t *testing.T) {
-	spec := campaign.Spec{TraceVerify: "never"}
+	spec := Spec{TraceVerify: "never"}
 	if err := spec.Validate(); err == nil {
 		t.Fatal("bad trace_verify value accepted")
 	}
-	spec = campaign.Spec{}
+	spec = Spec{}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +65,7 @@ func TestSpecTraceVerifyValidate(t *testing.T) {
 // Metrics. The spec mixes litmus7 (verified) and PerpLE (silently
 // skipped) tools so both runJob paths are pinned.
 func TestCampaignTraceVerifyByteIdentical(t *testing.T) {
-	base := campaign.Spec{
+	base := Spec{
 		Tests:      []string{"mp", "sb"},
 		Tools:      []string{"litmus7-user", "perple-heur"},
 		Iterations: 600,
@@ -75,19 +73,19 @@ func TestCampaignTraceVerifyByteIdentical(t *testing.T) {
 		Seed:       5,
 		Workers:    2,
 	}
-	run := func(traceVerify string) ([]byte, *campaign.Metrics) {
+	run := func(traceVerify string) ([]byte, *Metrics) {
 		t.Helper()
 		spec := base
 		spec.TraceVerify = traceVerify
 		if err := spec.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		camp, err := campaign.New(spec)
+		camp, err := New(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var m campaign.Metrics
-		res, err := camp.Run(context.Background(), campaign.Options{Metrics: &m})
+		var m Metrics
+		res, err := camp.Run(context.Background(), Options{Metrics: &m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +117,7 @@ func TestCampaignTraceVerifyByteIdentical(t *testing.T) {
 // TestCampaignTraceVerifySampling pins the stride: a stride-k campaign
 // verifies ~1/k of the iterations each shard runs.
 func TestCampaignTraceVerifySampling(t *testing.T) {
-	spec := campaign.Spec{
+	spec := Spec{
 		Tests:       []string{"sb"},
 		Tools:       []string{"litmus7-user"},
 		Iterations:  1000,
@@ -129,12 +127,12 @@ func TestCampaignTraceVerifySampling(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	camp, err := campaign.New(spec)
+	camp, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m campaign.Metrics
-	if _, err := camp.Run(context.Background(), campaign.Options{Metrics: &m}); err != nil {
+	var m Metrics
+	if _, err := camp.Run(context.Background(), Options{Metrics: &m}); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.TracesVerified.Load(); got != 100 {
@@ -148,11 +146,11 @@ func TestCampaignTraceVerifySampling(t *testing.T) {
 // cycle reports on the status endpoint, and the perple_trace_* families
 // in the Prometheus exposition.
 func TestServerTraceVerifyPSO(t *testing.T) {
-	srv := campaign.NewServer()
+	srv := NewServer()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	spec := campaign.Spec{
+	spec := Spec{
 		Tests:       []string{"mp"},
 		Tools:       []string{"litmus7-timebase"},
 		Presets:     []string{"pso"},
@@ -181,7 +179,7 @@ func TestServerTraceVerifyPSO(t *testing.T) {
 		t.Fatalf("submit response %q: %v", data, err)
 	}
 
-	if state := soakWaitDone(t, ts, sub.ID, 60*time.Second); state != campaign.StateDone {
+	if state := soakWaitDone(t, ts, sub.ID, 60*time.Second); state != StateDone {
 		t.Fatalf("campaign ended %q", state)
 	}
 	st := soakStatus(t, ts, sub.ID)

@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"perple/internal/litmus"
 )
@@ -160,22 +159,6 @@ func (pt *PerpetualTest) StoreForValue(loc litmus.Loc, v int64) *SeqStore {
 	}
 	return nil
 }
-
-// StoresByThread returns the sequence stores executed by thread ti, in
-// program order.
-func (pt *PerpetualTest) StoresByThread(ti int) []SeqStore {
-	var out []SeqStore
-	for _, s := range pt.Stores {
-		if s.Ref.Thread == ti {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ref.Index < out[j].Ref.Index })
-	return out
-}
-
-// BufSize returns the required length of buf_t for a run of n iterations.
-func (pt *PerpetualTest) BufSize(t, n int) int { return pt.Reads[t] * n }
 
 // SlotOf returns the buf slot recording register r of thread t (the last
 // load into that register each iteration). The second result is false if

@@ -29,7 +29,12 @@ func TestConvertSB(t *testing.T) {
 		t.Fatalf("%d sequence stores, want 2", len(pt.Stores))
 	}
 	// Thread 0 stores n+1 to x: K=1, A=1.
-	s := pt.StoresByThread(0)
+	var s []SeqStore
+	for _, st := range pt.Stores {
+		if st.Ref.Thread == 0 {
+			s = append(s, st)
+		}
+	}
 	if len(s) != 1 || s[0].K != 1 || s[0].A != 1 || s[0].Loc != "x" {
 		t.Errorf("thread 0 store = %+v, want x: 1*n+1", s)
 	}
@@ -47,9 +52,6 @@ func TestConvertSB(t *testing.T) {
 	}
 	if _, ok := pt.SlotOf(0, 5); ok {
 		t.Error("slot of unknown register should not resolve")
-	}
-	if pt.BufSize(0, 100) != 100 {
-		t.Errorf("buf size = %d, want 100", pt.BufSize(0, 100))
 	}
 }
 

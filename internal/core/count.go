@@ -110,15 +110,6 @@ func NewTargetCounter(pt *PerpetualTest) (*Counter, error) {
 	return NewCounter(pt, []*PerpetualOutcome{po}), nil
 }
 
-// Clone returns an independent counter over the same outcomes, usable
-// from another goroutine.
-func (c *Counter) Clone() *Counter {
-	cl := NewCounter(c.pt, c.outcomes)
-	cl.fplans, cl.fplansOK, cl.fplansBuilt = c.fplans, c.fplansOK, c.fplansBuilt
-	cl.fbudget = c.fbudget
-	return cl
-}
-
 // TakeScratch moves from's factorized-count scratch (pair matrices,
 // bound, interval and bitset arrays) to c when c has none yet, so a
 // counter for another test counts without reallocating them. The
@@ -143,15 +134,6 @@ type CountResult struct {
 	// Frames is the number of frames examined: N^TL for the exhaustive
 	// counter, N for the heuristic.
 	Frames int64
-}
-
-// Total sums all outcome counts.
-func (r *CountResult) Total() int64 {
-	var t int64
-	for _, c := range r.Counts {
-		t += c
-	}
-	return t
 }
 
 // CountExhaustive is Algorithm 1: it enumerates every frame — one

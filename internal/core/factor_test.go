@@ -177,8 +177,8 @@ func TestFactorizedEmptyAndZero(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	if fac.Frames != 0 || fac.Total() != 0 {
-		t.Errorf("N=0 produced frames=%d total=%d", fac.Frames, fac.Total())
+	if fac.Frames != 0 || total(fac) != 0 {
+		t.Errorf("N=0 produced frames=%d total=%d", fac.Frames, total(fac))
 	}
 
 	unsat := &PerpetualOutcome{Unsatisfiable: true}
@@ -267,38 +267,6 @@ func TestCountExhaustiveAutoMatches(t *testing.T) {
 		}
 		requireSameCounts(t, name, auto, odo)
 	}
-}
-
-// TestFactorizedCloneSharesPlans: Clones reuse the immutable plans but
-// never the mutable scratch, so cloned counters stay independent.
-func TestFactorizedCloneSharesPlans(t *testing.T) {
-	pt := mustConvert(t, "podwr001")
-	pos, err := ConvertAllOutcomes(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCounter(pt, pos)
-	rng := rand.New(rand.NewSource(2))
-	bs := randomBufs(rng, pt, 6)
-	if _, ok, err := c.CountFactorized(bs); err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	cl := c.Clone()
-	if cl.fscratch != nil {
-		t.Fatal("clone shares factor scratch with parent")
-	}
-	if !cl.fplansBuilt || len(cl.fplans) != len(c.fplans) {
-		t.Fatal("clone did not inherit factor plans")
-	}
-	odo, err := cl.CountExhaustive(context.Background(), bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fac, ok, err := cl.CountFactorized(bs)
-	if err != nil || !ok {
-		t.Fatalf("clone: ok=%v err=%v", ok, err)
-	}
-	requireSameCounts(t, "podwr001-clone", fac, odo)
 }
 
 // parseConvert converts an inline litmus source.

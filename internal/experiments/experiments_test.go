@@ -117,6 +117,17 @@ func TestFig10Experiment(t *testing.T) {
 	}
 }
 
+// improvementAt returns the improvement of a tool at an iteration
+// count in a Fig 11 result, or 0 when absent.
+func improvementAt(r *Fig11Result, n int, tool Tool) float64 {
+	for _, p := range r.Points {
+		if p.N == n && p.Tool == tool {
+			return p.Improvement
+		}
+	}
+	return 0
+}
+
 func TestFig11Experiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -127,16 +138,16 @@ func TestFig11Experiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1000, 10000} {
-		perple := res.ImprovementAt(n, ToolPerpLEHeur)
+		perple := improvementAt(res, n, ToolPerpLEHeur)
 		if perple < 10 {
 			t.Errorf("N=%d: PerpLE improvement %.1fx, want orders above baseline", n, perple)
 		}
 		for _, tool := range Litmus7Tools {
-			if imp := res.ImprovementAt(n, tool); imp >= perple {
+			if imp := improvementAt(res, n, tool); imp >= perple {
 				t.Errorf("N=%d: %v improvement %.1fx >= PerpLE %.1fx", n, tool, imp, perple)
 			}
 		}
-		if user := res.ImprovementAt(n, ToolLitmus7User); user != 1 {
+		if user := improvementAt(res, n, ToolLitmus7User); user != 1 {
 			t.Errorf("N=%d: user self-improvement = %g, want 1", n, user)
 		}
 	}

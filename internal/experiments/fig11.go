@@ -98,14 +98,3 @@ func fig11Sweep(opts Options) []int {
 	}
 	return ns
 }
-
-// ImprovementAt returns the improvement of a tool at an iteration count,
-// or 0 when absent.
-func (r *Fig11Result) ImprovementAt(n int, tool Tool) float64 {
-	for _, p := range r.Points {
-		if p.N == n && p.Tool == tool {
-			return p.Improvement
-		}
-	}
-	return 0
-}

@@ -34,7 +34,7 @@ func comparableJSON(t *testing.T, res *Litmus7Result) string {
 }
 
 func TestHistogramMatchesOutcomeKeyRendering(t *testing.T) {
-	// The interned histogram must reproduce the OutcomeKey string format
+	// The interned histogram must reproduce the outcomeKey string format
 	// exactly: recompute the histogram from the raw register files and
 	// compare maps.
 	test := mustSuite(t, "mp")
@@ -58,10 +58,10 @@ func TestHistogramMatchesOutcomeKeyRendering(t *testing.T) {
 		for ti, rc := range simRes.RegCounts {
 			regs[ti] = simRes.Regs[ti][iter*rc : (iter+1)*rc]
 		}
-		want[OutcomeKey(regs)]++
+		want[outcomeKey(regs)]++
 	}
 	if !reflect.DeepEqual(res.Histogram, want) {
-		t.Fatalf("interned histogram differs from OutcomeKey recomputation:\n got %v\nwant %v", res.Histogram, want)
+		t.Fatalf("interned histogram differs from outcomeKey recomputation:\n got %v\nwant %v", res.Histogram, want)
 	}
 }
 

@@ -135,18 +135,3 @@ func appendKeyInt(b []byte, v int64) []byte {
 	}
 	return append(b, byte('0'+v%10), ',')
 }
-
-// OutcomeKey renders a register file the way Litmus7Result histogram keys
-// are built, for cross-referencing histogram entries with outcomes.
-func OutcomeKey(regs [][]int64) string {
-	key := make([]byte, 0, 64)
-	for _, rs := range regs {
-		for _, v := range rs {
-			key = appendKeyInt(key, v)
-		}
-		if len(rs) > 0 {
-			key = append(key, '|')
-		}
-	}
-	return string(key)
-}

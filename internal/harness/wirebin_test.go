@@ -78,7 +78,7 @@ func TestWireBinarySmallerThanPlainJSON(t *testing.T) {
 	// compression.
 	in := sampleResult()
 	for i := 0; i < 500; i++ {
-		in.Histogram[OutcomeKey([][]int64{{int64(i)}, {int64(i % 7)}})] = int64(i)
+		in.Histogram[outcomeKey([][]int64{{int64(i)}, {int64(i % 7)}})] = int64(i)
 	}
 	frame := EncodeWireBinary(nil, in)
 	plain, err := json.Marshal(in)
@@ -133,7 +133,7 @@ func TestWireBinaryFrameDamage(t *testing.T) {
 func TestDecodeWireBinaryLimit(t *testing.T) {
 	in := sampleResult()
 	for i := 0; i < 2000; i++ {
-		in.Histogram[OutcomeKey([][]int64{{int64(i)}, {int64(i)}})] = 1
+		in.Histogram[outcomeKey([][]int64{{int64(i)}, {int64(i)}})] = 1
 	}
 	frame := EncodeWireBinary(nil, in)
 	var out Litmus7Result

@@ -77,7 +77,11 @@ func TestFromCycleFenced(t *testing.T) {
 	}
 	fences := 0
 	for _, th := range test.Threads {
-		fences += len(th.Instrs) - th.Loads() - th.Stores()
+		for _, in := range th.Instrs {
+			if in.Kind == OpFence {
+				fences++
+			}
+		}
 	}
 	if fences != 2 {
 		t.Errorf("fenced sb should have 2 fences, got %d", fences)

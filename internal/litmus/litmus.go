@@ -99,17 +99,6 @@ func (t Thread) Loads() int {
 	return n
 }
 
-// Stores returns the number of store instructions in the thread.
-func (t Thread) Stores() int {
-	n := 0
-	for _, in := range t.Instrs {
-		if in.Kind == OpStore {
-			n++
-		}
-	}
-	return n
-}
-
 // Cond is a single outcome condition. There are two forms:
 //
 //   - register condition (Loc == ""): register Reg of thread Thread holds
@@ -241,21 +230,6 @@ func (t *Test) Regs() []int {
 	return regs
 }
 
-// StoresTo returns the store instructions targeting loc, as (thread,
-// instruction index) pairs in thread order. Iterating stores in this order
-// is deterministic across runs.
-func (t *Test) StoresTo(loc Loc) []InstrRef {
-	var refs []InstrRef
-	for ti, th := range t.Threads {
-		for ii, in := range th.Instrs {
-			if in.Kind == OpStore && in.Loc == loc {
-				refs = append(refs, InstrRef{Thread: ti, Index: ii})
-			}
-		}
-	}
-	return refs
-}
-
 // InstrRef identifies an instruction by thread and index within the thread.
 type InstrRef struct {
 	Thread int
@@ -263,9 +237,6 @@ type InstrRef struct {
 }
 
 func (r InstrRef) String() string { return fmt.Sprintf("i%d%d", r.Thread, r.Index) }
-
-// Instr resolves the reference within test t.
-func (r InstrRef) Instr(t *Test) Instr { return t.Threads[r.Thread].Instrs[r.Index] }
 
 // StoreValues returns the distinct values stored to loc across all
 // threads, sorted ascending. len(StoreValues(loc)) is k_mem in the paper.

@@ -99,9 +99,6 @@ func TestThreadCounts(t *testing.T) {
 	if got := sb.Threads[0].Loads(); got != 1 {
 		t.Errorf("sb thread 0 loads = %d, want 1", got)
 	}
-	if got := sb.Threads[0].Stores(); got != 1 {
-		t.Errorf("sb thread 0 stores = %d, want 1", got)
-	}
 	mp, err := SuiteTest("mp")
 	if err != nil {
 		t.Fatal(err)
@@ -135,23 +132,6 @@ func TestLocsAndStoreValues(t *testing.T) {
 	}
 	if got := amd3.StoreValues("nope"); len(got) != 0 {
 		t.Fatalf("store values of unused loc = %v, want empty", got)
-	}
-}
-
-func TestStoresTo(t *testing.T) {
-	amd3, err := SuiteTest("amd3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := amd3.StoresTo("x")
-	if len(refs) != 2 {
-		t.Fatalf("amd3 has %d stores to x, want 2", len(refs))
-	}
-	if refs[0] != (InstrRef{0, 0}) || refs[1] != (InstrRef{0, 1}) {
-		t.Fatalf("amd3 stores to x = %v", refs)
-	}
-	if in := refs[1].Instr(amd3); in.Value != 2 {
-		t.Fatalf("second store to x has value %d, want 2", in.Value)
 	}
 }
 

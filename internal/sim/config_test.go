@@ -106,7 +106,7 @@ func TestPresets(t *testing.T) {
 		var hits int64
 		var scratch [][]int64
 		for n := 0; n < res.N; n++ {
-			scratch = res.RegisterFile(n, scratch)
+			scratch = registerFile(res, n, scratch)
 			if test.Target.Holds(scratch) {
 				hits++
 			}

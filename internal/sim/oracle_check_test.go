@@ -1,7 +1,7 @@
 // The oracle is the differential layer between the static axiomatic
 // checker (internal/axiom) and the operational simulator (this
-// package), kept with sim's external tests. It asserts, for a litmus
-// test, the two directions of agreement the axiomatic model promises:
+// package). It asserts, for a litmus test, the two directions of
+// agreement the axiomatic model promises:
 //
 //   - soundness: every final state the simulator observes is axiomatically
 //     TSO-allowed — equivalently, no Forbidden outcome ever appears;
@@ -15,7 +15,7 @@
 // machine-event trace so the disagreement can be triaged from the test
 // log alone.
 
-package sim_test
+package sim
 
 import (
 	"fmt"
@@ -24,7 +24,7 @@ import (
 
 	"perple/internal/axiom"
 	"perple/internal/litmus"
-	"perple/internal/sim"
+	"perple/internal/memmodel"
 )
 
 // Divergence is one axiom-vs-simulator disagreement.
@@ -56,7 +56,7 @@ func (d *Divergence) String() string {
 // CheckTSO runs the simulator and verifies every observed per-iteration
 // final state against the axiomatic TSO-allowed set. iters and cfg are
 // the caller's budget; any mode works.
-func CheckTSO(tc *litmus.Test, rep *axiom.Report, iters int, mode sim.Mode, cfg sim.Config) ([]Divergence, error) {
+func CheckTSO(tc *litmus.Test, rep *axiom.Report, iters int, mode Mode, cfg Config) ([]Divergence, error) {
 	res, err := runSynced(tc, iters, mode, cfg)
 	if err != nil {
 		return nil, err
@@ -64,24 +64,19 @@ func CheckTSO(tc *litmus.Test, rep *axiom.Report, iters int, mode sim.Mode, cfg 
 	return DiffStates(tc, rep, res), nil
 }
 
-// runSynced compiles tc and runs it once on a fresh sim.Runner.
-func runSynced(tc *litmus.Test, n int, mode sim.Mode, cfg sim.Config) (*sim.SyncedResult, error) {
-	ct, err := sim.Compile(tc)
-	if err != nil {
-		return nil, err
-	}
-	return sim.NewRunner(ct).RunSynced(n, mode, cfg)
-}
-
 // DiffStates checks each iteration of an existing run against the
 // TSO-allowed set.
-func DiffStates(tc *litmus.Test, rep *axiom.Report, res *sim.SyncedResult) []Divergence {
+func DiffStates(tc *litmus.Test, rep *axiom.Report, res *SyncedResult) []Divergence {
+	allowed := make(map[string]bool, len(rep.Results))
+	for i := range rep.Results {
+		allowed[memmodel.StateKey(tc, rep.Results[i].Regs, rep.Results[i].Mem)] = true
+	}
 	var divs []Divergence
 	var scratch [][]int64
 	for n := 0; n < res.N; n++ {
-		scratch = res.RegisterFile(n, scratch)
-		mem := res.MemAt(n)
-		if rep.TSOAllows(scratch, mem) {
+		scratch = registerFile(res, n, scratch)
+		mem := memAt(res, n)
+		if allowed[memmodel.StateKey(tc, scratch, mem)] {
 			continue
 		}
 		regs := make([][]int64, len(scratch))
@@ -102,7 +97,7 @@ func DiffStates(tc *litmus.Test, rep *axiom.Report, res *sim.SyncedResult) []Div
 // almost never produce — appear within a small iteration budget. The
 // soundness direction must NOT use it: it checks what the calibrated
 // machine actually does.
-func SCCoverageConfig(base sim.Config) sim.Config {
+func SCCoverageConfig(base Config) Config {
 	base.PreemptProb = 0.08
 	base.PreemptMin = 5
 	base.PreemptMax = 150
@@ -126,18 +121,18 @@ func SCCoverageConfig(base sim.Config) sim.Config {
 // appeared within the iteration budget. Runs are chunked so well-behaved
 // tests stop as soon as coverage is complete; with a fixed seed the
 // outcome is deterministic.
-func CheckSCCoverage(tc *litmus.Test, rep *axiom.Report, maxIters int, mode sim.Mode, cfg sim.Config) ([]Divergence, error) {
+func CheckSCCoverage(tc *litmus.Test, rep *axiom.Report, maxIters int, mode Mode, cfg Config) ([]Divergence, error) {
 	cfg.DrainMin, cfg.DrainMax = 0, 0
 	want := rep.SCResults()
 	missing := make(map[int]bool, len(want))
 	for i := range want {
 		missing[i] = true
 	}
-	ct, err := sim.Compile(tc)
+	ct, err := Compile(tc)
 	if err != nil {
 		return nil, err
 	}
-	runner := sim.NewRunner(ct)
+	runner := NewRunner(ct)
 	const chunk = 200
 	seed := cfg.Seed
 	for done := 0; done < maxIters && len(missing) > 0; done += chunk {
@@ -151,8 +146,8 @@ func CheckSCCoverage(tc *litmus.Test, rep *axiom.Report, maxIters int, mode sim.
 		}
 		var scratch [][]int64
 		for it := 0; it < res.N && len(missing) > 0; it++ {
-			scratch = res.RegisterFile(it, scratch)
-			mem := res.MemAt(it)
+			scratch = registerFile(res, it, scratch)
+			mem := memAt(res, it)
 			for i := range missing {
 				if statesEqual(&want[i], scratch, mem) {
 					delete(missing, i)
@@ -194,7 +189,7 @@ func statesEqual(want *axiom.Result, regs [][]int64, mem map[litmus.Loc]int64) b
 // Explain renders the full triage report for a divergence: the axiomatic
 // evidence (allowed-state table, witnesses) next to a machine-event trace
 // of the simulator reproducing the run with tracing enabled.
-func Explain(d *Divergence, rep *axiom.Report, iters int, mode sim.Mode, cfg sim.Config) string {
+func Explain(d *Divergence, rep *axiom.Report, iters int, mode Mode, cfg Config) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "DIVERGENCE %s\n", d)
 	b.WriteString("axiomatic TSO-allowed states:\n")

@@ -1,4 +1,4 @@
-package sim_test
+package sim
 
 import (
 	"fmt"
@@ -11,13 +11,12 @@ import (
 	"perple/internal/axiom"
 	"perple/internal/litmus"
 	"perple/internal/memmodel"
-	"perple/internal/sim"
 )
 
 // reportDivergences fails the test with the full triage rendering for
 // each divergence — the axiomatic witness/state table next to the
 // simulator trace.
-func reportDivergences(t *testing.T, divs []Divergence, rep *axiom.Report, iters int, mode sim.Mode, cfg sim.Config) {
+func reportDivergences(t *testing.T, divs []Divergence, rep *axiom.Report, iters int, mode Mode, cfg Config) {
 	t.Helper()
 	for i := range divs {
 		t.Errorf("%s", Explain(&divs[i], rep, iters, mode, cfg))
@@ -34,7 +33,7 @@ func TestSuiteFilesDifferential(t *testing.T) {
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no suite files found: %v", err)
 	}
-	cfg := sim.DefaultConfig()
+	cfg := DefaultConfig()
 	const iters = 300
 	const scBudget = 3000
 	for _, path := range files {
@@ -50,16 +49,16 @@ func TestSuiteFilesDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		divs, err := CheckTSO(tc, rep, iters, sim.ModeTimebase, cfg)
+		divs, err := CheckTSO(tc, rep, iters, ModeTimebase, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		reportDivergences(t, divs, rep, iters, sim.ModeTimebase, cfg)
-		scDivs, err := CheckSCCoverage(tc, rep, scBudget, sim.ModeUser, SCCoverageConfig(cfg))
+		reportDivergences(t, divs, rep, iters, ModeTimebase, cfg)
+		scDivs, err := CheckSCCoverage(tc, rep, scBudget, ModeUser, SCCoverageConfig(cfg))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		reportDivergences(t, scDivs, rep, iters, sim.ModeTimebase, cfg)
+		reportDivergences(t, scDivs, rep, iters, ModeTimebase, cfg)
 	}
 }
 
@@ -77,7 +76,7 @@ func TestGeneratedCorpusDifferential(t *testing.T) {
 		Locs:       []litmus.Loc{"x", "y", "z"},
 		FenceProb:  0.2,
 	}
-	simCfg := sim.DefaultConfig()
+	simCfg := DefaultConfig()
 	iters := 120
 	if testing.Short() {
 		iters = 40
@@ -88,11 +87,11 @@ func TestGeneratedCorpusDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		divs, err := CheckTSO(tc, rep, iters, sim.ModeTimebase, simCfg)
+		divs, err := CheckTSO(tc, rep, iters, ModeTimebase, simCfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		reportDivergences(t, divs, rep, iters, sim.ModeTimebase, simCfg)
+		reportDivergences(t, divs, rep, iters, ModeTimebase, simCfg)
 	}
 }
 
@@ -107,7 +106,7 @@ func TestCycleCorpusDifferential(t *testing.T) {
 		{litmus.FencedWR, litmus.Fre, litmus.FencedWR, litmus.Fre},
 		{litmus.Wse, litmus.PodWW, litmus.Wse, litmus.PodWW},
 	}
-	cfg := sim.DefaultConfig()
+	cfg := DefaultConfig()
 	const iters = 300
 	for i, edges := range cycles {
 		tc, err := litmus.FromCycle(fmt.Sprintf("odiy%02d", i), edges...)
@@ -118,16 +117,16 @@ func TestCycleCorpusDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		divs, err := CheckTSO(tc, rep, iters, sim.ModeTimebase, cfg)
+		divs, err := CheckTSO(tc, rep, iters, ModeTimebase, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		reportDivergences(t, divs, rep, iters, sim.ModeTimebase, cfg)
-		scDivs, err := CheckSCCoverage(tc, rep, 3000, sim.ModeUser, SCCoverageConfig(cfg))
+		reportDivergences(t, divs, rep, iters, ModeTimebase, cfg)
+		scDivs, err := CheckSCCoverage(tc, rep, 3000, ModeUser, SCCoverageConfig(cfg))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		reportDivergences(t, scDivs, rep, iters, sim.ModeTimebase, cfg)
+		reportDivergences(t, scDivs, rep, iters, ModeTimebase, cfg)
 	}
 }
 
@@ -145,13 +144,13 @@ func TestOracleDetectsPSO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Relaxation = memmodel.PSO
 	var divs []Divergence
 	iters := 0
 	for _, n := range []int{500, 2000, 8000} {
 		iters = n
-		divs, err = CheckTSO(tc, rep, n, sim.ModeTimebase, cfg)
+		divs, err = CheckTSO(tc, rep, n, ModeTimebase, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +161,7 @@ func TestOracleDetectsPSO(t *testing.T) {
 	if len(divs) == 0 {
 		t.Fatal("PSO machine never produced a TSO-forbidden mp state; oracle cannot detect conformance bugs")
 	}
-	out := Explain(&divs[0], rep, iters, sim.ModeTimebase, cfg)
+	out := Explain(&divs[0], rep, iters, ModeTimebase, cfg)
 	for _, want := range []string{"DIVERGENCE", "forbidden", "allowed states", "trace"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explanation missing %q:\n%s", want, out)
@@ -182,7 +181,7 @@ func TestSCUnreachableReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	divs, err := CheckSCCoverage(tc, rep, 0, sim.ModeTimebase, sim.DefaultConfig())
+	divs, err := CheckSCCoverage(tc, rep, 0, ModeTimebase, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func TestSCUnreachableReporting(t *testing.T) {
 			t.Fatal("sc-unreachable divergence without witness")
 		}
 	}
-	out := Explain(&divs[0], rep, 10, sim.ModeTimebase, sim.DefaultConfig())
+	out := Explain(&divs[0], rep, 10, ModeTimebase, DefaultConfig())
 	for _, want := range []string{"unreachable with drains disabled", "witness", "rf:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explanation missing %q:\n%s", want, out)

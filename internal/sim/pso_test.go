@@ -41,7 +41,7 @@ func TestPSORunsArePSOCompliant(t *testing.T) {
 				}
 				var scratch [][]int64
 				for n := 0; n < iters; n++ {
-					scratch = res.RegisterFile(n, scratch)
+					scratch = registerFile(res, n, scratch)
 					if key := flattenRegs(scratch); !allowed[key] {
 						t.Fatalf("mode %v iteration %d produced PSO-forbidden register file %q", mode, n, key)
 					}
@@ -62,7 +62,7 @@ func TestPSOExposesMP(t *testing.T) {
 	hits := 0
 	var scratch [][]int64
 	for n := 0; n < res.N; n++ {
-		scratch = res.RegisterFile(n, scratch)
+		scratch = registerFile(res, n, scratch)
 		if test.Target.Holds(scratch) {
 			hits++
 		}
@@ -76,7 +76,7 @@ func TestPSOExposesMP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < tsoRes.N; n++ {
-		scratch = tsoRes.RegisterFile(n, scratch)
+		scratch = registerFile(tsoRes, n, scratch)
 		if test.Target.Holds(scratch) {
 			t.Fatal("TSO machine exposed the mp target")
 		}
@@ -92,7 +92,7 @@ func TestPSOFenceRestoresOrder(t *testing.T) {
 	}
 	var scratch [][]int64
 	for n := 0; n < res.N; n++ {
-		scratch = res.RegisterFile(n, scratch)
+		scratch = registerFile(res, n, scratch)
 		if test.Target.Holds(scratch) {
 			t.Fatal("fenced message passing reordered on the PSO machine")
 		}

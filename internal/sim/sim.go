@@ -263,30 +263,6 @@ type SyncedResult struct {
 	Witnesses *trace.WitnessSet
 }
 
-// RegisterFile returns the register file view of iteration n.
-func (r *SyncedResult) RegisterFile(n int, scratch [][]int64) [][]int64 {
-	if scratch == nil {
-		scratch = make([][]int64, len(r.Regs))
-		for t, rc := range r.RegCounts {
-			scratch[t] = make([]int64, rc)
-		}
-	}
-	for t, rc := range r.RegCounts {
-		copy(scratch[t], r.Regs[t][n*rc:(n+1)*rc])
-	}
-	return scratch
-}
-
-// MemAt returns iteration n's final memory as a map (allocates; used only
-// for tests with final-memory conditions).
-func (r *SyncedResult) MemAt(n int) map[litmus.Loc]int64 {
-	mem := make(map[litmus.Loc]int64, len(r.Locs))
-	for li, loc := range r.Locs {
-		mem[loc] = r.Mem[li*r.N+n]
-	}
-	return mem
-}
-
 // PerpetualResult is the outcome of a PerpLE-style run.
 type PerpetualResult struct {
 	Bufs *core.BufSet

@@ -30,6 +30,30 @@ func runPerpetual(pt *core.PerpetualTest, n int, cfg Config) (*PerpetualResult, 
 	return NewPerpetualRunner(cp).Run(n, cfg)
 }
 
+// registerFile copies iteration n's register file out of res into
+// scratch, allocating scratch when it is nil.
+func registerFile(res *SyncedResult, n int, scratch [][]int64) [][]int64 {
+	if scratch == nil {
+		scratch = make([][]int64, len(res.Regs))
+		for t, rc := range res.RegCounts {
+			scratch[t] = make([]int64, rc)
+		}
+	}
+	for t, rc := range res.RegCounts {
+		copy(scratch[t], res.Regs[t][n*rc:(n+1)*rc])
+	}
+	return scratch
+}
+
+// memAt returns iteration n's final memory as a map.
+func memAt(res *SyncedResult, n int) map[litmus.Loc]int64 {
+	mem := make(map[litmus.Loc]int64, len(res.Locs))
+	for li, loc := range res.Locs {
+		mem[loc] = res.Mem[li*res.N+n]
+	}
+	return mem
+}
+
 func mustSuiteTest(t *testing.T, name string) *litmus.Test {
 	t.Helper()
 	test, err := litmus.SuiteTest(name)
@@ -197,7 +221,7 @@ func TestSyncedRunsAreTSOCompliant(t *testing.T) {
 				}
 				var scratch [][]int64
 				for n := 0; n < iters; n++ {
-					scratch = res.RegisterFile(n, scratch)
+					scratch = registerFile(res, n, scratch)
 					if key := flattenRegs(scratch); !allowed[key] {
 						t.Fatalf("mode %v iteration %d produced TSO-forbidden register file %q", mode, n, key)
 					}
@@ -233,7 +257,7 @@ func TestSyncedMemoryIsTSOCompliant(t *testing.T) {
 			}
 			var scratch [][]int64
 			for n := 0; n < iters; n++ {
-				scratch = res.RegisterFile(n, scratch)
+				scratch = registerFile(res, n, scratch)
 				mem := make([]byte, 0, 16)
 				for li := range res.Locs {
 					mem = append(mem, byte('0'+res.Mem[li*res.N+n]), ',')
@@ -258,7 +282,7 @@ func TestSyncedObservesSBTarget(t *testing.T) {
 	hits := 0
 	var scratch [][]int64
 	for n := 0; n < res.N; n++ {
-		scratch = res.RegisterFile(n, scratch)
+		scratch = registerFile(res, n, scratch)
 		if test.Target.Holds(scratch) {
 			hits++
 		}
@@ -376,7 +400,7 @@ func TestMemAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < res.N; n++ {
-		mem := res.MemAt(n)
+		mem := memAt(res, n)
 		// After settle, every iteration's cells hold the stored 1s.
 		if mem["x"] != 1 || mem["y"] != 1 {
 			t.Errorf("iteration %d final memory = %v, want x=1 y=1", n, mem)

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 
-	"perple/internal/litmus"
 	"perple/internal/memmodel"
 )
 
@@ -71,15 +70,6 @@ type Checker struct {
 	queue   []int32
 	prevEdg []int32 // BFS: index into csr of the edge that reached the node
 	dist    []int32
-}
-
-// NewChecker compiles a checker for the test under the model.
-func NewChecker(t *litmus.Test, model memmodel.Model) (*Checker, error) {
-	l, err := NewLayout(t)
-	if err != nil {
-		return nil, err
-	}
-	return NewCheckerLayout(l, model)
 }
 
 // NewCheckerLayout builds a checker over an existing layout, compiling

@@ -60,9 +60,13 @@ func witness(t *testing.T, l *Layout, rf, co []int32) *WitnessSet {
 
 func mustChecker(t *testing.T, test *litmus.Test, model memmodel.Model) *Checker {
 	t.Helper()
-	c, err := NewChecker(test, model)
+	l, err := NewLayout(test)
 	if err != nil {
-		t.Fatalf("NewChecker(%s, %v): %v", test.Name, model, err)
+		t.Fatalf("NewLayout(%s): %v", test.Name, err)
+	}
+	c, err := NewCheckerLayout(l, model)
+	if err != nil {
+		t.Fatalf("NewCheckerLayout(%s, %v): %v", test.Name, model, err)
 	}
 	return c
 }
@@ -380,12 +384,16 @@ func TestWitnessSetSampling(t *testing.T) {
 }
 
 func TestCheckerModelValidation(t *testing.T) {
+	l, err := NewLayout(sbTest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range memmodel.Models {
-		if _, err := NewChecker(sbTest(t), m); err != nil {
-			t.Errorf("NewChecker rejected %v: %v", m, err)
+		if _, err := NewCheckerLayout(l, m); err != nil {
+			t.Errorf("NewCheckerLayout rejected %v: %v", m, err)
 		}
 	}
-	if _, err := NewChecker(sbTest(t), memmodel.Model(7)); err == nil {
-		t.Error("NewChecker accepted Model(7)")
+	if _, err := NewCheckerLayout(l, memmodel.Model(7)); err == nil {
+		t.Error("NewCheckerLayout accepted Model(7)")
 	}
 }

@@ -352,7 +352,11 @@ func TestAxiomWitnessesAccepted(t *testing.T) {
 			}
 			t.Fatalf("%s: %v", tc.Name, err)
 		}
-		tso, err := trace.NewChecker(tc, memmodel.TSO)
+		l, err := trace.NewLayout(tc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.Name, err)
+		}
+		tso, err := trace.NewCheckerLayout(l, memmodel.TSO)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.Name, err)
 		}

@@ -2,6 +2,7 @@ package perple
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -96,7 +97,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 		t.Error("heuristic exceeded exhaustive")
 	}
 	all := NewCounter(pt, pos)
-	if got, err := all.CountHeuristic(context.Background(), pres.Bufs); err != nil || got.Total() == 0 {
+	if got, err := all.CountHeuristic(context.Background(), pres.Bufs); err != nil || !slices.ContainsFunc(got.Counts, func(c int64) bool { return c > 0 }) {
 		t.Errorf("multi-outcome counter failed: %v %v", got, err)
 	}
 
