@@ -38,7 +38,6 @@ func workerCmd(args []string, _, stderr io.Writer) int {
 	campaignID := fl.String("campaign", "", "dispatch campaign id to work on (required)")
 	name := fl.String("name", "", "worker name for lease accounting (default: hostname-pid)")
 	parallel := fl.Int("parallel", 0, "concurrent jobs (default: GOMAXPROCS)")
-	heartbeat := fl.Duration("heartbeat", 0, "lease heartbeat period (default: a third of the server's lease TTL)")
 	retries := fl.Int("retries", 5, "attempts per HTTP call before giving up")
 	backoff := fl.Duration("backoff", 200*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
 	breakerFailures := fl.Int("breaker-failures", campaign.DefaultBreakerThreshold, "consecutive HTTP failures that open the circuit breaker")
@@ -56,7 +55,6 @@ func workerCmd(args []string, _, stderr io.Writer) int {
 			Campaign:         *campaignID,
 			Name:             *name,
 			Parallel:         *parallel,
-			HeartbeatEvery:   *heartbeat,
 			MaxAttempts:      *retries,
 			BackoffBase:      *backoff,
 			BreakerThreshold: *breakerFailures,

@@ -189,7 +189,6 @@ func chaosRound(t *testing.T, round int, spec Spec, want []byte) chaosStats {
 			Name:             fmt.Sprintf("chaos-%d-%d", round, i),
 			Parallel:         2,
 			Client:           &http.Client{Transport: rts[i], Timeout: 30 * time.Second},
-			HeartbeatEvery:   100 * time.Millisecond,
 			BackoffBase:      5 * time.Millisecond,
 			BreakerThreshold: 6,
 			BreakerCooldown:  50 * time.Millisecond,
