@@ -19,6 +19,7 @@ func chModuleRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wd := dir
 	for {
 		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
 			break
@@ -29,7 +30,14 @@ func chModuleRoot(t *testing.T) {
 		}
 		dir = parent
 	}
-	t.Chdir(dir)
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestBadFixturesExitOne(t *testing.T) {
