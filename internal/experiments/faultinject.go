@@ -41,7 +41,8 @@ type FaultInjectionResult struct {
 	// PSO-allowed (the injected bugs).
 	BugsDetectable int
 	// BugsDetectedPerpLE / BugsDetectedLitmus7 count how many of those
-	// each tool exposed.
+	// each tool exposed: PerpLE's heuristic or exhaustive counter, or
+	// litmus7 in timebase or user mode.
 	BugsDetectedPerpLE  int
 	BugsDetectedLitmus7 int
 	// FalsePositives counts sightings of targets PSO also forbids (must
@@ -131,7 +132,7 @@ func FaultInjection(w io.Writer, opts Options) (*FaultInjectionResult, error) {
 	}
 	fmt.Fprint(w, table.String())
 	fmt.Fprintf(w, "\ninjected conformance bugs (TSO-forbidden, PSO-allowed targets): %d\n", res.BugsDetectable)
-	fmt.Fprintf(w, "  detected by PerpLE-heuristic: %d\n", res.BugsDetectedPerpLE)
+	fmt.Fprintf(w, "  detected by PerpLE heur/exh:  %d\n", res.BugsDetectedPerpLE)
 	fmt.Fprintf(w, "  detected by litmus7:          %d\n", res.BugsDetectedLitmus7)
 	fmt.Fprintf(w, "sightings of PSO-forbidden targets (must be 0): %d\n", res.FalsePositives)
 	return res, nil
