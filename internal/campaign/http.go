@@ -541,8 +541,8 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 // with 415, and any version but ProtocolVersion with 400 — the decoder
 // stops at the version field — before anything merges. A frame error
 // (truncated or bit-damaged upload) is answered 400 like any other
-// undecodable body; the worker's retry loop re-sends the batch, and the
-// fence keeps the re-delivery idempotent. An upload with Lease set is
+// undecodable body. The worker does not re-send a 4xx: its Run fails,
+// and its leases expire and requeue. An upload with Lease set is
 // answered with the next grants in the same reply.
 func (s *Server) handleComplete(w http.ResponseWriter, req *http.Request) {
 	disp := s.lookupDispatcher(w, req)

@@ -395,7 +395,8 @@ func TestFleetWireMetrics(t *testing.T) {
 }
 
 // TestCompleteRejectsDamagedBinary posts a bit-damaged binary frame and
-// expects a 400 — the worker-side retry contract for frame errors.
+// expects a 400, which a worker does not re-send
+// (TestWorkerStopsOnDamagedUpload).
 func TestCompleteRejectsDamagedBinary(t *testing.T) {
 	spec := fleetSpec(t)
 	_, ts := newTestServer(t)
@@ -411,5 +412,35 @@ func TestCompleteRejectsDamagedBinary(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("damaged binary upload = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestWorkerStopsOnDamagedUpload damages every upload frame in flight:
+// the server answers 400, and the worker fails after that one /complete
+// call instead of re-sending, leaving its leases to expire and requeue.
+func TestWorkerStopsOnDamagedUpload(t *testing.T) {
+	counter, ts := newDurableTestServer(t, 0)
+	id := submitDispatch(t, ts, fleetSpec(t))
+	damage := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if strings.HasSuffix(req.URL.Path, "/complete") {
+			body, err := io.ReadAll(req.Body)
+			if err != nil {
+				return nil, err
+			}
+			body[len(body)/2] ^= 0x10
+			req.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		return http.DefaultTransport.RoundTrip(req)
+	})
+	w := NewWorker(WorkerOptions{
+		BaseURL: ts.URL, Campaign: id, Name: "damaged", Parallel: 1, leaseBatch: 1,
+		Client: &http.Client{Transport: damage}, BackoffBase: time.Millisecond,
+	})
+	err := w.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("Run with damaged uploads = %v, want the 400 refusal", err)
+	}
+	if n := counter.count("complete"); n != 1 {
+		t.Fatalf("worker made %d /complete calls, want 1: a 400 is not re-sent", n)
 	}
 }
