@@ -37,9 +37,8 @@ import (
 //	                                 (?format=canonical for the byte-stable JSON)
 //	POST /campaigns/{id}/cancel      abort a running campaign
 //	GET  /campaigns/{id}/corpus      dispatch: spec + test sources for workers
-//	POST /campaigns/{id}/lease       dispatch: grant shard leases to a worker
-//	POST /campaigns/{id}/heartbeat   dispatch: extend held leases
-//	POST /campaigns/{id}/complete    dispatch: upload batched results (PWB1)
+//	POST /campaigns/{id}/complete    dispatch: upload batched results, extend
+//	                                 held leases and grant the next (PWB1)
 //
 // With -pprof the net/http/pprof profiling endpoints are mounted under
 // /debug/pprof/ — off by default because they expose internals. Logs

@@ -40,8 +40,6 @@ func workerCmd(args []string, _, stderr io.Writer) int {
 	parallel := fl.Int("parallel", 0, "concurrent jobs (default: GOMAXPROCS)")
 	retries := fl.Int("retries", 5, "attempts per HTTP call before giving up")
 	backoff := fl.Duration("backoff", 200*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
-	breakerFailures := fl.Int("breaker-failures", campaign.DefaultBreakerThreshold, "consecutive HTTP failures that open the circuit breaker")
-	breakerCooldown := fl.Duration("breaker-cooldown", campaign.DefaultBreakerCooldown, "how long an open circuit holds requests off")
 	recoveryWindow := fl.Duration("recovery-window", 0, "keep retrying transport errors and 5xx this long even past -retries, to ride out a server restart (0 disables)")
 	if fl.Parse(args) != nil {
 		return 2
@@ -51,15 +49,13 @@ func workerCmd(args []string, _, stderr io.Writer) int {
 			return errors.New("-campaign is required")
 		}
 		w := campaign.NewWorker(campaign.WorkerOptions{
-			BaseURL:          *server,
-			Campaign:         *campaignID,
-			Name:             *name,
-			Parallel:         *parallel,
-			MaxAttempts:      *retries,
-			BackoffBase:      *backoff,
-			BreakerThreshold: *breakerFailures,
-			BreakerCooldown:  *breakerCooldown,
-			RecoveryWindow:   *recoveryWindow,
+			BaseURL:        *server,
+			Campaign:       *campaignID,
+			Name:           *name,
+			Parallel:       *parallel,
+			MaxAttempts:    *retries,
+			BackoffBase:    *backoff,
+			RecoveryWindow: *recoveryWindow,
 		})
 		log := slog.New(slog.NewTextHandler(stderr, nil)).With("campaign", *campaignID, "worker", w.Name())
 

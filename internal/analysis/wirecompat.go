@@ -55,10 +55,7 @@ var DefaultWireRoots = []string{
 	"perple/internal/campaign.checkpointEnvelope",
 	"perple/internal/campaign.walRecord",
 	"perple/internal/campaign.CorpusResponse",
-	"perple/internal/campaign.LeaseRequest",
 	"perple/internal/campaign.LeaseResponse",
-	"perple/internal/campaign.HeartbeatRequest",
-	"perple/internal/campaign.HeartbeatResponse",
 	"perple/internal/campaign.CompleteRequest",
 	"perple/internal/campaign.CompleteResponse",
 	"perple/internal/harness.Litmus7Result",

@@ -149,10 +149,8 @@ func TestChaosDispatcherFailoverByteIdentical(t *testing.T) {
 				// RecoveryWindow keeps workers retrying through the restart
 				// windows' 503s instead of burning their per-call attempt
 				// budget on a dead frontend.
-				RecoveryWindow:   60 * time.Second,
-				BackoffBase:      5 * time.Millisecond,
-				BreakerThreshold: 6,
-				BreakerCooldown:  50 * time.Millisecond,
+				RecoveryWindow: 60 * time.Second,
+				BackoffBase:    5 * time.Millisecond,
 			}
 			// A batch of Parallel jobs keeps the many small exchanges the
 			// kill schedule counts on: at the default batch the fleet

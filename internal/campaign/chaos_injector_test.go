@@ -87,7 +87,7 @@ func chaosClient(rates chaosRates, maxConsecutive int) *http.Client {
 func TestInjectorRoundTripperDropRequest(t *testing.T) {
 	srv, hits := newChaosCountingServer(t)
 	client := chaosClient(chaosRates{DropRequest: 1}, 1)
-	if _, err := client.Get(srv.URL + "/campaigns/c0001/lease"); err == nil {
+	if _, err := client.Get(srv.URL + "/campaigns/c0001/corpus"); err == nil {
 		t.Fatal("dropped request returned no error")
 	}
 	if n := hits.Load(); n != 0 {

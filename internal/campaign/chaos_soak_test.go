@@ -184,14 +184,12 @@ func chaosRound(t *testing.T, round int, spec Spec, want []byte) chaosStats {
 			DelayMax: 5 * time.Millisecond,
 		}, nil)
 		opts := WorkerOptions{
-			BaseURL:          ts.URL,
-			Campaign:         id,
-			Name:             fmt.Sprintf("chaos-%d-%d", round, i),
-			Parallel:         2,
-			Client:           &http.Client{Transport: rts[i], Timeout: 30 * time.Second},
-			BackoffBase:      5 * time.Millisecond,
-			BreakerThreshold: 6,
-			BreakerCooldown:  50 * time.Millisecond,
+			BaseURL:     ts.URL,
+			Campaign:    id,
+			Name:        fmt.Sprintf("chaos-%d-%d", round, i),
+			Parallel:    2,
+			Client:      &http.Client{Transport: rts[i], Timeout: 30 * time.Second},
+			BackoffBase: 5 * time.Millisecond,
 		}
 		// A batch of Parallel jobs keeps the many small exchanges, and
 		// the checkpoint writes behind them, that every injector needs

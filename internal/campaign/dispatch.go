@@ -694,7 +694,8 @@ func (d *Dispatcher) Lease(req LeaseRequest) LeaseResponse {
 // leaseLocked grants up to max jobs to worker into resp, reusing its
 // grant slice: the lease half of both Lease and an upload that asks for
 // its next grants. With resend set — the upload is a retry whose first
-// delivery was processed and whose reply was lost — it first hands back
+// delivery was processed and whose reply was lost, or a lease-only
+// upload from a worker that holds no grant — it first hands back
 // the grants that lost reply carried and the worker still holds, under
 // their nonces, and tops up with fresh grants only to max: the worker
 // never learned of them, so granting anew would strand them until the
@@ -762,33 +763,15 @@ func (d *Dispatcher) leaseLocked(worker string, max int, resend bool, resp *Leas
 	d.metrics.InFlight.Add(n)
 }
 
-// Heartbeat extends the caller's live leases.
-func (d *Dispatcher) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.wal.commit()
-	resp := HeartbeatResponse{TTLSec: d.ttl.Seconds()}
-	if d.finished {
-		return resp
-	}
-	d.sweepLocked()
-	for _, ref := range req.Leases {
-		if d.q.heartbeat(req.Worker, ref) {
-			resp.Extended++
-			d.metrics.Heartbeats.Add(1)
-			d.walExtendLocked(ref)
-		}
-	}
-	return resp
-}
-
 // Complete merges a batch a fleet worker uploaded; payloadBytes is its
-// encoded size. Only wire uploads feed the upload-bytes counters and the
-// batch-size histogram — in-process executors report through complete.
+// encoded size. Only wire uploads feed the received-bytes counter and
+// the batch-size histogram — in-process executors report through
+// complete — and the histogram only those that carry results.
 func (d *Dispatcher) Complete(req CompleteRequest, payloadBytes int) CompleteResponse {
-	d.metrics.UploadBytes.Add(int64(payloadBytes))
 	d.metrics.WireBytesRecv.Add(int64(payloadBytes))
-	d.metrics.WireBatch.Observe(len(req.Results))
+	if len(req.Results) > 0 {
+		d.metrics.WireBatch.Observe(len(req.Results))
+	}
 	return d.complete(req, nil)
 }
 
@@ -907,8 +890,11 @@ func (d *Dispatcher) complete(req CompleteRequest, next *LeaseResponse) Complete
 		}
 		// Every result a same-lease duplicate and nothing else taking
 		// effect: a retry of an upload already processed, whose reply —
-		// and the grants in it — the worker never got.
-		replay := len(req.Results) > 0 && resp.Duplicate == len(req.Results) && resp.Requeued == 0 && resp.Failed == 0
+		// and the grants in it — the worker never got. A lease-only
+		// upload counts too: a worker sends one only when it holds no
+		// grant, so any of its last Next still leased to it was lost.
+		replay := len(req.Results) > 0 && resp.Duplicate == len(req.Results) && resp.Requeued == 0 && resp.Failed == 0 ||
+			req.leaseOnly()
 		d.leaseLocked(req.Worker, req.Lease, replay, next)
 		refs := d.lastNext[req.Worker][:0]
 		for _, g := range next.Grants {

@@ -484,7 +484,7 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 	// Default (no Accept preference) stays JSON.
 	m := getJSON(t, ts.URL+"/metrics", http.StatusOK)
 	sched := m["scheduler"].(map[string]any)
-	for _, key := range []string{"leases_granted", "lease_requeues", "heartbeats", "results_fenced", "upload_bytes", "wal_compactions", "checkpoint_saves", "checkpoint_ns", "checkpoint_bytes"} {
+	for _, key := range []string{"leases_granted", "lease_requeues", "heartbeats", "results_fenced", "wire_bytes_recv", "wal_compactions", "checkpoint_saves", "checkpoint_ns", "checkpoint_bytes"} {
 		if _, ok := sched[key]; !ok {
 			t.Fatalf("JSON metrics missing %q: %v", key, sched)
 		}
@@ -510,7 +510,7 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 		"# TYPE perple_lease_requeues_total counter",
 		"# TYPE perple_heartbeats_total counter",
 		"# TYPE perple_results_fenced_total counter",
-		"# TYPE perple_upload_bytes_total counter",
+		"# TYPE perple_wire_bytes_recv_total counter",
 		"# TYPE perple_wal_compactions_total counter",
 		"# TYPE perple_checkpoint_saves_total counter",
 		"# TYPE perple_checkpoint_ns_total counter",
@@ -586,7 +586,7 @@ func TestLocalRunLeavesWireMetricsEmpty(t *testing.T) {
 	if batch := m.WireBatch.Snapshot(); batch.Count != 0 {
 		t.Fatalf("local run observed %d upload batches", batch.Count)
 	}
-	if m.UploadBytes.Load() != 0 || m.WireBytesRecv.Load() != 0 {
-		t.Fatalf("local run counted upload bytes: %d / %d", m.UploadBytes.Load(), m.WireBytesRecv.Load())
+	if m.WireBytesRecv.Load() != 0 {
+		t.Fatalf("local run counted %d upload bytes", m.WireBytesRecv.Load())
 	}
 }

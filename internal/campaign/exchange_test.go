@@ -110,11 +110,12 @@ func localCanonical(t *testing.T, spec Spec) []byte {
 	return data
 }
 
-// TestFleetOneExchangePerShard pins the v2 exchange shape at a fixed
-// batch of one job: the worker calls /lease once, for its first batch,
-// and then /complete once per shard, each upload leasing the next shard;
-// the durable dispatcher fsyncs its WAL once per exchange; and the
-// fleet's canonical bytes are Campaign.Run's.
+// TestFleetOneExchangePerShard pins the v3 exchange shape at a fixed
+// batch of one job: after the corpus, the worker calls only /complete —
+// once with a lease-only upload for its first two batches, and then once
+// per shard, each upload leasing the next shard; the durable dispatcher
+// fsyncs its WAL once per exchange; and the fleet's canonical bytes are
+// Campaign.Run's.
 func TestFleetOneExchangePerShard(t *testing.T) {
 	spec := fleetSpec(t)
 	want := localCanonical(t, spec)
@@ -137,21 +138,25 @@ func TestFleetOneExchangePerShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := len(camp.Jobs())
-	leases, completes := counter.count("lease"), counter.count("complete")
-	if leases != 1 || completes != jobs || counter.count("heartbeat") != 0 {
-		t.Fatalf("%d jobs took %d /lease, %d /complete and %d /heartbeat calls; want 1, %d, 0",
-			jobs, leases, completes, counter.count("heartbeat"), jobs)
+	completes := counter.count("complete")
+	if completes != jobs+1 || counter.count("lease") != 0 || counter.count("heartbeat") != 0 {
+		t.Fatalf("%d jobs took %d /complete, %d /lease and %d /heartbeat calls; want %d, 0, 0",
+			jobs, completes, counter.count("lease"), counter.count("heartbeat"), jobs+1)
 	}
 	for i, lease := range counter.leases {
-		if lease != 1 {
-			t.Fatalf("upload %d asked for %d grants, want 1", i, lease)
+		want := 1
+		if i == 0 {
+			want = 2 // the lease-only upload takes the first two batches
+		}
+		if lease != want {
+			t.Fatalf("upload %d asked for %d grants, want %d", i, lease, want)
 		}
 	}
 	metrics := getJSON(t, ts.URL+"/campaigns/"+id, http.StatusOK)["metrics"].(map[string]any)
 	// Every exchange logged something (a grant, a merge, or both), and
 	// the last one's records were flushed by the finish path instead.
-	if got := int(metrics["wal_fsyncs"].(float64)); got != leases+completes {
-		t.Fatalf("%d WAL fsyncs over %d exchanges, want one per exchange", got, leases+completes)
+	if got := int(metrics["wal_fsyncs"].(float64)); got != completes {
+		t.Fatalf("%d WAL fsyncs over %d exchanges, want one per exchange", got, completes)
 	}
 	if got := int(metrics["wal_appends"].(float64)); got != 2*jobs {
 		t.Fatalf("%d WAL appends, want %d (one grant and one merge per job)", got, 2*jobs)
@@ -269,8 +274,8 @@ func TestWorkerBatchCoversExchange(t *testing.T) {
 // TestWorkerBatchHeartbeatCap is the converse: jobs that take a third
 // of the heartbeat period fit only one to the half period a batch may
 // run, so the default worker keeps one job per batch and one upload,
-// leasing one job, per shard, and no lease is held long enough to need
-// extending.
+// leasing one job, per shard, after the lease-only upload that takes its
+// first two, and no lease is held long enough to need extending.
 func TestWorkerBatchHeartbeatCap(t *testing.T) {
 	spec := fleetSpec(t)
 	spec.Tests = []string{"sb"}
@@ -278,12 +283,12 @@ func TestWorkerBatchHeartbeatCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs, counter, _ := runSizedFleet(t, spec, 100*time.Millisecond, 0, 300*time.Millisecond)
-	if completes := counter.count("complete"); completes != jobs {
-		t.Fatalf("%d slow jobs took %d /complete calls, want one per shard", jobs, completes)
+	if completes := counter.count("complete"); completes != jobs+1 {
+		t.Fatalf("%d slow jobs took %d /complete calls, want the first lease and one per shard", jobs, completes)
 	}
-	for i, lease := range counter.leases {
+	for i, lease := range counter.leases[1:] {
 		if lease != 1 {
-			t.Fatalf("upload %d asked for %d grants, want 1", i, lease)
+			t.Fatalf("upload %d asked for %d grants, want 1", i+1, lease)
 		}
 	}
 }
@@ -296,6 +301,8 @@ func TestWorkerBatchHeartbeatCap(t *testing.T) {
 // record. A retry asking for more is topped up with fresh grants, each
 // logged. A restarted dispatcher has forgotten the lost reply, so the
 // same retry gets fresh grants, and the old ones are left to the TTL.
+// A re-delivered lease-only upload gets its lost reply's grants back the
+// same way; an upload carrying only stale failures does not.
 func TestDispatcherResendsLostNext(t *testing.T) {
 	spec := walTestSpec(t)
 	dir := t.TempDir()
@@ -408,6 +415,36 @@ func TestDispatcherResendsLostNext(t *testing.T) {
 		if slices.Contains(topped, id) {
 			t.Fatalf("retry after restart got lease %d back (%v); a restarted dispatcher has no lost reply to re-send", id, fresh)
 		}
+	}
+
+	// A lease-only upload — a first lease or an idle poll, which a worker
+	// sends only when it holds no grant — whose reply was lost gets the
+	// same grants back when it is delivered again: no grant is new, and
+	// each re-sent one logs an extend record, not a grant record.
+	idle := CompleteRequest{Version: ProtocolVersion, Worker: "idle", Lease: 2}
+	lostIdle := ids(d2.Complete(idle, 0))
+	if len(lostIdle) != 2 {
+		t.Fatalf("lease-only upload got lease IDs %v, want 2", lostIdle)
+	}
+	granted, appends := d2.metrics.LeasesGranted.Load(), d2.metrics.WALAppends.Load()
+	if got := ids(d2.Complete(idle, 0)); !slices.Equal(got, lostIdle) {
+		t.Fatalf("re-delivered lease-only upload got lease IDs %v, want the lost reply's %v", got, lostIdle)
+	}
+	if got := d2.metrics.LeasesGranted.Load() - granted; got != 0 {
+		t.Fatalf("re-delivered lease-only upload granted %d new leases, want 0", got)
+	}
+	if got := d2.metrics.WALAppends.Load() - appends; got != int64(len(lostIdle)) {
+		t.Fatalf("re-delivered lease-only upload logged %d WAL records, want %d extends", got, len(lostIdle))
+	}
+
+	// An upload carrying only stale failures and a Lease is not lease-only:
+	// it gets fresh grants, not the last reply's again.
+	stale := d2.Complete(CompleteRequest{
+		Version: ProtocolVersion, Worker: "idle", Lease: 1,
+		Failures: []WorkerFailure{{LeaseID: g.LeaseID, JobID: g.Job.ID, Err: "stale"}},
+	}, 0)
+	if got := ids(stale); stale.Requeued != 0 || stale.Failed != 0 || len(got) != 1 || slices.Contains(lostIdle, got[0]) {
+		t.Fatalf("stale-failure upload = %+v with lease IDs %v, want nothing requeued and one fresh grant, not one of %v", stale, got, lostIdle)
 	}
 }
 
@@ -570,8 +607,8 @@ func TestWALCommitOncePerExchange(t *testing.T) {
 }
 
 // dropNextResponse is a chaos round-tripper: it delivers the first
-// upload that asks for grants and then drops its response, as a network
-// failure after the server acted would.
+// upload that reports results and asks for grants, and then drops its
+// response, as a network failure after the server acted would.
 type dropNextResponse struct {
 	base    http.RoundTripper
 	dropped atomic.Bool
@@ -587,7 +624,7 @@ func (rt *dropNextResponse) RoundTrip(req *http.Request) (*http.Response, error)
 	}
 	req.Body = io.NopCloser(bytes.NewReader(body))
 	var cr CompleteRequest
-	if harness.DecodeWireBinary(body, &cr, 0) != nil || cr.Lease == 0 || !rt.dropped.CompareAndSwap(false, true) {
+	if harness.DecodeWireBinary(body, &cr, 0) != nil || cr.Lease == 0 || len(cr.Results) == 0 || !rt.dropped.CompareAndSwap(false, true) {
 		return rt.base.RoundTrip(req)
 	}
 	resp, err := rt.base.RoundTrip(req)
@@ -675,8 +712,8 @@ func TestWorkerDrainLeasesNothing(t *testing.T) {
 			OnJobDone: func(*JobResult) { w.Drain() },
 		})
 		run(t, w)
-		if n := len(counter.leases); n != 1 || counter.leases[0] != 0 {
-			t.Fatalf("drained batch uploaded with Lease %v, want one upload asking for 0", counter.leases)
+		if want := []int{8, 0}; !slices.Equal(counter.leases, want) {
+			t.Fatalf("uploads asked for %v grants, want %v (the first lease, then the drained batch)", counter.leases, want)
 		}
 		if got := leased(t, ts, id); got != 0 {
 			t.Fatalf("drained worker left %d leases held", got)
@@ -694,11 +731,15 @@ func TestWorkerDrainLeasesNothing(t *testing.T) {
 			mu         sync.Mutex
 			ran        []int
 			afterDrain []int // jobs granted by a reply that arrived once draining
+			replies    atomic.Int32
 		)
 		drainAfterNext := roundTripFunc(func(req *http.Request) (*http.Response, error) {
 			resp, err := http.DefaultTransport.RoundTrip(req)
 			if err != nil || !strings.HasSuffix(req.URL.Path, "/complete") {
 				return resp, err
+			}
+			if replies.Add(1) == 1 {
+				return resp, nil // the first lease: let its batches run
 			}
 			body, err := io.ReadAll(resp.Body)
 			resp.Body.Close()
@@ -727,7 +768,7 @@ func TestWorkerDrainLeasesNothing(t *testing.T) {
 			},
 		})
 		run(t, w)
-		if want := []int{2, 0}; !slices.Equal(counter.leases, want) {
+		if want := []int{4, 2, 0}; !slices.Equal(counter.leases, want) {
 			t.Fatalf("uploads asked for %v grants, want %v (the next batch is released unrun)", counter.leases, want)
 		}
 		if len(afterDrain) == 0 {
@@ -766,8 +807,12 @@ func TestWorkerOverlapsUploadWithNextShard(t *testing.T) {
 	startCh := make(chan struct{}, jobs) // one signal per shard start
 	holdUntilNextShard := roundTripFunc(func(req *http.Request) (*http.Response, error) {
 		if strings.HasSuffix(req.URL.Path, "/complete") {
-			// Upload k carries shard k; the last upload has no next shard.
-			need := min(uploads.Add(1)+1, jobs)
+			// Upload 0 is the first lease, which no shard precedes; upload
+			// k carries shard k, and the last upload has no next shard.
+			need := int64(0)
+			if k := uploads.Add(1) - 1; k > 0 {
+				need = min(k+1, jobs)
+			}
 			timeout := time.After(10 * time.Second)
 			for started.Load() < need {
 				select {
@@ -803,8 +848,8 @@ func TestWorkerOverlapsUploadWithNextShard(t *testing.T) {
 }
 
 // TestWorkerHeartbeatsHeldLeases runs jobs that each outlast the lease
-// TTL, two per batch, so a queued batch — leased by /lease or by an
-// upload's reply — waits longer than a TTL before it starts: the worker
+// TTL, two per batch, so a queued batch — leased by a lease-only upload
+// or by a batch's upload — waits longer than a TTL before it starts: the worker
 // must extend every lease it holds — running, completed but unshipped,
 // and queued — or they expire and requeue.
 func TestWorkerHeartbeatsHeldLeases(t *testing.T) {
@@ -878,7 +923,7 @@ func TestInProcessNextAllocFree(t *testing.T) {
 	}
 }
 
-// v1Upload writes the v1 upload layout — the v2 one without Lease — so
+// v1Upload writes the v1 upload layout — the v3 one without Lease — so
 // the server's refusal of an old worker can be pinned.
 type v1Upload CompleteRequest
 
@@ -902,8 +947,8 @@ func (u *v1Upload) DecodeWireBody(*harness.WireReader) error {
 
 // TestCompleteRefusesV1Upload posts an upload a v1 worker would send: it
 // is refused at its version field with a 400 naming both versions — not
-// misread as a truncated v2 body — and merges nothing; the same results
-// in a v2 upload then merge.
+// misread as a truncated v3 body — and merges nothing; the same results
+// in a v3 upload then merge.
 func TestCompleteRefusesV1Upload(t *testing.T) {
 	spec := fleetSpec(t)
 	_, ts := newTestServer(t)
@@ -912,7 +957,7 @@ func TestCompleteRefusesV1Upload(t *testing.T) {
 
 	v1 := harness.EncodeWireBinary(nil, (*v1Upload)(&req))
 	var decoded CompleteRequest
-	if err := harness.DecodeWireBinary(v1, &decoded, 0); err == nil || err.Error() != "protocol version 1, want 2" {
+	if err := harness.DecodeWireBinary(v1, &decoded, 0); err == nil || err.Error() != "protocol version 1, want 3" {
 		t.Fatalf("decoding a v1 upload = %v, want the version refusal", err)
 	}
 	resp, err := http.Post(ts.URL+"/campaigns/"+id+"/complete", harness.WireContentTypeBinary, bytes.NewReader(v1))
@@ -921,13 +966,13 @@ func TestCompleteRefusesV1Upload(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "protocol version 1, want 2") {
-		t.Fatalf("v1 upload = %d %s, want 400 protocol version 1, want 2", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "protocol version 1, want 3") {
+		t.Fatalf("v1 upload = %d %s, want 400 protocol version 1, want 3", resp.StatusCode, body)
 	}
 	if done := dispatchDone(t, ts, id); done != 0 {
 		t.Fatalf("refused v1 upload completed %d job(s)", done)
 	}
 	if code, cr := postUpload(t, ts, id, harness.WireContentTypeBinary, harness.EncodeWireBinary(nil, &req)); code != http.StatusOK || cr.Merged != 1 {
-		t.Fatalf("v2 re-send = %d, merged %d; want 200, 1", code, cr.Merged)
+		t.Fatalf("v3 re-send = %d, merged %d; want 200, 1", code, cr.Merged)
 	}
 }

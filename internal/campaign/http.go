@@ -28,7 +28,7 @@ const (
 // serverRun is one submitted campaign: the engine invocation plus the
 // bookkeeping the HTTP surface reports. Local runs execute through
 // Campaign.Run's in-process executors; dispatch runs hold a Dispatcher
-// serving the lease endpoints instead.
+// serving the corpus and upload endpoints instead.
 type serverRun struct {
 	id         string
 	spec       Spec
@@ -200,9 +200,8 @@ func NewServer() *Server {
 //	                                 the canonical result JSON document
 //	POST /campaigns/{id}/cancel      abort a running campaign
 //	GET  /campaigns/{id}/corpus      dispatch: spec + test sources
-//	POST /campaigns/{id}/lease       dispatch: pull jobs
-//	POST /campaigns/{id}/heartbeat   dispatch: extend leases
-//	POST /campaigns/{id}/complete    dispatch: upload results (PWB1)
+//	POST /campaigns/{id}/complete    dispatch: upload results, extend
+//	                                 and take leases (PWB1)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -213,8 +212,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /campaigns/{id}/results", s.handleResults)
 	mux.HandleFunc("POST /campaigns/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("GET /campaigns/{id}/corpus", s.handleCorpus)
-	mux.HandleFunc("POST /campaigns/{id}/lease", s.handleLease)
-	mux.HandleFunc("POST /campaigns/{id}/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("POST /campaigns/{id}/complete", s.handleComplete)
 	return mux
 }
@@ -333,7 +330,7 @@ func wantsPrometheus(req *http.Request) bool {
 
 // writePrometheus renders the aggregate snapshot in Prometheus text
 // exposition format, one family per scheduler gauge plus the dispatch
-// counters (leases, requeues, heartbeats, fence drops, upload bytes).
+// counters (leases, requeues, heartbeats, fence drops, wire bytes).
 func writePrometheus(w io.Writer, campaigns, running int, uptimeSec float64, leasesActive int, oldestLeaseAgeSec float64, agg Snapshot) {
 	type metric struct {
 		name, typ, help string
@@ -361,8 +358,7 @@ func writePrometheus(w io.Writer, campaigns, running int, uptimeSec float64, lea
 		{"perple_heartbeats_total", "counter", "Lease extensions from worker heartbeats.", float64(agg.Heartbeats)},
 		{"perple_results_fenced_total", "counter", "Duplicate completions dropped by the fence.", float64(agg.ResultsFenced)},
 		{"perple_duplicate_uploads_total", "counter", "Same-lease upload re-deliveries acknowledged idempotently.", float64(agg.DuplicateUploads)},
-		{"perple_upload_bytes_total", "counter", "Compressed result payload bytes received.", float64(agg.UploadBytes)},
-		{"perple_wire_bytes_recv_total", "counter", "Result-upload body bytes received, any codec.", float64(agg.WireBytesRecv)},
+		{"perple_wire_bytes_recv_total", "counter", "Upload body bytes received.", float64(agg.WireBytesRecv)},
 		{"perple_wire_bytes_sent_total", "counter", "Dispatch-endpoint response body bytes sent.", float64(agg.WireBytesSent)},
 		{"perple_wire_encode_ns_total", "counter", "Host nanoseconds encoding dispatch responses.", float64(agg.WireEncodeNs)},
 		{"perple_wire_decode_ns_total", "counter", "Host nanoseconds decoding result uploads.", float64(agg.WireDecodeNs)},
@@ -508,32 +504,6 @@ func (s *Server) handleCorpus(w http.ResponseWriter, req *http.Request) {
 	writeJSONCounted(w, http.StatusOK, disp.Corpus(), disp.metrics)
 }
 
-func (s *Server) handleLease(w http.ResponseWriter, req *http.Request) {
-	disp := s.lookupDispatcher(w, req)
-	if disp == nil {
-		return
-	}
-	var lr LeaseRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20)).Decode(&lr); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding lease request: %v", err)
-		return
-	}
-	writeJSONCounted(w, http.StatusOK, disp.Lease(lr), disp.metrics)
-}
-
-func (s *Server) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
-	disp := s.lookupDispatcher(w, req)
-	if disp == nil {
-		return
-	}
-	var hr HeartbeatRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20)).Decode(&hr); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding heartbeat: %v", err)
-		return
-	}
-	writeJSONCounted(w, http.StatusOK, disp.Heartbeat(hr), disp.metrics)
-}
-
 // handleComplete is the upload sink. The body is read into a pooled
 // buffer and decoded as PWB1, so merged shards flow from the wire into
 // the campaign accumulator through reused scratch, never through
@@ -543,7 +513,9 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 // (truncated or bit-damaged upload) is answered 400 like any other
 // undecodable body. The worker does not re-send a 4xx: its Run fails,
 // and its leases expire and requeue. An upload with Lease set is
-// answered with the next grants in the same reply.
+// answered with the next grants in the same reply; a lease-only upload
+// is how a worker takes its first batch and polls when idle, and a
+// heartbeat-only one how it extends leases between batches.
 func (s *Server) handleComplete(w http.ResponseWriter, req *http.Request) {
 	disp := s.lookupDispatcher(w, req)
 	if disp == nil {

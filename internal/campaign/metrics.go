@@ -45,8 +45,7 @@ type Metrics struct {
 	TraceVerifyNs atomic.Int64
 
 	// Dispatch-layer counters (the lease ledger). Local runs lease too;
-	// heartbeats, fence drops, and upload bytes arise only from fleet
-	// workers.
+	// heartbeats and fence drops arise only from fleet workers.
 
 	// LeasesGranted counts jobs handed to workers (re-leases included).
 	LeasesGranted atomic.Int64
@@ -64,14 +63,10 @@ type Metrics struct {
 	// response) — distinct from ResultsFenced, which counts competing
 	// holders.
 	DuplicateUploads atomic.Int64
-	// UploadBytes counts compressed result-payload bytes received.
-	UploadBytes atomic.Int64
 
 	// Wire-layer counters (result codec and dispatch response path).
 
-	// WireBytesRecv counts upload-request body bytes received, whichever
-	// codec carried them (same bytes as UploadBytes, kept as a separate
-	// family so the wire layer reads as one block on /metrics).
+	// WireBytesRecv counts upload-request body bytes received.
 	WireBytesRecv atomic.Int64
 	// WireBytesSent counts dispatch-endpoint response body bytes sent.
 	WireBytesSent atomic.Int64
@@ -79,7 +74,8 @@ type Metrics struct {
 	WireEncodeNs atomic.Int64
 	// WireDecodeNs is host nanoseconds spent decoding result uploads.
 	WireDecodeNs atomic.Int64
-	// WireBatch is the distribution of results per upload batch.
+	// WireBatch is the distribution of results per upload that carries
+	// any.
 	WireBatch BatchHist
 
 	// Durability counters (checkpoint layer).
@@ -231,7 +227,6 @@ type Snapshot struct {
 	Heartbeats           int64             `json:"heartbeats"`
 	ResultsFenced        int64             `json:"results_fenced"`
 	DuplicateUploads     int64             `json:"duplicate_uploads"`
-	UploadBytes          int64             `json:"upload_bytes"`
 	WireBytesRecv        int64             `json:"wire_bytes_recv"`
 	WireBytesSent        int64             `json:"wire_bytes_sent"`
 	WireEncodeNs         int64             `json:"wire_encode_ns"`
@@ -287,7 +282,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Heartbeats:           m.Heartbeats.Load(),
 		ResultsFenced:        m.ResultsFenced.Load(),
 		DuplicateUploads:     m.DuplicateUploads.Load(),
-		UploadBytes:          m.UploadBytes.Load(),
 		WireBytesRecv:        m.WireBytesRecv.Load(),
 		WireBytesSent:        m.WireBytesSent.Load(),
 		WireEncodeNs:         m.WireEncodeNs.Load(),
@@ -347,7 +341,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.Heartbeats += o.Heartbeats
 	s.ResultsFenced += o.ResultsFenced
 	s.DuplicateUploads += o.DuplicateUploads
-	s.UploadBytes += o.UploadBytes
 	s.WireBytesRecv += o.WireBytesRecv
 	s.WireBytesSent += o.WireBytesSent
 	s.WireEncodeNs += o.WireEncodeNs

@@ -12,8 +12,8 @@ import (
 // Worker.Run owns one, feeds it every event with the time it was seen,
 // and carries out the step each event method returns. It starts no
 // goroutine, reads no clock, takes no lock and makes no call, so a test
-// can drive it through every order of its events. At most one call is
-// in flight.
+// can drive it through every order of its events. Every call is an
+// upload of out, and at most one is in flight.
 type pipeline struct {
 	parallel, fixed int           // jobs run at once; a pinned batch size, or 0
 	period          time.Duration // a third of the first lease reply's TTL
@@ -28,11 +28,10 @@ type pipeline struct {
 	// finished but unshipped — with when it was granted or last extended.
 	held    map[int64]heldLease
 	pending CompleteRequest // finished jobs' outcomes and released grants
-	out     CompleteRequest // the upload in flight
-	beat    []LeaseRef      // the /heartbeat in flight
+	out     CompleteRequest // the upload in flight, or the last one
 
-	call     callKind  // the call in flight, if any
-	sent     time.Time // when call was made
+	calling  bool      // out is in flight
+	sent     time.Time // when out was sent
 	ran      bool      // a batch finished; its outcomes wait to ship
 	ticked   bool      // a tick came while a call was in flight
 	draining bool
@@ -43,26 +42,13 @@ type heldLease struct {
 	since time.Time
 }
 
-type callKind int
-
-const (
-	callNone callKind = iota
-	callLease
-	callUpload
-	callHeartbeat
-)
-
 // step is what Run carries out after an event: hand start to the slots,
-// make call — a /lease for lease grants, the upload, or a /heartbeat
-// extending beat — and return err if stop.
+// upload out if call, and return err if stop.
 type step struct {
-	start  []LeaseGrant
-	call   callKind
-	lease  int
-	upload *CompleteRequest
-	beat   []LeaseRef
-	stop   bool
-	err    error
+	start []LeaseGrant
+	call  bool
+	stop  bool
+	err   error
 }
 
 func newPipeline(parallel, fixed int) *pipeline {
@@ -113,26 +99,21 @@ func (p *pipeline) finished(now time.Time, r WorkerResult, f *WorkerFailure) ste
 	return p.advance(now, s)
 }
 
-// replied takes the outcome of the call in flight: the grants its reply
-// carries (nil if none), which are held from now on, and the server's
-// word that the campaign is over. A failed lease or upload stops the
-// worker, leaving its leases to expire. Heartbeats are best-effort: a
-// failed one leaves its leases due, and the server fences any fallout.
+// replied takes the outcome of the upload in flight: the grants its
+// reply carries (nil if none), which are held from now on, and the
+// server's word that the campaign is over, which stops the worker. A
+// failed upload stops it too, leaving its leases to expire — unless the
+// upload was heartbeat-only: heartbeats are best-effort, a failed one
+// leaves its leases due, and the server fences any fallout.
 func (p *pipeline) replied(now time.Time, next *LeaseResponse, done bool, err error) step {
-	call := p.call
-	p.call = callNone
-	if call == callHeartbeat {
-		if err == nil {
-			p.extend(p.beat, p.sent)
-		}
+	p.calling = false
+	if err != nil && p.out.heartbeatOnly() {
 		return p.advance(now, step{})
 	}
 	if err != nil || done {
 		return step{stop: true, err: err}
 	}
-	if call == callUpload {
-		p.extend(p.out.Heartbeat, p.sent)
-	}
+	p.extend(p.out.Heartbeat, p.sent)
 	if next != nil {
 		if p.period == 0 {
 			if p.period = time.Duration(next.TTLSec*float64(time.Second)) / 3; p.period <= 0 {
@@ -152,7 +133,7 @@ func (p *pipeline) replied(now time.Time, next *LeaseResponse, done bool, err er
 }
 
 // tick is the heartbeat ticker: the held leases that are due ride a
-// /heartbeat once no call is in flight.
+// heartbeat-only upload once no call is in flight.
 func (p *pipeline) tick(now time.Time) step {
 	p.ticked = true
 	return p.advance(now, step{})
@@ -174,21 +155,22 @@ func (p *pipeline) drain(now time.Time) step {
 func (p *pipeline) cancel(err error) step { return step{stop: true, err: err} }
 
 // advance takes the steps the state allows. With no call in flight, a
-// finished batch or a drain's releases ship, else a pending tick
-// heartbeats. Between batches, with the last one shipped, the next one
-// starts from the queue; with none queued the worker waits for the
-// reply in flight, or leases two batches, or ends its drain.
+// finished batch or a drain's releases ship, else a pending tick sends
+// the due heartbeats alone. Between batches, with the last one shipped,
+// the next one starts from the queue; with none queued the worker waits
+// for the reply in flight, or ends its drain, or — holding no grant —
+// leases two batches in an upload that carries nothing else.
 func (p *pipeline) advance(now time.Time, s step) step {
 	idle := len(p.batch) == 0
-	if p.call == callNone && idle && (p.ran || len(p.pending.Released) > 0) {
+	if !p.calling && idle && (p.ran || len(p.pending.Released) > 0) {
 		p.ship(now)
-		s.call, s.upload = callUpload, &p.out
+		s.call = true
 	}
-	if p.call == callNone && p.ticked {
+	if !p.calling && p.ticked {
 		p.ticked = false
-		if p.beat = p.due(p.beat[:0], now); len(p.beat) > 0 {
-			p.call, p.sent = callHeartbeat, now
-			s.call, s.beat = callHeartbeat, p.beat
+		reset(&p.out)
+		if p.out.Heartbeat = p.due(p.out.Heartbeat, now); len(p.out.Heartbeat) > 0 {
+			p.calling, p.sent, s.call = true, now, true
 		}
 	}
 	if !idle || p.ran {
@@ -201,12 +183,13 @@ func (p *pipeline) advance(now time.Time, s step) step {
 		p.queue = append(p.queue[:0], p.queue[n:]...)
 		p.started, p.begun = min(p.parallel, n), now
 		s.start = p.batch[:p.started]
-	case p.call != callNone:
+	case p.calling:
 	case p.draining:
 		s.stop = true
 	default:
-		p.call = callLease
-		s.call, s.lease = callLease, 2*p.batchSize()
+		reset(&p.out)
+		p.out.Lease = 2 * p.batchSize()
+		p.calling, p.sent, s.call = true, now, true
 	}
 	return s
 }
@@ -217,10 +200,7 @@ func (p *pipeline) advance(now time.Time, s step) step {
 // queue runs long, and nothing while draining.
 func (p *pipeline) ship(now time.Time) {
 	p.out, p.pending = p.pending, p.out
-	clear(p.pending.Results) // drop the shipped results
-	p.pending.Results = p.pending.Results[:0]
-	p.pending.Failures = p.pending.Failures[:0]
-	p.pending.Released = p.pending.Released[:0]
+	reset(&p.pending)
 	for _, r := range p.out.Results {
 		delete(p.held, r.LeaseID)
 	}
@@ -236,7 +216,17 @@ func (p *pipeline) ship(now time.Time) {
 		size := p.batchSize()
 		p.out.Lease = min(size, max(0, 2*size-len(p.queue)))
 	}
-	p.call, p.sent, p.ran, p.ticked = callUpload, now, false, false
+	p.calling, p.sent, p.ran, p.ticked = true, now, false, false
+}
+
+// reset empties r for reuse, keeping its slices' storage but dropping
+// the shipped results they point to.
+func reset(r *CompleteRequest) {
+	clear(r.Results)
+	*r = CompleteRequest{
+		Results: r.Results[:0], Failures: r.Failures[:0],
+		Released: r.Released[:0], Heartbeat: r.Heartbeat[:0],
+	}
 }
 
 // release stages unstarted grants to be handed back.

@@ -32,10 +32,10 @@ var exploredResult = &JobResult{}
 //     a hard stop;
 //  3. at most one unstarted batch is queued beyond the running one;
 //  4. no job starts after Drain, and every upload after it leases 0;
-//  5. a heartbeat — an upload's or a /heartbeat — extends exactly the
-//     held leases a period has passed on since their grant or last
-//     extension, and a tick with no call in flight sends one if any is
-//     due;
+//  5. the heartbeat of every upload — one that reports a batch, or a
+//     heartbeat-only one — extends exactly the held leases a period has
+//     passed on since their grant or last extension, and a tick with no
+//     call in flight sends a heartbeat-only upload if any lease is due;
 //  6. no lease is held when the worker stops gracefully.
 func TestPipelineExplore(t *testing.T) {
 	for _, tc := range []struct{ parallel, size int }{{1, 1}, {1, 2}, {2, 2}} {
@@ -118,9 +118,9 @@ type model struct {
 	grants  map[int64]grantState // by lease ID: every grant the worker got
 	running []LeaseGrant         // handed to a slot, not yet finished
 
-	// The call in flight: its kind, when it was made, the leases it
-	// extends, and the server's answer, delivered by evReply.
-	call    callKind
+	// The upload in flight: whether there is one, when it was made, the
+	// leases it extends, and the server's answer, delivered by evReply.
+	call    bool
 	sent    time.Time
 	extends []LeaseRef
 	next    LeaseResponse
@@ -154,7 +154,7 @@ func newWorld(parallel, size int) *world {
 
 func (w *world) clone() *world {
 	p := *w.p
-	p.queue, p.batch, p.beat = slices.Clone(p.queue), slices.Clone(p.batch), slices.Clone(p.beat)
+	p.queue, p.batch = slices.Clone(p.queue), slices.Clone(p.batch)
 	p.held = maps.Clone(p.held)
 	for _, r := range []*CompleteRequest{&p.pending, &p.out} {
 		r.Results, r.Failures = slices.Clone(r.Results), slices.Clone(r.Failures)
@@ -180,7 +180,7 @@ func (w *world) events() []event {
 	for _, g := range w.running {
 		evs = append(evs, event{kind: evFinish, job: g.Job.ID})
 	}
-	if w.call != callNone {
+	if w.call {
 		evs = append(evs, event{kind: evReply})
 		if w.fails == 0 {
 			evs = append(evs, event{kind: evFail})
@@ -221,18 +221,18 @@ func (w *world) do(ev event) error {
 				w.grants[g.LeaseID] = grantState{job: g.Job.ID, ext: w.now}
 			}
 		}
-		w.call = callNone
+		w.call = false
 		s = w.p.replied(w.now, next, w.done, nil)
 	case evFail:
 		w.fails++
-		w.call = callNone
+		w.call = false
 		s = w.p.replied(w.now, nil, false, errors.New("exchange failed"))
 	case evTick:
 		w.ticks++
 		w.now = w.now.Add(explorePeriod)
-		free := w.call == callNone
+		free := !w.call
 		s = w.p.tick(w.now)
-		if free && s.call == callNone && len(w.due(nil)) > 0 {
+		if free && !s.call && len(w.due(nil)) > 0 {
 			return fmt.Errorf("tick with no call in flight extends none of due leases %v", w.due(nil))
 		}
 	case evDrain:
@@ -264,22 +264,12 @@ func (w *world) apply(s step) error {
 		w.grants[g.LeaseID] = gs
 		w.running = append(w.running, g)
 	}
-	if s.call != callNone {
-		if w.call != callNone {
-			return fmt.Errorf("call %d made while call %d is in flight", s.call, w.call)
+	if s.call {
+		if w.call {
+			return fmt.Errorf("upload made while an upload is in flight")
 		}
-		w.call, w.sent, w.extends, w.hasNext, w.done = s.call, w.now, w.extends[:0], false, false
-	}
-	switch s.call {
-	case callLease:
-		w.grant(s.lease)
-		w.done = len(w.next.Grants) == 0 && w.merged == w.total
-	case callUpload:
-		if err := w.upload(s.upload); err != nil {
-			return err
-		}
-	case callHeartbeat:
-		if err := w.extend(s.beat); err != nil {
+		w.call, w.sent, w.extends, w.hasNext, w.done = true, w.now, w.extends[:0], false, false
+		if err := w.upload(&w.p.out); err != nil {
 			return err
 		}
 	}
@@ -314,8 +304,10 @@ func (w *world) apply(s step) error {
 	return nil
 }
 
-// upload ends the grants u reports or hands back, checks its heartbeat
-// and lease, and has the server merge it and answer.
+// upload is the model server's one handler: it ends the grants u
+// reports or hands back, checks its heartbeat and lease, and merges it
+// and answers. Every reply says whether the campaign is done; one to an
+// upload with Lease set carries the grants.
 func (w *world) upload(u *CompleteRequest) error {
 	if w.drained && u.Lease != 0 {
 		return fmt.Errorf("upload after Drain leases %d", u.Lease)

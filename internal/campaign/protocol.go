@@ -1,38 +1,45 @@
 package campaign
 
-// Dispatch protocol (v2): the wire types spoken between perple serve's
-// dispatch endpoints and perple worker. Control bodies are JSON; the
-// completion upload carries full per-shard histograms and travels in
-// the PWB1 binary codec (harness wirebin; DESIGN.md §14), labelled
-// harness.WireContentTypeBinary. An upload in any other Content-Type,
-// or carrying any version but ProtocolVersion, is refused with a 4xx
-// (the version is the body's first field, so a foreign upload is
-// refused before the rest of it is decoded).
+// Dispatch protocol (v3): the wire types spoken between perple serve's
+// dispatch endpoints and perple worker. A worker makes two kinds of
+// call. It fetches the corpus once, as JSON; every later call is an
+// upload to /complete, in the PWB1 binary codec (harness wirebin;
+// DESIGN.md §14), labelled harness.WireContentTypeBinary, and answered
+// in JSON. An upload in any other Content-Type, or carrying any version
+// but ProtocolVersion, is refused with a 4xx (the version is the body's
+// first field, so a foreign upload is refused before the rest of it is
+// decoded).
 //
 //	GET  /campaigns/{id}/corpus     → CorpusResponse   (spec + test sources)
-//	POST /campaigns/{id}/lease      LeaseRequest → LeaseResponse
-//	                                (first batch and idle polls only)
-//	POST /campaigns/{id}/heartbeat  HeartbeatRequest → HeartbeatResponse
 //	POST /campaigns/{id}/complete   CompleteRequest (PWB1) → CompleteResponse
 //	                                (Lease > 0: Next carries the next grants)
 //
-// v2 makes the upload the steady-state lease call: a batch's upload
-// asks for a further batch (CompleteRequest.Lease) and receives it in
-// the same exchange (CompleteResponse.Next), so a shard costs one round
-// trip and one WAL commit instead of two. The worker runs its next,
-// already leased batch while that exchange is in flight.
+// One upload does every job the worker needs from the server: it
+// reports finished shards, hands back unstarted grants, extends held
+// leases (Heartbeat) and asks for the next grants (Lease), all in one
+// exchange and one WAL commit. Two shapes carry a single job:
+//
+//   - a lease-only upload, carrying nothing but Lease, takes a worker's
+//     first batch and makes its idle polls: an empty, not-Done reply
+//     carries a poll hint (Next.WaitSec);
+//   - a heartbeat-only upload, carrying nothing but Heartbeat, extends
+//     leases that fall due while the worker has nothing to report; it
+//     is best-effort, so a failed one does not stop the worker.
+//
+// A batch's upload asks for a further batch, and the worker runs its
+// next, already leased batch while that exchange is in flight.
 //
 // The protocol is at-least-once by construction: a worker that crashes
 // mid-lease simply stops heartbeating and its jobs re-lease after the
 // TTL; a worker that uploads twice (retry after a lost response) is
-// deduplicated by the server's completion fence, and its retry is
-// answered with the grants the lost response carried. Workers never need
-// server-side identity beyond a self-chosen name used for lease
-// accounting.
+// deduplicated by the server's completion fence, and its retry — or a
+// re-sent lease-only upload — is answered with the grants the lost
+// response carried. Workers never need server-side identity beyond a
+// self-chosen name used for lease accounting.
 
 // ProtocolVersion guards wire compatibility; both sides refuse to talk
 // across a mismatch.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // CorpusTest ships one litmus test to workers as parseable source, so a
 // worker needs no filesystem access to the campaign's test directory.
@@ -50,7 +57,8 @@ type CorpusResponse struct {
 	Tests   []CorpusTest `json:"tests"`
 }
 
-// LeaseRequest asks for up to Max jobs.
+// LeaseRequest asks Dispatcher.Lease for up to Max jobs. No endpoint
+// takes it: workers lease through CompleteRequest.Lease.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
 	Max    int    `json:"max"`
@@ -81,20 +89,6 @@ type LeaseRef struct {
 	LeaseID int64 `json:"lease_id"`
 }
 
-// HeartbeatRequest extends the caller's live leases.
-type HeartbeatRequest struct {
-	Worker string     `json:"worker"`
-	Leases []LeaseRef `json:"leases"`
-}
-
-// HeartbeatResponse reports how many leases were extended; a lease the
-// server no longer recognizes (expired and re-granted) is simply not
-// counted, which is how a slow worker learns it lost work.
-type HeartbeatResponse struct {
-	Extended int     `json:"extended"`
-	TTLSec   float64 `json:"ttl_sec"`
-}
-
 // WorkerResult is one completed shard: the result plus the lease nonce
 // it was executed under.
 type WorkerResult struct {
@@ -110,13 +104,12 @@ type WorkerFailure struct {
 	Err     string `json:"error"`
 }
 
-// CompleteRequest is the batched upload: completed results, execution
-// failures, leases handed back un-run (graceful drain), and heartbeats
-// for held leases that are due an extension, piggybacked so the upload
-// doubles as the lease extension and saves the dedicated heartbeat
-// round-trip. Lease asks for the next grants in the same exchange,
-// saving the dedicated lease round-trip too. The body travels in the
-// PWB1 codec.
+// CompleteRequest is the worker's one call after the corpus fetch:
+// completed results, execution failures, leases handed back un-run
+// (graceful drain), heartbeats for held leases that are due an
+// extension, and Lease, asking for the next grants in the same
+// exchange. Any of them may be empty. The body travels in the PWB1
+// codec.
 type CompleteRequest struct {
 	Version  int             `json:"version"`
 	Worker   string          `json:"worker"`
@@ -124,14 +117,18 @@ type CompleteRequest struct {
 	Failures []WorkerFailure `json:"failures,omitempty"`
 	Released []LeaseRef      `json:"released,omitempty"`
 	// Heartbeat lists leases the worker still holds and wants extended
-	// with this upload.
+	// with this upload. A lease the server no longer recognizes (expired
+	// and re-granted) is not extended, which is how a slow worker learns
+	// it lost work.
 	Heartbeat []LeaseRef `json:"heartbeat,omitempty"`
 	// Lease, when positive, grants up to this many new jobs in the same
 	// exchange, after everything above is applied: the response's Next
-	// is then exactly what a LeaseRequest{Max: Lease} would have
-	// returned — except for a re-delivery (every result a same-lease
-	// duplicate), whose Next first repeats the grants the first delivery
-	// was answered with that the worker still holds.
+	// is then exactly what Dispatcher.Lease would return — except for a
+	// re-delivery, whose Next first repeats the grants the first delivery
+	// was answered with that the worker still holds. A re-delivery is an
+	// upload whose every result is a same-lease duplicate, or a
+	// lease-only upload, which a worker sends only when it holds no
+	// grant.
 	Lease int `json:"lease,omitempty"`
 }
 
@@ -150,9 +147,19 @@ type CompleteResponse struct {
 	Requeued  int  `json:"requeued"`
 	Failed    int  `json:"failed"`
 	Done      bool `json:"done,omitempty"`
-	// Extended counts piggybacked heartbeats honored, mirroring
-	// HeartbeatResponse.Extended.
+	// Extended counts the request's heartbeats honored.
 	Extended int `json:"extended,omitempty"`
 	// Next is the lease the request asked for (nil when Lease was 0).
 	Next *LeaseResponse `json:"next,omitempty"`
+}
+
+// leaseOnly reports whether cr carries nothing but Lease: a worker's
+// first lease or an idle poll.
+func (cr *CompleteRequest) leaseOnly() bool {
+	return cr.Lease > 0 && len(cr.Results)+len(cr.Failures)+len(cr.Released)+len(cr.Heartbeat) == 0
+}
+
+// heartbeatOnly reports whether cr carries nothing but Heartbeat.
+func (cr *CompleteRequest) heartbeatOnly() bool {
+	return cr.Lease == 0 && len(cr.Heartbeat) > 0 && len(cr.Results)+len(cr.Failures)+len(cr.Released) == 0
 }

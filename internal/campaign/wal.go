@@ -28,7 +28,7 @@ import (
 // per-shard determinism either way.
 //
 // Durability is group-committed per exchange: append only writes, and
-// each dispatcher entry point (Lease, Heartbeat, complete, Cancel) ends
+// each dispatcher entry point (Lease, complete, Cancel) ends
 // with one commit, which fsyncs once the records written since the last
 // fsync reach syncEvery — counted across exchanges, so syncEvery 1 is
 // one fsync per exchange that logged anything, however many records it

@@ -222,7 +222,7 @@ func TestWALReplayPropertyRandomOps(t *testing.T) {
 				case 3:
 					if len(grants) > 0 {
 						g := grants[rng.Intn(len(grants))]
-						d.Heartbeat(HeartbeatRequest{Worker: g.worker, Leases: []LeaseRef{{JobID: g.job.ID, LeaseID: g.lease}}})
+						d.Complete(CompleteRequest{Worker: g.worker, Heartbeat: []LeaseRef{{JobID: g.job.ID, LeaseID: g.lease}}}, 0)
 					}
 				case 4, 5, 6, 7:
 					if len(grants) > 0 {

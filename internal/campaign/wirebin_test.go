@@ -131,7 +131,11 @@ func FuzzCompleteRequestWire(f *testing.F) {
 func FuzzCompleteRequestBinaryDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(harness.EncodeWireBinary(nil, sampleCompleteRequest()))
+	// A lease-only upload and a heartbeat-only one.
 	f.Add(harness.EncodeWireBinary(nil, &CompleteRequest{Version: ProtocolVersion, Worker: "w", Lease: 4}))
+	f.Add(harness.EncodeWireBinary(nil, &CompleteRequest{
+		Version: ProtocolVersion, Worker: "w", Heartbeat: []LeaseRef{{JobID: 3, LeaseID: 7}, {JobID: 5, LeaseID: 9}},
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out CompleteRequest
 		_ = harness.DecodeWireBinary(data, &out, 1<<20)
@@ -196,23 +200,16 @@ func TestFleetWireMatrix(t *testing.T) {
 	}
 }
 
-// leaseOne leases a single job over HTTP as the named worker.
+// leaseOne leases a single job over HTTP as the named worker, in a
+// lease-only upload.
 func leaseOne(t *testing.T, ts *httptest.Server, id, worker string) LeaseGrant {
 	t.Helper()
-	body, _ := json.Marshal(LeaseRequest{Worker: worker, Max: 1})
-	resp, err := http.Post(ts.URL+"/campaigns/"+id+"/lease", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	body := harness.EncodeWireBinary(nil, &CompleteRequest{Version: ProtocolVersion, Worker: worker, Lease: 1})
+	code, cr := postUpload(t, ts, id, harness.WireContentTypeBinary, body)
+	if code != http.StatusOK || cr.Next == nil || len(cr.Next.Grants) != 1 {
+		t.Fatalf("lease-only upload = %d %+v, want 200 and one grant", code, cr)
 	}
-	defer resp.Body.Close()
-	var lr LeaseResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		t.Fatal(err)
-	}
-	if len(lr.Grants) != 1 {
-		t.Fatalf("lease granted %d jobs, want 1", len(lr.Grants))
-	}
-	return lr.Grants[0]
+	return cr.Next.Grants[0]
 }
 
 // postUpload posts an upload body under the given Content-Type and

@@ -35,8 +35,8 @@ type WorkerOptions struct {
 	// fail.
 	Wire string
 	// Client is the HTTP client; nil selects a fresh one with keep-alives
-	// and an idle-connection pool sized to the worker's parallelism, so a
-	// batch's lease/upload/heartbeat exchanges reuse warm connections.
+	// and an idle-connection pool sized to the worker's parallelism, so
+	// the worker's uploads reuse warm connections.
 	Client *http.Client
 	// MaxAttempts bounds retries per HTTP call (network errors and 5xx);
 	// 0 selects 5.
@@ -44,12 +44,6 @@ type WorkerOptions struct {
 	// BackoffBase is the first retry delay, doubling per attempt up to
 	// 32x; 0 selects 200ms.
 	BackoffBase time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens the
-	// client's circuit breaker; 0 selects DefaultBreakerThreshold.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit holds requests off; 0
-	// selects DefaultBreakerCooldown.
-	BreakerCooldown time.Duration
 	// RecoveryWindow, when positive, keeps transport-class retries
 	// (network errors and 5xx) going until this much time has passed,
 	// even past MaxAttempts — sized to how long a dispatcher restart
@@ -83,7 +77,6 @@ type Worker struct {
 	jobExec
 
 	opts      WorkerOptions
-	brk       *breaker
 	drainOnce sync.Once
 	drainCh   chan struct{} // closed by Drain
 
@@ -132,7 +125,6 @@ func NewWorker(opts WorkerOptions) *Worker {
 	return &Worker{
 		jobExec: jobExec{run: opts.runJob, onDone: opts.OnJobDone},
 		opts:    opts,
-		brk:     newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 		drainCh: make(chan struct{}),
 		rng:     rand.New(rand.NewSource(int64(h.Sum64() &^ (1 << 63)))),
 	}
@@ -197,7 +189,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	p := newPipeline(w.opts.Parallel, w.opts.leaseBatch)
 	// No send blocks: at most one call, and Parallel jobs, are in flight.
 	// Jobs run on ctx, so an uncancellable one spares the sim its polls.
-	x := &exchanger{calls: make(chan step, 1), replies: make(chan error, 1)}
+	x := &exchanger{calls: make(chan *CompleteRequest, 1), replies: make(chan error, 1)}
 	jobs := make(chan LeaseGrant, w.opts.Parallel)
 	outcomes := make(chan outcome, w.opts.Parallel)
 	runCtx, stop := context.WithCancel(ctx)
@@ -232,8 +224,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		for _, g := range s.start {
 			jobs <- g
 		}
-		if s.call != callNone {
-			x.calls <- s
+		if s.call {
+			x.calls <- &p.out
 		}
 		if s.stop {
 			return s.err
@@ -250,7 +242,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		case o := <-outcomes:
 			s = p.finished(time.Now(), o.r, o.f)
 		case err := <-x.replies:
-			s = p.replied(time.Now(), x.next, x.done, err)
+			s = p.replied(time.Now(), x.resp.Next, x.resp.Done, err)
 		case now := <-tickC:
 			s = p.tick(now)
 		}
@@ -264,56 +256,42 @@ type outcome struct {
 }
 
 // exchanger is the state of Run's one exchange goroutine (exchange).
-// From a call until its reply the goroutine owns the buffers — the
-// upload, its encoding, and the decoded replies, whose grant slices the
-// next call reuses — and next and done: the grants the reply carries
-// and the server's word that the campaign is over.
+// From an upload until its reply the goroutine owns the buffers — the
+// upload, its encoding, and the decoded reply, whose grant slice the
+// next upload reuses.
 type exchanger struct {
-	calls   chan step
+	calls   chan *CompleteRequest
 	replies chan error
-	lease   LeaseResponse
 	resp    CompleteResponse
 	encBuf  []byte
-	next    *LeaseResponse
-	done    bool
 }
 
-// exchange makes each call handed on x.calls and replies with its error.
+// exchange makes each upload handed on x.calls and replies with its
+// error. An empty, not-Done reply to a lease-only upload is an idle
+// poll's answer, and its hint is slept out before replying.
 func (w *Worker) exchange(ctx context.Context, wg *sync.WaitGroup, x *exchanger) {
 	defer wg.Done()
-	for s := range x.calls {
-		var err error
-		switch s.call {
-		case callLease:
-			x.lease = LeaseResponse{Grants: x.lease.Grants[:0]}
-			err = w.post(ctx, "lease", LeaseRequest{Worker: w.opts.Name, Max: s.lease}, &x.lease)
-			if err == nil && !x.lease.Done && len(x.lease.Grants) == 0 {
-				err = w.idle(ctx, x.lease.WaitSec)
-			}
-			x.next, x.done = &x.lease, x.lease.Done
-		case callUpload:
-			// The reply decodes into the last one's structs, grant slice
-			// included; reset them first, since a field the server omits
-			// (omitempty) would otherwise keep its old value.
-			if next := x.resp.Next; next != nil {
-				*next = LeaseResponse{Grants: next.Grants[:0]}
-			}
-			x.resp = CompleteResponse{Next: x.resp.Next}
-			s.upload.Version, s.upload.Worker = ProtocolVersion, w.opts.Name
-			x.encBuf = harness.EncodeWireBinary(x.encBuf[:0], s.upload)
-			err = w.retry(ctx, http.MethodPost, "complete", harness.WireContentTypeBinary, x.encBuf, &x.resp)
-			x.next, x.done = x.resp.Next, x.resp.Done
-		case callHeartbeat:
-			err = w.post(ctx, "heartbeat", HeartbeatRequest{Worker: w.opts.Name, Leases: s.beat}, nil)
+	for u := range x.calls {
+		// The reply decodes into the last one's structs, grant slice
+		// included; reset them first, since a field the server omits
+		// (omitempty) would otherwise keep its old value.
+		if next := x.resp.Next; next != nil {
+			*next = LeaseResponse{Grants: next.Grants[:0]}
+		}
+		x.resp = CompleteResponse{Next: x.resp.Next}
+		u.Version, u.Worker = ProtocolVersion, w.opts.Name
+		x.encBuf = harness.EncodeWireBinary(x.encBuf[:0], u)
+		err := w.retry(ctx, http.MethodPost, "complete", harness.WireContentTypeBinary, x.encBuf, &x.resp)
+		if next := x.resp.Next; err == nil && u.leaseOnly() && !x.resp.Done && next != nil && len(next.Grants) == 0 {
+			err = w.idle(ctx, next.WaitSec)
 		}
 		x.replies <- err
 	}
 }
 
 // idle sleeps out an empty lease reply's poll hint. Jitter spreads idle
-// fleet members out instead of stampeding the lease endpoint in
-// lockstep; Drain cuts the sleep short so a signaled idle worker exits
-// promptly.
+// fleet members out instead of stampeding the server in lockstep; Drain
+// cuts the sleep short so a signaled idle worker exits promptly.
 func (w *Worker) idle(ctx context.Context, waitSec float64) error {
 	wait := time.Duration(waitSec * float64(time.Second))
 	if wait <= 0 {
@@ -330,22 +308,14 @@ func (w *Worker) idle(ctx context.Context, waitSec float64) error {
 	return nil
 }
 
-// post sends body as JSON and decodes the JSON response into out.
-func (w *Worker) post(ctx context.Context, endpoint string, body, out any) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	return w.retry(ctx, http.MethodPost, endpoint, "application/json", data, out)
-}
-
 // retry makes one HTTP exchange with the campaign's endpoint, sending
 // body (if any) as contentType and decoding the JSON response into out,
-// with exponential backoff on transport errors, 5xx responses, and
-// undecodable response bodies (bytes damaged in flight); 4xx responses
-// fail immediately (the request is wrong, not the network). Every outcome feeds the worker's circuit breaker, and
-// an open circuit is waited out before the next attempt — attempts are
-// spent on the server, not on a cooldown we already know about.
+// with capped, jittered exponential backoff on transport errors, 5xx
+// responses, and undecodable response bodies (bytes damaged in flight);
+// 4xx responses fail immediately (the request is wrong, not the
+// network). The backoff is the worker's one hold-off rule: its calls
+// are made one at a time, so there are no concurrent callers to hold
+// off besides.
 func (w *Worker) retry(ctx context.Context, method, endpoint, contentType string, body []byte, out any) error {
 	backoff := w.opts.BackoffBase
 	// A recovery window extends transport-class retries past MaxAttempts
@@ -370,11 +340,6 @@ func (w *Worker) retry(ctx context.Context, method, endpoint, contentType string
 				backoff *= 2
 			}
 		}
-		if hold := w.brk.waitTime(time.Now()); hold > 0 {
-			if err := sleepCtx(ctx, hold); err != nil {
-				return err
-			}
-		}
 		url := fmt.Sprintf("%s/campaigns/%s/%s", w.opts.BaseURL, w.opts.Campaign, endpoint)
 		req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 		if err != nil {
@@ -388,29 +353,21 @@ func (w *Worker) retry(ctx context.Context, method, endpoint, contentType string
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			w.brk.failure(time.Now())
 			lastErr = err
 			continue
 		}
 		body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 		resp.Body.Close()
 		if err != nil {
-			w.brk.failure(time.Now())
 			lastErr = err
 			continue
 		}
 		switch {
 		case resp.StatusCode >= 500:
-			w.brk.failure(time.Now())
 			lastErr = fmt.Errorf("campaign: server error %s: %s", resp.Status, firstLine(body))
 			continue
 		case resp.StatusCode >= 400:
-			w.brk.success()
 			return fmt.Errorf("campaign: %s: %s", resp.Status, firstLine(body))
-		}
-		w.brk.success()
-		if out == nil {
-			return nil
 		}
 		if err := json.Unmarshal(body, out); err != nil {
 			// A 200 with undecodable JSON is a damaged body, not a protocol
