@@ -976,3 +976,28 @@ func TestCompleteRefusesV1Upload(t *testing.T) {
 		t.Fatalf("v3 re-send = %d, merged %d; want 200, 1", code, cr.Merged)
 	}
 }
+
+// TestWorkerRefusesOtherVersionAtCorpus pins where a version mismatch
+// stops a worker: at the corpus fetch, its first call, with an error
+// naming both versions, and before any upload is made.
+func TestWorkerRefusesOtherVersionAtCorpus(t *testing.T) {
+	var uploads atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/corpus") {
+			json.NewEncoder(w).Encode(CorpusResponse{Version: ProtocolVersion - 1})
+			return
+		}
+		uploads.Add(1)
+		http.Error(w, "unexpected call", http.StatusTeapot)
+	}))
+	defer ts.Close()
+	w := NewWorker(WorkerOptions{BaseURL: ts.URL, Campaign: "c0001", Name: "new", Parallel: 1})
+	err := w.Run(context.Background())
+	want := fmt.Sprintf("server speaks protocol v%d, worker v%d", ProtocolVersion-1, ProtocolVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run against an older server = %v, want %q", err, want)
+	}
+	if n := uploads.Load(); n != 0 {
+		t.Fatalf("worker made %d calls past the corpus, want 0", n)
+	}
+}
