@@ -168,12 +168,13 @@ func BenchmarkCountExhaustiveTL3(b *testing.B) {
 }
 
 // BenchmarkCountFactorized measures the factorized exact counter on the
-// same workloads as the odometer benchmarks above — sb (TL=2, cross-bound
-// matrix) and podwr001 (TL=3, interval triangle count) — and at the
-// campaign's exhaustive cap n=2000 on iriw (shared-existential matrix)
-// and safe007 (TL=3, column-interval triangle count). The differential
-// tests in internal/core prove the tallies identical; this shows the
-// N^TL frame walk collapsing to bitset work.
+// same workloads as the odometer benchmarks above — sb (TL=2, rows
+// streamed through a cross-bound predicate cursor) and podwr001 (TL=3,
+// interval triangle count) — and at the campaign's exhaustive cap
+// n=2000 on iriw (rows streamed through four shared-existential
+// predicate cursors) and safe007 (TL=3, column-interval triangle
+// count). The differential tests in internal/core prove the tallies
+// identical; this shows the N^TL frame walk collapsing to bitset work.
 func BenchmarkCountFactorized(b *testing.B) {
 	bench := func(name string, sizes []int) {
 		for _, n := range sizes {

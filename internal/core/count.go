@@ -14,6 +14,9 @@ import (
 type BufSet struct {
 	N    int
 	Bufs [][]int64
+	// flat is Reset's one backing array: each Bufs[t] is a capped view of
+	// it, so the threads' buffers grow as one.
+	flat []int64
 }
 
 // NewBufSet allocates zeroed buffers for a run of n iterations.
@@ -24,24 +27,34 @@ func NewBufSet(pt *PerpetualTest, n int) *BufSet {
 }
 
 // Reset shapes bs as zeroed buffers for an n-iteration run of pt,
-// reusing the backing arrays it already holds. A store-only thread's
-// buffer is emptied, not dropped, so a later test that loads on that
-// thread reuses its array.
+// reusing the one backing array it already holds. Each load thread's
+// Bufs[t] is a full slice expression of that array, so appending to
+// one thread's buffer never writes into the next; a store-only
+// thread's is nil.
 func (bs *BufSet) Reset(pt *PerpetualTest, n int) {
 	bs.N = n
+	total := 0
+	for _, r := range pt.Reads {
+		total += r * n
+	}
+	if cap(bs.flat) < total {
+		bs.flat = make([]int64, total)
+	}
+	bs.flat = bs.flat[:total]
+	clear(bs.flat)
 	if cap(bs.Bufs) < len(pt.Reads) {
-		bufs := make([][]int64, len(pt.Reads))
-		copy(bufs, bs.Bufs[:cap(bs.Bufs)])
-		bs.Bufs = bufs
+		bs.Bufs = make([][]int64, len(pt.Reads))
 	}
 	bs.Bufs = bs.Bufs[:len(pt.Reads)]
+	off := 0
 	for t, r := range pt.Reads {
-		if b := bs.Bufs[t]; cap(b) < r*n {
-			bs.Bufs[t] = make([]int64, r*n)
-		} else {
-			bs.Bufs[t] = b[:r*n]
-			clear(bs.Bufs[t])
+		if r == 0 {
+			bs.Bufs[t] = nil
+			continue
 		}
+		end := off + r*n
+		bs.Bufs[t] = bs.flat[off:end:end]
+		off = end
 	}
 }
 
@@ -63,8 +76,8 @@ func (bs *BufSet) Validate(pt *PerpetualTest) error {
 // the converted outcomes of interest in evaluation order; like the
 // paper's generated COUNT/COUNTH functions, at most one outcome is
 // counted per frame (first match wins). A Counter keeps scratch state
-// between frames and is not safe for concurrent use; clone one per
-// goroutine with Clone.
+// between frames and is not safe for concurrent use; make one per
+// goroutine with NewCounter.
 type Counter struct {
 	pt       *PerpetualTest
 	outcomes []*PerpetualOutcome
@@ -75,14 +88,11 @@ type Counter struct {
 	isExist []bool
 
 	// Factorized-counting state (see factor.go). Plans are immutable
-	// once built and shared across Clones; scratch is per-Counter.
+	// once built; scratch is per-Counter (see TakeScratch).
 	fplans      []*outcomePlan
 	fplansOK    bool
 	fplansBuilt bool
 	fscratch    *factorScratch
-	// fbudget is the factorized pass's pair-matrix memory guard:
-	// maxFactorMatrixBytes, lowered only by tests to make it trip.
-	fbudget int64
 }
 
 // NewCounter builds a counter for the given outcomes of interest.
@@ -95,7 +105,6 @@ func NewCounter(pt *PerpetualTest, outcomes []*PerpetualOutcome) *Counter {
 		lo:       make([]int64, n),
 		hi:       make([]int64, n),
 		isExist:  make([]bool, n),
-		fbudget:  maxFactorMatrixBytes,
 	}
 }
 
@@ -110,11 +119,11 @@ func NewTargetCounter(pt *PerpetualTest) (*Counter, error) {
 	return NewCounter(pt, []*PerpetualOutcome{po}), nil
 }
 
-// TakeScratch moves from's factorized-count scratch (pair matrices,
-// bound, interval and bitset arrays) to c when c has none yet, so a
-// counter for another test counts without reallocating them. The
-// scratch holds no test-specific state between counts; from regrows its
-// own if it counts again.
+// TakeScratch moves from's factorized-count scratch (per-outcome row
+// intervals, predicate keys and cursors, bound and bitset arrays) to c
+// when c has none yet, so a counter for another test counts without
+// reallocating them. The scratch holds no test-specific state between
+// counts; from regrows its own if it counts again.
 func (c *Counter) TakeScratch(from *Counter) {
 	if from != nil && from != c && c.fscratch == nil {
 		c.fscratch, from.fscratch = from.fscratch, nil

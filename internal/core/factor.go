@@ -33,31 +33,35 @@ import (
 // second thread q confines each column j to a row interval; and a
 // shared existential with per-side intervals [Lp(i), Hp(i)] and
 // [Lq(j), Hq(j)] holds iff each side's interval is non-empty and
-// Lp(i) ≤ Hq(j) and Lq(j) ≤ Hp(i). Each of those is "column key ≥ (or ≤)
-// row threshold", so a pair matrix is built by bucket-sorting columns by
-// key and rows by threshold and sweeping the thresholds once, growing an
-// accumulator bitset that is ANDed into each row: O(N·N/64) word
-// operations per predicate instead of N² cell evaluations. The innermost
-// pair of the counting loop ((0,1) at TL=2, (1,2) at TL=3) is not built
-// at all when its clause is one-sided: each row (or column) is then an
-// index interval, counted in O(1) from a prefix-popcount table of the
-// inner bitset.
+// Lp(i) ≤ Hq(j) and Lq(j) ≤ Hp(i). A pair relation therefore keeps its
+// row intervals plus a list of column-threshold predicates "key[j] ≥
+// thr[i]" or "key[j] ≤ thr[i]" (a column interval gives two with
+// thr[i] = i), and no relation is ever stored as a matrix. The counting
+// loops visit rows in ascending order and stream each row into one
+// scratch row: every predicate has a cursor over its columns sorted by
+// key, holding the admitted columns as a bitset, and moving to the next
+// row's threshold toggles only the columns in between (a snapshot every
+// few ranks bounds any jump), so a row costs O(words) per predicate and
+// scratch is O(N) per predicate. The innermost pair of the counting
+// loop ((0,1) at TL=2, (1,2) at TL=3) skips the stream when its clause
+// is one-sided: each row (or column) is then an index interval, counted
+// in O(1) from a prefix-popcount table of the inner bitset.
 //
 // First-match-wins multi-outcome semantics are recovered by
 // inclusion–exclusion over the earlier outcomes' product-form sets:
 // counts[i] = Σ_{S ⊆ {0..i-1}} (−1)^|S| · |A_i ∩ ∩_{j∈S} A_j|, where
-// every intersection is again product-form (bitsets AND per thread,
-// relations AND per pair; same-orientation intervals intersect as
-// intervals) and subtrees whose running intersection is empty are
-// pruned — disjoint outcomes, the common case, cost one term.
+// every intersection is again product-form (bitsets AND per thread; per
+// pair, row intervals intersect and predicate lists concatenate) and
+// subtrees whose running intersection is empty are pruned — disjoint
+// outcomes, the common case, cost one term.
 //
 // Shapes outside the product form fall back to the odometer: an
 // existential thread observed from three or more load threads (a
 // genuinely ternary clause), cross constraints with TL ≥ 4 (the counting
-// pass is specialized to TL ≤ 3), outcome sets too large for
-// inclusion–exclusion, and pair-matrix footprints past the memory
-// guard. CountExhaustive remains the reference implementation; the
-// differential tests in factor_test.go hold the two bit-for-bit equal.
+// pass is specialized to TL ≤ 3), and outcome sets too large for
+// inclusion–exclusion. CountExhaustive remains the reference
+// implementation; the differential tests in factor_test.go hold the two
+// bit-for-bit equal.
 
 // maxFactorOutcomes caps the outcome-set size the planner accepts, and
 // maxFactorIETerms bounds the inclusion–exclusion work per outcome at
@@ -70,13 +74,7 @@ const (
 	maxFactorIETerms  = 1 << 14
 )
 
-// maxFactorMatrixBytes bounds the live pair-matrix footprint: the
-// per-outcome matrices plus the inclusion–exclusion stack, whose depth
-// is capped by what is left. Counts past it fall back to the odometer
-// rather than allocating gigabytes.
-const maxFactorMatrixBytes = 64 << 20
-
-// ----- bitsets and bit matrices -----
+// ----- bitsets -----
 
 type bitset []uint64
 
@@ -88,14 +86,6 @@ func (b bitset) popcount() int64 {
 	var c int64
 	for _, w := range b {
 		c += int64(bits.OnesCount64(w))
-	}
-	return c
-}
-
-func popcountAnd(a, b bitset) int64 {
-	var c int64
-	for i, w := range a {
-		c += int64(bits.OnesCount64(w & b[i]))
 	}
 	return c
 }
@@ -128,37 +118,9 @@ func setRange(b bitset, lo, hi int32) {
 	b[hw] = hm
 }
 
-// andRange restricts b to the index interval [lo, hi].
-func andRange(b bitset, lo, hi int32) {
-	if lo > hi {
-		for w := range b {
-			b[w] = 0
-		}
-		return
-	}
-	lw, hw := int(lo>>6), int(hi>>6)
-	for w := 0; w < lw; w++ {
-		b[w] = 0
-	}
-	for w := hw + 1; w < len(b); w++ {
-		b[w] = 0
-	}
-	b[lw] &= ^uint64(0) << uint(lo&63)
-	b[hw] &= ^uint64(0) >> uint(63-hi&63)
-}
-
-// bitMatrix is an n×n 0/1 matrix over frame-index pairs, row-major with
-// word-aligned rows.
-type bitMatrix struct {
-	words int
-	rows  []uint64
-}
-
-func (m *bitMatrix) row(i int) bitset { return m.rows[i*m.words : (i+1)*m.words] }
-
 // ----- per-outcome factorization plan (independent of N) -----
 
-// pairSlot maps an ordered load-thread position pair to its matrix slot:
+// pairSlot maps an ordered load-thread position pair to its relation slot:
 // (0,1)→0, (0,2)→1, (1,2)→2. Valid for TL ≤ 3.
 func pairSlot(p, q int) int {
 	if p == 0 {
@@ -168,7 +130,7 @@ func pairSlot(p, q int) int {
 }
 
 // innerSlot is the pair the counting pass visits innermost: (0,1) at
-// TL=2 and (1,2) at TL=3. Only it may stay in interval form.
+// TL=2 and (1,2) at TL=3. Only it may take the column-interval form.
 func innerSlot(tl int) int {
 	if tl == 3 {
 		return 2
@@ -180,10 +142,10 @@ func innerSlot(tl int) int {
 type pairForm uint8
 
 const (
-	pairNone   pairForm = iota // unconstrained
-	pairRows                   // row i admits columns [lo[i], hi[i]]
-	pairCols                   // column j admits rows [lo[j], hi[j]]
-	pairMatrix                 // explicit bit matrix
+	pairNone  pairForm = iota // unconstrained
+	pairRows                  // row i admits columns [lo[i], hi[i]]
+	pairCols                  // column j admits rows [lo[j], hi[j]]
+	pairPreds                 // row intervals cut by column-threshold predicates
 )
 
 // outcomePlan classifies one outcome's constraints by the frame
@@ -292,17 +254,16 @@ func planOutcome(pt *PerpetualTest, po *PerpetualOutcome) *outcomePlan {
 
 	inner := innerSlot(tl)
 	for s := 0; s < 3; s++ {
-		hasP, hasQ := len(plan.crossP[s]) > 0, len(plan.crossQ[s]) > 0
-		oneSided := s == inner && len(plan.pairExist[s]) == 0
+		hasP, hasQ, hasE := len(plan.crossP[s]) > 0, len(plan.crossQ[s]) > 0, len(plan.pairExist[s]) > 0
 		switch {
-		case !hasP && !hasQ && len(plan.pairExist[s]) == 0:
+		case !hasP && !hasQ && !hasE:
 			plan.form[s] = pairNone
-		case oneSided && !hasQ:
+		case !hasQ && !hasE:
 			plan.form[s] = pairRows
-		case oneSided && !hasP:
+		case s == inner && !hasP && !hasE:
 			plan.form[s] = pairCols
 		default:
-			plan.form[s] = pairMatrix
+			plan.form[s] = pairPreds
 		}
 	}
 	return plan
@@ -335,12 +296,115 @@ func (c *Counter) factorPlans() ([]*outcomePlan, bool) {
 
 // ----- per-run structures -----
 
-// pairRel is one pair slot's relation in the form its pairForm names;
-// lo/hi back the interval forms and m the matrix form.
+// colPred is a column-threshold predicate of a pair relation: row i
+// admits column j iff key[j] ≥ thr[i] (ge) or key[j] ≤ thr[i] (!ge),
+// with thr[i] = i when thr is empty. Keys and thresholds lie in
+// [-1, n].
+//
+// Its cursor streams one row's admitted columns at a time. ord lists
+// the columns by ascending key (start bounds each key's bucket, see
+// bucketByValue), so a row admits a prefix ord[:pos] (!ge) or a suffix
+// ord[pos:] (ge), and adm holds that set at the cursor's pos. Moving pos
+// toggles the columns in between; snap holds adm at every stride-th pos
+// (stride = words), so a jump restores the nearest snapshot and toggles
+// at most stride columns: O(words) for any move, O(1) amortized for
+// identity thresholds over ascending rows.
+type colPred struct {
+	key, thr []int32
+	ge       bool
+
+	ready      bool // ord, start, snap and adm match key
+	ord, start []int32
+	snap, adm  bitset
+	pos        int32
+}
+
+// prepare builds p's cursor over n columns from its keys.
+func (p *colPred) prepare(n int) {
+	words := bitsetWords(n)
+	p.ord, p.start = resizeInt32(p.ord, n), resizeInt32(p.start, n+4)
+	bucketByValue(p.ord, p.start, p.key)
+	p.adm = resizeBitset(p.adm, words)
+	if p.ge {
+		setRange(p.adm, 0, int32(n-1)) // pos 0 admits all of ord
+	}
+	last := n / words
+	p.snap = resizeBitset(p.snap, (last+1)*words)
+	for k := 0; k <= last; k++ {
+		if k > 0 {
+			flip(p.adm, p.ord[(k-1)*words:k*words])
+		}
+		copy(p.snap[k*words:], p.adm)
+	}
+	p.pos, p.ready = int32(last*words), true
+}
+
+// seek moves p's cursor to row i's threshold.
+//
+//perple:hotpath cover=core-factor
+func (p *colPred) seek(i int) {
+	t := int32(i)
+	if len(p.thr) > 0 {
+		t = p.thr[i]
+	}
+	b := t + 1 // key t is bucket t+1: ord[:start[t+1]] holds the keys below t
+	if !p.ge {
+		b++
+	}
+	to := p.start[b]
+	words := int32(len(p.adm))
+	if d := to - p.pos; d > words || d < -words {
+		k := min((to+words/2)/words, int32(len(p.snap))/words-1)
+		copy(p.adm, p.snap[k*words:])
+		p.pos = k * words
+	}
+	if to < p.pos {
+		flip(p.adm, p.ord[to:p.pos])
+	} else {
+		flip(p.adm, p.ord[p.pos:to])
+	}
+	p.pos = to
+}
+
+// flip toggles the columns cols in b.
+//
+//perple:hotpath cover=core-factor
+func flip(b bitset, cols []int32) {
+	for _, j := range cols {
+		b[j>>6] ^= 1 << uint(j&63)
+	}
+}
+
+// pairRel is one pair slot's relation in the form its pairForm names.
+// lo/hi are the row intervals of the rows and preds forms. preds are
+// the preds form's predicates, or the cols form's column intervals as
+// the identity predicates preds[0] (hi[j] ≥ i) and preds[1] (lo[j] ≤
+// i). own holds the predicates this relation built; preds may also
+// point into earlier relations' own, which outlive it.
 type pairRel struct {
 	form   pairForm
 	lo, hi []int32
-	m      bitMatrix
+	preds  []*colPred
+	own    []colPred
+}
+
+// hasRows reports whether r confines rows to lo/hi.
+func (r *pairRel) hasRows() bool { return r.form == pairRows || r.form == pairPreds }
+
+// setOwn makes r.own k unready predicates, reusing their arrays, and
+// points r.preds at them.
+func (r *pairRel) setOwn(k int) {
+	if cap(r.own) < k {
+		own := make([]colPred, k)
+		copy(own, r.own)
+		r.own = own
+	}
+	r.own = r.own[:k]
+	r.preds = r.preds[:0]
+	for i := range r.own {
+		r.own[i].ready = false
+		r.preds = append(r.preds, &r.own[i])
+	}
 }
 
 // prodSet is a product-form frame set: per-position bitsets joined by
@@ -358,35 +422,23 @@ type factorScratch struct {
 	words int
 
 	sets []prodSet // per outcome
-
 	// bound[ci] is constraint ci's threshold per ref-thread index for the
 	// outcome being built, clamped to the frame: an rf bound's largest
 	// admitted target iteration in [-1, n-1], an fr bound's smallest in
 	// [0, n] (-1 and n admit nothing).
 	bound [][]int32
-
-	// Interval scratch of a matrix build: the row and column intervals of
-	// the slot's cross bounds, and a shared existential's per-side
-	// intervals (index 0: position p, 1: position q).
-	rowLo, rowHi, colLo, colHi []int32
-	exLo, exHi                 [2][]int32
-
-	// Sweep scratch: columns and rows bucket-sorted by value (see
-	// bucketByValue) and the accumulator row.
-	colOrd, colStart []int32
-	rowOrd, rowStart []int32
-	acc              bitset
+	// rowLo/rowHi fold a single-side existential's interval.
+	rowLo, rowHi []int32
 
 	// DFS intersection stack for inclusion–exclusion, one prodSet per
-	// depth (its length is the depth the memory guard allows), the
-	// running state of the current walk, and the row and prefix-popcount
-	// scratch of the counting loops.
-	stack   []prodSet
-	ieOuter int
-	ieTotal int64
-	ieTerms int
-	c1, c2  bitset
-	pre     []int32
+	// depth, the running state of the current walk, and the row and
+	// prefix-popcount scratch of the counting loops.
+	stack       []prodSet
+	ieOuter     int
+	ieTotal     int64
+	ieTerms     int
+	c1, c2, row bitset
+	pre         []int32
 }
 
 func resizeBitset(b bitset, words int) bitset {
@@ -407,100 +459,26 @@ func resizeInt32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// sizeMatrix shapes m as an n×n matrix, reusing its backing array.
-func (sc *factorScratch) sizeMatrix(m *bitMatrix) {
-	size := sc.n * sc.words
-	if cap(m.rows) < size {
-		m.rows = make([]uint64, size)
-	}
-	m.words, m.rows = sc.words, m.rows[:size]
-}
-
 // buildStructures fills the per-outcome prodSets for this run's buffers.
-// ok=false means the pair-matrix footprint tripped the memory guard.
-func (c *Counter) buildStructures(bs *BufSet, plans []*outcomePlan) (*factorScratch, bool) {
+func (c *Counter) buildStructures(bs *BufSet, plans []*outcomePlan) *factorScratch {
 	n := bs.N
 	tl := c.pt.TL()
 	words := bitsetWords(n)
-
-	// Memory guard: the per-outcome matrices must fit the budget, and the
-	// inclusion–exclusion stack may only grow as deep as the rest allows,
-	// each level holding up to one matrix per slot any outcome uses.
-	matBytes := int64(n) * int64(words) * 8
-	var outcomeBytes int64
-	var used [3]bool
-	// Which scratch this run needs: interval forms count through prefix
-	// tables, matrices and single-side existentials fold row intervals,
-	// cross bounds from q and shared existentials sweep.
-	intervals, rowIvs, sweeps, exists := false, false, false, false
-	for _, plan := range plans {
-		if plan.empty {
-			continue
-		}
-		for _, ue := range plan.unaryExist {
-			rowIvs = rowIvs || len(ue) > 0
-		}
-		for s := 0; s < 3; s++ {
-			switch plan.form[s] {
-			case pairNone:
-				continue
-			case pairMatrix:
-				outcomeBytes += matBytes
-				rowIvs = true
-			default:
-				intervals = true
-			}
-			used[s] = true
-			sweeps = sweeps || len(plan.crossQ[s]) > 0 || len(plan.pairExist[s]) > 0
-			exists = exists || len(plan.pairExist[s]) > 0
-		}
-	}
-	if outcomeBytes > c.fbudget {
-		return nil, false
-	}
-	depth := int64(max(len(plans)-1, 0))
-	var levelBytes int64
-	for _, u := range used {
-		if u {
-			levelBytes += matBytes
-		}
-	}
-	if levelBytes > 0 {
-		depth = min(depth, (c.fbudget-outcomeBytes)/levelBytes)
-	}
-
 	if c.fscratch == nil {
 		c.fscratch = &factorScratch{}
 	}
 	sc := c.fscratch
 	sc.n, sc.words = n, words
-	if tl == 3 && used != [3]bool{} {
-		sc.c1, sc.c2 = resizeBitset(sc.c1, words), resizeBitset(sc.c2, words)
-	}
-	if intervals {
-		sc.pre = resizeInt32(sc.pre, words+1)
-	}
-	if rowIvs {
-		sc.rowLo, sc.rowHi = resizeInt32(sc.rowLo, n), resizeInt32(sc.rowHi, n)
-	}
-	if sweeps {
-		sc.acc = resizeBitset(sc.acc, words)
-		sc.colLo, sc.colHi = resizeInt32(sc.colLo, n), resizeInt32(sc.colHi, n)
-		sc.colOrd, sc.colStart = resizeInt32(sc.colOrd, n), resizeInt32(sc.colStart, n+4)
-	}
-	if exists {
-		sc.rowOrd, sc.rowStart = resizeInt32(sc.rowOrd, n), resizeInt32(sc.rowStart, n+4)
-		for k := range sc.exLo {
-			sc.exLo[k], sc.exHi[k] = resizeInt32(sc.exLo[k], n), resizeInt32(sc.exHi[k], n)
-		}
-	}
-	if int64(cap(sc.stack)) < depth {
+	sc.c1, sc.c2, sc.row = resizeBitset(sc.c1, words), resizeBitset(sc.c2, words), resizeBitset(sc.row, words)
+	sc.pre = resizeInt32(sc.pre, words+1)
+	// An intersection chain is at most one level per earlier outcome.
+	depth := max(len(plans)-1, 0)
+	if cap(sc.stack) < depth {
 		st := make([]prodSet, depth)
 		copy(st, sc.stack)
 		sc.stack = st
 	}
 	sc.stack = sc.stack[:depth]
-
 	if cap(sc.sets) < len(plans) {
 		sets := make([]prodSet, len(plans))
 		copy(sets, sc.sets)
@@ -529,7 +507,7 @@ func (c *Counter) buildStructures(bs *BufSet, plans []*outcomePlan) (*factorScra
 			sc.buildPair(&set.pair[s], po, plan, s)
 		}
 	}
-	return sc, true
+	return sc
 }
 
 // fillBounds computes every rf/fr constraint's clamped threshold array
@@ -574,26 +552,40 @@ func (sc *factorScratch) fillBounds(pt *PerpetualTest, bs *BufSet, po *Perpetual
 	}
 }
 
-// foldBounds writes into lo/hi the interval the constraints cons admit
-// per ref-thread index: fr thresholds raise lo from 0, rf thresholds
-// lower hi from n-1.
-func (sc *factorScratch) foldBounds(po *PerpetualOutcome, cons []int, lo, hi []int32) {
-	top := int32(sc.n - 1)
-	for i := range lo {
-		lo[i], hi[i] = 0, top
+// foldBound writes into b, per ref-thread index, the tightest bound the
+// constraints cons of relation rel impose: the largest fr threshold
+// (from 0) or the smallest rf threshold (from n-1). It reports whether
+// any of cons has relation rel.
+func (sc *factorScratch) foldBound(po *PerpetualOutcome, cons []int, rel Rel, b []int32) bool {
+	v := int32(0)
+	if rel == RF {
+		v = int32(sc.n - 1)
 	}
+	for i := range b {
+		b[i] = v
+	}
+	found := false
 	for _, ci := range cons {
-		b := sc.bound[ci]
-		if po.Constraints[ci].Rel == RF {
-			for i, h := range b {
-				hi[i] = min(hi[i], h)
-			}
-		} else {
-			for i, l := range b {
-				lo[i] = max(lo[i], l)
+		if po.Constraints[ci].Rel != rel {
+			continue
+		}
+		found = true
+		for i, t := range sc.bound[ci] {
+			if rel == RF {
+				b[i] = min(b[i], t)
+			} else {
+				b[i] = max(b[i], t)
 			}
 		}
 	}
+	return found
+}
+
+// foldBounds writes into lo/hi the interval the constraints cons admit
+// per ref-thread index.
+func (sc *factorScratch) foldBounds(po *PerpetualOutcome, cons []int, lo, hi []int32) {
+	sc.foldBound(po, cons, FR, lo)
+	sc.foldBound(po, cons, RF, hi)
 }
 
 // fillUnary sets ub to the indices of position p satisfying the
@@ -620,8 +612,9 @@ func (sc *factorScratch) fillUnary(ub bitset, pt *PerpetualTest, bs *BufSet, po 
 			}
 		}
 	}
-	lo, hi := sc.rowLo, sc.rowHi
 	for _, cons := range plan.unaryExist[p] {
+		sc.rowLo, sc.rowHi = resizeInt32(sc.rowLo, n), resizeInt32(sc.rowHi, n)
+		lo, hi := sc.rowLo, sc.rowHi
 		sc.foldBounds(po, cons, lo, hi)
 		for i := range lo {
 			if lo[i] > hi[i] {
@@ -633,32 +626,36 @@ func (sc *factorScratch) fillUnary(ub bitset, pt *PerpetualTest, bs *BufSet, po 
 
 // buildPair builds slot s of outcome po in the form its plan chose.
 func (sc *factorScratch) buildPair(r *pairRel, po *PerpetualOutcome, plan *outcomePlan, s int) {
+	n := sc.n
 	r.form = plan.form[s]
+	r.preds = r.preds[:0]
 	switch r.form {
 	case pairNone:
 		return
-	case pairRows, pairCols:
-		cons := plan.crossP[s]
-		if r.form == pairCols {
-			cons = plan.crossQ[s]
-		}
-		r.lo, r.hi = resizeInt32(r.lo, sc.n), resizeInt32(r.hi, sc.n)
-		sc.foldBounds(po, cons, r.lo, r.hi)
+	case pairCols:
+		r.setOwn(2)
+		hi, lo := &r.own[0], &r.own[1]
+		hi.key, lo.key = resizeInt32(hi.key, n), resizeInt32(lo.key, n)
+		hi.thr, lo.thr, hi.ge, lo.ge = hi.thr[:0], lo.thr[:0], true, false
+		sc.foldBounds(po, plan.crossQ[s], lo.key, hi.key)
 		return
 	}
-	m := &r.m
-	sc.sizeMatrix(m)
-	sc.foldBounds(po, plan.crossP[s], sc.rowLo, sc.rowHi)
-	for i := 0; i < sc.n; i++ {
-		setRange(m.row(i), sc.rowLo[i], sc.rowHi[i])
+	r.lo, r.hi = resizeInt32(r.lo, n), resizeInt32(r.hi, n)
+	sc.foldBounds(po, plan.crossP[s], r.lo, r.hi)
+	if r.form == pairRows {
+		return
 	}
-	if len(plan.crossQ[s]) > 0 {
-		sc.foldBounds(po, plan.crossQ[s], sc.colLo, sc.colHi)
-		sc.andCols(m, sc.colLo, sc.colHi)
-	}
-	n := int32(sc.n)
-	lp, hp, lq, hq := sc.exLo[0], sc.exHi[0], sc.exLo[1], sc.exHi[1]
-	for _, e := range plan.pairExist[s] {
+	// A shared existential gives Hq(j) ≥ Lp(i) and Lq(j) ≤ Hp(i). A
+	// crossQ bound confines column j to rows [lo[j], hi[j]]: hi[j] ≥ i
+	// if it has an rf part, lo[j] ≤ i if it has an fr part.
+	k := 2 * len(plan.pairExist[s])
+	r.setOwn(k + 2)
+	for x, e := range plan.pairExist[s] {
+		a, b := &r.own[2*x], &r.own[2*x+1] // Hq ≥ Lp, Lq ≤ Hp
+		a.key, a.thr = resizeInt32(a.key, n), resizeInt32(a.thr, n)
+		b.key, b.thr = resizeInt32(b.key, n), resizeInt32(b.thr, n)
+		a.ge, b.ge = true, false
+		lp, hp, lq, hq := a.thr, b.thr, b.key, a.key
 		sc.foldBounds(po, e[0], lp, hp)
 		sc.foldBounds(po, e[1], lq, hq)
 		// Fold each side's own non-emptiness in as masks: a row whose
@@ -666,7 +663,7 @@ func (sc *factorScratch) buildPair(r *pairRel, po *PerpetualOutcome, plan *outco
 		// whose interval is empty a key no threshold admits.
 		for i := range lp {
 			if lp[i] > hp[i] {
-				lp[i] = n
+				lp[i] = int32(n)
 			}
 		}
 		for j := range lq {
@@ -674,16 +671,21 @@ func (sc *factorScratch) buildPair(r *pairRel, po *PerpetualOutcome, plan *outco
 				hq[j] = -1
 			}
 		}
-		sc.sweep(m, hq, lp, true)  // Lp(i) ≤ Hq(j)
-		sc.sweep(m, lq, hp, false) // Lq(j) ≤ Hp(i)
 	}
-}
-
-// andCols ANDs into m the column-interval relation "row i is admitted by
-// column j iff lo[j] ≤ i ≤ hi[j]".
-func (sc *factorScratch) andCols(m *bitMatrix, lo, hi []int32) {
-	sc.sweep(m, hi, nil, true)
-	sc.sweep(m, lo, nil, false)
+	for _, rel := range [2]Rel{RF, FR} {
+		if len(plan.crossQ[s]) == 0 {
+			break
+		}
+		p := &r.own[k]
+		p.key, p.thr, p.ge = resizeInt32(p.key, n), p.thr[:0], rel == RF
+		if sc.foldBound(po, plan.crossQ[s], rel, p.key) {
+			k++
+		}
+	}
+	r.preds = r.preds[:k]
+	for _, p := range r.preds {
+		p.prepare(n)
+	}
 }
 
 // bucketByValue bucket-sorts the indices of vals, whose values lie in
@@ -706,45 +708,6 @@ func bucketByValue(ord, start, vals []int32) {
 	for i, v := range vals {
 		ord[start[v+2]] = int32(i)
 		start[v+2]++
-	}
-}
-
-// sweep ANDs into every row i of m the column set {j : key[j] ≥ thr[i]}
-// (ge) or {j : key[j] ≤ thr[i]} (!ge); a nil thr means thr[i] = i. Keys
-// and thresholds lie in [-1, n]. Thresholds are visited from the most
-// restrictive value to the least, so the admitted columns only ever
-// grow: each column enters the accumulator once, and each row is ANDed
-// with the accumulator once — O(n·words) instead of n² comparisons.
-//
-//perple:hotpath cover=core-factor
-func (sc *factorScratch) sweep(m *bitMatrix, key, thr []int32, ge bool) {
-	n := int32(sc.n)
-	bucketByValue(sc.colOrd, sc.colStart, key)
-	if thr != nil {
-		bucketByValue(sc.rowOrd, sc.rowStart, thr)
-	}
-	acc := sc.acc
-	for w := range acc {
-		acc[w] = 0
-	}
-	v, end, step := n, int32(-2), int32(-1)
-	if !ge {
-		v, end, step = -1, n+1, 1
-	}
-	for ; v != end; v += step {
-		b := v + 1
-		for _, j := range sc.colOrd[sc.colStart[b]:sc.colStart[b+1]] {
-			acc[j>>6] |= 1 << uint(j&63)
-		}
-		if thr == nil {
-			if v >= 0 && v < n {
-				andInto(m.row(int(v)), m.row(int(v)), acc)
-			}
-			continue
-		}
-		for _, i := range sc.rowOrd[sc.rowStart[b]:sc.rowStart[b+1]] {
-			andInto(m.row(int(i)), m.row(int(i)), acc)
-		}
 	}
 }
 
@@ -779,12 +742,16 @@ func (sc *factorScratch) countProdSet(s *prodSet) int64 {
 				word &= word - 1
 				c1 := u1
 				if r01.form != pairNone {
-					andInto(sc.c1, r01.m.row(i0), u1)
+					if sc.rowInto(sc.c1, r01, i0, u1) == 0 {
+						continue
+					}
 					c1 = sc.c1
 				}
 				c2 := u2
 				if r02.form != pairNone {
-					andInto(sc.c2, r02.m.row(i0), u2)
+					if sc.rowInto(sc.c2, r02, i0, u2) == 0 {
+						continue
+					}
 					c2 = sc.c2
 				}
 				total += sc.countPair(r12, c1, c2)
@@ -806,17 +773,51 @@ func (sc *factorScratch) countPair(r *pairRel, a, b bitset) int64 {
 	case pairRows:
 		return sc.ivCount(a, b, r.lo, r.hi)
 	case pairCols:
-		return sc.ivCount(b, a, r.lo, r.hi)
+		return sc.ivCount(b, a, r.preds[1].key, r.preds[0].key)
 	}
 	var total int64
 	for w, word := range a {
 		for word != 0 {
 			i := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			total += popcountAnd(r.m.row(i), b)
+			total += sc.rowInto(sc.row, r, i, b)
 		}
 	}
 	return total
+}
+
+// rowInto writes into dst the members of u that row i of r (rows or
+// preds form) admits and returns their count. Only the words of the
+// row's interval are computed, after r's cursors move to row i; dst is
+// zero elsewhere.
+//
+//perple:hotpath cover=core-factor
+func (sc *factorScratch) rowInto(dst bitset, r *pairRel, i int, u bitset) int64 {
+	l, h := r.lo[i], r.hi[i]
+	if l > h {
+		clear(dst)
+		return 0
+	}
+	for _, p := range r.preds {
+		p.seek(i)
+	}
+	lw, hw := int(l>>6), int(h>>6)
+	clear(dst[:lw])
+	clear(dst[hw+1:])
+	row := dst[lw : hw+1]
+	copy(row, u[lw:hw+1])
+	row[0] &= ^uint64(0) << uint(l&63)
+	row[len(row)-1] &= ^uint64(0) >> uint(63-h&63)
+	for _, p := range r.preds {
+		for w, a := range p.adm[lw : hw+1] {
+			row[w] &= a
+		}
+	}
+	var c int64
+	for _, x := range row {
+		c += int64(bits.OnesCount64(x))
+	}
+	return c
 }
 
 // ivCount sums |inner ∩ [lo[x], hi[x]]| over the indices x of outer,
@@ -877,60 +878,55 @@ func (sc *factorScratch) intersectInto(dst, a, b *prodSet) {
 	}
 }
 
-// intersectPair writes a ∧ b into d. Same-orientation intervals
-// intersect as intervals; any other mix is materialized as a matrix.
+// intersectPair writes a ∧ b into d. Column intervals intersect as
+// column intervals; every other mix keeps the intersection of the row
+// intervals and the concatenation of the predicate lists, whose
+// predicates stay owned by a and b.
 func (sc *factorScratch) intersectPair(d, a, b *pairRel) {
-	if a.form == pairNone || b.form == pairMatrix {
+	if a.form == pairNone {
 		a, b = b, a
 	}
+	d.preds = d.preds[:0]
 	switch {
 	case a.form == pairNone:
 		d.form = pairNone
-	case b.form == pairNone && a.form == pairMatrix:
-		d.form = pairMatrix
-		sc.sizeMatrix(&d.m)
-		copy(d.m.rows, a.m.rows)
-	case b.form == pairNone:
-		d.form = a.form
-		d.lo, d.hi = resizeInt32(d.lo, sc.n), resizeInt32(d.hi, sc.n)
-		copy(d.lo, a.lo)
-		copy(d.hi, a.hi)
-	case a.form == b.form && a.form != pairMatrix:
-		d.form = a.form
-		d.lo, d.hi = resizeInt32(d.lo, sc.n), resizeInt32(d.hi, sc.n)
-		for i := range d.lo {
-			d.lo[i] = max(a.lo[i], b.lo[i])
-			d.hi[i] = min(a.hi[i], b.hi[i])
+		return
+	case a.form == pairCols && b.form == pairNone:
+		d.form = pairCols
+		d.preds = append(d.preds, a.preds...)
+		return
+	case a.form == pairCols && b.form == pairCols:
+		d.form = pairCols
+		d.setOwn(2)
+		hi, lo := &d.own[0], &d.own[1]
+		hi.key, lo.key = resizeInt32(hi.key, sc.n), resizeInt32(lo.key, sc.n)
+		hi.thr, lo.thr, hi.ge, lo.ge = hi.thr[:0], lo.thr[:0], true, false
+		ah, al, bh, bl := a.preds[0].key, a.preds[1].key, b.preds[0].key, b.preds[1].key
+		for j := range hi.key {
+			hi.key[j], lo.key[j] = min(ah[j], bh[j]), max(al[j], bl[j])
 		}
-	default:
-		d.form = pairMatrix
-		m := &d.m
-		sc.sizeMatrix(m)
-		top := int32(sc.n - 1)
-		for i := 0; i < sc.n; i++ {
-			switch a.form {
-			case pairMatrix:
-				copy(m.row(i), a.m.row(i))
-			case pairRows:
-				setRange(m.row(i), a.lo[i], a.hi[i])
-			default:
-				setRange(m.row(i), 0, top)
-			}
+		return
+	}
+	d.form = pairRows
+	d.lo, d.hi = resizeInt32(d.lo, sc.n), resizeInt32(d.hi, sc.n)
+	ar, br, top := a.hasRows(), b.hasRows(), int32(sc.n-1)
+	for i := range d.lo {
+		l, h := int32(0), top
+		if ar {
+			l, h = a.lo[i], a.hi[i]
 		}
-		if a.form == pairCols {
-			sc.andCols(m, a.lo, a.hi)
+		if br {
+			l, h = max(l, b.lo[i]), min(h, b.hi[i])
 		}
-		switch b.form {
-		case pairMatrix:
-			for w := range m.rows {
-				m.rows[w] &= b.m.rows[w]
-			}
-		case pairRows:
-			for i := 0; i < sc.n; i++ {
-				andRange(m.row(i), b.lo[i], b.hi[i])
-			}
-		default:
-			sc.andCols(m, b.lo, b.hi)
+		d.lo[i], d.hi[i] = l, h
+	}
+	d.preds = append(append(d.preds, a.preds...), b.preds...)
+	if len(d.preds) > 0 {
+		d.form = pairPreds
+	}
+	for _, p := range d.preds {
+		if !p.ready {
+			p.prepare(sc.n)
 		}
 	}
 }
@@ -939,8 +935,8 @@ func (sc *factorScratch) intersectPair(d, a, b *pairRel) {
 // outcome is oi, by inclusion–exclusion over the earlier outcomes'
 // sets. Zero-count subtrees are pruned (valid: intersections only
 // shrink), so disjoint outcome chains cost O(oi) terms. ok=false means
-// the overlap structure blew the term budget or the memory guard's
-// depth, and the caller must fall back to the odometer.
+// the overlap structure blew the term budget, and the caller must fall
+// back to the odometer.
 func (sc *factorScratch) firstMatchCount(oi int) (int64, bool) {
 	sc.ieOuter, sc.ieTotal, sc.ieTerms = oi, 0, 0
 	if !sc.ieVisit(0, 0, &sc.sets[oi], 1) {
@@ -962,9 +958,6 @@ func (sc *factorScratch) ieVisit(depth, nextJ int, cur *prodSet, sign int64) boo
 	}
 	sc.ieTotal += sign * cnt
 	for j := nextJ; j < sc.ieOuter; j++ {
-		if depth >= len(sc.stack) {
-			return false
-		}
 		child := &sc.stack[depth]
 		sc.intersectInto(child, cur, &sc.sets[j])
 		if !sc.ieVisit(depth+1, j+1, child, -sign) {
@@ -999,7 +992,7 @@ func powSat(n int64, tl int) int64 {
 
 // CountFactorized computes exactly CountExhaustive's result via the
 // factorized pass. ok=false reports a clause shape, outcome-set size or
-// matrix footprint outside the factorizable fragment — the caller must
+// outcome overlap outside the factorizable fragment — the caller must
 // fall back to the odometer. Frames reports the logical N^TL frame
 // count the odometer would have walked.
 func (c *Counter) CountFactorized(bs *BufSet) (res *CountResult, ok bool, err error) {
@@ -1026,10 +1019,7 @@ func (c *Counter) CountFactorized(bs *BufSet) (res *CountResult, ok bool, err er
 // factorCounts fills counts with the first-match tallies of a validated,
 // non-empty run; false means a fallback guard tripped.
 func (c *Counter) factorCounts(bs *BufSet, plans []*outcomePlan, counts []int64) bool {
-	sc, ok := c.buildStructures(bs, plans)
-	if !ok {
-		return false
-	}
+	sc := c.buildStructures(bs, plans)
 	for oi := range counts {
 		cnt, ok := sc.firstMatchCount(oi)
 		if !ok {

@@ -296,10 +296,10 @@ func truncBufs(pt *PerpetualTest, bs *BufSet, n int) *BufSet {
 
 // Shapes the suite lacks. In tl2-mixed, P0 and P1 each read a location
 // a store-only thread also writes, so an outcome's (0,1) pair is a row
-// interval, a column interval, a matrix or unconstrained depending on
-// which store each load observes, and inclusion–exclusion intersects
-// every mix of forms. The two TL=3 shapes have no interval form on
-// their (1,2) pair, so the triangle count takes the row-popcount path:
+// interval, a column interval, a predicate relation or unconstrained
+// depending on which store each load observes, and inclusion–exclusion
+// intersects every mix of forms. The two TL=3 shapes have no interval
+// form on their (1,2) pair, so the triangle count streams its rows:
 // P1 and P2 observe each other's stores (cross bounds from both ends),
 // or both observe the store-only P3 (a shared existential).
 const (
@@ -310,7 +310,7 @@ const (
  MOV EAX,[y] | MOV EAX,[x] |            |            ;
 exists (0:EAX=1 /\ 1:EAX=2)
 `
-	tl3MatrixSrc = `X86 tl3-matrix
+	tl3CrossSrc = `X86 tl3-cross
 { x=0; y=0; z=0; }
  P0          | P1          | P2          ;
  MOV [x],$1  | MOV [y],$1  | MOV [z],$1  ;
@@ -331,7 +331,7 @@ exists (0:EAX=0 /\ 1:EAX=1 /\ 1:EBX=0 /\ 2:EAX=0 /\ 2:EBX=0)
 // TestFactorizedPairForms pins which representation each shape's
 // innermost pair takes for its target, so the multi-word differential
 // below provably drives every counting path: row intervals (podwr001,
-// tl2-mixed), column intervals (safe007) and the row-popcount loop
+// tl2-mixed), column intervals (safe007) and streamed predicate rows
 // (the two TL=3 inline shapes).
 func TestFactorizedPairForms(t *testing.T) {
 	for _, tc := range []struct {
@@ -341,8 +341,8 @@ func TestFactorizedPairForms(t *testing.T) {
 		{parseConvert(t, tl2MixedSrc), pairRows},
 		{mustConvert(t, "podwr001"), pairRows},
 		{mustConvert(t, "safe007"), pairCols},
-		{parseConvert(t, tl3MatrixSrc), pairMatrix},
-		{parseConvert(t, tl3ExistSrc), pairMatrix},
+		{parseConvert(t, tl3CrossSrc), pairPreds},
+		{parseConvert(t, tl3ExistSrc), pairPreds},
 	} {
 		target, err := NewTargetCounter(tc.pt)
 		if err != nil {
@@ -358,55 +358,6 @@ func TestFactorizedPairForms(t *testing.T) {
 	}
 }
 
-// TestFactorizedMemoryGuard trips both halves of the pair-matrix guard
-// with a lowered budget: per-outcome matrices that do not fit decline
-// the pass up front, and a budget that fits them but leaves no room for
-// an inclusion–exclusion level declines as soon as an intersection is
-// needed. CountExhaustiveAuto must match the odometer either way, and a
-// budget with room for the needed levels must factorize again.
-func TestFactorizedMemoryGuard(t *testing.T) {
-	pt := mustConvert(t, "sb")
-	pos, err := ConvertAllOutcomes(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 70
-	bs := lockstepBufs(pt, n)
-	matBytes := int64(n * bitsetWords(n) * 8)
-	outcomeBytes := int64(len(pos)) * matBytes // every sb outcome is one matrix
-	for _, tc := range []struct {
-		budget int64
-		ok     bool
-	}{
-		{outcomeBytes - 1, false},            // the per-outcome matrices alone overflow
-		{outcomeBytes, false},                // no room for one stack level
-		{outcomeBytes + matBytes - 1, false}, // still short of one level
-		{outcomeBytes + matBytes, true},      // disjoint outcomes need one level
-	} {
-		c := NewCounter(pt, pos)
-		c.fbudget = tc.budget
-		odo, err := c.CountExhaustive(context.Background(), bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fac, ok, err := c.CountFactorized(bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok != tc.ok {
-			t.Fatalf("budget %d: factorized ok=%v, want %v", tc.budget, ok, tc.ok)
-		}
-		if ok {
-			requireSameCounts(t, "sb-guard", fac, odo)
-		}
-		auto, err := c.CountExhaustiveAuto(context.Background(), bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameCounts(t, "sb-guard-auto", auto, odo)
-	}
-}
-
 // fuzzTests lists the factorizable shapes the counter fuzz draws from:
 // every convertible suite test plus the inline shapes.
 func fuzzTests(t testing.TB) []*PerpetualTest {
@@ -416,7 +367,7 @@ func fuzzTests(t testing.TB) []*PerpetualTest {
 			pts = append(pts, pt)
 		}
 	}
-	return append(pts, parseConvert(t, tl2MixedSrc), parseConvert(t, tl3MatrixSrc), parseConvert(t, tl3ExistSrc))
+	return append(pts, parseConvert(t, tl2MixedSrc), parseConvert(t, tl3CrossSrc), parseConvert(t, tl3ExistSrc))
 }
 
 // FuzzFactorizedVsOdometer drives the factorized counter against the
@@ -470,8 +421,8 @@ func FuzzFactorizedVsOdometer(f *testing.F) {
 }
 
 // TestBitRangeHelpers checks the word-edge masking of setRange,
-// andRange and bitsBelow against per-bit references on every interval
-// of a few sizes around word boundaries.
+// bitsBelow and rowInto's row interval against per-bit references on
+// every interval of a few sizes around word boundaries.
 func TestBitRangeHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{1, 63, 64, 65, 130} {
@@ -498,20 +449,33 @@ func TestBitRangeHelpers(t *testing.T) {
 			}
 		}
 		b := make(bitset, words)
+		var sc factorScratch
+		row := make(bitset, words)
+		r := &pairRel{form: pairRows, lo: make([]int32, 1), hi: make([]int32, 1)}
 		for lo := 0; lo <= n; lo++ {
 			for hi := -1; hi < n; hi++ {
 				setRange(b, int32(lo), int32(hi))
-				and := append(bitset(nil), pattern...)
-				andRange(and, int32(lo), int32(hi))
+				for w := range row {
+					row[w] = ^uint64(0) // rowInto must clear outside the interval
+				}
+				r.lo[0], r.hi[0] = int32(lo), int32(hi)
+				cnt := sc.rowInto(row, r, 0, pattern)
+				var members int64
 				for i := 0; i < words*64; i++ {
 					in := i >= lo && i <= hi
 					if got := b[i>>6]&(1<<uint(i&63)) != 0; got != in {
 						t.Fatalf("n=%d: setRange(%d, %d) bit %d = %v", n, lo, hi, i, got)
 					}
 					want := in && pattern[i>>6]&(1<<uint(i&63)) != 0
-					if got := and[i>>6]&(1<<uint(i&63)) != 0; got != want {
-						t.Fatalf("n=%d: andRange(%d, %d) bit %d = %v", n, lo, hi, i, got)
+					if want {
+						members++
 					}
+					if got := row[i>>6]&(1<<uint(i&63)) != 0; got != want {
+						t.Fatalf("n=%d: rowInto(%d, %d) bit %d = %v", n, lo, hi, i, got)
+					}
+				}
+				if cnt != members {
+					t.Fatalf("n=%d: rowInto(%d, %d) counted %d, want %d", n, lo, hi, cnt, members)
 				}
 			}
 		}
@@ -532,7 +496,7 @@ func TestFactorizedMultiWordMatchesOdometer(t *testing.T) {
 	for _, name := range []string{"sb", "iriw", "rwc-fenced", "safe027", "podwr001", "safe007"} {
 		pts = append(pts, mustConvert(t, name))
 	}
-	pts = append(pts, parseConvert(t, tl2MixedSrc), parseConvert(t, tl3MatrixSrc), parseConvert(t, tl3ExistSrc))
+	pts = append(pts, parseConvert(t, tl2MixedSrc), parseConvert(t, tl3CrossSrc), parseConvert(t, tl3ExistSrc))
 	rng := rand.New(rand.NewSource(11))
 	for _, pt := range pts {
 		name := pt.Orig.Name

@@ -11,7 +11,7 @@ import (
 // annotations: the frame-evaluation kernel (eval, evalConstraints,
 // evalPinned, bufVal) shared by the exhaustive and heuristic counters
 // must be allocation-free — it runs N^TL (or N) times per count — and so
-// must the factorized pass's sweep and interval-count kernels on a
+// must the factorized pass's cursor, row and interval-count kernels on a
 // reused Counter. The exercisers drive the kernels below the entry
 // points, which allocate their fresh CountResult per call by design.
 func TestHotpathAllocs(t *testing.T) {
@@ -26,9 +26,10 @@ func TestHotpathAllocs(t *testing.T) {
 	anchor := pt.LoadThreads[0]
 
 	// Full outcome sets over multi-word rows, covering every pair form:
-	// cross-bound matrices (sb), shared-existential sweeps (iriw), row
-	// and column intervals with inclusion–exclusion (podwr001,
-	// safe007), and intersections mixing all forms (tl2-mixed).
+	// cross-bound predicates (sb), shared-existential predicates with
+	// jumping cursors (iriw), row and column intervals with
+	// inclusion–exclusion (podwr001, safe007), and intersections mixing
+	// all forms (tl2-mixed).
 	type factorCase struct {
 		c      *Counter
 		bs     *BufSet

@@ -130,7 +130,7 @@ func TestPerpetualRunnerReuseDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Results alias the runner until its next run: keep a copy.
-	firstBufs, firstTicks := cloneBufs(first.Bufs), first.Ticks
+	firstBufs, firstTicks := cloneBufs(pt, first.Bufs), first.Ticks
 	if _, err := r.Run(77, DefaultConfig().WithSeed(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +150,11 @@ func TestPerpetualRunnerReuseDeterministic(t *testing.T) {
 	}
 }
 
-// cloneBufs deep-copies a BufSet so it survives runner reuse.
-func cloneBufs(bs *core.BufSet) *core.BufSet {
-	out := &core.BufSet{N: bs.N, Bufs: make([][]int64, len(bs.Bufs))}
+// cloneBufs deep-copies pt's BufSet so it survives runner reuse.
+func cloneBufs(pt *core.PerpetualTest, bs *core.BufSet) *core.BufSet {
+	out := core.NewBufSet(pt, bs.N)
 	for t, b := range bs.Bufs {
-		if b != nil {
-			out.Bufs[t] = append([]int64(nil), b...)
-		}
+		copy(out.Bufs[t], b)
 	}
 	return out
 }
