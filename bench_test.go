@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"perple/internal/core"
 	"perple/internal/experiments"
 	"perple/internal/harness"
 	"perple/internal/sim"
@@ -215,7 +216,7 @@ func BenchmarkConvert(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := ConvertAllOutcomes(pt); err != nil {
+				if _, err := core.ConvertAllOutcomes(pt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -290,7 +291,7 @@ func BenchmarkTraceVerify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ct, err := CompileTest(test)
+	ct, err := sim.Compile(test)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func BenchmarkTraceVerify(b *testing.B) {
 		{"all", harness.TraceVerify{Every: 1}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			lr, err := NewLitmus7Runner(ct, nil)
+			lr, err := harness.NewLitmus7Runner(ct, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -333,7 +334,7 @@ func BenchmarkTraceVerify(b *testing.B) {
 // with a widened drain window, so buffers hold many pending stores and
 // the cached minimum replaces a real O(buf) scan per probe.
 func BenchmarkSimLitmus7PSO(b *testing.B) {
-	cfg, err := Preset("pso")
+	cfg, err := sim.Preset("pso")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"perple/internal/litmus"
 )
 
 // TestCorpusFilesRoundTrip parses every shipped .litmus file and checks
@@ -21,7 +23,7 @@ func TestCorpusFilesRoundTrip(t *testing.T) {
 	for _, e := range Suite() {
 		byName[e.Test.Name] = e.Test
 	}
-	for _, nc := range NonConvertible() {
+	for _, nc := range litmus.NonConvertible() {
 		byName[nc.Name] = nc
 	}
 

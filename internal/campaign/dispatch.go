@@ -136,6 +136,10 @@ type Dispatcher struct {
 	// again (see leaseLocked). In memory only; a restart forgets it.
 	lastNext map[string][]LeaseRef
 
+	// rec is the one record every ledger transition is decided into and
+	// committed from, so deciding one allocates nothing.
+	rec walRecord
+
 	// killed simulates kill -9 for the chaos suite: every subsequent
 	// checkpoint save and WAL append becomes a no-op while the in-memory
 	// dispatcher keeps acknowledging — strictly more adversarial than a
@@ -229,84 +233,76 @@ func newDispatcher(camp *Campaign, ttl time.Duration, opts Options) (*Dispatcher
 	// A restored run's first interval starts from the rows it restored.
 	d.snapTerminal = d.ndone
 	if opts.WALPath == "" {
-		var pending []Job
-		for _, job := range camp.jobs {
-			if d.done[job.ID] == nil {
-				pending = append(pending, job)
-			}
+		// Without a WAL leases lived in memory only: every job not done
+		// starts pending.
+		ledger = nil
+	}
+	d.restoreLedger(ledger)
+	if opts.WALPath != "" {
+		if err := d.recoverDurable(); err != nil {
+			return nil, err
 		}
-		d.q = newLeaseQueue(pending, ttl, camp.Spec.MaxRetries, time.Now)
-	} else if err := d.recoverDurable(ledger); err != nil {
-		return nil, err
 	}
 	metrics.JobsTotal.Store(int64(len(camp.jobs)))
 	metrics.JobsRestored.Store(int64(d.ndone))
-	pendingN, leasedN, _, _ := d.q.counts()
-	metrics.QueueDepth.Store(int64(pendingN))
-	metrics.InFlight.Store(int64(leasedN))
+	d.storeGaugesLocked()
 	if d.cancelled || d.q.allDone() {
 		d.finish()
 	}
 	return d, nil
 }
 
-// recoverDurable rebuilds the exact lease ledger from the checkpoint's
-// ledger section plus the WAL suffix, then leaves the log ready for
-// appends (startup compaction: fold the recovered state into a fresh
-// snapshot and truncate the log). Runs from the constructor, before any
-// concurrency.
-func (d *Dispatcher) recoverDurable(ledger *LedgerSnapshot) error {
-	fsys := walFSFor(d.opts.CheckpointFS)
-	crc := specWALCRC(d.camp.Spec)
-
-	// Queue rows come from the snapshot's ledger; jobs covered by
-	// neither a row nor the done set (fresh campaign, or a pre-WAL
-	// snapshot without a ledger section) enter as synthetic pending
-	// rows. Jobs done without a row were restored before ever entering a
-	// queue and need none.
-	var rows []LedgerRow
+// restoreLedger builds the lease queue from the checkpoint's ledger
+// section (nil for none) and re-imposes its terminal rows on the
+// totals. Jobs covered by neither a row nor the done set (a fresh
+// campaign, or a snapshot without a ledger section) enter as pending
+// rows; jobs done without a row were restored before ever entering a
+// queue and need none. A done row whose result is missing from the
+// snapshot (an inconsistency no correct writer produces) is defensively
+// downgraded to pending — re-running a deterministic shard is always
+// safe, silently losing it from the totals is not — and dead letters
+// rejoin the failure record. Runs from the constructor.
+func (d *Dispatcher) restoreLedger(ledger *LedgerSnapshot) {
+	rows := make([]LedgerRow, 0, len(d.camp.jobs))
+	covered := make([]bool, len(d.camp.jobs))
 	var nextLease int64
 	if ledger != nil {
-		rows = ledger.Rows
 		nextLease = ledger.NextLease
-		d.cancelled = d.cancelled || ledger.Cancelled
+		d.cancelled = ledger.Cancelled
 		for _, m := range ledger.Merged {
 			d.mergedLease[m.JobID] = m.LeaseID
 		}
-	}
-	covered := make(map[int]bool, len(rows))
-	for _, row := range rows {
-		covered[row.JobID] = true
+		for _, row := range ledger.Rows {
+			if row.JobID < 0 || row.JobID >= len(covered) {
+				continue
+			}
+			covered[row.JobID] = true
+			if row.State == int(stateDone) && !row.Failed && d.done[row.JobID] == nil {
+				row.State = int(statePending)
+			}
+			rows = append(rows, row)
+		}
 	}
 	for _, job := range d.camp.jobs {
-		if covered[job.ID] {
-			continue
+		if !covered[job.ID] && d.done[job.ID] == nil {
+			rows = append(rows, LedgerRow{JobID: job.ID, State: int(statePending)})
 		}
-		if d.done[job.ID] != nil {
-			continue
-		}
-		rows = append(rows, LedgerRow{JobID: job.ID, State: int(statePending)})
 	}
-	d.q = newLeaseQueueFromRows(d.camp.jobs, rows, d.ttl, d.camp.Spec.MaxRetries, nextLease, time.Now)
-
-	// Re-impose the snapshot's terminal rows on the totals: dead letters
-	// rejoin the failure record, and a done row whose result is missing
-	// from the snapshot (an inconsistency no correct writer produces) is
-	// defensively downgraded to pending — re-running a deterministic
-	// shard is always safe, silently losing it from the totals is not.
+	d.q = newLeaseQueueFromRows(d.camp.jobs, rows, d.ttl, d.camp.Spec.MaxRetries, nextLease)
 	for _, id := range d.q.ids {
-		e := d.q.entries[id]
-		if e.state != stateDone {
-			continue
-		}
-		if e.failed {
+		if e := d.q.entries[id]; e.state == stateDone && e.failed {
 			d.recordFailureLocked(e)
-		} else if d.done[id] == nil {
-			d.q.setState(e, statePending)
-			d.q.requeue(id)
 		}
 	}
+}
 
+// recoverDurable replays the WAL suffix over the restored ledger, then
+// leaves the log ready for appends (startup compaction: fold the
+// recovered state into a fresh snapshot and truncate the log). Runs
+// from the constructor, before any concurrency.
+func (d *Dispatcher) recoverDurable() error {
+	fsys := walFSFor(d.opts.CheckpointFS)
+	crc := specWALCRC(d.camp.Spec)
 	rep, err := replayWAL(fsys, d.opts.WALPath, crc)
 	if err != nil {
 		return err
@@ -324,7 +320,12 @@ func (d *Dispatcher) recoverDurable(ledger *LedgerSnapshot) error {
 		// An in-process run's leases died with the process that granted
 		// them, and no fleet worker can reach it: every live row goes back
 		// to pending, its retry budget untouched.
-		d.q.releaseLeased()
+		for _, id := range d.q.ids {
+			e := d.q.entries[id]
+			if e.state == stateLeased && d.q.release(&d.rec, e.worker, LeaseRef{JobID: id, LeaseID: e.leaseID}) {
+				d.commitLocked(&d.rec, "")
+			}
+		}
 	}
 
 	d.wal = newWAL(fsys, d.opts.WALPath, d.opts.WALSyncEvery, crc, d.metrics)
@@ -349,39 +350,42 @@ func (d *Dispatcher) recoverDurable(ledger *LedgerSnapshot) error {
 }
 
 // applyWALRecord replays one logged transition over the restored
-// ledger. Application is defensive and idempotent-by-absoluteness:
-// every record states the row's resulting state, so a stale suffix
+// ledger through commitLocked, before the log is open for appends.
+// Every record states the row's resulting state, so a stale suffix
 // (records the snapshot already absorbed, left by a crash between
 // checkpoint save and log truncation) converges to the same final
 // ledger — the last record per job wins, and terminal rows are never
-// reopened or double-counted.
+// reopened or double-counted. A logged result is merged only if it
+// matches its job and the job is not done already.
 func (d *Dispatcher) applyWALRecord(rec *walRecord) {
-	switch rec.Kind {
-	case walKindGrant:
-		d.q.applyGrant(rec.JobID, rec.LeaseID, rec.Worker, time.Unix(0, rec.Expires))
-	case walKindExtend:
-		d.q.applyExtend(rec.JobID, rec.LeaseID, time.Unix(0, rec.Expires))
-	case walKindComplete:
-		if rec.Result == nil || !d.resultMatchesJob(rec.Result) {
-			return
-		}
-		if d.done[rec.Result.JobID] != nil {
-			return
-		}
-		if accepted, _ := d.q.complete(LeaseRef{JobID: rec.Result.JobID, LeaseID: rec.LeaseID}); accepted {
-			d.mergedLease[rec.Result.JobID] = rec.LeaseID
-			d.results.Add(rec.Result)
-			d.markDoneLocked(rec.Result)
-		}
-	case walKindRequeue:
-		d.q.applyRequeue(rec.JobID, rec.Attempts, rec.Err)
-	case walKindDeadLetter:
-		if e, ok := d.q.applyDeadLetter(rec.JobID, rec.Attempts, rec.Err); ok {
-			d.recordFailureLocked(e)
-		}
-	case walKindCancel:
-		d.cancelled = true
+	if rec.Kind == walKindComplete && (rec.Result == nil || !d.resultMatchesJob(rec.Result) || d.done[rec.Result.JobID] != nil) {
+		return
 	}
+	d.commitLocked(rec, "")
+}
+
+// commitLocked performs one decided transition: it applies rec to the
+// ledger — merging a complete record's result into the totals,
+// recording a dead letter's failure, or cancelling the run — and then
+// appends it to the WAL. kill, when not empty, names the kill-hook point
+// offered between the two. Replay commits the logged records before the
+// log is open, so they are applied and not appended again. Caller holds
+// d.mu (or is the constructor).
+func (d *Dispatcher) commitLocked(rec *walRecord, kill string) {
+	switch {
+	case rec.Kind == walKindCancel:
+		d.cancelled = true
+	case !d.q.apply(rec):
+		return
+	case rec.Kind == walKindComplete:
+		d.mergeLocked(rec.Result, rec.LeaseID)
+	case rec.Kind == walKindDeadLetter:
+		d.recordFailureLocked(d.q.entries[rec.JobID])
+	}
+	if kill != "" && d.killHook != nil && d.killHook(kill) {
+		d.disarmLocked()
+	}
+	d.wal.append(rec)
 }
 
 // buildCorpus renders every campaign test back to parseable litmus
@@ -424,14 +428,12 @@ func (d *Dispatcher) Outcome() (*Results, error, bool) {
 func (d *Dispatcher) Cancel() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	defer d.wal.commit()
+	defer d.endExchangeLocked()
 	if d.finished {
 		return
 	}
-	d.cancelled = true
-	if d.wal != nil {
-		d.wal.append(&walRecord{Kind: walKindCancel, SpecCRC: d.wal.specCRC})
-	}
+	d.rec = walRecord{Kind: walKindCancel}
+	d.commitLocked(&d.rec, "")
 	d.finish()
 }
 
@@ -581,73 +583,17 @@ func (d *Dispatcher) disarmLocked() {
 	}
 }
 
-// walExtendLocked logs the extension of a live lease at its new
-// absolute expiry. Caller holds d.mu and has already applied the
-// heartbeat to the queue.
-func (d *Dispatcher) walExtendLocked(ref LeaseRef) {
-	if d.wal == nil {
-		return
-	}
-	e, ok := d.q.entries[ref.JobID]
-	if !ok || e.state != stateLeased || e.leaseID != ref.LeaseID {
-		return
-	}
-	d.wal.append(&walRecord{
-		Kind:    walKindExtend,
-		SpecCRC: d.wal.specCRC,
-		JobID:   ref.JobID,
-		LeaseID: ref.LeaseID,
-		Expires: e.expires.UnixNano(),
-	})
-}
-
 // sweepLocked requeues expired leases and records exhausted budgets.
 // Caller holds d.mu.
-func (d *Dispatcher) sweepLocked() {
-	requeued, failed := d.q.sweep()
-	for _, e := range requeued {
+func (d *Dispatcher) sweepLocked(now time.Time) {
+	d.q.sweep(&d.rec, now, func(rec *walRecord) {
 		d.metrics.LeaseRequeues.Add(1)
-		d.metrics.Retries.Add(1)
-		d.metrics.QueueDepth.Add(1)
-		d.metrics.InFlight.Add(-1)
-		d.walRequeueLocked(e)
-	}
-	for _, e := range failed {
-		d.metrics.LeaseRequeues.Add(1)
-		d.metrics.InFlight.Add(-1)
-		d.walDeadLetterLocked(e)
-		d.recordFailureLocked(e)
-	}
+		if rec.Kind == walKindRequeue {
+			d.metrics.Retries.Add(1)
+		}
+		d.commitLocked(rec, "")
+	})
 	d.maybeFinishLocked()
-}
-
-// walRequeueLocked logs a return to pending with the row's absolute
-// budget consumption. Caller holds d.mu.
-func (d *Dispatcher) walRequeueLocked(e *queueEntry) {
-	if d.wal == nil {
-		return
-	}
-	d.wal.append(&walRecord{
-		Kind:     walKindRequeue,
-		SpecCRC:  d.wal.specCRC,
-		JobID:    e.job.ID,
-		Attempts: e.attempts,
-		Err:      e.failErr,
-	})
-}
-
-// walDeadLetterLocked logs a budget exhaustion. Caller holds d.mu.
-func (d *Dispatcher) walDeadLetterLocked(e *queueEntry) {
-	if d.wal == nil {
-		return
-	}
-	d.wal.append(&walRecord{
-		Kind:     walKindDeadLetter,
-		SpecCRC:  d.wal.specCRC,
-		JobID:    e.job.ID,
-		Attempts: e.attempts,
-		Err:      e.failErr,
-	})
 }
 
 // recordFailureLocked converts an exhausted queue entry into a
@@ -673,6 +619,21 @@ func (d *Dispatcher) recordFailureLocked(e *queueEntry) {
 	}
 }
 
+// storeGaugesLocked sets the QueueDepth and InFlight gauges from the
+// ledger's counts. Caller holds d.mu (or is the constructor).
+func (d *Dispatcher) storeGaugesLocked() {
+	pending, leased, _, _ := d.q.counts()
+	d.metrics.QueueDepth.Store(int64(pending))
+	d.metrics.InFlight.Store(int64(leased))
+}
+
+// endExchangeLocked ends one locked exchange: it refreshes the gauges
+// and commits the WAL. Lease, complete and Cancel defer it.
+func (d *Dispatcher) endExchangeLocked() {
+	d.storeGaugesLocked()
+	d.wal.commit()
+}
+
 // maybeFinishLocked finishes the run once the ledger is fully done.
 // Caller holds d.mu.
 func (d *Dispatcher) maybeFinishLocked() {
@@ -685,9 +646,9 @@ func (d *Dispatcher) maybeFinishLocked() {
 func (d *Dispatcher) Lease(req LeaseRequest) LeaseResponse {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	defer d.wal.commit()
+	defer d.endExchangeLocked()
 	var resp LeaseResponse
-	d.leaseLocked(req.Worker, req.Max, false, &resp)
+	d.leaseLocked(d.now(), req.Worker, req.Max, false, &resp)
 	return resp
 }
 
@@ -704,63 +665,49 @@ func (d *Dispatcher) Lease(req LeaseRequest) LeaseResponse {
 // it from the re-send, not from the lost reply — with a long retry the
 // first TTL could lapse before the worker's first heartbeat is due.
 // Caller holds d.mu and commits the WAL after.
-func (d *Dispatcher) leaseLocked(worker string, max int, resend bool, resp *LeaseResponse) {
+func (d *Dispatcher) leaseLocked(now time.Time, worker string, max int, resend bool, resp *LeaseResponse) {
 	*resp = LeaseResponse{Version: ProtocolVersion, TTLSec: d.ttl.Seconds(), Grants: resp.Grants[:0]}
 	if d.finished {
 		resp.Done = true
 		return
 	}
-	d.sweepLocked()
+	d.sweepLocked(now)
 	if d.finished {
 		resp.Done = true
 		return
 	}
 	if resend {
 		for _, ref := range d.lastNext[worker] {
-			if len(resp.Grants) < max && d.q.heartbeat(worker, ref) {
-				d.walExtendLocked(ref)
+			if len(resp.Grants) < max && d.q.extend(&d.rec, worker, ref, now) {
+				d.commitLocked(&d.rec, "")
 				resp.Grants = append(resp.Grants, LeaseGrant{Job: d.q.entries[ref.JobID].job, LeaseID: ref.LeaseID})
 			}
 		}
 	}
 	resent := len(resp.Grants)
-	if resent == 0 || resent < max { // q.lease reads max ≤ 0 as 1
-		resp.Grants = d.q.lease(resp.Grants, worker, max-resent)
+	fresh := max - resent
+	if resent == 0 && fresh < 1 {
+		fresh = 1 // an exchange that asks for grants gets at least one
 	}
-	fresh := resp.Grants[resent:]
+	resp.Grants = slices.Grow(resp.Grants, min(fresh, len(d.q.pending)))
+	// The kill hook is offered once per batch, after its first grant is
+	// applied and before any is logged: a simulated crash there hands the
+	// worker leases the restarted dispatcher never heard of — its uploads
+	// must still merge exactly once.
+	kill := "mid-grant"
+	for ; fresh > 0 && d.q.grant(&d.rec, worker, now); fresh-- {
+		d.commitLocked(&d.rec, kill)
+		kill = ""
+		resp.Grants = append(resp.Grants, LeaseGrant{Job: d.q.entries[d.rec.JobID].job, LeaseID: d.rec.LeaseID})
+	}
 	if len(resp.Grants) == 0 {
 		// Everything left is leased to other workers: poll again soon —
 		// an expiry may free work, or the campaign may finish. Capped at a
 		// second so an idle worker learns about completion promptly rather
 		// than sleeping out a TTL fraction.
 		resp.WaitSec = min(d.ttl.Seconds()/4, 1.0)
-		return
 	}
-	if len(fresh) == 0 {
-		return
-	}
-	if d.killHook != nil && d.killHook("mid-grant") {
-		// Simulated crash between deciding the grants and logging them:
-		// the worker receives leases the restarted dispatcher never heard
-		// of — its uploads must still merge exactly once.
-		d.disarmLocked()
-	}
-	if d.wal != nil {
-		for _, g := range fresh {
-			d.wal.append(&walRecord{
-				Kind:    walKindGrant,
-				SpecCRC: d.wal.specCRC,
-				JobID:   g.Job.ID,
-				LeaseID: g.LeaseID,
-				Worker:  worker,
-				Expires: d.q.entries[g.Job.ID].expires.UnixNano(),
-			})
-		}
-	}
-	n := int64(len(fresh))
-	d.metrics.LeasesGranted.Add(n)
-	d.metrics.QueueDepth.Add(-n)
-	d.metrics.InFlight.Add(n)
+	d.metrics.LeasesGranted.Add(int64(len(resp.Grants) - resent))
 }
 
 // Complete merges a batch a fleet worker uploaded; payloadBytes is its
@@ -785,14 +732,16 @@ func (d *Dispatcher) Complete(req CompleteRequest, payloadBytes int) CompleteRes
 func (d *Dispatcher) complete(req CompleteRequest, next *LeaseResponse) CompleteResponse {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	defer d.wal.commit()
+	defer d.endExchangeLocked()
+	now := d.now()
 	var resp CompleteResponse
 	for _, wr := range req.Results {
-		if wr.Result == nil || !d.resultMatchesJob(wr.Result) {
+		jr := wr.Result
+		if jr == nil || !d.resultMatchesJob(jr) {
 			resp.Invalid++
 			continue
 		}
-		if d.done[wr.Result.JobID] != nil {
+		if d.done[jr.JobID] != nil {
 			// Already merged. Uploads are idempotent keyed by lease nonce:
 			// a re-delivery of the very upload that merged (the worker
 			// retried after a dropped response, or the chaos layer
@@ -800,7 +749,7 @@ func (d *Dispatcher) complete(req CompleteRequest, next *LeaseResponse) Complete
 			// a competing holder's copy — or an upload for a job restored
 			// from a checkpoint, whose rebuilt queue carries no lease — is
 			// fenced. Either way nothing double-merges.
-			if nonce, ok := d.mergedLease[wr.Result.JobID]; ok && nonce == wr.LeaseID {
+			if nonce, ok := d.mergedLease[jr.JobID]; ok && nonce == wr.LeaseID {
 				d.metrics.DuplicateUploads.Add(1)
 				resp.Duplicate++
 			} else {
@@ -809,32 +758,28 @@ func (d *Dispatcher) complete(req CompleteRequest, next *LeaseResponse) Complete
 			}
 			continue
 		}
-		wasLeased := d.leasedLocked(wr.Result.JobID)
-		accepted, fenced := d.q.complete(LeaseRef{JobID: wr.Result.JobID, LeaseID: wr.LeaseID})
+		accepted, fenced := d.q.complete(&d.rec, LeaseRef{JobID: jr.JobID, LeaseID: wr.LeaseID}, jr)
 		switch {
 		case accepted:
 			// The ledger, not the executor, knows how many attempts the
 			// job consumed before this one.
-			wr.Result.Retries = d.q.entries[wr.Result.JobID].attempts
-			d.mergedLease[wr.Result.JobID] = wr.LeaseID
-			d.mergeLocked(wr.Result, wasLeased)
+			jr.Retries = d.q.entries[jr.JobID].attempts
+			// Simulated crash after the in-memory merge but before the
+			// completion hits the log: the restarted dispatcher re-leases
+			// the job, and determinism makes the re-run's upload
+			// byte-identical to the merge that was lost.
+			d.commitLocked(&d.rec, "pre-wal-complete")
+			d.metrics.JobsCompleted.Add(1)
+			d.metrics.Iterations.Add(int64(jr.N))
+			// TraceVerifyNs is json:"-" so it arrives zero from remote
+			// workers: checking time is accounted where the checking ran.
+			d.metrics.TracesVerified.Add(jr.TracesVerified)
+			d.metrics.TraceViolations.Add(jr.TraceViolations)
+			d.metrics.TraceVerifyNs.Add(jr.TraceVerifyNs)
+			if d.opts.OnJobDone != nil {
+				d.opts.OnJobDone(jr)
+			}
 			resp.Merged++
-			if d.killHook != nil && d.killHook("pre-wal-complete") {
-				// Simulated crash after the in-memory merge but before the
-				// completion hits the log: the restarted dispatcher re-leases
-				// the job, and determinism makes the re-run's upload
-				// byte-identical to the merge that was lost.
-				d.disarmLocked()
-			}
-			if d.wal != nil {
-				d.wal.append(&walRecord{
-					Kind:    walKindComplete,
-					SpecCRC: d.wal.specCRC,
-					JobID:   wr.Result.JobID,
-					LeaseID: wr.LeaseID,
-					Result:  wr.Result,
-				})
-			}
 		case fenced:
 			d.metrics.ResultsFenced.Add(1)
 			resp.Fenced++
@@ -843,43 +788,31 @@ func (d *Dispatcher) complete(req CompleteRequest, next *LeaseResponse) Complete
 		}
 	}
 	for _, wf := range req.Failures {
-		requeued, failed := d.q.fail(req.Worker, LeaseRef{JobID: wf.JobID, LeaseID: wf.LeaseID}, wf.Err)
-		switch {
-		case requeued:
+		if !d.q.fail(&d.rec, req.Worker, LeaseRef{JobID: wf.JobID, LeaseID: wf.LeaseID}, wf.Err) {
+			continue
+		}
+		d.commitLocked(&d.rec, "")
+		if d.rec.Kind == walKindRequeue {
 			d.metrics.Retries.Add(1)
 			d.metrics.LeaseRequeues.Add(1)
-			d.metrics.QueueDepth.Add(1)
-			d.metrics.InFlight.Add(-1)
-			if e, ok := d.q.entries[wf.JobID]; ok {
-				d.walRequeueLocked(e)
-			}
 			resp.Requeued++
-		case failed:
-			d.metrics.InFlight.Add(-1)
-			if e, ok := d.q.entries[wf.JobID]; ok {
-				d.walDeadLetterLocked(e)
-				d.recordFailureLocked(e)
-			}
+		} else {
 			resp.Failed++
 		}
 	}
 	for _, ref := range req.Released {
-		if d.q.release(req.Worker, ref) {
-			d.metrics.QueueDepth.Add(1)
-			d.metrics.InFlight.Add(-1)
-			if e, ok := d.q.entries[ref.JobID]; ok {
-				d.walRequeueLocked(e)
-			}
+		if d.q.release(&d.rec, req.Worker, ref) {
+			d.commitLocked(&d.rec, "")
 			resp.Requeued++
 		}
 	}
 	// Piggybacked heartbeats last: the leases the worker still holds get
 	// extended in the same exchange that delivered its finished shards.
 	for _, ref := range req.Heartbeat {
-		if d.q.heartbeat(req.Worker, ref) {
+		if d.q.extend(&d.rec, req.Worker, ref, now) {
+			d.commitLocked(&d.rec, "")
 			resp.Extended++
 			d.metrics.Heartbeats.Add(1)
-			d.walExtendLocked(ref)
 		}
 	}
 	d.checkpointLocked()
@@ -895,7 +828,7 @@ func (d *Dispatcher) complete(req CompleteRequest, next *LeaseResponse) Complete
 		// grant, so any of its last Next still leased to it was lost.
 		replay := len(req.Results) > 0 && resp.Duplicate == len(req.Results) && resp.Requeued == 0 && resp.Failed == 0 ||
 			req.leaseOnly()
-		d.leaseLocked(req.Worker, req.Lease, replay, next)
+		d.leaseLocked(now, req.Worker, req.Lease, replay, next)
 		refs := d.lastNext[req.Worker][:0]
 		for _, g := range next.Grants {
 			refs = append(refs, LeaseRef{JobID: g.Job.ID, LeaseID: g.LeaseID})
@@ -907,13 +840,6 @@ func (d *Dispatcher) complete(req CompleteRequest, next *LeaseResponse) Complete
 	}
 	resp.Done = d.finished
 	return resp
-}
-
-// leasedLocked reports whether the job is currently in the leased
-// state (for in-flight accounting). Caller holds d.mu.
-func (d *Dispatcher) leasedLocked(jobID int) bool {
-	e, ok := d.q.entries[jobID]
-	return ok && e.state == stateLeased
 }
 
 // resultMatchesJob cross-checks an uploaded result against the job's
@@ -928,29 +854,14 @@ func (d *Dispatcher) resultMatchesJob(jr *JobResult) bool {
 		job.Shard == jr.Shard && job.N == jr.N && job.Seed == jr.Seed
 }
 
-// mergeLocked folds one accepted result into the totals and the
-// snapshot interval. Caller holds d.mu.
-func (d *Dispatcher) mergeLocked(jr *JobResult, wasLeased bool) {
+// mergeLocked folds one accepted result, carried by lease leaseID, into
+// the totals and the snapshot interval. Caller holds d.mu (or is the
+// constructor).
+func (d *Dispatcher) mergeLocked(jr *JobResult, leaseID int64) {
+	d.mergedLease[jr.JobID] = leaseID
 	d.results.Add(jr)
 	d.markDoneLocked(jr)
 	d.sinceSnap++
-	d.metrics.JobsCompleted.Add(1)
-	d.metrics.Iterations.Add(int64(jr.N))
-	// TraceVerifyNs is json:"-" so it arrives zero from remote workers:
-	// checking time is accounted where the checking ran.
-	d.metrics.TracesVerified.Add(jr.TracesVerified)
-	d.metrics.TraceViolations.Add(jr.TraceViolations)
-	d.metrics.TraceVerifyNs.Add(jr.TraceVerifyNs)
-	if wasLeased {
-		d.metrics.InFlight.Add(-1)
-	} else {
-		// The job had already requeued (expired lease) when its original
-		// holder reported: it leaves the pending set instead.
-		d.metrics.QueueDepth.Add(-1)
-	}
-	if d.opts.OnJobDone != nil {
-		d.opts.OnJobDone(jr)
-	}
 }
 
 // doneMark is what done holds for a merged job when no snapshot will

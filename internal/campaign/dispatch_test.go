@@ -19,13 +19,12 @@ import (
 	"perple/internal/litmus"
 )
 
-// setClock replaces the dispatcher's (and queue's) time source, to
-// force lease expiry without sleeping.
+// setClock replaces the dispatcher's time source, to force lease
+// expiry without sleeping.
 func (d *Dispatcher) setClock(now func() time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.now = now
-	d.q.now = now
 }
 
 // fleetSpec is a real (simulator-backed) campaign small enough that a
@@ -424,33 +423,32 @@ func TestLeaseExpiryRequeueDeterministic(t *testing.T) {
 func TestLeaseQueueBudgetAndNonces(t *testing.T) {
 	jobs := []Job{{ID: 0}, {ID: 1}}
 	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	q := newLeaseQueue(jobs, time.Minute, 1, clock)
+	q := newQueue(jobs, time.Minute, 1)
 
-	granted := q.lease(nil, "w1", 2)
+	granted := qLease(q, "w1", 2, now)
 	if len(granted) != 2 {
 		t.Fatalf("granted %d", len(granted))
 	}
 	// Wrong worker or stale nonce must not extend.
-	if q.heartbeat("w2", LeaseRef{JobID: 0, LeaseID: granted[0].LeaseID}) {
+	if qHeartbeat(q, "w2", LeaseRef{JobID: 0, LeaseID: granted[0].LeaseID}, now) {
 		t.Fatal("foreign worker extended a lease")
 	}
-	if q.heartbeat("w1", LeaseRef{JobID: 0, LeaseID: granted[0].LeaseID + 7}) {
+	if qHeartbeat(q, "w1", LeaseRef{JobID: 0, LeaseID: granted[0].LeaseID + 7}, now) {
 		t.Fatal("stale nonce extended a lease")
 	}
 	// A real heartbeat pushes expiry past the sweep horizon.
 	now = now.Add(50 * time.Second)
-	if !q.heartbeat("w1", LeaseRef{JobID: 0, LeaseID: granted[0].LeaseID}) {
+	if !qHeartbeat(q, "w1", LeaseRef{JobID: 0, LeaseID: granted[0].LeaseID}, now) {
 		t.Fatal("valid heartbeat rejected")
 	}
 	now = now.Add(30 * time.Second) // job 0 extended; job 1 at 80s > 60s TTL
-	requeued, failed := q.sweep()
+	requeued, failed := qSweep(q, now)
 	if len(requeued) != 1 || requeued[0].job.ID != 1 || len(failed) != 0 {
 		t.Fatalf("sweep = %v requeued, %v failed", len(requeued), len(failed))
 	}
 
 	// Release returns the job without burning budget.
-	if !q.release("w1", LeaseRef{JobID: 0, LeaseID: granted[0].LeaseID}) {
+	if !qRelease(q, "w1", LeaseRef{JobID: 0, LeaseID: granted[0].LeaseID}) {
 		t.Fatal("release rejected")
 	}
 	if e := q.entries[0]; e.state != statePending || e.attempts != 0 {
@@ -459,14 +457,14 @@ func TestLeaseQueueBudgetAndNonces(t *testing.T) {
 
 	// Burn job 1's budget: attempt 1 (sweep above) + attempt 2 exceeds
 	// maxRetries=1 and fails it permanently.
-	if g := q.lease(nil, "w1", 1); len(g) != 1 || g[0].Job.ID != 0 {
+	if g := qLease(q, "w1", 1, now); len(g) != 1 || g[0].Job.ID != 0 {
 		t.Fatalf("expected job 0 first, got %+v", g)
 	}
-	if g := q.lease(nil, "w1", 1); len(g) != 1 || g[0].Job.ID != 1 {
+	if g := qLease(q, "w1", 1, now); len(g) != 1 || g[0].Job.ID != 1 {
 		t.Fatalf("expected job 1, got %+v", g)
 	}
 	now = now.Add(2 * time.Minute)
-	_, failed = q.sweep()
+	_, failed = qSweep(q, now)
 	if len(failed) != 1 || failed[0].job.ID != 1 || !failed[0].failed {
 		t.Fatalf("budget exhaustion: %+v", failed)
 	}

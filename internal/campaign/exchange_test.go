@@ -923,6 +923,52 @@ func TestInProcessNextAllocFree(t *testing.T) {
 	}
 }
 
+// TestHeartbeatAllocs pins what a heartbeat-only upload that extends
+// four leases allocates: with a WAL, one frame encoder per extend
+// record and nothing more; without one, nothing at all.
+func TestHeartbeatAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wal  bool
+		max  float64
+	}{{"wal", true, 4}, {"memory", false, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			camp, err := New(smallSpec(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var opts Options
+			if tc.wal {
+				dir := t.TempDir()
+				opts = Options{
+					CheckpointPath: filepath.Join(dir, "cp.json"),
+					WALPath:        filepath.Join(dir, "log.wal"),
+					WALSyncEvery:   1 << 30, // time the records, not the disk
+				}
+			}
+			d, err := NewDispatcher(camp, time.Minute, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := CompleteRequest{Worker: "w"}
+			for _, g := range d.Lease(LeaseRequest{Worker: "w", Max: 4}).Grants {
+				req.Heartbeat = append(req.Heartbeat, LeaseRef{JobID: g.Job.ID, LeaseID: g.LeaseID})
+			}
+			if len(req.Heartbeat) != 4 {
+				t.Fatalf("leased %d jobs, want 4", len(req.Heartbeat))
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if resp := d.Complete(req, 0); resp.Extended != 4 {
+					t.Fatalf("heartbeat = %+v, want 4 leases extended", resp)
+				}
+			})
+			if allocs > tc.max {
+				t.Fatalf("a heartbeat of 4 leases allocates %v times, want at most %v", allocs, tc.max)
+			}
+		})
+	}
+}
+
 // v1Upload writes the v1 upload layout — the v3 one without Lease — so
 // the server's refusal of an old worker can be pinned.
 type v1Upload CompleteRequest

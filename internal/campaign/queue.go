@@ -1,16 +1,16 @@
 package campaign
 
 import (
-	"slices"
 	"sort"
 	"time"
 )
 
 // Lease state machine, per job:
 //
-//	pending ──lease──▶ leased ──complete──▶ done
+//	pending ──grant──▶ leased ──complete──▶ done
 //	   ▲                  │
-//	   └──expire/fail─────┘   (attempts++; attempts > MaxRetries ▶ done, failed)
+//	   └─────requeue──────┘   (expiry or failure: attempts++; release: attempts kept;
+//	                           attempts > MaxRetries ▶ dead-letter: done, failed)
 //
 // A lease carries a nonce (leaseID) that increases with every grant, so
 // a late report from a superseded lease is distinguishable from the
@@ -18,6 +18,14 @@ import (
 // job, not the lease: shard results are deterministic functions of the
 // shard seed, so whichever copy of a twice-leased job reports first is
 // merged and every later report is dropped — never double-merged.
+//
+// Every transition is a walRecord. The decision methods (grant, extend,
+// complete, fail, release, sweep) read the ledger and the time they are
+// handed and fill in the record of a transition, changing no row; apply
+// performs a record and is the only code that changes a row's lease
+// fields. A dispatcher applies each record it decides and appends it to
+// the WAL, and a restart replays the log through the same apply, so the
+// live ledger and the recovered one are made by the same code.
 type leaseState int
 
 const (
@@ -37,17 +45,18 @@ type queueEntry struct {
 	failed   bool // done because the budget ran out, not because a result landed
 	failErr  string
 	// grantedAt is when the newest grant was handed out, for the
-	// oldest-lease-age gauge. It is metrics-only and not persisted; a
-	// restored lease approximates it as expires − TTL.
+	// oldest-lease-age gauge. It is metrics-only and not persisted: apply
+	// derives it from the grant as expires − TTL.
 	grantedAt time.Time
 }
 
 // leaseQueue is the dispatcher's job ledger. It is not safe for
 // concurrent use; the Dispatcher serializes access under its mutex.
-// Grants and requeues are deterministic: pending jobs are kept sorted by
-// job ID and granted lowest-ID first, and a requeued job re-enters at
-// its ID's sorted position, so a fixed sequence of lease/expire events
-// always hands out the same jobs in the same order.
+// It holds no clock: decisions that depend on time take it as an
+// argument. Grants and requeues are deterministic: pending jobs are
+// kept sorted by job ID and granted lowest-ID first, and a requeued job
+// re-enters at its ID's sorted position, so a fixed sequence of
+// lease/expire events always hands out the same jobs in the same order.
 //
 // Two summaries keep the per-call cost of the dispatcher's hot path
 // independent of the campaign's size: per-state row counts, maintained
@@ -63,7 +72,6 @@ type leaseQueue struct {
 	ttl        time.Duration
 	maxRetries int
 	nextLease  int64
-	now        func() time.Time
 
 	// nPending, nLeased and nDone count rows per state; nFailed counts
 	// the done rows that are dead letters. Rows in an unknown state (a
@@ -74,21 +82,55 @@ type leaseQueue struct {
 	nextExpiry time.Time
 }
 
-func newLeaseQueue(jobs []Job, ttl time.Duration, maxRetries int, now func() time.Time) *leaseQueue {
+// newLeaseQueueFromRows builds a ledger from rows, each becoming the
+// row it describes, byte for byte of observable state; a fresh campaign
+// is one pending row per job. jobs is the campaign's full job list,
+// indexed by job ID; rows referencing jobs outside it are dropped
+// (validateRestored already rejected such snapshots for the done set),
+// and a repeated row replaces the earlier one. Restored leases keep
+// their nonce, holder, and expiry — if the worker is still alive it
+// heartbeats the same lease onward; if not, the ordinary sweep requeues
+// it when the clock passes the restored deadline.
+func newLeaseQueueFromRows(jobs []Job, rows []LedgerRow, ttl time.Duration, maxRetries int, nextLease int64) *leaseQueue {
 	q := &leaseQueue{
-		entries:    make(map[int]*queueEntry, len(jobs)),
+		entries:    make(map[int]*queueEntry, len(rows)),
+		ids:        make([]int, 0, len(rows)),
+		pending:    make([]int, 0, len(rows)),
 		ttl:        ttl,
 		maxRetries: maxRetries,
-		now:        now,
+		nextLease:  nextLease,
 	}
-	rows := make([]queueEntry, len(jobs)) // one allocation for every row
-	for i, job := range jobs {
-		rows[i].job = job
-		q.entries[job.ID] = &rows[i]
-		q.ids = append(q.ids, job.ID)
-		q.pending = append(q.pending, job.ID)
+	entries := make([]queueEntry, len(rows)) // one allocation for every row
+	for i, row := range rows {
+		if row.JobID < 0 || row.JobID >= len(jobs) || jobs[row.JobID].ID != row.JobID {
+			continue
+		}
+		e := &entries[i]
+		*e = queueEntry{
+			job:      jobs[row.JobID],
+			state:    leaseState(row.State),
+			attempts: row.Attempts,
+			failed:   row.Failed,
+			failErr:  row.FailErr,
+		}
+		if e.state == stateLeased {
+			e.leaseID = row.LeaseID
+			e.worker = row.Worker
+			e.expires = time.Unix(0, row.Expires)
+			e.grantedAt = e.expires.Add(-ttl)
+			q.noteExpiry(e.expires)
+			q.nextLease = max(q.nextLease, row.LeaseID)
+		}
+		if old, dup := q.entries[row.JobID]; dup {
+			q.tally(old, -1)
+		}
+		q.tally(e, +1)
+		q.entries[row.JobID] = e
+		q.ids = append(q.ids, row.JobID)
+		if e.state == statePending {
+			q.pending = append(q.pending, row.JobID)
+		}
 	}
-	q.nPending = len(jobs)
 	sort.Ints(q.ids)
 	sort.Ints(q.pending)
 	return q
@@ -125,32 +167,178 @@ func (q *leaseQueue) noteExpiry(t time.Time) {
 	}
 }
 
-// requeue returns a job to the pending set at its sorted position.
-func (q *leaseQueue) requeue(id int) {
+// insertPending adds a job to the pending set at its sorted position.
+func (q *leaseQueue) insertPending(id int) {
 	i := sort.SearchInts(q.pending, id)
 	q.pending = append(q.pending, 0)
 	copy(q.pending[i+1:], q.pending[i:])
 	q.pending[i] = id
 }
 
-// sweep expires overdue leases: each goes back to pending with one
-// attempt consumed, or to done/failed when the budget is exhausted.
-// Entries are visited in job-ID order so the outcome of a sweep is
-// deterministic. It returns the requeued and newly failed entries. A
-// zero-TTL queue serves in-process executors, which cannot vanish
-// without the process: its leases never expire, however long a job
-// runs.
+// dropPending removes id from the pending set if present. The head,
+// which every live grant takes, goes without a shift.
+func (q *leaseQueue) dropPending(id int) {
+	if len(q.pending) > 0 && q.pending[0] == id {
+		q.pending = q.pending[1:]
+		return
+	}
+	i := sort.SearchInts(q.pending, id)
+	if i < len(q.pending) && q.pending[i] == id {
+		q.pending = append(q.pending[:i], q.pending[i+1:]...)
+	}
+}
+
+// apply performs one ledger transition and reports whether it took
+// effect. Records are absolute ("the row became this"), so apply is
+// defensive: a record for an unknown or done row does nothing, and an
+// extend lands only on the live lease it names. Replaying a log suffix
+// that partially overlaps a newer snapshot therefore converges — the
+// last record per job wins, and done rows are never reopened. apply
+// never consults a clock; replay is purely record-driven, which is what
+// makes it deterministic.
+func (q *leaseQueue) apply(rec *walRecord) bool {
+	e, ok := q.entries[rec.JobID]
+	if !ok || e.state == stateDone {
+		return false
+	}
+	switch rec.Kind {
+	case walKindGrant:
+		q.dropPending(rec.JobID)
+		q.setState(e, stateLeased)
+		e.leaseID, e.worker = rec.LeaseID, rec.Worker
+		e.expires = time.Unix(0, rec.Expires)
+		e.grantedAt = e.expires.Add(-q.ttl)
+		q.noteExpiry(e.expires)
+		q.nextLease = max(q.nextLease, rec.LeaseID)
+	case walKindExtend:
+		if e.state != stateLeased || e.leaseID != rec.LeaseID {
+			return false
+		}
+		e.expires = time.Unix(0, rec.Expires)
+		q.noteExpiry(e.expires)
+	case walKindComplete:
+		if e.state == statePending {
+			// A requeued job completed by its pre-expiry holder: pull it
+			// back out of the pending set.
+			q.dropPending(rec.JobID)
+		}
+		e.failed = false
+		q.setState(e, stateDone)
+	case walKindRequeue:
+		if e.state != statePending {
+			q.insertPending(rec.JobID)
+		}
+		q.setState(e, statePending)
+		e.attempts, e.failErr = rec.Attempts, rec.Err
+	case walKindDeadLetter:
+		q.dropPending(rec.JobID)
+		e.failed = true
+		q.setState(e, stateDone)
+		e.attempts, e.failErr = rec.Attempts, rec.Err
+	default:
+		return false
+	}
+	return true
+}
+
+// grant decides a lease of the lowest pending job to worker at now,
+// under a fresh nonce and the queue's TTL, or reports false when no job
+// is pending.
+func (q *leaseQueue) grant(rec *walRecord, worker string, now time.Time) bool {
+	if len(q.pending) == 0 {
+		return false
+	}
+	*rec = walRecord{Kind: walKindGrant, JobID: q.pending[0], LeaseID: q.nextLease + 1, Worker: worker, Expires: now.Add(q.ttl).UnixNano()}
+	return true
+}
+
+// held returns ref's row iff worker holds its current lease: reports
+// against a superseded or finished lease, or from another worker, do
+// nothing.
+func (q *leaseQueue) held(worker string, ref LeaseRef) *queueEntry {
+	e, ok := q.entries[ref.JobID]
+	if !ok || e.state != stateLeased || e.leaseID != ref.LeaseID || e.worker != worker {
+		return nil
+	}
+	return e
+}
+
+// extend decides a heartbeat: the lease, if worker still holds it,
+// runs a TTL past now. extend does not check the clock against the
+// lease — dispatchers sweep before they extend, so "expired" is decided
+// at one point instead of two racing ones.
+func (q *leaseQueue) extend(rec *walRecord, worker string, ref LeaseRef, now time.Time) bool {
+	if q.held(worker, ref) == nil {
+		return false
+	}
+	*rec = walRecord{Kind: walKindExtend, JobID: ref.JobID, LeaseID: ref.LeaseID, Expires: now.Add(q.ttl).UnixNano()}
+	return true
+}
+
+// complete decides a job's first reported result. The fence is the done
+// state: a second report — from the original holder of an expired lease
+// or from its replacement, whichever comes later — returns fenced.
+// Stale-lease results for a not-yet-done job are accepted: results are
+// deterministic per shard seed, so the early copy is byte-equal to the
+// one the current holder would upload.
+func (q *leaseQueue) complete(rec *walRecord, ref LeaseRef, jr *JobResult) (accepted, fenced bool) {
+	e, ok := q.entries[ref.JobID]
+	if !ok {
+		return false, false
+	}
+	if e.state == stateDone {
+		return false, true
+	}
+	*rec = walRecord{Kind: walKindComplete, JobID: ref.JobID, LeaseID: ref.LeaseID, Result: jr}
+	return true, false
+}
+
+// retry decides e's return to pending with one more attempt consumed,
+// or its dead letter once that attempt exhausts the budget.
+func (q *leaseQueue) retry(rec *walRecord, e *queueEntry, err string) {
+	*rec = walRecord{Kind: walKindRequeue, JobID: e.job.ID, Attempts: e.attempts + 1, Err: err}
+	if rec.Attempts > q.maxRetries {
+		rec.Kind = walKindDeadLetter
+	}
+}
+
+// fail decides a worker-reported execution failure against the retry
+// budget.
+func (q *leaseQueue) fail(rec *walRecord, worker string, ref LeaseRef, msg string) bool {
+	e := q.held(worker, ref)
+	if e == nil {
+		return false
+	}
+	q.retry(rec, e, msg)
+	return true
+}
+
+// release decides the return of an unstarted lease without consuming
+// retry budget (graceful worker drain, or an in-process run recovering
+// its ledger).
+func (q *leaseQueue) release(rec *walRecord, worker string, ref LeaseRef) bool {
+	e := q.held(worker, ref)
+	if e == nil {
+		return false
+	}
+	*rec = walRecord{Kind: walKindRequeue, JobID: ref.JobID, Attempts: e.attempts, Err: e.failErr}
+	return true
+}
+
+// sweep decides the expiry of every lease overdue at now: each goes
+// back to pending with one attempt consumed, or dead-letters when the
+// budget is exhausted. Rows are visited in job-ID order, so the outcome
+// is deterministic, and each decision is filled into rec and handed to
+// commit, which applies it before the next row is decided. A zero-TTL
+// queue serves in-process executors, which cannot vanish without the
+// process: its leases never expire, however long a job runs.
 //
 // While nextExpiry lies after now no lease can have expired, and sweep
 // returns without a scan; a scan recomputes the bound from the leases
 // it leaves live.
-func (q *leaseQueue) sweep() (requeued []*queueEntry, failed []*queueEntry) {
-	if q.ttl == 0 || q.nextExpiry.IsZero() {
-		return nil, nil
-	}
-	now := q.now()
-	if q.nextExpiry.After(now) {
-		return nil, nil
+func (q *leaseQueue) sweep(rec *walRecord, now time.Time, commit func(*walRecord)) {
+	if q.ttl == 0 || q.nextExpiry.IsZero() || q.nextExpiry.After(now) {
+		return
 	}
 	q.nextExpiry = time.Time{}
 	for _, id := range q.ids {
@@ -162,131 +350,12 @@ func (q *leaseQueue) sweep() (requeued []*queueEntry, failed []*queueEntry) {
 			q.noteExpiry(e.expires)
 			continue
 		}
-		e.attempts++
-		if e.attempts > q.maxRetries {
-			e.failed = true
-			q.setState(e, stateDone)
-			if e.failErr == "" {
-				e.failErr = "lease expired"
-			}
-			failed = append(failed, e)
-			continue
+		q.retry(rec, e, e.failErr)
+		if rec.Kind == walKindDeadLetter && rec.Err == "" {
+			rec.Err = "lease expired"
 		}
-		q.setState(e, statePending)
-		q.requeue(id)
-		requeued = append(requeued, e)
+		commit(rec)
 	}
-	return requeued, failed
-}
-
-// releaseLeased returns every leased row to pending without consuming
-// retry budget (an in-process run recovering its ledger).
-func (q *leaseQueue) releaseLeased() {
-	for _, id := range q.ids {
-		if e := q.entries[id]; e.state == stateLeased {
-			q.setState(e, statePending)
-			q.requeue(id)
-		}
-	}
-}
-
-// lease grants up to max pending jobs to worker, lowest job ID first,
-// stamping each with a fresh lease nonce and the queue's TTL, and
-// appends the grants to dst (an executor reusing its grant slice
-// allocates nothing here).
-func (q *leaseQueue) lease(dst []LeaseGrant, worker string, max int) []LeaseGrant {
-	if max <= 0 {
-		max = 1
-	}
-	n := min(max, len(q.pending))
-	if n == 0 {
-		return dst
-	}
-	now := q.now()
-	expires := now.Add(q.ttl)
-	granted := slices.Grow(dst, n)
-	for _, id := range q.pending[:n] {
-		e := q.entries[id]
-		q.nextLease++
-		q.setState(e, stateLeased)
-		e.leaseID = q.nextLease
-		e.worker = worker
-		e.expires = expires
-		e.grantedAt = now
-		granted = append(granted, LeaseGrant{Job: e.job, LeaseID: e.leaseID})
-	}
-	q.noteExpiry(expires)
-	q.pending = q.pending[n:]
-	return granted
-}
-
-// heartbeat extends a lease iff the caller still holds its current
-// nonce; a heartbeat for a superseded or finished lease is a no-op.
-func (q *leaseQueue) heartbeat(worker string, ref LeaseRef) bool {
-	e, ok := q.entries[ref.JobID]
-	if !ok || e.state != stateLeased || e.leaseID != ref.LeaseID || e.worker != worker {
-		return false
-	}
-	e.expires = q.now().Add(q.ttl)
-	q.noteExpiry(e.expires)
-	return true
-}
-
-// complete marks a job done on its first reported result. The fence is
-// the done state: a second report — from the original holder of an
-// expired lease or from its replacement, whichever comes later — returns
-// fenced. Stale-lease results for a not-yet-done job are accepted:
-// results are deterministic per shard seed, so the early copy is
-// byte-equal to the one the current holder would upload.
-func (q *leaseQueue) complete(ref LeaseRef) (accepted, fenced bool) {
-	e, ok := q.entries[ref.JobID]
-	if !ok {
-		return false, false
-	}
-	if e.state == stateDone {
-		return false, true
-	}
-	if e.state == statePending {
-		// A requeued job completed by its pre-expiry holder: pull it back
-		// out of the pending set.
-		q.dropPending(ref.JobID)
-	}
-	e.failed = false
-	q.setState(e, stateDone)
-	return true, false
-}
-
-// fail records a worker-reported execution failure against the retry
-// budget: requeue while budget remains, else done/failed. Reports
-// against a superseded lease are ignored (the replacement is already
-// running or queued).
-func (q *leaseQueue) fail(worker string, ref LeaseRef, msg string) (requeuedNow, failedNow bool) {
-	e, ok := q.entries[ref.JobID]
-	if !ok || e.state != stateLeased || e.leaseID != ref.LeaseID || e.worker != worker {
-		return false, false
-	}
-	e.attempts++
-	e.failErr = msg
-	if e.attempts > q.maxRetries {
-		e.failed = true
-		q.setState(e, stateDone)
-		return false, true
-	}
-	q.setState(e, statePending)
-	q.requeue(ref.JobID)
-	return true, false
-}
-
-// release hands an unstarted lease back without consuming retry budget
-// (graceful worker drain). Superseded leases are ignored.
-func (q *leaseQueue) release(worker string, ref LeaseRef) bool {
-	e, ok := q.entries[ref.JobID]
-	if !ok || e.state != stateLeased || e.leaseID != ref.LeaseID || e.worker != worker {
-		return false
-	}
-	q.setState(e, statePending)
-	q.requeue(ref.JobID)
-	return true
 }
 
 // counts reports the ledger's aggregate state.
@@ -341,137 +410,4 @@ func (q *leaseQueue) ledgerRows(dst []LedgerRow) []LedgerRow {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// newLeaseQueueFromRows rebuilds a ledger from checkpointed rows: each
-// row becomes the row it describes, byte for byte of observable state.
-// jobs is the campaign's full job list; rows referencing jobs outside
-// it are dropped (validateRestored already rejected such snapshots for
-// the done set). Restored leases keep their nonce, holder, and expiry —
-// if the worker is still alive it heartbeats the same lease onward; if
-// not, the ordinary sweep requeues it when the clock passes the
-// restored deadline.
-func newLeaseQueueFromRows(jobs []Job, rows []LedgerRow, ttl time.Duration, maxRetries int, nextLease int64, now func() time.Time) *leaseQueue {
-	byID := make(map[int]Job, len(jobs))
-	for _, job := range jobs {
-		byID[job.ID] = job
-	}
-	q := &leaseQueue{
-		entries:    make(map[int]*queueEntry, len(rows)),
-		ttl:        ttl,
-		maxRetries: maxRetries,
-		nextLease:  nextLease,
-		now:        now,
-	}
-	for _, row := range rows {
-		job, ok := byID[row.JobID]
-		if !ok {
-			continue
-		}
-		e := &queueEntry{
-			job:      job,
-			state:    leaseState(row.State),
-			attempts: row.Attempts,
-			failed:   row.Failed,
-			failErr:  row.FailErr,
-		}
-		if e.state == stateLeased {
-			e.leaseID = row.LeaseID
-			e.worker = row.Worker
-			e.expires = time.Unix(0, row.Expires)
-			e.grantedAt = e.expires.Add(-ttl)
-			q.noteExpiry(e.expires)
-			if row.LeaseID > q.nextLease {
-				q.nextLease = row.LeaseID
-			}
-		}
-		if old, dup := q.entries[row.JobID]; dup {
-			q.tally(old, -1) // a repeated row replaces the earlier one
-		}
-		q.tally(e, +1)
-		q.entries[row.JobID] = e
-		q.ids = append(q.ids, row.JobID)
-		if e.state == statePending {
-			q.pending = append(q.pending, row.JobID)
-		}
-	}
-	sort.Ints(q.ids)
-	sort.Ints(q.pending)
-	return q
-}
-
-// dropPending removes id from the pending list if present.
-func (q *leaseQueue) dropPending(id int) {
-	i := sort.SearchInts(q.pending, id)
-	if i < len(q.pending) && q.pending[i] == id {
-		q.pending = append(q.pending[:i], q.pending[i+1:]...)
-	}
-}
-
-// WAL replay application. Each method applies one logged transition
-// defensively: records are absolute ("the row became this"), so
-// replaying a suffix that partially overlaps a newer snapshot converges
-// — the last record per job wins, and records for rows already done are
-// skipped. None of these consult the clock; replay is purely
-// record-driven, which is what makes it deterministic.
-
-// applyGrant re-imposes a logged grant.
-func (q *leaseQueue) applyGrant(jobID int, leaseID int64, worker string, expires time.Time) bool {
-	e, ok := q.entries[jobID]
-	if !ok || e.state == stateDone {
-		return false
-	}
-	q.dropPending(jobID)
-	q.setState(e, stateLeased)
-	e.leaseID = leaseID
-	e.worker = worker
-	e.expires = expires
-	q.noteExpiry(expires)
-	e.grantedAt = expires.Add(-q.ttl)
-	if leaseID > q.nextLease {
-		q.nextLease = leaseID
-	}
-	return true
-}
-
-// applyExtend re-imposes a logged heartbeat extension.
-func (q *leaseQueue) applyExtend(jobID int, leaseID int64, expires time.Time) bool {
-	e, ok := q.entries[jobID]
-	if !ok || e.state != stateLeased || e.leaseID != leaseID {
-		return false
-	}
-	e.expires = expires
-	q.noteExpiry(expires)
-	return true
-}
-
-// applyRequeue re-imposes a logged return to pending with its absolute
-// budget consumption.
-func (q *leaseQueue) applyRequeue(jobID, attempts int, failErr string) bool {
-	e, ok := q.entries[jobID]
-	if !ok || e.state == stateDone {
-		return false
-	}
-	if e.state != statePending {
-		q.requeue(jobID)
-	}
-	q.setState(e, statePending)
-	e.attempts = attempts
-	e.failErr = failErr
-	return true
-}
-
-// applyDeadLetter re-imposes a logged budget exhaustion. The caller
-// records the JobFailure on the totals when this reports true.
-func (q *leaseQueue) applyDeadLetter(jobID, attempts int, failErr string) (*queueEntry, bool) {
-	e, ok := q.entries[jobID]
-	if !ok || e.state == stateDone {
-		return nil, false
-	}
-	q.dropPending(jobID)
-	e.failed = true
-	q.setState(e, stateDone)
-	e.attempts = attempts
-	e.failErr = failErr
-	return e, true
 }

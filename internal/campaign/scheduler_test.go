@@ -68,8 +68,9 @@ func TestSchedulerRunsAllJobs(t *testing.T) {
 	if got := metrics.JobsCompleted.Load(); got != wantJobs {
 		t.Fatalf("JobsCompleted = %d, want %d", got, wantJobs)
 	}
-	if got := metrics.QueueDepth.Load(); got != 0 {
-		t.Fatalf("QueueDepth after run = %d", got)
+	// A finished run's ledger has no pending or leased row left.
+	if depth, inFlight := metrics.QueueDepth.Load(), metrics.InFlight.Load(); depth != 0 || inFlight != 0 {
+		t.Fatalf("after the run QueueDepth = %d and InFlight = %d, want 0 and 0", depth, inFlight)
 	}
 	if got := metrics.Iterations.Load(); got != 3*40 {
 		t.Fatalf("Iterations = %d, want 120", got)

@@ -209,8 +209,9 @@ func specWALCRC(spec Spec) uint32 {
 }
 
 // wal is the append side of the log. It is not safe for concurrent use;
-// the Dispatcher serializes every call under its mutex, exactly as it
-// does the leaseQueue the log shadows.
+// the Dispatcher serializes every call under its mutex. Each record it
+// appends is one the dispatcher has just applied to its leaseQueue, and
+// replay applies the same records through the same leaseQueue.apply.
 type wal struct {
 	fsys      WALFS
 	path      string

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -209,6 +210,7 @@ func TestWALReplayPropertyRandomOps(t *testing.T) {
 				finished := d.finished
 				checkQueueCounts(t, d.q)
 				d.mu.Unlock()
+				checkGauges(t, d)
 				if finished {
 					break
 				}
@@ -309,6 +311,16 @@ func TestWALReplayPropertyRandomOps(t *testing.T) {
 					cut, cleanCut, tornState, prefixState)
 			}
 		})
+	}
+}
+
+// checkGauges fails t unless the QueueDepth and InFlight gauges equal
+// the ledger's pending and leased rows.
+func checkGauges(t *testing.T, d *Dispatcher) {
+	t.Helper()
+	pending, leased, _, _ := d.Status()
+	if depth, inFlight := d.metrics.QueueDepth.Load(), d.metrics.InFlight.Load(); depth != int64(pending) || inFlight != int64(leased) {
+		t.Fatalf("gauges read queue depth %d and in flight %d, the ledger has %d pending and %d leased", depth, inFlight, pending, leased)
 	}
 }
 
@@ -743,5 +755,155 @@ func TestWALRecoverDowngradesResultlessDoneRow(t *testing.T) {
 	}
 	if pending, _, done, _ := d.q.counts(); pending != len(camp.jobs)-1 || done != 1 {
 		t.Fatalf("counts pending=%d done=%d, want %d and 1", pending, done, len(camp.jobs)-1)
+	}
+}
+
+var updateWALGolden = flag.Bool("campaign.update-wal-golden", false, "rewrite testdata/wal_script.golden from the current dispatcher")
+
+const walScriptGolden = "testdata/wal_script.golden"
+
+// walCaptureFS is the real filesystem, keeping a copy of the log each
+// time a fresh segment is renamed over it: after the run, last is the
+// log exactly as the closing compaction found it.
+type walCaptureFS struct {
+	osCheckpointFS
+	walPath string
+	last    []byte
+}
+
+func (f *walCaptureFS) Rename(oldpath, newpath string) error {
+	if newpath == f.walPath {
+		if data, err := os.ReadFile(newpath); err == nil {
+			f.last = data
+		}
+	}
+	return f.osCheckpointFS.Rename(oldpath, newpath)
+}
+
+// TestWALScriptGolden pins the log's bytes: a fixed script of exchanges
+// with one of every ledger transition — grants, the extend of a re-sent
+// lost Next, a heartbeat, fail to requeue and to dead-letter, a release,
+// expiry sweeps to requeue and to dead-letter, a stale holder's result
+// for a requeued job, a fenced upload and a cancel — runs on a fixed
+// clock, and the log it leaves must equal testdata/wal_script.golden
+// byte for byte. Regenerate with -campaign.update-wal-golden only when
+// the record format is meant to change.
+func TestWALScriptGolden(t *testing.T) {
+	spec := smallSpec(t)
+	spec.MaxRetries = 1
+	camp, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fsys := &walCaptureFS{walPath: filepath.Join(dir, "log.wal")}
+	d, err := NewDispatcher(camp, time.Minute, Options{
+		CheckpointPath:  filepath.Join(dir, "cp.json"),
+		WALPath:         fsys.walPath,
+		WALSyncEvery:    1,
+		CheckpointEvery: 1 << 20, // no compaction before the closing one
+		CheckpointFS:    fsys,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1_700_000_000, 0)
+	d.setClock(func() time.Time { return now })
+	at := func(sec int) { now = time.Unix(1_700_000_000+int64(sec), 0) }
+	expect := func(step string, got, want CompleteResponse) {
+		t.Helper()
+		got.Next, got.Done = nil, false
+		if got != want {
+			t.Fatalf("%s: response %+v, want %+v", step, got, want)
+		}
+	}
+	lease := func(worker string, max int) []LeaseGrant {
+		t.Helper()
+		return d.Lease(LeaseRequest{Worker: worker, Max: max}).Grants
+	}
+	ref := func(g LeaseGrant) LeaseRef { return LeaseRef{JobID: g.Job.ID, LeaseID: g.LeaseID} }
+	result := func(g LeaseGrant) []WorkerResult {
+		return []WorkerResult{{LeaseID: g.LeaseID, Result: fakeResult(g.Job)}}
+	}
+
+	first := lease("w1", 3) // jobs 0, 1, 2
+	at(10)
+	upload := CompleteRequest{Worker: "w1", Results: result(first[0]), Lease: 2}
+	resp := d.Complete(upload, 0) // merges job 0, grants 3 and 4
+	expect("merge", resp, CompleteResponse{Merged: 1})
+	next := resp.Next.Grants
+	at(20)
+	// The reply was lost: the re-sent upload gets grants 3 and 4 again,
+	// extended.
+	resp = d.Complete(upload, 0)
+	expect("re-send", resp, CompleteResponse{Duplicate: 1})
+	if len(resp.Next.Grants) != 2 || resp.Next.Grants[0] != next[0] {
+		t.Fatalf("re-send got %+v, want %+v again", resp.Next.Grants, next)
+	}
+	at(25)
+	expect("heartbeat", d.Complete(CompleteRequest{Worker: "w1", Heartbeat: []LeaseRef{ref(first[1])}}, 0),
+		CompleteResponse{Extended: 1})
+	expect("fail", d.Complete(CompleteRequest{Worker: "w1", Failures: []WorkerFailure{
+		{JobID: first[1].Job.ID, LeaseID: first[1].LeaseID, Err: "boom"}}}, 0),
+		CompleteResponse{Requeued: 1})
+	expect("release", d.Complete(CompleteRequest{Worker: "w1", Released: []LeaseRef{ref(first[2])}}, 0),
+		CompleteResponse{Requeued: 1})
+	at(30)
+	again := lease("w1", 1) // job 1, one attempt consumed
+	expect("dead-letter", d.Complete(CompleteRequest{Worker: "w1", Failures: []WorkerFailure{
+		{JobID: again[0].Job.ID, LeaseID: again[0].LeaseID, Err: "boom again"}}}, 0),
+		CompleteResponse{Failed: 1})
+	lease("w2", 2) // jobs 2 and 5
+	at(200)
+	// Every lease has expired: the sweep requeues 2, 3, 4 and 5, then job
+	// 2 goes to w3.
+	lease("w3", 1)
+	expect("stale holder", d.Complete(CompleteRequest{Worker: "w1", Results: result(next[0])}, 0),
+		CompleteResponse{Merged: 1})
+	fenced := result(next[0])
+	fenced[0].LeaseID++
+	expect("fenced", d.Complete(CompleteRequest{Worker: "w2", Results: fenced}, 0),
+		CompleteResponse{Fenced: 1})
+	at(400)
+	lease("w3", 1) // the sweep dead-letters job 2, then grants job 4
+	d.Cancel()
+
+	if _, leased, _, failed := d.Status(); leased != 1 || failed != 2 {
+		t.Fatalf("script ended with %d leased and %d failed, want 1 and 2", leased, failed)
+	}
+	kinds := map[int]int{}
+	for pos := 0; pos < len(fsys.last); {
+		n, ok := harness.WireFrameLen(fsys.last[pos:])
+		if !ok {
+			t.Fatalf("captured log is torn at byte %d", pos)
+		}
+		var rec walRecord
+		if err := harness.DecodeWireBinary(fsys.last[pos:pos+n], &rec, 0); err != nil {
+			t.Fatal(err)
+		}
+		kinds[rec.Kind]++
+		pos += n
+	}
+	for kind := walKindBegin; kind <= walKindCancel; kind++ {
+		if kinds[kind] == 0 {
+			t.Fatalf("the script logged no record of kind %d: %v", kind, kinds)
+		}
+	}
+	if *updateWALGolden {
+		if err := os.MkdirAll(filepath.Dir(walScriptGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(walScriptGolden, fsys.last, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d bytes to %s", len(fsys.last), walScriptGolden)
+		return
+	}
+	want, err := os.ReadFile(walScriptGolden)
+	if err != nil {
+		t.Fatalf("reading the golden log (regenerate with -campaign.update-wal-golden): %v", err)
+	}
+	if !bytes.Equal(fsys.last, want) {
+		t.Fatalf("the script's log (%d bytes) differs from %s (%d bytes)", len(fsys.last), walScriptGolden, len(want))
 	}
 }

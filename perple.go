@@ -100,19 +100,6 @@ func FromCycle(name string, edges ...EdgeSpec) (*Test, error) {
 	return litmus.FromCycle(name, edges...)
 }
 
-// ParseCycle resolves a whitespace-separated list of cycle edge names.
-func ParseCycle(s string) ([]EdgeSpec, error) { return litmus.ParseCycle(s) }
-
-// WithFences returns a copy of the test with an MFENCE between every pair
-// of accesses; full fencing restores sequential consistency on TSO-class
-// machines.
-func WithFences(t *Test) *Test { return litmus.WithFences(t) }
-
-// RelabelLocations returns a copy with shared locations renamed.
-func RelabelLocations(t *Test, mapping map[Loc]Loc) (*Test, error) {
-	return litmus.RelabelLocations(t, mapping)
-}
-
 // Instruction constructors.
 var (
 	// Store builds a store of a positive constant to a location.
@@ -128,19 +115,6 @@ func Suite() []SuiteEntry { return litmus.Suite() }
 
 // SuiteTest returns a suite test by name.
 func SuiteTest(name string) (*Test, error) { return litmus.SuiteTest(name) }
-
-// SuiteNames lists the suite test names in Table II order.
-func SuiteNames() []string { return litmus.SuiteNames() }
-
-// AllowedSuite returns the suite tests whose targets x86-TSO allows.
-func AllowedSuite() []SuiteEntry { return litmus.AllowedSuite() }
-
-// ForbiddenSuite returns the suite tests whose targets x86-TSO forbids.
-func ForbiddenSuite() []SuiteEntry { return litmus.ForbiddenSuite() }
-
-// NonConvertible returns example tests whose targets constrain final
-// memory and therefore cannot become perpetual (Section V-C).
-func NonConvertible() []*Test { return litmus.NonConvertible() }
 
 // ParseLitmus parses a litmus7-style x86 test file.
 func ParseLitmus(src string) (*Test, error) { return litmus.Parse(src) }
@@ -184,11 +158,6 @@ func Convert(t *Test) (*PerpetualTest, error) { return core.Convert(t) }
 // ConvertOutcome converts one outcome of interest (Section IV-A/B).
 func ConvertOutcome(pt *PerpetualTest, o Outcome) (*PerpetualOutcome, error) {
 	return core.ConvertOutcome(pt, o)
-}
-
-// ConvertAllOutcomes converts the test's whole outcome space.
-func ConvertAllOutcomes(pt *PerpetualTest) ([]*PerpetualOutcome, error) {
-	return core.ConvertAllOutcomes(pt)
 }
 
 // NewCounter builds a counter over outcomes of interest.
@@ -258,13 +227,6 @@ const (
 // DefaultConfig returns the calibrated simulator timing model.
 func DefaultConfig() Config { return sim.DefaultConfig() }
 
-// Preset returns a named machine configuration (default, pso, slow-drain,
-// fast-drain, no-preempt, heavy-preempt).
-func Preset(name string) (Config, error) { return sim.Preset(name) }
-
-// Presets lists every named machine configuration.
-func Presets() map[string]Config { return sim.Presets() }
-
 // RunLitmus7 runs n synchronized iterations litmus7-style, seeded by
 // cfg, and tallies outcomes; the zero Litmus7Options is an unverified
 // run.
@@ -289,24 +251,9 @@ type (
 	Litmus7Runner = harness.Litmus7Runner
 )
 
-// CompileTest lowers a litmus test once for repeated runs.
-func CompileTest(t *Test) (*CompiledTest, error) { return sim.Compile(t) }
-
-// NewLitmus7Runner builds a reusable litmus7-style runner over a
-// compiled test.
-func NewLitmus7Runner(ct *CompiledTest, outcomes []Outcome) (*Litmus7Runner, error) {
-	return harness.NewLitmus7Runner(ct, outcomes)
-}
-
 // MeasureSkew extracts thread-skew samples from a perpetual run.
 func MeasureSkew(pt *PerpetualTest, bs *BufSet) []SkewSample {
 	return harness.MeasureSkew(pt, bs)
-}
-
-// FormatLitmus7Report renders a litmus7-style run report (Test /
-// Histogram / Witnesses / Observation).
-func FormatLitmus7Report(res *Litmus7Result) string {
-	return harness.FormatLitmus7Report(res)
 }
 
 // ----- experiments -----

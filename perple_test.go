@@ -5,6 +5,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"perple/internal/core"
+	"perple/internal/harness"
+	"perple/internal/litmus"
+	"perple/internal/sim"
 )
 
 // TestPublicAPIPipeline walks the full public surface the README
@@ -12,13 +17,13 @@ import (
 // conversion, explanation, code generation, both harnesses, skew
 // measurement, value decoding, and the fence/cycle/relabel tools.
 func TestPublicAPIPipeline(t *testing.T) {
-	if len(Suite()) != 34 || len(AllowedSuite()) != 12 || len(ForbiddenSuite()) != 22 {
+	if len(Suite()) != 34 || len(litmus.AllowedSuite()) != 12 || len(litmus.ForbiddenSuite()) != 22 {
 		t.Fatal("suite accessors wrong")
 	}
-	if len(SuiteNames()) != 34 {
+	if len(litmus.SuiteNames()) != 34 {
 		t.Fatal("SuiteNames wrong")
 	}
-	if len(NonConvertible()) == 0 {
+	if len(litmus.NonConvertible()) == 0 {
 		t.Fatal("NonConvertible empty")
 	}
 
@@ -70,7 +75,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if po.Unsatisfiable || !strings.Contains(ex.String(), "happens-before") {
 		t.Error("explanation wrong")
 	}
-	pos, err := ConvertAllOutcomes(pt)
+	pos, err := core.ConvertAllOutcomes(pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +113,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if lres.TargetCount == 0 {
 		t.Error("litmus7 timebase found no sb targets")
 	}
-	if !strings.Contains(FormatLitmus7Report(lres), "Observation sb") {
+	if !strings.Contains(harness.FormatLitmus7Report(lres), "Observation sb") {
 		t.Error("report wrong")
 	}
 
@@ -122,11 +127,11 @@ func TestPublicAPIPipeline(t *testing.T) {
 	}
 
 	// Transformations and generators.
-	fenced := WithFences(test)
+	fenced := litmus.WithFences(test)
 	if mustAllowed(t, fenced, TSO) {
 		t.Error("fully fenced sb target should be TSO-forbidden")
 	}
-	relabeled, err := RelabelLocations(test, map[Loc]Loc{"x": "data"})
+	relabeled, err := litmus.RelabelLocations(test, map[Loc]Loc{"x": "data"})
 	if err != nil || relabeled.Locs()[0] != "data" {
 		t.Errorf("relabel failed: %v", err)
 	}
@@ -137,16 +142,16 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if !mustAllowed(t, cyc, TSO) || mustAllowed(t, cyc, SC) {
 		t.Error("cycle classification wrong")
 	}
-	edges, err := ParseCycle("PodWW Rfe PodRR Fre")
+	edges, err := litmus.ParseCycle("PodWW Rfe PodRR Fre")
 	if err != nil || len(edges) != 4 {
 		t.Fatal("ParseCycle failed")
 	}
 
 	// Presets.
-	if _, err := Preset("pso"); err != nil {
+	if _, err := sim.Preset("pso"); err != nil {
 		t.Error(err)
 	}
-	if len(Presets()) < 5 {
+	if len(sim.Presets()) < 5 {
 		t.Error("presets missing")
 	}
 
